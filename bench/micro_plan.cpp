@@ -24,6 +24,7 @@
 #include "core/its.hpp"
 #include "core/ladies.hpp"
 #include "core/minibatch.hpp"
+#include "core/plan_sampler.hpp"
 #include "plan/builders.hpp"
 #include "plan/executor.hpp"
 #include "plan/optimize.hpp"
@@ -206,27 +207,27 @@ CaseResult run_opt_case(const SamplePlan& plan, const Graph& graph,
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<index_t>(i);
   const PlanExecutor unopt(plan, cfg, {/*optimize=*/false});
   const PlanExecutor opt(plan, cfg);
-  Workspace wu, wo;
+  PlanRunState state_u, state_o;
   CaseResult r;
   r.bit_identical = true;
-  (void)unopt.run(graph, batches, ids, 0, &wu, weights);
-  (void)opt.run(graph, batches, ids, 0, &wo, weights);
+  (void)unopt.run(graph, batches, ids, 0, state_u, weights);
+  (void)opt.run(graph, batches, ids, 0, state_o, weights);
   for (int rep = 1; rep <= reps; ++rep) {
     const auto check_seed = static_cast<std::uint64_t>(rep);
     r.bit_identical =
         r.bit_identical &&
-        identical(unopt.run(graph, batches, ids, check_seed, &wu, weights),
-                  opt.run(graph, batches, ids, check_seed, &wo, weights));
+        identical(unopt.run(graph, batches, ids, check_seed, state_u, weights),
+                  opt.run(graph, batches, ids, check_seed, state_o, weights));
     Timer tu;
     for (int e = 0; e < inner; ++e) {
       (void)unopt.run(graph, batches, ids,
-                      static_cast<std::uint64_t>(rep * inner + e), &wu, weights);
+                      static_cast<std::uint64_t>(rep * inner + e), state_u, weights);
     }
     r.direct_reps.push_back(tu.seconds());
     Timer to;
     for (int e = 0; e < inner; ++e) {
       (void)opt.run(graph, batches, ids,
-                    static_cast<std::uint64_t>(rep * inner + e), &wo, weights);
+                    static_cast<std::uint64_t>(rep * inner + e), state_o, weights);
     }
     r.plan_reps.push_back(to.seconds());
   }
@@ -266,8 +267,8 @@ int run(bool smoke, const std::string& json_path) {
 
   const SamplerConfig sage_cfg{bench::arch().sage_fanout, 1};
   const SamplerConfig ladies_cfg{{bench::arch().ladies_s}, 1};
-  GraphSageSampler sage(ds.graph, sage_cfg);
-  LadiesSampler ladies(ds.graph, ladies_cfg);
+  PlanSampler sage(ds.graph, build_sage_plan(), sage_cfg);
+  PlanSampler ladies(ds.graph, build_ladies_plan(), ladies_cfg);
 
   // LADIES epochs are milliseconds at bench scale; loop them so each timed
   // sample is long enough for a stable min.

@@ -3,7 +3,7 @@
 // (b) the fused per-walker engine in original vertex order, and (c) the
 // fused engine with degree-sorted relabeling and cache bucketing
 // (DESIGN.md §11), then reports walk throughput (surviving-walker edge
-// traversals per second, PlanExecutor::walk_steps over the walk-phase op
+// traversals per second, PlanSampler::walk_steps over the walk-phase op
 // seconds — the induced-subgraph epilogue is identical across variants and
 // excluded).
 //
@@ -30,9 +30,10 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "core/graphsaint.hpp"
+#include "core/plan_sampler.hpp"
 #include "graph/generators.hpp"
 #include "graph/relabel.hpp"
+#include "plan/builders.hpp"
 
 namespace dms {
 namespace {
@@ -59,16 +60,16 @@ struct VariantResult {
   double edges_per_s() const { return walk_s > 0.0 ? steps / walk_s : 0.0; }
 };
 
-/// Walk-phase seconds from the executor's op accounting: the fused engine
+/// Walk-phase seconds from the sampler's op accounting: the fused engine
 /// records one "<plan>/fused_walk" entry; the matrix path spreads the same
 /// work over the body ops. Epilogue ("induced") time is excluded from both.
-double walk_seconds(const PlanExecutor& exec) {
-  const auto ops = exec.op_seconds();
+double walk_seconds(const PlanSampler& sampler) {
+  const auto ops = sampler.op_time_breakdown();
   double s = 0.0;
   for (const char* label :
        {"fused_walk", "build_q", "spgemm", "normalize", "its_sample",
         "walk_advance"}) {
-    const auto it = ops.find(std::string(exec.plan().name) + "/" + label);
+    const auto it = ops.find(std::string(sampler.plan().name) + "/" + label);
     if (it != ops.end()) s += it->second;
   }
   return s;
@@ -79,15 +80,15 @@ double walk_seconds(const PlanExecutor& exec) {
 /// the throughput ratios are what the bench reports.
 std::vector<VariantResult> run_variants(
     const std::vector<std::pair<std::string, WalkEngineOptions>>& variants,
-    const Graph& graph, const GraphSaintConfig& cfg,
+    const Graph& graph, const SamplePlan& plan, const SamplerConfig& cfg,
     const std::vector<std::vector<index_t>>& batches,
     const std::vector<index_t>& ids, int epochs) {
-  std::vector<std::unique_ptr<GraphSaintSampler>> samplers;
+  std::vector<std::unique_ptr<PlanSampler>> samplers;
   for (const auto& [name, opts] : variants) {
-    samplers.push_back(std::make_unique<GraphSaintSampler>(graph, cfg));
+    samplers.push_back(std::make_unique<PlanSampler>(graph, plan, cfg));
     samplers.back()->set_walk_options(opts);
     (void)samplers.back()->sample_bulk(batches, ids, 0);  // warm
-    samplers.back()->executor().reset_stats();
+    samplers.back()->reset_stats();
   }
   for (int e = 1; e <= epochs; ++e) {
     for (auto& s : samplers) {
@@ -98,8 +99,8 @@ std::vector<VariantResult> run_variants(
   for (std::size_t i = 0; i < samplers.size(); ++i) {
     VariantResult r;
     r.name = variants[i].first;
-    r.walk_s = walk_seconds(samplers[i]->executor());
-    r.steps = samplers[i]->executor().walk_steps();
+    r.walk_s = walk_seconds(*samplers[i]);
+    r.steps = samplers[i]->walk_steps();
     out.push_back(r);
   }
   return out;
@@ -144,7 +145,9 @@ int run(bool smoke, bool compare, const std::string& json_path) {
               params.scale, static_cast<long long>(n),
               static_cast<long long>(graph.num_edges()));
 
-  const GraphSaintConfig cfg{/*walk_length=*/8, /*model_layers=*/1, 1};
+  const index_t walk_length = 8;
+  const SamplePlan plan = build_saint_plan(walk_length, /*model_layers=*/1);
+  const SamplerConfig cfg = walk_adapter_config(/*model_layers=*/1, /*seed=*/1);
   const int num_batches = smoke ? 32 : 64;
   const index_t roots_per_batch = smoke ? 64 : 512;
   // The locality section runs fused-only, so it can afford the walker count
@@ -180,9 +183,9 @@ int run(bool smoke, bool compare, const std::string& json_path) {
   // engine must reproduce the matrix path's minibatches exactly.
   bool bit_identical = true;
   {
-    GraphSaintSampler ref(graph, cfg);
+    PlanSampler ref(graph, plan, cfg);
     ref.set_walk_options(matrix_opts);
-    GraphSaintSampler fused(graph, cfg);
+    PlanSampler fused(graph, plan, cfg);
     fused.set_walk_options(full_opts);
     bit_identical = identical(ref.sample_bulk(batches, ids, 7),
                               fused.sample_bulk(batches, ids, 7));
@@ -190,7 +193,7 @@ int run(bool smoke, bool compare, const std::string& json_path) {
 
   const std::vector<VariantResult> fm_results = run_variants(
       {{"matrix", matrix_opts}, {"fused+relabel+bucket", full_opts}}, graph,
-      cfg, batches, ids, epochs);
+      plan, cfg, batches, ids, epochs);
   const VariantResult& matrix = fm_results[0];
   const VariantResult& fused_full = fm_results[1];
 
@@ -198,7 +201,7 @@ int run(bool smoke, bool compare, const std::string& json_path) {
       run_variants({{"fused", direct_opts},
                     {"fused+relabel", relabel_opts},
                     {"fused+relabel+bucket", full_opts}},
-                   graph, cfg, locality_batches, ids, locality_epochs);
+                   graph, plan, cfg, locality_batches, ids, locality_epochs);
   const VariantResult& direct = loc_results[0];
   const VariantResult& relabeled = loc_results[1];
   const VariantResult& full = loc_results[2];
@@ -206,7 +209,7 @@ int run(bool smoke, bool compare, const std::string& json_path) {
   std::printf("Fused vs matrix (%d epochs x %d batches x %lld roots, walk "
               "length %lld):\n",
               epochs, num_batches, static_cast<long long>(roots_per_batch),
-              static_cast<long long>(cfg.walk_length));
+              static_cast<long long>(walk_length));
   for (const VariantResult* r : {&matrix, &fused_full}) {
     std::printf("  %-22s %12.3e edges/s  (%llu steps in %.4fs)\n",
                 r->name.c_str(), r->edges_per_s(),

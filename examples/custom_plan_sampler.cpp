@@ -1,14 +1,13 @@
 // A custom sampler defined purely as a plan (DESIGN.md §9): a "two-hop"
 // layer sampler — per layer, each frontier vertex samples s vertices
 // proportional to the number of 2-paths reaching them (P = Q·A·A, NORM,
-// ITS). No sampler class, no distributed code: the plan is ~25 lines, the
-// replicated executor runs it as-is, and PartitionedSamplerBase runs the
+// ITS). No sampler class, no distributed code: the plan is ~25 lines,
+// PlanSampler runs it as-is, and PartitionedSamplerBase runs the
 // dist-lowered copy on a 1.5D grid — both modes bit-identical.
 #include <cstdio>
 
 #include "dist/dist_sampler.hpp"
 #include "graph/dataset.hpp"
-#include "plan/executor.hpp"
 
 using namespace dms;
 
@@ -103,18 +102,16 @@ int main() {
   std::vector<std::vector<index_t>> batches = {{0, 1, 2, 3}, {4, 5, 6, 7}};
   const std::vector<index_t> ids = {0, 1};
 
-  // Replicated: bind the plan to an executor and run.
-  PlanExecutor exec(plan, cfg);
-  Workspace ws;
-  const auto replicated = exec.run(ds.graph, batches, ids, /*epoch_seed=*/7, &ws);
+  // Replicated: the plan as written.
+  const PlanSampler rep(ds.graph, plan, cfg);
+  const auto replicated = rep.sample_bulk(batches, ids, /*epoch_seed=*/7);
   std::printf("replicated:  %zu minibatches, %zu sampled edges\n",
               replicated.size(), total_edges(replicated));
 
   // Partitioned: the same plan, dist-lowered by PartitionedSamplerBase onto
   // a 4×2 process grid. Bit-identical by the determinism contract.
   Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));
-  PartitionedSamplerBase part(ds.graph, cluster.grid(), cfg, {}, plan,
-                              "two_hop");
+  const PartitionedSamplerBase part(ds.graph, cluster.grid(), plan, cfg);
   const auto partitioned = part.sample_bulk(batches, ids, /*epoch_seed=*/7);
   std::printf("partitioned: %zu minibatches, %zu sampled edges\n",
               partitioned.size(), total_edges(partitioned));

@@ -10,8 +10,9 @@
 // and exits nonzero if the minibatches are not bit-identical.
 #include <cstdio>
 
-#include "core/node2vec.hpp"
+#include "core/plan_sampler.hpp"
 #include "graph/dataset.hpp"
+#include "plan/builders.hpp"
 
 using namespace dms;
 
@@ -42,12 +43,13 @@ int main() {
   const Dataset ds = make_products_sim(dcfg);
   std::printf("%s\n", ds.graph.summary(ds.name).c_str());
 
-  Node2VecConfig cfg;
-  cfg.walk_length = 6;
-  cfg.model_layers = 2;
-  cfg.p = 0.5;  // discourage backtracking…
-  cfg.q = 2.0;  // …and favor staying near the previous vertex (BFS-like)
-  const Node2VecSampler sampler(ds.graph, cfg);
+  // p = 0.5 discourages backtracking; q = 2.0 favors staying near the
+  // previous vertex (BFS-like).
+  const SamplePlan plan = build_node2vec_plan(/*walk_length=*/6,
+                                              /*model_layers=*/2, /*p=*/0.5,
+                                              /*q=*/2.0);
+  const SamplerConfig cfg = walk_adapter_config(/*model_layers=*/2, /*seed=*/1);
+  const PlanSampler sampler(ds.graph, plan, cfg);
   std::printf("\n%s\n", describe(sampler.plan()).c_str());
 
   std::vector<std::vector<index_t>> batches = {{0, 1, 2, 3, 4, 5},
@@ -56,7 +58,7 @@ int main() {
 
   // Matrix path: the same plan with fusion forced off — every round builds
   // Q, multiplies, biases, normalizes, and ITS-samples as sparse-matrix ops.
-  Node2VecSampler reference(ds.graph, cfg);
+  PlanSampler reference(ds.graph, plan, cfg);
   reference.set_walk_options({.fused = false});
   const auto matrix = reference.sample_bulk(batches, ids, /*epoch_seed=*/3);
 

@@ -6,8 +6,8 @@
 // the ITS sample, and the extracted adjacency).
 #include <cstdio>
 
-#include "core/graphsage.hpp"
 #include "core/ladies.hpp"
+#include "dist/sampler_factory.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
 
@@ -44,8 +44,8 @@ int main() {
   normalize_rows(p);
   print_matrix("P = NORM(Q^L A)", p);
 
-  GraphSageSampler sage(graph, {{2}, /*seed=*/1});
-  const MinibatchSample sage_sample = sage.sample_one(batch, 0, /*epoch_seed=*/3);
+  const auto sage = make_sampler(SamplerKind::kGraphSage, graph, {{2}, /*seed=*/1});
+  const MinibatchSample sage_sample = sage->sample_one(batch, 0, /*epoch_seed=*/3);
   print_matrix("A^L_S (sampled adjacency, frontier columns)", sage_sample.layers[0].adj);
   std::printf("frontier vertices:");
   for (const index_t v : sage_sample.layers[0].col_vertices) {
@@ -53,12 +53,12 @@ int main() {
   }
   std::printf("\n\n=== LADIES, batch {1,5}, s=2 (Figure 2b) ===\n");
 
-  LadiesSampler ladies(graph, {{2}, /*seed=*/1});
-  const auto prob = ladies.probability_vector(batch);
+  const auto ladies = make_sampler(SamplerKind::kLadies, graph, {{2}, /*seed=*/1});
+  const auto prob = ladies_probability_vector(graph, batch);
   std::printf("probability vector (paper: [1/7 0 1/7 1/7 4/7 0]):\n  ");
   for (const value_t v : prob) std::printf("%5.3f ", v);
   std::printf("\n");
-  const MinibatchSample ladies_sample = ladies.sample_one(batch, 0, 3);
+  const MinibatchSample ladies_sample = ladies->sample_one(batch, 0, 3);
   print_matrix("A_S = Q_R A Q_C (frontier columns)", ladies_sample.layers[0].adj);
   std::printf("frontier vertices:");
   for (const index_t v : ladies_sample.layers[0].col_vertices) {

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/timer.hpp"
-#include "core/graphsaint.hpp"
 #include "core/minibatch.hpp"
 #include "dist/sampler_factory.hpp"
 #include "graph/dataset.hpp"
@@ -54,11 +53,13 @@ int main() {
   report("FastGCN", *make_sampler(SamplerKind::kFastGcn, ds.graph, {{64}, 1}), batches);
   report("LABOR", *make_sampler(SamplerKind::kLabor, ds.graph, {{8, 4, 4}, 1}),
          batches);
-  GraphSaintConfig saint_cfg;
-  saint_cfg.walk_length = 3;
-  saint_cfg.model_layers = 3;
-  GraphSaintSampler saint(ds.graph, saint_cfg);
-  report("SAINT-RW", saint, batches);
+  SamplerContext saint;
+  saint.config = {{1, 1, 1}, 1};  // walk kinds read only the layer count
+  saint.walk.walk_length = 3;
+  report("SAINT-RW",
+         *make_sampler(SamplerKind::kGraphSaint, DistMode::kReplicated,
+                       ds.graph, saint),
+         batches);
 
   std::printf("\nNode-wise SAGE grows the frontier multiplicatively per layer\n"
               "(neighborhood explosion, capped by fanout); layer-wise LADIES and\n"

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "core/graphsage.hpp"
+#include "dist/sampler_factory.hpp"
 #include "graph/dataset.hpp"
 #include "graph/io.hpp"
 
@@ -27,12 +27,12 @@ int main() {
   std::printf("loaded:    %s\n", loaded.graph.summary(loaded.name).c_str());
 
   // Same seeds on the same topology -> identical samples.
-  GraphSageSampler s1(original.graph, {{4, 4}, 1});
-  GraphSageSampler s2(loaded.graph, {{4, 4}, 1});
+  const auto s1 = make_sampler(SamplerKind::kGraphSage, original.graph, {{4, 4}, 1});
+  const auto s2 = make_sampler(SamplerKind::kGraphSage, loaded.graph, {{4, 4}, 1});
   const std::vector<index_t> batch(original.train_idx.begin(),
                                    original.train_idx.begin() + 32);
-  const auto a = s1.sample_one(batch, 0, 99);
-  const auto b = s2.sample_one(batch, 0, 99);
+  const auto a = s1->sample_one(batch, 0, 99);
+  const auto b = s2->sample_one(batch, 0, 99);
   bool identical = a.layers.size() == b.layers.size();
   for (std::size_t l = 0; identical && l < a.layers.size(); ++l) {
     identical = a.layers[l].adj == b.layers[l].adj &&

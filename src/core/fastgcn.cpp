@@ -1,7 +1,5 @@
 #include "core/fastgcn.hpp"
 
-#include "plan/builders.hpp"
-
 namespace dms {
 
 std::vector<value_t> fastgcn_importance(const Graph& graph) {
@@ -24,23 +22,6 @@ std::vector<value_t> fastgcn_importance_prefix(
 
 std::vector<value_t> fastgcn_importance_prefix(const Graph& graph) {
   return fastgcn_importance_prefix(fastgcn_importance(graph));
-}
-
-FastGcnSampler::FastGcnSampler(const Graph& graph, SamplerConfig config)
-    : graph_(graph),
-      exec_(build_fastgcn_plan(), std::move(config)),
-      importance_(fastgcn_importance(graph)),
-      importance_prefix_(fastgcn_importance_prefix(importance_)) {
-  check(!exec_.config().fanouts.empty(),
-        "FastGcnSampler: fanouts must be non-empty");
-}
-
-std::vector<MinibatchSample> FastGcnSampler::sample_bulk(
-    const std::vector<std::vector<index_t>>& batches,
-    const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const {
-  check(batches.size() == batch_ids.size(), "sample_bulk: ids/batches mismatch");
-  return exec_.run(graph_, batches, batch_ids, epoch_seed, &ws_,
-                   &importance_prefix_);
 }
 
 }  // namespace dms

@@ -1,22 +1,12 @@
-// Matrix-based FastGCN sampler (Chen et al. 2018) — the simplest layer-wise
-// algorithm (§2.2.2), included as the framework-extension the paper's
-// conclusion calls for — compiled to a sampling plan (DESIGN.md §9).
-//
-// FastGCN samples s vertices per layer from a *batch-independent*
-// distribution q_v ∝ ‖A(:,v)‖² (squared in-degree for a 0/1 adjacency);
-// edges between consecutive layers are kept via the same masked extraction
-// as LADIES. Because every row of P is the same distribution, the plan
-// samples from one shared prefix sum bound as the executor's global
-// weights instead of materializing the k×n P matrix (an optimization the
-// matrix framework permits; semantics are identical). The plan has no
-// probability kSpgemm; under the dist lowering pass the sampling stays
-// row-local and only the masked extraction becomes a 1.5D collective —
-// which is why the partitioned FastGCN of src/dist comes for free.
+// The FastGCN global importance (Chen et al. 2018): the batch-independent
+// distribution q_v ∝ in_deg(v)² whose prefix sum PlanSampler binds as the
+// executor's global weights. The algorithm itself is build_fastgcn_plan
+// (plan/builders.hpp).
 #pragma once
 
-#include "common/workspace.hpp"
-#include "core/sampler.hpp"
-#include "plan/executor.hpp"
+#include <vector>
+
+#include "graph/graph.hpp"
 
 namespace dms {
 
@@ -24,40 +14,10 @@ namespace dms {
 std::vector<value_t> fastgcn_importance(const Graph& graph);
 
 /// Prefix sum of an importance vector (size n+1), the ITS input shared by
-/// the replicated and partitioned samplers.
+/// every execution mode.
 std::vector<value_t> fastgcn_importance_prefix(const std::vector<value_t>& importance);
 
 /// Convenience: prefix sum of fastgcn_importance(graph).
 std::vector<value_t> fastgcn_importance_prefix(const Graph& graph);
-
-class FastGcnSampler : public MatrixSampler {
- public:
-  FastGcnSampler(const Graph& graph, SamplerConfig config);
-
-  std::vector<MinibatchSample> sample_bulk(
-      const std::vector<std::vector<index_t>>& batches,
-      const std::vector<index_t>& batch_ids,
-      std::uint64_t epoch_seed) const override;
-
-  const SamplerConfig& config() const override { return exec_.config(); }
-  std::map<std::string, double> op_time_breakdown() const override {
-    return exec_.op_seconds();
-  }
-  Workspace* scratch_workspace() const override { return &ws_; }
-
-  /// The compiled plan (tests / docs).
-  const SamplePlan& plan() const { return exec_.plan(); }
-
-  /// The global FastGCN distribution q (unnormalized: squared in-degrees).
-  const std::vector<value_t>& importance() const { return importance_; }
-
- private:
-  const Graph& graph_;
-  PlanExecutor exec_;
-  std::vector<value_t> importance_;         // q_v ∝ in_deg(v)²
-  std::vector<value_t> importance_prefix_;  // shared ITS prefix sum
-  /// Scratch arena reused across layers/bulks/epochs (see graphsage.hpp).
-  mutable Workspace ws_;
-};
 
 }  // namespace dms

@@ -1,7 +1,6 @@
 #include "core/graphsage.hpp"
 
 #include "common/rng.hpp"
-#include "plan/builders.hpp"
 #include "sparse/ops.hpp"
 
 namespace dms {
@@ -38,22 +37,6 @@ LayerSample sage_extract_layer(const CsrMatrix& qs, const FrontierStack& stack,
     sampled[static_cast<std::size_t>(r - r0)].assign(cols.begin(), cols.end());
   }
   return build_layer_sample(frontier_b, sampled);
-}
-
-GraphSageSampler::GraphSageSampler(const Graph& graph, SamplerConfig config)
-    : graph_(graph), exec_(build_sage_plan(), std::move(config)) {
-  check(!exec_.config().fanouts.empty(),
-        "GraphSageSampler: fanouts must be non-empty");
-  for (const index_t f : exec_.config().fanouts) {
-    check(f > 0, "GraphSageSampler: fanouts must be positive");
-  }
-}
-
-std::vector<MinibatchSample> GraphSageSampler::sample_bulk(
-    const std::vector<std::vector<index_t>>& batches,
-    const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const {
-  check(batches.size() == batch_ids.size(), "sample_bulk: ids/batches mismatch");
-  return exec_.run(graph_, batches, batch_ids, epoch_seed, &ws_);
 }
 
 }  // namespace dms

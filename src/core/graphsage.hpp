@@ -1,27 +1,13 @@
-// Matrix-based GraphSAGE sampler (§4.1), compiled to a sampling plan
-// (DESIGN.md §9).
-//
-// Per layer (Algorithm 1 with the GraphSAGE constructions):
-//   Q     one nonzero per row, column = frontier vertex id        (§4.1.1)
-//   P     ← Q·A (SpGEMM), then NORM = row normalization → 1/|N(v)|
-//   Qˡ⁻¹  ← SAMPLE(P, s) via ITS, s distinct neighbors per vertex (§4.1.2)
-//   Aˡ    ← per-batch extraction (remove empty columns / renumber) (§4.1.3)
-// Bulk sampling stacks the per-batch blocks vertically (Eq. 1) and runs the
-// identical matrix operations on the stacked matrices (§4.1.4).
-//
-// The sequence above IS the plan built by build_sage_plan(); this class is
-// the SamplerConfig validation plus a PlanExecutor delegation. The Graph
-// Partitioned variant (src/dist) runs the dist-lowered copy of the same
-// plan, which is what makes both modes bit-identical by construction.
+// The GraphSAGE building blocks (§4.1) shared verbatim by every execution
+// mode of the plan executor: the per-row ITS seeds and the per-batch
+// EXTRACT. The algorithm itself is build_sage_plan (plan/builders.hpp).
 #pragma once
 
 #include <cstdint>
 
-#include "common/workspace.hpp"
 #include "core/frontier.hpp"
 #include "core/its.hpp"
 #include "core/sampler.hpp"
-#include "plan/executor.hpp"
 
 namespace dms {
 
@@ -44,35 +30,5 @@ RowSeedFn sage_row_seed_fn(const FrontierStack& stack,
 LayerSample sage_extract_layer(const CsrMatrix& qs, const FrontierStack& stack,
                                std::size_t b,
                                const std::vector<index_t>& frontier_b);
-
-class GraphSageSampler : public MatrixSampler {
- public:
-  /// The graph must outlive the sampler (topology is borrowed, mirroring the
-  /// on-device adjacency of the replicated algorithm).
-  GraphSageSampler(const Graph& graph, SamplerConfig config);
-
-  std::vector<MinibatchSample> sample_bulk(
-      const std::vector<std::vector<index_t>>& batches,
-      const std::vector<index_t>& batch_ids,
-      std::uint64_t epoch_seed) const override;
-
-  const SamplerConfig& config() const override { return exec_.config(); }
-  std::map<std::string, double> op_time_breakdown() const override {
-    return exec_.op_seconds();
-  }
-  Workspace* scratch_workspace() const override { return &ws_; }
-
-  /// The compiled plan (tests / docs).
-  const SamplePlan& plan() const { return exec_.plan(); }
-
- private:
-  const Graph& graph_;
-  PlanExecutor exec_;
-  /// Scratch arena reused across layers, bulks, and epochs (steady-state
-  /// sampling allocates only its outputs). Makes concurrent sample_bulk
-  /// calls on one sampler instance unsupported — the pipeline drives
-  /// samplers sequentially.
-  mutable Workspace ws_;
-};
 
 }  // namespace dms

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "plan/builders.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
@@ -60,16 +59,11 @@ LayerSample ladies_assemble_layer(const std::vector<index_t>& rows,
   return layer;
 }
 
-LadiesSampler::LadiesSampler(const Graph& graph, SamplerConfig config)
-    : graph_(graph), exec_(build_ladies_plan(), std::move(config)) {
-  check(!exec_.config().fanouts.empty(), "LadiesSampler: fanouts must be non-empty");
-}
-
-std::vector<value_t> LadiesSampler::probability_vector(
-    const std::vector<index_t>& batch) const {
-  const index_t n = graph_.num_vertices();
+std::vector<value_t> ladies_probability_vector(const Graph& graph,
+                                               const std::vector<index_t>& batch) {
+  const index_t n = graph.num_vertices();
   const CsrMatrix q = ladies_indicator_rows(n, {batch});
-  CsrMatrix p = spgemm(q, graph_.adjacency());
+  CsrMatrix p = spgemm(q, graph.adjacency());
   ladies_norm(p);
   std::vector<value_t> dense(static_cast<std::size_t>(n), 0.0);
   for (index_t i = 0; i < p.row_nnz(0); ++i) {
@@ -77,13 +71,6 @@ std::vector<value_t> LadiesSampler::probability_vector(
         p.vals()[static_cast<std::size_t>(i)];
   }
   return dense;
-}
-
-std::vector<MinibatchSample> LadiesSampler::sample_bulk(
-    const std::vector<std::vector<index_t>>& batches,
-    const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const {
-  check(batches.size() == batch_ids.size(), "sample_bulk: ids/batches mismatch");
-  return exec_.run(graph_, batches, batch_ids, epoch_seed, &ws_);
 }
 
 }  // namespace dms

@@ -1,22 +1,9 @@
-// Matrix-based LADIES sampler (§4.2) — the paper's layer-wise example and,
-// distributed, the first fully distributed LADIES implementation (§1) —
-// compiled to a sampling plan (DESIGN.md §9).
-//
-// Per layer (Algorithm 1 with the LADIES constructions):
-//   Q     one row per batch with |S| nonzeros (indicator of the batch /
-//         current layer set), §4.2.1
-//   P     ← Q·A; NORM squares each entry and row-normalizes, giving
-//         p_v = e_v² / Σ_u e_u²  (Zou et al. 2019)
-//   Qˡ⁻¹  ← SAMPLE(P, s): s vertices per batch via ITS, §4.2.2
-//   Aˡ    ← the fused masked extraction (Q_R·A)[:, S], §4.2.3/§8.2.2
-// This sequence IS build_ladies_plan(); the class is validation plus a
-// PlanExecutor delegation, and the partitioned variant runs the
-// dist-lowered copy of the same plan.
+// The LADIES building blocks (§4.2) shared verbatim by every execution mode
+// of the plan executor. The algorithm itself is build_ladies_plan
+// (plan/builders.hpp).
 #pragma once
 
-#include "common/workspace.hpp"
 #include "core/sampler.hpp"
-#include "plan/executor.hpp"
 
 namespace dms {
 
@@ -43,34 +30,10 @@ LayerSample ladies_assemble_layer(const std::vector<index_t>& rows,
                                   const std::vector<index_t>& sampled,
                                   const CsrMatrix& a_s);
 
-class LadiesSampler : public MatrixSampler {
- public:
-  LadiesSampler(const Graph& graph, SamplerConfig config);
-
-  std::vector<MinibatchSample> sample_bulk(
-      const std::vector<std::vector<index_t>>& batches,
-      const std::vector<index_t>& batch_ids,
-      std::uint64_t epoch_seed) const override;
-
-  const SamplerConfig& config() const override { return exec_.config(); }
-  std::map<std::string, double> op_time_breakdown() const override {
-    return exec_.op_seconds();
-  }
-  Workspace* scratch_workspace() const override { return &ws_; }
-
-  /// The compiled plan (tests / docs).
-  const SamplePlan& plan() const { return exec_.plan(); }
-
-  /// The LADIES probability vector for one batch over all n vertices:
-  /// p_v = e_v² / Σ e_u² where e_v = |N(v) ∩ batch|. Exposed for tests
-  /// (it is the distribution of Figure 1's example).
-  std::vector<value_t> probability_vector(const std::vector<index_t>& batch) const;
-
- private:
-  const Graph& graph_;
-  PlanExecutor exec_;
-  /// Scratch arena reused across layers/bulks/epochs (see graphsage.hpp).
-  mutable Workspace ws_;
-};
+/// The LADIES probability vector for one batch over all n vertices:
+/// p_v = e_v² / Σ e_u² where e_v = |N(v) ∩ batch| (the distribution of
+/// Figure 1's example).
+std::vector<value_t> ladies_probability_vector(const Graph& graph,
+                                               const std::vector<index_t>& batch);
 
 }  // namespace dms

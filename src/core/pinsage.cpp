@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
-#include "plan/builders.hpp"
 
 namespace dms {
 
@@ -61,19 +60,6 @@ Graph pinsage_importance_graph(const Graph& graph, const PinSageConfig& cfg) {
   }
   return Graph(CsrMatrix(n, n, std::move(rowptr), std::move(cols),
                          std::move(vals)));
-}
-
-PinSageSampler::PinSageSampler(const Graph& graph, SamplerConfig config,
-                               PinSageConfig pcfg)
-    : weighted_(pinsage_importance_graph(graph, pcfg)),
-      config_(pcfg),
-      exec_(build_pinsage_plan(), std::move(config)) {}
-
-std::vector<MinibatchSample> PinSageSampler::sample_bulk(
-    const std::vector<std::vector<index_t>>& batches,
-    const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const {
-  check(batches.size() == batch_ids.size(), "sample_bulk: ids/batches mismatch");
-  return exec_.run(weighted_, batches, batch_ids, epoch_seed, &ws_);
 }
 
 }  // namespace dms

@@ -5,21 +5,21 @@
 // the top-T visited vertices become v's (weighted) neighbors. Here that is
 // a *construction-time* transform — pinsage_importance_graph simulates the
 // walks once and emits a weighted adjacency whose row v holds the top-T
-// visited vertices with weights proportional to visit counts — and the
-// sampler is then literally the GraphSAGE plan (build_pinsage_plan) run
-// against that graph: the probability SpGEMM reads the importance weights,
-// NORM turns them into a distribution, and ITS draws the weighted fanout.
-// No new op kinds, so the plan lowers to the 1.5D collectives unchanged and
-// the partitioned sampler exists for free.
+// visited vertices with weights proportional to visit counts — and
+// make_sampler(kPinSage) is then literally the GraphSAGE plan
+// (build_pinsage_plan) run against that graph: the probability SpGEMM reads
+// the importance weights, NORM turns them into a distribution, and ITS draws
+// the weighted fanout. No new op kinds, so the plan lowers to the 1.5D
+// collectives unchanged and the partitioned form exists for free.
 //
 // Each Q row has a single nonzero, so every probability entry is a
 // single-term product — no reduction-order sensitivity, and the partitioned
 // run is bit-identical to the replicated one (the determinism contract).
 #pragma once
 
-#include "common/workspace.hpp"
-#include "core/sampler.hpp"
-#include "plan/executor.hpp"
+#include <cstdint>
+
+#include "graph/graph.hpp"
 
 namespace dms {
 
@@ -37,35 +37,5 @@ struct PinSageConfig {
 /// walks visit nothing (isolated vertices) are empty. Deterministic in
 /// cfg.seed.
 Graph pinsage_importance_graph(const Graph& graph, const PinSageConfig& cfg);
-
-class PinSageSampler : public MatrixSampler {
- public:
-  /// `config` supplies the per-layer fanouts (like GraphSAGE); `pcfg` the
-  /// walk simulation. The weighted graph is built once here and owned.
-  PinSageSampler(const Graph& graph, SamplerConfig config,
-                 PinSageConfig pcfg = {});
-
-  std::vector<MinibatchSample> sample_bulk(
-      const std::vector<std::vector<index_t>>& batches,
-      const std::vector<index_t>& batch_ids,
-      std::uint64_t epoch_seed) const override;
-
-  const SamplerConfig& config() const override { return exec_.config(); }
-  std::map<std::string, double> op_time_breakdown() const override {
-    return exec_.op_seconds();
-  }
-  Workspace* scratch_workspace() const override { return &ws_; }
-  const PinSageConfig& pinsage_config() const { return config_; }
-
-  /// The owned importance graph the plan samples from (tests / docs).
-  const Graph& importance_graph() const { return weighted_; }
-  const SamplePlan& plan() const { return exec_.plan(); }
-
- private:
-  Graph weighted_;
-  PinSageConfig config_;
-  PlanExecutor exec_;
-  mutable Workspace ws_;
-};
 
 }  // namespace dms

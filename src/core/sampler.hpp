@@ -91,14 +91,14 @@ class MatrixSampler {
   virtual const SamplerConfig& config() const = 0;
 
   /// Cumulative per-op wall-clock breakdown of the sampler's plan, keyed
-  /// "<plan>/<op label>" (DESIGN.md §9 accounting contract). Plan-backed
-  /// samplers report their executor's table; the default is empty. The
+  /// "<plan>/<op label>" (DESIGN.md §9 accounting contract). PlanSampler
+  /// reports the table of its PlanRunState; the default is empty. The
   /// staged pipeline diffs this across an epoch into
   /// EpochStats::sampler_ops.
   virtual std::map<std::string, double> op_time_breakdown() const { return {}; }
 
-  /// The sampler's private scratch arena, when it owns one (every
-  /// plan-backed sampler does). The serve engine (DESIGN.md §10) warms it
+  /// The sampler's private scratch arena, when it owns one (PlanSampler's
+  /// lives in its PlanRunState). The serve engine (DESIGN.md §10) warms it
   /// on representative requests and then freezes it, making steady-state
   /// request handling allocation-free. nullptr = no reusable arena.
   virtual Workspace* scratch_workspace() const { return nullptr; }

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "core/fastgcn.hpp"  // fastgcn_importance_prefix (shared weights)
-#include "plan/builders.hpp"
-
 namespace dms {
 
 std::vector<BulkRound> plan_bulk_rounds(index_t steps_per_rank, index_t bulk_steps) {
@@ -21,23 +18,23 @@ std::vector<BulkRound> plan_bulk_rounds(index_t steps_per_rank, index_t bulk_ste
 
 PartitionedSamplerBase::PartitionedSamplerBase(const Graph& graph,
                                                const ProcessGrid& grid,
-                                               SamplerConfig config,
-                                               PartitionedSamplerOptions opts,
                                                SamplePlan plan,
-                                               const std::string& name)
-    : graph_(graph),
+                                               SamplerConfig config,
+                                               PartitionedSamplerOptions opts)
+    : PlanSampler(graph, lower_to_dist(plan), std::move(config)),
       grid_(grid),
       opts_(opts),
-      dist_adj_(grid, graph.adjacency()),
-      exec_(lower_to_dist(plan), std::move(config)) {
-  check(!exec_.config().fanouts.empty(), name + ": fanouts must be non-empty");
-  for (const index_t f : exec_.config().fanouts) {
-    check(f > 0, name + ": fanouts must be positive");
-  }
-  if (exec_.plan().needs_global_weights) {
-    global_weights_ = fastgcn_importance_prefix(graph);
-  }
-}
+      dist_adj_(grid, this->graph().adjacency()) {}
+
+PartitionedSamplerBase::PartitionedSamplerBase(std::unique_ptr<const Graph> graph,
+                                               const ProcessGrid& grid,
+                                               SamplePlan plan,
+                                               SamplerConfig config,
+                                               PartitionedSamplerOptions opts)
+    : PlanSampler(std::move(graph), lower_to_dist(plan), std::move(config)),
+      grid_(grid),
+      opts_(opts),
+      dist_adj_(grid, this->graph().adjacency()) {}
 
 std::vector<std::vector<MinibatchSample>> PartitionedSamplerBase::sample_bulk(
     Cluster& cluster, const std::vector<std::vector<index_t>>& batches,
@@ -78,10 +75,10 @@ std::vector<std::vector<MinibatchSample>> PartitionedSamplerBase::sample_bulk(
     offsets[static_cast<std::size_t>(i) + 1] = placed;
   }
   const BlockPartition assign = BlockPartition::from_offsets(std::move(offsets));
-  return exec_.run_partitioned(
-      cluster, dist_adj_, assign, batches, batch_ids, epoch_seed, &ws_,
-      opts_.local_spgemm, opts_.sparsity_aware,
-      global_weights_.empty() ? nullptr : &global_weights_);
+  return executor().run_partitioned(cluster, dist_adj_, assign, batches,
+                                    batch_ids, epoch_seed, run_state(),
+                                    opts_.local_spgemm, opts_.sparsity_aware,
+                                    global_weights());
 }
 
 std::vector<MinibatchSample> PartitionedSamplerBase::sample_bulk(
@@ -101,65 +98,5 @@ std::vector<MinibatchSample> PartitionedSamplerBase::sample_bulk(
   }
   return flat;
 }
-
-PartitionedSageSampler::PartitionedSageSampler(const Graph& graph,
-                                               const ProcessGrid& grid,
-                                               SamplerConfig config,
-                                               PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(graph, grid, std::move(config), opts,
-                             build_sage_plan(), "PartitionedSageSampler") {}
-
-PartitionedLadiesSampler::PartitionedLadiesSampler(const Graph& graph,
-                                                   const ProcessGrid& grid,
-                                                   SamplerConfig config,
-                                                   PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(graph, grid, std::move(config), opts,
-                             build_ladies_plan(), "PartitionedLadiesSampler") {}
-
-PartitionedFastGcnSampler::PartitionedFastGcnSampler(
-    const Graph& graph, const ProcessGrid& grid, SamplerConfig config,
-    PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(graph, grid, std::move(config), opts,
-                             build_fastgcn_plan(),
-                             "PartitionedFastGcnSampler") {}
-
-PartitionedLaborSampler::PartitionedLaborSampler(const Graph& graph,
-                                                 const ProcessGrid& grid,
-                                                 SamplerConfig config,
-                                                 PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(graph, grid, std::move(config), opts,
-                             build_labor_plan(), "PartitionedLaborSampler") {}
-
-PartitionedSaintSampler::PartitionedSaintSampler(const Graph& graph,
-                                                 const ProcessGrid& grid,
-                                                 GraphSaintConfig config,
-                                                 PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(
-          graph, grid, walk_adapter_config(config.model_layers, config.seed),
-          opts, build_saint_plan(config.walk_length, config.model_layers),
-          "PartitionedSaintSampler"),
-      saint_config_(config) {}
-
-PartitionedNode2VecSampler::PartitionedNode2VecSampler(
-    const Graph& graph, const ProcessGrid& grid, Node2VecConfig config,
-    PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(
-          graph, grid, walk_adapter_config(config.model_layers, config.seed),
-          opts,
-          build_node2vec_plan(config.walk_length, config.model_layers, config.p,
-                              config.q),
-          "PartitionedNode2VecSampler"),
-      n2v_config_(config) {}
-
-PartitionedPinSageSampler::PartitionedPinSageSampler(
-    const Graph& graph, const ProcessGrid& grid, SamplerConfig config,
-    PinSageConfig pcfg, PartitionedSamplerOptions opts)
-    // The holder base is initialized first, so the weighted graph exists
-    // before PartitionedSamplerBase partitions and borrows it.
-    : PinSageGraphHolder{pinsage_importance_graph(graph, pcfg)},
-      PartitionedSamplerBase(this->weighted, grid, std::move(config), opts,
-                             build_pinsage_plan(),
-                             "PartitionedPinSageSampler"),
-      pinsage_config_(pcfg) {}
 
 }  // namespace dms

@@ -21,16 +21,12 @@
 // collectives their communication on the Cluster.
 #pragma once
 
-#include <string>
+#include <memory>
 #include <vector>
 
 #include "comm/cluster.hpp"
-#include "core/graphsaint.hpp"  // GraphSaintConfig / walk_adapter_config
-#include "core/node2vec.hpp"    // Node2VecConfig
-#include "core/pinsage.hpp"     // PinSageConfig / pinsage_importance_graph
-#include "core/sampler.hpp"
+#include "core/plan_sampler.hpp"
 #include "dist/spgemm_15d.hpp"
-#include "plan/executor.hpp"
 
 namespace dms {
 
@@ -62,20 +58,22 @@ struct PartitionedSamplerOptions {
 
 /// A Graph Partitioned sampler: any SamplePlan, dist-lowered at
 /// construction and executed by the partitioned PlanExecutor. Handles
-/// batch-to-process-row assignment, the distributed adjacency, and the
-/// MatrixSampler conformance that lets the factory treat partitioned
-/// samplers uniformly. Historically this was an abstract base with
-/// per-algorithm subclasses; the plan IR made it concrete.
-class PartitionedSamplerBase : public MatrixSampler {
+/// batch-to-process-row assignment and the distributed adjacency; the plan,
+/// config, global weights, graph ownership and run state are PlanSampler's,
+/// which is what lets the factory treat both modes uniformly.
+class PartitionedSamplerBase : public PlanSampler {
  public:
-  /// The graph must outlive the sampler (topology is borrowed; the
-  /// distributed block rows are materialized once at construction).
-  /// `plan` is the *unlowered* single-node plan — the constructor runs the
-  /// dist lowering pass. Plans needing bound global weights (FastGCN) get
-  /// them computed by `make_global_weights` below.
+  /// Borrows `graph`, which must outlive the sampler (the distributed block
+  /// rows are materialized once at construction). `plan` is the *unlowered*
+  /// single-node plan — the constructor runs the dist lowering pass.
   PartitionedSamplerBase(const Graph& graph, const ProcessGrid& grid,
-                         SamplerConfig config, PartitionedSamplerOptions opts,
-                         SamplePlan plan, const std::string& name);
+                         SamplePlan plan, SamplerConfig config,
+                         PartitionedSamplerOptions opts = {});
+  /// Owns `graph` (PinSAGE's importance graph), then partitions it.
+  PartitionedSamplerBase(std::unique_ptr<const Graph> graph,
+                         const ProcessGrid& grid, SamplePlan plan,
+                         SamplerConfig config,
+                         PartitionedSamplerOptions opts = {});
 
   /// Distributed bulk sampling. Minibatches are assigned to process rows in
   /// contiguous blocks (BlockPartition of the batch list); the return value
@@ -95,16 +93,8 @@ class PartitionedSamplerBase : public MatrixSampler {
       const std::vector<index_t>& batch_ids,
       std::uint64_t epoch_seed) const override;
 
-  const SamplerConfig& config() const override { return exec_.config(); }
-  std::map<std::string, double> op_time_breakdown() const override {
-    return exec_.op_seconds();
-  }
-  Workspace* scratch_workspace() const override { return &ws_; }
   const ProcessGrid& grid() const { return grid_; }
   const PartitionedSamplerOptions& options() const { return opts_; }
-
-  /// The dist-lowered plan this sampler executes (tests / docs).
-  const SamplePlan& plan() const { return exec_.plan(); }
 
   /// The block-row distributed adjacency (per-rank memory accounting).
   const DistBlockRowMatrix& dist_adjacency() const { return dist_adj_; }
@@ -114,109 +104,11 @@ class PartitionedSamplerBase : public MatrixSampler {
   /// ephemeral cluster of the sampler's grid is then used instead.
   void bind_cluster(Cluster* cluster) { bound_cluster_ = cluster; }
 
- protected:
-  const Graph& graph_;
+ private:
   ProcessGrid grid_;
   PartitionedSamplerOptions opts_;
   DistBlockRowMatrix dist_adj_;
-  PlanExecutor exec_;
-  /// Bound ITS weights for kGlobalWeights plans (empty otherwise).
-  std::vector<value_t> global_weights_;
   Cluster* bound_cluster_ = nullptr;
-  /// Scratch arena shared by every kernel this sampler drives — the 1.5D
-  /// SpGEMM's sequential local panel products, ITS, and the masked
-  /// extractions — and reused across layers/rounds/epochs. Serializes
-  /// sample_bulk per sampler instance (the pipeline is sequential).
-  mutable Workspace ws_;
-};
-
-/// Graph Partitioned GraphSAGE (§5.2): the dist-lowered build_sage_plan.
-class PartitionedSageSampler : public PartitionedSamplerBase {
- public:
-  PartitionedSageSampler(const Graph& graph, const ProcessGrid& grid,
-                         SamplerConfig config, PartitionedSamplerOptions opts = {});
-};
-
-/// Graph Partitioned LADIES (§5.2) — per the paper, the first fully
-/// distributed LADIES implementation: the dist-lowered build_ladies_plan.
-class PartitionedLadiesSampler : public PartitionedSamplerBase {
- public:
-  PartitionedLadiesSampler(const Graph& graph, const ProcessGrid& grid,
-                           SamplerConfig config,
-                           PartitionedSamplerOptions opts = {});
-};
-
-/// Graph Partitioned FastGCN: the dist-lowered build_fastgcn_plan. Its
-/// plan has no probability SpGEMM (the global importance is precomputed);
-/// sampling is row-local and only the masked extraction lowers to the
-/// 1.5D collective — a combination the hand-written dist samplers never
-/// supported.
-class PartitionedFastGcnSampler : public PartitionedSamplerBase {
- public:
-  PartitionedFastGcnSampler(const Graph& graph, const ProcessGrid& grid,
-                            SamplerConfig config,
-                            PartitionedSamplerOptions opts = {});
-};
-
-/// Graph Partitioned LABOR: the dist-lowered build_labor_plan — a sampler
-/// that ran in every execution mode on the day it was defined.
-class PartitionedLaborSampler : public PartitionedSamplerBase {
- public:
-  PartitionedLaborSampler(const Graph& graph, const ProcessGrid& grid,
-                          SamplerConfig config,
-                          PartitionedSamplerOptions opts = {});
-};
-
-/// Graph Partitioned GraphSAINT-RW: the dist-lowered build_saint_plan. The
-/// walk ops are row-local; the induced-subgraph epilogue assembles visited
-/// rows from their owner blocks (intra-column fetches, accounted).
-class PartitionedSaintSampler : public PartitionedSamplerBase {
- public:
-  PartitionedSaintSampler(const Graph& graph, const ProcessGrid& grid,
-                          GraphSaintConfig config,
-                          PartitionedSamplerOptions opts = {});
-
-  const GraphSaintConfig& saint_config() const { return saint_config_; }
-
- private:
-  GraphSaintConfig saint_config_;
-};
-
-/// Graph Partitioned node2vec: the dist-lowered build_node2vec_plan (the
-/// kWalkBias membership test fetches prev rows from their owner blocks).
-class PartitionedNode2VecSampler : public PartitionedSamplerBase {
- public:
-  PartitionedNode2VecSampler(const Graph& graph, const ProcessGrid& grid,
-                             Node2VecConfig config,
-                             PartitionedSamplerOptions opts = {});
-
-  const Node2VecConfig& node2vec_config() const { return n2v_config_; }
-
- private:
-  Node2VecConfig n2v_config_;
-};
-
-/// Owns the walk-derived importance graph so it is constructed before (and
-/// outlives) the PartitionedSamplerBase that borrows it.
-struct PinSageGraphHolder {
-  Graph weighted;
-};
-
-/// Graph Partitioned PinSAGE: the dist-lowered build_pinsage_plan over the
-/// walk-derived weighted adjacency (built once at construction, block-row
-/// partitioned like any other graph).
-class PartitionedPinSageSampler : private PinSageGraphHolder,
-                                  public PartitionedSamplerBase {
- public:
-  PartitionedPinSageSampler(const Graph& graph, const ProcessGrid& grid,
-                            SamplerConfig config, PinSageConfig pcfg = {},
-                            PartitionedSamplerOptions opts = {});
-
-  const PinSageConfig& pinsage_config() const { return pinsage_config_; }
-  const Graph& importance_graph() const { return weighted; }
-
- private:
-  PinSageConfig pinsage_config_;
 };
 
 }  // namespace dms

@@ -1,14 +1,10 @@
 #include "dist/sampler_factory.hpp"
 
 #include <algorithm>
+#include <utility>
 
-#include "core/fastgcn.hpp"
-#include "core/graphsage.hpp"
-#include "core/graphsaint.hpp"
-#include "core/labor.hpp"
-#include "core/ladies.hpp"
-#include "core/node2vec.hpp"
 #include "core/pinsage.hpp"
+#include "plan/builders.hpp"
 
 namespace dms {
 
@@ -46,214 +42,108 @@ std::string to_string(DistMode mode) {
 
 namespace {
 
-const ProcessGrid& require_grid(const SamplerContext& ctx, const char* what) {
-  check(ctx.grid != nullptr,
-        std::string("make_sampler: ") + what + " requires SamplerContext::grid");
-  return *ctx.grid;
+/// One row of the fixed kind table: the kind's plan, the SamplerConfig its
+/// executor runs with, and — PinSAGE only — the graph the plan samples in
+/// place of the input graph.
+struct KindSpec {
+  SamplePlan (*plan)(const SamplerContext&);
+  SamplerConfig (*config)(const SamplerContext&);
+  Graph (*sampled_graph)(const Graph&, const SamplerContext&) = nullptr;
+};
+
+SamplerConfig given_config(const SamplerContext& ctx) { return ctx.config; }
+
+// Walk kinds read only the model depth from the fanouts (DESIGN.md §11).
+index_t walk_layers(const SamplerContext& ctx) {
+  return std::max<index_t>(1, ctx.config.num_layers());
 }
 
-template <typename Partitioned>
-std::unique_ptr<MatrixSampler> make_partitioned(const Graph& graph,
-                                                const SamplerContext& ctx,
-                                                const char* what) {
-  auto sampler = std::make_unique<Partitioned>(graph, require_grid(ctx, what),
-                                               ctx.config, ctx.part_opts);
-  sampler->bind_cluster(ctx.cluster);
-  return sampler;
+SamplerConfig walk_config(const SamplerContext& ctx) {
+  return walk_adapter_config(walk_layers(ctx), ctx.config.seed);
 }
 
-// The walk samplers take algorithm-specific configs; the factory maps the
-// shared SamplerContext onto them (model depth from num_layers(), walk
-// parameters from ctx.walk).
-GraphSaintConfig saint_config_from(const SamplerContext& ctx) {
-  GraphSaintConfig cfg;
-  cfg.walk_length = ctx.walk.walk_length;
-  cfg.model_layers = std::max<index_t>(1, ctx.config.num_layers());
-  cfg.seed = ctx.config.seed;
-  return cfg;
+KindSpec kind_spec(SamplerKind kind) {
+  switch (kind) {
+    case SamplerKind::kGraphSage:
+      return {[](const SamplerContext&) { return build_sage_plan(); },
+              given_config};
+    case SamplerKind::kLadies:
+      return {[](const SamplerContext&) { return build_ladies_plan(); },
+              given_config};
+    case SamplerKind::kFastGcn:
+      return {[](const SamplerContext&) { return build_fastgcn_plan(); },
+              given_config};
+    case SamplerKind::kLabor:
+      return {[](const SamplerContext&) { return build_labor_plan(); },
+              given_config};
+    case SamplerKind::kGraphSaint:
+      return {[](const SamplerContext& ctx) {
+                return build_saint_plan(ctx.walk.walk_length, walk_layers(ctx));
+              },
+              walk_config};
+    case SamplerKind::kNode2Vec:
+      return {[](const SamplerContext& ctx) {
+                return build_node2vec_plan(ctx.walk.walk_length, walk_layers(ctx),
+                                           ctx.walk.p, ctx.walk.q);
+              },
+              walk_config};
+    case SamplerKind::kPinSage:
+      return {[](const SamplerContext&) { return build_pinsage_plan(); },
+              given_config, [](const Graph& graph, const SamplerContext& ctx) {
+                return pinsage_importance_graph(
+                    graph, {ctx.walk.pinsage_walks, ctx.walk.walk_length,
+                            ctx.walk.pinsage_top, ctx.config.seed});
+              }};
+  }
+  throw DmsError("make_sampler: unknown SamplerKind");
 }
 
-Node2VecConfig node2vec_config_from(const SamplerContext& ctx) {
-  Node2VecConfig cfg;
-  cfg.walk_length = ctx.walk.walk_length;
-  cfg.model_layers = std::max<index_t>(1, ctx.config.num_layers());
-  cfg.p = ctx.walk.p;
-  cfg.q = ctx.walk.q;
-  cfg.seed = ctx.config.seed;
-  return cfg;
-}
-
-PinSageConfig pinsage_config_from(const SamplerContext& ctx) {
-  PinSageConfig cfg;
-  cfg.num_walks = ctx.walk.pinsage_walks;
-  cfg.walk_length = ctx.walk.walk_length;
-  cfg.top_neighbors = ctx.walk.pinsage_top;
-  cfg.seed = ctx.config.seed;
-  return cfg;
+/// Constructs `Sampler` over the owned graph when there is one, else over
+/// the borrowed input graph.
+template <typename Sampler, typename... Args>
+std::unique_ptr<Sampler> construct(const Graph& graph,
+                                   std::unique_ptr<const Graph> owned,
+                                   Args&&... args) {
+  if (owned != nullptr) {
+    return std::make_unique<Sampler>(std::move(owned), std::forward<Args>(args)...);
+  }
+  return std::make_unique<Sampler>(graph, std::forward<Args>(args)...);
 }
 
 }  // namespace
 
-SamplerRegistry::SamplerRegistry() {
-  register_creator(SamplerKind::kGraphSage, DistMode::kReplicated,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return std::make_unique<GraphSageSampler>(g, ctx.config);
-                   });
-  register_creator(SamplerKind::kLadies, DistMode::kReplicated,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return std::make_unique<LadiesSampler>(g, ctx.config);
-                   });
-  register_creator(SamplerKind::kFastGcn, DistMode::kReplicated,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return std::make_unique<FastGcnSampler>(g, ctx.config);
-                   });
-  register_creator(SamplerKind::kGraphSage, DistMode::kPartitioned,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return make_partitioned<PartitionedSageSampler>(
-                         g, ctx, "partitioned graphsage");
-                   });
-  register_creator(SamplerKind::kLadies, DistMode::kPartitioned,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return make_partitioned<PartitionedLadiesSampler>(
-                         g, ctx, "partitioned ladies");
-                   });
-  register_creator(SamplerKind::kLabor, DistMode::kReplicated,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return std::make_unique<LaborSampler>(g, ctx.config);
-                   });
-  // The plan IR closed the historical gaps: partitioned FastGCN (its
-  // batch-independent sampling is row-local; only its masked extraction
-  // lowers to the 1.5D collective, which the lowering pass provides) and
-  // LABOR in both modes from day one.
-  register_creator(SamplerKind::kFastGcn, DistMode::kPartitioned,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return make_partitioned<PartitionedFastGcnSampler>(
-                         g, ctx, "partitioned fastgcn");
-                   });
-  register_creator(SamplerKind::kLabor, DistMode::kPartitioned,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return make_partitioned<PartitionedLaborSampler>(
-                         g, ctx, "partitioned labor");
-                   });
-  // Walk-based kinds (DESIGN.md §11): graph-wise GraphSAINT, second-order
-  // node2vec, and PinSAGE importance sampling — all pure plans, so both
-  // modes come from the same definitions.
-  register_creator(SamplerKind::kGraphSaint, DistMode::kReplicated,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return std::make_unique<GraphSaintSampler>(
-                         g, saint_config_from(ctx));
-                   });
-  register_creator(
-      SamplerKind::kGraphSaint, DistMode::kPartitioned,
-      [](const Graph& g, const SamplerContext& ctx) {
-        auto sampler = std::make_unique<PartitionedSaintSampler>(
-            g, require_grid(ctx, "partitioned graphsaint"),
-            saint_config_from(ctx), ctx.part_opts);
-        sampler->bind_cluster(ctx.cluster);
-        return sampler;
-      });
-  register_creator(SamplerKind::kNode2Vec, DistMode::kReplicated,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return std::make_unique<Node2VecSampler>(
-                         g, node2vec_config_from(ctx));
-                   });
-  register_creator(
-      SamplerKind::kNode2Vec, DistMode::kPartitioned,
-      [](const Graph& g, const SamplerContext& ctx) {
-        auto sampler = std::make_unique<PartitionedNode2VecSampler>(
-            g, require_grid(ctx, "partitioned node2vec"),
-            node2vec_config_from(ctx), ctx.part_opts);
-        sampler->bind_cluster(ctx.cluster);
-        return sampler;
-      });
-  register_creator(SamplerKind::kPinSage, DistMode::kReplicated,
-                   [](const Graph& g, const SamplerContext& ctx) {
-                     return std::make_unique<PinSageSampler>(
-                         g, ctx.config, pinsage_config_from(ctx));
-                   });
-  register_creator(
-      SamplerKind::kPinSage, DistMode::kPartitioned,
-      [](const Graph& g, const SamplerContext& ctx) {
-        auto sampler = std::make_unique<PartitionedPinSageSampler>(
-            g, require_grid(ctx, "partitioned pinsage"), ctx.config,
-            pinsage_config_from(ctx), ctx.part_opts);
-        sampler->bind_cluster(ctx.cluster);
-        return sampler;
-      });
-  // Disaggregated sampler/trainer roles (DESIGN.md §14): the sampling side
-  // is the algorithm's partitioned form built over the *sampler sub-grid* of
-  // the disaggregated layout — one creator shape covers every kind, and a
-  // runtime re-registration of a (kind, kPartitioned) slot is picked up by
-  // the disaggregated mode automatically. ctx.cluster is dropped: its grid
-  // is the full cluster's, so it cannot be bound to the sub-grid sampler
-  // (the pipeline binds its sampler-role sub-cluster after construction).
-  for (const SamplerKind kind :
-       {SamplerKind::kGraphSage, SamplerKind::kLadies, SamplerKind::kFastGcn,
-        SamplerKind::kLabor, SamplerKind::kGraphSaint, SamplerKind::kNode2Vec,
-        SamplerKind::kPinSage}) {
-    register_creator(kind, DistMode::kDisaggregated,
-                     [kind](const Graph& g, const SamplerContext& ctx) {
-                       const DisaggLayout layout = make_disagg_layout(
-                           require_grid(ctx, "disaggregated"), ctx.disagg);
-                       SamplerContext sub = ctx;
-                       sub.grid = &layout.sampler_grid;
-                       sub.cluster = nullptr;
-                       return SamplerRegistry::instance().create(
-                           kind, DistMode::kPartitioned, g, sub);
-                     });
-  }
-}
-
-SamplerRegistry& SamplerRegistry::instance() {
-  static SamplerRegistry registry;
-  return registry;
-}
-
-SamplerCreator SamplerRegistry::register_creator(SamplerKind kind, DistMode mode,
-                                                 SamplerCreator creator) {
-  // An empty creator unregisters the slot, so restoring a previously-empty
-  // creator returned by this function round-trips cleanly.
-  if (!creator) {
-    const auto it = creators_.find({kind, mode});
-    if (it == creators_.end()) return {};
-    SamplerCreator previous = std::move(it->second);
-    creators_.erase(it);
-    return previous;
-  }
-  auto& slot = creators_[{kind, mode}];
-  SamplerCreator previous = std::move(slot);
-  slot = std::move(creator);
-  return previous;
-}
-
-void SamplerRegistry::unregister(SamplerKind kind, DistMode mode) {
-  creators_.erase({kind, mode});
-}
-
-bool SamplerRegistry::contains(SamplerKind kind, DistMode mode) const {
-  return creators_.count({kind, mode}) > 0;
-}
-
-std::vector<std::pair<SamplerKind, DistMode>> SamplerRegistry::registered() const {
-  std::vector<std::pair<SamplerKind, DistMode>> out;
-  out.reserve(creators_.size());
-  for (const auto& [key, _] : creators_) out.push_back(key);
-  return out;
-}
-
-std::unique_ptr<MatrixSampler> SamplerRegistry::create(
-    SamplerKind kind, DistMode mode, const Graph& graph,
-    const SamplerContext& ctx) const {
-  const auto it = creators_.find({kind, mode});
-  check(it != creators_.end(), "make_sampler: no sampler registered for (" +
-                                   to_string(kind) + ", " + to_string(mode) + ")");
-  return it->second(graph, ctx);
-}
-
 std::unique_ptr<MatrixSampler> make_sampler(SamplerKind kind, DistMode mode,
                                             const Graph& graph,
                                             const SamplerContext& ctx) {
-  return SamplerRegistry::instance().create(kind, mode, graph, ctx);
+  ProcessGrid grid;  // partitioned modes only
+  if (mode != DistMode::kReplicated) {
+    check(ctx.grid != nullptr, "make_sampler: " + to_string(mode) + " " +
+                                   to_string(kind) +
+                                   " requires SamplerContext::grid");
+    // kDisaggregated: the sampling side of the sampler/trainer split
+    // (DESIGN.md §14) is the partitioned form over the sampler sub-grid.
+    grid = mode == DistMode::kDisaggregated
+               ? make_disagg_layout(*ctx.grid, ctx.disagg).sampler_grid
+               : *ctx.grid;
+  }
+  const KindSpec spec = kind_spec(kind);
+  SamplePlan plan = spec.plan(ctx);
+  SamplerConfig config = spec.config(ctx);
+  std::unique_ptr<const Graph> owned;
+  if (spec.sampled_graph != nullptr) {
+    owned = std::make_unique<const Graph>(spec.sampled_graph(graph, ctx));
+  }
+  if (mode == DistMode::kReplicated) {
+    return construct<PlanSampler>(graph, std::move(owned), std::move(plan),
+                                  std::move(config));
+  }
+  auto sampler = construct<PartitionedSamplerBase>(
+      graph, std::move(owned), grid, std::move(plan), std::move(config),
+      ctx.part_opts);
+  // A disaggregated sampler stays unbound: ctx.cluster's grid is the full
+  // cluster's (the pipeline binds its sampler-role sub-cluster instead).
+  if (mode == DistMode::kPartitioned) sampler->bind_cluster(ctx.cluster);
+  return sampler;
 }
 
 std::unique_ptr<MatrixSampler> make_sampler(SamplerKind kind, const Graph& graph,

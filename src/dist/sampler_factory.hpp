@@ -1,25 +1,18 @@
 // Unified sampler construction: one factory surface over every sampling
 // algorithm (SamplerKind) × execution mode (DistMode) combination.
 //
-// Call sites — the training pipeline, benches, and examples — never name a
-// concrete sampler class; they ask the registry for (kind, mode) and get a
-// MatrixSampler. Partitioned samplers conform to the same interface (the
-// determinism contract makes a partitioned run substitutable for a
+// Call sites — the training pipeline, benches, and examples — ask for
+// (kind, mode) and get a MatrixSampler: a PlanSampler running the kind's
+// plan, or in the partitioned modes a PartitionedSamplerBase running its
+// dist-lowered copy. Partitioned samplers conform to the same interface
+// (the determinism contract makes a partitioned run substitutable for a
 // single-node one), and call sites that drive the distributed API directly
 // downcast through as_partitioned().
-//
-// The registry is extensible at runtime: a new algorithm or execution mode
-// registers a creator under its (kind, mode) key and every call site picks
-// it up without modification (the samgraph/fgnn-style uniform construction
-// surface).
 #pragma once
 
-#include <functional>
-#include <map>
+#include <array>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/sampler.hpp"
 #include "dist/disagg.hpp"
@@ -43,6 +36,14 @@ enum class SamplerKind {
 /// trainer role on the remaining ranks.
 enum class DistMode { kReplicated, kPartitioned, kDisaggregated };
 
+/// Every kind and every mode; make_sampler builds each combination.
+inline constexpr std::array<SamplerKind, 7> kSamplerKinds = {
+    SamplerKind::kGraphSage, SamplerKind::kLadies,     SamplerKind::kFastGcn,
+    SamplerKind::kLabor,     SamplerKind::kGraphSaint, SamplerKind::kNode2Vec,
+    SamplerKind::kPinSage};
+inline constexpr std::array<DistMode, 3> kDistModes = {
+    DistMode::kReplicated, DistMode::kPartitioned, DistMode::kDisaggregated};
+
 std::string to_string(SamplerKind kind);
 std::string to_string(DistMode mode);
 
@@ -58,19 +59,19 @@ struct WalkParams {
   index_t pinsage_top = 8;     ///< importance neighbors kept per vertex
 };
 
-/// Everything a sampler creator may need beyond the graph.
+/// Everything make_sampler may need beyond the graph.
 struct SamplerContext {
   SamplerConfig config;
   /// Partitioned modes: the process grid to partition over (required). For
-  /// kDisaggregated this is the *full* cluster grid; the creator derives the
+  /// kDisaggregated this is the *full* cluster grid; make_sampler derives the
   /// sampler sub-grid from it via make_disagg_layout(grid, disagg).
   const ProcessGrid* grid = nullptr;
   PartitionedSamplerOptions part_opts;
   /// Optional long-lived cluster bound to partitioned samplers so their
-  /// MatrixSampler::sample_bulk records phases on it. Ignored by the
-  /// kDisaggregated creators (the bound cluster's grid must match the
-  /// sampler's sub-grid — the pipeline binds its sampler-role sub-cluster
-  /// after construction instead).
+  /// MatrixSampler::sample_bulk records phases on it. Ignored by
+  /// kDisaggregated (the bound cluster's grid must match the sampler's
+  /// sub-grid — the pipeline binds its sampler-role sub-cluster after
+  /// construction instead).
   Cluster* cluster = nullptr;
   /// Walk-sampler parameters (walk kinds only).
   WalkParams walk;
@@ -78,43 +79,9 @@ struct SamplerContext {
   DisaggOptions disagg;
 };
 
-using SamplerCreator = std::function<std::unique_ptr<MatrixSampler>(
-    const Graph& graph, const SamplerContext& ctx)>;
-
-/// Registry mapping (kind, mode) → creator, seeded with the built-in
-/// samplers — every SamplerKind in both modes, since the plan IR gives
-/// each algorithm its partitioned form through one lowering pass.
-class SamplerRegistry {
- public:
-  static SamplerRegistry& instance();
-
-  /// Registers (or replaces) the creator for a combination; returns the
-  /// previous creator so callers can restore it (empty if none). Passing an
-  /// empty creator unregisters the combination, so restoring an empty
-  /// previous creator round-trips.
-  SamplerCreator register_creator(SamplerKind kind, DistMode mode,
-                                  SamplerCreator creator);
-
-  /// Removes a combination (no-op if absent).
-  void unregister(SamplerKind kind, DistMode mode);
-
-  bool contains(SamplerKind kind, DistMode mode) const;
-
-  /// Registered combinations, deterministic order.
-  std::vector<std::pair<SamplerKind, DistMode>> registered() const;
-
-  /// Constructs a sampler; throws DmsError for unregistered combinations
-  /// (e.g. partitioned FastGCN) or a missing grid in partitioned modes.
-  std::unique_ptr<MatrixSampler> create(SamplerKind kind, DistMode mode,
-                                        const Graph& graph,
-                                        const SamplerContext& ctx) const;
-
- private:
-  SamplerRegistry();
-  std::map<std::pair<SamplerKind, DistMode>, SamplerCreator> creators_;
-};
-
-/// The single construction surface for every sampler in the system.
+/// The single construction surface for every sampler in the system. Throws
+/// DmsError for a missing grid in the partitioned modes and for invalid
+/// fanouts (empty, or any entry <= 0; walk kinds read only the layer count).
 std::unique_ptr<MatrixSampler> make_sampler(SamplerKind kind, DistMode mode,
                                             const Graph& graph,
                                             const SamplerContext& ctx);

@@ -288,6 +288,13 @@ SamplePlan build_node2vec_plan(index_t walk_length, index_t model_layers,
   return p;
 }
 
+SamplerConfig walk_adapter_config(index_t model_layers, std::uint64_t seed) {
+  SamplerConfig cfg;
+  cfg.fanouts.assign(static_cast<std::size_t>(model_layers), 1);
+  cfg.seed = seed;
+  return cfg;
+}
+
 SamplePlan build_pinsage_plan() {
   // The GraphSAGE op program verbatim — the PinSAGE semantics come entirely
   // from binding the walk-derived weighted adjacency (core/pinsage.hpp):

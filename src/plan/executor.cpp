@@ -735,6 +735,14 @@ PlanExecutor::PlanExecutor(SamplePlan plan, SamplerConfig config,
                            PlanExecOptions opts)
     : config_(std::move(config)) {
   validate_plan(plan);
+  // One fanout rule for every sampler in every mode. Walk plans take unit
+  // fanouts from walk_adapter_config (their round count is explicit).
+  check(!config_.fanouts.empty(),
+        "PlanExecutor: plan '" + plan.name + "' needs non-empty fanouts");
+  for (const index_t f : config_.fanouts) {
+    check(f > 0, "PlanExecutor: plan '" + plan.name +
+                     "' fanouts must be positive, got " + std::to_string(f));
+  }
   if (opts.optimize) {
     // Optimized form, shared process-wide: every executor over the same
     // plan shape + fanouts (training epochs, coalesced serving batches,
@@ -746,9 +754,9 @@ PlanExecutor::PlanExecutor(SamplePlan plan, SamplerConfig config,
   walk_shape_ = match_walk_plan(*plan_);
 }
 
-std::map<std::string, double> PlanExecutor::op_seconds() const {
+std::map<std::string, double> PlanRunState::op_seconds() const {
   std::map<std::string, double> out;
-  for (const auto& [label, s] : stats_) out[label] = s.seconds;
+  for (const auto& [label, s] : stats) out[label] = s.seconds;
   return out;
 }
 
@@ -887,7 +895,7 @@ void run_rounds(RunCtx& ctx, std::map<std::string, PlanOpStats>& stats) {
 std::vector<MinibatchSample> PlanExecutor::run(
     const Graph& graph, const std::vector<std::vector<index_t>>& batches,
     const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed,
-    Workspace* ws, const std::vector<value_t>* global_weights) const {
+    PlanRunState& state, const std::vector<value_t>* global_weights) const {
   check(batches.size() == batch_ids.size(),
         "PlanExecutor::run: ids/batches mismatch");
   // Serving's empty-coalescing-window case: a bulk of zero batches is a
@@ -898,7 +906,6 @@ std::vector<MinibatchSample> PlanExecutor::run(
   check(!plan_->distributed,
         "PlanExecutor::run: plan '" + plan_->name +
             "' is dist-lowered; use run_partitioned");
-  check(ws != nullptr, "PlanExecutor::run: workspace required");
   check(!plan_->needs_global_weights || global_weights != nullptr,
         "PlanExecutor::run: plan '" + plan_->name +
             "' needs bound global weights");
@@ -907,22 +914,22 @@ std::vector<MinibatchSample> PlanExecutor::run(
   ctx.adj = &graph.adjacency();
   ctx.batch_ids = &batch_ids;
   ctx.epoch_seed = epoch_seed;
-  ctx.ws = ws;
+  ctx.ws = &state.ws;
   ctx.weights = global_weights;
-  ctx.walk_steps = &walk_steps_;
-  if (walk_shape_.matched && walk_opts_.fused) {
+  ctx.walk_steps = &state.walk_steps;
+  if (walk_fusable(state)) {
     // Build (or reuse) the fused engine for the bound adjacency; the cache
     // key is the matrix identity, so switching graphs rebuilds.
-    if (engine_ == nullptr || engine_adj_ != ctx.adj) {
-      engine_ = std::make_unique<WalkEngine>(*ctx.adj, walk_opts_);
-      engine_adj_ = ctx.adj;
+    if (state.engine == nullptr || state.engine_adj != ctx.adj) {
+      state.engine = std::make_unique<WalkEngine>(*ctx.adj, state.walk_opts);
+      state.engine_adj = ctx.adj;
     }
-    ctx.walk_engine = engine_.get();
+    ctx.walk_engine = state.engine.get();
     ctx.walk_shape = &walk_shape_;
   }
   ctx.rows.resize(1);
   init_row(ctx, ctx.rows[0], 0, batches, static_cast<index_t>(batches.size()));
-  run_rounds(ctx, stats_);
+  run_rounds(ctx, state.stats);
   recycle_walk_lists(ctx);
   return std::move(ctx.rows[0].out);
 }
@@ -931,14 +938,13 @@ std::vector<std::vector<MinibatchSample>> PlanExecutor::run_partitioned(
     Cluster& cluster, const DistBlockRowMatrix& adj, const BlockPartition& assign,
     const std::vector<std::vector<index_t>>& batches,
     const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed,
-    Workspace* ws, const SpgemmOptions& local_spgemm, bool sparsity_aware,
+    PlanRunState& state, const SpgemmOptions& local_spgemm, bool sparsity_aware,
     const std::vector<value_t>* global_weights) const {
   check(batches.size() == batch_ids.size(),
         "PlanExecutor::run_partitioned: ids/batches mismatch");
   check(plan_->distributed,
         "PlanExecutor::run_partitioned: plan '" + plan_->name +
             "' is not dist-lowered (lower_to_dist)");
-  check(ws != nullptr, "PlanExecutor::run_partitioned: workspace required");
   check(!plan_->needs_global_weights || global_weights != nullptr,
         "PlanExecutor::run_partitioned: plan '" + plan_->name +
             "' needs bound global weights");
@@ -948,17 +954,17 @@ std::vector<std::vector<MinibatchSample>> PlanExecutor::run_partitioned(
   ctx.cluster = &cluster;
   ctx.batch_ids = &batch_ids;
   ctx.epoch_seed = epoch_seed;
-  ctx.ws = ws;
+  ctx.ws = &state.ws;
   ctx.weights = global_weights;
   ctx.local = local_spgemm;
   ctx.sparsity_aware = sparsity_aware;
-  ctx.walk_steps = &walk_steps_;
+  ctx.walk_steps = &state.walk_steps;
   ctx.rows.resize(static_cast<std::size_t>(assign.parts()));
   for (index_t i = 0; i < assign.parts(); ++i) {
     init_row(ctx, ctx.rows[static_cast<std::size_t>(i)], assign.begin(i),
              batches, assign.end(i) - assign.begin(i));
   }
-  run_rounds(ctx, stats_);
+  run_rounds(ctx, state.stats);
   recycle_walk_lists(ctx);
   std::vector<std::vector<MinibatchSample>> out;
   out.reserve(ctx.rows.size());

@@ -42,11 +42,47 @@ struct PlanExecOptions {
   bool optimize = true;
 };
 
+/// Everything a run mutates, owned by the caller (one per sampler) and
+/// passed to every run: the scratch arena, the per-op table, the walk-step
+/// counter, and the fused walk engine with its options. Because runs never
+/// modify a PlanExecutor (or the PlanCache plan it shares), concurrent
+/// callers need only bring their own state. One run at a time per state
+/// (the Workspace contract).
+struct PlanRunState {
+  /// Scratch arena reused across layers, bulks, and epochs (DESIGN.md §7).
+  Workspace ws;
+  /// Cumulative per-op stats, keyed "<plan>/<label>".
+  std::map<std::string, PlanOpStats> stats;
+  /// Walk steps (surviving walker × round) advanced, on both the fused and
+  /// the matrix path — the edges/s numerator of bench/micro_walk.
+  std::uint64_t walk_steps = 0;
+  /// Fused walk-engine controls (DESIGN.md §11). Only replicated runs of a
+  /// walk-shaped plan (match_walk_plan) fuse; everything else ignores them.
+  WalkEngineOptions walk_opts;
+  /// The fused engine holds a relabeled adjacency copy, so it is cached
+  /// keyed on the bound adjacency and rebuilt only when the graph changes.
+  std::unique_ptr<WalkEngine> engine;
+  const CsrMatrix* engine_adj = nullptr;
+
+  /// stats projected to seconds (the MatrixSampler breakdown surface).
+  std::map<std::string, double> op_seconds() const;
+  void reset_stats() {
+    stats.clear();
+    walk_steps = 0;
+  }
+  /// Takes effect on the next run: the cached engine is dropped.
+  void set_walk_options(const WalkEngineOptions& opts) {
+    walk_opts = opts;
+    engine.reset();
+    engine_adj = nullptr;
+  }
+};
+
 class PlanExecutor {
  public:
-  /// Validates the plan, then (unless opts.optimize is off) swaps it for the
-  /// cached optimized form. `config` supplies the per-round fanouts (and
-  /// must outlast nothing — it is copied).
+  /// Validates the plan and the fanouts (non-empty, every entry > 0), then
+  /// (unless opts.optimize is off) swaps the plan for the cached optimized
+  /// form. `config` supplies the per-round fanouts (it is copied).
   PlanExecutor(SamplePlan plan, SamplerConfig config, PlanExecOptions opts = {});
 
   /// The plan actually executed (the optimized form by default — possibly
@@ -55,14 +91,13 @@ class PlanExecutor {
   const SamplerConfig& config() const { return config_; }
 
   /// Replicated / single-node execution: runs the (unlowered) plan against
-  /// `graph`'s adjacency. `ws` is the caller's scratch arena (required);
-  /// `global_weights` binds the prefix-sum distribution of
-  /// kItsSample/kGlobalWeights plans (FastGCN). One run at a time per
-  /// executor (the Workspace contract).
+  /// `graph`'s adjacency. `global_weights` binds the prefix-sum
+  /// distribution of kItsSample/kGlobalWeights plans (FastGCN).
   std::vector<MinibatchSample> run(
       const Graph& graph, const std::vector<std::vector<index_t>>& batches,
       const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed,
-      Workspace* ws, const std::vector<value_t>* global_weights = nullptr) const;
+      PlanRunState& state,
+      const std::vector<value_t>* global_weights = nullptr) const;
 
   /// Partitioned execution of a lowered plan: batches are pre-assigned to
   /// process rows by `assign`; ops run per process row with row-local time
@@ -74,50 +109,19 @@ class PlanExecutor {
       Cluster& cluster, const DistBlockRowMatrix& adj, const BlockPartition& assign,
       const std::vector<std::vector<index_t>>& batches,
       const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed,
-      Workspace* ws, const SpgemmOptions& local_spgemm, bool sparsity_aware,
+      PlanRunState& state, const SpgemmOptions& local_spgemm, bool sparsity_aware,
       const std::vector<value_t>* global_weights = nullptr) const;
 
-  /// Cumulative per-op stats since construction / reset, keyed
-  /// "<plan>/<label>".
-  const std::map<std::string, PlanOpStats>& op_stats() const { return stats_; }
-  /// op_stats() projected to seconds (the MatrixSampler breakdown surface).
-  std::map<std::string, double> op_seconds() const;
-  void reset_stats() const {
-    stats_.clear();
-    walk_steps_ = 0;
+  /// Whether replicated runs under `state`'s walk options take the fused
+  /// walk path.
+  bool walk_fusable(const PlanRunState& state) const {
+    return walk_shape_.matched && state.walk_opts.fused;
   }
-
-  /// Fused walk-engine controls (DESIGN.md §11). Takes effect on the next
-  /// run: the cached engine is dropped and rebuilt under the new options.
-  /// Only replicated runs of a walk-shaped plan (match_walk_plan) fuse;
-  /// everything else ignores these options.
-  void set_walk_options(const WalkEngineOptions& opts) {
-    walk_opts_ = opts;
-    engine_.reset();
-    engine_adj_ = nullptr;
-  }
-  const WalkEngineOptions& walk_options() const { return walk_opts_; }
-  /// Whether replicated runs of this plan take the fused walk path.
-  bool walk_fusable() const { return walk_shape_.matched && walk_opts_.fused; }
-  /// Walk steps (surviving walker × round) advanced since construction /
-  /// reset_stats, on both the fused and the matrix path — the edges/s
-  /// numerator of bench/micro_walk.
-  std::uint64_t walk_steps() const { return walk_steps_; }
 
  private:
   std::shared_ptr<const SamplePlan> plan_;
   SamplerConfig config_;
-  /// Per-op accounting. Samplers drive their executor sequentially (the
-  /// Workspace ownership contract), so mutation from const runs is safe.
-  mutable std::map<std::string, PlanOpStats> stats_;
-  // Fused walk engine (replicated walk-shaped plans). The engine holds a
-  // relabeled adjacency copy, so it is cached keyed on the bound adjacency
-  // and rebuilt only when the caller switches graphs.
-  WalkEngineOptions walk_opts_;
   WalkPlanShape walk_shape_;
-  mutable std::unique_ptr<WalkEngine> engine_;
-  mutable const CsrMatrix* engine_adj_ = nullptr;
-  mutable std::uint64_t walk_steps_ = 0;
 };
 
 }  // namespace dms

@@ -87,8 +87,10 @@ TEST(QuiverSim, UvaModeIsSlowerPerEpoch) {
 
   // Neutralize measured host-compute noise so the comparison isolates the
   // modeled transfer costs (PCIe vs NVLink), which is what Figure 5 shows.
+  // QuiverSim bills sampling as irregular compute, so both scales are set.
   LinkParams link;
   link.compute_scale = 1e9;
+  link.irregular_compute_scale = 1e9;
 
   Cluster c_gpu(ProcessGrid(4, 1), CostModel(link));
   QuiverSim gpu(c_gpu, ds, cfg);

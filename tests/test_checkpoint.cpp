@@ -142,24 +142,29 @@ TEST(Checkpoint, SgdStateAlsoRoundTrips) {
 TEST(Checkpoint, ResumeSegmentIsCheaperThanTheFullEpoch) {
   // The point of resuming: the resumed segment replays only the remaining
   // rounds, so its simulated time is strictly below restarting the epoch.
+  // Enormous compute scales zero out host-measured kernel time, so both
+  // totals are modeled launch and link costs, free of host-load noise.
   const Dataset ds = small_planted();
   const PipelineConfig cfg =
       config_for(SamplerKind::kGraphSage, DistMode::kPartitioned);
+  LinkParams link;
+  link.compute_scale = 1e9;
+  link.irregular_compute_scale = 1e9;
 
-  Cluster c_ref(ProcessGrid(4, 2), CostModel(LinkParams{}));
+  Cluster c_ref(ProcessGrid(4, 2), CostModel(link));
   Pipeline ref(c_ref, ds, cfg);
   ref.run_epoch(0);
   const EpochStats full = ref.run_epoch(1);
 
   TempPath ckpt("dms_ckpt_cost.bin");
-  Cluster c_kill(ProcessGrid(4, 2), CostModel(LinkParams{}));
+  Cluster c_kill(ProcessGrid(4, 2), CostModel(link));
   Pipeline killed(c_kill, ds, cfg);
   killed.run_epoch(0);
   const TrainCursor cur = killed.run_epoch_partial(1, 2);
   ASSERT_FALSE(cur.finished());
   save_checkpoint(killed, cur, ckpt.path);
 
-  Cluster c_res(ProcessGrid(4, 2), CostModel(LinkParams{}));
+  Cluster c_res(ProcessGrid(4, 2), CostModel(link));
   Pipeline resumed(c_res, ds, cfg);
   const EpochStats seg = resumed.run_epoch_resumed(load_checkpoint(resumed, ckpt.path));
   EXPECT_EQ(full.loss, seg.loss);

@@ -3,11 +3,10 @@
 // distributed algorithms testable), plus phase accounting.
 #include <gtest/gtest.h>
 
-#include "core/graphsage.hpp"
-#include "core/ladies.hpp"
 #include "core/minibatch.hpp"
 #include "dist/dist_sampler.hpp"
 #include "graph/generators.hpp"
+#include "plan/builders.hpp"
 #include "test_util.hpp"
 
 namespace dms {
@@ -39,10 +38,10 @@ TEST_P(PartitionedSageSweep, MatchesSingleNodeSampler) {
   const auto batches = make_batches(256, 8, 4);
   std::vector<index_t> ids = {0, 1, 2, 3, 4, 5, 6, 7};
 
-  PartitionedSageSampler dist(g, cluster.grid(), cfg);
+  PartitionedSamplerBase dist(g, cluster.grid(), build_sage_plan(), cfg);
   const auto per_row = dist.sample_bulk(cluster, batches, ids, 2024);
 
-  GraphSageSampler local(g, cfg);
+  PlanSampler local(g, build_sage_plan(), cfg);
   const auto ref = local.sample_bulk(batches, ids, 2024);
 
   std::size_t seen = 0;
@@ -75,10 +74,10 @@ TEST_P(PartitionedLadiesSweep, MatchesSingleNodeSampler) {
   const auto batches = make_batches(200, 8, 8);
   std::vector<index_t> ids = {0, 1, 2, 3, 4, 5, 6, 7};
 
-  PartitionedLadiesSampler dist(g, cluster.grid(), cfg);
+  PartitionedSamplerBase dist(g, cluster.grid(), build_ladies_plan(), cfg);
   const auto per_row = dist.sample_bulk(cluster, batches, ids, 77);
 
-  LadiesSampler local(g, cfg);
+  PlanSampler local(g, build_ladies_plan(), cfg);
   const auto ref = local.sample_bulk(batches, ids, 77);
 
   std::size_t seen = 0;
@@ -102,7 +101,7 @@ INSTANTIATE_TEST_SUITE_P(Grids, PartitionedLadiesSweep,
 TEST(PartitionedSage, RecordsAllThreePhases) {
   Cluster cluster = make_cluster(4, 2);
   const Graph g = generate_erdos_renyi(128, 8.0, 34);
-  PartitionedSageSampler dist(g, cluster.grid(), {{3}, 1});
+  PartitionedSamplerBase dist(g, cluster.grid(), build_sage_plan(), {{3}, 1});
   const auto batches = make_batches(128, 4, 4);
   dist.sample_bulk(cluster, batches, {0, 1, 2, 3}, 9);
   EXPECT_GT(cluster.phase_time(kPhaseProbability), 0.0);
@@ -118,8 +117,8 @@ TEST(PartitionedSage, SparsityObliviousSameSamples) {
   aware.sparsity_aware = true;
   PartitionedSamplerOptions oblivious;
   oblivious.sparsity_aware = false;
-  PartitionedSageSampler s1(g, c1.grid(), {{4, 2}, 1}, aware);
-  PartitionedSageSampler s2(g, c2.grid(), {{4, 2}, 1}, oblivious);
+  PartitionedSamplerBase s1(g, c1.grid(), build_sage_plan(), {{4, 2}, 1}, aware);
+  PartitionedSamplerBase s2(g, c2.grid(), build_sage_plan(), {{4, 2}, 1}, oblivious);
   const auto batches = make_batches(128, 8, 4);
   std::vector<index_t> ids = {0, 1, 2, 3, 4, 5, 6, 7};
   const auto r1 = s1.sample_bulk(c1, batches, ids, 3);

@@ -5,7 +5,9 @@
 #include <set>
 
 #include "core/fastgcn.hpp"
+#include "core/plan_sampler.hpp"
 #include "graph/generators.hpp"
+#include "plan/builders.hpp"
 #include "test_util.hpp"
 
 namespace dms {
@@ -13,10 +15,9 @@ namespace {
 
 TEST(FastGcn, ImportanceIsSquaredInDegree) {
   const Graph g(testutil::paper_example_adjacency());
-  FastGcnSampler sampler(g, {{2}, 1});
   // In-degrees on the symmetric example equal out-degrees:
   // deg = {1, 3, 1, 2, 3, 2}.
-  const auto& q = sampler.importance();
+  const auto q = fastgcn_importance(g);
   EXPECT_DOUBLE_EQ(q[0], 1.0);
   EXPECT_DOUBLE_EQ(q[1], 9.0);
   EXPECT_DOUBLE_EQ(q[2], 1.0);
@@ -29,7 +30,7 @@ TEST(FastGcn, SamplesAreIndependentOfBatch) {
   // FastGCN's distribution is batch-independent: two different batches at
   // the same (batch_id, layer) stream sample the same vertex set.
   const Graph g = Graph(generate_erdos_renyi(100, 10.0, 21).adjacency());
-  FastGcnSampler sampler(g, {{8}, 1});
+  PlanSampler sampler(g, build_fastgcn_plan(), {{8}, 1});
   const auto a = sampler.sample_one({1, 2, 3}, 5, 7);
   const auto b = sampler.sample_one({50, 60}, 5, 7);
   std::set<index_t> sa(a.layers[0].col_vertices.begin() + 3, a.layers[0].col_vertices.end());
@@ -46,7 +47,7 @@ TEST(FastGcn, SamplesAreIndependentOfBatch) {
 
 TEST(FastGcn, EdgesExistAndConnectBatchToSample) {
   const Graph g = Graph(generate_erdos_renyi(80, 9.0, 22).adjacency());
-  FastGcnSampler sampler(g, {{16}, 1});
+  PlanSampler sampler(g, build_fastgcn_plan(), {{16}, 1});
   const auto ms = sampler.sample_one({4, 8, 12}, 0, 3);
   const auto& layer = ms.layers[0];
   EXPECT_EQ(layer.adj.rows(), 3);
@@ -64,7 +65,7 @@ TEST(FastGcn, CanSampleVerticesOutsideNeighborhood) {
   // (§2.2.2 points out this hurts accuracy). With a tiny batch on a large
   // graph this is overwhelmingly likely.
   const Graph g = Graph(generate_erdos_renyi(500, 4.0, 23).adjacency());
-  FastGcnSampler sampler(g, {{64}, 1});
+  PlanSampler sampler(g, build_fastgcn_plan(), {{64}, 1});
   const auto ms = sampler.sample_one({0}, 0, 9);
   std::set<index_t> neighborhood;
   for (const index_t v : g.adjacency().row_cols(0)) neighborhood.insert(v);
@@ -78,7 +79,7 @@ TEST(FastGcn, CanSampleVerticesOutsideNeighborhood) {
 
 TEST(FastGcn, BulkMatchesSingle) {
   const Graph g = Graph(generate_erdos_renyi(90, 7.0, 24).adjacency());
-  FastGcnSampler sampler(g, {{8, 8}, 1});
+  PlanSampler sampler(g, build_fastgcn_plan(), {{8, 8}, 1});
   std::vector<std::vector<index_t>> batches = {{0, 1}, {2, 3}};
   const auto bulk = sampler.sample_bulk(batches, {0, 1}, 55);
   for (std::size_t i = 0; i < 2; ++i) {

@@ -4,8 +4,9 @@
 
 #include <set>
 
-#include "core/graphsage.hpp"
+#include "core/plan_sampler.hpp"
 #include "graph/generators.hpp"
+#include "plan/builders.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
 #include "test_util.hpp"
@@ -35,7 +36,7 @@ TEST(GraphSageProbability, MatchesFigure2a) {
 TEST(GraphSageSampler, SampleCountsMatchFanout) {
   // Each batch vertex samples exactly min(s, deg) neighbors (§4.1.2).
   const Graph g = paper_graph();
-  GraphSageSampler sampler(g, {{2}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{2}, 1});
   const MinibatchSample ms = sampler.sample_one({1, 5}, 0, 123);
   ASSERT_EQ(ms.layers.size(), 1u);
   const LayerSample& layer = ms.layers[0];
@@ -46,7 +47,7 @@ TEST(GraphSageSampler, SampleCountsMatchFanout) {
 
 TEST(GraphSageSampler, SampledEdgesExistInGraph) {
   const Graph g = paper_graph();
-  GraphSageSampler sampler(g, {{2, 2}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{2, 2}, 1});
   const MinibatchSample ms = sampler.sample_one({1, 5}, 0, 5);
   for (const auto& layer : ms.layers) {
     for (index_t r = 0; r < layer.adj.rows(); ++r) {
@@ -64,7 +65,7 @@ TEST(GraphSageSampler, FrontierChainsAcrossLayers) {
   // layers[l].row_vertices must equal layers[l-1].col_vertices, and layer 0
   // rows are the batch (sampler.hpp conventions).
   const Graph g = paper_graph();
-  GraphSageSampler sampler(g, {{2, 2, 1}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{2, 2, 1}, 1});
   const MinibatchSample ms = sampler.sample_one({1, 5}, 3, 17);
   ASSERT_EQ(ms.layers.size(), 3u);
   EXPECT_EQ(ms.layers[0].row_vertices, ms.batch_vertices);
@@ -75,7 +76,7 @@ TEST(GraphSageSampler, FrontierChainsAcrossLayers) {
 
 TEST(GraphSageSampler, FrontierLeadsWithRowVertices) {
   const Graph g = paper_graph();
-  GraphSageSampler sampler(g, {{2}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{2}, 1});
   const MinibatchSample ms = sampler.sample_one({1, 5}, 0, 9);
   const auto& f = ms.layers[0].col_vertices;
   ASSERT_GE(f.size(), 2u);
@@ -90,7 +91,7 @@ TEST(GraphSageSampler, BulkStackingIsInvariantToK) {
   // Sampling 4 batches in one bulk call must give the same per-batch result
   // as 4 separate calls (Eq. 1 stacking changes nothing semantically).
   const Graph g = Graph(generate_erdos_renyi(64, 8.0, 3).adjacency());
-  GraphSageSampler sampler(g, {{3, 2}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{3, 2}, 1});
   std::vector<std::vector<index_t>> batches = {
       {0, 1, 2}, {10, 11}, {20, 21, 22, 23}, {40}};
   std::vector<index_t> ids = {0, 1, 2, 3};
@@ -108,7 +109,7 @@ TEST(GraphSageSampler, BulkStackingIsInvariantToK) {
 
 TEST(GraphSageSampler, DifferentEpochsGiveDifferentSamples) {
   const Graph g = Graph(generate_erdos_renyi(128, 16.0, 4).adjacency());
-  GraphSageSampler sampler(g, {{4}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{4}, 1});
   const auto a = sampler.sample_one({5, 6, 7, 8}, 0, 1);
   const auto b = sampler.sample_one({5, 6, 7, 8}, 0, 2);
   EXPECT_FALSE(a.layers[0].adj == b.layers[0].adj);
@@ -116,7 +117,7 @@ TEST(GraphSageSampler, DifferentEpochsGiveDifferentSamples) {
 
 TEST(GraphSageSampler, SameSeedReproduces) {
   const Graph g = Graph(generate_erdos_renyi(128, 16.0, 5).adjacency());
-  GraphSageSampler sampler(g, {{4, 3}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{4, 3}, 1});
   const auto a = sampler.sample_one({1, 2, 3}, 7, 42);
   const auto b = sampler.sample_one({1, 2, 3}, 7, 42);
   for (std::size_t l = 0; l < a.layers.size(); ++l) {
@@ -129,20 +130,20 @@ TEST(GraphSageSampler, IsolatedVertexSamplesNothing) {
   CooMatrix coo(4, 4);
   coo.push(0, 1, 1.0);
   const Graph g{CsrMatrix::from_coo(coo)};
-  GraphSageSampler sampler(g, {{2}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{2}, 1});
   const MinibatchSample ms = sampler.sample_one({2}, 0, 1);
   EXPECT_EQ(ms.layers[0].adj.row_nnz(0), 0);
 }
 
 TEST(GraphSageSampler, RejectsEmptyOrNonPositiveFanouts) {
   const Graph g = paper_graph();
-  EXPECT_THROW(GraphSageSampler(g, {{}, 1}), DmsError);
-  EXPECT_THROW(GraphSageSampler(g, {{2, 0}, 1}), DmsError);
+  EXPECT_THROW(PlanSampler(g, build_sage_plan(), {{}, 1}), DmsError);
+  EXPECT_THROW(PlanSampler(g, build_sage_plan(), {{2, 0}, 1}), DmsError);
 }
 
 TEST(GraphSageSampler, InputVerticesAreLastFrontier) {
   const Graph g = paper_graph();
-  GraphSageSampler sampler(g, {{2, 2}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{2, 2}, 1});
   const MinibatchSample ms = sampler.sample_one({1}, 0, 11);
   EXPECT_EQ(ms.input_vertices(), ms.layers.back().col_vertices);
 }
@@ -152,7 +153,7 @@ class SageFanoutSweep : public ::testing::TestWithParam<index_t> {};
 TEST_P(SageFanoutSweep, EveryRowRespectsFanoutOnRandomGraph) {
   const index_t s = GetParam();
   const Graph g = Graph(generate_erdos_renyi(200, 12.0, 6).adjacency());
-  GraphSageSampler sampler(g, {{s}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{s}, 1});
   std::vector<index_t> batch;
   for (index_t v = 0; v < 40; v += 2) batch.push_back(v);
   const MinibatchSample ms = sampler.sample_one(batch, 0, 3);

@@ -3,20 +3,26 @@
 
 #include <set>
 
-#include "core/graphsaint.hpp"
+#include "core/plan_sampler.hpp"
 #include "graph/dataset.hpp"
 #include "graph/generators.hpp"
 #include "nn/model.hpp"
+#include "plan/builders.hpp"
 #include "test_util.hpp"
 
 namespace dms {
 namespace {
 
+/// GraphSAINT-RW: the saint_rw plan with one unit fanout per model layer.
+PlanSampler saint_sampler(const Graph& g, index_t walk_length,
+                          index_t model_layers = 1) {
+  return PlanSampler(g, build_saint_plan(walk_length, model_layers),
+                     walk_adapter_config(model_layers, /*seed=*/1));
+}
+
 TEST(GraphSaint, InducedSubgraphContainsRoots) {
   const Graph g = generate_erdos_renyi(100, 8.0, 71);
-  GraphSaintConfig cfg;
-  cfg.walk_length = 3;
-  GraphSaintSampler sampler(g, cfg);
+  PlanSampler sampler = saint_sampler(g, /*walk_length=*/3);
   const auto ms = sampler.sample_one({5, 17, 42}, 0, 1);
   std::set<index_t> vs(ms.batch_vertices.begin(), ms.batch_vertices.end());
   EXPECT_TRUE(vs.count(5) && vs.count(17) && vs.count(42));
@@ -24,9 +30,7 @@ TEST(GraphSaint, InducedSubgraphContainsRoots) {
 
 TEST(GraphSaint, SubgraphIsExactlyInducedAdjacency) {
   const Graph g = generate_erdos_renyi(80, 10.0, 72);
-  GraphSaintConfig cfg;
-  cfg.walk_length = 2;
-  GraphSaintSampler sampler(g, cfg);
+  PlanSampler sampler = saint_sampler(g, /*walk_length=*/2);
   const auto ms = sampler.sample_one({1, 2, 3, 4}, 0, 9);
   const auto& layer = ms.layers[0];
   // Every induced edge present, nothing else.
@@ -40,9 +44,7 @@ TEST(GraphSaint, SubgraphIsExactlyInducedAdjacency) {
 
 TEST(GraphSaint, VertexSetBoundedByWalks) {
   const Graph g = generate_erdos_renyi(200, 6.0, 73);
-  GraphSaintConfig cfg;
-  cfg.walk_length = 4;
-  GraphSaintSampler sampler(g, cfg);
+  PlanSampler sampler = saint_sampler(g, /*walk_length=*/4);
   const std::vector<index_t> roots = {0, 10, 20, 30, 40};
   const auto ms = sampler.sample_one(roots, 0, 2);
   // At most roots * (1 + walk_length) distinct vertices.
@@ -56,9 +58,7 @@ TEST(GraphSaint, WalkStepsFollowEdges) {
   CooMatrix coo(8, 8);
   for (index_t v = 0; v + 1 < 8; ++v) coo.push(v, v + 1, 1.0);
   const Graph g{CsrMatrix::from_coo(coo)};
-  GraphSaintConfig cfg;
-  cfg.walk_length = 3;
-  GraphSaintSampler sampler(g, cfg);
+  PlanSampler sampler = saint_sampler(g, /*walk_length=*/3);
   const auto ms = sampler.sample_one({0}, 0, 5);
   EXPECT_EQ(ms.batch_vertices, (std::vector<index_t>{0, 1, 2, 3}));
 }
@@ -68,9 +68,7 @@ TEST(GraphSaint, DeadEndWalksTerminateGracefully) {
   CooMatrix coo(4, 4);
   coo.push(1, 2, 1.0);
   const Graph g{CsrMatrix::from_coo(coo)};
-  GraphSaintConfig cfg;
-  cfg.walk_length = 5;
-  GraphSaintSampler sampler(g, cfg);
+  PlanSampler sampler = saint_sampler(g, /*walk_length=*/5);
   const auto ms = sampler.sample_one({3}, 0, 1);
   EXPECT_EQ(ms.batch_vertices, (std::vector<index_t>{3}));
   EXPECT_EQ(ms.layers[0].adj.nnz(), 0);
@@ -78,10 +76,7 @@ TEST(GraphSaint, DeadEndWalksTerminateGracefully) {
 
 TEST(GraphSaint, EmitsRequestedModelLayers) {
   const Graph g = generate_erdos_renyi(60, 8.0, 74);
-  GraphSaintConfig cfg;
-  cfg.walk_length = 2;
-  cfg.model_layers = 3;
-  GraphSaintSampler sampler(g, cfg);
+  PlanSampler sampler = saint_sampler(g, /*walk_length=*/2, /*model_layers=*/3);
   const auto ms = sampler.sample_one({1, 2}, 0, 3);
   ASSERT_EQ(ms.layers.size(), 3u);
   EXPECT_TRUE(ms.layers[0].adj == ms.layers[2].adj);
@@ -89,9 +84,7 @@ TEST(GraphSaint, EmitsRequestedModelLayers) {
 
 TEST(GraphSaint, DeterministicPerSeed) {
   const Graph g = generate_erdos_renyi(150, 9.0, 75);
-  GraphSaintConfig cfg;
-  cfg.walk_length = 3;
-  GraphSaintSampler sampler(g, cfg);
+  PlanSampler sampler = saint_sampler(g, /*walk_length=*/3);
   const auto a = sampler.sample_one({7, 8}, 4, 11);
   const auto b = sampler.sample_one({7, 8}, 4, 11);
   EXPECT_EQ(a.batch_vertices, b.batch_vertices);
@@ -102,10 +95,8 @@ TEST(GraphSaint, DeterministicPerSeed) {
 TEST(GraphSaint, TrainsWithSageModel) {
   // End-to-end: the induced-subgraph sample drives the standard model.
   const Dataset ds = make_planted_dataset(256, 4, 8, 8.0, 0.85, 6);
-  GraphSaintConfig cfg;
-  cfg.walk_length = 2;
-  cfg.model_layers = 2;
-  GraphSaintSampler sampler(ds.graph, cfg);
+  PlanSampler sampler =
+      saint_sampler(ds.graph, /*walk_length=*/2, /*model_layers=*/2);
   const auto ms = sampler.sample_one({0, 50, 100, 150}, 0, 1);
 
   ModelConfig mc;
@@ -130,12 +121,8 @@ TEST(GraphSaint, TrainsWithSageModel) {
 
 TEST(GraphSaint, RejectsBadConfig) {
   const Graph g = generate_erdos_renyi(10, 2.0, 76);
-  GraphSaintConfig bad;
-  bad.walk_length = 0;
-  EXPECT_THROW(GraphSaintSampler(g, bad), DmsError);
-  bad.walk_length = 1;
-  bad.model_layers = 0;
-  EXPECT_THROW(GraphSaintSampler(g, bad), DmsError);
+  EXPECT_THROW(saint_sampler(g, /*walk_length=*/0), DmsError);
+  EXPECT_THROW(saint_sampler(g, /*walk_length=*/1, /*model_layers=*/0), DmsError);
 }
 
 }  // namespace

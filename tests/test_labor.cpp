@@ -6,10 +6,9 @@
 
 #include <set>
 
-#include "core/graphsage.hpp"
-#include "core/labor.hpp"
 #include "dist/dist_sampler.hpp"
 #include "graph/generators.hpp"
+#include "plan/builders.hpp"
 #include "test_util.hpp"
 
 namespace dms {
@@ -42,8 +41,8 @@ bool samples_equal(const MinibatchSample& a, const MinibatchSample& b) {
 TEST(Labor, DeterministicPerSeedAndEpoch) {
   const Graph g = test_graph();
   const SamplerConfig cfg{{5, 3}, 1};
-  LaborSampler s1(g, cfg);
-  LaborSampler s2(g, cfg);
+  PlanSampler s1(g, build_labor_plan(), cfg);
+  PlanSampler s2(g, build_labor_plan(), cfg);
   const auto batches = make_batches(g.num_vertices());
   const auto r1 = s1.sample_bulk(batches, kIds, 11);
   const auto r2 = s2.sample_bulk(batches, kIds, 11);
@@ -62,7 +61,7 @@ TEST(Labor, DeterministicPerSeedAndEpoch) {
 
 TEST(Labor, SampledEdgesAreGraphEdgesAndLayersAreWellFormed) {
   const Graph g = test_graph();
-  LaborSampler s(g, {{4, 2}, 1});
+  PlanSampler s(g, build_labor_plan(), {{4, 2}, 1});
   const auto out = s.sample_bulk(make_batches(g.num_vertices()), kIds, 21);
   for (const auto& ms : out) {
     ASSERT_EQ(ms.layers.size(), 2u);
@@ -90,7 +89,7 @@ TEST(Labor, PerVertexSampleCountTracksTheExpectedFanout) {
   // rows aggregated over epochs (law of large numbers at test scale).
   const Graph g = test_graph();
   const index_t s = 4;
-  LaborSampler sampler(g, {{s}, 1});
+  PlanSampler sampler(g, build_labor_plan(), {{s}, 1});
   const std::vector<std::vector<index_t>> batch = {{0, 1, 2, 3, 4, 5, 6, 7}};
   double sampled = 0.0, expected = 0.0;
   const int epochs = 300;
@@ -113,8 +112,8 @@ TEST(Labor, FrontierSmallerThanGraphSageAtEqualFanout) {
   // sampling. Compare summed input-frontier sizes over several epochs.
   const Graph g = generate_erdos_renyi(400, 16.0, 72);
   const SamplerConfig cfg{{8, 8}, 1};
-  LaborSampler labor(g, cfg);
-  GraphSageSampler sage(g, cfg);
+  PlanSampler labor(g, build_labor_plan(), cfg);
+  PlanSampler sage(g, build_sage_plan(), cfg);
   std::vector<std::vector<index_t>> batch = {{}};
   for (index_t v = 0; v < 64; ++v) batch[0].push_back(v * 5 % 400);
   std::size_t labor_frontier = 0, sage_frontier = 0;
@@ -138,10 +137,10 @@ TEST_P(PartitionedLaborSweep, MatchesSingleNodeSampler) {
   const SamplerConfig cfg{{4, 3}, 1};
   const auto batches = make_batches(g.num_vertices());
 
-  PartitionedLaborSampler dist(g, cluster.grid(), cfg);
+  PartitionedSamplerBase dist(g, cluster.grid(), build_labor_plan(), cfg);
   const auto per_row = dist.sample_bulk(cluster, batches, kIds, 2026);
 
-  LaborSampler local(g, cfg);
+  PlanSampler local(g, build_labor_plan(), cfg);
   const auto ref = local.sample_bulk(batches, kIds, 2026);
 
   std::size_t seen = 0;
@@ -181,8 +180,8 @@ TEST(Labor, ConvergesOnPlantedPartition) {
 
 TEST(Labor, RejectsBadConfig) {
   const Graph g = test_graph();
-  EXPECT_THROW(LaborSampler(g, SamplerConfig{{}, 1}), DmsError);
-  EXPECT_THROW(LaborSampler(g, SamplerConfig{{0}, 1}), DmsError);
+  EXPECT_THROW(PlanSampler(g, build_labor_plan(), SamplerConfig{{}, 1}), DmsError);
+  EXPECT_THROW(PlanSampler(g, build_labor_plan(), SamplerConfig{{0}, 1}), DmsError);
 }
 
 }  // namespace

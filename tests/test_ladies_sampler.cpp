@@ -5,7 +5,9 @@
 #include <set>
 
 #include "core/ladies.hpp"
+#include "core/plan_sampler.hpp"
 #include "graph/generators.hpp"
+#include "plan/builders.hpp"
 #include "test_util.hpp"
 
 namespace dms {
@@ -17,8 +19,7 @@ TEST(LadiesProbability, MatchesPaperSection22) {
   // §2.2.2: for batch {1,5} on the Figure 1 graph the probability array is
   // [1/7, 0, 1/7, 1/7, 4/7, 0].
   const Graph g = paper_graph();
-  LadiesSampler sampler(g, {{2}, 1});
-  const auto p = sampler.probability_vector({1, 5});
+  const auto p = ladies_probability_vector(g, {1, 5});
   ASSERT_EQ(p.size(), 6u);
   EXPECT_DOUBLE_EQ(p[0], 1.0 / 7.0);
   EXPECT_DOUBLE_EQ(p[1], 0.0);
@@ -32,8 +33,7 @@ TEST(LadiesProbability, SquaredCountsNormalization) {
   // p_v = e_v² / Σ e_u² — verify on a different batch ({1} alone: all of
   // N(1) has e=1 → uniform 1/3).
   const Graph g = paper_graph();
-  LadiesSampler sampler(g, {{2}, 1});
-  const auto p = sampler.probability_vector({1});
+  const auto p = ladies_probability_vector(g, {1});
   EXPECT_DOUBLE_EQ(p[0], 1.0 / 3.0);
   EXPECT_DOUBLE_EQ(p[2], 1.0 / 3.0);
   EXPECT_DOUBLE_EQ(p[4], 1.0 / 3.0);
@@ -41,7 +41,7 @@ TEST(LadiesProbability, SquaredCountsNormalization) {
 
 TEST(LadiesSampler, SamplesSVerticesPerBatch) {
   const Graph g = paper_graph();
-  LadiesSampler sampler(g, {{2}, 1});
+  PlanSampler sampler(g, build_ladies_plan(), {{2}, 1});
   const MinibatchSample ms = sampler.sample_one({1, 5}, 0, 7);
   ASSERT_EQ(ms.layers.size(), 1u);
   // Frontier = batch (2) + sampled (2, unless a sampled vertex is a batch
@@ -53,7 +53,7 @@ TEST(LadiesSampler, KeepsEveryEdgeBetweenBatchAndSample) {
   // §4.2: "the sample for LADIES includes every edge between {batch} and
   // {sampled}" — unlike GraphSAGE which keeps s per vertex.
   const Graph g = Graph(generate_erdos_renyi(80, 10.0, 11).adjacency());
-  LadiesSampler sampler(g, {{12}, 1});
+  PlanSampler sampler(g, build_ladies_plan(), {{12}, 1});
   std::vector<index_t> batch = {3, 9, 27, 45, 61};
   const MinibatchSample ms = sampler.sample_one(batch, 0, 13);
   const LayerSample& layer = ms.layers[0];
@@ -76,7 +76,7 @@ TEST(LadiesSampler, KeepsEveryEdgeBetweenBatchAndSample) {
 
 TEST(LadiesSampler, SampledAdjacencyEdgesExistInGraph) {
   const Graph g = Graph(generate_erdos_renyi(60, 8.0, 12).adjacency());
-  LadiesSampler sampler(g, {{8}, 1});
+  PlanSampler sampler(g, build_ladies_plan(), {{8}, 1});
   const MinibatchSample ms = sampler.sample_one({1, 2, 3, 4}, 0, 5);
   const LayerSample& layer = ms.layers[0];
   for (index_t r = 0; r < layer.adj.rows(); ++r) {
@@ -90,7 +90,7 @@ TEST(LadiesSampler, SampledAdjacencyEdgesExistInGraph) {
 
 TEST(LadiesSampler, BulkStackingIsInvariantToK) {
   const Graph g = Graph(generate_erdos_renyi(100, 10.0, 13).adjacency());
-  LadiesSampler sampler(g, {{6}, 1});
+  PlanSampler sampler(g, build_ladies_plan(), {{6}, 1});
   std::vector<std::vector<index_t>> batches = {{0, 1, 2}, {10, 20, 30}, {50, 51}};
   std::vector<index_t> ids = {0, 1, 2};
   const auto bulk = sampler.sample_bulk(batches, ids, 99);
@@ -103,7 +103,7 @@ TEST(LadiesSampler, BulkStackingIsInvariantToK) {
 
 TEST(LadiesSampler, MultiLayerChainsFrontiers) {
   const Graph g = Graph(generate_erdos_renyi(100, 12.0, 14).adjacency());
-  LadiesSampler sampler(g, {{8, 8}, 1});
+  PlanSampler sampler(g, build_ladies_plan(), {{8, 8}, 1});
   const MinibatchSample ms = sampler.sample_one({2, 4, 6}, 0, 21);
   ASSERT_EQ(ms.layers.size(), 2u);
   EXPECT_EQ(ms.layers[1].row_vertices, ms.layers[0].col_vertices);
@@ -111,7 +111,7 @@ TEST(LadiesSampler, MultiLayerChainsFrontiers) {
 
 TEST(LadiesSampler, SameSeedReproduces) {
   const Graph g = Graph(generate_erdos_renyi(100, 10.0, 15).adjacency());
-  LadiesSampler sampler(g, {{5}, 1});
+  PlanSampler sampler(g, build_ladies_plan(), {{5}, 1});
   const auto a = sampler.sample_one({7, 8, 9}, 2, 5);
   const auto b = sampler.sample_one({7, 8, 9}, 2, 5);
   EXPECT_TRUE(a.layers[0].adj == b.layers[0].adj);
@@ -123,7 +123,7 @@ TEST(LadiesSampler, SampledVerticesComeFromAggregatedNeighborhood) {
   // LADIES only samples vertices with a neighbor in the batch (§2.2.2) —
   // the fix over FastGCN.
   const Graph g = Graph(generate_erdos_renyi(120, 6.0, 16).adjacency());
-  LadiesSampler sampler(g, {{10}, 1});
+  PlanSampler sampler(g, build_ladies_plan(), {{10}, 1});
   std::vector<index_t> batch = {0, 5, 10};
   std::set<index_t> neighborhood;
   for (const index_t u : batch) {
@@ -142,7 +142,7 @@ class LadiesSweep : public ::testing::TestWithParam<index_t> {};
 TEST_P(LadiesSweep, SampleSizeNeverExceedsS) {
   const index_t s = GetParam();
   const Graph g = Graph(generate_erdos_renyi(150, 8.0, 17).adjacency());
-  LadiesSampler sampler(g, {{s}, 1});
+  PlanSampler sampler(g, build_ladies_plan(), {{s}, 1});
   const MinibatchSample ms = sampler.sample_one({1, 2, 3, 4, 5}, 0, 1);
   EXPECT_LE(static_cast<index_t>(ms.layers[0].col_vertices.size()), 5 + s);
 }

@@ -4,12 +4,13 @@
 
 #include <cmath>
 
-#include "core/graphsage.hpp"
+#include "core/plan_sampler.hpp"
 #include "graph/generators.hpp"
 #include "nn/gemm.hpp"
 #include "nn/loss.hpp"
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
+#include "plan/builders.hpp"
 #include "test_util.hpp"
 
 namespace dms {
@@ -110,7 +111,7 @@ TEST(Loss, LabelOutOfRangeThrows) {
 /// parameter of the first layer (float precision → loose tolerance).
 TEST(ModelGradcheck, MatchesFiniteDifferences) {
   const Graph g = generate_erdos_renyi(40, 6.0, 51);
-  GraphSageSampler sampler(g, {{3, 2}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{3, 2}, 1});
   const MinibatchSample sample = sampler.sample_one({1, 2, 3, 4}, 0, 1);
 
   ModelConfig mc;
@@ -180,7 +181,7 @@ TEST(Optimizer, AdamDescendsQuadratic) {
 
 TEST(SageModel, ForwardShapesAndDeterminism) {
   const Graph g = generate_erdos_renyi(64, 8.0, 52);
-  GraphSageSampler sampler(g, {{4, 3, 2}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{4, 3, 2}, 1});
   const MinibatchSample sample = sampler.sample_one({5, 6, 7}, 0, 2);
   ModelConfig mc;
   mc.in_dim = 6;
@@ -199,7 +200,7 @@ TEST(SageModel, ForwardShapesAndDeterminism) {
 
 TEST(SageModel, DepthMismatchThrows) {
   const Graph g = generate_erdos_renyi(32, 5.0, 53);
-  GraphSageSampler sampler(g, {{2}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{2}, 1});
   const MinibatchSample sample = sampler.sample_one({1}, 0, 1);
   ModelConfig mc;
   mc.num_layers = 2;

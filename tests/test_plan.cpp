@@ -4,11 +4,7 @@
 // and the per-op accounting surface.
 #include <gtest/gtest.h>
 
-#include "core/fastgcn.hpp"
-#include "core/graphsage.hpp"
-#include "core/graphsaint.hpp"
-#include "core/labor.hpp"
-#include "core/ladies.hpp"
+#include "core/plan_sampler.hpp"
 #include "dist/sampler_factory.hpp"
 #include "graph/generators.hpp"
 #include "plan/builders.hpp"
@@ -77,7 +73,7 @@ constexpr std::uint64_t kGoldenSaint = 11175461533758532319ULL;
 
 TEST(PlanGolden, SageBitIdenticalToPreRefactorSampler) {
   const Graph g = golden_graph();
-  GraphSageSampler s(g, kGoldenConfig);
+  PlanSampler s(g, build_sage_plan(), kGoldenConfig);
   EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
                                        kGoldenIds, kGoldenEpoch)),
             kGoldenSage);
@@ -85,7 +81,7 @@ TEST(PlanGolden, SageBitIdenticalToPreRefactorSampler) {
 
 TEST(PlanGolden, LadiesBitIdenticalToPreRefactorSampler) {
   const Graph g = golden_graph();
-  LadiesSampler s(g, kGoldenConfig);
+  PlanSampler s(g, build_ladies_plan(), kGoldenConfig);
   EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
                                        kGoldenIds, kGoldenEpoch)),
             kGoldenLadies);
@@ -93,7 +89,7 @@ TEST(PlanGolden, LadiesBitIdenticalToPreRefactorSampler) {
 
 TEST(PlanGolden, FastGcnBitIdenticalToPreRefactorSampler) {
   const Graph g = golden_graph();
-  FastGcnSampler s(g, kGoldenConfig);
+  PlanSampler s(g, build_fastgcn_plan(), kGoldenConfig);
   EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
                                        kGoldenIds, kGoldenEpoch)),
             kGoldenFastGcn);
@@ -101,10 +97,8 @@ TEST(PlanGolden, FastGcnBitIdenticalToPreRefactorSampler) {
 
 TEST(PlanGolden, SaintBitIdenticalToPreRefactorSampler) {
   const Graph g = golden_graph();
-  GraphSaintConfig cfg;
-  cfg.walk_length = 3;
-  cfg.model_layers = 2;
-  GraphSaintSampler s(g, cfg);
+  PlanSampler s(g, build_saint_plan(/*walk_length=*/3, /*model_layers=*/2),
+                walk_adapter_config(2, /*seed=*/1));
   EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
                                        kGoldenIds, kGoldenEpoch)),
             kGoldenSaint);
@@ -261,9 +255,9 @@ TEST(PlanExecute, TypeMismatchRejected) {
   p.body.push_back(its);
   const Graph g(testutil::paper_example_adjacency());
   PlanExecutor exec(p, SamplerConfig{{2}, 1});
-  Workspace ws;
+  PlanRunState state;
   try {
-    exec.run(g, {{0, 1}}, {0}, 5, &ws);
+    exec.run(g, {{0, 1}}, {0}, 5, state);
     FAIL() << "expected DmsError";
   } catch (const DmsError& e) {
     EXPECT_NE(std::string(e.what()).find("type mismatch"), std::string::npos)
@@ -274,22 +268,22 @@ TEST(PlanExecute, TypeMismatchRejected) {
 TEST(PlanExecute, BatchVertexOutOfRangeRejected) {
   const Graph g(testutil::paper_example_adjacency());  // 6 vertices
   PlanExecutor exec(build_sage_plan(), SamplerConfig{{2}, 1});
-  Workspace ws;
-  EXPECT_THROW(exec.run(g, {{0, 99}}, {0}, 5, &ws), DmsError);
+  PlanRunState state;
+  EXPECT_THROW(exec.run(g, {{0, 99}}, {0}, 5, state), DmsError);
 }
 
 TEST(PlanExecute, ModeMismatchesRejected) {
   const Graph g(testutil::paper_example_adjacency());
-  Workspace ws;
+  PlanRunState state;
   // A lowered plan cannot run replicated...
   PlanExecutor lowered(lower_to_dist(build_sage_plan()), SamplerConfig{{2}, 1});
-  EXPECT_THROW(lowered.run(g, {{0}}, {0}, 5, &ws), DmsError);
+  EXPECT_THROW(lowered.run(g, {{0}}, {0}, 5, state), DmsError);
   // ...and an unlowered plan cannot run partitioned.
   PlanExecutor plain(build_sage_plan(), SamplerConfig{{2}, 1});
   Cluster cluster(ProcessGrid(2, 1), CostModel(LinkParams{}));
   const DistBlockRowMatrix dadj(cluster.grid(), g.adjacency());
   const BlockPartition assign(1, cluster.grid().rows());
-  EXPECT_THROW(plain.run_partitioned(cluster, dadj, assign, {{0}}, {0}, 5, &ws,
+  EXPECT_THROW(plain.run_partitioned(cluster, dadj, assign, {{0}}, {0}, 5, state,
                                      SpgemmOptions{}, true),
                DmsError);
 }
@@ -297,8 +291,8 @@ TEST(PlanExecute, ModeMismatchesRejected) {
 TEST(PlanExecute, MissingGlobalWeightsRejected) {
   const Graph g(testutil::paper_example_adjacency());
   PlanExecutor exec(build_fastgcn_plan(), SamplerConfig{{2}, 1});
-  Workspace ws;
-  EXPECT_THROW(exec.run(g, {{0}}, {0}, 5, &ws, /*global_weights=*/nullptr),
+  PlanRunState state;
+  EXPECT_THROW(exec.run(g, {{0}}, {0}, 5, state, /*global_weights=*/nullptr),
                DmsError);
 }
 
@@ -343,13 +337,11 @@ TEST(PlanLowering, SaintLowersAndPartitionedMatchesGolden) {
   const SamplePlan lowered = lower_to_dist(build_saint_plan(3, 2));
   EXPECT_TRUE(lowered.distributed);
   const Graph g = golden_graph();
-  GraphSaintConfig cfg;
-  cfg.walk_length = 3;
-  cfg.model_layers = 2;
   for (const auto& [p, c] :
        std::vector<std::pair<int, int>>{{2, 1}, {4, 2}}) {
     const ProcessGrid grid(p, c);
-    PartitionedSaintSampler s(g, grid, cfg);
+    PartitionedSamplerBase s(g, grid, build_saint_plan(3, 2),
+                             walk_adapter_config(2, /*seed=*/1));
     EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
                                          kGoldenIds, kGoldenEpoch)),
               kGoldenSaint)
@@ -365,7 +357,7 @@ TEST(PlanLowering, AlreadyLoweredRejected) {
 
 TEST(PlanAccounting, OpBreakdownCoversEveryBodyOp) {
   const Graph g = generate_erdos_renyi(150, 8.0, 61);
-  GraphSageSampler s(g, kGoldenConfig);
+  PlanSampler s(g, build_sage_plan(), kGoldenConfig);
   EXPECT_TRUE(s.op_time_breakdown().empty());
   s.sample_bulk(golden_batches(g.num_vertices()), kGoldenIds, 3);
   const auto breakdown = s.op_time_breakdown();
@@ -379,7 +371,7 @@ TEST(PlanAccounting, OpBreakdownCoversEveryBodyOp) {
 TEST(PlanAccounting, PartitionedClusterPhasesStillRecorded) {
   const Graph g = generate_erdos_renyi(150, 8.0, 62);
   Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));
-  PartitionedLaborSampler s(g, cluster.grid(), kGoldenConfig);
+  PartitionedSamplerBase s(g, cluster.grid(), build_labor_plan(), kGoldenConfig);
   s.sample_bulk(cluster, golden_batches(g.num_vertices()), kGoldenIds, 3);
   EXPECT_GT(cluster.phase_time(kPhaseProbability), 0.0);
   EXPECT_GT(cluster.phase_time(kPhaseSampling), 0.0);

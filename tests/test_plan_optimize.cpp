@@ -5,8 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fastgcn.hpp"
-#include "core/graphsage.hpp"
-#include "core/ladies.hpp"
+#include "core/plan_sampler.hpp"
 #include "graph/generators.hpp"
 #include "plan/builders.hpp"
 #include "plan/executor.hpp"
@@ -175,9 +174,9 @@ TEST(PlanOptimize, OptimizedPlansBitIdenticalReplicated) {
     const auto* weights = plan.needs_global_weights ? &prefix : nullptr;
     PlanExecutor plain(plan, kConfig, {.optimize = false});
     PlanExecutor opt(plan, kConfig);
-    Workspace ws_a, ws_b;
-    const auto ref = plain.run(g, batches, kIds, 0xfeed, &ws_a, weights);
-    const auto got = opt.run(g, batches, kIds, 0xfeed, &ws_b, weights);
+    PlanRunState state_a, state_b;
+    const auto ref = plain.run(g, batches, kIds, 0xfeed, state_a, weights);
+    const auto got = opt.run(g, batches, kIds, 0xfeed, state_b, weights);
     ASSERT_EQ(got.size(), ref.size()) << plan.name;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       EXPECT_TRUE(samples_equal(got[i], ref[i]))
@@ -203,12 +202,12 @@ TEST(PlanOptimize, OptimizedPlansBitIdenticalPartitioned) {
     const DistBlockRowMatrix db(cb.grid(), g.adjacency());
     const BlockPartition assign(static_cast<index_t>(batches.size()),
                                 ca.grid().rows());
-    Workspace ws_a, ws_b;
+    PlanRunState state_a, state_b;
     const auto ref = plain.run_partitioned(ca, da, assign, batches, kIds,
-                                           0xfeed, &ws_a, SpgemmOptions{},
+                                           0xfeed, state_a, SpgemmOptions{},
                                            true, weights);
     const auto got = opt.run_partitioned(cb, db, assign, batches, kIds,
-                                         0xfeed, &ws_b, SpgemmOptions{}, true,
+                                         0xfeed, state_b, SpgemmOptions{}, true,
                                          weights);
     ASSERT_EQ(got.size(), ref.size()) << plan.name;
     for (std::size_t r = 0; r < ref.size(); ++r) {
@@ -226,18 +225,18 @@ TEST(PlanOptimize, OptimizedPlansBitIdenticalPartitioned) {
 TEST(PlanOptimize, PlanCacheSharesOneOptimizedPlan) {
   PlanCache::global().clear();
   const Graph g = generate_erdos_renyi(120, 6.0, 7);
-  GraphSageSampler s1(g, kConfig);
+  PlanSampler s1(g, build_sage_plan(), kConfig);
   const auto after_first = PlanCache::global().stats();
   EXPECT_EQ(after_first.hits, 0u);
   EXPECT_EQ(after_first.entries, 1u);
-  GraphSageSampler s2(g, kConfig);
+  PlanSampler s2(g, build_sage_plan(), kConfig);
   const auto after_second = PlanCache::global().stats();
   EXPECT_EQ(after_second.hits, 1u);
   EXPECT_EQ(after_second.entries, 1u);
   // Not just an equal plan — the same object.
   EXPECT_EQ(&s1.plan(), &s2.plan());
   // Different fanouts are a different key (round counts change sampling).
-  GraphSageSampler s3(g, SamplerConfig{{2, 2}, 9});
+  PlanSampler s3(g, build_sage_plan(), SamplerConfig{{2, 2}, 9});
   EXPECT_EQ(PlanCache::global().stats().entries, 2u);
   EXPECT_NE(&s1.plan(), &s3.plan());
 }

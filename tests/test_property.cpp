@@ -11,9 +11,9 @@
 #include <map>
 
 #include "baselines/classic_sage.hpp"
-#include "core/graphsage.hpp"
-#include "core/ladies.hpp"
+#include "core/plan_sampler.hpp"
 #include "graph/generators.hpp"
+#include "plan/builders.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
 #include "test_util.hpp"
@@ -40,7 +40,7 @@ TEST(PropertyMatrixVsClassic, GraphSageMarginalsAgree) {
   CooMatrix coo(8, 8);
   for (index_t j = 1; j <= 6; ++j) coo.push(0, j, 1.0);
   const Graph g{CsrMatrix::from_coo(coo)};
-  GraphSageSampler matrix_sampler(g, {{2}, 1});
+  PlanSampler matrix_sampler(g, build_sage_plan(), {{2}, 1});
 
   const int trials = 6000;
   std::map<index_t, int> matrix_counts, classic_counts;
@@ -64,7 +64,7 @@ TEST(PropertyMatrixVsClassic, GraphSageMarginalsAgree) {
 TEST(PropertyLadies, SamplingFollowsSquaredCountDistribution) {
   // Figure 1 example: probabilities [1/7,0,1/7,1/7,4/7,0] with s=1.
   const Graph g(testutil::paper_example_adjacency());
-  LadiesSampler sampler(g, {{1}, 1});
+  PlanSampler sampler(g, build_ladies_plan(), {{1}, 1});
   const int trials = 14000;
   std::map<index_t, int> counts;
   for (int t = 0; t < trials; ++t) {
@@ -96,7 +96,7 @@ TEST(PropertyNorm, GraphSageRowsAreUniformOverNeighbors) {
 TEST(PropertyStacking, ProbabilityMatrixIsPermutationInvariant) {
   // Stacking order must not change per-batch P rows (Eq. 1).
   const Graph g = generate_erdos_renyi(64, 6.0, 82);
-  GraphSageSampler sampler(g, {{3}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{3}, 1});
   std::vector<std::vector<index_t>> batches = {{1, 2}, {3, 4}, {5, 6}};
   const auto abc = sampler.sample_bulk(batches, {0, 1, 2}, 9);
   std::vector<std::vector<index_t>> reversed = {{5, 6}, {3, 4}, {1, 2}};
@@ -108,8 +108,8 @@ TEST(PropertyStacking, ProbabilityMatrixIsPermutationInvariant) {
 TEST(PropertySamplers, LayerAdjacencyAlwaysPattern) {
   // All sampled adjacencies are 0/1 matrices with sorted unique columns.
   const Graph g = generate_erdos_renyi(128, 10.0, 83);
-  GraphSageSampler sage(g, {{4, 3}, 1});
-  LadiesSampler ladies(g, {{16}, 1});
+  PlanSampler sage(g, build_sage_plan(), {{4, 3}, 1});
+  PlanSampler ladies(g, build_ladies_plan(), {{16}, 1});
   for (const MatrixSampler* s :
        std::initializer_list<const MatrixSampler*>{&sage, &ladies}) {
     const auto ms = s->sample_one({1, 2, 3, 4, 5}, 0, 77);
@@ -127,7 +127,7 @@ class EpochSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(EpochSeedSweep, SamplesAlwaysWithinNeighborhoods) {
   const std::uint64_t seed = GetParam();
   const Graph g = generate_erdos_renyi(96, 7.0, 84);
-  GraphSageSampler sampler(g, {{3, 2}, 1});
+  PlanSampler sampler(g, build_sage_plan(), {{3, 2}, 1});
   const auto ms = sampler.sample_one({10, 20, 30}, 0, seed);
   for (const auto& layer : ms.layers) {
     for (index_t r = 0; r < layer.adj.rows(); ++r) {

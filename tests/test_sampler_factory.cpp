@@ -1,12 +1,10 @@
-// Unified sampler factory: every registered (SamplerKind, DistMode)
-// combination constructs and samples through the common MatrixSampler
-// interface, seeding is deterministic, unregistered combinations are
-// rejected, and the registry is runtime-extensible.
+// Unified sampler factory: every (SamplerKind, DistMode) combination
+// constructs and samples through the common MatrixSampler interface,
+// seeding is deterministic, and every mode applies one fanout rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "core/fastgcn.hpp"
 #include "dist/sampler_factory.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
@@ -45,7 +43,7 @@ TEST(SamplerFactory, EveryRegisteredCombinationConstructsAndSamples) {
   const Graph g = test_graph();
   const ProcessGrid grid(4, 2);
   const std::vector<index_t> batch = {0, 1, 2, 3};
-  for (const auto& [kind, mode] : SamplerRegistry::instance().registered()) {
+  for (const auto& [kind, mode] : testutil::every_kind_and_mode()) {
     SamplerContext ctx = make_context(&grid);
     const auto sampler = make_sampler(kind, mode, g, ctx);
     ASSERT_NE(sampler, nullptr) << to_string(kind) << "/" << to_string(mode);
@@ -75,7 +73,7 @@ TEST(SamplerFactory, SeedDeterminismPerCombination) {
   const ProcessGrid grid(4, 2);
   const std::vector<std::vector<index_t>> batches = {{0, 1, 2, 3}, {4, 5, 6, 7}};
   const std::vector<index_t> ids = {0, 1};
-  for (const auto& [kind, mode] : SamplerRegistry::instance().registered()) {
+  for (const auto& [kind, mode] : testutil::every_kind_and_mode()) {
     const SamplerContext ctx = make_context(&grid);
     // Two samplers with identical SamplerConfig (incl. seed) sample
     // bit-identically; a different epoch seed changes the samples.
@@ -103,10 +101,7 @@ TEST(SamplerFactory, PartitionedMatchesReplicatedThroughCommonInterface) {
   const ProcessGrid grid(8, 2);
   const std::vector<std::vector<index_t>> batches = {{0, 1, 2}, {3, 4, 5}, {6, 7, 8}};
   const std::vector<index_t> ids = {0, 1, 2};
-  for (const SamplerKind kind :
-       {SamplerKind::kGraphSage, SamplerKind::kLadies, SamplerKind::kFastGcn,
-        SamplerKind::kLabor, SamplerKind::kGraphSaint, SamplerKind::kNode2Vec,
-        SamplerKind::kPinSage}) {
+  for (const SamplerKind kind : kSamplerKinds) {
     SamplerContext ctx = make_context(&grid);
     const auto rep = make_sampler(kind, DistMode::kReplicated, g, ctx);
     const auto part = make_sampler(kind, DistMode::kPartitioned, g, ctx);
@@ -122,33 +117,39 @@ TEST(SamplerFactory, PartitionedMatchesReplicatedThroughCommonInterface) {
 TEST(SamplerFactory, EveryKindRegisteredInBothModes) {
   // The plan IR closed the historical gaps (partitioned FastGCN, LABOR):
   // every algorithm × execution mode is constructible, including the walk
-  // kinds added with the walk engine.
-  for (const SamplerKind kind :
-       {SamplerKind::kGraphSage, SamplerKind::kLadies, SamplerKind::kFastGcn,
-        SamplerKind::kLabor, SamplerKind::kGraphSaint, SamplerKind::kNode2Vec,
-        SamplerKind::kPinSage}) {
-    for (const DistMode mode : {DistMode::kReplicated, DistMode::kPartitioned}) {
-      EXPECT_TRUE(SamplerRegistry::instance().contains(kind, mode))
-          << to_string(kind) << "/" << to_string(mode);
-    }
+  // kinds added with the walk engine — a PlanSampler replicated, its
+  // partitioned form otherwise.
+  const Graph g = test_graph();
+  const ProcessGrid grid(4, 2);
+  for (const auto& [kind, mode] : testutil::every_kind_and_mode()) {
+    const auto sampler = make_sampler(kind, mode, g, make_context(&grid));
+    EXPECT_NE(dynamic_cast<PlanSampler*>(sampler.get()), nullptr)
+        << to_string(kind) << "/" << to_string(mode);
+    EXPECT_EQ(dynamic_cast<PartitionedSamplerBase*>(sampler.get()) != nullptr,
+              mode != DistMode::kReplicated)
+        << to_string(kind) << "/" << to_string(mode);
   }
 }
 
-TEST(SamplerFactory, UnregisteredCombinationThrows) {
+TEST(SamplerFactory, InvalidFanoutsRejectedInEveryMode) {
+  // One fanout rule in every mode: non-empty, every entry > 0. Walk kinds
+  // read only the layer count (DESIGN.md §11), so they are not listed.
   const Graph g = test_graph();
   const ProcessGrid grid(4, 2);
-  SamplerContext ctx = make_context(&grid);
-  auto& registry = SamplerRegistry::instance();
-  // Vacate a slot to observe the unregistered behavior, then restore it.
-  auto previous = registry.register_creator(SamplerKind::kLabor,
-                                            DistMode::kPartitioned, {});
-  ASSERT_TRUE(previous != nullptr);
-  EXPECT_FALSE(registry.contains(SamplerKind::kLabor, DistMode::kPartitioned));
-  EXPECT_THROW(
-      make_sampler(SamplerKind::kLabor, DistMode::kPartitioned, g, ctx), DmsError);
-  registry.register_creator(SamplerKind::kLabor, DistMode::kPartitioned,
-                            std::move(previous));
-  EXPECT_TRUE(registry.contains(SamplerKind::kLabor, DistMode::kPartitioned));
+  const std::vector<std::vector<index_t>> bad_fanouts = {{}, {0}, {-1}, {4, -2}};
+  for (const SamplerKind kind :
+       {SamplerKind::kGraphSage, SamplerKind::kLadies, SamplerKind::kFastGcn,
+        SamplerKind::kLabor, SamplerKind::kPinSage}) {
+    for (const DistMode mode : kDistModes) {
+      for (const auto& fanouts : bad_fanouts) {
+        SamplerContext ctx = make_context(&grid);
+        ctx.config.fanouts = fanouts;
+        EXPECT_THROW(make_sampler(kind, mode, g, ctx), DmsError)
+            << to_string(kind) << "/" << to_string(mode) << " with "
+            << fanouts.size() << " fanouts";
+      }
+    }
+  }
 }
 
 TEST(SamplerFactory, PartitionedModeRequiresGrid) {
@@ -156,32 +157,6 @@ TEST(SamplerFactory, PartitionedModeRequiresGrid) {
   SamplerContext ctx = make_context(/*grid=*/nullptr);
   EXPECT_THROW(
       make_sampler(SamplerKind::kGraphSage, DistMode::kPartitioned, g, ctx), DmsError);
-}
-
-TEST(SamplerFactory, RegistryIsRuntimeExtensible) {
-  const Graph g = test_graph();
-  const ProcessGrid grid(4, 2);
-  SamplerContext ctx = make_context(&grid);
-  auto& registry = SamplerRegistry::instance();
-  // Override an occupied slot with a stand-in creator; the previous creator
-  // comes back so the override can be reverted.
-  auto previous = registry.register_creator(
-      SamplerKind::kFastGcn, DistMode::kPartitioned,
-      [](const Graph& graph, const SamplerContext& c) {
-        return std::make_unique<FastGcnSampler>(graph, c.config);
-      });
-  EXPECT_TRUE(previous != nullptr);
-  const auto sampler =
-      make_sampler(SamplerKind::kFastGcn, DistMode::kPartitioned, g, ctx);
-  EXPECT_EQ(sampler->sample_one({0, 1}, 0, 5).layers.size(), 2u);
-  // The stand-in is a replicated FastGCN, so the downcast must now fail...
-  EXPECT_THROW(as_partitioned(*sampler), DmsError);
-  // ...and restoring the previous creator brings the partitioned form back.
-  registry.register_creator(SamplerKind::kFastGcn, DistMode::kPartitioned,
-                            std::move(previous));
-  const auto restored =
-      make_sampler(SamplerKind::kFastGcn, DistMode::kPartitioned, g, ctx);
-  EXPECT_NO_THROW(as_partitioned(*restored));
 }
 
 TEST(SamplerFactory, AsPartitionedRejectsReplicatedSamplers) {

@@ -1,5 +1,5 @@
 // Determinism/accounting harness for the staged overlapped executor
-// (DESIGN.md §6): for every registered SamplerKind × DistMode the
+// (DESIGN.md §6): for every SamplerKind × DistMode the
 // overlapped and synchronous paths must produce bit-identical per-epoch
 // loss/accuracy (overlap changes only the simulated clock), caching must
 // never change training, the cache accounting must cover every requested
@@ -41,7 +41,7 @@ std::vector<EpochStats> run_epochs(const Dataset& ds, PipelineConfig cfg,
 
 TEST(StagedPipeline, OverlapMatchesSyncBitIdenticallyForEveryKindAndMode) {
   const Dataset ds = small_planted();
-  for (const auto& [kind, mode] : SamplerRegistry::instance().registered()) {
+  for (const auto& [kind, mode] : testutil::every_kind_and_mode()) {
     PipelineConfig cfg = config_for(kind, mode);
     cfg.overlap = false;
     const auto sync = run_epochs(ds, cfg, 2);
@@ -98,7 +98,7 @@ TEST(StagedPipeline, CachePoliciesDoNotChangeLosses) {
 
 TEST(StagedPipeline, CacheAccountingExactlyCoversRequestedRows) {
   const Dataset ds = small_planted();
-  for (const auto& [kind, mode] : SamplerRegistry::instance().registered()) {
+  for (const auto& [kind, mode] : testutil::every_kind_and_mode()) {
     PipelineConfig cfg = config_for(kind, mode);
     cfg.feature_cache = {CachePolicy::kLru, 32};
     Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));

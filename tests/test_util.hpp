@@ -1,5 +1,6 @@
 // Shared helpers for the test suite: random sparse matrices, dense
-// reference implementations, and the EpochStats accounting invariants.
+// reference implementations, the kind × mode sweep, and the EpochStats
+// accounting invariants.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,6 +12,15 @@
 #include "train/pipeline.hpp"
 
 namespace dms::testutil {
+
+/// Every (SamplerKind, DistMode) combination make_sampler builds, kind-major.
+inline std::vector<std::pair<SamplerKind, DistMode>> every_kind_and_mode() {
+  std::vector<std::pair<SamplerKind, DistMode>> out;
+  for (const SamplerKind kind : kSamplerKinds) {
+    for (const DistMode mode : kDistModes) out.emplace_back(kind, mode);
+  }
+  return out;
+}
 
 /// Checks the clock-composition invariants every epoch must satisfy
 /// (DESIGN.md §6): all phases non-negative; the total is the max-composition

@@ -7,8 +7,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/graphsaint.hpp"
-#include "core/node2vec.hpp"
+#include "core/plan_sampler.hpp"
 #include "dist/dist_sampler.hpp"
 #include "graph/generators.hpp"
 #include "graph/relabel.hpp"
@@ -37,6 +36,19 @@ Graph sink_graph() {
       std::vector<value_t>(9, 1.0)));
 }
 
+PlanSampler saint_sampler(const Graph& g, index_t walk_length,
+                          index_t model_layers, std::uint64_t seed) {
+  return PlanSampler(g, build_saint_plan(walk_length, model_layers),
+                     walk_adapter_config(model_layers, seed));
+}
+
+PlanSampler node2vec_sampler(const Graph& g, index_t walk_length,
+                             index_t model_layers, value_t p, value_t q,
+                             std::uint64_t seed) {
+  return PlanSampler(g, build_node2vec_plan(walk_length, model_layers, p, q),
+                     walk_adapter_config(model_layers, seed));
+}
+
 const std::vector<std::vector<index_t>> kBatches = {{0, 1, 2}, {3, 4}, {5, 6, 7}};
 const std::vector<index_t> kIds = {0, 1, 2};
 
@@ -59,11 +71,11 @@ bool samples_equal(const std::vector<MinibatchSample>& a,
 
 TEST(WalkEngine, FusedMatchesMatrixAcrossGraphs) {
   for (const Graph& g : {er_graph(), rmat_graph(), sink_graph()}) {
-    GraphSaintSampler fused(g, {/*walk_length=*/4, /*model_layers=*/2, 9});
-    GraphSaintSampler matrix(g, {/*walk_length=*/4, /*model_layers=*/2, 9});
+    PlanSampler fused = saint_sampler(g, /*walk_length=*/4, /*model_layers=*/2, 9);
+    PlanSampler matrix = saint_sampler(g, /*walk_length=*/4, /*model_layers=*/2, 9);
     matrix.set_walk_options({.fused = false});
-    ASSERT_TRUE(fused.executor().walk_fusable());
-    ASSERT_FALSE(matrix.executor().walk_fusable());
+    ASSERT_TRUE(fused.walk_fusable());
+    ASSERT_FALSE(matrix.walk_fusable());
     for (std::uint64_t epoch : {0ull, 17ull}) {
       const auto rf = fused.sample_bulk(kBatches, kIds, epoch);
       const auto rm = matrix.sample_bulk(kBatches, kIds, epoch);
@@ -72,14 +84,14 @@ TEST(WalkEngine, FusedMatchesMatrixAcrossGraphs) {
     }
     // Both paths count the same surviving-walker steps (the edges/s
     // numerator of bench/micro_walk).
-    EXPECT_GT(fused.executor().walk_steps(), 0u);
-    EXPECT_EQ(fused.executor().walk_steps(), matrix.executor().walk_steps());
+    EXPECT_GT(fused.walk_steps(), 0u);
+    EXPECT_EQ(fused.walk_steps(), matrix.walk_steps());
   }
 }
 
 TEST(WalkEngine, EngineOptionVariantsAreBitIdentical) {
   const Graph g = rmat_graph();
-  GraphSaintSampler matrix(g, {3, 1, 21});
+  PlanSampler matrix = saint_sampler(g, 3, 1, 21);
   matrix.set_walk_options({.fused = false});
   const auto reference = matrix.sample_bulk(kBatches, kIds, 5);
   const WalkEngineOptions variants[] = {
@@ -91,7 +103,7 @@ TEST(WalkEngine, EngineOptionVariantsAreBitIdentical) {
        .bucket_bytes = 4096},                     // many small buckets
   };
   for (const WalkEngineOptions& opts : variants) {
-    GraphSaintSampler s(g, {3, 1, 21});
+    PlanSampler s = saint_sampler(g, 3, 1, 21);
     s.set_walk_options(opts);
     EXPECT_TRUE(samples_equal(reference, s.sample_bulk(kBatches, kIds, 5)))
         << "relabel=" << opts.relabel << " bucket_bytes=" << opts.bucket_bytes;
@@ -102,8 +114,8 @@ TEST(WalkEngine, SinkWalkersTerminate) {
   // All-sink graph: every walk dies in round one, so the induced subgraph
   // is exactly the roots with an empty adjacency — on both paths.
   const Graph g(CsrMatrix(4, 4));
-  GraphSaintSampler fused(g, {3, 1, 2});
-  GraphSaintSampler matrix(g, {3, 1, 2});
+  PlanSampler fused = saint_sampler(g, 3, 1, 2);
+  PlanSampler matrix = saint_sampler(g, 3, 1, 2);
   matrix.set_walk_options({.fused = false});
   const std::vector<std::vector<index_t>> batches = {{0, 1}, {2}};
   const auto rf = fused.sample_bulk(batches, {0, 1}, 1);
@@ -114,7 +126,7 @@ TEST(WalkEngine, SinkWalkersTerminate) {
   EXPECT_EQ(rf[1].batch_vertices, (std::vector<index_t>{2}));
   ASSERT_EQ(rf[0].layers.size(), 1u);
   EXPECT_EQ(rf[0].layers[0].adj.nnz(), 0);
-  EXPECT_EQ(fused.executor().walk_steps(), 0u);
+  EXPECT_EQ(fused.walk_steps(), 0u);
 }
 
 // --- node2vec ---------------------------------------------------------------
@@ -123,9 +135,9 @@ TEST(Node2Vec, UnityParametersReproduceSaint) {
   // p = q = 1 makes every bias factor exactly 1.0, and the node2vec plan
   // shares saint_rw's layer salt, so the walks are bit-for-bit GraphSAINT's.
   const Graph g = er_graph();
-  GraphSaintSampler saint(g, {3, 2, 5});
+  PlanSampler saint = saint_sampler(g, 3, 2, 5);
   for (const bool fuse : {true, false}) {
-    Node2VecSampler n2v(g, {3, 2, /*p=*/1.0, /*q=*/1.0, 5});
+    PlanSampler n2v = node2vec_sampler(g, 3, 2, /*p=*/1.0, /*q=*/1.0, 5);
     n2v.set_walk_options({.fused = fuse});
     EXPECT_TRUE(samples_equal(saint.sample_bulk(kBatches, kIds, 11),
                               n2v.sample_bulk(kBatches, kIds, 11)))
@@ -135,12 +147,12 @@ TEST(Node2Vec, UnityParametersReproduceSaint) {
 
 TEST(Node2Vec, BiasedFusedMatchesMatrix) {
   for (const Graph& g : {er_graph(), rmat_graph()}) {
-    Node2VecSampler fused(g, {4, 1, /*p=*/0.25, /*q=*/4.0, 13});
+    PlanSampler fused = node2vec_sampler(g, 4, 1, /*p=*/0.25, /*q=*/4.0, 13);
     fused.set_walk_options(
         {.fused = true, .relabel = true, .relabel_min_vertices = 1});
-    Node2VecSampler matrix(g, {4, 1, /*p=*/0.25, /*q=*/4.0, 13});
+    PlanSampler matrix = node2vec_sampler(g, 4, 1, /*p=*/0.25, /*q=*/4.0, 13);
     matrix.set_walk_options({.fused = false});
-    ASSERT_TRUE(fused.executor().walk_fusable());
+    ASSERT_TRUE(fused.walk_fusable());
     EXPECT_TRUE(samples_equal(fused.sample_bulk(kBatches, kIds, 3),
                               matrix.sample_bulk(kBatches, kIds, 3)));
   }
@@ -161,10 +173,10 @@ TEST(Node2Vec, BiasFactor) {
 
 TEST(Node2Vec, PartitionedMatchesReplicatedBiased) {
   const Graph g = er_graph();
-  const Node2VecConfig cfg{3, 2, /*p=*/0.5, /*q=*/2.0, 19};
-  Node2VecSampler rep(g, cfg);  // fused by default
+  const SamplePlan plan = build_node2vec_plan(3, 2, /*p=*/0.5, /*q=*/2.0);
+  PlanSampler rep(g, plan, walk_adapter_config(2, 19));  // fused by default
   const ProcessGrid grid(4, 2);
-  PartitionedNode2VecSampler part(g, grid, cfg);
+  PartitionedSamplerBase part(g, grid, plan, walk_adapter_config(2, 19));
   EXPECT_TRUE(samples_equal(rep.sample_bulk(kBatches, kIds, 23),
                             part.sample_bulk(kBatches, kIds, 23)));
 }
@@ -258,7 +270,7 @@ TEST(WalkEngine, RelabelAndBucketFlags) {
 TEST(WalkWorkspace, SteadyStateEpochsDoNotGrowArena) {
   const Graph g = er_graph();
   for (const bool fuse : {true, false}) {
-    GraphSaintSampler saint(g, {4, 2, 31});
+    PlanSampler saint = saint_sampler(g, 4, 2, 31);
     saint.set_walk_options({.fused = fuse});
     Workspace* ws = saint.scratch_workspace();
     // Two warm runs reach the arena's high-water mark for this epoch (the
@@ -275,7 +287,7 @@ TEST(WalkWorkspace, SteadyStateEpochsDoNotGrowArena) {
     ws->thaw();
   }
   // The biased plan adds the prev slot and raw value scratch; same contract.
-  Node2VecSampler n2v(g, {4, 1, 0.5, 2.0, 31});
+  PlanSampler n2v = node2vec_sampler(g, 4, 1, 0.5, 2.0, 31);
   Workspace* ws = n2v.scratch_workspace();
   (void)n2v.sample_bulk(kBatches, kIds, 3);
   (void)n2v.sample_bulk(kBatches, kIds, 3);
