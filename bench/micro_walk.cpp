@@ -1,11 +1,11 @@
 // Fused walk-engine microbench (plain main, no Google Benchmark): runs the
-// same GraphSAINT-RW walk workload through (a) the op-by-op matrix path,
-// (b) the fused per-walker engine in original vertex order, and (c) the
-// fused engine with degree-sorted relabeling and cache bucketing
-// (DESIGN.md §11), then reports walk throughput (surviving-walker edge
-// traversals per second, PlanSampler::walk_steps over the walk-phase op
-// seconds — the induced-subgraph epilogue is identical across variants and
-// excluded).
+// same GraphSAINT-RW walk workload through (a) the op-by-op matrix path
+// (the unoptimized plan, PlanExecOptions{.optimize = false}), (b) the
+// optimized plan's fused kWalk op in original vertex order, and (c) the
+// fused op with degree-sorted relabeling and cache bucketing (DESIGN.md
+// §11), then reports walk throughput (surviving-walker edge traversals per
+// second, PlanSampler::walk_steps over the walk-phase op seconds — the
+// induced-subgraph epilogue is identical across variants and excluded).
 //
 // Two sections, two workload sizes: the fused-vs-matrix ratio runs a
 // modest walker count (the matrix path materializes every walker's full
@@ -53,6 +53,14 @@ bool identical(const std::vector<MinibatchSample>& a,
   return true;
 }
 
+/// One measured configuration: the walk-engine options of the fused kWalk
+/// op, or the unoptimized matrix path when `fused` is false.
+struct Variant {
+  std::string name;
+  bool fused = true;
+  WalkEngineOptions walk;
+};
+
 struct VariantResult {
   std::string name;
   double walk_s = 0.0;
@@ -60,7 +68,7 @@ struct VariantResult {
   double edges_per_s() const { return walk_s > 0.0 ? steps / walk_s : 0.0; }
 };
 
-/// Walk-phase seconds from the sampler's op accounting: the fused engine
+/// Walk-phase seconds from the sampler's op accounting: the fused kWalk op
 /// records one "<plan>/fused_walk" entry; the matrix path spreads the same
 /// work over the body ops. Epilogue ("induced") time is excluded from both.
 double walk_seconds(const PlanSampler& sampler) {
@@ -79,14 +87,15 @@ double walk_seconds(const PlanSampler& sampler) {
 /// epoch e, ...) so frequency/contention drift hits all variants equally —
 /// the throughput ratios are what the bench reports.
 std::vector<VariantResult> run_variants(
-    const std::vector<std::pair<std::string, WalkEngineOptions>>& variants,
-    const Graph& graph, const SamplePlan& plan, const SamplerConfig& cfg,
+    const std::vector<Variant>& variants, const Graph& graph,
+    const SamplePlan& plan, const SamplerConfig& cfg,
     const std::vector<std::vector<index_t>>& batches,
     const std::vector<index_t>& ids, int epochs) {
   std::vector<std::unique_ptr<PlanSampler>> samplers;
-  for (const auto& [name, opts] : variants) {
-    samplers.push_back(std::make_unique<PlanSampler>(graph, plan, cfg));
-    samplers.back()->set_walk_options(opts);
+  for (const Variant& v : variants) {
+    samplers.push_back(std::make_unique<PlanSampler>(
+        graph, plan, cfg, PlanExecOptions{.optimize = v.fused}));
+    samplers.back()->set_walk_options(v.walk);
     (void)samplers.back()->sample_bulk(batches, ids, 0);  // warm
     samplers.back()->reset_stats();
   }
@@ -98,7 +107,7 @@ std::vector<VariantResult> run_variants(
   std::vector<VariantResult> out;
   for (std::size_t i = 0; i < samplers.size(); ++i) {
     VariantResult r;
-    r.name = variants[i].first;
+    r.name = variants[i].name;
     r.walk_s = walk_seconds(*samplers[i]);
     r.steps = samplers[i]->walk_steps();
     out.push_back(r);
@@ -170,38 +179,33 @@ int run(bool smoke, bool compare, const std::string& json_path) {
   const auto locality_batches =
       make_batches(locality_roots_per_batch, 0xb58);
 
-  const WalkEngineOptions matrix_opts{.fused = false};
-  const WalkEngineOptions direct_opts{
-      .fused = true, .relabel = false, .bucket_bytes = 0};
-  const WalkEngineOptions relabel_opts{
-      .fused = true, .relabel = true, .relabel_min_vertices = 1024,
-      .bucket_bytes = 0};
-  const WalkEngineOptions full_opts{
-      .fused = true, .relabel = true, .relabel_min_vertices = 1024};
+  const Variant matrix_v{"matrix", /*fused=*/false, {}};
+  const Variant direct_v{"fused", true, {.relabel = false, .bucket_bytes = 0}};
+  const Variant relabel_v{
+      "fused+relabel", true,
+      {.relabel = true, .relabel_min_vertices = 1024, .bucket_bytes = 0}};
+  const Variant full_v{"fused+relabel+bucket", true,
+                       {.relabel = true, .relabel_min_vertices = 1024}};
 
   // Bit-identity first, outside the timed region: the fully-optimized
   // engine must reproduce the matrix path's minibatches exactly.
   bool bit_identical = true;
   {
-    PlanSampler ref(graph, plan, cfg);
-    ref.set_walk_options(matrix_opts);
+    PlanSampler ref(graph, plan, cfg, {.optimize = false});
     PlanSampler fused(graph, plan, cfg);
-    fused.set_walk_options(full_opts);
+    fused.set_walk_options(full_v.walk);
     bit_identical = identical(ref.sample_bulk(batches, ids, 7),
                               fused.sample_bulk(batches, ids, 7));
   }
 
   const std::vector<VariantResult> fm_results = run_variants(
-      {{"matrix", matrix_opts}, {"fused+relabel+bucket", full_opts}}, graph,
-      plan, cfg, batches, ids, epochs);
+      {matrix_v, full_v}, graph, plan, cfg, batches, ids, epochs);
   const VariantResult& matrix = fm_results[0];
   const VariantResult& fused_full = fm_results[1];
 
   const std::vector<VariantResult> loc_results =
-      run_variants({{"fused", direct_opts},
-                    {"fused+relabel", relabel_opts},
-                    {"fused+relabel+bucket", full_opts}},
-                   graph, plan, cfg, locality_batches, ids, locality_epochs);
+      run_variants({direct_v, relabel_v, full_v}, graph, plan, cfg,
+                   locality_batches, ids, locality_epochs);
   const VariantResult& direct = loc_results[0];
   const VariantResult& relabeled = loc_results[1];
   const VariantResult& full = loc_results[2];

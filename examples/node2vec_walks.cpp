@@ -1,13 +1,14 @@
 // node2vec sampling through the fused walk engine (DESIGN.md §11).
 //
 // The node2vec sampler compiles to a walk-shaped plan — GraphSAINT-RW plus
-// one kWalkBias op applying the second-order p/q reweighting — and the
-// plan executor recognizes that shape and runs every round fused: one pass
-// over each walker's adjacency row instead of materializing per-round
-// sparse matrices. The fusion is an execution detail, not a semantic one:
-// this example runs the same epoch with the engine forced off (the op-by-op
-// matrix path) and fully on (degree-sorted relabeling + cache bucketing)
-// and exits nonzero if the minibatches are not bit-identical.
+// one kWalkBias op applying the second-order p/q reweighting — and the plan
+// optimizer rewrites that body into one kWalk op that runs every round
+// fused: one pass over each walker's adjacency row instead of
+// materializing per-round sparse matrices. The fusion is an execution
+// detail, not a semantic one: this example runs the same epoch unoptimized
+// (PlanExecOptions{.optimize = false}, the op-by-op matrix path) and
+// optimized (degree-sorted relabeling + cache bucketing), prints both
+// listings, and exits nonzero if the minibatches are not bit-identical.
 #include <cstdio>
 
 #include "core/plan_sampler.hpp"
@@ -50,16 +51,16 @@ int main() {
                                               /*q=*/2.0);
   const SamplerConfig cfg = walk_adapter_config(/*model_layers=*/2, /*seed=*/1);
   const PlanSampler sampler(ds.graph, plan, cfg);
-  std::printf("\n%s\n", describe(sampler.plan()).c_str());
+  std::printf("\n%s\n", describe(plan).c_str());
+  std::printf("optimized:\n%s\n", describe(sampler.plan()).c_str());
 
   std::vector<std::vector<index_t>> batches = {{0, 1, 2, 3, 4, 5},
                                                {6, 7, 8, 9, 10, 11}};
   const std::vector<index_t> ids = {0, 1};
 
-  // Matrix path: the same plan with fusion forced off — every round builds
-  // Q, multiplies, biases, normalizes, and ITS-samples as sparse-matrix ops.
-  PlanSampler reference(ds.graph, plan, cfg);
-  reference.set_walk_options({.fused = false});
+  // Matrix path: the same plan unoptimized — every round builds Q,
+  // multiplies, biases, normalizes, and ITS-samples as sparse-matrix ops.
+  const PlanSampler reference(ds.graph, plan, cfg, {.optimize = false});
   const auto matrix = reference.sample_bulk(batches, ids, /*epoch_seed=*/3);
 
   // Fused path (the default): per-walker advance over the relabeled,

@@ -5,16 +5,16 @@
 namespace dms {
 
 PlanSampler::PlanSampler(const Graph& graph, SamplePlan plan,
-                         SamplerConfig config)
-    : graph_(graph), exec_(std::move(plan), std::move(config)) {
+                         SamplerConfig config, PlanExecOptions opts)
+    : graph_(graph), exec_(std::move(plan), std::move(config), opts) {
   if (exec_.plan().needs_global_weights) {
     weights_ = fastgcn_importance_prefix(graph_);
   }
 }
 
 PlanSampler::PlanSampler(std::unique_ptr<const Graph> graph, SamplePlan plan,
-                         SamplerConfig config)
-    : PlanSampler(*graph, std::move(plan), std::move(config)) {
+                         SamplerConfig config, PlanExecOptions opts)
+    : PlanSampler(*graph, std::move(plan), std::move(config), opts) {
   owned_graph_ = std::move(graph);  // the heap object graph_ already names
 }
 

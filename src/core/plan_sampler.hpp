@@ -21,11 +21,14 @@ class PlanSampler : public MatrixSampler {
   /// it is, mirroring the on-device adjacency of the replicated algorithm).
   /// The executor validates the plan and the fanouts; plans that need
   /// global weights (FastGCN) get fastgcn_importance_prefix(graph) bound.
-  PlanSampler(const Graph& graph, SamplePlan plan, SamplerConfig config);
+  /// {.optimize = false} runs the plan unfused — the bit-identical
+  /// reference path that tests, micro_walk and node2vec_walks compare with.
+  PlanSampler(const Graph& graph, SamplePlan plan, SamplerConfig config,
+              PlanExecOptions opts = {});
   /// Owns `graph` — a graph derived for sampling, like PinSAGE's importance
   /// graph.
   PlanSampler(std::unique_ptr<const Graph> graph, SamplePlan plan,
-              SamplerConfig config);
+              SamplerConfig config, PlanExecOptions opts = {});
 
   std::vector<MinibatchSample> sample_bulk(
       const std::vector<std::vector<index_t>>& batches,
@@ -42,14 +45,11 @@ class PlanSampler : public MatrixSampler {
   /// partitioned form).
   const SamplePlan& plan() const { return exec_.plan(); }
 
-  /// Fused walk-engine controls (DESIGN.md §11), applied from the next
-  /// sample_bulk. {.fused = false} forces the op-by-op matrix path —
-  /// bit-identical, used by tests and micro_walk.
+  /// Walk-engine controls (DESIGN.md §11) for the plan's kWalk op, applied
+  /// from the next sample_bulk. Every variant is bit-identical.
   void set_walk_options(const WalkEngineOptions& opts) {
     state_.set_walk_options(opts);
   }
-  /// Whether sample_bulk takes the fused walk path.
-  bool walk_fusable() const { return exec_.walk_fusable(state_); }
   /// Walk steps advanced since construction / reset_stats.
   std::uint64_t walk_steps() const { return state_.walk_steps; }
   /// Clears op_time_breakdown() and walk_steps().

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 namespace dms {
 
@@ -41,10 +42,28 @@ std::int64_t read_i64(std::ifstream& is) {
   return v;
 }
 
+/// Bytes between the read position and the end of the file: the most any
+/// length or shape read from it may claim, so a corrupt field throws
+/// instead of driving a huge allocation.
+std::int64_t bytes_left(std::ifstream& is) {
+  const auto pos = is.tellg();
+  is.seekg(0, std::ios::end);
+  const auto end = is.tellg();
+  is.seekg(pos);
+  return static_cast<std::int64_t>(end - pos);
+}
+
+void check_no_trailing_bytes(std::ifstream& is, const std::string& what) {
+  check(is.peek() == std::ifstream::traits_type::eof(),
+        what + ": trailing bytes after the payload");
+}
+
 template <typename T>
 std::vector<T> read_vec(std::ifstream& is) {
   const std::int64_t n = read_i64(is);
   check(n >= 0, "io: negative array length");
+  check(n <= bytes_left(is) / static_cast<std::int64_t>(sizeof(T)),
+        "io: array length exceeds the file");
   std::vector<T> v(static_cast<std::size_t>(n));
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(v.size() * sizeof(T)));
@@ -87,7 +106,9 @@ CsrMatrix load_csr(const std::string& path) {
   check(is.good(), "load_csr: cannot open " + path);
   check(read_u32(is) == kCsrMagic, "load_csr: bad magic in " + path);
   check(read_u32(is) == kVersion, "load_csr: unsupported version in " + path);
-  return load_csr_body(is);
+  CsrMatrix m = load_csr_body(is);
+  check_no_trailing_bytes(is, "load_csr: " + path);
+  return m;
 }
 
 void save_dataset(const Dataset& ds, const std::string& path) {
@@ -117,24 +138,42 @@ Dataset load_dataset(const std::string& path) {
   check(read_u32(is) == kVersion, "load_dataset: unsupported version in " + path);
   Dataset ds;
   const std::int64_t name_len = read_i64(is);
-  check(name_len >= 0 && name_len < (1 << 20), "load_dataset: bad name length");
+  check(name_len >= 0 && name_len < (1 << 20) && name_len <= bytes_left(is),
+        "load_dataset: bad name length");
   ds.name.resize(static_cast<std::size_t>(name_len));
   is.read(ds.name.data(), name_len);
   ds.graph = Graph(load_csr_body(is));
   const index_t frows = read_i64(is);
   const index_t fcols = read_i64(is);
   check(frows == ds.graph.num_vertices(), "load_dataset: feature row mismatch");
+  check(fcols >= 0 && (frows == 0 || fcols <= bytes_left(is) / frows /
+                                                   static_cast<index_t>(sizeof(float))),
+        "load_dataset: feature width exceeds the file");
   ds.features = DenseF(frows, fcols);
   is.read(reinterpret_cast<char*>(ds.features.data()),
           static_cast<std::streamsize>(ds.features.size() * sizeof(float)));
   ds.labels = read_vec<int>(is);
-  ds.num_classes = static_cast<int>(read_u32(is));
+  const std::uint32_t classes = read_u32(is);
+  check(classes <= static_cast<std::uint32_t>(std::numeric_limits<int>::max()),
+        "load_dataset: bad class count");
+  ds.num_classes = static_cast<int>(classes);
   ds.train_idx = read_vec<index_t>(is);
   ds.val_idx = read_vec<index_t>(is);
   ds.test_idx = read_vec<index_t>(is);
   check(is.good(), "load_dataset: truncated file " + path);
+  check_no_trailing_bytes(is, "load_dataset: " + path);
   check(ds.labels.size() == static_cast<std::size_t>(ds.num_vertices()),
         "load_dataset: label count mismatch");
+  for (const int label : ds.labels) {
+    check(label >= -1 && label < ds.num_classes,
+          "load_dataset: label out of range");  // -1 = unlabeled
+  }
+  for (const auto* split : {&ds.train_idx, &ds.val_idx, &ds.test_idx}) {
+    for (const index_t v : *split) {
+      check(v >= 0 && v < ds.num_vertices(),
+            "load_dataset: split vertex out of range");
+    }
+  }
   return ds;
 }
 

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <utility>
 
 #include "common/types.hpp"
 
@@ -32,10 +34,13 @@ void write_tensor(std::ostream& os, const DenseF& t) {
            static_cast<std::streamsize>(t.size() * sizeof(float)));
 }
 
-DenseF read_tensor(std::istream& is) {
+/// Reads one tensor whose shape must equal `like`'s (checked before the
+/// allocation, so a corrupt shape cannot size it).
+DenseF read_tensor(std::istream& is, const DenseF& like) {
   const std::int64_t rows = read_i64(is, "tensor rows");
   const std::int64_t cols = read_i64(is, "tensor cols");
-  check(rows >= 0 && cols >= 0, "optimizer state: negative tensor shape");
+  check(rows == like.rows() && cols == like.cols(),
+        "optimizer state: moment shape does not match its parameter");
   DenseF t(static_cast<index_t>(rows), static_cast<index_t>(cols));
   is.read(reinterpret_cast<char*>(t.data()),
           static_cast<std::streamsize>(t.size() * sizeof(float)));
@@ -48,12 +53,16 @@ void write_tensors(std::ostream& os, const std::vector<DenseF>& ts) {
   for (const DenseF& t : ts) write_tensor(os, t);
 }
 
-std::vector<DenseF> read_tensors(std::istream& is) {
+/// One moment tensor per parameter, or none (saved before the first step).
+std::vector<DenseF> read_tensors(std::istream& is,
+                                 const std::vector<ParamGrad>& params) {
   const std::int64_t n = read_i64(is, "tensor count");
-  check(n >= 0, "optimizer state: negative tensor count");
+  check(n == 0 || n == static_cast<std::int64_t>(params.size()),
+        "optimizer state: moment count does not match the parameters");
   std::vector<DenseF> ts;
-  ts.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) ts.push_back(read_tensor(is));
+  for (std::int64_t i = 0; i < n; ++i) {
+    ts.push_back(read_tensor(is, *params[static_cast<std::size_t>(i)].param));
+  }
   return ts;
 }
 
@@ -82,7 +91,9 @@ void Sgd::step(const std::vector<ParamGrad>& params) {
 
 void Sgd::save_state(std::ostream& os) const { write_tensors(os, velocity_); }
 
-void Sgd::load_state(std::istream& is) { velocity_ = read_tensors(is); }
+void Sgd::load_state(std::istream& is, const std::vector<ParamGrad>& params) {
+  velocity_ = read_tensors(is, params);
+}
 
 void Adam::step(const std::vector<ParamGrad>& params) {
   if (m_.size() != params.size()) {
@@ -121,13 +132,17 @@ void Adam::save_state(std::ostream& os) const {
   write_tensors(os, v_);
 }
 
-void Adam::load_state(std::istream& is) {
+void Adam::load_state(std::istream& is, const std::vector<ParamGrad>& params) {
   const std::int64_t t = read_i64(is, "adam step counter");
-  check(t >= 0, "optimizer state: negative adam step counter");
+  // Bounded well below INT_MAX so the resumed steps cannot overflow it.
+  check(t >= 0 && t <= std::numeric_limits<int>::max() / 2,
+        "optimizer state: adam step counter out of range");
+  std::vector<DenseF> m = read_tensors(is, params);
+  std::vector<DenseF> v = read_tensors(is, params);
+  check(m.size() == v.size(), "optimizer state: adam moment count mismatch");
   t_ = static_cast<int>(t);
-  m_ = read_tensors(is);
-  v_ = read_tensors(is);
-  check(m_.size() == v_.size(), "optimizer state: adam moment count mismatch");
+  m_ = std::move(m);
+  v_ = std::move(v);
 }
 
 }  // namespace dms

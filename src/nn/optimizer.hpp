@@ -24,7 +24,12 @@ class Optimizer {
   /// restored optimizer continues bit-identically. Hyperparameters are NOT
   /// saved — they come from the pipeline config the restore validates.
   virtual void save_state(std::ostream& os) const = 0;
-  virtual void load_state(std::istream& is) = 0;
+  /// Restores save_state's output for `params`, the parameters the next
+  /// step() updates: each saved moment tensor must match its parameter's
+  /// shape (or the state must be empty, before the first step). Throws
+  /// DmsError on any mismatch — a restored state is always steppable.
+  virtual void load_state(std::istream& is,
+                          const std::vector<ParamGrad>& params) = 0;
 };
 
 /// Plain SGD with optional momentum.
@@ -34,7 +39,7 @@ class Sgd : public Optimizer {
   void step(const std::vector<ParamGrad>& params) override;
   const char* kind() const override { return "sgd"; }
   void save_state(std::ostream& os) const override;
-  void load_state(std::istream& is) override;
+  void load_state(std::istream& is, const std::vector<ParamGrad>& params) override;
 
  private:
   float lr_;
@@ -52,7 +57,7 @@ class Adam : public Optimizer {
   void step(const std::vector<ParamGrad>& params) override;
   const char* kind() const override { return "adam"; }
   void save_state(std::ostream& os) const override;
-  void load_state(std::istream& is) override;
+  void load_state(std::istream& is, const std::vector<ParamGrad>& params) override;
 
  private:
   float lr_, beta1_, beta2_, eps_;

@@ -98,8 +98,8 @@ SamplePlan build_labor_plan();
 /// core/sampler.hpp). The walk length is the plan's explicit round count —
 /// independent of the model depth. Dist-lowerable (the partitioned
 /// kInducedLayers assembles rows from the owner blocks); on the replicated
-/// path the walk rounds run fused through the walk engine (src/walk) when
-/// it matches the plan shape.
+/// path optimize() rewrites the walk rounds into one fused kWalk op
+/// (src/walk).
 SamplePlan build_saint_plan(index_t walk_length, index_t model_layers);
 
 /// node2vec (Grover & Leskovec 2016): the GraphSAINT walk shape with a
@@ -111,7 +111,7 @@ SamplePlan build_saint_plan(index_t walk_length, index_t model_layers);
 /// that kWalkAdvance maintains. Everything else (seeding, ITS with s = 1,
 /// the induced-subgraph epilogue) is the saint_rw machinery, and the walk
 /// seeds are GraphSAINT's, so p = q = 1 reproduces saint_rw's walks
-/// bit-for-bit. Replicated runs fuse through the walk engine (src/walk);
+/// bit-for-bit. Replicated runs fuse into one kWalk op like saint_rw;
 /// partitioned runs lower like every other plan (the kWalkBias membership
 /// test fetches prev rows from their owner blocks).
 SamplePlan build_node2vec_plan(index_t walk_length, index_t model_layers,

@@ -44,14 +44,10 @@ struct RunCtx {
   Cluster* cluster = nullptr;                ///< partitioned accounting
   const std::vector<index_t>* batch_ids = nullptr;
   std::uint64_t epoch_seed = 0;
-  Workspace* ws = nullptr;
+  PlanRunState* state = nullptr;  ///< the caller's workspace, stats, engine
   const std::vector<value_t>* weights = nullptr;  ///< kGlobalWeights prefix
   SpgemmOptions local;  ///< per-panel engine options (partitioned)
   bool sparsity_aware = true;
-  // Fused walk execution (replicated walk-shaped plans, DESIGN.md §11).
-  const WalkEngine* walk_engine = nullptr;
-  const WalkPlanShape* walk_shape = nullptr;
-  std::uint64_t* walk_steps = nullptr;  ///< surviving walker × round counter
   std::vector<RowState> rows;
 };
 
@@ -246,8 +242,7 @@ void exec_spgemm(RunCtx& ctx, const PlanOp& op) {
               std::to_string(q.cols()) + " vs adjacency rows " +
               std::to_string(ctx.adj->rows()));
     SpgemmOptions sopts;
-    sopts.workspace = ctx.ws;
-    sopts.cost = op.cost;
+    sopts.workspace = &ctx.state->ws;
     if (op.fused_norm) {
       // Absorbed kNormalize runs as the engine's per-block epilogue: the
       // same per-row arithmetic, but parallel across blocks on
@@ -267,7 +262,7 @@ void exec_spgemm_15d(RunCtx& ctx, const PlanOp& op) {
   check(ctx.cluster != nullptr && ctx.dadj != nullptr,
         op_where(ctx, op) + ": kSpgemm15d requires partitioned execution");
   const auto rows = ctx.rows.size();
-  const bool can_move = op.sole_reader_in || sole_reader_of_input(ctx.plan, op);
+  const bool can_move = sole_reader_of_input(ctx.plan, op);
   std::vector<CsrMatrix> blocks(rows);
   for (std::size_t i = 0; i < rows; ++i) {
     // A stopped process row (walk plans: every walk terminated) contributes
@@ -289,8 +284,7 @@ void exec_spgemm_15d(RunCtx& ctx, const PlanOp& op) {
   sopts.sparsity_aware = ctx.sparsity_aware;
   sopts.phase = op.phase;
   sopts.local = ctx.local;
-  sopts.local.workspace = ctx.ws;
-  sopts.local.cost = op.cost;
+  sopts.local.workspace = &ctx.state->ws;
   auto products = spgemm_15d(*ctx.cluster, blocks, *ctx.dadj, sopts);
   for (std::size_t i = 0; i < rows; ++i) {
     if (ctx.rows[i].stopped) continue;
@@ -343,7 +337,7 @@ void exec_its_sample(RunCtx& ctx, const PlanOp& op, index_t round) {
                         round_term, op.seed.row);
       PlanValue& out = slot_ref(ctx, r, op.out, op);
       out.kind = PlanValue::Kind::kMatrix;
-      out.m = its_sample_rows(p, s, fn, ctx.ws);
+      out.m = its_sample_rows(p, s, fn, &ctx.state->ws);
     });
     return;
   }
@@ -353,7 +347,8 @@ void exec_its_sample(RunCtx& ctx, const PlanOp& op, index_t round) {
   check(ctx.weights != nullptr,
         op_where(ctx, op) + ": plan needs global weights but none were bound");
   rows_op(ctx, op, [&](RowState& r, std::size_t) {
-    ctx.ws->ensure_slots(1);
+    Workspace& ws = ctx.state->ws;
+    ws.ensure_slots(1);
     PlanValue& out = slot_ref(ctx, r, op.out, op);
     out.kind = PlanValue::Kind::kLists;
     out.lists.assign(r.out.size(), {});
@@ -363,7 +358,7 @@ void exec_its_sample(RunCtx& ctx, const PlanOp& op, index_t round) {
           (*ctx.batch_ids)[static_cast<std::size_t>(r.first_batch) + b]);
       its_sample_one(*ctx.weights, s,
                      derive_seed(ctx.epoch_seed, id, round_term, fixed),
-                     &out.lists[b], ctx.ws->slot(0).flags);
+                     &out.lists[b], ws.slot(0).flags);
     }
   });
 }
@@ -421,37 +416,13 @@ void exec_slice(RunCtx& ctx, const PlanOp& op) {
   });
 }
 
-/// The per-batch sampled sets a masked extraction reads. Plain ops read them
-/// from the sets slot (op.in); a slice_fused op (optimizer pass 2) reads the
-/// sampled-columns matrix instead and materializes the sets into the
-/// absorbed kSlice's output slot (op.out2) — exactly the lists exec_slice
-/// would have produced, so downstream readers see identical values.
-const std::vector<std::vector<index_t>>& resolve_sampled_sets(RunCtx& ctx,
-                                                              RowState& r,
-                                                              const PlanOp& op) {
-  if (!op.slice_fused) return as_lists(ctx, r, op.in, op);
-  const CsrMatrix& m = as_matrix(ctx, r, op.in, op);
-  check(static_cast<std::size_t>(m.rows()) == r.out.size(),
-        op_where(ctx, op) + ": shape mismatch, matrix rows " +
-            std::to_string(m.rows()) + " vs " + std::to_string(r.out.size()) +
-            " batches");
-  PlanValue& sets = slot_ref(ctx, r, op.out2, op);
-  sets.kind = PlanValue::Kind::kLists;
-  sets.lists.assign(r.out.size(), {});
-  for (std::size_t b = 0; b < r.out.size(); ++b) {
-    const auto cols = m.row_cols(static_cast<index_t>(b));
-    sets.lists[b].assign(cols.begin(), cols.end());
-  }
-  return sets.lists;
-}
-
 void exec_masked_extract(RunCtx& ctx, const PlanOp& op) {
   check(ctx.adj != nullptr,
         op_where(ctx, op) + ": kMaskedExtract needs a replicated adjacency "
                             "(partitioned runs require a lowered plan)");
   rows_op(ctx, op, [&](RowState& r, std::size_t) {
     const auto& frontier = as_lists(ctx, r, ctx.plan.frontier_slot, op);
-    const auto& sets = resolve_sampled_sets(ctx, r, op);
+    const auto& sets = as_lists(ctx, r, op.in, op);
     PlanValue& out = slot_ref(ctx, r, op.out, op);
     out.kind = PlanValue::Kind::kMatrixList;
     out.mats.assign(r.out.size(), CsrMatrix());
@@ -462,7 +433,7 @@ void exec_masked_extract(RunCtx& ctx, const PlanOp& op) {
       const CsrMatrix qr = CsrMatrix::one_nonzero_per_row(ctx.n, frontier[b]);
       SpgemmOptions mopts;
       mopts.column_mask = &sets[b];
-      mopts.workspace = ctx.ws;
+      mopts.workspace = &ctx.state->ws;
       out.mats[b] = spgemm(qr, *ctx.adj, mopts);
     }
   });
@@ -484,19 +455,19 @@ void exec_masked_extract_15d(RunCtx& ctx, const PlanOp& op) {
   xopts.sparsity_aware = ctx.sparsity_aware;
   xopts.phase = op.phase;
   xopts.local = ctx.local;
-  xopts.local.workspace = ctx.ws;
+  xopts.local.workspace = &ctx.state->ws;
   const auto ar_blocks = spgemm_15d(*ctx.cluster, qr_blocks, *ctx.dadj, xopts);
   // Stage 3 (row-local, timed): per-batch slice + masked column extraction.
   rows_op(ctx, op, [&](RowState& r, std::size_t i) {
     const auto& off = stacks[i].offsets;
-    const auto& sets = resolve_sampled_sets(ctx, r, op);
+    const auto& sets = as_lists(ctx, r, op.in, op);
     PlanValue& out = slot_ref(ctx, r, op.out, op);
     out.kind = PlanValue::Kind::kMatrixList;
     out.mats.assign(r.out.size(), CsrMatrix());
     for (std::size_t b = 0; b < r.out.size(); ++b) {
       const CsrMatrix ar_b = row_slice(ar_blocks[i], off[b], off[b + 1]);
       SpgemmOptions mopts;
-      mopts.workspace = ctx.ws;
+      mopts.workspace = &ctx.state->ws;
       out.mats[b] = spgemm_masked(ar_b, sets[b], mopts);
     }
   });
@@ -592,7 +563,7 @@ void exec_walk_advance(RunCtx& ctx, const PlanOp& op) {
         wb[j] = cols[0];
         if (prev != nullptr) (*prev)[b][j] = from;
         visited[b].push_back(cols[0]);
-        if (ctx.walk_steps != nullptr) ++*ctx.walk_steps;
+        ++ctx.state->walk_steps;
         ++j;
       }
       wb.resize(j);
@@ -645,7 +616,7 @@ void exec_induced_layers(RunCtx& ctx, const PlanOp& op) {
                                         &comm_msgs);
       }
       SpgemmOptions mopts;
-      mopts.workspace = ctx.ws;
+      mopts.workspace = &ctx.state->ws;
       const CsrMatrix induced = spgemm_masked(rows_m, vs, mopts);
       LayerSample layer;
       layer.adj = induced;
@@ -662,52 +633,25 @@ void exec_induced_layers(RunCtx& ctx, const PlanOp& op) {
   }
 }
 
-/// Peephole fusion (replicated path): a kMaskedExtract immediately consumed
-/// by a kFrontierUnion/kSampledSets runs per batch as extract→assemble
-/// without materializing the per-batch matrix list — the allocation/live-set
-/// profile of the hand-written samplers the IR replaced (micro_plan gates
-/// the executor overhead this keeps near zero). Results are identical to
-/// the unfused ops; only op-stat attribution is computed from the two
-/// accumulated timers.
-bool fusable_masked_union(const RunCtx& ctx, const PlanOp& op, const PlanOp& next) {
-  // The union must read the same sets the extraction used: the sets slot
-  // itself, or — when a kSlice was absorbed (slice_fused) — the slot the
-  // extraction re-materializes them into (op.out2).
-  return ctx.cluster == nullptr && op.kind == PlanOpKind::kMaskedExtract &&
-         next.kind == PlanOpKind::kFrontierUnion &&
-         next.assemble == AssembleMode::kSampledSets && next.in == op.out &&
-         next.in2 == (op.slice_fused ? op.out2 : op.in);
-}
-
-void exec_masked_union_fused(RunCtx& ctx, const PlanOp& mask_op,
-                             double* mask_seconds, double* union_seconds) {
+void exec_walk(RunCtx& ctx, const PlanOp& op) {
   check(ctx.adj != nullptr,
-        op_where(ctx, mask_op) + ": kMaskedExtract needs a replicated adjacency");
-  for (RowState& r : ctx.rows) {
-    if (r.stopped) continue;
-    auto& frontier = as_lists(ctx, r, ctx.plan.frontier_slot, mask_op);
-    Timer tr;
-    const auto& sets = resolve_sampled_sets(ctx, r, mask_op);
-    *mask_seconds += tr.seconds();
-    // The out slot stays bound (empty) so downstream reads still type-check.
-    PlanValue& out = slot_ref(ctx, r, mask_op.out, mask_op);
-    out.kind = PlanValue::Kind::kMatrixList;
-    out.mats.clear();
-    for (std::size_t b = 0; b < r.out.size(); ++b) {
-      Timer tm;
-      const CsrMatrix qr = CsrMatrix::one_nonzero_per_row(ctx.n, frontier[b]);
-      SpgemmOptions mopts;
-      mopts.column_mask = &sets[b];
-      mopts.workspace = ctx.ws;
-      const CsrMatrix a_s = spgemm(qr, *ctx.adj, mopts);
-      *mask_seconds += tm.seconds();
-      Timer tu;
-      LayerSample layer = ladies_assemble_layer(frontier[b], sets[b], a_s);
-      frontier[b] = layer.col_vertices;
-      r.out[b].layers.push_back(std::move(layer));
-      *union_seconds += tu.seconds();
-    }
+        op_where(ctx, op) + ": kWalk needs a replicated adjacency");
+  PlanRunState& st = *ctx.state;
+  // The engine holds a relabeled adjacency copy, so it is built once per
+  // bound adjacency (switching graphs rebuilds) and reused across runs.
+  if (st.engine == nullptr || st.engine_adj != ctx.adj) {
+    st.engine = std::make_unique<WalkEngine>(*ctx.adj, st.walk_opts);
+    st.engine_adj = ctx.adj;
   }
+  rows_op(ctx, op, [&](RowState& r, std::size_t) {
+    auto& walker = as_lists(ctx, r, ctx.plan.frontier_slot, op);
+    auto& visited = as_lists(ctx, r, ctx.plan.visited_slot, op);
+    auto* prev = ctx.plan.prev_slot == kNoSlot
+                     ? nullptr
+                     : &as_lists(ctx, r, ctx.plan.prev_slot, op);
+    st.engine->run(walker, visited, prev, *ctx.batch_ids, r.first_batch,
+                   ctx.epoch_seed, op, st.ws, &st.walk_steps);
+  });
 }
 
 void exec_op(RunCtx& ctx, const PlanOp& op, index_t round) {
@@ -725,6 +669,7 @@ void exec_op(RunCtx& ctx, const PlanOp& op, index_t round) {
     case PlanOpKind::kWalkAdvance: return exec_walk_advance(ctx, op);
     case PlanOpKind::kWalkBias: return exec_walk_bias(ctx, op);
     case PlanOpKind::kInducedLayers: return exec_induced_layers(ctx, op);
+    case PlanOpKind::kWalk: return exec_walk(ctx, op);
   }
   throw DmsError(op_where(ctx, op) + ": unknown op kind");
 }
@@ -751,7 +696,6 @@ PlanExecutor::PlanExecutor(SamplePlan plan, SamplerConfig config,
   } else {
     plan_ = std::make_shared<const SamplePlan>(std::move(plan));
   }
-  walk_shape_ = match_walk_plan(*plan_);
 }
 
 std::map<std::string, double> PlanRunState::op_seconds() const {
@@ -772,7 +716,7 @@ void init_row(RunCtx& ctx, RowState& r, index_t first,
   // recycle_walk_lists when the run ends — steady-state walk epochs
   // allocate only results.
   const bool pooled = ctx.plan.visited_slot != kNoSlot;
-  WalkScratch* sc = pooled ? &ctx.ws->walk_scratch() : nullptr;
+  WalkScratch* sc = pooled ? &ctx.state->ws.walk_scratch() : nullptr;
   PlanValue& fr = r.slots[static_cast<std::size_t>(ctx.plan.frontier_slot)];
   fr.kind = PlanValue::Kind::kLists;
   fr.lists.resize(static_cast<std::size_t>(count));
@@ -813,7 +757,7 @@ void init_row(RunCtx& ctx, RowState& r, index_t first,
 /// retained for the next run).
 void recycle_walk_lists(RunCtx& ctx) {
   if (ctx.plan.visited_slot == kNoSlot) return;
-  WalkScratch& sc = ctx.ws->walk_scratch();
+  WalkScratch& sc = ctx.state->ws.walk_scratch();
   for (RowState& r : ctx.rows) {
     for (const SlotId s :
          {ctx.plan.frontier_slot, ctx.plan.visited_slot, ctx.plan.prev_slot}) {
@@ -826,58 +770,19 @@ void recycle_walk_lists(RunCtx& ctx) {
   }
 }
 
-void run_rounds(RunCtx& ctx, std::map<std::string, PlanOpStats>& stats) {
+void run_rounds(RunCtx& ctx) {
   const index_t rounds = ctx.plan.rounds_from_fanouts
                              ? ctx.config.num_layers()
                              : ctx.plan.explicit_rounds;
   auto run_ops = [&](const std::vector<PlanOp>& ops, index_t round) {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const PlanOp& op = ops[i];
-      if (i + 1 < ops.size() && fusable_masked_union(ctx, op, ops[i + 1])) {
-        const PlanOp& next = ops[i + 1];
-        double mask_s = 0.0, union_s = 0.0;
-        exec_masked_union_fused(ctx, op, &mask_s, &union_s);
-        PlanOpStats& ms = stats[ctx.plan.name + "/" + op.label];
-        ms.seconds += mask_s;
-        ++ms.calls;
-        PlanOpStats& us = stats[ctx.plan.name + "/" + next.label];
-        us.seconds += union_s;
-        ++us.calls;
-        ++i;
-        continue;
-      }
+    for (const PlanOp& op : ops) {
       Timer t;
       exec_op(ctx, op, round);
-      PlanOpStats& s = stats[ctx.plan.name + "/" + op.label];
+      PlanOpStats& s = ctx.state->stats[ctx.plan.name + "/" + op.label];
       s.seconds += t.seconds();
       ++s.calls;
     }
   };
-  if (ctx.walk_engine != nullptr) {
-    // Fused walk path (DESIGN.md §11): the engine runs every body round in
-    // one per-walker pass over its cache-bucketed adjacency copy —
-    // bit-identical to the op-by-op rounds, so only the time attribution
-    // changes (one "fused_walk" entry instead of the five body ops).
-    Timer t;
-    for (RowState& r : ctx.rows) {
-      auto& walker =
-          r.slots[static_cast<std::size_t>(ctx.plan.frontier_slot)].lists;
-      auto& visited =
-          r.slots[static_cast<std::size_t>(ctx.plan.visited_slot)].lists;
-      auto* prev =
-          ctx.plan.prev_slot == kNoSlot
-              ? nullptr
-              : &r.slots[static_cast<std::size_t>(ctx.plan.prev_slot)].lists;
-      ctx.walk_engine->run(walker, visited, prev, *ctx.batch_ids,
-                           r.first_batch, ctx.epoch_seed, rounds,
-                           *ctx.walk_shape, *ctx.ws, ctx.walk_steps);
-    }
-    PlanOpStats& s = stats[ctx.plan.name + "/fused_walk"];
-    s.seconds += t.seconds();
-    ++s.calls;
-    run_ops(ctx.plan.epilogue, rounds == 0 ? 0 : rounds - 1);
-    return;
-  }
   for (index_t l = 0; l < rounds; ++l) {
     bool any_live = false;
     for (const RowState& r : ctx.rows) any_live = any_live || !r.stopped;
@@ -914,22 +819,11 @@ std::vector<MinibatchSample> PlanExecutor::run(
   ctx.adj = &graph.adjacency();
   ctx.batch_ids = &batch_ids;
   ctx.epoch_seed = epoch_seed;
-  ctx.ws = &state.ws;
+  ctx.state = &state;
   ctx.weights = global_weights;
-  ctx.walk_steps = &state.walk_steps;
-  if (walk_fusable(state)) {
-    // Build (or reuse) the fused engine for the bound adjacency; the cache
-    // key is the matrix identity, so switching graphs rebuilds.
-    if (state.engine == nullptr || state.engine_adj != ctx.adj) {
-      state.engine = std::make_unique<WalkEngine>(*ctx.adj, state.walk_opts);
-      state.engine_adj = ctx.adj;
-    }
-    ctx.walk_engine = state.engine.get();
-    ctx.walk_shape = &walk_shape_;
-  }
   ctx.rows.resize(1);
   init_row(ctx, ctx.rows[0], 0, batches, static_cast<index_t>(batches.size()));
-  run_rounds(ctx, state.stats);
+  run_rounds(ctx);
   recycle_walk_lists(ctx);
   return std::move(ctx.rows[0].out);
 }
@@ -954,17 +848,16 @@ std::vector<std::vector<MinibatchSample>> PlanExecutor::run_partitioned(
   ctx.cluster = &cluster;
   ctx.batch_ids = &batch_ids;
   ctx.epoch_seed = epoch_seed;
-  ctx.ws = &state.ws;
+  ctx.state = &state;
   ctx.weights = global_weights;
   ctx.local = local_spgemm;
   ctx.sparsity_aware = sparsity_aware;
-  ctx.walk_steps = &state.walk_steps;
   ctx.rows.resize(static_cast<std::size_t>(assign.parts()));
   for (index_t i = 0; i < assign.parts(); ++i) {
     init_row(ctx, ctx.rows[static_cast<std::size_t>(i)], assign.begin(i),
              batches, assign.end(i) - assign.begin(i));
   }
-  run_rounds(ctx, state.stats);
+  run_rounds(ctx);
   recycle_walk_lists(ctx);
   std::vector<std::vector<MinibatchSample>> out;
   out.reserve(ctx.rows.size());

@@ -2,7 +2,9 @@
 // slots to concrete CSR/frontier buffers and runs its ops through the
 // existing kernel machinery — the adaptive SpGEMM engine, its_sample_rows,
 // and the Workspace arena in replicated mode; the 1.5D collectives plus
-// per-process-row local kernels in partitioned mode.
+// per-process-row local kernels in partitioned mode. It is a plain op
+// interpreter: every fusion (normalize, walk) is an op the optimizer wrote
+// into plan(), so what runs is exactly what describe(plan()) lists.
 //
 // Accounting: every op is wall-clock timed into a per-op table (keyed
 // "<plan>/<label>"; surfaced through MatrixSampler::op_time_breakdown and
@@ -36,8 +38,10 @@ struct PlanOpStats {
 };
 
 /// Construction-time knobs. By default the plan is run through the optimizer
-/// pass pipeline (plan/optimize.hpp) via the process-wide PlanCache, so
-/// executors over the same plan shape + fanouts share one optimized plan.
+/// (plan/optimize.hpp) via the process-wide PlanCache, so executors over the
+/// same plan shape + fanouts share one optimized plan. {.optimize = false}
+/// runs the plan as given, op by op: the unfused reference path for every
+/// fusion, walk fusion included.
 struct PlanExecOptions {
   bool optimize = true;
 };
@@ -56,8 +60,8 @@ struct PlanRunState {
   /// Walk steps (surviving walker × round) advanced, on both the fused and
   /// the matrix path — the edges/s numerator of bench/micro_walk.
   std::uint64_t walk_steps = 0;
-  /// Fused walk-engine controls (DESIGN.md §11). Only replicated runs of a
-  /// walk-shaped plan (match_walk_plan) fuse; everything else ignores them.
+  /// Walk-engine controls (DESIGN.md §11) for kWalk ops; plans without one
+  /// ignore them.
   WalkEngineOptions walk_opts;
   /// The fused engine holds a relabeled adjacency copy, so it is cached
   /// keyed on the bound adjacency and rebuilt only when the graph changes.
@@ -112,16 +116,9 @@ class PlanExecutor {
       PlanRunState& state, const SpgemmOptions& local_spgemm, bool sparsity_aware,
       const std::vector<value_t>* global_weights = nullptr) const;
 
-  /// Whether replicated runs under `state`'s walk options take the fused
-  /// walk path.
-  bool walk_fusable(const PlanRunState& state) const {
-    return walk_shape_.matched && state.walk_opts.fused;
-  }
-
  private:
   std::shared_ptr<const SamplePlan> plan_;
   SamplerConfig config_;
-  WalkPlanShape walk_shape_;
 };
 
 }  // namespace dms

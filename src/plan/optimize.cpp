@@ -1,24 +1,80 @@
 #include "plan/optimize.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <vector>
-
-#include "walk/walk_engine.hpp"  // match_walk_plan (pass 1 guard)
 
 namespace dms {
 
 namespace {
 
-bool is_spgemm(PlanOpKind k) {
-  return k == PlanOpKind::kSpgemm || k == PlanOpKind::kSpgemm15d;
+/// Rewrite 1's legality check: the body is exactly kBuildQ(kOnePerVertex)
+/// → kSpgemm → [kWalkBias] → kNormalize(kRow) → kItsSample(kMatrixRows,
+/// s = 1, kLocalRow, stacked) → kWalkAdvance with matching slot wiring, in
+/// an unlowered explicit-round stop-on-empty plan. The bias op is present
+/// iff the plan has a prev slot (the engine walks second-order exactly
+/// then), and no epilogue op reads the round number, which the rewritten
+/// one-round plan changes. Returns the kWalk op that replaces the body.
+std::optional<PlanOp> match_walk_plan(const SamplePlan& plan) {
+  if (plan.distributed || plan.rounds_from_fanouts ||
+      !plan.stop_on_empty_frontier || plan.visited_slot == kNoSlot) {
+    return std::nullopt;
+  }
+  for (const PlanOp& op : plan.epilogue) {
+    if (op.kind == PlanOpKind::kItsSample || op.kind == PlanOpKind::kPoissonThin) {
+      return std::nullopt;
+    }
+  }
+  const bool biased = plan.prev_slot != kNoSlot;
+  const auto& ops = plan.body;
+  if (ops.size() != (biased ? 6u : 5u)) return std::nullopt;
+  std::size_t i = 0;
+  const PlanOp& build = ops[i++];
+  if (build.kind != PlanOpKind::kBuildQ || build.qmode != QMode::kOnePerVertex ||
+      build.in != plan.frontier_slot) {
+    return std::nullopt;
+  }
+  const PlanOp& mul = ops[i++];
+  if (mul.kind != PlanOpKind::kSpgemm || mul.in != build.out) {
+    return std::nullopt;
+  }
+  PlanOp walk;
+  if (biased) {
+    const PlanOp& bias = ops[i++];
+    if (bias.kind != PlanOpKind::kWalkBias || bias.in != mul.out ||
+        bias.in2 != build.out2) {
+      return std::nullopt;
+    }
+    walk.bias_p = bias.bias_p;
+    walk.bias_q = bias.bias_q;
+  }
+  const PlanOp& norm = ops[i++];
+  if (norm.kind != PlanOpKind::kNormalize || norm.norm != NormMode::kRow ||
+      norm.in != mul.out) {
+    return std::nullopt;
+  }
+  const PlanOp& its = ops[i++];
+  if (its.kind != PlanOpKind::kItsSample ||
+      its.source != SampleSource::kMatrixRows || its.fixed_s != 1 ||
+      its.seed.row != SeedRowTerm::kLocalRow || its.in != mul.out ||
+      its.in2 != build.out2) {
+    return std::nullopt;
+  }
+  const PlanOp& adv = ops[i++];
+  if (adv.kind != PlanOpKind::kWalkAdvance || adv.in != its.out ||
+      adv.in2 != build.out2) {
+    return std::nullopt;
+  }
+  walk.kind = PlanOpKind::kWalk;
+  walk.label = "fused_walk";
+  walk.phase = kPhaseSampling;
+  walk.seed = its.seed;
+  walk.walk_length = plan.explicit_rounds;
+  return walk;
 }
 
-bool is_masked_extract(PlanOpKind k) {
-  return k == PlanOpKind::kMaskedExtract || k == PlanOpKind::kMaskedExtract15d;
-}
-
-/// Pass 1: collapse adjacent kSpgemm → kNormalize (normalize.in == the
+/// Rewrite 2: collapse adjacent kSpgemm → kNormalize (normalize.in == the
 /// product slot) into one spgemm op with fused_norm. Adjacency is the
 /// legality argument: no op observes the unnormalized product, so applying
 /// the identical normalization inside the producing op reorders nothing.
@@ -26,8 +82,10 @@ void fuse_normalize(std::vector<PlanOp>& ops) {
   for (std::size_t i = 0; i + 1 < ops.size();) {
     PlanOp& op = ops[i];
     const PlanOp& next = ops[i + 1];
-    if (is_spgemm(op.kind) && !op.fused_norm &&
-        next.kind == PlanOpKind::kNormalize && next.in == op.out) {
+    const bool spgemm =
+        op.kind == PlanOpKind::kSpgemm || op.kind == PlanOpKind::kSpgemm15d;
+    if (spgemm && !op.fused_norm && next.kind == PlanOpKind::kNormalize &&
+        next.in == op.out) {
       op.fused_norm = true;
       op.norm = next.norm;
       ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i) + 1);
@@ -37,108 +95,28 @@ void fuse_normalize(std::vector<PlanOp>& ops) {
   }
 }
 
-/// Pass 2: collapse adjacent kSlice → kMaskedExtract (extract.in == the
-/// sliced sets) into one masked extraction with slice_fused: it reads the
-/// sets from the slice's input matrix rows and writes them to the slice's
-/// old output slot, so downstream readers (kFrontierUnion's in2) are
-/// untouched. The set materialization is bit-for-bit the slice's own.
-void fuse_slice(std::vector<PlanOp>& ops) {
-  for (std::size_t i = 0; i + 1 < ops.size();) {
-    const PlanOp& op = ops[i];
-    PlanOp& next = ops[i + 1];
-    if (op.kind == PlanOpKind::kSlice && is_masked_extract(next.kind) &&
-        !next.slice_fused && next.in == op.out) {
-      next.slice_fused = true;
-      next.out2 = op.out;  // the sets still land where the slice put them
-      next.in = op.in;     // ... but are read off the matrix rows directly
-      ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i));
-      continue;
-    }
-    ++i;
-  }
-}
-
-/// Pass 4: drop slots nothing references and renumber compactly. The
-/// persistent bindings (frontier / visited / prev) always stay live — the
-/// executor binds them before the first op runs.
-void eliminate_dead_slots(SamplePlan& plan) {
-  std::vector<bool> used(static_cast<std::size_t>(plan.num_slots), false);
-  auto mark = [&](SlotId s) {
-    if (s != kNoSlot) used[static_cast<std::size_t>(s)] = true;
-  };
-  mark(plan.frontier_slot);
-  mark(plan.visited_slot);
-  mark(plan.prev_slot);
-  for (const auto* ops : {&plan.body, &plan.epilogue}) {
-    for (const PlanOp& op : *ops) {
-      mark(op.in);
-      mark(op.in2);
-      mark(op.out);
-      mark(op.out2);
-    }
-  }
-  std::vector<SlotId> remap(static_cast<std::size_t>(plan.num_slots), kNoSlot);
-  SlotId next = 0;
-  for (SlotId s = 0; s < plan.num_slots; ++s) {
-    if (used[static_cast<std::size_t>(s)]) remap[static_cast<std::size_t>(s)] = next++;
-  }
-  if (next == plan.num_slots) return;  // nothing dead
-  auto apply = [&](SlotId& s) {
-    if (s != kNoSlot) s = remap[static_cast<std::size_t>(s)];
-  };
-  apply(plan.frontier_slot);
-  apply(plan.visited_slot);
-  apply(plan.prev_slot);
-  for (auto* ops : {&plan.body, &plan.epilogue}) {
-    for (PlanOp& op : *ops) {
-      apply(op.in);
-      apply(op.in2);
-      apply(op.out);
-      apply(op.out2);
-    }
-  }
-  plan.num_slots = next;
-}
-
 }  // namespace
 
-SamplePlan optimize(const SamplePlan& plan, const OptimizeOptions& opts) {
+SamplePlan optimize(const SamplePlan& plan) {
   validate_plan(plan);
   SamplePlan out = plan;
-  // Unlowered walk-shaped plans must keep the exact op sequence the fused
-  // walk engine recognizes (its ~100x path outweighs any fusion here);
-  // lowered walk plans never take that path and fuse freely.
-  const bool keep_walk_shape = match_walk_plan(out).matched;
-  if (opts.fuse_normalize && !keep_walk_shape) {
-    fuse_normalize(out.body);
-    fuse_normalize(out.epilogue);
+  if (std::optional<PlanOp> walk = match_walk_plan(out)) {
+    out.body = {std::move(*walk)};
+    out.explicit_rounds = 1;
   }
-  if (opts.fuse_slice) {
-    fuse_slice(out.body);
-    fuse_slice(out.epilogue);
-  }
-  for (auto* ops : {&out.body, &out.epilogue}) {
-    for (PlanOp& op : *ops) {
-      if (is_spgemm(op.kind)) op.cost = opts.cost;
-    }
-  }
-  if (opts.dead_slot_elim) eliminate_dead_slots(out);
-  for (auto* ops : {&out.body, &out.epilogue}) {
-    for (PlanOp& op : *ops) {
-      if (is_spgemm(op.kind) || is_masked_extract(op.kind)) {
-        op.sole_reader_in = sole_reader_of_input(out, op);
-      }
-    }
-  }
+  fuse_normalize(out.body);
+  fuse_normalize(out.epilogue);
   validate_plan(out);
   return out;
 }
 
 std::string plan_signature(const SamplePlan& plan) {
   std::ostringstream os;
-  os << plan.name << '|' << plan.num_slots << '|' << plan.frontier_slot << '|'
-     << plan.visited_slot << '|' << plan.prev_slot << '|'
-     << plan.rounds_from_fanouts << '|' << plan.explicit_rounds << '|'
+  // Hexfloat writes every floating-point field exactly: two plans whose
+  // p or q differ in the last bit must not share a cache entry.
+  os << std::hexfloat << plan.name << '|' << plan.num_slots << '|'
+     << plan.frontier_slot << '|' << plan.visited_slot << '|' << plan.prev_slot
+     << '|' << plan.rounds_from_fanouts << '|' << plan.explicit_rounds << '|'
      << plan.stop_on_empty_frontier << '|' << plan.needs_global_weights << '|'
      << plan.distributed;
   auto dump = [&](const std::vector<PlanOp>& ops) {
@@ -150,9 +128,7 @@ std::string plan_signature(const SamplePlan& plan) {
          << ',' << op.seed.layer_salt << ',' << static_cast<int>(op.seed.row)
          << ',' << static_cast<int>(op.assemble) << ',' << op.fixed_s << ','
          << op.copies << ',' << op.bias_p << ',' << op.bias_q << ','
-         << op.fused_norm << op.slice_fused << op.sole_reader_in << ','
-         << op.cost.dense_col_cost << ',' << op.cost.dense_flop_cost << ','
-         << op.cost.hash_flop_cost;
+         << op.walk_length << ',' << op.fused_norm;
     }
   };
   dump(plan.body);
@@ -202,14 +178,10 @@ PlanCache& PlanCache::global() {
 }
 
 std::shared_ptr<const SamplePlan> PlanCache::get_or_optimize(
-    const SamplePlan& plan, const SamplerConfig& config,
-    const OptimizeOptions& opts) {
+    const SamplePlan& plan, const SamplerConfig& config) {
   std::ostringstream key;
   key << plan_signature(plan) << "|fanouts=";
   for (const index_t f : config.fanouts) key << f << ',';
-  key << "|opt=" << opts.fuse_normalize << opts.fuse_slice << opts.dead_slot_elim
-      << ',' << opts.cost.dense_col_cost << ',' << opts.cost.dense_flop_cost
-      << ',' << opts.cost.hash_flop_cost;
   const std::string k = key.str();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -222,7 +194,7 @@ std::shared_ptr<const SamplePlan> PlanCache::get_or_optimize(
   }
   // Optimize outside the lock (pure function of the inputs: a racing
   // constructor computes the same plan and the first insert wins).
-  auto optimized = std::make_shared<const SamplePlan>(optimize(plan, opts));
+  auto optimized = std::make_shared<const SamplePlan>(optimize(plan));
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = map_.emplace(k, std::move(optimized));
   stats_.entries = map_.size();

@@ -35,9 +35,7 @@ OpShape op_shape(const PlanOp& op) {
       return {true, false, true, false};
     case PlanOpKind::kMaskedExtract:
     case PlanOpKind::kMaskedExtract15d:
-      // in = sampled sets (or the sampled-columns matrix when a kSlice was
-      // fused in, which then also writes the sets to out2); rows = frontier.
-      return {true, false, true, op.slice_fused};
+      return {true, false, true, false};  // in = sampled sets; rows = frontier
     case PlanOpKind::kFrontierUnion:
       return {true, true, false, false};
     case PlanOpKind::kWalkAdvance:
@@ -46,6 +44,8 @@ OpShape op_shape(const PlanOp& op) {
       return {true, true, false, false};  // in-place on `in`; reads prev slot
     case PlanOpKind::kInducedLayers:
       return {false, false, false, false};  // reads the visited slot
+    case PlanOpKind::kWalk:
+      return {false, false, false, false};  // the persistent walk slots
   }
   return {};
 }
@@ -84,27 +84,30 @@ void validate_ops(const SamplePlan& plan, const std::vector<PlanOp>& ops,
     check(!op.fused_norm || op.kind == PlanOpKind::kSpgemm ||
               op.kind == PlanOpKind::kSpgemm15d,
           where + ": fused_norm is only valid on spgemm ops");
-    check(!op.slice_fused || op.kind == PlanOpKind::kMaskedExtract ||
-              op.kind == PlanOpKind::kMaskedExtract15d,
-          where + ": slice_fused is only valid on masked-extraction ops");
     check(plan.distributed || !is_dist_only(op.kind),
           where + ": distributed op in an unlowered plan");
     check(!plan.distributed ||
               (op.kind != PlanOpKind::kSpgemm &&
-               op.kind != PlanOpKind::kMaskedExtract),
+               op.kind != PlanOpKind::kMaskedExtract &&
+               op.kind != PlanOpKind::kWalk),
           where + ": unlowered op in a distributed plan");
-    if (op.kind == PlanOpKind::kFrontierUnion ||
-        op.kind == PlanOpKind::kWalkAdvance) {
+    const bool walks = op.kind == PlanOpKind::kWalkAdvance ||
+                       op.kind == PlanOpKind::kWalk;
+    if (op.kind == PlanOpKind::kFrontierUnion || walks) {
       check(plan.frontier_slot != kNoSlot, where + ": plan has no frontier slot");
     }
-    if (op.kind == PlanOpKind::kWalkAdvance ||
-        op.kind == PlanOpKind::kInducedLayers) {
+    if (walks || op.kind == PlanOpKind::kInducedLayers) {
       check(plan.visited_slot != kNoSlot, where + ": plan has no visited slot");
     }
     if (op.kind == PlanOpKind::kWalkBias) {
       check(plan.prev_slot != kNoSlot, where + ": plan has no prev slot");
+    }
+    if (op.kind == PlanOpKind::kWalkBias || op.kind == PlanOpKind::kWalk) {
       check(op.bias_p > 0.0 && op.bias_q > 0.0,
             where + ": bias parameters p and q must be positive");
+    }
+    if (op.kind == PlanOpKind::kWalk) {
+      check(op.walk_length > 0, where + ": walk_length must be positive");
     }
     if (op.out != kNoSlot) defined.insert(op.out);
     if (op.out2 != kNoSlot) defined.insert(op.out2);
@@ -178,6 +181,7 @@ std::string to_string(PlanOpKind kind) {
     case PlanOpKind::kWalkAdvance: return "walk_advance";
     case PlanOpKind::kWalkBias: return "walk_bias";
     case PlanOpKind::kInducedLayers: return "induced_layers";
+    case PlanOpKind::kWalk: return "walk";
     case PlanOpKind::kSpgemm15d: return "spgemm_15d";
     case PlanOpKind::kMaskedExtract15d: return "masked_extract_15d";
   }
@@ -209,10 +213,10 @@ std::string describe(const SamplePlan& plan) {
       if (op.out != kNoSlot) os << " out=s" << op.out;
       if (op.out2 != kNoSlot) os << " out2=s" << op.out2;
       if (op.fixed_s >= 0) os << " s=" << op.fixed_s;
+      if (op.kind == PlanOpKind::kWalk) os << " length=" << op.walk_length;
       if (op.fused_norm) {
         os << " +norm(" << (op.norm == NormMode::kRow ? "row" : "ladies") << ")";
       }
-      if (op.slice_fused) os << " +slice";
       os << "\n";
     }
   };

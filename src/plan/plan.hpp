@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "sparse/spgemm_cost.hpp"
 
 namespace dms {
 
@@ -98,6 +97,14 @@ enum class PlanOpKind {
   /// visited set, emitted `copies` times (GraphSAINT trains an L-layer
   /// model on one induced adjacency). Replaces batch_vertices with V_s.
   kInducedLayers,
+  /// The fused walk (DESIGN.md §11), emitted only by optimize() in place of
+  /// an unlowered walk-shaped body: runs all `walk_length` rounds through
+  /// the WalkEngine in one call, bit-identical to the kBuildQ → kSpgemm →
+  /// [kWalkBias] → kNormalize → kItsSample(s = 1) → kWalkAdvance rounds it
+  /// replaces. Advances the frontier / visited slots (and the prev slot,
+  /// whose presence makes the walk second-order with bias_p / bias_q),
+  /// seeding each pick like that body's kItsSample. Replicated only.
+  kWalk,
   // --- dist-lowered forms (produced by lower_to_dist; executed only by the
   // partitioned executor) ---
   /// kSpgemm lowered to the 1.5D collective (Algorithm 2): per-process-row
@@ -146,28 +153,17 @@ struct PlanOp {
   index_t fixed_s = -1;
   /// kInducedLayers: how many identical layers to emit.
   index_t copies = 1;
-  /// kWalkBias: the node2vec return (p) and in-out (q) parameters.
+  /// kWalkBias / kWalk: the node2vec return (p) and in-out (q) parameters.
   value_t bias_p = 1.0;
   value_t bias_q = 1.0;
-  // --- optimizer stamps (plan/optimize.hpp; builders never set these) ---
+  /// kWalk: the walk rounds it runs in one call.
+  index_t walk_length = 0;
   /// kSpgemm/kSpgemm15d: apply `norm` to the product (the adjacent
-  /// kNormalize this op absorbed). Replicated execution runs it as the
-  /// engine's fused per-block epilogue; the 1.5D form normalizes after the
-  /// all-reduce (partials must sum first). Bit-identical either way.
+  /// kNormalize this op absorbed; set only by optimize()). Replicated
+  /// execution runs it as the engine's fused per-block epilogue; the 1.5D
+  /// form normalizes after the all-reduce (partials must sum first).
+  /// Bit-identical either way.
   bool fused_norm = false;
-  /// kMaskedExtract/kMaskedExtract15d: `in` holds the sampled-columns
-  /// MATRIX (the absorbed kSlice's input); the op reads its per-batch
-  /// sampled sets from that matrix's rows and also writes them to `out2`
-  /// (the absorbed kSlice's output slot) for downstream readers.
-  bool slice_fused = false;
-  /// Stamped analysis: this op is the only reader of `in`, so its executor
-  /// may move the slot value instead of copying (recomputed at run time
-  /// when unstamped — an unoptimized plan behaves identically).
-  bool sole_reader_in = false;
-  /// kSpgemm/kSpgemm15d kAuto dispatch cost model, threaded into
-  /// SpgemmOptions by the executor. Defaults reproduce the engine's
-  /// historical threshold; kernel choice never affects result bits.
-  SpgemmCostModel cost{};
 };
 
 /// A compiled sampler: the op program plus its slot/loop structure.
@@ -215,6 +211,8 @@ void validate_plan(const SamplePlan& plan);
 /// Row-local ops are unchanged — including kWalkBias and kInducedLayers,
 /// whose partitioned executors assemble the adjacency rows they need from
 /// the owner blocks (the fetches are accounted as intra-column p2p).
+/// Lower the unoptimized plan, not an optimized one: kWalk has no lowered
+/// form, so a plan carrying it fails validation here.
 SamplePlan lower_to_dist(const SamplePlan& plan);
 
 std::string to_string(PlanOpKind kind);
@@ -222,12 +220,11 @@ std::string to_string(PlanOpKind kind);
 /// True iff `op` is the only op in the plan reading slot `op.in` — then its
 /// executor may move the value out instead of copying (the slot's producer
 /// precedes any reader in program order, so the next round re-fills it
-/// before it is read again). The optimizer stamps this onto
-/// PlanOp::sole_reader_in; unstamped ops recompute it per run.
+/// before it is read again).
 bool sole_reader_of_input(const SamplePlan& plan, const PlanOp& op);
 
 /// Human-readable program listing (one op per line), for docs and tests.
-/// Optimizer stamps show up as `+norm(...)` / `+slice` markers.
+/// Normalize fusion shows up as a `+norm(...)` marker.
 std::string describe(const SamplePlan& plan);
 
 }  // namespace dms

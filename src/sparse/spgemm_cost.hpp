@@ -1,5 +1,5 @@
-// Kernel-choice cost model for the adaptive SpGEMM engine (DESIGN.md §5,
-// §12). The symbolic phase knows each row block's exact Gustavson FLOP count
+// Kernel-choice cost model for the adaptive SpGEMM engine (DESIGN.md §5).
+// The symbolic phase knows each row block's exact Gustavson FLOP count
 // before any numeric work runs; the model turns that estimate plus the
 // output width into a dense-vs-hash decision:
 //
@@ -10,9 +10,8 @@
 // scan; the hash kernel pays a constant-factor per-flop overhead (open-
 // addressing probes plus the per-row sort). The defaults reproduce the
 // engine's historical hard-coded threshold exactly (dense iff
-// 4·flops >= out_cols), so a default-constructed model changes nothing —
-// tuned models are threaded per plan op by the plan optimizer
-// (plan/optimize.hpp) through SpgemmOptions.
+// 4·flops >= out_cols); the engine's kAuto dispatch uses the default model
+// (spgemm_pick_kernel).
 //
 // Kernel choice never affects results: every kernel obeys the engine's
 // bit-identity contract, so any cost model is a pure speed knob.
@@ -42,12 +41,6 @@ struct SpgemmCostModel {
         dense_col_cost * static_cast<double>(out_cols) + dense_flop_cost * flops;
     const double hash = hash_flop_cost * flops;
     return dense <= hash ? SpgemmKernel::kDense : SpgemmKernel::kHash;
-  }
-
-  bool operator==(const SpgemmCostModel& o) const {
-    return dense_col_cost == o.dense_col_cost &&
-           dense_flop_cost == o.dense_flop_cost &&
-           hash_flop_cost == o.hash_flop_cost;
   }
 };
 

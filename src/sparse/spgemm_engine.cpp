@@ -494,7 +494,7 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
       masked_block(a, b, *opts.column_mask, lookup, r0, r1, slot);
     } else {
       SpgemmKernel kernel = opts.kernel;
-      if (kernel == SpgemmKernel::kAuto) kernel = opts.cost.pick(block_flops, n);
+      if (kernel == SpgemmKernel::kAuto) kernel = spgemm_pick_kernel(block_flops, n);
       if (kernel == SpgemmKernel::kHash) {
         hash_block(a, b, r0, r1, prefix, slot);
       } else {

@@ -52,12 +52,9 @@ enum class SpgemmEpilogue { kNone, kRowNormalize, kLadiesNormalize };
 struct SpgemmOptions {
   /// Parallelize over flop-balanced row blocks using the global thread pool.
   bool parallel = true;
-  /// Kernel override; kAuto dispatches per row block.
+  /// Kernel override; kAuto dispatches per row block by the default
+  /// SpgemmCostModel (spgemm_pick_kernel). Never affects result bits.
   SpgemmKernel kernel = SpgemmKernel::kAuto;
-  /// kAuto's per-block dense-vs-hash decision (sparse/spgemm_cost.hpp). The
-  /// default model reproduces the historical threshold; the plan optimizer
-  /// threads per-op models through here. Never affects result bits.
-  SpgemmCostModel cost{};
   /// Fused row normalization applied per block before stitching.
   SpgemmEpilogue epilogue = SpgemmEpilogue::kNone;
   /// When non-null: compute only these columns of the product (must be

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 namespace dms {
 
@@ -153,15 +154,18 @@ TrainCursor load_checkpoint(Pipeline& pipe, const std::string& path) {
   }
 
   TrainCursor cursor;
-  cursor.epoch = static_cast<int>(read_i64(is, "cursor epoch"));
+  const std::int64_t epoch = read_i64(is, "cursor epoch");
   cursor.next_round = read_i64(is, "cursor round");
   cursor.total_rounds = read_i64(is, "cursor total rounds");
   cursor.loss_sum = read_f64(is, "cursor loss sum");
   cursor.correct = read_i64(is, "cursor correct");
   cursor.seen = read_i64(is, "cursor seen");
-  check(cursor.next_round >= 0 && cursor.total_rounds >= 0 &&
-            cursor.next_round <= cursor.total_rounds && cursor.seen >= 0,
+  check(epoch >= 0 && epoch <= std::numeric_limits<int>::max() &&
+            cursor.next_round >= 0 && cursor.total_rounds >= 0 &&
+            cursor.next_round <= cursor.total_rounds && cursor.seen >= 0 &&
+            cursor.correct >= 0,
         "load_checkpoint: corrupt cursor in " + path);
+  cursor.epoch = static_cast<int>(epoch);
 
   std::vector<SageLayer>& layers = pipe.model().layers();
   const std::int64_t num_layers = read_i64(is, "layer count");
@@ -182,7 +186,9 @@ TrainCursor load_checkpoint(Pipeline& pipe, const std::string& path) {
   check(kind == pipe.optimizer().kind(),
         "load_checkpoint: optimizer kind mismatch (saved '" + kind +
             "', pipeline has '" + pipe.optimizer().kind() + "')");
-  pipe.optimizer().load_state(is);
+  pipe.optimizer().load_state(is, pipe.model().params());
+  check(is.peek() == std::ifstream::traits_type::eof(),
+        "load_checkpoint: trailing bytes in " + path);
 
   return cursor;
 }

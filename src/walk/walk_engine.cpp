@@ -4,61 +4,6 @@
 
 namespace dms {
 
-WalkPlanShape match_walk_plan(const SamplePlan& plan) {
-  WalkPlanShape shape;
-  if (plan.distributed || plan.rounds_from_fanouts ||
-      !plan.stop_on_empty_frontier) {
-    return shape;
-  }
-  if (plan.frontier_slot == kNoSlot || plan.visited_slot == kNoSlot) return shape;
-  const auto& ops = plan.body;
-  if (ops.size() != 5 && ops.size() != 6) return shape;
-  std::size_t i = 0;
-  const PlanOp& build = ops[i++];
-  if (build.kind != PlanOpKind::kBuildQ || build.qmode != QMode::kOnePerVertex ||
-      build.in != plan.frontier_slot) {
-    return shape;
-  }
-  const PlanOp& mul = ops[i++];
-  if (mul.kind != PlanOpKind::kSpgemm || mul.in != build.out) return shape;
-  bool biased = false;
-  value_t p = 1.0, q = 1.0;
-  if (ops[i].kind == PlanOpKind::kWalkBias) {
-    const PlanOp& bias = ops[i++];
-    if (bias.in != mul.out || bias.in2 != build.out2 ||
-        plan.prev_slot == kNoSlot) {
-      return shape;
-    }
-    biased = true;
-    p = bias.bias_p;
-    q = bias.bias_q;
-  }
-  if (i + 3 != ops.size()) return shape;
-  const PlanOp& norm = ops[i++];
-  if (norm.kind != PlanOpKind::kNormalize || norm.norm != NormMode::kRow ||
-      norm.in != mul.out) {
-    return shape;
-  }
-  const PlanOp& its = ops[i++];
-  if (its.kind != PlanOpKind::kItsSample ||
-      its.source != SampleSource::kMatrixRows || its.fixed_s != 1 ||
-      its.seed.row != SeedRowTerm::kLocalRow || its.in != mul.out ||
-      its.in2 != build.out2) {
-    return shape;
-  }
-  const PlanOp& adv = ops[i++];
-  if (adv.kind != PlanOpKind::kWalkAdvance || adv.in != its.out ||
-      adv.in2 != build.out2) {
-    return shape;
-  }
-  shape.matched = true;
-  shape.biased = biased;
-  shape.layer_salt = its.seed.layer_salt;
-  shape.bias_p = p;
-  shape.bias_q = q;
-  return shape;
-}
-
 WalkEngine::WalkEngine(const CsrMatrix& adj, const WalkEngineOptions& opts)
     : orig_(&adj) {
   check(adj.rows() == adj.cols(), "WalkEngine: adjacency not square");
@@ -151,10 +96,10 @@ void WalkEngine::run(std::vector<std::vector<index_t>>& walkers,
                      std::vector<std::vector<index_t>>& visited,
                      std::vector<std::vector<index_t>>* prev,
                      const std::vector<index_t>& batch_ids, index_t first_batch,
-                     std::uint64_t epoch_seed, index_t rounds,
-                     const WalkPlanShape& shape, Workspace& ws,
-                     std::uint64_t* steps) const {
+                     std::uint64_t epoch_seed, const PlanOp& walk,
+                     Workspace& ws, std::uint64_t* steps) const {
   check(walkers.size() == visited.size(), "WalkEngine: walker/visited mismatch");
+  const bool biased = prev != nullptr;
   WalkScratch& sc = ws.walk_scratch();
   const std::size_t nb = walkers.size();
 
@@ -174,9 +119,9 @@ void WalkEngine::run(std::vector<std::vector<index_t>>& walkers,
   std::size_t live = sc.cur.size();
   sc.nxt.resize(live);
 
-  for (index_t round = 0; round < rounds && live > 0; ++round) {
+  for (index_t round = 0; round < walk.walk_length && live > 0; ++round) {
     const std::uint64_t round_term =
-        static_cast<std::uint64_t>(round) + shape.layer_salt;
+        static_cast<std::uint64_t>(round) + walk.seed.layer_salt;
     // Per-batch walker offsets: the ITS local-row seed term is the walker's
     // position within its batch's stack (walkers stay batch-grouped).
     sc.off.assign(nb + 1, 0);
@@ -208,7 +153,7 @@ void WalkEngine::run(std::vector<std::vector<index_t>>& walkers,
       sc.gcur.resize(live);
       sc.gbof.resize(live);
       sc.glrow.resize(live);
-      if (shape.biased) sc.gprev.resize(live);
+      if (biased) sc.gprev.resize(live);
       for (std::size_t w = 0; w < live; ++w) {
         const auto b = static_cast<std::size_t>(
             vbucket_[static_cast<std::size_t>(sc.cur[w])]);
@@ -218,7 +163,7 @@ void WalkEngine::run(std::vector<std::vector<index_t>>& walkers,
         sc.gbof[slot] = sc.bof[w];
         sc.glrow[slot] = static_cast<index_t>(w) -
                          sc.off[static_cast<std::size_t>(sc.bof[w])];
-        if (shape.biased) sc.gprev[slot] = sc.prev[w];
+        if (biased) sc.gprev[slot] = sc.prev[w];
       }
     }
 
@@ -241,8 +186,8 @@ void WalkEngine::run(std::vector<std::vector<index_t>>& walkers,
       const std::uint64_t seed = derive_seed(epoch_seed, bid, round_term, lrow);
 
       const index_t prev_new =
-          !shape.biased ? -1 : (bucketed ? sc.gprev[pos] : sc.prev[pos]);
-      if (shape.biased && prev_new >= 0) {
+          !biased ? -1 : (bucketed ? sc.gprev[pos] : sc.prev[pos]);
+      if (biased && prev_new >= 0) {
         // Second-order pick: bias each candidate, then replicate the
         // normalize + single-draw float ops over the biased values. The
         // membership test runs in the original id space, where the
@@ -254,8 +199,8 @@ void WalkEngine::run(std::vector<std::vector<index_t>>& walkers,
           sc.raw[static_cast<std::size_t>(k)] =
               vals_[static_cast<std::size_t>(rb) + static_cast<std::size_t>(k)] *
               node2vec_bias_factor(orig_cols[static_cast<std::size_t>(k)],
-                                   unmap_v(prev_new), prev_row, shape.bias_p,
-                                   shape.bias_q);
+                                   unmap_v(prev_new), prev_row, walk.bias_p,
+                                   walk.bias_q);
         }
         value_t ssum = 0.0;
         for (index_t k = 0; k < deg; ++k) ssum += sc.raw[static_cast<std::size_t>(k)];
@@ -359,7 +304,7 @@ void WalkEngine::run(std::vector<std::vector<index_t>>& walkers,
     for (std::size_t w = 0; w < live; ++w) {
       if (sc.nxt[w] < 0) continue;
       visited[static_cast<std::size_t>(sc.bof[w])].push_back(unmap_v(sc.nxt[w]));
-      if (steps != nullptr) ++*steps;
+      ++*steps;
       const index_t from = sc.cur[w];
       sc.cur[j] = sc.nxt[w];
       sc.prev[j] = from;

@@ -1,5 +1,5 @@
-// Fused random-walk engine (DESIGN.md §11): a dedicated executor for
-// walk-shaped sampling plans.
+// Fused random-walk engine (DESIGN.md §11): the kernel behind the plan IR's
+// kWalk op.
 //
 // A walk round in the plan IR is kBuildQ → kSpgemm → kNormalize →
 // kItsSample(s = 1) → kWalkAdvance: materialize one sparse row per walker,
@@ -7,11 +7,11 @@
 // of those matrices is rebuilt per round just to pick one neighbor per
 // walker — the FlashMob observation is that the whole round collapses to a
 // per-walker loop over the CSR adjacency row of its current vertex. The
-// engine recognizes that shape (match_walk_plan) and advances walkers
-// directly, replicating the matrix path's floating-point operations and
-// RNG draw order exactly, so GraphSAINT / node2vec minibatches stay
-// bit-identical to the unfused plan (the golden hashes of tests/test_plan
-// do not move).
+// plan optimizer rewrites such a body into one kWalk op, and the engine
+// advances its walkers directly, replicating the matrix path's
+// floating-point operations and RNG draw order exactly, so GraphSAINT /
+// node2vec minibatches stay bit-identical to the unfused plan (the golden
+// hashes of tests/test_plan do not move).
 //
 // Locality (FlashMob, Yang et al. 2021, adapted):
 //  - the engine keeps a private copy of the adjacency renumbered by
@@ -45,9 +45,6 @@
 namespace dms {
 
 struct WalkEngineOptions {
-  /// Recognize walk-shaped plans and run their rounds fused (replicated
-  /// execution only; lowered plans always take the collective matrix path).
-  bool fused = true;
   /// Relabel the engine's adjacency copy by descending out-degree.
   bool relabel = true;
   /// Graphs smaller than this skip the relabeling pass (they fit in cache
@@ -57,22 +54,6 @@ struct WalkEngineOptions {
   /// bucketing.
   std::size_t bucket_bytes = 2u << 20;
 };
-
-/// Result of matching a plan body against the fusable walk-round shape.
-struct WalkPlanShape {
-  bool matched = false;
-  bool biased = false;  ///< body carries a kWalkBias op (node2vec)
-  std::uint64_t layer_salt = 0;
-  value_t bias_p = 1.0;
-  value_t bias_q = 1.0;
-};
-
-/// Matches `plan`'s body against kBuildQ(kOnePerVertex) → kSpgemm →
-/// [kWalkBias] → kNormalize(kRow) → kItsSample(kMatrixRows, s = 1,
-/// kLocalRow, stacked) → kWalkAdvance with matching slot wiring. Only
-/// unlowered explicit-round stop-on-empty plans match; the epilogue is
-/// unconstrained (it runs through the regular op path).
-WalkPlanShape match_walk_plan(const SamplePlan& plan);
 
 /// node2vec (Grover & Leskovec 2016) second-order bias: candidate == the
 /// previous vertex → 1/p (return), a neighbor of it → 1 (BFS-like), else
@@ -99,19 +80,20 @@ class WalkEngine {
   index_t num_buckets() const { return num_buckets_; }
   const VertexRelabeling& relabeling() const { return relab_; }
 
-  /// Runs all walk rounds fused. `walkers` / `visited` are the plan's
-  /// per-batch frontier / visited lists in original vertex ids (walkers in,
-  /// final positions out; visited appended per survivor in walker order —
-  /// exactly the matrix path's kWalkAdvance contract). `prev` is the plan's
-  /// previous-vertex slot for biased plans (nullptr otherwise). `steps`, if
-  /// non-null, is incremented once per surviving walker per round (the
-  /// edges/s numerator of bench/micro_walk).
+  /// Runs the kWalk op `walk`: all walk.walk_length rounds, seeded by
+  /// walk.seed.layer_salt. `walkers` / `visited` are the plan's per-batch
+  /// frontier / visited lists in original vertex ids (walkers in, final
+  /// positions out; visited appended per survivor in walker order — exactly
+  /// the matrix path's kWalkAdvance contract). `prev` is the plan's
+  /// previous-vertex slot; non-null makes the walk second-order, biased by
+  /// walk.bias_p / walk.bias_q. `steps` is incremented once per surviving
+  /// walker per round (the edges/s numerator of bench/micro_walk).
   void run(std::vector<std::vector<index_t>>& walkers,
            std::vector<std::vector<index_t>>& visited,
            std::vector<std::vector<index_t>>* prev,
            const std::vector<index_t>& batch_ids, index_t first_batch,
-           std::uint64_t epoch_seed, index_t rounds, const WalkPlanShape& shape,
-           Workspace& ws, std::uint64_t* steps) const;
+           std::uint64_t epoch_seed, const PlanOp& walk, Workspace& ws,
+           std::uint64_t* steps) const;
 
  private:
   index_t map_v(index_t old_id) const {

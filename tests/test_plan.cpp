@@ -4,6 +4,8 @@
 // and the per-op accounting surface.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/plan_sampler.hpp"
 #include "dist/sampler_factory.hpp"
 #include "graph/generators.hpp"
@@ -365,6 +367,31 @@ TEST(PlanAccounting, OpBreakdownCoversEveryBodyOp) {
     const auto it = breakdown.find(s.plan().name + "/" + op.label);
     ASSERT_NE(it, breakdown.end()) << op.label;
     EXPECT_GE(it->second, 0.0);
+  }
+}
+
+TEST(PlanAccounting, OpKeysNameOpsOfThePlan) {
+  // The executor interprets plan() and nothing else: every op-table key is
+  // "<plan>/<label>" of an op describe(plan()) lists — fused walks included.
+  const Graph g = generate_erdos_renyi(150, 8.0, 63);
+  const ProcessGrid grid(4, 2);
+  for (const auto& [kind, mode] : testutil::every_kind_and_mode()) {
+    SamplerContext ctx;
+    ctx.config = kGoldenConfig;
+    ctx.grid = &grid;
+    const auto sampler = make_sampler(kind, mode, g, ctx);
+    const auto& ps = dynamic_cast<const PlanSampler&>(*sampler);
+    sampler->sample_bulk(golden_batches(g.num_vertices()), kGoldenIds, 3);
+    std::set<std::string> op_keys;
+    for (const auto* ops : {&ps.plan().body, &ps.plan().epilogue}) {
+      for (const PlanOp& op : *ops) op_keys.insert(ps.plan().name + "/" + op.label);
+    }
+    const auto breakdown = sampler->op_time_breakdown();
+    EXPECT_FALSE(breakdown.empty()) << to_string(kind) << "/" << to_string(mode);
+    for (const auto& [key, seconds] : breakdown) {
+      EXPECT_EQ(op_keys.count(key), 1u)
+          << to_string(kind) << "/" << to_string(mode) << ": " << key;
+    }
   }
 }
 

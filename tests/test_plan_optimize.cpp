@@ -1,8 +1,11 @@
-// The plan optimizer pass pipeline (DESIGN.md §12): fusion shapes per
-// builtin plan, walk-plan shape preservation, dead-slot elimination,
-// cost-model dispatch equivalence, optimized-vs-unoptimized bit identity in
-// both execution modes, PlanCache sharing, and the --dump-plan diff surface.
+// The plan optimizer (DESIGN.md §12): the two rewrites per builtin plan
+// (walk fusion to one kWalk op, normalize fusion), optimized-vs-unoptimized
+// bit identity in both execution modes, PlanCache sharing and keying, a
+// cached plan run from concurrent samplers, and the --dump-plan diff
+// surface.
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "core/fastgcn.hpp"
 #include "core/plan_sampler.hpp"
@@ -11,7 +14,6 @@
 #include "plan/executor.hpp"
 #include "plan/optimize.hpp"
 #include "test_util.hpp"
-#include "walk/walk_engine.hpp"
 
 namespace dms {
 namespace {
@@ -48,6 +50,18 @@ int count_kind(const SamplePlan& p, PlanOpKind kind) {
   return n;
 }
 
+/// Every builtin plan shape with the config it runs under: the layer-wise
+/// plans read kConfig's fanouts, the walk plans their unit-fanout adapter.
+std::vector<std::pair<SamplePlan, SamplerConfig>> builtin_plans() {
+  const SamplerConfig walk_cfg = walk_adapter_config(2, kConfig.seed);
+  return {{build_sage_plan(), kConfig},
+          {build_ladies_plan(), kConfig},
+          {build_fastgcn_plan(), kConfig},
+          {build_labor_plan(), kConfig},
+          {build_saint_plan(3, 2), walk_cfg},
+          {build_node2vec_plan(3, 2, 0.5, 2.0), walk_cfg}};
+}
+
 // --- fusion shapes ----------------------------------------------------------
 
 TEST(PlanOptimize, SageFusesNormalizeIntoSpgemm) {
@@ -67,22 +81,17 @@ TEST(PlanOptimize, SageFusesNormalizeIntoSpgemm) {
   EXPECT_TRUE(fused);
 }
 
-TEST(PlanOptimize, LadiesFusesNormalizeAndSlice) {
+TEST(PlanOptimize, LadiesFusesOnlyNormalize) {
   const SamplePlan before = build_ladies_plan();
   const SamplePlan after = optimize(before);
-  // 7-op body drops to 5: normalize into the spgemm, slice into the
-  // masked extraction.
-  EXPECT_EQ(after.body.size(), before.body.size() - 2);
+  // 7-op body drops to 6: normalize into the spgemm; the slice stays.
+  EXPECT_EQ(after.body.size(), before.body.size() - 1);
   EXPECT_EQ(count_kind(after, PlanOpKind::kNormalize), 0);
-  EXPECT_EQ(count_kind(after, PlanOpKind::kSlice), 0);
+  EXPECT_EQ(count_kind(after, PlanOpKind::kSlice), 1);
   for (const PlanOp& op : after.body) {
     if (op.kind == PlanOpKind::kSpgemm) {
       EXPECT_TRUE(op.fused_norm);
       EXPECT_EQ(op.norm, NormMode::kLadies);
-    }
-    if (op.kind == PlanOpKind::kMaskedExtract) {
-      EXPECT_TRUE(op.slice_fused);
-      EXPECT_NE(op.out2, kNoSlot);
     }
   }
 }
@@ -101,65 +110,58 @@ TEST(PlanOptimize, FastGcnHasNothingToFuse) {
 TEST(PlanOptimize, LoweredPlansFuseToo) {
   const SamplePlan after = optimize(lower_to_dist(build_ladies_plan()));
   EXPECT_EQ(count_kind(after, PlanOpKind::kNormalize), 0);
-  EXPECT_EQ(count_kind(after, PlanOpKind::kSlice), 0);
   for (const PlanOp& op : after.body) {
     if (op.kind == PlanOpKind::kSpgemm15d) {
       EXPECT_TRUE(op.fused_norm);
     }
-    if (op.kind == PlanOpKind::kMaskedExtract15d) {
-      EXPECT_TRUE(op.slice_fused);
-    }
   }
 }
 
-TEST(PlanOptimize, WalkPlanShapePreserved) {
-  // The fused walk engine matches the exact unfused op sequence; fusing
-  // normalize into an unlowered walk plan would silently drop execution off
-  // the ~100x path. The optimizer must keep the shape matchable.
+TEST(PlanOptimize, WalkBodiesRewriteToOneWalkOp) {
+  // An unlowered walk-shaped body becomes one kWalk op that runs every
+  // round in one call; the plan keeps its slots and epilogue and runs one
+  // round.
   for (const SamplePlan& before :
        {build_saint_plan(3, 2), build_node2vec_plan(3, 2, 0.5, 2.0)}) {
-    ASSERT_TRUE(match_walk_plan(before).matched) << before.name;
     const SamplePlan after = optimize(before);
-    EXPECT_TRUE(match_walk_plan(after).matched) << before.name;
-    EXPECT_EQ(count_kind(after, PlanOpKind::kNormalize), 1) << before.name;
+    ASSERT_EQ(after.body.size(), 1u) << before.name;
+    const PlanOp& walk = after.body[0];
+    EXPECT_EQ(walk.kind, PlanOpKind::kWalk);
+    EXPECT_EQ(walk.label, "fused_walk");
+    EXPECT_EQ(walk.walk_length, 3);
+    EXPECT_EQ(walk.seed.layer_salt, before.body.end()[-2].seed.layer_salt);
+    EXPECT_EQ(after.explicit_rounds, 1);
+    EXPECT_EQ(after.prev_slot, before.prev_slot);
+    EXPECT_EQ(after.epilogue.size(), before.epilogue.size());
   }
+  const SamplePlan n2v = optimize(build_node2vec_plan(3, 2, 0.5, 2.0));
+  EXPECT_EQ(n2v.body[0].bias_p, 0.5);
+  EXPECT_EQ(n2v.body[0].bias_q, 2.0);
 }
 
-TEST(PlanOptimize, DeadSlotsEliminatedAndRenumbered) {
-  SamplePlan p = build_sage_plan();
-  p.add_slot();  // never referenced
-  p.add_slot();
-  const index_t padded = p.num_slots;
-  const SamplePlan after = optimize(p);
-  EXPECT_LT(after.num_slots, padded);
-  // Renumbering stays dense: every op slot is within the new bound.
-  for (const auto* ops : {&after.body, &after.epilogue}) {
-    for (const PlanOp& op : *ops) {
-      for (const SlotId s : {op.in, op.in2, op.out, op.out2}) {
-        EXPECT_TRUE(s == kNoSlot || (s >= 0 && s < after.num_slots));
-      }
-    }
+TEST(PlanOptimize, OnlyWalkShapedBodiesRewrite) {
+  for (const SamplePlan& p :
+       {build_sage_plan(), build_ladies_plan(), build_fastgcn_plan(),
+        build_labor_plan(), build_pinsage_plan()}) {
+    EXPECT_EQ(count_kind(optimize(p), PlanOpKind::kWalk), 0) << p.name;
   }
-  EXPECT_NO_THROW(validate_plan(after));
-}
-
-TEST(PlanOptimize, CostModelDefaultsMatchHistoricalThreshold) {
-  // The historical dispatch was `4·flops >= out_cols ? dense : hash`
-  // (ties dense). The default cost model must reproduce it exactly.
-  const SpgemmCostModel cm{};
-  const struct {
-    nnz_t flops;
-    index_t cols;
-  } cases[] = {{25, 100}, {24, 100}, {26, 100}, {0, 1}, {1, 4}, {1, 5}};
-  for (const auto& c : cases) {
-    const SpgemmKernel expect = c.flops * 4 >= c.cols ? SpgemmKernel::kDense
-                                                      : SpgemmKernel::kHash;
-    EXPECT_EQ(cm.pick(c.flops, c.cols), expect)
-        << c.flops << " flops, " << c.cols << " cols";
-  }
-  // A model that prices hash lower flips the decision.
-  const SpgemmCostModel cheap_hash{1.0, 1.0, 0.5};
-  EXPECT_EQ(cheap_hash.pick(25, 100), SpgemmKernel::kHash);
+  // Lowered walk plans keep their collective matrix path (and fuse
+  // normalize like any other plan).
+  const SamplePlan lowered = optimize(lower_to_dist(build_saint_plan(3, 2)));
+  EXPECT_EQ(count_kind(lowered, PlanOpKind::kWalk), 0);
+  EXPECT_EQ(count_kind(lowered, PlanOpKind::kNormalize), 0);
+  // An epilogue op that reads the round number would see a different round
+  // in the one-round rewritten plan: no rewrite.
+  SamplePlan round_reader = build_saint_plan(3, 2);
+  round_reader.epilogue.insert(round_reader.epilogue.begin(),
+                               round_reader.body[3]);  // kItsSample
+  EXPECT_EQ(count_kind(optimize(round_reader), PlanOpKind::kWalk), 0);
+  // A body whose bias op does not match the plan's prev slot: no rewrite.
+  SamplePlan unbiased = build_node2vec_plan(3, 2, 0.5, 2.0);
+  unbiased.body.erase(unbiased.body.begin() + 2);  // drop kWalkBias
+  EXPECT_EQ(count_kind(optimize(unbiased), PlanOpKind::kWalk), 0);
+  // A fused walk cannot be lowered: lower the unoptimized plan instead.
+  EXPECT_THROW(lower_to_dist(optimize(build_saint_plan(3, 2))), DmsError);
 }
 
 // --- bit identity -----------------------------------------------------------
@@ -168,12 +170,10 @@ TEST(PlanOptimize, OptimizedPlansBitIdenticalReplicated) {
   const Graph g = generate_erdos_renyi(220, 9.0, 42);
   const auto batches = small_batches(g.num_vertices());
   const std::vector<value_t> prefix = fastgcn_importance_prefix(g);
-  for (const SamplePlan& plan :
-       {build_sage_plan(), build_ladies_plan(), build_fastgcn_plan(),
-        build_labor_plan()}) {
+  for (const auto& [plan, cfg] : builtin_plans()) {
     const auto* weights = plan.needs_global_weights ? &prefix : nullptr;
-    PlanExecutor plain(plan, kConfig, {.optimize = false});
-    PlanExecutor opt(plan, kConfig);
+    PlanExecutor plain(plan, cfg, {.optimize = false});
+    PlanExecutor opt(plan, cfg);
     PlanRunState state_a, state_b;
     const auto ref = plain.run(g, batches, kIds, 0xfeed, state_a, weights);
     const auto got = opt.run(g, batches, kIds, 0xfeed, state_b, weights);
@@ -182,6 +182,7 @@ TEST(PlanOptimize, OptimizedPlansBitIdenticalReplicated) {
       EXPECT_TRUE(samples_equal(got[i], ref[i]))
           << plan.name << " batch " << i;
     }
+    EXPECT_EQ(state_a.walk_steps, state_b.walk_steps) << plan.name;
   }
 }
 
@@ -189,13 +190,11 @@ TEST(PlanOptimize, OptimizedPlansBitIdenticalPartitioned) {
   const Graph g = generate_erdos_renyi(180, 10.0, 51);
   const auto batches = small_batches(g.num_vertices());
   const std::vector<value_t> prefix = fastgcn_importance_prefix(g);
-  for (const SamplePlan& plan :
-       {build_sage_plan(), build_ladies_plan(), build_fastgcn_plan(),
-        build_labor_plan()}) {
+  for (const auto& [plan, cfg] : builtin_plans()) {
     const auto* weights = plan.needs_global_weights ? &prefix : nullptr;
     const SamplePlan lowered = lower_to_dist(plan);
-    PlanExecutor plain(lowered, kConfig, {.optimize = false});
-    PlanExecutor opt(lowered, kConfig);
+    PlanExecutor plain(lowered, cfg, {.optimize = false});
+    PlanExecutor opt(lowered, cfg);
     Cluster ca(ProcessGrid(4, 2), CostModel(LinkParams{}));
     Cluster cb(ProcessGrid(4, 2), CostModel(LinkParams{}));
     const DistBlockRowMatrix da(ca.grid(), g.adjacency());
@@ -241,6 +240,71 @@ TEST(PlanOptimize, PlanCacheSharesOneOptimizedPlan) {
   EXPECT_NE(&s1.plan(), &s3.plan());
 }
 
+TEST(PlanOptimize, PlanCacheKeysFloatFieldsExactly) {
+  // q = 2.0 and 2.0000001 agree to six significant digits; the key must
+  // still tell them apart, or the second sampler runs the first one's q.
+  PlanCache::global().clear();
+  const Graph g = generate_erdos_renyi(120, 6.0, 7);
+  const SamplePlan a = build_node2vec_plan(4, 1, 0.5, 2.0);
+  const SamplePlan b = build_node2vec_plan(4, 1, 0.5, 2.0000001);
+  EXPECT_NE(plan_signature(a), plan_signature(b));
+  PlanSampler sa(g, a, walk_adapter_config(1, 9));
+  PlanSampler sb(g, b, walk_adapter_config(1, 9));
+  EXPECT_NE(&sa.plan(), &sb.plan());
+  ASSERT_EQ(sb.plan().body.size(), 1u);
+  EXPECT_EQ(sb.plan().body[0].bias_q, 2.0000001);
+  EXPECT_EQ(sa.plan().body[0].bias_q, 2.0);
+}
+
+// --- concurrency ------------------------------------------------------------
+
+TEST(PlanOptimize, SharedPlanRunsConcurrently) {
+  // The executor is immutable and every run mutates only its caller's
+  // PlanRunState, so two samplers sharing one cached plan may sample at
+  // the same time (the TSan CI job runs this suite with DMS_THREADS=4).
+  const Graph g = generate_erdos_renyi(300, 8.0, 17);
+  const auto batches = small_batches(g.num_vertices());
+  constexpr int kEpochs = 4;
+  const std::vector<std::pair<SamplePlan, SamplerConfig>> cases = {
+      {build_sage_plan(), kConfig},
+      {build_ladies_plan(), kConfig},
+      {build_saint_plan(3, 2), walk_adapter_config(2, kConfig.seed)}};
+  for (const auto& [plan, cfg] : cases) {
+    PlanSampler serial(g, plan, cfg);
+    std::vector<std::vector<MinibatchSample>> expect;
+    for (int e = 0; e < kEpochs; ++e) {
+      expect.push_back(
+          serial.sample_bulk(batches, kIds, static_cast<std::uint64_t>(e)));
+    }
+    PlanSampler a(g, plan, cfg);
+    PlanSampler b(g, plan, cfg);
+    EXPECT_EQ(&a.plan(), &b.plan()) << plan.name;
+    std::vector<std::vector<MinibatchSample>> got_a(kEpochs), got_b(kEpochs);
+    auto epochs = [&](const PlanSampler& s,
+                      std::vector<std::vector<MinibatchSample>>& out) {
+      for (int e = 0; e < kEpochs; ++e) {
+        out[static_cast<std::size_t>(e)] =
+            s.sample_bulk(batches, kIds, static_cast<std::uint64_t>(e));
+      }
+    };
+    std::thread ta([&] { epochs(a, got_a); });
+    std::thread tb([&] { epochs(b, got_b); });
+    ta.join();
+    tb.join();
+    for (int e = 0; e < kEpochs; ++e) {
+      const auto& want = expect[static_cast<std::size_t>(e)];
+      for (const auto* got : {&got_a[static_cast<std::size_t>(e)],
+                              &got_b[static_cast<std::size_t>(e)]}) {
+        ASSERT_EQ(got->size(), want.size()) << plan.name;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_TRUE(samples_equal((*got)[i], want[i]))
+              << plan.name << " epoch " << e << " batch " << i;
+        }
+      }
+    }
+  }
+}
+
 // --- describe_diff / --dump-plan surface ------------------------------------
 
 TEST(PlanOptimize, DescribeDiffShowsFusions) {
@@ -249,7 +313,10 @@ TEST(PlanOptimize, DescribeDiffShowsFusions) {
   EXPECT_NE(diff.find("- "), std::string::npos);
   EXPECT_NE(diff.find("+ "), std::string::npos);
   EXPECT_NE(diff.find("+norm(ladies)"), std::string::npos);
-  EXPECT_NE(diff.find("+slice"), std::string::npos);
+  const std::string walk =
+      describe_diff(build_saint_plan(3, 2), optimize(build_saint_plan(3, 2)));
+  EXPECT_NE(walk.find("+   [body] walk 'fused_walk'"), std::string::npos) << walk;
+  EXPECT_NE(walk.find("-   [body] walk_advance"), std::string::npos) << walk;
   // Identical plans diff to all-unchanged lines.
   const std::string same = describe_diff(before, before);
   EXPECT_EQ(same.find("- "), std::string::npos);

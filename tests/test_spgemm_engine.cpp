@@ -133,6 +133,27 @@ TEST(SpgemmEngine, EstimatorPrefersHashForSparseRowsOverWideOutput) {
   EXPECT_EQ(spgemm_pick_kernel(1 << 20, 1024), SpgemmKernel::kDense);
 }
 
+TEST(SpgemmEngine, CostModelDefaultsMatchHistoricalThreshold) {
+  // The historical dispatch was `4·flops >= out_cols ? dense : hash`
+  // (ties dense). The default cost model, which kAuto dispatches by, must
+  // reproduce it exactly.
+  const SpgemmCostModel cm{};
+  const struct {
+    nnz_t flops;
+    index_t cols;
+  } cases[] = {{25, 100}, {24, 100}, {26, 100}, {0, 1}, {1, 4}, {1, 5}};
+  for (const auto& c : cases) {
+    const SpgemmKernel expect = c.flops * 4 >= c.cols ? SpgemmKernel::kDense
+                                                      : SpgemmKernel::kHash;
+    EXPECT_EQ(cm.pick(c.flops, c.cols), expect)
+        << c.flops << " flops, " << c.cols << " cols";
+    EXPECT_EQ(spgemm_pick_kernel(c.flops, c.cols), expect);
+  }
+  // A model that prices hash lower flips the decision.
+  const SpgemmCostModel cheap_hash{1.0, 1.0, 0.5};
+  EXPECT_EQ(cheap_hash.pick(25, 100), SpgemmKernel::kHash);
+}
+
 TEST(SpgemmEngine, MaskedExtractionMatchesExtractColumns) {
   const CsrMatrix a = random_csr(30, 80, 0.15, 401);
   for (const double keep : {0.1, 0.5, 1.0}) {

@@ -1,5 +1,6 @@
-// Fused walk engine (DESIGN.md §11): the fused per-walker path must be
-// bit-identical to the op-by-op matrix path for every graph shape, engine
+// Fused walk engine (DESIGN.md §11): the optimized plan's kWalk op must be
+// bit-identical to the op-by-op matrix path — the same plan run with
+// PlanExecOptions{.optimize = false} — for every graph shape, engine
 // option, and walk sampler; degree-sorted relabeling must round-trip; and
 // steady-state walk epochs must not grow the workspace arena.
 #include <gtest/gtest.h>
@@ -36,17 +37,23 @@ Graph sink_graph() {
       std::vector<value_t>(9, 1.0)));
 }
 
+/// {.optimize = false} gives the unfused matrix path.
 PlanSampler saint_sampler(const Graph& g, index_t walk_length,
-                          index_t model_layers, std::uint64_t seed) {
+                          index_t model_layers, std::uint64_t seed,
+                          PlanExecOptions opts = {}) {
   return PlanSampler(g, build_saint_plan(walk_length, model_layers),
-                     walk_adapter_config(model_layers, seed));
+                     walk_adapter_config(model_layers, seed), opts);
 }
 
 PlanSampler node2vec_sampler(const Graph& g, index_t walk_length,
                              index_t model_layers, value_t p, value_t q,
-                             std::uint64_t seed) {
+                             std::uint64_t seed, PlanExecOptions opts = {}) {
   return PlanSampler(g, build_node2vec_plan(walk_length, model_layers, p, q),
-                     walk_adapter_config(model_layers, seed));
+                     walk_adapter_config(model_layers, seed), opts);
+}
+
+bool runs_fused_walk(const PlanSampler& s) {
+  return s.plan().body.size() == 1 && s.plan().body[0].kind == PlanOpKind::kWalk;
 }
 
 const std::vector<std::vector<index_t>> kBatches = {{0, 1, 2}, {3, 4}, {5, 6, 7}};
@@ -72,10 +79,10 @@ bool samples_equal(const std::vector<MinibatchSample>& a,
 TEST(WalkEngine, FusedMatchesMatrixAcrossGraphs) {
   for (const Graph& g : {er_graph(), rmat_graph(), sink_graph()}) {
     PlanSampler fused = saint_sampler(g, /*walk_length=*/4, /*model_layers=*/2, 9);
-    PlanSampler matrix = saint_sampler(g, /*walk_length=*/4, /*model_layers=*/2, 9);
-    matrix.set_walk_options({.fused = false});
-    ASSERT_TRUE(fused.walk_fusable());
-    ASSERT_FALSE(matrix.walk_fusable());
+    PlanSampler matrix = saint_sampler(g, /*walk_length=*/4, /*model_layers=*/2, 9,
+                                       {.optimize = false});
+    ASSERT_TRUE(runs_fused_walk(fused));
+    ASSERT_FALSE(runs_fused_walk(matrix));
     for (std::uint64_t epoch : {0ull, 17ull}) {
       const auto rf = fused.sample_bulk(kBatches, kIds, epoch);
       const auto rm = matrix.sample_bulk(kBatches, kIds, epoch);
@@ -91,15 +98,14 @@ TEST(WalkEngine, FusedMatchesMatrixAcrossGraphs) {
 
 TEST(WalkEngine, EngineOptionVariantsAreBitIdentical) {
   const Graph g = rmat_graph();
-  PlanSampler matrix = saint_sampler(g, 3, 1, 21);
-  matrix.set_walk_options({.fused = false});
+  PlanSampler matrix = saint_sampler(g, 3, 1, 21, {.optimize = false});
   const auto reference = matrix.sample_bulk(kBatches, kIds, 5);
   const WalkEngineOptions variants[] = {
       {},                                         // default: relabel + bucket
-      {.fused = true, .relabel = false},          // original vertex order
-      {.fused = true, .relabel = true, .relabel_min_vertices = 1,
+      {.relabel = false},                         // original vertex order
+      {.relabel = true, .relabel_min_vertices = 1,
        .bucket_bytes = 0},                        // relabel, no bucketing
-      {.fused = true, .relabel = true, .relabel_min_vertices = 1,
+      {.relabel = true, .relabel_min_vertices = 1,
        .bucket_bytes = 4096},                     // many small buckets
   };
   for (const WalkEngineOptions& opts : variants) {
@@ -115,8 +121,7 @@ TEST(WalkEngine, SinkWalkersTerminate) {
   // is exactly the roots with an empty adjacency — on both paths.
   const Graph g(CsrMatrix(4, 4));
   PlanSampler fused = saint_sampler(g, 3, 1, 2);
-  PlanSampler matrix = saint_sampler(g, 3, 1, 2);
-  matrix.set_walk_options({.fused = false});
+  PlanSampler matrix = saint_sampler(g, 3, 1, 2, {.optimize = false});
   const std::vector<std::vector<index_t>> batches = {{0, 1}, {2}};
   const auto rf = fused.sample_bulk(batches, {0, 1}, 1);
   const auto rm = matrix.sample_bulk(batches, {0, 1}, 1);
@@ -137,8 +142,8 @@ TEST(Node2Vec, UnityParametersReproduceSaint) {
   const Graph g = er_graph();
   PlanSampler saint = saint_sampler(g, 3, 2, 5);
   for (const bool fuse : {true, false}) {
-    PlanSampler n2v = node2vec_sampler(g, 3, 2, /*p=*/1.0, /*q=*/1.0, 5);
-    n2v.set_walk_options({.fused = fuse});
+    PlanSampler n2v = node2vec_sampler(g, 3, 2, /*p=*/1.0, /*q=*/1.0, 5,
+                                       {.optimize = fuse});
     EXPECT_TRUE(samples_equal(saint.sample_bulk(kBatches, kIds, 11),
                               n2v.sample_bulk(kBatches, kIds, 11)))
         << "fused=" << fuse;
@@ -148,11 +153,10 @@ TEST(Node2Vec, UnityParametersReproduceSaint) {
 TEST(Node2Vec, BiasedFusedMatchesMatrix) {
   for (const Graph& g : {er_graph(), rmat_graph()}) {
     PlanSampler fused = node2vec_sampler(g, 4, 1, /*p=*/0.25, /*q=*/4.0, 13);
-    fused.set_walk_options(
-        {.fused = true, .relabel = true, .relabel_min_vertices = 1});
-    PlanSampler matrix = node2vec_sampler(g, 4, 1, /*p=*/0.25, /*q=*/4.0, 13);
-    matrix.set_walk_options({.fused = false});
-    ASSERT_TRUE(fused.walk_fusable());
+    fused.set_walk_options({.relabel = true, .relabel_min_vertices = 1});
+    PlanSampler matrix = node2vec_sampler(g, 4, 1, /*p=*/0.25, /*q=*/4.0, 13,
+                                          {.optimize = false});
+    ASSERT_TRUE(runs_fused_walk(fused));
     EXPECT_TRUE(samples_equal(fused.sample_bulk(kBatches, kIds, 3),
                               matrix.sample_bulk(kBatches, kIds, 3)));
   }
@@ -179,30 +183,6 @@ TEST(Node2Vec, PartitionedMatchesReplicatedBiased) {
   PartitionedSamplerBase part(g, grid, plan, walk_adapter_config(2, 19));
   EXPECT_TRUE(samples_equal(rep.sample_bulk(kBatches, kIds, 23),
                             part.sample_bulk(kBatches, kIds, 23)));
-}
-
-// --- plan matching ----------------------------------------------------------
-
-TEST(MatchWalkPlan, RecognizesWalkShapes) {
-  const WalkPlanShape saint = match_walk_plan(build_saint_plan(3, 2));
-  EXPECT_TRUE(saint.matched);
-  EXPECT_FALSE(saint.biased);
-
-  const WalkPlanShape n2v = match_walk_plan(build_node2vec_plan(3, 2, 0.5, 2.0));
-  EXPECT_TRUE(n2v.matched);
-  EXPECT_TRUE(n2v.biased);
-  EXPECT_EQ(n2v.layer_salt, saint.layer_salt);
-  EXPECT_DOUBLE_EQ(n2v.bias_p, 0.5);
-  EXPECT_DOUBLE_EQ(n2v.bias_q, 2.0);
-}
-
-TEST(MatchWalkPlan, RejectsNonWalkShapes) {
-  EXPECT_FALSE(match_walk_plan(build_sage_plan()).matched);
-  EXPECT_FALSE(match_walk_plan(build_ladies_plan()).matched);
-  EXPECT_FALSE(match_walk_plan(build_fastgcn_plan()).matched);
-  EXPECT_FALSE(match_walk_plan(build_pinsage_plan()).matched);
-  // Lowered plans always take the collective matrix path.
-  EXPECT_FALSE(match_walk_plan(lower_to_dist(build_saint_plan(3, 2))).matched);
 }
 
 // --- relabeling -------------------------------------------------------------
@@ -247,7 +227,7 @@ TEST(Relabel, DegreeSortedPermutationRoundTrips) {
 TEST(WalkEngine, RelabelAndBucketFlags) {
   const Graph g = rmat_graph();
   const CsrMatrix& adj = g.adjacency();
-  WalkEngine plain(adj, {.fused = true, .relabel = false});
+  WalkEngine plain(adj, {.relabel = false});
   EXPECT_FALSE(plain.relabeled());
 
   const Graph small = er_graph();
@@ -255,13 +235,13 @@ TEST(WalkEngine, RelabelAndBucketFlags) {
   // Below relabel_min_vertices the pass is skipped.
   EXPECT_FALSE(small_graph.relabeled());
 
-  WalkEngine bucketed(adj, {.fused = true, .relabel = true,
-                            .relabel_min_vertices = 1, .bucket_bytes = 4096});
+  WalkEngine bucketed(adj, {.relabel = true, .relabel_min_vertices = 1,
+                            .bucket_bytes = 4096});
   EXPECT_TRUE(bucketed.relabeled());
   EXPECT_GT(bucketed.num_buckets(), 1);
 
-  WalkEngine unbucketed(adj, {.fused = true, .relabel = true,
-                              .relabel_min_vertices = 1, .bucket_bytes = 0});
+  WalkEngine unbucketed(adj, {.relabel = true, .relabel_min_vertices = 1,
+                              .bucket_bytes = 0});
   EXPECT_EQ(unbucketed.num_buckets(), 1);
 }
 
@@ -270,8 +250,7 @@ TEST(WalkEngine, RelabelAndBucketFlags) {
 TEST(WalkWorkspace, SteadyStateEpochsDoNotGrowArena) {
   const Graph g = er_graph();
   for (const bool fuse : {true, false}) {
-    PlanSampler saint = saint_sampler(g, 4, 2, 31);
-    saint.set_walk_options({.fused = fuse});
+    PlanSampler saint = saint_sampler(g, 4, 2, 31, {.optimize = fuse});
     Workspace* ws = saint.scratch_workspace();
     // Two warm runs reach the arena's high-water mark for this epoch (the
     // list pool is LIFO, so one run can leave buffers in role-mismatched
