@@ -1,30 +1,21 @@
 // Fused walk-engine microbench (plain main, no Google Benchmark): runs the
 // same GraphSAINT-RW walk workload through (a) the op-by-op matrix path
-// (the unoptimized plan, PlanExecOptions{.optimize = false}), (b) the
-// optimized plan's fused kWalk op in original vertex order, and (c) the
-// fused op with degree-sorted relabeling and cache bucketing (DESIGN.md
-// §11), then reports walk throughput (surviving-walker edge traversals per
-// second, PlanSampler::walk_steps over the walk-phase op seconds — the
-// induced-subgraph epilogue is identical across variants and excluded).
-//
-// Two sections, two workload sizes: the fused-vs-matrix ratio runs a
-// modest walker count (the matrix path materializes every walker's full
-// adjacency row per round, so it is orders of magnitude slower), while the
-// locality ratios compare the fused variants against each other at a
-// walker count high enough that per-round adjacency reuse — the thing
-// bucketing concentrates — actually exists.
+// (the unoptimized plan, PlanExecOptions{.optimize = false}) and (b) the
+// optimized plan's fused kWalk op (DESIGN.md §11), then reports walk
+// throughput (surviving-walker edge traversals per second,
+// PlanSampler::walk_steps over the walk-phase op seconds — the
+// induced-subgraph epilogue is identical on both paths and excluded). The
+// walker count stays modest: the matrix path materializes every walker's
+// full adjacency row per round, so it is orders of magnitude slower.
 //
 // --smoke exits nonzero if the fused outputs are not bit-identical to the
 // matrix path or fused throughput falls below the matrix path; --compare
-// prints the fused/matrix and relabel[+bucket]/direct ratios on the
-// full-size power-law graph; --json=PATH appends rows to the
-// BENCH_micro.json trajectory.
-#include <algorithm>
+// prints the fused/matrix ratio on the full-size power-law graph;
+// --json=PATH appends rows to the BENCH_micro.json trajectory.
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <numeric>
-#include <utility>
 #include <string>
 #include <vector>
 
@@ -32,7 +23,6 @@
 #include "common/rng.hpp"
 #include "core/plan_sampler.hpp"
 #include "graph/generators.hpp"
-#include "graph/relabel.hpp"
 #include "plan/builders.hpp"
 
 namespace dms {
@@ -53,12 +43,11 @@ bool identical(const std::vector<MinibatchSample>& a,
   return true;
 }
 
-/// One measured configuration: the walk-engine options of the fused kWalk
-/// op, or the unoptimized matrix path when `fused` is false.
+/// One measured configuration: the optimized plan's fused kWalk op, or the
+/// unoptimized matrix path when `fused` is false.
 struct Variant {
   std::string name;
   bool fused = true;
-  WalkEngineOptions walk;
 };
 
 struct VariantResult {
@@ -95,7 +84,6 @@ std::vector<VariantResult> run_variants(
   for (const Variant& v : variants) {
     samplers.push_back(std::make_unique<PlanSampler>(
         graph, plan, cfg, PlanExecOptions{.optimize = v.fused}));
-    samplers.back()->set_walk_options(v.walk);
     (void)samplers.back()->sample_bulk(batches, ids, 0);  // warm
     samplers.back()->reset_stats();
   }
@@ -116,39 +104,16 @@ std::vector<VariantResult> run_variants(
 }
 
 int run(bool smoke, bool compare, const std::string& json_path) {
-  // Full size must exceed the last-level cache (the relabeling win is a
-  // cache effect); smoke keeps CI fast — there the gate is correctness plus
-  // fused >= matrix, not the locality ratio.
   RmatParams params;
   params.scale = smoke ? 12 : 18;
   params.edge_factor = 16.0;
-  // Heavier-than-default skew: the hub rows a walk revisits are what the
-  // degree-sorted layout keeps cache-resident.
+  // Heavier-than-default skew: walks concentrate on hub rows, where the
+  // matrix path's per-round row materialization costs the most.
   params.a = 0.7;
   params.b = 0.12;
   params.c = 0.12;
   params.seed = 5;
-  const Graph raw = generate_rmat(params);
-  // R-MAT places its hubs at low vertex ids by construction, which is the
-  // degree-sorted layout already — scatter the ids like a real graph's
-  // arbitrary numbering so the relabeling variants measure the layout, not
-  // the generator.
-  VertexRelabeling shuffle;
-  shuffle.to_old.resize(static_cast<std::size_t>(raw.num_vertices()));
-  std::iota(shuffle.to_old.begin(), shuffle.to_old.end(), 0);
-  {
-    Pcg32 sr(params.seed, 0x5f);
-    for (index_t i = raw.num_vertices() - 1; i > 0; --i) {
-      std::swap(shuffle.to_old[static_cast<std::size_t>(i)],
-                shuffle.to_old[static_cast<std::size_t>(sr.bounded64(i + 1))]);
-    }
-  }
-  shuffle.to_new.resize(shuffle.to_old.size());
-  for (index_t i = 0; i < raw.num_vertices(); ++i) {
-    shuffle.to_new[static_cast<std::size_t>(
-        shuffle.to_old[static_cast<std::size_t>(i)])] = i;
-  }
-  const Graph graph(relabel_adjacency(raw.adjacency(), shuffle));
+  const Graph graph = generate_rmat(params);
   const index_t n = graph.num_vertices();
   std::printf("micro_walk: R-MAT scale %d, %lld vertices, %lld edges\n",
               params.scale, static_cast<long long>(n),
@@ -159,88 +124,51 @@ int run(bool smoke, bool compare, const std::string& json_path) {
   const SamplerConfig cfg = walk_adapter_config(/*model_layers=*/1, /*seed=*/1);
   const int num_batches = smoke ? 32 : 64;
   const index_t roots_per_batch = smoke ? 64 : 512;
-  // The locality section runs fused-only, so it can afford the walker count
-  // (~1M at full size) that makes per-round adjacency reuse measurable.
-  const index_t locality_roots_per_batch = smoke ? 256 : 16384;
-  const int epochs = smoke ? 3 : 3;
-  const int locality_epochs = smoke ? 2 : 5;
-  const auto make_batches = [&](index_t roots, std::uint64_t salt) {
-    std::vector<std::vector<index_t>> batches(
-        static_cast<std::size_t>(num_batches));
-    Pcg32 rng(params.seed, salt);
+  const int epochs = 3;
+  std::vector<std::vector<index_t>> batches(
+      static_cast<std::size_t>(num_batches));
+  {
+    Pcg32 rng(params.seed, 0xb57);
     for (auto& batch : batches) {
-      for (index_t i = 0; i < roots; ++i) batch.push_back(rng.bounded64(n));
+      for (index_t i = 0; i < roots_per_batch; ++i) {
+        batch.push_back(rng.bounded64(n));
+      }
     }
-    return batches;
-  };
+  }
   std::vector<index_t> ids(static_cast<std::size_t>(num_batches));
   std::iota(ids.begin(), ids.end(), 0);
-  const auto batches = make_batches(roots_per_batch, 0xb57);
-  const auto locality_batches =
-      make_batches(locality_roots_per_batch, 0xb58);
 
-  const Variant matrix_v{"matrix", /*fused=*/false, {}};
-  const Variant direct_v{"fused", true, {.relabel = false, .bucket_bytes = 0}};
-  const Variant relabel_v{
-      "fused+relabel", true,
-      {.relabel = true, .relabel_min_vertices = 1024, .bucket_bytes = 0}};
-  const Variant full_v{"fused+relabel+bucket", true,
-                       {.relabel = true, .relabel_min_vertices = 1024}};
-
-  // Bit-identity first, outside the timed region: the fully-optimized
-  // engine must reproduce the matrix path's minibatches exactly.
+  // Bit-identity first, outside the timed region: the fused engine must
+  // reproduce the matrix path's minibatches exactly.
   bool bit_identical = true;
   {
     PlanSampler ref(graph, plan, cfg, {.optimize = false});
     PlanSampler fused(graph, plan, cfg);
-    fused.set_walk_options(full_v.walk);
     bit_identical = identical(ref.sample_bulk(batches, ids, 7),
                               fused.sample_bulk(batches, ids, 7));
   }
 
-  const std::vector<VariantResult> fm_results = run_variants(
-      {matrix_v, full_v}, graph, plan, cfg, batches, ids, epochs);
-  const VariantResult& matrix = fm_results[0];
-  const VariantResult& fused_full = fm_results[1];
-
-  const std::vector<VariantResult> loc_results =
-      run_variants({direct_v, relabel_v, full_v}, graph, plan, cfg,
-                   locality_batches, ids, locality_epochs);
-  const VariantResult& direct = loc_results[0];
-  const VariantResult& relabeled = loc_results[1];
-  const VariantResult& full = loc_results[2];
+  const std::vector<VariantResult> results =
+      run_variants({{"matrix", /*fused=*/false}, {"fused", /*fused=*/true}},
+                   graph, plan, cfg, batches, ids, epochs);
+  const VariantResult& matrix = results[0];
+  const VariantResult& fused = results[1];
 
   std::printf("Fused vs matrix (%d epochs x %d batches x %lld roots, walk "
               "length %lld):\n",
               epochs, num_batches, static_cast<long long>(roots_per_batch),
               static_cast<long long>(walk_length));
-  for (const VariantResult* r : {&matrix, &fused_full}) {
+  for (const VariantResult* r : {&matrix, &fused}) {
     std::printf("  %-22s %12.3e edges/s  (%llu steps in %.4fs)\n",
                 r->name.c_str(), r->edges_per_s(),
                 static_cast<unsigned long long>(r->steps), r->walk_s);
   }
-  std::printf("Locality, fused variants (%d epochs x %d batches x %lld "
-              "roots):\n",
-              locality_epochs, num_batches,
-              static_cast<long long>(locality_roots_per_batch));
-  for (const VariantResult* r : {&direct, &relabeled, &full}) {
-    std::printf("  %-22s %12.3e edges/s  (%llu steps in %.4fs)\n",
-                r->name.c_str(), r->edges_per_s(),
-                static_cast<unsigned long long>(r->steps), r->walk_s);
-  }
-  const double fused_vs_matrix =
-      fused_full.edges_per_s() / matrix.edges_per_s();
-  const double relabel_vs_direct =
-      relabeled.edges_per_s() / direct.edges_per_s();
-  const double locality_vs_direct = full.edges_per_s() / direct.edges_per_s();
+  const double fused_vs_matrix = fused.edges_per_s() / matrix.edges_per_s();
   std::printf("  fused vs matrix          %.2fx\n", fused_vs_matrix);
-  std::printf("  relabel vs direct        %.2fx\n", relabel_vs_direct);
-  std::printf("  relabel+bucket vs direct %.2fx\n", locality_vs_direct);
   std::printf("  bits %s\n", bit_identical ? "identical" : "DIFFER");
   if (compare) {
-    std::printf("compare: fused/matrix %.2fx (target >= 3x), "
-                "relabel+bucket/direct %.2fx (target > 1x)\n",
-                fused_vs_matrix, locality_vs_direct);
+    std::printf("compare: fused/matrix %.2fx (target >= 3x)\n",
+                fused_vs_matrix);
   }
 
   if (!json_path.empty()) {
@@ -251,17 +179,9 @@ int run(bool smoke, bool compare, const std::string& json_path) {
     }
     const std::string bench_id =
         std::string("micro_walk/edges_per_s") + (smoke ? " (smoke)" : "");
-    for (const VariantResult* r : {&matrix, &fused_full}) {
+    for (const VariantResult* r : {&matrix, &fused}) {
       json.row({{"bench", bench_id},
                 {"case", r->name},
-                {"edges_per_s", r->edges_per_s()},
-                {"walk_s", r->walk_s},
-                {"steps", static_cast<double>(r->steps)},
-                {"bit_identical", bit_identical ? "yes" : "no"}});
-    }
-    for (const VariantResult* r : {&direct, &relabeled, &full}) {
-      json.row({{"bench", bench_id},
-                {"case", "locality/" + r->name},
                 {"edges_per_s", r->edges_per_s()},
                 {"walk_s", r->walk_s},
                 {"steps", static_cast<double>(r->steps)},
@@ -270,8 +190,6 @@ int run(bool smoke, bool compare, const std::string& json_path) {
     json.row({{"bench", bench_id},
               {"case", "ratios"},
               {"fused_vs_matrix", fused_vs_matrix},
-              {"relabel_vs_direct", relabel_vs_direct},
-              {"locality_vs_direct", locality_vs_direct},
               {"bit_identical", bit_identical ? "yes" : "no"}});
     std::printf("JSON appended to %s\n", json_path.c_str());
   }
@@ -284,9 +202,9 @@ int run(bool smoke, bool compare, const std::string& json_path) {
     // The fused engine must never lose to the matrix path it replaces; the
     // >= 3x headline ratio is measured at full scale (--compare), where the
     // matrix path's per-round materialization costs dominate.
-    if (fused_full.edges_per_s() < matrix.edges_per_s()) {
+    if (fused.edges_per_s() < matrix.edges_per_s()) {
       std::fprintf(stderr, "FAIL: fused %.3e edges/s below matrix %.3e\n",
-                   fused_full.edges_per_s(), matrix.edges_per_s());
+                   fused.edges_per_s(), matrix.edges_per_s());
       return 1;
     }
     std::printf("SMOKE OK: bit-identical, fused %.2fx matrix throughput\n",

@@ -7,7 +7,7 @@
 // materializing per-round sparse matrices. The fusion is an execution
 // detail, not a semantic one: this example runs the same epoch unoptimized
 // (PlanExecOptions{.optimize = false}, the op-by-op matrix path) and
-// optimized (degree-sorted relabeling + cache bucketing), prints both
+// optimized (one kWalk op over the graph's own adjacency), prints both
 // listings, and exits nonzero if the minibatches are not bit-identical.
 #include <cstdio>
 
@@ -63,8 +63,8 @@ int main() {
   const PlanSampler reference(ds.graph, plan, cfg, {.optimize = false});
   const auto matrix = reference.sample_bulk(batches, ids, /*epoch_seed=*/3);
 
-  // Fused path (the default): per-walker advance over the relabeled,
-  // cache-bucketed adjacency copy.
+  // Fused path (the default): per-walker advance over the graph's CSR
+  // adjacency rows, read in place.
   const auto fused = sampler.sample_bulk(batches, ids, /*epoch_seed=*/3);
 
   for (std::size_t i = 0; i < fused.size(); ++i) {

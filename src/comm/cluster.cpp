@@ -4,129 +4,101 @@
 
 namespace dms {
 
-void Cluster::superstep(const std::string& phase, const std::function<void(int)>& body) {
-  double max_t = 0.0;
-  for (int r = 0; r < grid_.size(); ++r) {
-    if (!alive(r)) continue;  // crashed ranks do no work
-    Timer t;
-    body(r);
-    max_t = std::max(max_t, t.seconds());
-  }
-  add_compute(phase, max_t);
-}
+Cluster::Cluster(ProcessGrid grid, CostModel model)
+    : grid_(grid), model_(model), st_(std::make_shared<State>(grid_.size())) {}
 
-void Cluster::superstep_recorded(const std::function<void(int, PhaseRecorder&)>& body) {
-  std::map<std::string, double> max_per_phase;
-  for (int r = 0; r < grid_.size(); ++r) {
-    if (!alive(r)) continue;
-    PhaseRecorder rec;
-    body(r, rec);
-    for (const auto& [phase, sec] : rec.times()) {
-      max_per_phase[phase] = std::max(max_per_phase[phase], sec);
-    }
-  }
-  for (const auto& [phase, sec] : max_per_phase) add_compute(phase, sec);
+Cluster::Cluster(ProcessGrid grid, Cluster& parent)
+    : grid_(grid), model_(parent.model_), st_(parent.st_) {
+  check(grid_.size() <= st_->ranks,
+        "Cluster: sub-grid view larger than its parent cluster");
 }
 
 void Cluster::add_compute(const std::string& phase, double seconds) {
   const double scaled = seconds / model_.link().compute_scale;
-  compute_time_[phase] += scaled * straggler_factor_;
-  if (straggler_factor_ > 1.0) {
-    fault_stats_.straggler_seconds += scaled * (straggler_factor_ - 1.0);
+  st_->compute_time[phase] += scaled * st_->straggler_factor;
+  if (st_->straggler_factor > 1.0) {
+    st_->fault_stats.straggler_seconds += scaled * (st_->straggler_factor - 1.0);
   }
 }
 
 void Cluster::add_compute_irregular(const std::string& phase, double seconds) {
   const double scaled = seconds / model_.link().irregular_compute_scale;
-  compute_time_[phase] += scaled * straggler_factor_;
-  if (straggler_factor_ > 1.0) {
-    fault_stats_.straggler_seconds += scaled * (straggler_factor_ - 1.0);
+  st_->compute_time[phase] += scaled * st_->straggler_factor;
+  if (st_->straggler_factor > 1.0) {
+    st_->fault_stats.straggler_seconds += scaled * (st_->straggler_factor - 1.0);
   }
 }
 
 void Cluster::record_comm(const std::string& phase, double seconds, std::size_t bytes,
                           std::size_t messages) {
-  CommStats& s = comm_stats_[phase];
+  CommStats& s = st_->comm_stats[phase];
   s.seconds += seconds;
   s.bytes += bytes;
   s.messages += messages;
-  if (faults_ == nullptr || !faults_->has_loss()) return;
+  const FaultPlan* faults = st_->faults;
+  if (faults == nullptr || !faults->has_loss()) return;
   // Transient loss: this call is one communication event. Each lost attempt
   // pays a full retransmit plus the policy's backoff; the final allowed
   // attempt always delivers, so the event count and payload stay
   // deterministic. Retry time/volume lands in the phase's comm table (the
   // clock and the accounting invariants see real costs) and is additionally
-  // broken out in fault_stats_.
-  const std::uint64_t event = comm_event_++;
-  for (int attempt = 0; attempt + 1 < recovery_.max_attempts; ++attempt) {
-    if (!faults_->lost(event, attempt)) break;
-    const double retry = seconds + recovery_.backoff(attempt);
+  // broken out in the fault stats.
+  FaultStats& fs = st_->fault_stats;
+  const std::uint64_t event = st_->comm_event++;
+  for (int attempt = 0; attempt + 1 < st_->recovery.max_attempts; ++attempt) {
+    if (!faults->lost(event, attempt)) break;
+    const double retry = seconds + st_->recovery.backoff(attempt);
     s.seconds += retry;
     s.bytes += bytes;
     s.messages += messages;
-    fault_stats_.retry_seconds += retry;
-    fault_stats_.retry_bytes += bytes;
-    fault_stats_.retry_messages += messages;
-    ++fault_stats_.lost_messages;
+    fs.retry_seconds += retry;
+    fs.retry_bytes += bytes;
+    fs.retry_messages += messages;
+    ++fs.lost_messages;
   }
 }
 
 void Cluster::add_overhead(const std::string& phase, double seconds) {
-  compute_time_[phase] += seconds;  // overheads are device-side, not scaled
+  st_->compute_time[phase] += seconds;  // overheads are device-side, not scaled
 }
 
 void Cluster::credit_overlap(double seconds) {
   check(seconds >= 0.0, "credit_overlap: negative overlap credit");
-  overlap_credit_ += seconds;
+  st_->overlap_credit += seconds;
 }
 
 double Cluster::total_compute() const {
   double t = 0.0;
-  for (const auto& [_, sec] : compute_time_) t += sec;
+  for (const auto& [_, sec] : st_->compute_time) t += sec;
   return t;
 }
 
 double Cluster::total_comm() const {
   double t = 0.0;
-  for (const auto& [_, s] : comm_stats_) t += s.seconds;
+  for (const auto& [_, s] : st_->comm_stats) t += s.seconds;
   return t;
 }
 
 double Cluster::phase_time(const std::string& phase) const {
   double t = 0.0;
-  if (const auto it = compute_time_.find(phase); it != compute_time_.end()) {
+  if (const auto it = st_->compute_time.find(phase);
+      it != st_->compute_time.end()) {
     t += it->second;
   }
-  if (const auto it = comm_stats_.find(phase); it != comm_stats_.end()) {
+  if (const auto it = st_->comm_stats.find(phase);
+      it != st_->comm_stats.end()) {
     t += it->second.seconds;
   }
   return t;
 }
 
 void Cluster::reset_clock() {
-  compute_time_.clear();
-  comm_stats_.clear();
-  overlap_credit_ = 0.0;
-  // Fault state (alive set, superstep counter, fault_stats_) deliberately
+  st_->compute_time.clear();
+  st_->comm_stats.clear();
+  st_->overlap_credit = 0.0;
+  // Fault state (alive set, superstep counter, fault stats) deliberately
   // survives: crashes are permanent across epochs, and fault accounting is
   // cumulative like FeatureCacheStats.
-}
-
-void Cluster::drain_into(Cluster& dst) {
-  check(&dst != this, "drain_into: cannot drain a cluster into itself");
-  for (const auto& [phase, sec] : compute_time_) {
-    dst.compute_time_[phase] += sec;
-  }
-  for (const auto& [phase, s] : comm_stats_) {
-    CommStats& d = dst.comm_stats_[phase];
-    d.seconds += s.seconds;
-    d.bytes += s.bytes;
-    d.messages += s.messages;
-  }
-  dst.overlap_credit_ += overlap_credit_;
-  compute_time_.clear();
-  comm_stats_.clear();
-  overlap_credit_ = 0.0;
 }
 
 void Cluster::install_faults(const FaultPlan* plan, RecoveryPolicy policy) {
@@ -138,49 +110,45 @@ void Cluster::install_faults(const FaultPlan* plan, RecoveryPolicy policy) {
         "install_faults: backoff_factor must be >= 1");
   if (plan != nullptr) {
     for (const CrashEvent& e : plan->config().crashes) {
-      check(e.rank < grid_.size(),
+      check(e.rank < st_->ranks,
             "install_faults: crash rank out of range for this grid");
     }
   }
-  faults_ = plan;
-  recovery_ = policy;
-  dead_.assign(static_cast<std::size_t>(grid_.size()), 0);
-  superstep_ = 0;
-  comm_event_ = 0;
-  straggler_factor_ = 1.0;
-  fault_stats_ = FaultStats{};
-}
-
-void Cluster::clear_faults() {
-  faults_ = nullptr;
-  dead_.clear();
-  straggler_factor_ = 1.0;
+  State& st = *st_;
+  st.faults = plan;
+  st.recovery = policy;
+  st.dead.assign(static_cast<std::size_t>(st.ranks), 0);
+  st.superstep = 0;
+  st.comm_event = 0;
+  st.straggler_factor = 1.0;
+  st.fault_stats = FaultStats{};
 }
 
 index_t Cluster::begin_superstep() {
-  const index_t idx = superstep_++;
-  if (faults_ == nullptr) return idx;
-  for (const int r : faults_->crashes_at(idx)) {
-    if (dead_[static_cast<std::size_t>(r)] == 0) {
-      dead_[static_cast<std::size_t>(r)] = 1;
-      ++fault_stats_.crashed_ranks;
+  State& st = *st_;
+  const index_t idx = st.superstep++;
+  if (st.faults == nullptr) return idx;
+  for (const int r : st.faults->crashes_at(idx)) {
+    if (st.dead[static_cast<std::size_t>(r)] == 0) {
+      st.dead[static_cast<std::size_t>(r)] = 1;
+      ++st.fault_stats.crashed_ranks;
     }
   }
   // The round is gated by its slowest member, so one multiplier (the max
   // over alive ranks' draws) covers every compute contribution until the
   // next boundary.
   double f = 1.0;
-  if (faults_->has_stragglers()) {
-    for (int r = 0; r < grid_.size(); ++r) {
-      if (alive(r)) f = std::max(f, faults_->slowdown(idx, r));
+  if (st.faults->has_stragglers()) {
+    for (int r = 0; r < st.ranks; ++r) {
+      if (alive(r)) f = std::max(f, st.faults->slowdown(idx, r));
     }
   }
-  straggler_factor_ = f;
+  st.straggler_factor = f;
   return idx;
 }
 
 int Cluster::num_alive() const {
-  if (dead_.empty()) return grid_.size();
+  if (st_->dead.empty()) return grid_.size();
   int n = 0;
   for (int r = 0; r < grid_.size(); ++r) n += alive(r) ? 1 : 0;
   return n;
@@ -197,12 +165,12 @@ std::vector<int> Cluster::alive_ranks() const {
 
 void Cluster::add_fault_redistribution(double seconds, std::size_t bytes) {
   check(seconds >= 0.0, "add_fault_redistribution: negative seconds");
-  fault_stats_.redistribution_seconds += seconds;
-  fault_stats_.redistribution_bytes += bytes;
+  st_->fault_stats.redistribution_seconds += seconds;
+  st_->fault_stats.redistribution_bytes += bytes;
 }
 
 bool Cluster::row_alive(int row) const {
-  if (dead_.empty()) return true;
+  if (st_->dead.empty()) return true;
   for (int j = 0; j < grid_.replication(); ++j) {
     if (alive(grid_.rank_of(row, j))) return true;
   }

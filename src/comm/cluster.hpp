@@ -1,9 +1,9 @@
 // Bulk-synchronous simulated cluster.
 //
 // Distributed algorithms in src/dist and src/train are written SPMD-style as
-// supersteps over per-rank local state. The Cluster executes every rank's
-// body (really running the computation on the host), measures each rank's
-// local compute wall-clock, and advances a simulated clock by
+// supersteps over per-rank local state. Each stage runs its per-rank work on
+// the host, times it, and hands the Cluster the max over ranks through
+// add_compute; the Cluster advances a simulated clock by
 //
 //     max over ranks of (measured compute / compute_scale)
 //
@@ -14,28 +14,16 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "comm/costmodel.hpp"
 #include "comm/faults.hpp"
 #include "comm/grid.hpp"
-#include "common/timer.hpp"
 
 namespace dms {
-
-/// Records sub-phase compute times from inside a rank body so the Cluster
-/// can attribute the max-over-ranks per phase (Figure 4/7 breakdowns).
-class PhaseRecorder {
- public:
-  void add(const std::string& phase, double seconds) { times_[phase] += seconds; }
-  const std::map<std::string, double>& times() const { return times_; }
-
- private:
-  std::map<std::string, double> times_;
-};
 
 /// Aggregate communication statistics per phase.
 struct CommStats {
@@ -46,21 +34,22 @@ struct CommStats {
 
 class Cluster {
  public:
-  Cluster(ProcessGrid grid, CostModel model)
-      : grid_(grid), model_(model) {}
+  Cluster(ProcessGrid grid, CostModel model);
+
+  /// A sub-grid view of `parent`: `grid` spans the parent's global ranks
+  /// [0, grid.size()) (rank r of the view is rank r of the parent), and
+  /// every clock table and all fault state — plan, alive set, superstep,
+  /// loss-draw counter, FaultStats — are the parent's own. What the view
+  /// records lands in the parent's clock and fault accounting directly.
+  /// Used by the disaggregated pipeline's sampler role (DESIGN.md §14).
+  Cluster(ProcessGrid grid, Cluster& parent);
+
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
 
   const ProcessGrid& grid() const { return grid_; }
   const CostModel& cost_model() const { return model_; }
   int size() const { return grid_.size(); }
-
-  /// Runs body(rank) for every rank, adding max-over-ranks measured time to
-  /// compute phase `phase`.
-  void superstep(const std::string& phase, const std::function<void(int)>& body);
-
-  /// Runs body(rank, recorder); each rank attributes its own sub-phase
-  /// times. Unattributed time inside the body is *not* counted — use the
-  /// recorder for everything that should reach the clock.
-  void superstep_recorded(const std::function<void(int, PhaseRecorder&)>& body);
 
   /// Adds pre-measured compute seconds to a phase (already max-over-ranks).
   void add_compute(const std::string& phase, double seconds);
@@ -87,32 +76,28 @@ class Cluster {
   void credit_overlap(double seconds);
 
   /// Total simulated seconds credited as overlapped since reset_clock().
-  double overlap_credit() const { return overlap_credit_; }
+  double overlap_credit() const { return st_->overlap_credit; }
 
   /// Simulated seconds per compute phase (already scaled by compute_scale).
-  const std::map<std::string, double>& compute_time() const { return compute_time_; }
+  const std::map<std::string, double>& compute_time() const {
+    return st_->compute_time;
+  }
   /// Simulated seconds and volumes per communication phase.
-  const std::map<std::string, CommStats>& comm_stats() const { return comm_stats_; }
+  const std::map<std::string, CommStats>& comm_stats() const {
+    return st_->comm_stats;
+  }
 
   double total_compute() const;
   double total_comm() const;
   /// Simulated wall clock: compute + comm minus the overlapped credit.
   double total_time() const {
-    return std::max(0.0, total_compute() + total_comm() - overlap_credit_);
+    return std::max(0.0, total_compute() + total_comm() - st_->overlap_credit);
   }
 
   /// Seconds for a single phase across compute + comm tables.
   double phase_time(const std::string& phase) const;
 
   void reset_clock();
-
-  /// Merges this cluster's compute/comm tables and overlap credit into
-  /// `dst`, then clears them here (fault state is untouched on both sides).
-  /// Times are moved raw — they were already scaled/faulted when recorded —
-  /// and no loss draws replay on `dst`. Used by the disaggregated pipeline:
-  /// the sampler-role sub-cluster accumulates a round's phases, then drains
-  /// them into the main cluster so one clock covers both roles.
-  void drain_into(Cluster& dst);
 
   // --- Fault injection (DESIGN.md §13) -----------------------------------
   //
@@ -125,11 +110,10 @@ class Cluster {
   // faulty run is exactly replayable. With no plan installed all paths are
   // bit-identical to the fault-free cluster.
 
-  /// Installs a borrowed fault plan (must outlive the cluster or be cleared)
-  /// and resets the fault clock, alive set, and fault accounting.
+  /// Installs a borrowed fault plan (must outlive the cluster) and resets
+  /// the fault clock, alive set, and fault accounting.
   void install_faults(const FaultPlan* plan, RecoveryPolicy policy = {});
-  void clear_faults();
-  bool has_faults() const { return faults_ != nullptr; }
+  bool has_faults() const { return st_->faults != nullptr; }
 
   /// Advances the fault clock by one superstep: fires crashes scheduled for
   /// the new superstep (marking ranks permanently dead) and fixes the
@@ -138,11 +122,10 @@ class Cluster {
   /// boundaries at their natural recovery points (the staged executor uses
   /// bulk-round boundaries). Returns the new superstep index (from 0).
   index_t begin_superstep();
-  index_t current_superstep() const { return superstep_ - 1; }
 
   /// Rank liveness. Every rank is alive until a CrashEvent kills it.
   bool alive(int rank) const {
-    return dead_.empty() || dead_[static_cast<std::size_t>(rank)] == 0;
+    return st_->dead.empty() || st_->dead[static_cast<std::size_t>(rank)] == 0;
   }
   int num_alive() const;
   std::vector<int> alive_ranks() const;
@@ -151,7 +134,7 @@ class Cluster {
 
   /// Cumulative fault/recovery accounting since install_faults (monotonic —
   /// reset_clock does not touch it; callers diff snapshots per epoch).
-  const FaultStats& fault_stats() const { return fault_stats_; }
+  const FaultStats& fault_stats() const { return st_->fault_stats; }
 
   /// Attributes crash-recovery data movement (survivor fetches,
   /// re-partitioning) to the fault accounting. The caller still records the
@@ -160,18 +143,26 @@ class Cluster {
   void add_fault_redistribution(double seconds, std::size_t bytes);
 
  private:
+  /// The clock tables and fault state, shared by a cluster and its
+  /// sub-grid views.
+  struct State {
+    explicit State(int ranks) : ranks(ranks) {}
+    int ranks;  ///< size of the owning cluster's grid
+    std::map<std::string, double> compute_time;
+    std::map<std::string, CommStats> comm_stats;
+    double overlap_credit = 0.0;
+    const FaultPlan* faults = nullptr;  ///< borrowed; nullptr = no faults
+    RecoveryPolicy recovery;
+    std::vector<char> dead;             ///< sized on install_faults
+    index_t superstep = 0;              ///< supersteps begun so far
+    std::uint64_t comm_event = 0;       ///< deterministic loss-draw counter
+    double straggler_factor = 1.0;      ///< current superstep's multiplier
+    FaultStats fault_stats;
+  };
+
   ProcessGrid grid_;
   CostModel model_;
-  std::map<std::string, double> compute_time_;
-  std::map<std::string, CommStats> comm_stats_;
-  double overlap_credit_ = 0.0;
-  const FaultPlan* faults_ = nullptr;  ///< borrowed; nullptr = no faults
-  RecoveryPolicy recovery_;
-  std::vector<char> dead_;             ///< sized on install_faults
-  index_t superstep_ = 0;              ///< supersteps begun so far
-  std::uint64_t comm_event_ = 0;       ///< deterministic loss-draw counter
-  double straggler_factor_ = 1.0;      ///< current superstep's multiplier
-  FaultStats fault_stats_;
+  std::shared_ptr<State> st_;
 };
 
 }  // namespace dms

@@ -32,15 +32,6 @@ double CostModel::allreduce(const std::vector<int>& group, std::size_t bytes) co
          2.0 * (n - 1.0) / n * static_cast<double>(bytes) * b;
 }
 
-double CostModel::allgather(const std::vector<int>& group,
-                            std::size_t bytes_per_rank) const {
-  const auto n = static_cast<double>(group.size());
-  if (n <= 1.0) return 0.0;
-  const double b = group_beta(group);
-  return (n - 1.0) * link_.alpha +
-         (n - 1.0) * static_cast<double>(bytes_per_rank) * b;
-}
-
 double CostModel::alltoallv(
     const std::vector<int>& group,
     const std::vector<std::vector<std::size_t>>& send_bytes) const {

@@ -55,7 +55,6 @@ class CostModel {
   explicit CostModel(LinkParams link) : link_(link) {}
 
   const LinkParams& link() const { return link_; }
-  LinkParams& mutable_link() { return link_; }
 
   int node_of(int rank) const { return rank / link_.ranks_per_node; }
   bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
@@ -80,9 +79,6 @@ class CostModel {
   /// Ring all-reduce of a `bytes`-sized buffer over the group:
   /// 2(n-1) steps of bytes/n each, plus latency.
   double allreduce(const std::vector<int>& group, std::size_t bytes) const;
-
-  /// All-gather where each rank contributes `bytes_per_rank`.
-  double allgather(const std::vector<int>& group, std::size_t bytes_per_rank) const;
 
   /// All-to-allv: send_bytes[i][j] = bytes rank group[i] sends to group[j].
   /// Modeled as max over ranks of sequential sends (pairwise exchange).

@@ -26,11 +26,8 @@ void WalkScratch::put_list(std::vector<index_t>&& v) {
 }
 
 std::size_t WalkScratch::bytes() const {
-  std::size_t b = vec_bytes(cur) + vec_bytes(nxt) + vec_bytes(prev) +
-                  vec_bytes(bof) + vec_bytes(off) + vec_bytes(order) +
-                  vec_bytes(bucket_start) + vec_bytes(gcur) + vec_bytes(gbof) +
-                  vec_bytes(glrow) + vec_bytes(gprev) + vec_bytes(raw) +
-                  vec_bytes(list_pool_);
+  std::size_t b = vec_bytes(cur) + vec_bytes(prev) + vec_bytes(bof) +
+                  vec_bytes(off) + vec_bytes(raw) + vec_bytes(list_pool_);
   for (const auto& l : list_pool_) b += vec_bytes(l);
   return b;
 }

@@ -33,10 +33,6 @@
 
 namespace dms {
 
-/// Per-parallel-block scratch bundle. Members are named for their primary
-/// user but deliberately generic: sequential kernels may reuse any buffer
-/// whose element type fits (ITS uses `vals` for row prefix sums, `touched`
-/// for picked indices, `colidx` for staged output columns).
 /// Walk-engine scratch (DESIGN.md §11): the flat walker-state arrays of the
 /// fused walk kernel plus a pool of per-batch id-list buffers that the plan
 /// executor swaps into a walk plan's persistent slots (frontier / visited /
@@ -46,21 +42,11 @@ namespace dms {
 /// retains each per-batch vector's capacity between runs.
 struct WalkScratch {
   // Flat per-walker state, compacted every round (fused engine).
-  std::vector<index_t> cur;    ///< current vertex (engine id space)
-  std::vector<index_t> nxt;    ///< picked next vertex or -1 (dead)
+  std::vector<index_t> cur;    ///< current vertex
   std::vector<index_t> prev;   ///< previous vertex (second-order walks)
   std::vector<index_t> bof;    ///< owning batch of each walker
   std::vector<index_t> off;    ///< per-batch walker offsets (batches + 1)
-  std::vector<index_t> order;  ///< bucket-sorted processing order
-  std::vector<index_t> bucket_start;  ///< counting-sort bucket cursors
-  // Walker state gathered into bucket order (cur / batch / seed row / prev):
-  // the bucketed pick loop streams these sequentially so its only random
-  // memory traffic is the adjacency rows the bucketing keeps cache-resident.
-  std::vector<index_t> gcur;
-  std::vector<index_t> gbof;
-  std::vector<index_t> glrow;
-  std::vector<index_t> gprev;
-  std::vector<value_t> raw;    ///< biased/weighted per-candidate row values
+  std::vector<value_t> raw;    ///< biased candidate weights (second-order)
 
   /// Checks out a cleared list buffer (pool hit keeps its capacity).
   std::vector<index_t> take_list();
@@ -74,6 +60,10 @@ struct WalkScratch {
   std::vector<std::vector<index_t>> list_pool_;
 };
 
+/// Per-parallel-block scratch bundle. Members are named for their primary
+/// user but deliberately generic: sequential kernels may reuse any buffer
+/// whose element type fits (ITS uses `vals` for row prefix sums, `touched`
+/// for picked indices, `colidx` for staged output columns).
 struct WorkspaceSlot {
   // Staged per-block output (SpGEMM numeric phase, ITS fill pass).
   std::vector<nnz_t> row_nnz;

@@ -37,7 +37,7 @@ class PlanSampler : public MatrixSampler {
 
   const SamplerConfig& config() const override { return exec_.config(); }
   std::map<std::string, double> op_time_breakdown() const override {
-    return state_.op_seconds();
+    return state_.op_seconds;
   }
   Workspace* scratch_workspace() const override { return &state_.ws; }
 
@@ -45,11 +45,6 @@ class PlanSampler : public MatrixSampler {
   /// partitioned form).
   const SamplePlan& plan() const { return exec_.plan(); }
 
-  /// Walk-engine controls (DESIGN.md §11) for the plan's kWalk op, applied
-  /// from the next sample_bulk. Every variant is bit-identical.
-  void set_walk_options(const WalkEngineOptions& opts) {
-    state_.set_walk_options(opts);
-  }
   /// Walk steps advanced since construction / reset_stats.
   std::uint64_t walk_steps() const { return state_.walk_steps; }
   /// Clears op_time_breakdown() and walk_steps().

@@ -77,8 +77,7 @@ std::vector<std::vector<MinibatchSample>> PartitionedSamplerBase::sample_bulk(
   const BlockPartition assign = BlockPartition::from_offsets(std::move(offsets));
   return executor().run_partitioned(cluster, dist_adj_, assign, batches,
                                     batch_ids, epoch_seed, run_state(),
-                                    opts_.local_spgemm, opts_.sparsity_aware,
-                                    global_weights());
+                                    opts_.sparsity_aware, global_weights());
 }
 
 std::vector<MinibatchSample> PartitionedSamplerBase::sample_bulk(

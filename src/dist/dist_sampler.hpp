@@ -50,10 +50,6 @@ struct PartitionedSamplerOptions {
   /// Use the sparsity-aware 1.5D SpGEMM variant (§5.2.1; Ballard et al.)
   /// instead of broadcasting whole A block rows.
   bool sparsity_aware = true;
-  /// Engine options threaded into the 1.5D SpGEMM's local panel multiplies
-  /// (Spgemm15dOptions::local). kAuto picks kernels per panel; all choices
-  /// are bit-identical, preserving the grid-shape equivalence contract.
-  SpgemmOptions local_spgemm;
 };
 
 /// A Graph Partitioned sampler: any SamplePlan, dist-lowered at

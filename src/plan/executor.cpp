@@ -46,7 +46,6 @@ struct RunCtx {
   std::uint64_t epoch_seed = 0;
   PlanRunState* state = nullptr;  ///< the caller's workspace, stats, engine
   const std::vector<value_t>* weights = nullptr;  ///< kGlobalWeights prefix
-  SpgemmOptions local;  ///< per-panel engine options (partitioned)
   bool sparsity_aware = true;
   std::vector<RowState> rows;
 };
@@ -283,7 +282,6 @@ void exec_spgemm_15d(RunCtx& ctx, const PlanOp& op) {
   Spgemm15dOptions sopts;
   sopts.sparsity_aware = ctx.sparsity_aware;
   sopts.phase = op.phase;
-  sopts.local = ctx.local;
   sopts.local.workspace = &ctx.state->ws;
   auto products = spgemm_15d(*ctx.cluster, blocks, *ctx.dadj, sopts);
   for (std::size_t i = 0; i < rows; ++i) {
@@ -454,7 +452,6 @@ void exec_masked_extract_15d(RunCtx& ctx, const PlanOp& op) {
   Spgemm15dOptions xopts;
   xopts.sparsity_aware = ctx.sparsity_aware;
   xopts.phase = op.phase;
-  xopts.local = ctx.local;
   xopts.local.workspace = &ctx.state->ws;
   const auto ar_blocks = spgemm_15d(*ctx.cluster, qr_blocks, *ctx.dadj, xopts);
   // Stage 3 (row-local, timed): per-batch slice + masked column extraction.
@@ -637,10 +634,8 @@ void exec_walk(RunCtx& ctx, const PlanOp& op) {
   check(ctx.adj != nullptr,
         op_where(ctx, op) + ": kWalk needs a replicated adjacency");
   PlanRunState& st = *ctx.state;
-  // The engine holds a relabeled adjacency copy, so it is built once per
-  // bound adjacency (switching graphs rebuilds) and reused across runs.
   if (st.engine == nullptr || st.engine_adj != ctx.adj) {
-    st.engine = std::make_unique<WalkEngine>(*ctx.adj, st.walk_opts);
+    st.engine = std::make_unique<WalkEngine>(*ctx.adj);
     st.engine_adj = ctx.adj;
   }
   rows_op(ctx, op, [&](RowState& r, std::size_t) {
@@ -696,12 +691,6 @@ PlanExecutor::PlanExecutor(SamplePlan plan, SamplerConfig config,
   } else {
     plan_ = std::make_shared<const SamplePlan>(std::move(plan));
   }
-}
-
-std::map<std::string, double> PlanRunState::op_seconds() const {
-  std::map<std::string, double> out;
-  for (const auto& [label, s] : stats) out[label] = s.seconds;
-  return out;
 }
 
 namespace {
@@ -778,9 +767,7 @@ void run_rounds(RunCtx& ctx) {
     for (const PlanOp& op : ops) {
       Timer t;
       exec_op(ctx, op, round);
-      PlanOpStats& s = ctx.state->stats[ctx.plan.name + "/" + op.label];
-      s.seconds += t.seconds();
-      ++s.calls;
+      ctx.state->op_seconds[ctx.plan.name + "/" + op.label] += t.seconds();
     }
   };
   for (index_t l = 0; l < rounds; ++l) {
@@ -832,7 +819,7 @@ std::vector<std::vector<MinibatchSample>> PlanExecutor::run_partitioned(
     Cluster& cluster, const DistBlockRowMatrix& adj, const BlockPartition& assign,
     const std::vector<std::vector<index_t>>& batches,
     const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed,
-    PlanRunState& state, const SpgemmOptions& local_spgemm, bool sparsity_aware,
+    PlanRunState& state, bool sparsity_aware,
     const std::vector<value_t>* global_weights) const {
   check(batches.size() == batch_ids.size(),
         "PlanExecutor::run_partitioned: ids/batches mismatch");
@@ -850,7 +837,6 @@ std::vector<std::vector<MinibatchSample>> PlanExecutor::run_partitioned(
   ctx.epoch_seed = epoch_seed;
   ctx.state = &state;
   ctx.weights = global_weights;
-  ctx.local = local_spgemm;
   ctx.sparsity_aware = sparsity_aware;
   ctx.rows.resize(static_cast<std::size_t>(assign.parts()));
   for (index_t i = 0; i < assign.parts(); ++i) {

@@ -31,12 +31,6 @@
 
 namespace dms {
 
-/// Cumulative per-op execution statistics (host wall-clock).
-struct PlanOpStats {
-  double seconds = 0.0;
-  std::uint64_t calls = 0;
-};
-
 /// Construction-time knobs. By default the plan is run through the optimizer
 /// (plan/optimize.hpp) via the process-wide PlanCache, so executors over the
 /// same plan shape + fanouts share one optimized plan. {.optimize = false}
@@ -48,37 +42,27 @@ struct PlanExecOptions {
 
 /// Everything a run mutates, owned by the caller (one per sampler) and
 /// passed to every run: the scratch arena, the per-op table, the walk-step
-/// counter, and the fused walk engine with its options. Because runs never
-/// modify a PlanExecutor (or the PlanCache plan it shares), concurrent
-/// callers need only bring their own state. One run at a time per state
-/// (the Workspace contract).
+/// counter, and the fused walk engine. Because runs never modify a
+/// PlanExecutor (or the PlanCache plan it shares), concurrent callers need
+/// only bring their own state. One run at a time per state (the Workspace
+/// contract).
 struct PlanRunState {
   /// Scratch arena reused across layers, bulks, and epochs (DESIGN.md §7).
   Workspace ws;
-  /// Cumulative per-op stats, keyed "<plan>/<label>".
-  std::map<std::string, PlanOpStats> stats;
+  /// Cumulative host wall-clock seconds per op, keyed "<plan>/<label>".
+  std::map<std::string, double> op_seconds;
   /// Walk steps (surviving walker × round) advanced, on both the fused and
   /// the matrix path — the edges/s numerator of bench/micro_walk.
   std::uint64_t walk_steps = 0;
-  /// Walk-engine controls (DESIGN.md §11) for kWalk ops; plans without one
-  /// ignore them.
-  WalkEngineOptions walk_opts;
-  /// The fused engine holds a relabeled adjacency copy, so it is cached
-  /// keyed on the bound adjacency and rebuilt only when the graph changes.
+  /// The fused engine scans the adjacency once and memoizes its unit-weight
+  /// prefixes, so it is cached keyed on the bound adjacency and rebuilt
+  /// only when the graph changes.
   std::unique_ptr<WalkEngine> engine;
   const CsrMatrix* engine_adj = nullptr;
 
-  /// stats projected to seconds (the MatrixSampler breakdown surface).
-  std::map<std::string, double> op_seconds() const;
   void reset_stats() {
-    stats.clear();
+    op_seconds.clear();
     walk_steps = 0;
-  }
-  /// Takes effect on the next run: the cached engine is dropped.
-  void set_walk_options(const WalkEngineOptions& opts) {
-    walk_opts = opts;
-    engine.reset();
-    engine_adj = nullptr;
   }
 };
 
@@ -106,14 +90,14 @@ class PlanExecutor {
   /// Partitioned execution of a lowered plan: batches are pre-assigned to
   /// process rows by `assign`; ops run per process row with row-local time
   /// recorded max-over-rows on `cluster`, and the lowered collectives run
-  /// through spgemm_15d with `local_spgemm` threading the per-panel engine
-  /// options. Returns per-process-row samples (concatenation restores
-  /// global batch order).
+  /// through spgemm_15d, whose panel multiplies use the default engine
+  /// options over the run's workspace. Returns per-process-row samples
+  /// (concatenation restores global batch order).
   std::vector<std::vector<MinibatchSample>> run_partitioned(
       Cluster& cluster, const DistBlockRowMatrix& adj, const BlockPartition& assign,
       const std::vector<std::vector<index_t>>& batches,
       const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed,
-      PlanRunState& state, const SpgemmOptions& local_spgemm, bool sparsity_aware,
+      PlanRunState& state, bool sparsity_aware,
       const std::vector<value_t>* global_weights = nullptr) const;
 
  private:

@@ -88,8 +88,7 @@ Pipeline::Pipeline(Cluster& cluster, const Dataset& dataset, PipelineConfig conf
     partitioned_ = &as_partitioned(*sampler_);
   }
   if (cfg_.mode == DistMode::kDisaggregated) {
-    disagg_cluster_ =
-        std::make_unique<Cluster>(disagg_.sampler_grid, cluster_.cost_model());
+    disagg_cluster_ = std::make_unique<Cluster>(disagg_.sampler_grid, cluster_);
     partitioned_->bind_cluster(disagg_cluster_.get());
   }
   optimizer_ = cfg_.use_adam
@@ -134,14 +133,11 @@ void Pipeline::presample_warmup() {
   std::vector<index_t> ids(n);
   std::iota(ids.begin(), ids.end(), index_t{0});
 
-  // Cost measurement: the distributed modes record the warmup's phases on a
-  // cluster (the bound main cluster for kPartitioned — wiped by the first
-  // epoch's reset_clock — or the sampler sub-cluster for kDisaggregated);
-  // the replicated sampler is host-timed like replicated_round would.
-  Cluster* recorder = cfg_.mode == DistMode::kDisaggregated
-                          ? disagg_cluster_.get()
-                          : cfg_.mode == DistMode::kPartitioned ? &cluster_
-                                                                : nullptr;
+  // Cost measurement: the distributed modes record the warmup's phases on
+  // the main cluster (directly for kPartitioned, through the sampler-grid
+  // view for kDisaggregated) — wiped by the first epoch's reset_clock; the
+  // replicated sampler is host-timed like replicated_round would.
+  Cluster* recorder = cfg_.mode == DistMode::kReplicated ? nullptr : &cluster_;
   const double before =
       recorder ? recorder->total_compute() + recorder->total_comm() : 0.0;
   Timer timer;
@@ -156,7 +152,6 @@ void Pipeline::presample_warmup() {
                    link.launch_overhead * 4.0 *
                        static_cast<double>(cfg_.fanouts.size());
   }
-  if (disagg_cluster_) disagg_cluster_->reset_clock();
 
   std::vector<std::uint64_t> counts(
       static_cast<std::size_t>(ds_.graph.num_vertices()), 0);

@@ -201,10 +201,11 @@ class Pipeline {
   /// disaggregated sampler *is* the algorithm's partitioned form over the
   /// sampler sub-grid).
   PartitionedSamplerBase* partitioned_ = nullptr;
-  /// Sampler-role sub-cluster (mode == kDisaggregated): sampling phases
-  /// accumulate here and drain into cluster_ every bulk round, so one clock
-  /// covers both roles. Same CostModel; the sampler sub-grid's local ranks
-  /// coincide with global ranks [0, s), so link classification is exact.
+  /// Sampler-role view of cluster_ over the sampler sub-grid (mode ==
+  /// kDisaggregated): sampling phases record straight into cluster_'s clock
+  /// and fault state, so one clock and one FaultPlan cover both roles. The
+  /// sub-grid's local ranks coincide with global ranks [0, s), so link
+  /// classification and liveness are exact.
   std::unique_ptr<Cluster> disagg_cluster_;
   SageModel model_;
   std::unique_ptr<Optimizer> optimizer_;

@@ -183,7 +183,6 @@ EpochStats StagedPipeline::run_range(int epoch, index_t end_round,
   check(cursor->epoch == epoch,
         "StagedPipeline::run_range: cursor belongs to a different epoch");
   cluster.reset_clock();
-  if (p_.disagg_cluster_) p_.disagg_cluster_->reset_clock();
   if (p_.pending_warmup_) {
     // The kPreSample warmup bills its one-time cost to the first trained
     // epoch as its own overhead phase: it reaches total_time() and the
@@ -428,7 +427,6 @@ double StagedPipeline::partitioned_round(const BulkRound& round,
 double StagedPipeline::disaggregated_round(const BulkRound& round,
                                            std::uint64_t epoch_seed) {
   Cluster& cluster = p_.cluster_;
-  Cluster& sub = *p_.disagg_cluster_;
   const DisaggLayout& layout = p_.disagg_;
   const double before = clock();
   const int p = cluster.size();
@@ -452,11 +450,10 @@ double StagedPipeline::disaggregated_round(const BulkRound& round,
   if (sub_batches.empty()) return 0.0;
 
   // Sampler role: the partitioned algorithm runs over the sampler sub-grid
-  // and records on the sub-cluster, whose tables then drain raw into the
-  // main clock — one clock covers both roles.
-  auto per_row = p_.partitioned_->sample_bulk(sub, sub_batches, sub_ids,
-                                              epoch_seed);
-  sub.drain_into(cluster);
+  // view, which records on the main clock and fault state — one clock and
+  // one FaultPlan cover both roles.
+  auto per_row = p_.partitioned_->sample_bulk(*p_.disagg_cluster_,
+                                              sub_batches, sub_ids, epoch_seed);
   cluster.add_overhead(kPhaseSampling, launch * kKernelsPerLayer * num_layers);
 
   // Handoff: each materialized sample streams from the sampler row that

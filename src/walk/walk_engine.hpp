@@ -8,24 +8,10 @@
 // walker — the FlashMob observation is that the whole round collapses to a
 // per-walker loop over the CSR adjacency row of its current vertex. The
 // plan optimizer rewrites such a body into one kWalk op, and the engine
-// advances its walkers directly, replicating the matrix path's
-// floating-point operations and RNG draw order exactly, so GraphSAINT /
-// node2vec minibatches stay bit-identical to the unfused plan (the golden
-// hashes of tests/test_plan do not move).
-//
-// Locality (FlashMob, Yang et al. 2021, adapted):
-//  - the engine keeps a private copy of the adjacency renumbered by
-//    descending out-degree (graph/relabel.hpp) so the hub rows that walks
-//    visit most often share a compact cache-resident prefix. The copy is
-//    *position-preserving*: each row keeps its original column order (new
-//    ids stored in old-id ascending order), so "the k-th neighbor" means
-//    the same logical edge in both id spaces and the ITS pick index maps
-//    1:1 — bit-identity survives the relabeling;
-//  - walker state is bucketed by the CSR byte range of the current vertex:
-//    each round processes walkers one cache-sized bucket at a time
-//    (counting sort, stable), then merges survivors back in walker order.
-//    Processing order only changes memory locality, never results — every
-//    walker's draw is seeded by (epoch, batch, round, local row).
+// advances its walkers directly over the bound adjacency, replicating the
+// matrix path's floating-point operations and RNG draw order exactly, so
+// GraphSAINT / node2vec minibatches stay bit-identical to the unfused plan
+// (the golden hashes of tests/test_plan do not move).
 //
 // Walker state lives in the sampler Workspace's WalkScratch, so
 // steady-state walk epochs (and frozen serving arenas) allocate nothing on
@@ -38,27 +24,14 @@
 #include <vector>
 
 #include "common/workspace.hpp"
-#include "graph/relabel.hpp"
 #include "plan/plan.hpp"
 #include "sparse/csr.hpp"
 
 namespace dms {
 
-struct WalkEngineOptions {
-  /// Relabel the engine's adjacency copy by descending out-degree.
-  bool relabel = true;
-  /// Graphs smaller than this skip the relabeling pass (they fit in cache
-  /// under any numbering).
-  index_t relabel_min_vertices = 1024;
-  /// Target CSR bytes per walker bucket (~an L2 slice). <= 0 disables
-  /// bucketing.
-  std::size_t bucket_bytes = 2u << 20;
-};
-
 /// node2vec (Grover & Leskovec 2016) second-order bias: candidate == the
 /// previous vertex → 1/p (return), a neighbor of it → 1 (BFS-like), else
-/// 1/q (DFS-like). `prev_row` is the previous vertex's sorted neighbor
-/// list; all ids must share one id space.
+/// 1/q (DFS-like). `prev_row` is the previous vertex's sorted neighbor list.
 inline value_t node2vec_bias_factor(index_t cand, index_t prev,
                                     std::span<const index_t> prev_row,
                                     value_t p, value_t q) {
@@ -71,23 +44,18 @@ inline value_t node2vec_bias_factor(index_t cand, index_t prev,
 
 class WalkEngine {
  public:
-  /// Builds the engine's (optionally relabeled) adjacency copy. `adj` is
-  /// borrowed and must outlive the engine (second-order bias reads the
-  /// original rows for the sorted-neighbor membership test).
-  WalkEngine(const CsrMatrix& adj, const WalkEngineOptions& opts);
-
-  bool relabeled() const { return !identity_; }
-  index_t num_buckets() const { return num_buckets_; }
-  const VertexRelabeling& relabeling() const { return relab_; }
+  /// Borrows `adj`, which must outlive the engine: walkers read its rows in
+  /// place.
+  explicit WalkEngine(const CsrMatrix& adj);
 
   /// Runs the kWalk op `walk`: all walk.walk_length rounds, seeded by
   /// walk.seed.layer_salt. `walkers` / `visited` are the plan's per-batch
-  /// frontier / visited lists in original vertex ids (walkers in, final
-  /// positions out; visited appended per survivor in walker order — exactly
-  /// the matrix path's kWalkAdvance contract). `prev` is the plan's
-  /// previous-vertex slot; non-null makes the walk second-order, biased by
-  /// walk.bias_p / walk.bias_q. `steps` is incremented once per surviving
-  /// walker per round (the edges/s numerator of bench/micro_walk).
+  /// frontier / visited lists (walkers in, final positions out; visited
+  /// appended per survivor in walker order — exactly the matrix path's
+  /// kWalkAdvance contract). `prev` is the plan's previous-vertex slot;
+  /// non-null makes the walk second-order, biased by walk.bias_p /
+  /// walk.bias_q. `steps` is incremented once per surviving walker per
+  /// round (the edges/s numerator of bench/micro_walk).
   void run(std::vector<std::vector<index_t>>& walkers,
            std::vector<std::vector<index_t>>& visited,
            std::vector<std::vector<index_t>>* prev,
@@ -96,29 +64,18 @@ class WalkEngine {
            std::uint64_t* steps) const;
 
  private:
-  index_t map_v(index_t old_id) const {
-    return identity_ ? old_id : relab_.map(old_id);
-  }
-  index_t unmap_v(index_t new_id) const {
-    return identity_ ? new_id : relab_.unmap(new_id);
-  }
+  /// One walker's step from `v` (`prev` < 0: unbiased), drawing from
+  /// `seed`; returns the next vertex, or -1 when the walk terminates.
+  index_t next_vertex(index_t v, index_t prev, std::uint64_t seed,
+                      const PlanOp& walk, std::vector<value_t>& raw) const;
   value_t unit_total(index_t deg) const;
   const std::vector<value_t>& unit_prefix(index_t deg) const;
 
-  const CsrMatrix* orig_ = nullptr;
-  VertexRelabeling relab_;
-  bool identity_ = true;
+  const CsrMatrix& adj_;
   /// Every adjacency value is exactly 1.0 (the unweighted common case):
   /// normalized rows are the constant 1/deg, so the per-pick scan needs no
   /// memory traffic beyond the drawn prefix.
-  bool unit_weights_ = false;
-  // Position-preserving engine CSR (see header comment).
-  std::vector<nnz_t> rowptr_;
-  std::vector<index_t> cols_;
-  std::vector<value_t> vals_;
-  // Cache bucketing: bucket id per (new) vertex, by CSR byte ranges.
-  std::vector<index_t> vbucket_;
-  index_t num_buckets_ = 1;
+  bool unit_weights_ = true;
   /// Memoized fl-accumulated total of a normalized unit-weight row per
   /// degree (0.0 = not yet computed; totals are always positive). Lazily
   /// filled; the engine is driven serially (the Workspace contract).

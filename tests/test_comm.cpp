@@ -1,5 +1,5 @@
 // Communication substrate: cost model formulas, process grid, cluster
-// clock accounting.
+// clock accounting and sub-grid views.
 #include <gtest/gtest.h>
 
 #include "comm/cluster.hpp"
@@ -85,15 +85,6 @@ TEST(ProcessGrid, RejectsNonDividingC) {
   EXPECT_THROW(ProcessGrid(0, 1), DmsError);
 }
 
-TEST(Cluster, SuperstepTakesMaxOverRanks) {
-  Cluster cluster(ProcessGrid(4, 1), CostModel(test_link()));
-  cluster.superstep("work", [](int rank) {
-    volatile double x = 0;
-    for (int i = 0; i < (rank + 1) * 1000; ++i) x += i;
-  });
-  EXPECT_GT(cluster.compute_time().at("work"), 0.0);
-}
-
 TEST(Cluster, ComputeScaleDividesMeasuredTime) {
   LinkParams l = test_link();
   l.compute_scale = 10.0;
@@ -120,14 +111,26 @@ TEST(Cluster, CommAndOverheadAccounting) {
   EXPECT_DOUBLE_EQ(cluster.total_time(), 0.0);
 }
 
-TEST(Cluster, SuperstepRecordedAttributesPhases) {
-  Cluster cluster(ProcessGrid(3, 1), CostModel(test_link()));
-  cluster.superstep_recorded([](int rank, PhaseRecorder& rec) {
-    rec.add("a", 0.1 * (rank + 1));
-    rec.add("b", 0.2);
-  });
-  EXPECT_NEAR(cluster.compute_time().at("a"), 0.3, 1e-12);
-  EXPECT_NEAR(cluster.compute_time().at("b"), 0.2, 1e-12);
+TEST(Cluster, SubGridViewSharesTheParentsClockAndFaults) {
+  Cluster parent(ProcessGrid(8, 2), CostModel(test_link()));
+  FaultPlanConfig fc;
+  fc.crashes = {{/*rank=*/1, /*superstep=*/0}};
+  const FaultPlan plan(fc);
+  parent.install_faults(&plan);
+  Cluster view(ProcessGrid(2, 1), parent);
+  EXPECT_TRUE(view.has_faults());
+  view.add_overhead("sampling", 0.5);
+  view.record_comm("probability", 0.25, 64, 2);
+  EXPECT_DOUBLE_EQ(parent.phase_time("sampling"), 0.5);
+  EXPECT_EQ(parent.comm_stats().at("probability").messages, 2u);
+  parent.begin_superstep();  // rank 1, a rank of the view too, dies
+  EXPECT_FALSE(view.alive(1));
+  EXPECT_FALSE(view.row_alive(1));
+  EXPECT_EQ(view.num_alive(), 1);
+  EXPECT_EQ(view.fault_stats().crashed_ranks, 1u);
+  view.reset_clock();
+  EXPECT_DOUBLE_EQ(parent.total_time(), 0.0);
+  EXPECT_THROW(Cluster(ProcessGrid(16, 2), parent), DmsError);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // Layout construction and validation, the bit-identity contract against
 // kReplicated across sampler kinds and splits, the handoff comm phase,
 // fault behavior (transient loss retries transparently, crashes are
-// rejected), and checkpoint/resume mid-epoch.
+// rejected; the sampler role shares the main cluster's fault plan), and
+// checkpoint/resume mid-epoch.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -161,6 +162,40 @@ TEST(Disagg, TransientLossRetriesWithoutChangingLosses) {
     EXPECT_GT(b.fault_retry, 0.0);
     testutil::expect_epoch_stats_consistent(b);
   }
+}
+
+TEST(Disagg, SamplerRoleSeesTheFaultPlan) {
+  // The sampler role records through a sub-grid view of the main cluster,
+  // so the installed FaultPlan reaches its messages too: under loss the
+  // probability phase retries, the epoch's retry_messages counts those
+  // retries along with every other phase's, and the arithmetic is unchanged.
+  const Dataset ds = small_planted();
+  const PipelineConfig cfg =
+      config_for(SamplerKind::kGraphSage, DistMode::kDisaggregated);
+  Cluster healthy(ProcessGrid(8, 2), CostModel(LinkParams{}));
+  Cluster lossy(ProcessGrid(8, 2), CostModel(LinkParams{}));
+  FaultPlanConfig fc;
+  fc.seed = 17;
+  fc.loss_rate = 0.4;
+  const FaultPlan plan(fc);
+  lossy.install_faults(&plan);
+  Pipeline p_healthy(healthy, ds, cfg);
+  Pipeline p_lossy(lossy, ds, cfg);
+  const EpochStats a = p_healthy.run_epoch(0);
+  const EpochStats b = p_lossy.run_epoch(0);
+  EXPECT_DOUBLE_EQ(a.loss, b.loss);
+
+  ASSERT_TRUE(healthy.comm_stats().count(kPhaseProbability));
+  ASSERT_TRUE(lossy.comm_stats().count(kPhaseProbability));
+  EXPECT_GT(lossy.comm_stats().at(kPhaseProbability).messages,
+            healthy.comm_stats().at(kPhaseProbability).messages);
+  // Both runs send the same first attempts, so every extra message in the
+  // lossy tables is a retry that the epoch's fault accounting must count.
+  std::size_t healthy_msgs = 0, lossy_msgs = 0;
+  for (const auto& [phase, s] : healthy.comm_stats()) healthy_msgs += s.messages;
+  for (const auto& [phase, s] : lossy.comm_stats()) lossy_msgs += s.messages;
+  EXPECT_EQ(b.retry_messages, lossy_msgs - healthy_msgs);
+  EXPECT_EQ(a.retry_messages, 0u);
 }
 
 TEST(Disagg, RankCrashIsRejectedNotSilentlyWrong) {

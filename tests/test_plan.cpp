@@ -286,7 +286,7 @@ TEST(PlanExecute, ModeMismatchesRejected) {
   const DistBlockRowMatrix dadj(cluster.grid(), g.adjacency());
   const BlockPartition assign(1, cluster.grid().rows());
   EXPECT_THROW(plain.run_partitioned(cluster, dadj, assign, {{0}}, {0}, 5, state,
-                                     SpgemmOptions{}, true),
+                                     true),
                DmsError);
 }
 

@@ -203,11 +203,9 @@ TEST(PlanOptimize, OptimizedPlansBitIdenticalPartitioned) {
                                 ca.grid().rows());
     PlanRunState state_a, state_b;
     const auto ref = plain.run_partitioned(ca, da, assign, batches, kIds,
-                                           0xfeed, state_a, SpgemmOptions{},
-                                           true, weights);
+                                           0xfeed, state_a, true, weights);
     const auto got = opt.run_partitioned(cb, db, assign, batches, kIds,
-                                         0xfeed, state_b, SpgemmOptions{}, true,
-                                         weights);
+                                         0xfeed, state_b, true, weights);
     ASSERT_EQ(got.size(), ref.size()) << plan.name;
     for (std::size_t r = 0; r < ref.size(); ++r) {
       ASSERT_EQ(got[r].size(), ref[r].size()) << plan.name;

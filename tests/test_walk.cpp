@@ -1,8 +1,8 @@
 // Fused walk engine (DESIGN.md §11): the optimized plan's kWalk op must be
 // bit-identical to the op-by-op matrix path — the same plan run with
-// PlanExecOptions{.optimize = false} — for every graph shape, engine
-// option, and walk sampler; degree-sorted relabeling must round-trip; and
-// steady-state walk epochs must not grow the workspace arena.
+// PlanExecOptions{.optimize = false} — for every graph shape (unit and
+// varied edge weights, sinks) and walk sampler, and steady-state walk
+// epochs must not grow the workspace arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "core/plan_sampler.hpp"
 #include "dist/dist_sampler.hpp"
 #include "graph/generators.hpp"
-#include "graph/relabel.hpp"
 #include "plan/builders.hpp"
 #include "test_util.hpp"
 #include "walk/walk_engine.hpp"
@@ -35,6 +34,20 @@ Graph sink_graph() {
   return Graph(CsrMatrix::from_triplets(
       10, 10, {0, 0, 1, 2, 4, 5, 6, 7, 8}, {1, 4, 2, 3, 5, 3, 7, 6, 3},
       std::vector<value_t>(9, 1.0)));
+}
+
+/// Varied positive edge weights (every generator clamps values to 1.0, so
+/// this is the graph that reaches the weighted pick paths), a sink (9), a
+/// weighted degree-1 row (2), and triangles for the second-order bias.
+Graph weighted_graph() {
+  return Graph(CsrMatrix::from_triplets(
+      12, 12,
+      {0, 0, 0, 1, 1, 2, 3, 3, 3, 3, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 8, 8, 10,
+       10, 11, 11},
+      {1, 2, 5, 0, 3, 4, 0, 1, 6, 9, 2, 5, 9, 0, 7, 3, 8, 5, 6, 10, 4, 11, 7,
+       11, 8, 10},
+      {0.5, 2.0, 1.25, 3.0, 0.75, 1.5, 0.2, 0.9, 2.6, 1.1, 0.6, 4.0, 0.35,
+       1.75, 0.125, 2.25, 0.8, 3.5, 0.45, 1.0, 0.3, 5.0, 0.9, 2.2, 1.6, 0.7}));
 }
 
 /// {.optimize = false} gives the unfused matrix path.
@@ -77,7 +90,8 @@ bool samples_equal(const std::vector<MinibatchSample>& a,
 // --- fused == matrix bit-identity ------------------------------------------
 
 TEST(WalkEngine, FusedMatchesMatrixAcrossGraphs) {
-  for (const Graph& g : {er_graph(), rmat_graph(), sink_graph()}) {
+  for (const Graph& g :
+       {er_graph(), rmat_graph(), sink_graph(), weighted_graph()}) {
     PlanSampler fused = saint_sampler(g, /*walk_length=*/4, /*model_layers=*/2, 9);
     PlanSampler matrix = saint_sampler(g, /*walk_length=*/4, /*model_layers=*/2, 9,
                                        {.optimize = false});
@@ -93,26 +107,6 @@ TEST(WalkEngine, FusedMatchesMatrixAcrossGraphs) {
     // numerator of bench/micro_walk).
     EXPECT_GT(fused.walk_steps(), 0u);
     EXPECT_EQ(fused.walk_steps(), matrix.walk_steps());
-  }
-}
-
-TEST(WalkEngine, EngineOptionVariantsAreBitIdentical) {
-  const Graph g = rmat_graph();
-  PlanSampler matrix = saint_sampler(g, 3, 1, 21, {.optimize = false});
-  const auto reference = matrix.sample_bulk(kBatches, kIds, 5);
-  const WalkEngineOptions variants[] = {
-      {},                                         // default: relabel + bucket
-      {.relabel = false},                         // original vertex order
-      {.relabel = true, .relabel_min_vertices = 1,
-       .bucket_bytes = 0},                        // relabel, no bucketing
-      {.relabel = true, .relabel_min_vertices = 1,
-       .bucket_bytes = 4096},                     // many small buckets
-  };
-  for (const WalkEngineOptions& opts : variants) {
-    PlanSampler s = saint_sampler(g, 3, 1, 21);
-    s.set_walk_options(opts);
-    EXPECT_TRUE(samples_equal(reference, s.sample_bulk(kBatches, kIds, 5)))
-        << "relabel=" << opts.relabel << " bucket_bytes=" << opts.bucket_bytes;
   }
 }
 
@@ -151,9 +145,8 @@ TEST(Node2Vec, UnityParametersReproduceSaint) {
 }
 
 TEST(Node2Vec, BiasedFusedMatchesMatrix) {
-  for (const Graph& g : {er_graph(), rmat_graph()}) {
+  for (const Graph& g : {er_graph(), rmat_graph(), weighted_graph()}) {
     PlanSampler fused = node2vec_sampler(g, 4, 1, /*p=*/0.25, /*q=*/4.0, 13);
-    fused.set_walk_options({.relabel = true, .relabel_min_vertices = 1});
     PlanSampler matrix = node2vec_sampler(g, 4, 1, /*p=*/0.25, /*q=*/4.0, 13,
                                           {.optimize = false});
     ASSERT_TRUE(runs_fused_walk(fused));
@@ -183,66 +176,6 @@ TEST(Node2Vec, PartitionedMatchesReplicatedBiased) {
   PartitionedSamplerBase part(g, grid, plan, walk_adapter_config(2, 19));
   EXPECT_TRUE(samples_equal(rep.sample_bulk(kBatches, kIds, 23),
                             part.sample_bulk(kBatches, kIds, 23)));
-}
-
-// --- relabeling -------------------------------------------------------------
-
-TEST(Relabel, DegreeSortedPermutationRoundTrips) {
-  const Graph g = rmat_graph();
-  const CsrMatrix& adj = g.adjacency();
-  const VertexRelabeling r = degree_sorted_relabeling(adj);
-  ASSERT_EQ(r.size(), adj.rows());
-
-  // A bijection: map then unmap is the identity.
-  std::vector<char> seen(static_cast<std::size_t>(r.size()), 0);
-  for (index_t v = 0; v < r.size(); ++v) {
-    const index_t nv = r.map(v);
-    ASSERT_GE(nv, 0);
-    ASSERT_LT(nv, r.size());
-    EXPECT_EQ(r.unmap(nv), v);
-    EXPECT_EQ(seen[static_cast<std::size_t>(nv)], 0);
-    seen[static_cast<std::size_t>(nv)] = 1;
-  }
-
-  // Out-degrees are non-increasing in the new id space.
-  const CsrMatrix relabeled = relabel_adjacency(adj, r);
-  for (index_t v = 1; v < relabeled.rows(); ++v) {
-    EXPECT_LE(relabeled.row_nnz(v), relabeled.row_nnz(v - 1)) << "vertex " << v;
-  }
-
-  // Applying the inverse permutation restores the original adjacency.
-  VertexRelabeling inverse;
-  inverse.to_new = r.to_old;
-  inverse.to_old = r.to_new;
-  EXPECT_TRUE(relabel_adjacency(relabeled, inverse) == adj);
-
-  // Id-list mapping round-trips too.
-  std::vector<index_t> ids = {0, 5, 17, 123};
-  const std::vector<index_t> original = ids;
-  r.map_inplace(ids);
-  r.unmap_inplace(ids);
-  EXPECT_EQ(ids, original);
-}
-
-TEST(WalkEngine, RelabelAndBucketFlags) {
-  const Graph g = rmat_graph();
-  const CsrMatrix& adj = g.adjacency();
-  WalkEngine plain(adj, {.relabel = false});
-  EXPECT_FALSE(plain.relabeled());
-
-  const Graph small = er_graph();
-  WalkEngine small_graph(small.adjacency(), {});
-  // Below relabel_min_vertices the pass is skipped.
-  EXPECT_FALSE(small_graph.relabeled());
-
-  WalkEngine bucketed(adj, {.relabel = true, .relabel_min_vertices = 1,
-                            .bucket_bytes = 4096});
-  EXPECT_TRUE(bucketed.relabeled());
-  EXPECT_GT(bucketed.num_buckets(), 1);
-
-  WalkEngine unbucketed(adj, {.relabel = true, .relabel_min_vertices = 1,
-                              .bucket_bytes = 0});
-  EXPECT_EQ(unbucketed.num_buckets(), 1);
 }
 
 // --- steady-state workspace -------------------------------------------------
