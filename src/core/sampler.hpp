@@ -12,8 +12,9 @@
 // [row vertices..., newly sampled vertices...] — row vertices are included
 // so a GraphSAGE-style model can read its "self" embedding from the same
 // frontier (the standard src-includes-dst convention). The pure paper
-// extraction (drop empty columns only) is available in sparse/ops and
-// exercised by tests; training needs the self-inclusive form.
+// extraction — keep only the nonzero columns, i.e. nonzero_columns then
+// extract_columns from sparse/ops — is exercised by tests; training needs
+// the self-inclusive form.
 #pragma once
 
 #include <cstdint>

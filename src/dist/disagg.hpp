@@ -24,6 +24,10 @@
 // across rank roles. Completed bulk rounds stream sampler → trainer through
 // Cluster::record_comm (the "handoff" phase), so transient-loss fault plans
 // retry the handoff exactly like any other modeled message.
+//
+// The colocated modes are the layout with no sampler ranks,
+// DisaggLayout{p, 0, p, {}, grid}: trainer j is rank j and trains slot j,
+// so the pipeline runs one executor over every mode (DESIGN.md §6).
 #pragma once
 
 #include "comm/grid.hpp"
@@ -54,8 +58,8 @@ struct DisaggLayout {
   ProcessGrid sampler_grid;  ///< (s, c_s)
   ProcessGrid trainer_grid;  ///< (t, c_t)
 
-  /// Global rank of sampler-grid rank i / trainer-grid rank j.
-  int sampler_rank(int i) const { return i; }
+  /// Global rank of trainer-grid rank j (sampler-grid rank i is global
+  /// rank i).
   int trainer_rank(int j) const { return samplers + j; }
 
   /// Which trainer executes logical slot `slot` (slots 0..p-1 carry the

@@ -1,7 +1,6 @@
 #include "nn/model.hpp"
 
 #include "common/rng.hpp"
-#include "nn/gemm.hpp"
 
 namespace dms {
 
@@ -66,17 +65,6 @@ void SageModel::scale_grads(float inv_d) {
       float* d = g->data();
       for (std::size_t i = 0; i < g->size(); ++i) d[i] *= inv_d;
     }
-  }
-}
-
-void SageModel::accumulate_grads_from(const SageModel& other) {
-  check(other.layers_.size() == layers_.size(), "accumulate_grads: depth mismatch");
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    auto& mine = layers_[l];
-    auto& theirs = const_cast<SageModel&>(other).layers_[l];
-    axpy(mine.grad_w_self(), theirs.grad_w_self(), 1.0f);
-    axpy(mine.grad_w_neigh(), theirs.grad_w_neigh(), 1.0f);
-    axpy(mine.grad_bias(), theirs.grad_bias(), 1.0f);
   }
 }
 

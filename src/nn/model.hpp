@@ -45,9 +45,6 @@ class SageModel {
   /// Scales all gradients by 1/d (data-parallel averaging across d ranks).
   void scale_grads(float inv_d);
 
-  /// Adds another model's gradients into this one (the all-reduce sum).
-  void accumulate_grads_from(const SageModel& other);
-
   std::vector<ParamGrad> params();
   std::size_t param_bytes() const;
 

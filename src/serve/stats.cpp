@@ -28,10 +28,7 @@ void ServeStats::record(const BatchRecord& batch,
   sampling_ += batch.sampling;
   fetch_ += batch.fetch;
   inference_ += batch.inference;
-  for (const RequestRecord& r : reqs) {
-    queue_wait_ += r.queue_wait;
-    requests_.push_back(r);
-  }
+  requests_.insert(requests_.end(), reqs.begin(), reqs.end());
 }
 
 void ServeStats::record_shed(const ShedRecord& shed) {
@@ -50,7 +47,7 @@ void ServeStats::reset() {
   requests_.clear();
   batches_.clear();
   sheds_.clear();
-  sampling_ = fetch_ = inference_ = queue_wait_ = 0.0;
+  sampling_ = fetch_ = inference_ = 0.0;
 }
 
 double ServeStats::mean_batch_size() const {

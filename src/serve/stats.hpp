@@ -75,7 +75,6 @@ class ServeStats {
   double sampling_seconds() const { return sampling_; }
   double fetch_seconds() const { return fetch_; }
   double inference_seconds() const { return inference_; }
-  double queue_wait_seconds() const { return queue_wait_; }
   /// Total service seconds (the server-busy time of the run).
   double service_seconds() const { return sampling_ + fetch_ + inference_; }
 
@@ -99,7 +98,6 @@ class ServeStats {
   double sampling_ = 0.0;
   double fetch_ = 0.0;
   double inference_ = 0.0;
-  double queue_wait_ = 0.0;
 };
 
 /// Nearest-rank percentile over an unsorted sample (q in [0, 100]); exposed

@@ -55,8 +55,6 @@ class CsrMatrix {
   const std::vector<nnz_t>& rowptr() const { return rowptr_; }
   const std::vector<index_t>& colidx() const { return colidx_; }
   const std::vector<value_t>& vals() const { return vals_; }
-  std::vector<nnz_t>& mutable_rowptr() { return rowptr_; }
-  std::vector<index_t>& mutable_colidx() { return colidx_; }
   std::vector<value_t>& mutable_vals() { return vals_; }
 
   nnz_t row_begin(index_t r) const { return rowptr_[r]; }

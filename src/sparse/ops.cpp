@@ -57,36 +57,6 @@ CsrMatrix vstack(const std::vector<CsrMatrix>& blocks) {
   return CsrMatrix(rows, cols, std::move(rowptr), std::move(colidx), std::move(vals));
 }
 
-CsrMatrix block_diag(const std::vector<CsrMatrix>& blocks) {
-  check(!blocks.empty(), "block_diag: no blocks");
-  index_t rows = 0, cols = 0;
-  nnz_t nnz = 0;
-  for (const auto& b : blocks) {
-    rows += b.rows();
-    cols += b.cols();
-    nnz += b.nnz();
-  }
-  std::vector<nnz_t> rowptr;
-  std::vector<index_t> colidx;
-  std::vector<value_t> vals;
-  rowptr.reserve(static_cast<std::size_t>(rows) + 1);
-  colidx.reserve(static_cast<std::size_t>(nnz));
-  vals.reserve(static_cast<std::size_t>(nnz));
-  rowptr.push_back(0);
-  nnz_t nnz_offset = 0;
-  index_t col_offset = 0;
-  for (const auto& b : blocks) {
-    for (index_t r = 0; r < b.rows(); ++r) {
-      rowptr.push_back(nnz_offset + b.row_end(r));
-      for (const index_t c : b.row_cols(r)) colidx.push_back(c + col_offset);
-    }
-    vals.insert(vals.end(), b.vals().begin(), b.vals().end());
-    nnz_offset += b.nnz();
-    col_offset += b.cols();
-  }
-  return CsrMatrix(rows, cols, std::move(rowptr), std::move(colidx), std::move(vals));
-}
-
 CsrMatrix row_slice(const CsrMatrix& a, index_t r0, index_t r1) {
   check(0 <= r0 && r0 <= r1 && r1 <= a.rows(), "row_slice: bad range");
   const nnz_t base = a.row_begin(r0);
@@ -152,21 +122,6 @@ CsrMatrix extract_columns(const CsrMatrix& a, const std::vector<index_t>& cols) 
                    std::move(colidx), std::move(vals));
 }
 
-CsrMatrix drop_empty_columns(const CsrMatrix& a, std::vector<index_t>* kept_cols) {
-  std::vector<index_t> kept = nonzero_columns(a);
-  CsrMatrix out = extract_columns(a, kept);
-  if (kept_cols != nullptr) *kept_cols = std::move(kept);
-  return out;
-}
-
-std::vector<value_t> row_sums(const CsrMatrix& a) {
-  std::vector<value_t> sums(static_cast<std::size_t>(a.rows()), 0.0);
-  for (index_t r = 0; r < a.rows(); ++r) {
-    for (const value_t v : a.row_vals(r)) sums[static_cast<std::size_t>(r)] += v;
-  }
-  return sums;
-}
-
 void normalize_rows(CsrMatrix& a) {
   auto& vals = a.mutable_vals();
   for (index_t r = 0; r < a.rows(); ++r) {
@@ -198,33 +153,11 @@ DenseD to_dense(const CsrMatrix& a) {
   return d;
 }
 
-CsrMatrix from_dense(const DenseD& d) {
-  std::vector<nnz_t> rowptr(static_cast<std::size_t>(d.rows()) + 1, 0);
-  std::vector<index_t> colidx;
-  std::vector<value_t> vals;
-  for (index_t r = 0; r < d.rows(); ++r) {
-    for (index_t c = 0; c < d.cols(); ++c) {
-      if (d(r, c) != 0.0) {
-        colidx.push_back(c);
-        vals.push_back(d(r, c));
-      }
-    }
-    rowptr[static_cast<std::size_t>(r) + 1] = static_cast<nnz_t>(colidx.size());
-  }
-  return CsrMatrix(d.rows(), d.cols(), std::move(rowptr), std::move(colidx), std::move(vals));
-}
-
 double max_abs_diff(const CsrMatrix& a, const CsrMatrix& b) {
   check(a.rows() == b.rows() && a.cols() == b.cols(), "max_abs_diff: shape mismatch");
   const DenseD da = to_dense(a);
   const DenseD db = to_dense(b);
   return DenseD::max_abs_diff(da, db);
-}
-
-CsrMatrix ones_like(const CsrMatrix& a) {
-  CsrMatrix out = a;
-  std::fill(out.mutable_vals().begin(), out.mutable_vals().end(), 1.0);
-  return out;
 }
 
 CsrMatrix csr_add(const CsrMatrix& a, const CsrMatrix& b) {

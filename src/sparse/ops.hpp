@@ -1,6 +1,6 @@
 // Structural sparse-matrix operations used by the sampling framework:
 // stacking (bulk sampling, Eq. 1), row/column extraction (§4.1.3, §4.2.3),
-// block-diagonal expansion (§4.2.4), transpose, normalization (NORM).
+// transpose, normalization (NORM).
 #pragma once
 
 #include <vector>
@@ -17,9 +17,6 @@ CsrMatrix transpose(const CsrMatrix& a);
 /// This is the bulk-sampling stacking of Equation 1.
 CsrMatrix vstack(const std::vector<CsrMatrix>& blocks);
 
-/// Block-diagonal matrix diag(A1, ..., Ak) (§4.2.4 column extraction).
-CsrMatrix block_diag(const std::vector<CsrMatrix>& blocks);
-
 /// Rows [r0, r1) of A as a new (r1-r0) × cols matrix.
 CsrMatrix row_slice(const CsrMatrix& a, index_t r0, index_t r1);
 
@@ -33,14 +30,6 @@ CsrMatrix extract_rows(const CsrMatrix& a, const std::vector<index_t>& rows);
 /// SpGEMM A · Q_C.
 CsrMatrix extract_columns(const CsrMatrix& a, const std::vector<index_t>& cols);
 
-/// Removes columns that contain no nonzeros, renumbering the survivors and
-/// reporting the old column id of each kept column. This is the GraphSAGE
-/// extraction step (§4.1.3: "remove empty columns in Q^{l-1}").
-CsrMatrix drop_empty_columns(const CsrMatrix& a, std::vector<index_t>* kept_cols);
-
-/// Sum of each row's values.
-std::vector<value_t> row_sums(const CsrMatrix& a);
-
 /// Divides each row by its sum (rows with zero sum are left untouched):
 /// the NORM step of Algorithm 1.
 void normalize_rows(CsrMatrix& a);
@@ -52,15 +41,8 @@ std::vector<index_t> nonzero_columns(const CsrMatrix& a);
 /// Dense copy (small matrices / tests only).
 DenseD to_dense(const CsrMatrix& a);
 
-/// Sparse copy of a dense matrix, dropping exact zeros.
-CsrMatrix from_dense(const DenseD& d);
-
 /// Max |A - B| over all entries (shape must match). Test helper.
 double max_abs_diff(const CsrMatrix& a, const CsrMatrix& b);
-
-/// All values set to 1 (pattern matrix). LADIES probability construction
-/// uses the *pattern* of Qˡ with the values of A being 0/1.
-CsrMatrix ones_like(const CsrMatrix& a);
 
 /// C = A + B (same shape). The reduction operator of the 1.5D SpGEMM's
 /// all-reduce over partial products (Algorithm 2 line 14).

@@ -440,10 +440,7 @@ void for_blocks(const std::vector<index_t>& bounds, Fn&& body) {
 }  // namespace
 
 SpgemmKernel spgemm_pick_kernel(nnz_t block_flops, index_t out_cols) {
-  // The default cost model's boundary is exactly the engine's historical
-  // hard-coded crossover (dense iff 4·flops >= out_cols); see
-  // sparse/spgemm_cost.hpp for the model the threshold generalizes to.
-  return SpgemmCostModel{}.pick(block_flops, out_cols);
+  return 4 * block_flops >= out_cols ? SpgemmKernel::kDense : SpgemmKernel::kHash;
 }
 
 CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& opts) {
@@ -452,8 +449,6 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
   const index_t n = b.cols();
 
   const bool masked = opts.column_mask != nullptr;
-  check(!(opts.kernel == SpgemmKernel::kMasked && !masked),
-        "spgemm: kMasked requires a column_mask");
   if (masked) check_mask(*opts.column_mask, n, "spgemm");
 
   Workspace local_ws;

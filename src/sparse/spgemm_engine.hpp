@@ -34,9 +34,13 @@
 
 #include "common/workspace.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/spgemm_cost.hpp"  // SpgemmKernel, SpgemmCostModel
 
 namespace dms {
+
+/// Kernel selector for unmasked products. kAuto lets the symbolic phase
+/// pick per row block (spgemm_pick_kernel); a column mask always selects
+/// the masked kernel.
+enum class SpgemmKernel { kAuto, kDense, kHash };
 
 /// Row-wise normalization fused into the numeric phase: each block
 /// normalizes its staged rows while they are still cache-resident (and in
@@ -52,8 +56,8 @@ enum class SpgemmEpilogue { kNone, kRowNormalize, kLadiesNormalize };
 struct SpgemmOptions {
   /// Parallelize over flop-balanced row blocks using the global thread pool.
   bool parallel = true;
-  /// Kernel override; kAuto dispatches per row block by the default
-  /// SpgemmCostModel (spgemm_pick_kernel). Never affects result bits.
+  /// Kernel override for unmasked products; kAuto dispatches per row block
+  /// by spgemm_pick_kernel. Never affects result bits.
   SpgemmKernel kernel = SpgemmKernel::kAuto;
   /// Fused row normalization applied per block before stitching.
   SpgemmEpilogue epilogue = SpgemmEpilogue::kNone;
@@ -87,9 +91,11 @@ CsrMatrix spgemm_masked(const CsrMatrix& a, const std::vector<index_t>& mask,
                         const SpgemmOptions& opts = {});
 
 /// Kernel the kAuto estimator picks for a row block performing `block_flops`
-/// multiply-adds into `out_cols` output columns under the DEFAULT cost
-/// model (SpgemmCostModel{}.pick). Exposed so tests and the
-/// kernel-comparison bench can pin down the dispatch boundary.
+/// multiply-adds into `out_cols` output columns: dense iff
+/// 4·block_flops >= out_cols. The dense accumulator pays O(out_cols) to
+/// initialize and scan its workspace, the hash kernel a constant factor per
+/// flop (open-addressing probes plus the per-row sort). Exposed so tests and
+/// the kernel-comparison bench can pin down the dispatch boundary.
 SpgemmKernel spgemm_pick_kernel(nnz_t block_flops, index_t out_cols);
 
 /// Number of scalar multiply-adds Gustavson performs for A*B:

@@ -55,10 +55,8 @@ class FeatureStore {
   FeatureStore(const FeatureStore&) = delete;
   FeatureStore& operator=(const FeatureStore&) = delete;
 
-  index_t num_rows() const { return part_.total(); }
   index_t dim() const { return dim_; }
   const BlockPartition& partition() const { return part_; }
-  bool owns_features() const { return opts_.own_copy; }
 
   /// Bytes a rank in process row i stores.
   std::size_t block_bytes(index_t i) const;

@@ -6,13 +6,37 @@
 //   (3) forward/backward propagation + data-parallel gradient all-reduce,
 // repeated until every minibatch of the epoch is trained.
 //
-// Epochs execute through the staged executor (train/staged_pipeline.hpp):
-// bulk rounds, feature fetches and propagation are discrete stages, and
-// with PipelineConfig::overlap the simulated clock composes concurrent
-// stages as max(compute, comm) instead of a sum — fetch t+1 hides under
-// propagation t, sampling round g+1 under the training of round g. The
-// synchronous path (overlap = false) runs the same arithmetic, so both
-// paths produce bit-identical losses.
+// The epoch executor (DESIGN.md §6, fault recovery §13) runs these as
+// discrete stage units over one schedule table, schedule_[rank][step]:
+//
+//   sample_round(g) — materialize the minibatches of bulk round g (the
+//                     prefetchable unit of src/dist's BulkRound);
+//   fetch_step(t)   — the all-to-allv feature fetch for training step t;
+//   train_step(t)   — forward/backward + gradient all-reduce for step t.
+//
+// Every pipeline is a role layout (dist/disagg.hpp): the colocated modes
+// are the layout with no sampler ranks, where trainer j is rank j and slot
+// r is trained by trainer r; kDisaggregated deals the same p slots to
+// t < p trainer ranks. With PipelineConfig::overlap the simulated clock
+// composes concurrent stages as max(compute, comm) — fetch t+1 hides under
+// propagation t, sampling round g+1 under the training of round g — by
+// crediting the hidden seconds through Cluster::credit_overlap. The host
+// still runs the stages sequentially, so both paths produce bit-identical
+// losses.
+//
+// On a healthy cluster the schedule is the classic block assignment
+// (replicated: contiguous blocks per rank; partitioned: contiguous blocks
+// per process row, replicas round-robining the block). Each bulk-round
+// boundary is a Cluster superstep; when ranks die there, the not-yet-sampled
+// remainder of the epoch is re-assigned to the survivors and the remaining
+// rounds re-planned through plan_bulk_rounds. Sample content never depends
+// on placement (randomness derives from global batch ids), so recovery
+// shifts work, not results.
+//
+// Accounting invariant (tested): for an overlapped epoch,
+//   overlap_saved + stall == sampling + fetch
+// (every prefetchable second is either hidden or exposed), and
+//   total == sum of phase times − overlap_saved.
 #pragma once
 
 #include <map>
@@ -22,6 +46,7 @@
 
 #include "comm/cluster.hpp"
 #include "core/sampler.hpp"
+#include "dist/dist_sampler.hpp"
 #include "dist/sampler_factory.hpp"
 #include "graph/dataset.hpp"
 #include "nn/model.hpp"
@@ -178,7 +203,12 @@ class Pipeline {
   std::size_t per_rank_bytes(int rank) const;
 
  private:
-  friend class StagedPipeline;  ///< the epoch executor drives the components
+  /// One cell of the epoch schedule: the batch a rank trains at a step and,
+  /// once its bulk round is sampled, the sample (released after training).
+  struct Cell {
+    index_t batch = -1;  ///< global batch id; -1 = no work
+    MinibatchSample sample;
+  };
 
   /// kPreSample warmup (construction time): runs presample_rounds seeded
   /// bulk rounds through the sampler, counts per-row touches, and pins the
@@ -186,13 +216,48 @@ class Pipeline {
   /// epoch to bill as the "warmup" phase.
   void presample_warmup();
 
+  /// Executes bulk rounds [cursor.next_round, end_round) of cursor.epoch
+  /// (end_round < 0 = to the end). `cursor` carries the loss/accuracy
+  /// accumulators across segments and is updated to the first unexecuted
+  /// round on return — the checkpoint/restore entry point.
+  EpochStats run_range(index_t end_round, TrainCursor& cursor);
+
+  /// Block-assigns the batches `ids` to the alive ranks (partitioned: to
+  /// the alive process rows, whose surviving replicas round-robin the
+  /// block) at steps from `boundary` on; steps before it are kept.
+  void assign_batches(const std::vector<index_t>& ids, index_t boundary);
+
+  /// At the boundary of bulk round g, advances the fault superstep and — if
+  /// ranks died — re-assigns every batch at steps >= the boundary to the
+  /// survivors and re-plans the remaining rounds.
+  void recover_at_boundary(std::size_t g);
+
+  /// Samples the minibatches of `round` into the schedule; returns the
+  /// simulated seconds the round cost. Distributed modes sample on the
+  /// sampling ranks, and kDisaggregated streams each sample to its trainer
+  /// as the modeled "handoff" comm phase.
+  double sample_round(const BulkRound& round,
+                      const std::vector<std::vector<index_t>>& batches,
+                      std::uint64_t epoch_seed);
+
+  /// Issues the feature fetch for step t; returns the simulated seconds.
+  double fetch_step(index_t t, std::vector<DenseF>& gathered);
+
+  /// Propagation + optimizer for step t (accumulates loss/accuracy into
+  /// `cursor` and releases the trained samples); returns the simulated
+  /// seconds.
+  double train_step(index_t t, const std::vector<DenseF>& gathered,
+                    TrainCursor& cursor);
+
+  /// Uncredited simulated clock (compute + comm), for per-stage deltas.
+  double clock() const;
+
   Cluster& cluster_;
   const Dataset& ds_;
   PipelineConfig cfg_;
-  /// Role layout when mode == kDisaggregated (value-initialized otherwise).
-  /// Declared before features_: the store partitions H over the trainer
-  /// sub-grid in that mode.
-  DisaggLayout disagg_;
+  /// Rank roles. Colocated modes: no sampler ranks, trainer j is rank j.
+  /// Declared before features_, which partitions H over the trainer grid.
+  DisaggLayout layout_;
   FeatureStore features_;
   /// Constructed through make_sampler (the factory is the only construction
   /// path for samplers in the pipeline).
@@ -211,6 +276,12 @@ class Pipeline {
   std::unique_ptr<Optimizer> optimizer_;
   double warmup_cost_ = 0.0;     ///< measured by presample_warmup()
   bool pending_warmup_ = false;  ///< first run_range consumes + bills it
+
+  // Epoch state of the executor.
+  std::vector<std::vector<Cell>> schedule_;  ///< [rank][step]
+  std::vector<BulkRound> rounds_;  ///< epoch schedule; re-planned on crash
+  index_t bulk_steps_ = 0;         ///< round stride for (re)planning
+  int alive_ = 0;  ///< alive ranks at the last boundary (crashes are permanent)
 };
 
 }  // namespace dms

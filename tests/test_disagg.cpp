@@ -52,7 +52,6 @@ TEST(DisaggLayout, AutoSplitFollowsTheDocumentedDefaults) {
   EXPECT_EQ(l.trainer_grid.rows(), 3);
   EXPECT_EQ(l.trainer_grid.replication(), 2);  // largest divisor of 6 <= c
   // Global rank mapping: samplers first, then trainers.
-  EXPECT_EQ(l.sampler_rank(1), 1);
   EXPECT_EQ(l.trainer_rank(0), 2);
   EXPECT_EQ(l.trainer_rank(5), 7);
   // Slots dealt in waves of t keep per-step trainer load balanced.

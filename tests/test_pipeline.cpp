@@ -193,5 +193,22 @@ TEST(Pipeline, EvaluateRejectsWrongDepth) {
   EXPECT_THROW(pipe.evaluate(ds.val_idx, {8}), DmsError);
 }
 
+TEST(Pipeline, EvaluateScoresTheBatchForEveryKind) {
+  // Walk samplers train on the induced set V_s ⊇ batch, so their logits
+  // carry one row per visited vertex, not per batch vertex: evaluation must
+  // score each row by its own vertex and count only the batch.
+  const Dataset ds = small_planted();
+  for (const SamplerKind kind : kSamplerKinds) {
+    Cluster cluster(ProcessGrid(2, 1), CostModel(LinkParams{}));
+    PipelineConfig cfg = small_config();
+    cfg.sampler = kind;
+    Pipeline pipe(cluster, ds, cfg);
+    pipe.run_epoch(0);
+    const double acc = pipe.evaluate(ds.test_idx, cfg.fanouts);
+    EXPECT_GE(acc, 0.0) << to_string(kind);
+    EXPECT_LE(acc, 1.0) << to_string(kind);
+  }
+}
+
 }  // namespace
 }  // namespace dms

@@ -527,7 +527,6 @@ TEST(ServeStats, AggregatesBatchesAndRequests) {
   EXPECT_DOUBLE_EQ(s.sampling_seconds(), 0.30);
   EXPECT_DOUBLE_EQ(s.fetch_seconds(), 0.02);
   EXPECT_DOUBLE_EQ(s.inference_seconds(), 0.03);
-  EXPECT_DOUBLE_EQ(s.queue_wait_seconds(), 0.5);
   EXPECT_DOUBLE_EQ(s.service_seconds(), 0.35);
   EXPECT_DOUBLE_EQ(s.mean_batch_size(), 1.5);
   // Totals: r1 = 0.55, r2 = 0.25, r3 = 0.20 → p50 is the 2nd smallest.

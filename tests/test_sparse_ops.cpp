@@ -45,19 +45,6 @@ TEST(Vstack, RejectsColumnMismatch) {
   EXPECT_THROW(vstack({}), DmsError);
 }
 
-TEST(BlockDiag, PlacesBlocksOnDiagonal) {
-  const CsrMatrix a = random_csr(2, 3, 1.0, 25);
-  const CsrMatrix b = random_csr(3, 2, 1.0, 26);
-  const CsrMatrix d = block_diag({a, b});
-  d.validate();
-  EXPECT_EQ(d.rows(), 5);
-  EXPECT_EQ(d.cols(), 5);
-  EXPECT_DOUBLE_EQ(d.at(0, 0), a.at(0, 0));
-  EXPECT_DOUBLE_EQ(d.at(2, 3), b.at(0, 0));
-  EXPECT_DOUBLE_EQ(d.at(0, 3), 0.0);
-  EXPECT_DOUBLE_EQ(d.at(2, 0), 0.0);
-}
-
 TEST(RowSlice, ExtractsContiguousRows) {
   const CsrMatrix a = random_csr(10, 6, 0.4, 27);
   const CsrMatrix s = row_slice(a, 3, 7);
@@ -112,8 +99,8 @@ TEST(DropEmptyColumns, IsThePaperExtractStep) {
   // empty columns {1,5}; extraction keeps {0,2,3,4}.
   const CsrMatrix q = CsrMatrix::from_triplets(2, 6, {0, 0, 1, 1}, {0, 2, 3, 4},
                                                {1.0, 1.0, 1.0, 1.0});
-  std::vector<index_t> kept;
-  const CsrMatrix as = drop_empty_columns(q, &kept);
+  const std::vector<index_t> kept = nonzero_columns(q);
+  const CsrMatrix as = extract_columns(q, kept);
   as.validate();
   EXPECT_EQ(as.cols(), 4);
   EXPECT_EQ(kept, (std::vector<index_t>{0, 2, 3, 4}));
@@ -123,20 +110,14 @@ TEST(DropEmptyColumns, IsThePaperExtractStep) {
   EXPECT_DOUBLE_EQ(as.at(1, 3), 1.0);
 }
 
-TEST(RowSums, SumsValues) {
-  const CsrMatrix a =
-      CsrMatrix::from_triplets(2, 3, {0, 0, 1}, {0, 2, 1}, {1.5, 2.5, -1.0});
-  const auto sums = row_sums(a);
-  EXPECT_DOUBLE_EQ(sums[0], 4.0);
-  EXPECT_DOUBLE_EQ(sums[1], -1.0);
-}
-
 TEST(NormalizeRows, MakesRowsStochastic) {
   CsrMatrix a = random_csr(8, 8, 0.5, 32);
   normalize_rows(a);
-  const auto sums = row_sums(a);
   for (index_t r = 0; r < 8; ++r) {
-    if (a.row_nnz(r) > 0) EXPECT_NEAR(sums[static_cast<std::size_t>(r)], 1.0, 1e-12);
+    if (a.row_nnz(r) == 0) continue;
+    value_t sum = 0.0;
+    for (const value_t v : a.row_vals(r)) sum += v;
+    EXPECT_NEAR(sum, 1.0, 1e-12);
   }
 }
 
@@ -150,11 +131,6 @@ TEST(NonzeroColumns, FindsOccupiedColumns) {
   const CsrMatrix a =
       CsrMatrix::from_triplets(3, 6, {0, 1, 2}, {4, 1, 4}, {1.0, 1.0, 1.0});
   EXPECT_EQ(nonzero_columns(a), (std::vector<index_t>{1, 4}));
-}
-
-TEST(DenseRoundTrip, PreservesValues) {
-  const CsrMatrix a = random_csr(9, 7, 0.3, 33);
-  EXPECT_TRUE(from_dense(to_dense(a)) == a);
 }
 
 TEST(CsrAdd, MatchesDenseAddition) {
@@ -183,13 +159,6 @@ TEST(ColumnWindow, SelectsAndShifts) {
       EXPECT_DOUBLE_EQ(w.at(i, j), a.at(i, j + 3));
     }
   }
-}
-
-TEST(OnesLike, SetsPatternValues) {
-  const CsrMatrix a = random_csr(4, 4, 0.5, 37);
-  const CsrMatrix o = ones_like(a);
-  EXPECT_EQ(o.nnz(), a.nnz());
-  for (const value_t v : o.vals()) EXPECT_DOUBLE_EQ(v, 1.0);
 }
 
 }  // namespace

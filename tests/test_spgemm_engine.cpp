@@ -135,9 +135,7 @@ TEST(SpgemmEngine, EstimatorPrefersHashForSparseRowsOverWideOutput) {
 
 TEST(SpgemmEngine, CostModelDefaultsMatchHistoricalThreshold) {
   // The historical dispatch was `4·flops >= out_cols ? dense : hash`
-  // (ties dense). The default cost model, which kAuto dispatches by, must
-  // reproduce it exactly.
-  const SpgemmCostModel cm{};
+  // (ties dense); kAuto must reproduce it exactly.
   const struct {
     nnz_t flops;
     index_t cols;
@@ -145,13 +143,9 @@ TEST(SpgemmEngine, CostModelDefaultsMatchHistoricalThreshold) {
   for (const auto& c : cases) {
     const SpgemmKernel expect = c.flops * 4 >= c.cols ? SpgemmKernel::kDense
                                                       : SpgemmKernel::kHash;
-    EXPECT_EQ(cm.pick(c.flops, c.cols), expect)
+    EXPECT_EQ(spgemm_pick_kernel(c.flops, c.cols), expect)
         << c.flops << " flops, " << c.cols << " cols";
-    EXPECT_EQ(spgemm_pick_kernel(c.flops, c.cols), expect);
   }
-  // A model that prices hash lower flips the decision.
-  const SpgemmCostModel cheap_hash{1.0, 1.0, 0.5};
-  EXPECT_EQ(cheap_hash.pick(25, 100), SpgemmKernel::kHash);
 }
 
 TEST(SpgemmEngine, MaskedExtractionMatchesExtractColumns) {
@@ -187,10 +181,6 @@ TEST(SpgemmEngine, MaskContractViolationsThrow) {
   opts.column_mask = &out_of_range;
   EXPECT_THROW(spgemm(a, b, opts), DmsError);
   EXPECT_THROW(spgemm_masked(a, out_of_range), DmsError);
-  // Forcing the masked kernel without providing a mask is a contract error.
-  SpgemmOptions no_mask;
-  no_mask.kernel = SpgemmKernel::kMasked;
-  EXPECT_THROW(spgemm(a, b, no_mask), DmsError);
 }
 
 TEST(SpgemmEngine, DimensionMismatchThrows) {

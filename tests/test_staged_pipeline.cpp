@@ -1,10 +1,15 @@
-// Determinism/accounting harness for the staged overlapped executor
-// (DESIGN.md §6): for every SamplerKind × DistMode the
-// overlapped and synchronous paths must produce bit-identical per-epoch
-// loss/accuracy (overlap changes only the simulated clock), caching must
-// never change training, the cache accounting must cover every requested
-// feature row exactly once, and the EpochStats clock invariants must hold.
+// Determinism/accounting harness for Pipeline's staged, overlapped epoch
+// executor (DESIGN.md §6): for every SamplerKind × DistMode the overlapped
+// and synchronous paths must produce bit-identical per-epoch loss/accuracy
+// (overlap changes only the simulated clock), caching must never change
+// training, the cache accounting must cover every requested feature row
+// exactly once, the EpochStats clock invariants must hold, and the modeled
+// schedule must match golden digests.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <optional>
+#include <type_traits>
 
 #include "graph/dataset.hpp"
 #include "test_util.hpp"
@@ -144,6 +149,175 @@ TEST(StagedPipeline, OverlapHidesPrefetchableTime) {
   EXPECT_GT(s_ovl.overlap_saved, 0.0);
   EXPECT_LT(s_ovl.total, s_sync.total);
   testutil::expect_epoch_stats_consistent(s_ovl);
+}
+
+// --- modeled-schedule golden digests -----------------------------------------
+// FNV-1a digests of everything the executor puts on the simulated clock that
+// does not depend on host timing: every comm phase's volume and modeled
+// seconds, the cache and fetch counters, the fault retries, the compute-phase
+// and plan-op key sets, per-rank memory and the checkpoint cursor. Host
+// compute is zeroed (compute_scale = irregular_compute_scale = 1e12); losses,
+// which depend on libm, are left to the equality tests above. The constants
+// were captured from the standalone staged executor (commit fa61676); the
+// schedule must reproduce them bit-for-bit at every thread count.
+
+struct Digest {
+  std::uint64_t h = 14695981039346656037ULL;
+  template <typename T>
+  void add(T v) {
+    static_assert(std::is_arithmetic_v<T>);
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(const std::string& s) {
+    for (const char ch : s) add(ch);
+    add('|');
+  }
+};
+
+void digest_clock(Digest& d, const Cluster& cluster) {
+  for (const auto& [phase, cs] : cluster.comm_stats()) {
+    d.add(phase);
+    d.add(cs.bytes);
+    d.add(cs.messages);
+    d.add(cs.seconds);
+  }
+}
+
+void digest_epoch(Digest& d, const Cluster& cluster, const EpochStats& s) {
+  digest_clock(d, cluster);
+  for (const std::size_t v :
+       {s.cache_hits, s.cache_misses, s.cache_local, s.cache_pinned_hits,
+        s.fetch_bytes, s.fetch_bytes_saved, s.retry_bytes, s.retry_messages,
+        s.crashed_ranks}) {
+    d.add(v);
+  }
+  d.add(s.fault_retry);
+  for (const auto& [phase, sec] : s.compute_phases) d.add(phase);
+  for (const auto& [op, sec] : s.sampler_ops) d.add(op);
+}
+
+struct ScheduleCase {
+  std::string name;
+  SamplerKind kind;
+  DistMode mode;
+  ProcessGrid grid;
+  std::function<void(PipelineConfig&)> tweak;
+  std::optional<FaultPlanConfig> faults;
+  std::uint64_t golden;
+};
+
+std::uint64_t schedule_digest(const Dataset& ds, const ScheduleCase& c) {
+  LinkParams link;
+  link.compute_scale = 1e12;
+  link.irregular_compute_scale = 1e12;
+  Cluster cluster(c.grid, CostModel(link));
+  const FaultPlan plan(c.faults.value_or(FaultPlanConfig{}));
+  if (c.faults) cluster.install_faults(&plan);
+  PipelineConfig cfg = config_for(c.kind, c.mode);
+  cfg.batch_size = 16;  // 16 batches: several steps and rounds per epoch
+  if (c.tweak) c.tweak(cfg);
+  Pipeline pipe(cluster, ds, cfg);
+
+  Digest d;
+  for (int e = 0; e < 3; ++e) digest_epoch(d, cluster, pipe.run_epoch(e));
+  const TrainCursor cursor = pipe.run_epoch_partial(3, 1);
+  digest_clock(d, cluster);
+  const FeatureCacheStats& cs = pipe.features().cache_stats();
+  for (const std::size_t v : {cs.requested, cs.hits, cs.misses, cs.local,
+                              cs.pinned_hits, cs.bytes_moved, cs.bytes_saved}) {
+    d.add(v);
+  }
+  for (const index_t v : {cursor.next_round, cursor.total_rounds, cursor.seen}) {
+    d.add(v);
+  }
+  digest_epoch(d, cluster, pipe.run_epoch_resumed(cursor));
+  for (int r = 0; r < cluster.size(); ++r) d.add(pipe.per_rank_bytes(r));
+  return d.h;
+}
+
+TEST(StagedPipeline, ModeledScheduleMatchesGoldenDigests) {
+  const Dataset ds = small_planted();
+  const auto cache = [](CachePolicy policy) {
+    return [policy](PipelineConfig& cfg) { cfg.feature_cache = {policy, 64}; };
+  };
+  const auto rounds = [](index_t batch_size, index_t bulk_k) {
+    return [=](PipelineConfig& cfg) {
+      cfg.batch_size = batch_size;
+      cfg.bulk_k = bulk_k;
+    };
+  };
+  FaultPlanConfig lossy;
+  lossy.seed = 3;
+  lossy.loss_rate = 0.3;
+  FaultPlanConfig replicated_crash;
+  replicated_crash.crashes = {{3, 1}};
+  FaultPlanConfig partitioned_crash;
+  partitioned_crash.seed = 3;
+  partitioned_crash.crashes = {{1, 2}};
+  partitioned_crash.loss_rate = 0.05;
+  partitioned_crash.straggler_rate = 0.1;
+
+  const SamplerKind sage = SamplerKind::kGraphSage;
+  const SamplerKind ladies = SamplerKind::kLadies;
+  const DistMode rep = DistMode::kReplicated;
+  const DistMode part = DistMode::kPartitioned;
+  const DistMode disagg = DistMode::kDisaggregated;
+  const std::vector<ScheduleCase> cases = {
+      {"replicated overlap lru", sage, rep, ProcessGrid(4, 2),
+       cache(CachePolicy::kLru), {}, 5657034663435557895ULL},
+      {"replicated sync bulk_k", sage, rep, ProcessGrid(4, 2),
+       [](PipelineConfig& cfg) {
+         cfg.overlap = false;
+         cfg.bulk_k = 8;
+       },
+       {}, 18240228143710042668ULL},
+      {"partitioned sage lru", sage, part, ProcessGrid(4, 2),
+       cache(CachePolicy::kLru), {}, 13215358356241369203ULL},
+      {"partitioned ladies c=2", ladies, part, ProcessGrid(8, 2), nullptr, {},
+       10612319575975328288ULL},
+      {"partitioned ladies c=4 sync", ladies, part, ProcessGrid(8, 4),
+       [](PipelineConfig& cfg) { cfg.overlap = false; }, {},
+       2159649568188730349ULL},
+      {"disaggregated sage", sage, disagg, ProcessGrid(4, 2), nullptr, {},
+       9546436707121050854ULL},
+      {"disaggregated sage 2 sampler rows lru", sage, disagg, ProcessGrid(8, 2),
+       [](PipelineConfig& cfg) {
+         cfg.bulk_k = 16;
+         cfg.feature_cache = {CachePolicy::kLru, 64};
+       },
+       {}, 4815001536659068303ULL},
+      {"disaggregated ladies lossy sync", ladies, disagg, ProcessGrid(4, 2),
+       [](PipelineConfig& cfg) {
+         cfg.overlap = false;
+         cfg.disagg = {2, 1, 1};
+       },
+       lossy, 12493386524980584629ULL},
+      {"replicated crash", sage, rep, ProcessGrid(4, 2), rounds(8, 8),
+       replicated_crash, 3969790995843583750ULL},
+      {"partitioned crash", sage, part, ProcessGrid(4, 2), rounds(8, 4),
+       partitioned_crash, 4111678708203985874ULL},
+      {"replicated presample", sage, rep, ProcessGrid(4, 2),
+       cache(CachePolicy::kPreSample), {}, 6056777348625745378ULL},
+      {"partitioned presample", sage, part, ProcessGrid(4, 2),
+       cache(CachePolicy::kPreSample), {}, 4120983601667875478ULL},
+      {"partitioned graphsaint", SamplerKind::kGraphSaint, part,
+       ProcessGrid(4, 2), nullptr, {}, 15328077318197439245ULL},
+      {"replicated node2vec sync pinned", SamplerKind::kNode2Vec, rep,
+       ProcessGrid(4, 1),
+       [](PipelineConfig& cfg) {
+         cfg.overlap = false;
+         cfg.bulk_k = 4;
+         cfg.feature_cache = {CachePolicy::kDegreePinned, 64};
+       },
+       {}, 5561289271954343132ULL},
+  };
+  for (const ScheduleCase& c : cases) {
+    EXPECT_EQ(schedule_digest(ds, c), c.golden) << c.name;
+  }
 }
 
 }  // namespace
