@@ -5,12 +5,14 @@
 //  - default: the Google Benchmark suite below (BM_*);
 //  - --kernel-compare [--smoke] [--csv=PATH]: a self-contained comparison
 //    harness that times the dense / hash / auto kernels on the sampler
-//    shapes, times the masked kernel against the full-product-then-slice
-//    LADIES column extraction it replaces (s ≪ n), cross-checks that every
-//    kernel produces bit-identical results (nonzero exit on mismatch, which
-//    is what the CI smoke job gates on), and optionally writes a CSV in the
-//    bench_util.hpp conventions so BENCH_*.json trajectories can track
-//    SpGEMM throughput.
+//    shapes (auto is the selection gather there), times the fused
+//    row-normalized gather against dense-then-normalize_rows, times the
+//    masked kernel against the full-product-then-slice LADIES column
+//    extraction it replaces (s ≪ n), cross-checks that every kernel
+//    produces bit-identical results (nonzero exit on mismatch, which is
+//    what the CI smoke job gates on — never on timings), and optionally
+//    writes a CSV in the bench_util.hpp conventions so BENCH_*.json
+//    trajectories can track SpGEMM throughput.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -222,6 +224,43 @@ int run_kernel_compare(bool smoke, const std::string& csv_path,
       }
       report(cs, name, ms, flops, dense_ms / ms);
     }
+  }
+
+  // --- The same selection product with the fused row-normalize epilogue
+  // (GraphSAGE's P), against forced dense plus the post-hoc normalize_rows
+  // pass: kAuto gathers the rows and normalizes them in place, and must
+  // match bit for bit. ---
+  {
+    const index_t rows = smoke ? 256 : 1024;
+    const CsrMatrix q =
+        CsrMatrix::one_nonzero_per_row(n, random_frontier(g, rows, 13 + rows));
+    const nnz_t flops = spgemm_flops(q, g.adjacency());
+    const std::string cs = "sage_qa_norm_rows" + std::to_string(rows);
+
+    SpgemmOptions dense_opts;
+    dense_opts.kernel = SpgemmKernel::kDense;
+    CsrMatrix ref = spgemm(q, g.adjacency(), dense_opts);
+    normalize_rows(ref);
+    const double ref_ms = time_min_ms(reps, [&] {
+      CsrMatrix p = spgemm(q, g.adjacency(), dense_opts);
+      normalize_rows(p);
+      benchmark::DoNotOptimize(p);
+    });
+
+    SpgemmOptions fused_opts;
+    fused_opts.epilogue = SpgemmEpilogue::kRowNormalize;
+    const CsrMatrix fused = spgemm(q, g.adjacency(), fused_opts);
+    const double fused_ms = time_min_ms(reps, [&] {
+      benchmark::DoNotOptimize(spgemm(q, g.adjacency(), fused_opts));
+    });
+
+    if (!(fused == ref)) {
+      std::fprintf(stderr, "FAIL: %s fused auto product differs from dense + normalize_rows\n",
+                   cs.c_str());
+      ok = false;
+    }
+    report(cs, "dense_then_normalize", ref_ms, flops, 1.0);
+    report(cs, "auto_fused", fused_ms, flops, ref_ms / fused_ms);
   }
 
   // --- Masked extraction vs full-product-then-slice (LADIES §4.2.4: keep

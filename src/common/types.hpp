@@ -28,7 +28,15 @@ class DmsError : public std::runtime_error {
 };
 
 /// Checks a precondition on a public API boundary; throws DmsError on failure.
+/// The message is built before the test, so checks inside per-row or
+/// per-entry loops whose message needs formatting are written as
+/// `if (!cond) throw DmsError(...)` instead.
 inline void check(bool cond, const std::string& msg) {
+  if (!cond) throw DmsError(msg);
+}
+
+/// Literal-message form: no std::string is built unless the check fails.
+inline void check(bool cond, const char* msg) {
   if (!cond) throw DmsError(msg);
 }
 

@@ -7,6 +7,10 @@ namespace dms {
 
 Graph::Graph(CsrMatrix adjacency) : adj_(std::move(adjacency)) {
   check(adj_.rows() == adj_.cols(), "Graph: adjacency matrix must be square");
+  // Every kernel reads rows as sorted, duplicate-free column lists (the
+  // masked intersection and the selection gather rely on it), so a matrix
+  // that breaks the CSR invariants fails here, where it enters.
+  adj_.validate();
 }
 
 index_t Graph::max_degree() const {

@@ -14,7 +14,8 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Takes a square 0/1 adjacency matrix. Throws if not square.
+  /// Takes a square 0/1 adjacency matrix. Throws if it is not square or
+  /// breaks a CsrMatrix invariant (e.g. a row whose columns are unsorted).
   explicit Graph(CsrMatrix adjacency);
 
   index_t num_vertices() const { return adj_.rows(); }

@@ -712,9 +712,10 @@ void init_row(RunCtx& ctx, RowState& r, index_t first,
   for (index_t b = 0; b < count; ++b) {
     const auto& batch = batches[static_cast<std::size_t>(first + b)];
     for (const index_t v : batch) {
-      check(v >= 0 && v < ctx.n,
-            "PlanExecutor: batch vertex " + std::to_string(v) +
-                " out of range [0, " + std::to_string(ctx.n) + ")");
+      if (v < 0 || v >= ctx.n) {
+        throw DmsError("PlanExecutor: batch vertex " + std::to_string(v) +
+                       " out of range [0, " + std::to_string(ctx.n) + ")");
+      }
     }
     r.out[static_cast<std::size_t>(b)].batch_vertices = batch;
     auto& fl = fr.lists[static_cast<std::size_t>(b)];

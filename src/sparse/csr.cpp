@@ -92,8 +92,9 @@ void CsrMatrix::validate() const {
         "validate: rowptr size != rows+1");
   check(rowptr_.front() == 0, "validate: rowptr[0] != 0");
   for (index_t r = 0; r < rows_; ++r) {
-    check(rowptr_[static_cast<std::size_t>(r)] <= rowptr_[static_cast<std::size_t>(r) + 1],
-          "validate: rowptr not nondecreasing at row " + std::to_string(r));
+    if (rowptr_[static_cast<std::size_t>(r)] > rowptr_[static_cast<std::size_t>(r) + 1]) {
+      throw DmsError("validate: rowptr not nondecreasing at row " + std::to_string(r));
+    }
   }
   check(colidx_.size() == static_cast<std::size_t>(rowptr_.back()),
         "validate: colidx size != nnz");
@@ -102,11 +103,13 @@ void CsrMatrix::validate() const {
     for (nnz_t i = rowptr_[static_cast<std::size_t>(r)];
          i < rowptr_[static_cast<std::size_t>(r) + 1]; ++i) {
       const index_t c = colidx_[static_cast<std::size_t>(i)];
-      check(c >= 0 && c < cols_,
-            "validate: column out of range in row " + std::to_string(r));
-      if (i > rowptr_[static_cast<std::size_t>(r)]) {
-        check(colidx_[static_cast<std::size_t>(i) - 1] < c,
-              "validate: columns not strictly increasing in row " + std::to_string(r));
+      if (c < 0 || c >= cols_) {
+        throw DmsError("validate: column out of range in row " + std::to_string(r));
+      }
+      if (i > rowptr_[static_cast<std::size_t>(r)] &&
+          colidx_[static_cast<std::size_t>(i) - 1] >= c) {
+        throw DmsError("validate: columns not strictly increasing in row " +
+                       std::to_string(r));
       }
     }
   }

@@ -19,14 +19,20 @@ namespace {
 // ---------------------------------------------------------------------------
 
 /// prefix[r] = multiply-adds of rows [0, r). prefix.back() is the total.
-void flop_prefix(const CsrMatrix& a, const CsrMatrix& b,
+/// Returns whether every row of A stores at most one entry (A is a
+/// selection matrix), found in the same pass.
+bool flop_prefix(const CsrMatrix& a, const CsrMatrix& b,
                  std::vector<nnz_t>& prefix) {
   prefix.assign(static_cast<std::size_t>(a.rows()) + 1, 0);
+  bool selection = true;
   for (index_t r = 0; r < a.rows(); ++r) {
+    const auto acols = a.row_cols(r);
+    selection = selection && acols.size() <= 1;
     nnz_t f = 0;
-    for (const index_t k : a.row_cols(r)) f += b.row_nnz(k);
+    for (const index_t k : acols) f += b.row_nnz(k);
     prefix[static_cast<std::size_t>(r) + 1] = prefix[static_cast<std::size_t>(r)] + f;
   }
+  return selection;
 }
 
 /// Row-count prefix for the masked extraction (one "flop" per nonzero).
@@ -400,29 +406,57 @@ void check_mask(const std::vector<index_t>& mask, index_t cols, const char* who)
   }
 }
 
-/// Applies the fused normalization epilogue to one block's staged rows
-/// (slot.vals holds the block's rows contiguously, in row order, lengths in
-/// slot.row_nnz). Entry order per row matches ladies_norm/normalize_rows on
-/// the stitched matrix exactly, so the fused product stays bit-identical to
-/// product-then-normalize — the block just does the work while its rows are
-/// still cache-resident, in parallel with the other blocks.
+/// The fused normalization epilogue on one output row, in place. Entry
+/// order matches ladies_norm/normalize_rows on the finished matrix exactly,
+/// so a fused product stays bit-identical to product-then-normalize — the
+/// block just does the work while its rows are still cache-resident, in
+/// parallel with the other blocks. Both numeric paths (staged blocks and the
+/// selection gather) normalize through this one function.
+void epilogue_row(std::span<value_t> row, SpgemmEpilogue epilogue) {
+  if (epilogue == SpgemmEpilogue::kNone) return;
+  if (epilogue == SpgemmEpilogue::kLadiesNormalize) {
+    for (auto& v : row) v = v * v;
+  }
+  value_t s = 0.0;
+  for (const value_t v : row) s += v;
+  if (s == 0.0) return;
+  const value_t inv = 1.0 / s;
+  for (auto& v : row) v *= inv;
+}
+
+/// Applies the epilogue to one block's staged rows (slot.vals holds the
+/// block's rows contiguously, in row order, lengths in slot.row_nnz).
 void apply_epilogue(WorkspaceSlot& slot, SpgemmEpilogue epilogue) {
   if (epilogue == SpgemmEpilogue::kNone) return;
-  auto& vals = slot.vals;
-  if (epilogue == SpgemmEpilogue::kLadiesNormalize) {
-    for (auto& v : vals) v = v * v;
-  }
+  const std::span<value_t> vals(slot.vals);
   std::size_t k = 0;
   for (const nnz_t len : slot.row_nnz) {
-    value_t s = 0.0;
-    for (nnz_t i = 0; i < len; ++i) s += vals[k + static_cast<std::size_t>(i)];
-    if (s != 0.0) {
-      const value_t inv = 1.0 / s;
-      for (nnz_t i = 0; i < len; ++i) {
-        vals[k + static_cast<std::size_t>(i)] *= inv;
-      }
-    }
+    epilogue_row(vals.subspan(k, static_cast<std::size_t>(len)), epilogue);
     k += static_cast<std::size_t>(len);
+  }
+}
+
+/// Selection product (every A row stores at most one entry): output row r is
+/// a(r,k)·B(k,:), so it is B's row k in B's sorted order, scaled. That is
+/// exactly what the accumulating kernels store when every column is touched
+/// once (av * bv, no addition), so the gather is bit-identical to them. The
+/// flop prefix is the output rowptr (B rows are duplicate-free), and each
+/// block writes its rows straight into the result — no accumulator, sort,
+/// workspace slot or stitch.
+void gather_block(const CsrMatrix& a, const CsrMatrix& b, index_t r0, index_t r1,
+                  std::span<const nnz_t> rowptr, SpgemmEpilogue epilogue,
+                  std::span<index_t> colidx, std::span<value_t> vals) {
+  for (index_t r = r0; r < r1; ++r) {
+    const auto acols = a.row_cols(r);
+    if (acols.empty()) continue;
+    const value_t av = a.row_vals(r)[0];
+    const auto bcols = b.row_cols(acols[0]);
+    const auto bvals = b.row_vals(acols[0]);
+    const auto dst = static_cast<std::size_t>(rowptr[static_cast<std::size_t>(r)]);
+    std::copy(bcols.begin(), bcols.end(), colidx.begin() + static_cast<std::ptrdiff_t>(dst));
+    const std::span<value_t> row = vals.subspan(dst, bvals.size());
+    for (std::size_t j = 0; j < bvals.size(); ++j) row[j] = av * bvals[j];
+    epilogue_row(row, epilogue);
   }
 }
 
@@ -456,9 +490,24 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
 
   // Symbolic phase: row FLOP bounds, flop-balanced blocks, per-block kernel.
   std::vector<nnz_t>& prefix = ws.shared_prefix();
-  flop_prefix(a, b, prefix);
+  const bool selection = flop_prefix(a, b, prefix);
   const index_t max_blocks = opts.parallel ? ThreadPool::global().size() : 1;
   const std::vector<index_t> bounds = work_balanced_bounds(prefix, m, max_blocks);
+
+  if (selection && !masked && opts.kernel == SpgemmKernel::kAuto) {
+    // The prefix is the output rowptr: size the result once and let every
+    // block gather its own rows into it.
+    std::vector<nnz_t> rowptr(prefix);  // the workspace keeps its buffer
+    const auto nnz = static_cast<std::size_t>(rowptr.back());
+    std::vector<index_t> colidx(nnz);
+    std::vector<value_t> vals(nnz);
+    for_blocks(bounds, [&](index_t blk) {
+      gather_block(a, b, bounds[static_cast<std::size_t>(blk)],
+                   bounds[static_cast<std::size_t>(blk) + 1], rowptr,
+                   opts.epilogue, colidx, vals);
+    });
+    return CsrMatrix(m, n, std::move(rowptr), std::move(colidx), std::move(vals));
+  }
   ws.ensure_slots(bounds.size() - 1);
 
   // For flop-heavy masked products, an O(n) column→position table beats

@@ -7,14 +7,21 @@
 //
 //  - SYMBOLIC: one O(nnz(A)) pass computes the Gustavson FLOP count of every
 //    output row (sum of B-row lengths the row touches), a flop-balanced
-//    block decomposition of the rows, and a kernel choice per block.
+//    block decomposition of the rows, and a kernel choice per block. The
+//    same pass notes whether every row of A stores at most one entry.
 //  - NUMERIC: each block runs the kernel the estimator picked:
+//      * gather — kAuto, unmasked products whose A is a selection matrix
+//                 (GraphSAGE's Qˡ, every extraction Q_R, §4.1.1): output
+//                 row r is a(r,k)·B(k,:), so the flop prefix is the output
+//                 rowptr and each block copies scaled B rows straight into
+//                 the result. No accumulator, sort, workspace slot or stitch.
 //      * dense  — generation-marked dense accumulator, O(cols) workspace per
 //                 block. Wins when the block's flop volume amortizes the
 //                 workspace (wide, dense row blocks).
 //      * hash   — nsparse-style open addressing sized to each row's
 //                 upper-bound fill. Wins for sparse rows over wide matrices
-//                 (the Qˡ·A probability products, rows ≪ n).
+//                 (LADIES' indicator-row probability product, sparse 1.5D
+//                 panels).
 //      * masked — computes only the output columns listed in an explicit
 //                 column mask, via sorted-list intersection against each
 //                 B row. Turns the LADIES/FastGCN column-extraction pattern
@@ -23,11 +30,13 @@
 //
 // Bit-identity contract: all kernels emit rows in sorted column order and
 // accumulate each output entry's contributions in the same order (the order
-// the A row traverses its B rows), so dense, hash, auto and masked products
-// are bit-identical — not merely close. This is what lets the samplers
-// dispatch adaptively while preserving the PR-1 single-node/partitioned
-// equivalence contract, and what makes the distributed 1.5D SpGEMM's results
-// independent of the per-panel kernel choice.
+// the A row traverses its B rows), so gather, dense, hash, auto and masked
+// products are bit-identical — not merely close (a selection row touches
+// each column once, so every kernel stores av·bv in B's order). This is
+// what lets the samplers dispatch adaptively while preserving the
+// single-node/partitioned equivalence contract, and what makes the
+// distributed 1.5D SpGEMM's results independent of the per-panel kernel
+// choice.
 #pragma once
 
 #include <vector>
@@ -37,9 +46,9 @@
 
 namespace dms {
 
-/// Kernel selector for unmasked products. kAuto lets the symbolic phase
-/// pick per row block (spgemm_pick_kernel); a column mask always selects
-/// the masked kernel.
+/// Kernel selector for unmasked products. kAuto gathers selection products
+/// and otherwise lets the symbolic phase pick per row block
+/// (spgemm_pick_kernel); a column mask always selects the masked kernel.
 enum class SpgemmKernel { kAuto, kDense, kHash };
 
 /// Row-wise normalization fused into the numeric phase: each block
@@ -56,10 +65,13 @@ enum class SpgemmEpilogue { kNone, kRowNormalize, kLadiesNormalize };
 struct SpgemmOptions {
   /// Parallelize over flop-balanced row blocks using the global thread pool.
   bool parallel = true;
-  /// Kernel override for unmasked products; kAuto dispatches per row block
-  /// by spgemm_pick_kernel. Never affects result bits.
+  /// Kernel override for unmasked products. kAuto runs the row gather when
+  /// every A row stores at most one entry, else dispatches per row block by
+  /// spgemm_pick_kernel; a forced kDense/kHash always runs that kernel.
+  /// Never affects result bits.
   SpgemmKernel kernel = SpgemmKernel::kAuto;
-  /// Fused row normalization applied per block before stitching.
+  /// Fused row normalization, applied to each output row inside its block
+  /// (staged rows before stitching; gathered rows in place).
   SpgemmEpilogue epilogue = SpgemmEpilogue::kNone;
   /// When non-null: compute only these columns of the product (must be
   /// sorted and duplicate-free; ids index the product's column space), and
@@ -69,6 +81,7 @@ struct SpgemmOptions {
   /// Reusable scratch arena (DESIGN.md §7). When non-null, every symbolic
   /// prefix, block accumulator, and staging buffer comes from (and stays
   /// in) the workspace, so repeated products allocate only their results.
+  /// Selection gathers use only the shared prefix, never a slot.
   /// One kernel invocation at a time per Workspace; results are bitwise
   /// independent of whether (or which) workspace is supplied.
   Workspace* workspace = nullptr;

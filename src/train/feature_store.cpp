@@ -67,9 +67,10 @@ std::size_t FeatureStore::gather_rows(int rank, const std::vector<index_t>& want
   stats_.requested += wanted.size();
   for (std::size_t q = 0; q < wanted.size(); ++q) {
     const index_t v = wanted[q];
-    check(v >= 0 && v < part_.total(),
-          "FeatureStore::gather_rows: vertex " + std::to_string(v) +
-              " out of range");
+    if (v < 0 || v >= part_.total()) {
+      throw DmsError("FeatureStore::gather_rows: vertex " + std::to_string(v) +
+                     " out of range");
+    }
     std::copy(h.row(v), h.row(v) + dim_, out->row(static_cast<index_t>(q)));
     if (part_.owner(v) == my_row) {
       ++stats_.local;
@@ -122,9 +123,10 @@ std::vector<DenseF> FeatureStore::fetch_all(
       DenseF gathered(static_cast<index_t>(req.size()), dim_);
       for (std::size_t q = 0; q < req.size(); ++q) {
         const index_t v = req[q];
-        check(v >= 0 && v < part_.total(),
-              "FeatureStore::fetch_all: vertex " + std::to_string(v) +
-                  " out of range [0, " + std::to_string(part_.total()) + ")");
+        if (v < 0 || v >= part_.total()) {
+          throw DmsError("FeatureStore::fetch_all: vertex " + std::to_string(v) +
+                         " out of range [0, " + std::to_string(part_.total()) + ")");
+        }
         std::copy(h.row(v), h.row(v) + dim_, gathered.row(static_cast<index_t>(q)));
         const index_t owner_row = part_.owner(v);
         if (owner_row == my_row) {

@@ -15,6 +15,16 @@ TEST(Graph, RejectsNonSquareAdjacency) {
   EXPECT_THROW(Graph(CsrMatrix(3, 4)), DmsError);
 }
 
+TEST(Graph, RejectsUnsortedAdjacency) {
+  // Row 0 stores columns {50, 10}. Kernels that read rows as sorted lists
+  // silently drop or misplace such edges (a masked product over {10, 50}
+  // keeps one of the two), so the graph must refuse it where it enters.
+  std::vector<nnz_t> rowptr(101, 2);  // row 0 holds both entries
+  rowptr[0] = 0;
+  EXPECT_THROW(Graph(CsrMatrix(100, 100, rowptr, {50, 10}, {1.0, 1.0})), DmsError);
+  EXPECT_NO_THROW(Graph(CsrMatrix(100, 100, rowptr, {10, 50}, {1.0, 1.0})));
+}
+
 TEST(Graph, DegreeStatistics) {
   const Graph g(testutil::paper_example_adjacency());
   EXPECT_EQ(g.num_vertices(), 6);

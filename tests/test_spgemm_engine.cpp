@@ -1,7 +1,7 @@
 // The unified SpGEMM engine: property tests asserting every kernel (dense,
-// hash, auto-dispatched, masked) produces bit-identical results on random
-// CSR inputs across shapes — including empty rows/columns and random
-// duplicate-free masks — plus dispatch and mask-contract checks.
+// hash, auto-dispatched, masked, selection gather) produces bit-identical
+// results on random CSR inputs across shapes — including empty rows/columns
+// and random duplicate-free masks — plus dispatch and mask-contract checks.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -211,6 +211,56 @@ TEST(SpgemmEngine, SkewedRowsStayBitIdenticalAcrossDecompositions) {
   EXPECT_TRUE(par == run(a, b, SpgemmKernel::kAuto, false));
 }
 
+TEST(SpgemmEngine, SelectionProductsGatherBitIdentical) {
+  // A selection matrix (at most one entry per row, the shape of GraphSAGE's
+  // Qˡ and of every extraction Q_R) takes kAuto's row gather. It must match
+  // the forced accumulating kernels bit for bit under every epilogue, and
+  // never borrow a workspace slot. The rows cover empty rows, repeated
+  // target rows and the values 1, 0.5, 0 and -2: zero and negative row sums
+  // reach both branches of the normalization.
+  const value_t values[] = {1.0, 0.5, 0.0, -2.0};
+  const index_t k = 30;
+  const index_t m = 48;
+  std::vector<index_t> ri, ci;
+  std::vector<value_t> vs;
+  Pcg32 rng(441);
+  for (index_t r = 0; r < m; ++r) {
+    if (r % 5 == 3) continue;  // empty row
+    ri.push_back(r);
+    ci.push_back(r % 7 == 0 ? 2 : static_cast<index_t>(rng.bounded(k)));
+    vs.push_back(values[r % 4]);
+  }
+  const CsrMatrix selections[] = {CsrMatrix::from_triplets(m, k, ri, ci, vs),
+                                  CsrMatrix(m, k)};
+  // Wide sparse B (hash territory) and narrow dense B (dense territory),
+  // both with empty rows.
+  const CsrMatrix bs[] = {random_csr(k, 500, 0.05, 443),
+                          random_csr(k, 20, 0.3, 445)};
+  for (const CsrMatrix& a : selections) {
+    for (const CsrMatrix& b : bs) {
+      for (const SpgemmEpilogue epilogue :
+           {SpgemmEpilogue::kNone, SpgemmEpilogue::kRowNormalize,
+            SpgemmEpilogue::kLadiesNormalize}) {
+        for (const bool parallel : {true, false}) {
+          SpgemmOptions opts;
+          opts.epilogue = epilogue;
+          opts.parallel = parallel;
+          Workspace ws;
+          opts.workspace = &ws;
+          const CsrMatrix gathered = spgemm(a, b, opts);
+          EXPECT_EQ(ws.num_slots(), 0u);
+          gathered.validate();
+          opts.workspace = nullptr;
+          opts.kernel = SpgemmKernel::kDense;
+          EXPECT_TRUE(gathered == spgemm(a, b, opts));
+          opts.kernel = SpgemmKernel::kHash;
+          EXPECT_TRUE(gathered == spgemm(a, b, opts));
+        }
+      }
+    }
+  }
+}
+
 TEST(SpgemmEngine, SharedWorkspaceReuseAcrossKernelsAndShapes) {
   // One arena serving interleaved dense/hash/auto/masked products of
   // different shapes must never change any result: every accumulator
@@ -220,6 +270,8 @@ TEST(SpgemmEngine, SharedWorkspaceReuseAcrossKernelsAndShapes) {
   const CsrMatrix b1 = random_csr(90, 120, 0.1, 422);
   const CsrMatrix a2 = random_csr(7, 300, 0.3, 423);
   const CsrMatrix b2 = random_csr(300, 50, 0.05, 424);
+  // Selects rows of b1 (kAuto gathers it between the staged products).
+  const CsrMatrix sel = CsrMatrix::one_nonzero_per_row(90, {5, 0, 89, 5, 41});
   std::vector<index_t> mask;
   for (index_t c = 3; c < 120; c += 7) mask.push_back(c);
 
@@ -232,6 +284,7 @@ TEST(SpgemmEngine, SharedWorkspaceReuseAcrossKernelsAndShapes) {
       SpgemmOptions reused = fresh;
       reused.workspace = &ws;
       EXPECT_TRUE(spgemm(a1, b1, reused) == spgemm(a1, b1, fresh));
+      EXPECT_TRUE(spgemm(sel, b1, reused) == spgemm(sel, b1, fresh));
       EXPECT_TRUE(spgemm(a2, b2, reused) == spgemm(a2, b2, fresh));
     }
     SpgemmOptions fresh;
