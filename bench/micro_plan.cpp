@@ -1,20 +1,21 @@
 // Plan-executor overhead + optimizer microbench (plain main, no Google
 // Benchmark). Two comparisons:
-//  (a) plan executor vs a hand-rolled "direct" loop replaying the pre-IR
-//      GraphSAGE/LADIES call sequence — the IR abstraction must stay free;
+//  (a) plan executor vs a hand-rolled "direct" loop calling the kernels the
+//      optimized GraphSAGE/LADIES plans run — the IR abstraction must stay
+//      free;
 //  (b) optimized vs unoptimized plan execution (the DESIGN.md §12
 //      rewrites) on the sage, LABOR, LADIES and FastGCN shapes — the
 //      optimizer must be bit-identical and must not lose to the unfused
 //      plans.
 // --smoke exits nonzero if any output pair is not bit-identical, executor
-// overhead exceeds 3%, the optimizer does not fuse exactly what it should
-// (LADIES 7 -> 6 ops, each walk body -> one kWalk op), or optimized plans
-// regress past noise; --json=PATH appends rows to the BENCH_micro.json
-// trajectory; --dump-plan prints each builtin plan's listing and its
-// optimize() diff, then exits.
+// overhead exceeds 3%, the optimizer does not rewrite exactly what it should
+// (LADIES 7 -> 6 ops, each walk body -> one kWalk op, sage's product ->
+// the in-place adjacency draw), or optimized plans regress past noise;
+// --json=PATH appends rows to the BENCH_micro.json trajectory; --dump-plan
+// prints each builtin plan's listing and its optimize() diff, then exits.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -31,21 +32,23 @@
 #include "plan/builders.hpp"
 #include "plan/executor.hpp"
 #include "plan/optimize.hpp"
-#include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
 
 namespace dms {
 namespace {
 
-// --- direct references: the pre-IR sampler bodies, inlined -----------------
+// --- direct references: the optimized plans' kernel calls, inlined ---------
 
+/// The optimized sage plan draws every fanout from the adjacency in place
+/// (its kBuildQ's Q is written but not read), so the reference stacks the
+/// frontiers and calls the same draw, over a table built once like the
+/// executor's.
 std::vector<MinibatchSample> direct_sage(
-    const Graph& graph, const SamplerConfig& cfg,
+    const AdjacencyDraw& draw, const SamplerConfig& cfg,
     const std::vector<std::vector<index_t>>& batches,
     const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed,
     Workspace& ws) {
   const auto k = static_cast<index_t>(batches.size());
-  const index_t n = graph.num_vertices();
   std::vector<MinibatchSample> out(static_cast<std::size_t>(k));
   std::vector<std::vector<index_t>> frontier(static_cast<std::size_t>(k));
   for (index_t i = 0; i < k; ++i) {
@@ -55,13 +58,9 @@ std::vector<MinibatchSample> direct_sage(
   for (index_t l = 0; l < cfg.num_layers(); ++l) {
     const index_t s = cfg.fanouts[static_cast<std::size_t>(l)];
     const FrontierStack stack = stack_frontiers(frontier);
-    const CsrMatrix q = CsrMatrix::one_nonzero_per_row(n, stack.vertices);
-    SpgemmOptions sopts;
-    sopts.workspace = &ws;
-    CsrMatrix p = spgemm(q, graph.adjacency(), sopts);
-    normalize_rows(p);
-    const CsrMatrix qs = its_sample_rows(
-        p, s, sage_row_seed_fn(stack, batch_ids, 0, l, epoch_seed), &ws);
+    const CsrMatrix qs = draw.sample_rows(
+        stack.vertices, s, sage_row_seed_fn(stack, batch_ids, 0, l, epoch_seed),
+        &ws);
     for (index_t i = 0; i < k; ++i) {
       LayerSample layer = sage_extract_layer(qs, stack, static_cast<std::size_t>(i),
                                              frontier[static_cast<std::size_t>(i)]);
@@ -145,16 +144,61 @@ struct CaseResult {
   double direct_s() const { return median(direct_reps); }
   double plan_s() const { return median(plan_reps); }
   /// Median of the per-rep paired ratios: each rep measures both paths
-  /// back-to-back, so the ratio cancels frequency/contention drift and the
+  /// interleaved, so the ratio cancels frequency/contention drift and the
   /// median discards outlier reps.
-  double overhead() const {
-    std::vector<double> ratios(direct_reps.size());
-    for (std::size_t i = 0; i < ratios.size(); ++i) {
-      ratios[i] = plan_reps[i] / direct_reps[i] - 1.0;
+  double overhead() const { return combined_overhead({this}); }
+
+  /// The same paired estimator over several cases: per rep, the cases'
+  /// summed plan time over their summed direct time; median over reps.
+  static double combined_overhead(std::initializer_list<const CaseResult*> cases) {
+    std::vector<double> ratios;
+    for (std::size_t i = 0; i < (*cases.begin())->direct_reps.size(); ++i) {
+      double direct = 0.0, plan = 0.0;
+      for (const CaseResult* c : cases) {
+        direct += c->direct_reps[i];
+        plan += c->plan_reps[i];
+      }
+      ratios.push_back(plan / direct - 1.0);
     }
     return median(ratios);
   }
 };
+
+/// Times two paths that must produce identical samples: `direct(seed)` and
+/// `plan(seed)` each run one epoch. One warm-up epoch per path populates
+/// the workspaces; then each rep checks bits on its own seed, outside the
+/// clock, and times `inner` epochs of each path interleaved epoch by epoch,
+/// flipping which path goes first, so host contention that outlasts an
+/// epoch lands on both paths of the pair rather than on one.
+template <typename DirectFn, typename PlanFn>
+CaseResult measure_pair(DirectFn&& direct, PlanFn&& plan, int reps, int inner) {
+  CaseResult r;
+  r.bit_identical = true;
+  (void)direct(0);
+  (void)plan(0);
+  for (int rep = 1; rep <= reps; ++rep) {
+    const auto check_seed = static_cast<std::uint64_t>(rep);
+    r.bit_identical = r.bit_identical && identical(direct(check_seed), plan(check_seed));
+    double direct_s = 0.0, plan_s = 0.0;
+    for (int e = 0; e < inner; ++e) {
+      const auto seed = static_cast<std::uint64_t>(rep * inner + e);
+      const bool direct_first = (rep + e) % 2 == 0;
+      for (int k = 0; k < 2; ++k) {
+        Timer t;
+        if ((k == 0) == direct_first) {
+          (void)direct(seed);
+          direct_s += t.seconds();
+        } else {
+          (void)plan(seed);
+          plan_s += t.seconds();
+        }
+      }
+    }
+    r.direct_reps.push_back(direct_s);
+    r.plan_reps.push_back(plan_s);
+  }
+  return r;
+}
 
 template <typename DirectFn>
 CaseResult run_case(const MatrixSampler& plan_sampler, DirectFn&& direct,
@@ -164,36 +208,10 @@ CaseResult run_case(const MatrixSampler& plan_sampler, DirectFn&& direct,
   std::vector<index_t> ids(batches.size());
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<index_t>(i);
   Workspace direct_ws;
-  CaseResult r;
-  r.bit_identical = true;
-  // One warm-up epoch per path populates both workspaces, then alternating
-  // paired measurements summarized by medians (pairing cancels drift
-  // between the paths, the median discards outlier reps). `inner` epochs
-  // per measurement keep each sample long enough for the clock to resolve
-  // the small LADIES workload.
-  (void)direct(graph, cfg, batches, ids, 0, direct_ws);
-  (void)plan_sampler.sample_bulk(batches, ids, 0);
-  for (int rep = 1; rep <= reps; ++rep) {
-    // Correctness first, outside the timed region.
-    const auto check_seed = static_cast<std::uint64_t>(rep);
-    r.bit_identical =
-        r.bit_identical &&
-        identical(direct(graph, cfg, batches, ids, check_seed, direct_ws),
-                  plan_sampler.sample_bulk(batches, ids, check_seed));
-    Timer td;
-    for (int e = 0; e < inner; ++e) {
-      (void)direct(graph, cfg, batches, ids,
-                   static_cast<std::uint64_t>(rep * inner + e), direct_ws);
-    }
-    r.direct_reps.push_back(td.seconds());
-    Timer tp;
-    for (int e = 0; e < inner; ++e) {
-      (void)plan_sampler.sample_bulk(
-          batches, ids, static_cast<std::uint64_t>(rep * inner + e));
-    }
-    r.plan_reps.push_back(tp.seconds());
-  }
-  return r;
+  return measure_pair(
+      [&](std::uint64_t seed) { return direct(graph, cfg, batches, ids, seed, direct_ws); },
+      [&](std::uint64_t seed) { return plan_sampler.sample_bulk(batches, ids, seed); },
+      reps, inner);
 }
 
 // --- optimizer: optimized vs unoptimized execution of the same plan --------
@@ -211,30 +229,10 @@ CaseResult run_opt_case(const SamplePlan& plan, const Graph& graph,
   const PlanExecutor unopt(plan, cfg, {/*optimize=*/false});
   const PlanExecutor opt(plan, cfg);
   PlanRunState state_u, state_o;
-  CaseResult r;
-  r.bit_identical = true;
-  (void)unopt.run(graph, batches, ids, 0, state_u, weights);
-  (void)opt.run(graph, batches, ids, 0, state_o, weights);
-  for (int rep = 1; rep <= reps; ++rep) {
-    const auto check_seed = static_cast<std::uint64_t>(rep);
-    r.bit_identical =
-        r.bit_identical &&
-        identical(unopt.run(graph, batches, ids, check_seed, state_u, weights),
-                  opt.run(graph, batches, ids, check_seed, state_o, weights));
-    Timer tu;
-    for (int e = 0; e < inner; ++e) {
-      (void)unopt.run(graph, batches, ids,
-                      static_cast<std::uint64_t>(rep * inner + e), state_u, weights);
-    }
-    r.direct_reps.push_back(tu.seconds());
-    Timer to;
-    for (int e = 0; e < inner; ++e) {
-      (void)opt.run(graph, batches, ids,
-                    static_cast<std::uint64_t>(rep * inner + e), state_o, weights);
-    }
-    r.plan_reps.push_back(to.seconds());
-  }
-  return r;
+  return measure_pair(
+      [&](std::uint64_t seed) { return unopt.run(graph, batches, ids, seed, state_u, weights); },
+      [&](std::uint64_t seed) { return opt.run(graph, batches, ids, seed, state_o, weights); },
+      reps, inner);
 }
 
 std::size_t op_count(const SamplePlan& p) {
@@ -274,10 +272,14 @@ int run(bool smoke, const std::string& json_path) {
   PlanSampler sage(ds.graph, build_sage_plan(), sage_cfg);
   PlanSampler ladies(ds.graph, build_ladies_plan(), ladies_cfg);
 
-  // LADIES epochs are milliseconds at bench scale; loop them so each timed
-  // sample is long enough for a stable min.
+  const AdjacencyDraw sage_draw(ds.graph.adjacency());
+  const auto direct_sage_fn = [&sage_draw](const Graph&, auto&&... args) {
+    return direct_sage(sage_draw, args...);
+  };
+  // sage epochs are tens of milliseconds and LADIES epochs a few at bench
+  // scale; loop them so each timed sample is long enough to be stable.
   const CaseResult sage_r =
-      run_case(sage, direct_sage, ds.graph, sage_cfg, batches, reps, 1);
+      run_case(sage, direct_sage_fn, ds.graph, sage_cfg, batches, reps, 4);
   const CaseResult ladies_r =
       run_case(ladies, direct_ladies, ds.graph, ladies_cfg, batches, reps, 24);
 
@@ -292,21 +294,20 @@ int run(bool smoke, const std::string& json_path) {
               100.0 * ladies_r.overhead(),
               ladies_r.bit_identical ? "identical" : "DIFFER");
 
-  // The gate is the combined workload: per-case numbers on millisecond
-  // epochs swing a few percent with allocator/cache state, but the summed
-  // min-of-reps is stable and is what a training epoch actually pays.
-  const double combined =
-      (sage_r.plan_s() + ladies_r.plan_s()) /
-          (sage_r.direct_s() + ladies_r.direct_s()) -
-      1.0;
+  // The gate is the combined workload, what a training epoch actually pays:
+  // per rep, both cases' summed plan time over their summed direct time,
+  // median over reps (the per-case estimator, over the sum).
+  const double combined = CaseResult::combined_overhead({&sage_r, &ladies_r});
   std::printf("  combined overhead %+.2f%%\n", 100.0 * combined);
 
-  // Optimized vs unoptimized plans (the DESIGN.md §12 rewrites). sage and
-  // LABOR are where normalize fusion pays (the SpGEMM engine's parallel
-  // per-block epilogue replaces a serial pass over the product); LADIES
-  // fuses the same normalize into a one-row-per-batch product; FastGCN has
-  // nothing to fuse, so it measures the optimizer's no-op cost. LADIES and
-  // FastGCN epochs are milliseconds, so each sample loops 24 of them.
+  // Optimized vs unoptimized plans (the DESIGN.md §12 rewrites). sage draws
+  // its fanout from the adjacency in place instead of building P, a
+  // several-fold win; LABOR is where normalize fusion pays (the SpGEMM
+  // engine's parallel per-block epilogue replaces a serial pass over the
+  // product); LADIES fuses the same normalize into a one-row-per-batch
+  // product; FastGCN has nothing to fuse, so it measures the optimizer's
+  // no-op cost. LADIES and FastGCN epochs are milliseconds, so each sample
+  // loops 24 of them.
   const std::vector<value_t> fg_weights = fastgcn_importance_prefix(ds.graph);
   struct OptCase {
     const char* name;
@@ -326,19 +327,27 @@ int run(bool smoke, const std::string& json_path) {
     opt_results.push_back(run_opt_case(c.plan, ds.graph, c.cfg, batches, reps,
                                        c.inner, c.weights));
   }
+  // The combined number leaves sage (opt_results[0]) out: its in-place
+  // draw wins several-fold and would carry the combined gate for every
+  // other case. sage keeps its per-case bits and regression checks.
   double opt_unopt_s = 0.0, opt_opt_s = 0.0;
   bool opt_identical = true;
   double opt_worst_case = -1.0;
-  for (const CaseResult& r : opt_results) {
-    opt_unopt_s += r.direct_s();
-    opt_opt_s += r.plan_s();
+  for (std::size_t i = 0; i < opt_results.size(); ++i) {
+    const CaseResult& r = opt_results[i];
+    if (i > 0) {
+      opt_unopt_s += r.direct_s();
+      opt_opt_s += r.plan_s();
+    }
     opt_identical = opt_identical && r.bit_identical;
     opt_worst_case = std::max(opt_worst_case, r.overhead());
   }
-  const double opt_combined = opt_opt_s / opt_unopt_s - 1.0;
+  const double opt_combined = CaseResult::combined_overhead(
+      {&opt_results[1], &opt_results[2], &opt_results[3]});
 
-  // What the optimizer must fuse: LADIES' normalize (7 -> 6 body ops), and
-  // each walk body into one kWalk op.
+  // What the optimizer must rewrite: LADIES' normalize (7 -> 6 body ops),
+  // each walk body into one kWalk op, and sage's product into the in-place
+  // adjacency draw.
   const SamplePlan ladies_plan = build_ladies_plan();
   const std::size_t ladies_ops_saved =
       op_count(ladies_plan) - op_count(optimize(ladies_plan));
@@ -349,6 +358,12 @@ int run(bool smoke, const std::string& json_path) {
     walks_fused = walks_fused && after.body.size() == 1 &&
                   after.body[0].kind == PlanOpKind::kWalk;
   }
+  bool sage_in_place = true;
+  for (const PlanOp& op : optimize(build_sage_plan()).body) {
+    sage_in_place = sage_in_place && op.kind != PlanOpKind::kSpgemm &&
+                    (op.kind != PlanOpKind::kItsSample ||
+                     op.source == SampleSource::kAdjacencyRows);
+  }
 
   std::printf("Optimized vs unoptimized plan execution (median of %d paired "
               "reps):\n", reps);
@@ -358,10 +373,11 @@ int run(bool smoke, const std::string& json_path) {
                 opt_cases[i].name, r.direct_s(), r.plan_s(),
                 -100.0 * r.overhead(), r.bit_identical ? "identical" : "DIFFER");
   }
-  std::printf("  combined speedup %+.2f%% (ladies body: %zu op fused away; "
-              "walk bodies -> kWalk: %s)\n",
+  std::printf("  combined speedup (labor, ladies, fastgcn) %+.2f%% (ladies "
+              "body: %zu op fused away; walk bodies -> kWalk: %s; sage draws "
+              "from the adjacency in place: %s)\n",
               -100.0 * opt_combined, ladies_ops_saved,
-              walks_fused ? "yes" : "NO");
+              walks_fused ? "yes" : "NO", sage_in_place ? "yes" : "NO");
 
   if (!json_path.empty()) {
     bench::JsonWriter json(json_path, /*append=*/true);
@@ -400,7 +416,7 @@ int run(bool smoke, const std::string& json_path) {
                 {"bit_identical", r.bit_identical ? "yes" : "no"}});
     }
     json.row({{"bench", opt_id},
-              {"case", "combined"},
+              {"case", "combined (labor, ladies, fastgcn)"},
               {"unopt_s", opt_unopt_s},
               {"opt_s", opt_opt_s},
               {"speedup_pct", -100.0 * opt_combined},
@@ -453,6 +469,11 @@ int run(bool smoke, const std::string& json_path) {
     if (!walks_fused) {
       std::fprintf(stderr,
                    "FAIL: a walk body did not rewrite to one kWalk op\n");
+      return 1;
+    }
+    if (!sage_in_place) {
+      std::fprintf(stderr,
+                   "FAIL: the sage plan still builds its probability product\n");
       return 1;
     }
     if (opt_worst_case > kMaxOptRegressPerCase || opt_combined > kMaxOptRegress) {

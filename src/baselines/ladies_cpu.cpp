@@ -22,11 +22,9 @@ LadiesCpuResult ladies_cpu_reference(const Graph& graph,
 
   std::vector<value_t> counts(static_cast<std::size_t>(n), 0.0);
   std::vector<index_t> touched;
-  // Per-batch ITS scratch hoisted out of the loop (prefix, picked locals,
-  // and the chosen flags the scratch-taking its_sample_one overload reuses).
+  // Per-batch ITS scratch hoisted out of the loop (prefix, picked locals).
   std::vector<value_t> prefix;
   std::vector<index_t> picked_local;
-  std::vector<char> chosen;
   Workspace ws;  // masked-extraction scratch, reused across batches
   for (std::size_t b = 0; b < batches.size(); ++b) {
     const auto& batch = batches[b];
@@ -48,7 +46,7 @@ LadiesCpuResult ladies_cpu_reference(const Graph& graph,
       prefix.push_back(prefix.back() + e * e);
     }
     its_sample_one(prefix, s, derive_seed(seed, static_cast<std::uint64_t>(b), 0, 0),
-                   &picked_local, chosen);
+                   &picked_local);
     std::vector<index_t> sampled;
     sampled.reserve(picked_local.size());
     for (const index_t idx : picked_local) {

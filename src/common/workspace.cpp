@@ -35,8 +35,7 @@ std::size_t WalkScratch::bytes() const {
 std::size_t WorkspaceSlot::bytes() const {
   return vec_bytes(row_nnz) + vec_bytes(colidx) + vec_bytes(vals) +
          vec_bytes(mark) + vec_bytes(touched) + vec_bytes(acc) +
-         vec_bytes(hash_keys) + vec_bytes(hash_used) + vec_bytes(hash_vals) +
-         vec_bytes(flags);
+         vec_bytes(hash_keys) + vec_bytes(hash_used) + vec_bytes(hash_vals);
 }
 
 void Workspace::ensure_slots(std::size_t n) {

@@ -1,7 +1,7 @@
 // Reusable scratch arena for the sampling/training hot path (DESIGN.md §7).
 //
 // Every hot kernel of the sampling loop — the SpGEMM engine's symbolic
-// prefixes and per-block accumulators, ITS's per-row prefix/picked/chosen
+// prefixes and per-block accumulators, ITS's per-row prefix/picked
 // scratch — needs the same few temporary buffers on every invocation. A
 // Workspace keeps those buffers alive between calls so steady-state epochs
 // pay no scratch allocations: buffers grow to the high-water mark of the
@@ -78,8 +78,6 @@ struct WorkspaceSlot {
   std::vector<index_t> hash_keys;
   std::vector<index_t> hash_used;
   std::vector<value_t> hash_vals;
-  // Byte flags (ITS `chosen` scratch).
-  std::vector<char> flags;
 
   /// Bytes currently reserved by this slot's buffers.
   std::size_t bytes() const;

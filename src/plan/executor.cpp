@@ -11,6 +11,7 @@
 #include "plan/optimize.hpp"  // PlanCache
 #include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
+#include "walk/walk_engine.hpp"
 
 namespace dms {
 
@@ -321,10 +322,38 @@ void exec_normalize(RunCtx& ctx, const PlanOp& op) {
   });
 }
 
+/// The run state's adjacency draw over the replicated adjacency, built on
+/// first use (and again only if the bound graph changes).
+const AdjacencyDraw& adjacency_draw(RunCtx& ctx, const PlanOp& op) {
+  check(ctx.adj != nullptr,
+        op_where(ctx, op) + ": drawing from the adjacency in place needs a "
+                            "replicated adjacency");
+  std::unique_ptr<const AdjacencyDraw>& draw = ctx.state->draw;
+  if (draw == nullptr || &draw->adjacency() != ctx.adj) {
+    draw = std::make_unique<const AdjacencyDraw>(*ctx.adj);
+  }
+  return *draw;
+}
+
 void exec_its_sample(RunCtx& ctx, const PlanOp& op, index_t round) {
   const index_t s = round_s(ctx, op, round);
   const std::uint64_t round_term =
       static_cast<std::uint64_t>(round) + op.seed.layer_salt;
+  if (op.source == SampleSource::kAdjacencyRows) {
+    // P = row-normalized Qˡ·A is never built: each stacked row draws from
+    // its vertex's adjacency row in place, bit-identical to kMatrixRows.
+    const AdjacencyDraw& draw = adjacency_draw(ctx, op);
+    rows_op(ctx, op, [&](RowState& r, std::size_t) {
+      const FrontierStack& stack = as_stack(ctx, r, op.in2, op);
+      const RowSeedFn fn =
+          make_row_seed(&stack, *ctx.batch_ids, r.first_batch, ctx.epoch_seed,
+                        round_term, op.seed.row);
+      PlanValue& out = slot_ref(ctx, r, op.out, op);
+      out.kind = PlanValue::Kind::kMatrix;
+      out.m = draw.sample_rows(stack.vertices, s, fn, &ctx.state->ws);
+    });
+    return;
+  }
   if (op.source == SampleSource::kMatrixRows) {
     rows_op(ctx, op, [&](RowState& r, std::size_t) {
       const CsrMatrix& p = as_matrix(ctx, r, op.in, op);
@@ -340,13 +369,10 @@ void exec_its_sample(RunCtx& ctx, const PlanOp& op, index_t round) {
     return;
   }
   // kGlobalWeights: per-batch ITS over the bound prefix-sum distribution
-  // (FastGCN §2.2.2); the chosen-flags scratch lives in the workspace so
-  // the loop is allocation-free.
+  // (FastGCN §2.2.2).
   check(ctx.weights != nullptr,
         op_where(ctx, op) + ": plan needs global weights but none were bound");
   rows_op(ctx, op, [&](RowState& r, std::size_t) {
-    Workspace& ws = ctx.state->ws;
-    ws.ensure_slots(1);
     PlanValue& out = slot_ref(ctx, r, op.out, op);
     out.kind = PlanValue::Kind::kLists;
     out.lists.assign(r.out.size(), {});
@@ -356,7 +382,7 @@ void exec_its_sample(RunCtx& ctx, const PlanOp& op, index_t round) {
           (*ctx.batch_ids)[static_cast<std::size_t>(r.first_batch) + b]);
       its_sample_one(*ctx.weights, s,
                      derive_seed(ctx.epoch_seed, id, round_term, fixed),
-                     &out.lists[b], ws.slot(0).flags);
+                     &out.lists[b]);
     }
   });
 }
@@ -631,21 +657,16 @@ void exec_induced_layers(RunCtx& ctx, const PlanOp& op) {
 }
 
 void exec_walk(RunCtx& ctx, const PlanOp& op) {
-  check(ctx.adj != nullptr,
-        op_where(ctx, op) + ": kWalk needs a replicated adjacency");
+  const WalkEngine engine(adjacency_draw(ctx, op));
   PlanRunState& st = *ctx.state;
-  if (st.engine == nullptr || st.engine_adj != ctx.adj) {
-    st.engine = std::make_unique<WalkEngine>(*ctx.adj);
-    st.engine_adj = ctx.adj;
-  }
   rows_op(ctx, op, [&](RowState& r, std::size_t) {
     auto& walker = as_lists(ctx, r, ctx.plan.frontier_slot, op);
     auto& visited = as_lists(ctx, r, ctx.plan.visited_slot, op);
     auto* prev = ctx.plan.prev_slot == kNoSlot
                      ? nullptr
                      : &as_lists(ctx, r, ctx.plan.prev_slot, op);
-    st.engine->run(walker, visited, prev, *ctx.batch_ids, r.first_batch,
-                   ctx.epoch_seed, op, st.ws, &st.walk_steps);
+    engine.run(walker, visited, prev, *ctx.batch_ids, r.first_batch,
+               ctx.epoch_seed, op, st.ws, &st.walk_steps);
   });
 }
 

@@ -1,10 +1,11 @@
 // The accounted plan executor (DESIGN.md §9): binds a SamplePlan's symbolic
 // slots to concrete CSR/frontier buffers and runs its ops through the
 // existing kernel machinery — the adaptive SpGEMM engine, its_sample_rows,
-// and the Workspace arena in replicated mode; the 1.5D collectives plus
-// per-process-row local kernels in partitioned mode. It is a plain op
-// interpreter: every fusion (normalize, walk) is an op the optimizer wrote
-// into plan(), so what runs is exactly what describe(plan()) lists.
+// the adjacency draw, the walk engine and the Workspace arena in replicated
+// mode; the 1.5D collectives plus per-process-row local kernels in
+// partitioned mode. It is a plain op interpreter: every fusion (walk,
+// normalize, in-place draw) is an op the optimizer wrote into plan(), so
+// what runs is exactly what describe(plan()) lists.
 //
 // Accounting: every op is wall-clock timed into a per-op table (keyed
 // "<plan>/<label>"; surfaced through MatrixSampler::op_time_breakdown and
@@ -22,12 +23,12 @@
 
 #include "comm/cluster.hpp"
 #include "common/workspace.hpp"
+#include "core/its.hpp"
 #include "core/sampler.hpp"
 #include "dist/spgemm_15d.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "plan/plan.hpp"
-#include "walk/walk_engine.hpp"
 
 namespace dms {
 
@@ -42,7 +43,7 @@ struct PlanExecOptions {
 
 /// Everything a run mutates, owned by the caller (one per sampler) and
 /// passed to every run: the scratch arena, the per-op table, the walk-step
-/// counter, and the fused walk engine. Because runs never modify a
+/// counter, and the adjacency draw. Because runs never modify a
 /// PlanExecutor (or the PlanCache plan it shares), concurrent callers need
 /// only bring their own state. One run at a time per state (the Workspace
 /// contract).
@@ -54,11 +55,11 @@ struct PlanRunState {
   /// Walk steps (surviving walker × round) advanced, on both the fused and
   /// the matrix path — the edges/s numerator of bench/micro_walk.
   std::uint64_t walk_steps = 0;
-  /// The fused engine scans the adjacency once and memoizes its unit-weight
-  /// prefixes, so it is cached keyed on the bound adjacency and rebuilt
-  /// only when the graph changes.
-  std::unique_ptr<WalkEngine> engine;
-  const CsrMatrix* engine_adj = nullptr;
+  /// The in-place adjacency draw behind kWalk and kItsSample/kAdjacencyRows.
+  /// Its per-degree prefix table is built once, when it is constructed, so
+  /// it is cached keyed on the bound adjacency and rebuilt only when the
+  /// graph changes.
+  std::unique_ptr<const AdjacencyDraw> draw;
 
   void reset_stats() {
     op_seconds.clear();

@@ -95,6 +95,52 @@ void fuse_normalize(std::vector<PlanOp>& ops) {
   }
 }
 
+/// Rewrite 3: in an unlowered body, kBuildQ(kOnePerVertex) → kSpgemm
+/// (fused kRow) → kItsSample(kMatrixRows, in2 = that kBuildQ's stack)
+/// becomes one kItsSample(kAdjacencyRows) that draws each stacked row from
+/// the adjacency in place, and the kSpgemm is deleted. Legal when the
+/// kItsSample is the only op in the plan that reads the product slot (so
+/// nothing else observes P) and the product and stack are the last writes
+/// of their slots before it. The kBuildQ stays: its Q is written but no
+/// longer read.
+void draw_in_place(SamplePlan& plan) {
+  if (plan.distributed) return;
+  std::vector<PlanOp>& ops = plan.body;
+  // Index of the last op before `end` writing slot s, or -1.
+  const auto last_writer = [&](SlotId s, std::size_t end) {
+    for (std::size_t j = end; j-- > 0;) {
+      if (ops[j].out == s || ops[j].out2 == s) return static_cast<std::ptrdiff_t>(j);
+    }
+    return std::ptrdiff_t{-1};
+  };
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    PlanOp& its = ops[i];
+    if (its.kind != PlanOpKind::kItsSample ||
+        its.source != SampleSource::kMatrixRows || its.in2 == kNoSlot ||
+        !sole_reader_of_input(plan, its)) {
+      continue;
+    }
+    const std::ptrdiff_t m = last_writer(its.in, i);
+    if (m < 0) continue;
+    const PlanOp& mul = ops[static_cast<std::size_t>(m)];
+    if (mul.kind != PlanOpKind::kSpgemm || !mul.fused_norm ||
+        mul.norm != NormMode::kRow) {
+      continue;
+    }
+    const std::ptrdiff_t b = last_writer(mul.in, static_cast<std::size_t>(m));
+    if (b < 0 || last_writer(its.in2, i) != b) continue;
+    const PlanOp& build = ops[static_cast<std::size_t>(b)];
+    if (build.kind != PlanOpKind::kBuildQ || build.qmode != QMode::kOnePerVertex ||
+        build.out != mul.in || build.out2 != its.in2) {
+      continue;
+    }
+    its.source = SampleSource::kAdjacencyRows;
+    its.in = kNoSlot;
+    ops.erase(ops.begin() + m);
+    --i;  // the kItsSample moved down one; resume after it
+  }
+}
+
 }  // namespace
 
 SamplePlan optimize(const SamplePlan& plan) {
@@ -106,6 +152,7 @@ SamplePlan optimize(const SamplePlan& plan) {
   }
   fuse_normalize(out.body);
   fuse_normalize(out.epilogue);
+  draw_in_place(out);
   validate_plan(out);
   return out;
 }

@@ -26,9 +26,11 @@ OpShape op_shape(const PlanOp& op) {
     case PlanOpKind::kNormalize:
       return {true, false, false, false};
     case PlanOpKind::kItsSample:
-      // kMatrixRows reads P (in) and optionally a stack (in2); kGlobalWeights
-      // reads nothing from the slot space.
-      return {op.source == SampleSource::kMatrixRows, false, true, false};
+      // kMatrixRows reads P (in) and optionally a stack (in2);
+      // kAdjacencyRows reads only the stack; kGlobalWeights reads nothing
+      // from the slot space.
+      return {op.source == SampleSource::kMatrixRows,
+              op.source == SampleSource::kAdjacencyRows, true, false};
     case PlanOpKind::kPoissonThin:
       return {true, true, true, false};
     case PlanOpKind::kSlice:
@@ -86,10 +88,14 @@ void validate_ops(const SamplePlan& plan, const std::vector<PlanOp>& ops,
           where + ": fused_norm is only valid on spgemm ops");
     check(plan.distributed || !is_dist_only(op.kind),
           where + ": distributed op in an unlowered plan");
+    const bool adjacency_rows = op.kind == PlanOpKind::kItsSample &&
+                                op.source == SampleSource::kAdjacencyRows;
+    check(!adjacency_rows || op.in == kNoSlot,
+          where + ": the adjacency-rows source reads no in slot");
     check(!plan.distributed ||
               (op.kind != PlanOpKind::kSpgemm &&
                op.kind != PlanOpKind::kMaskedExtract &&
-               op.kind != PlanOpKind::kWalk),
+               op.kind != PlanOpKind::kWalk && !adjacency_rows),
           where + ": unlowered op in a distributed plan");
     const bool walks = op.kind == PlanOpKind::kWalkAdvance ||
                        op.kind == PlanOpKind::kWalk;
@@ -214,6 +220,10 @@ std::string describe(const SamplePlan& plan) {
       if (op.out2 != kNoSlot) os << " out2=s" << op.out2;
       if (op.fixed_s >= 0) os << " s=" << op.fixed_s;
       if (op.kind == PlanOpKind::kWalk) os << " length=" << op.walk_length;
+      if (op.kind == PlanOpKind::kItsSample &&
+          op.source == SampleSource::kAdjacencyRows) {
+        os << " source=adjacency";
+      }
       if (op.fused_norm) {
         os << " +norm(" << (op.norm == NormMode::kRow ? "row" : "ladies") << ")";
       }

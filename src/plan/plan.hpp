@@ -60,7 +60,11 @@ enum class PlanOpKind {
   /// SAMPLE via inverse transform sampling (§4.1.2). kMatrixRows samples s
   /// distinct columns from each row of a probability matrix; kGlobalWeights
   /// samples per batch from a bound global weight prefix (FastGCN's
-  /// batch-independent distribution) into a sampled-set slot.
+  /// batch-independent distribution) into a sampled-set slot;
+  /// kAdjacencyRows (emitted only by optimize(), replicated only) reads no
+  /// matrix: it samples each row of the stack in2 straight from the bound
+  /// adjacency's row of that vertex, bit-identical to kMatrixRows over the
+  /// row-normalized selection product it replaces (AdjacencyDraw).
   kItsSample,
   /// LABOR-style per-vertex Poisson thinning: keep entry (r, u) of the
   /// row-normalized P iff the shared per-vertex uniform r_u — derived from
@@ -117,7 +121,7 @@ enum class PlanOpKind {
 
 enum class QMode { kOnePerVertex, kIndicator };
 enum class NormMode { kRow, kLadies };
-enum class SampleSource { kMatrixRows, kGlobalWeights };
+enum class SampleSource { kMatrixRows, kGlobalWeights, kAdjacencyRows };
 enum class AssembleMode { kNeighborRows, kSampledSets };
 
 /// Fourth derive_seed argument of a sampling op's per-row seed.
@@ -211,8 +215,9 @@ void validate_plan(const SamplePlan& plan);
 /// Row-local ops are unchanged — including kWalkBias and kInducedLayers,
 /// whose partitioned executors assemble the adjacency rows they need from
 /// the owner blocks (the fetches are accounted as intra-column p2p).
-/// Lower the unoptimized plan, not an optimized one: kWalk has no lowered
-/// form, so a plan carrying it fails validation here.
+/// Lower the unoptimized plan, not an optimized one: kWalk and
+/// kItsSample/kAdjacencyRows have no lowered form, so a plan carrying
+/// either fails validation here.
 SamplePlan lower_to_dist(const SamplePlan& plan);
 
 std::string to_string(PlanOpKind kind);
@@ -224,7 +229,8 @@ std::string to_string(PlanOpKind kind);
 bool sole_reader_of_input(const SamplePlan& plan, const PlanOp& op);
 
 /// Human-readable program listing (one op per line), for docs and tests.
-/// Normalize fusion shows up as a `+norm(...)` marker.
+/// Normalize fusion shows up as a `+norm(...)` marker, the in-place
+/// adjacency draw as `source=adjacency`.
 std::string describe(const SamplePlan& plan);
 
 }  // namespace dms

@@ -11,10 +11,13 @@
 //    same pass notes whether every row of A stores at most one entry.
 //  - NUMERIC: each block runs the kernel the estimator picked:
 //      * gather — kAuto, unmasked products whose A is a selection matrix
-//                 (GraphSAGE's Qˡ, every extraction Q_R, §4.1.1): output
-//                 row r is a(r,k)·B(k,:), so the flop prefix is the output
-//                 rowptr and each block copies scaled B rows straight into
-//                 the result. No accumulator, sort, workspace slot or stitch.
+//                 (LABOR's Qˡ, every extraction Q_R, the 1.5D panels, and
+//                 GraphSAGE's Qˡ on the unoptimized reference path; the
+//                 optimized GraphSAGE plan draws from A's rows instead and
+//                 builds no product, see core/its.hpp): output row r is
+//                 a(r,k)·B(k,:), so the flop prefix is the output rowptr and
+//                 each block copies scaled B rows straight into the result.
+//                 No accumulator, sort, workspace slot or stitch.
 //      * dense  — generation-marked dense accumulator, O(cols) workspace per
 //                 block. Wins when the block's flop volume amortizes the
 //                 workspace (wide, dense row blocks).

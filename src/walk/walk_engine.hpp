@@ -13,6 +13,10 @@
 // GraphSAINT / node2vec minibatches stay bit-identical to the unfused plan
 // (the golden hashes of tests/test_plan do not move).
 //
+// Every unbiased pick goes through AdjacencyDraw (core/its.hpp), whose
+// per-degree prefix table GraphSAGE's in-place fanout draw reads too; the
+// second-order pick biases the row first and then draws like a weighted row.
+//
 // Walker state lives in the sampler Workspace's WalkScratch, so
 // steady-state walk epochs (and frozen serving arenas) allocate nothing on
 // this path.
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "common/workspace.hpp"
+#include "core/its.hpp"
 #include "plan/plan.hpp"
 #include "sparse/csr.hpp"
 
@@ -44,9 +49,10 @@ inline value_t node2vec_bias_factor(index_t cand, index_t prev,
 
 class WalkEngine {
  public:
-  /// Borrows `adj`, which must outlive the engine: walkers read its rows in
-  /// place.
-  explicit WalkEngine(const CsrMatrix& adj);
+  /// Walks the adjacency `draw` is bound to, drawing every unbiased pick
+  /// through it (its per-degree prefix table, shared with GraphSAGE's
+  /// in-place fanout draw). Borrows `draw`, which must outlive the engine.
+  explicit WalkEngine(const AdjacencyDraw& draw);
 
   /// Runs the kWalk op `walk`: all walk.walk_length rounds, seeded by
   /// walk.seed.layer_salt. `walkers` / `visited` are the plan's per-batch
@@ -68,25 +74,8 @@ class WalkEngine {
   /// `seed`; returns the next vertex, or -1 when the walk terminates.
   index_t next_vertex(index_t v, index_t prev, std::uint64_t seed,
                       const PlanOp& walk, std::vector<value_t>& raw) const;
-  value_t unit_total(index_t deg) const;
-  const std::vector<value_t>& unit_prefix(index_t deg) const;
 
-  const CsrMatrix& adj_;
-  /// Every adjacency value is exactly 1.0 (the unweighted common case):
-  /// normalized rows are the constant 1/deg, so the per-pick scan needs no
-  /// memory traffic beyond the drawn prefix.
-  bool unit_weights_ = true;
-  /// Memoized fl-accumulated total of a normalized unit-weight row per
-  /// degree (0.0 = not yet computed; totals are always positive). Lazily
-  /// filled; the engine is driven serially (the Workspace contract).
-  mutable std::vector<value_t> unit_total_;
-  /// Memoized fl-accumulated prefixes of a normalized unit-weight row per
-  /// degree: unit_prefix_[d][k] is 1/d added (k+1) times with intermediate
-  /// rounding — the exact values the matrix path's linear ITS scan compares
-  /// against. Binary-searching them picks the identical index in O(log d)
-  /// instead of a serially-dependent O(pick) float-add chain, which on hub
-  /// rows is the difference between a cache fight and an FP-latency wall.
-  mutable std::vector<std::vector<value_t>> unit_prefix_;
+  const AdjacencyDraw& draw_;
 };
 
 }  // namespace dms

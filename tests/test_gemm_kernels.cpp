@@ -185,13 +185,12 @@ CsrMatrix its_sample_rows_serial_reference(const CsrMatrix& p, index_t s,
   std::vector<value_t> vals;
   std::vector<value_t> prefix;
   std::vector<index_t> picked;
-  std::vector<char> chosen;
   for (index_t r = 0; r < p.rows(); ++r) {
     const auto rvals = p.row_vals(r);
     const auto rcols = p.row_cols(r);
     prefix.assign(1, 0.0);
     for (const value_t v : rvals) prefix.push_back(prefix.back() + std::max(v, 0.0));
-    its_sample_one(prefix, s, row_seed(r), &picked, chosen);
+    its_sample_one(prefix, s, row_seed(r), &picked);
     for (const index_t local : picked) {
       colidx.push_back(rcols[static_cast<std::size_t>(local)]);
       vals.push_back(1.0);
@@ -252,16 +251,18 @@ TEST(ItsParallel, SharedWorkspaceReuseDoesNotChangeResults) {
 }
 
 TEST(ItsSampleOne, ScratchReuseAcrossSeedsIsStable) {
+  // The output list is the draw's only scratch (it holds the sorted picks
+  // while drawing), so reusing it must not carry picks from one call to
+  // the next.
   std::vector<value_t> prefix{0.0};
   Pcg32 rng(55);
   for (int i = 0; i < 200; ++i) prefix.push_back(prefix.back() + rng.uniform());
-  std::vector<char> reused;
+  std::vector<index_t> reused;
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    std::vector<index_t> with_reused, with_fresh;
-    std::vector<char> fresh;
-    its_sample_one(prefix, 7, seed, &with_reused, reused);
-    its_sample_one(prefix, 7, seed, &with_fresh, fresh);
-    EXPECT_EQ(with_reused, with_fresh);
+    std::vector<index_t> fresh;
+    its_sample_one(prefix, 7, seed, &reused);
+    its_sample_one(prefix, 7, seed, &fresh);
+    EXPECT_EQ(reused, fresh);
   }
 }
 

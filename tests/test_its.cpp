@@ -17,31 +17,23 @@ std::vector<value_t> prefix_of(const std::vector<value_t>& weights) {
   return p;
 }
 
-/// Test convenience over the caller-scratch API (the only its_sample_one;
-/// the historical no-scratch shim was removed).
-void sample_one(const std::vector<value_t>& prefix, index_t s,
-                std::uint64_t seed, std::vector<index_t>* out) {
-  std::vector<char> chosen;
-  its_sample_one(prefix, s, seed, out, chosen);
-}
-
 TEST(ItsSampleOne, TakesAllWhenFewerThanS) {
   std::vector<index_t> out;
-  sample_one(prefix_of({1.0, 2.0, 3.0}), 5, 1, &out);
+  its_sample_one(prefix_of({1.0, 2.0, 3.0}), 5, 1, &out);
   EXPECT_EQ(out, (std::vector<index_t>{0, 1, 2}));
 }
 
 TEST(ItsSampleOne, SkipsZeroWeightWhenTakingAll) {
   std::vector<index_t> out;
-  sample_one(prefix_of({1.0, 0.0, 3.0}), 5, 1, &out);
+  its_sample_one(prefix_of({1.0, 0.0, 3.0}), 5, 1, &out);
   EXPECT_EQ(out, (std::vector<index_t>{0, 2}));
 }
 
 TEST(ItsSampleOne, EmptyDistributionYieldsNothing) {
   std::vector<index_t> out{7};
-  sample_one({0.0}, 3, 1, &out);
+  its_sample_one({0.0}, 3, 1, &out);
   EXPECT_TRUE(out.empty());
-  sample_one(prefix_of({0.0, 0.0}), 3, 1, &out);
+  its_sample_one(prefix_of({0.0, 0.0}), 3, 1, &out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -49,7 +41,7 @@ TEST(ItsSampleOne, ProducesDistinctSortedIndices) {
   const auto prefix = prefix_of({5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 10.0, 1.0});
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     std::vector<index_t> out;
-    sample_one(prefix, 4, seed, &out);
+    its_sample_one(prefix, 4, seed, &out);
     ASSERT_EQ(out.size(), 4u);
     for (std::size_t i = 0; i + 1 < out.size(); ++i) {
       EXPECT_LT(out[i], out[i + 1]);
@@ -60,10 +52,10 @@ TEST(ItsSampleOne, ProducesDistinctSortedIndices) {
 TEST(ItsSampleOne, IsDeterministicPerSeed) {
   const auto prefix = prefix_of({1, 2, 3, 4, 5, 6, 7, 8});
   std::vector<index_t> a, b;
-  sample_one(prefix, 3, 99, &a);
-  sample_one(prefix, 3, 99, &b);
+  its_sample_one(prefix, 3, 99, &a);
+  its_sample_one(prefix, 3, 99, &b);
   EXPECT_EQ(a, b);
-  sample_one(prefix, 3, 100, &b);
+  its_sample_one(prefix, 3, 100, &b);
   EXPECT_NE(a, b);  // overwhelmingly likely
 }
 
@@ -71,7 +63,7 @@ TEST(ItsSampleOne, NeverPicksZeroWeightElements) {
   const auto prefix = prefix_of({1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0});
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     std::vector<index_t> out;
-    sample_one(prefix, 3, seed, &out);
+    its_sample_one(prefix, 3, seed, &out);
     for (const index_t i : out) EXPECT_EQ(i % 2, 0) << "picked zero-weight index";
   }
 }
@@ -83,7 +75,7 @@ TEST(ItsSampleOne, SingleDrawFollowsTheDistribution) {
   const int trials = 20000;
   for (int t = 0; t < trials; ++t) {
     std::vector<index_t> out;
-    sample_one(prefix, 1, static_cast<std::uint64_t>(t) + 7, &out);
+    its_sample_one(prefix, 1, static_cast<std::uint64_t>(t) + 7, &out);
     ASSERT_EQ(out.size(), 1u);
     if (out[0] == 1) ++count1;
   }
@@ -92,13 +84,14 @@ TEST(ItsSampleOne, SingleDrawFollowsTheDistribution) {
 
 TEST(ItsSampleOne, HeavySkewStillCompletes) {
   // One giant weight: redraw-on-duplicate would stall without the
-  // deterministic completion sweep.
+  // deterministic completion sweep. Every one of the 64·8+64 draws lands on
+  // index 10, so the sweep adds the first seven other positive-mass
+  // indices and the result merges to ascending order.
   std::vector<value_t> w(64, 1e-9);
   w[10] = 1e9;
   std::vector<index_t> out;
-  sample_one(prefix_of(w), 8, 3, &out);
-  EXPECT_EQ(out.size(), 8u);
-  EXPECT_TRUE(std::find(out.begin(), out.end(), 10) != out.end());
+  its_sample_one(prefix_of(w), 8, 3, &out);
+  EXPECT_EQ(out, (std::vector<index_t>{0, 1, 2, 3, 4, 5, 6, 10}));
 }
 
 TEST(ItsSampleRows, RespectsPerRowCaps) {

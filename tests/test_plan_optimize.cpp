@@ -1,8 +1,8 @@
-// The plan optimizer (DESIGN.md §12): the two rewrites per builtin plan
-// (walk fusion to one kWalk op, normalize fusion), optimized-vs-unoptimized
-// bit identity in both execution modes, PlanCache sharing and keying, a
-// cached plan run from concurrent samplers, and the --dump-plan diff
-// surface.
+// The plan optimizer (DESIGN.md §12): the three rewrites per builtin plan
+// (walk fusion to one kWalk op, normalize fusion, the in-place adjacency
+// draw), optimized-vs-unoptimized bit identity in both execution modes,
+// PlanCache sharing and keying, a cached plan run from concurrent samplers,
+// and the --dump-plan diff surface.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -50,35 +50,110 @@ int count_kind(const SamplePlan& p, PlanOpKind kind) {
   return n;
 }
 
+int count_adjacency_draws(const SamplePlan& p) {
+  int n = 0;
+  for (const PlanOp& op : p.body) {
+    n += op.kind == PlanOpKind::kItsSample &&
+         op.source == SampleSource::kAdjacencyRows;
+  }
+  return n;
+}
+
 /// Every builtin plan shape with the config it runs under: the layer-wise
-/// plans read kConfig's fanouts, the walk plans their unit-fanout adapter.
-std::vector<std::pair<SamplePlan, SamplerConfig>> builtin_plans() {
-  const SamplerConfig walk_cfg = walk_adapter_config(2, kConfig.seed);
-  return {{build_sage_plan(), kConfig},
-          {build_ladies_plan(), kConfig},
-          {build_fastgcn_plan(), kConfig},
-          {build_labor_plan(), kConfig},
+/// plans read `layered`'s fanouts, the walk plans their unit-fanout adapter.
+std::vector<std::pair<SamplePlan, SamplerConfig>> builtin_plans(
+    const SamplerConfig& layered = kConfig) {
+  const SamplerConfig walk_cfg = walk_adapter_config(2, layered.seed);
+  return {{build_sage_plan(), layered},
+          {build_ladies_plan(), layered},
+          {build_fastgcn_plan(), layered},
+          {build_labor_plan(), layered},
+          {build_pinsage_plan(), layered},
           {build_saint_plan(3, 2), walk_cfg},
           {build_node2vec_plan(3, 2, 0.5, 2.0), walk_cfg}};
 }
 
+/// A weighted graph covering every branch of the in-place adjacency draw:
+/// a hub (0, degree 40 ≫ s, a few zero weights), a row whose one 1e12
+/// weight keeps every redraw on itself so the sweep completes the sample
+/// (1, degree 6, drawn at s = 5), degree-1 rows (2 and the ring's odd
+/// vertices), an all-zero-weight row (3), zero weights among positive ones
+/// (4), a sink (5) and a row with degree <= s (6).
+Graph weighted_draw_graph() {
+  constexpr index_t n = 48;
+  std::vector<index_t> rows, cols;
+  std::vector<value_t> vals;
+  const auto edge = [&](index_t r, index_t c, value_t w) {
+    rows.push_back(r);
+    cols.push_back(c);
+    vals.push_back(w);
+  };
+  for (index_t c = 1; c <= 40; ++c) {
+    edge(0, c, c % 9 == 0 ? 0.0 : 0.5 + 0.25 * static_cast<value_t>(c % 7));
+  }
+  for (index_t c = 2; c <= 7; ++c) edge(1, c, c == 4 ? 1e12 : 1.0);
+  edge(2, 0, 2.5);
+  for (const index_t c : {1, 4, 8}) edge(3, c, 0.0);
+  edge(4, 0, 0.0);
+  edge(4, 5, 1.5);
+  edge(4, 9, 0.0);
+  edge(4, 12, 3.0);
+  edge(6, 0, 0.3);
+  edge(6, 1, 0.2);
+  edge(6, 2, 0.5);
+  for (index_t v = 7; v < n; ++v) {
+    edge(v, (v + 1) % n, 1.0 + static_cast<value_t>(v % 3));
+    if (v % 2 == 0) edge(v, (v * 7 + 3) % n, 0.75);
+  }
+  return Graph(CsrMatrix::from_triplets(n, n, rows, cols, vals));
+}
+
 // --- fusion shapes ----------------------------------------------------------
 
-TEST(PlanOptimize, SageFusesNormalizeIntoSpgemm) {
-  const SamplePlan before = build_sage_plan();
-  const SamplePlan after = optimize(before);
-  EXPECT_EQ(count_kind(before, PlanOpKind::kNormalize), 1);
-  EXPECT_EQ(count_kind(after, PlanOpKind::kNormalize), 0);
-  ASSERT_EQ(after.body.size(), before.body.size() - 1);
-  bool fused = false;
-  for (const PlanOp& op : after.body) {
-    if (op.kind == PlanOpKind::kSpgemm) {
-      EXPECT_TRUE(op.fused_norm);
-      EXPECT_EQ(op.norm, NormMode::kRow);
-      fused = true;
-    }
+TEST(PlanOptimize, SageDrawsFanoutFromAdjacencyInPlace) {
+  // kBuildQ → kSpgemm(+norm) → kItsSample becomes kBuildQ → kItsSample over
+  // the adjacency rows: no product, and the sampling op keeps its label.
+  for (const SamplePlan& before : {build_sage_plan(), build_pinsage_plan()}) {
+    const SamplePlan after = optimize(before);
+    EXPECT_EQ(count_kind(after, PlanOpKind::kSpgemm), 0) << before.name;
+    EXPECT_EQ(count_kind(after, PlanOpKind::kNormalize), 0) << before.name;
+    ASSERT_EQ(after.body.size(), before.body.size() - 2) << before.name;
+    const PlanOp& build = after.body[0];
+    const PlanOp& its = after.body[1];
+    EXPECT_EQ(build.kind, PlanOpKind::kBuildQ);
+    EXPECT_EQ(its.kind, PlanOpKind::kItsSample);
+    EXPECT_EQ(its.label, "its_sample");
+    EXPECT_EQ(its.source, SampleSource::kAdjacencyRows);
+    EXPECT_EQ(its.in, kNoSlot);
+    EXPECT_EQ(its.in2, build.out2);
+    EXPECT_EQ(after.body[2].kind, PlanOpKind::kFrontierUnion);
   }
-  EXPECT_TRUE(fused);
+  // LABOR thins the product itself, LADIES builds indicator rows, FastGCN
+  // samples global weights, and lowered plans keep the 1.5D product.
+  for (const SamplePlan& p :
+       {build_labor_plan(), build_ladies_plan(), build_fastgcn_plan(),
+        lower_to_dist(build_sage_plan()), lower_to_dist(build_pinsage_plan())}) {
+    EXPECT_EQ(count_adjacency_draws(optimize(p)), 0) << p.name;
+  }
+  EXPECT_EQ(count_kind(optimize(build_labor_plan()), PlanOpKind::kSpgemm), 1);
+  // A second reader of the product slot observes P: no rewrite.
+  SamplePlan shared = build_sage_plan();
+  PlanOp again = shared.body[3];  // kItsSample over the product
+  again.label = "its_sample_again";
+  again.out = shared.add_slot();
+  shared.body.insert(shared.body.begin() + 4, again);
+  const SamplePlan kept = optimize(shared);
+  EXPECT_EQ(count_kind(kept, PlanOpKind::kSpgemm), 1);
+  EXPECT_EQ(count_adjacency_draws(kept), 0);
+  // The source reads the stack (in2) and nothing else, and has no lowered
+  // form: lower the unoptimized plan instead.
+  SamplePlan bad = optimize(build_sage_plan());
+  bad.body[1].in2 = kNoSlot;
+  EXPECT_THROW(validate_plan(bad), DmsError);
+  bad = optimize(build_sage_plan());
+  bad.body[1].in = bad.body[0].out;
+  EXPECT_THROW(validate_plan(bad), DmsError);
+  EXPECT_THROW(lower_to_dist(optimize(build_sage_plan())), DmsError);
 }
 
 TEST(PlanOptimize, LadiesFusesOnlyNormalize) {
@@ -167,22 +242,36 @@ TEST(PlanOptimize, OnlyWalkShapedBodiesRewrite) {
 // --- bit identity -----------------------------------------------------------
 
 TEST(PlanOptimize, OptimizedPlansBitIdenticalReplicated) {
-  const Graph g = generate_erdos_renyi(220, 9.0, 42);
-  const auto batches = small_batches(g.num_vertices());
-  const std::vector<value_t> prefix = fastgcn_importance_prefix(g);
-  for (const auto& [plan, cfg] : builtin_plans()) {
-    const auto* weights = plan.needs_global_weights ? &prefix : nullptr;
-    PlanExecutor plain(plan, cfg, {.optimize = false});
-    PlanExecutor opt(plan, cfg);
-    PlanRunState state_a, state_b;
-    const auto ref = plain.run(g, batches, kIds, 0xfeed, state_a, weights);
-    const auto got = opt.run(g, batches, kIds, 0xfeed, state_b, weights);
-    ASSERT_EQ(got.size(), ref.size()) << plan.name;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_TRUE(samples_equal(got[i], ref[i]))
-          << plan.name << " batch " << i;
+  // A unit-weight graph under kConfig, and the weighted graph under fanouts
+  // that draw its skewed row at s = d - 1 and include a fanout of 1.
+  struct Input {
+    Graph g;
+    std::vector<std::vector<index_t>> batches;
+    SamplerConfig layered;
+  };
+  const Graph er = generate_erdos_renyi(220, 9.0, 42);
+  const std::vector<Input> inputs = {
+      {er, small_batches(er.num_vertices()), kConfig},
+      {weighted_draw_graph(),
+       {{1, 0, 2}, {3, 4, 5, 6}, {1, 7, 20}, {5}, {30, 40, 1, 6}},
+       SamplerConfig{{5, 1, 3}, 9}}};
+  for (const Input& in : inputs) {
+    const std::vector<value_t> prefix = fastgcn_importance_prefix(in.g);
+    for (const auto& [plan, cfg] : builtin_plans(in.layered)) {
+      const auto* weights = plan.needs_global_weights ? &prefix : nullptr;
+      PlanExecutor plain(plan, cfg, {.optimize = false});
+      PlanExecutor opt(plan, cfg);
+      PlanRunState state_a, state_b;
+      const auto ref = plain.run(in.g, in.batches, kIds, 0xfeed, state_a, weights);
+      const auto got = opt.run(in.g, in.batches, kIds, 0xfeed, state_b, weights);
+      ASSERT_EQ(got.size(), ref.size()) << plan.name;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_TRUE(samples_equal(got[i], ref[i]))
+            << plan.name << " batch " << i << " on " << in.g.num_vertices()
+            << " vertices";
+      }
+      EXPECT_EQ(state_a.walk_steps, state_b.walk_steps) << plan.name;
     }
-    EXPECT_EQ(state_a.walk_steps, state_b.walk_steps) << plan.name;
   }
 }
 
