@@ -5,10 +5,9 @@
 //  - default: the Google Benchmark suite below (BM_*);
 //  - --kernel-compare [--smoke] [--csv=PATH]: a self-contained comparison
 //    harness that times the dense / hash / auto kernels on the sampler
-//    shapes (auto is the selection gather there), times the fused
-//    row-normalized gather against dense-then-normalize_rows, times the
-//    masked kernel against the full-product-then-slice LADIES column
-//    extraction it replaces (s ≪ n), cross-checks that every kernel
+//    shapes (auto is the selection gather there), times spgemm_masked on
+//    the frontier rows against the full-product-then-slice LADIES
+//    extraction it replaces (s ≪ n), cross-checks that every path
 //    produces bit-identical results (nonzero exit on mismatch, which is
 //    what the CI smoke job gates on — never on timings), and optionally
 //    writes a CSV in the bench_util.hpp conventions so BENCH_*.json
@@ -226,50 +225,13 @@ int run_kernel_compare(bool smoke, const std::string& csv_path,
     }
   }
 
-  // --- The same selection product with the fused row-normalize epilogue
-  // (GraphSAGE's P), against forced dense plus the post-hoc normalize_rows
-  // pass: kAuto gathers the rows and normalizes them in place, and must
-  // match bit for bit. ---
-  {
-    const index_t rows = smoke ? 256 : 1024;
-    const CsrMatrix q =
-        CsrMatrix::one_nonzero_per_row(n, random_frontier(g, rows, 13 + rows));
-    const nnz_t flops = spgemm_flops(q, g.adjacency());
-    const std::string cs = "sage_qa_norm_rows" + std::to_string(rows);
-
-    SpgemmOptions dense_opts;
-    dense_opts.kernel = SpgemmKernel::kDense;
-    CsrMatrix ref = spgemm(q, g.adjacency(), dense_opts);
-    normalize_rows(ref);
-    const double ref_ms = time_min_ms(reps, [&] {
-      CsrMatrix p = spgemm(q, g.adjacency(), dense_opts);
-      normalize_rows(p);
-      benchmark::DoNotOptimize(p);
-    });
-
-    SpgemmOptions fused_opts;
-    fused_opts.epilogue = SpgemmEpilogue::kRowNormalize;
-    const CsrMatrix fused = spgemm(q, g.adjacency(), fused_opts);
-    const double fused_ms = time_min_ms(reps, [&] {
-      benchmark::DoNotOptimize(spgemm(q, g.adjacency(), fused_opts));
-    });
-
-    if (!(fused == ref)) {
-      std::fprintf(stderr, "FAIL: %s fused auto product differs from dense + normalize_rows\n",
-                   cs.c_str());
-      ok = false;
-    }
-    report(cs, "dense_then_normalize", ref_ms, flops, 1.0);
-    report(cs, "auto_fused", fused_ms, flops, ref_ms / fused_ms);
-  }
-
   // --- Masked extraction vs full-product-then-slice (LADIES §4.2.4: keep
-  // only s sampled columns of the row-extraction product, s ≪ n). ---
+  // only s sampled columns of the frontier's adjacency rows, s ≪ n). ---
   for (const index_t s : smoke ? std::vector<index_t>{16, 64}
                                : std::vector<index_t>{32, 128, 512}) {
     const index_t batch = smoke ? 128 : 512;
-    const CsrMatrix qr =
-        CsrMatrix::one_nonzero_per_row(n, random_frontier(g, batch, 23 + s));
+    const std::vector<index_t> frontier = random_frontier(g, batch, 23 + s);
+    const CsrMatrix qr = CsrMatrix::one_nonzero_per_row(n, frontier);
     const std::vector<index_t> mask = random_mask(g, s, 29 + s);
     const std::string cs = "ladies_extract_s" + std::to_string(s);
 
@@ -278,8 +240,8 @@ int run_kernel_compare(bool smoke, const std::string& csv_path,
     const CsrMatrix ar = spgemm(qr, g.adjacency(), dense_opts);
     const CsrMatrix qc = ladies_column_extractor(n, mask);
     // Actual multiply-adds per variant: the two-step path performs the full
-    // row-extraction product plus the slice; the masked kernel performs
-    // only the contributions that land in masked columns.
+    // row-extraction product plus the slice; spgemm_masked stores only the
+    // entries that land in masked columns.
     const nnz_t masked_flops = spgemm_flops(ar, qc);
     const nnz_t full_flops = spgemm_flops(qr, g.adjacency()) + masked_flops;
     const CsrMatrix sliced = spgemm(ar, qc, dense_opts);
@@ -288,15 +250,13 @@ int run_kernel_compare(bool smoke, const std::string& csv_path,
       benchmark::DoNotOptimize(spgemm(a_r, qc, dense_opts));
     });
 
-    SpgemmOptions mopts;
-    mopts.column_mask = &mask;
-    const CsrMatrix masked = spgemm(qr, g.adjacency(), mopts);
+    const CsrMatrix masked = spgemm_masked(g.adjacency(), frontier, mask);
     const double masked_ms = time_min_ms(reps, [&] {
-      benchmark::DoNotOptimize(spgemm(qr, g.adjacency(), mopts));
+      benchmark::DoNotOptimize(spgemm_masked(g.adjacency(), frontier, mask));
     });
 
     if (!(masked == sliced)) {
-      std::fprintf(stderr, "FAIL: %s masked kernel differs from product-then-slice\n",
+      std::fprintf(stderr, "FAIL: %s spgemm_masked differs from product-then-slice\n",
                    cs.c_str());
       ok = false;
     }

@@ -40,7 +40,9 @@ MinibatchSample classic_sage_sample(const Graph& graph,
   std::vector<index_t> picks;
   for (std::size_t l = 0; l < fanouts.size(); ++l) {
     const index_t s = fanouts[l];
-    std::vector<std::vector<index_t>> sampled(frontier.size());
+    // Row i's sampled neighbors, in Floyd draw order.
+    std::vector<nnz_t> rowptr{0};
+    std::vector<index_t> sampled;
     for (std::size_t i = 0; i < frontier.size(); ++i) {
       const index_t v = frontier[i];
       const auto neigh = graph.adjacency().row_cols(v);
@@ -49,10 +51,11 @@ MinibatchSample classic_sage_sample(const Graph& graph,
                 0xc1a);
       sample_distinct(static_cast<index_t>(neigh.size()), s, rng, &picks);
       for (const index_t idx : picks) {
-        sampled[i].push_back(neigh[static_cast<std::size_t>(idx)]);
+        sampled.push_back(neigh[static_cast<std::size_t>(idx)]);
       }
+      rowptr.push_back(static_cast<nnz_t>(sampled.size()));
     }
-    LayerSample layer = build_layer_sample(frontier, sampled);
+    LayerSample layer = build_layer_sample(frontier, rowptr, sampled);
     frontier = layer.col_vertices;
     out.layers.push_back(std::move(layer));
   }

@@ -7,7 +7,6 @@
 #include "common/timer.hpp"
 #include "core/its.hpp"
 #include "sparse/coo.hpp"
-#include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
 
 namespace dms {
@@ -56,9 +55,10 @@ LadiesCpuResult ladies_cpu_reference(const Graph& graph,
 
     // Collect batch→sampled edges. The frontier numbering stays loop-built
     // (batch first, then sampled in pick order), but the edge gather rides
-    // the engine's masked extraction A[batch, :][:, sorted(sampled)] — the
-    // same kernel the matrix samplers use — instead of a second adjacency
-    // walk. The edge set, and hence the output, is unchanged.
+    // the engine's masked extraction A[batch, sorted(sampled)] — the same
+    // kernel the matrix samplers use, reading the batch rows in place —
+    // instead of a second adjacency walk. The edge set, and hence the
+    // output, is unchanged.
     LayerSample layer;
     layer.row_vertices = batch;
     layer.col_vertices = batch;
@@ -76,8 +76,7 @@ LadiesCpuResult ladies_cpu_reference(const Graph& graph,
     std::sort(mask.begin(), mask.end());
     SpgemmOptions mopts;
     mopts.workspace = &ws;
-    const CsrMatrix a_s =
-        spgemm_masked(extract_rows(graph.adjacency(), batch), mask, mopts);
+    const CsrMatrix a_s = spgemm_masked(graph.adjacency(), batch, mask, mopts);
     CooMatrix coo(static_cast<index_t>(batch.size()),
                   static_cast<index_t>(layer.col_vertices.size()));
     for (index_t r = 0; r < a_s.rows(); ++r) {

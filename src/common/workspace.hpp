@@ -10,7 +10,8 @@
 //
 // Layout: one Workspace holds
 //  - a few *shared* buffers used serially before/after a kernel's parallel
-//    region (flop prefixes, block bounds, the masked-kernel column lookup);
+//    region (the SpGEMM flop / spgemm_masked entry prefix, spgemm_masked's
+//    column→position lookup);
 //  - an array of *slots*, one per parallel block. Slot i is touched only by
 //    the worker executing block i, so slots need no synchronization; the
 //    kernel calls ensure_slots(nblocks) serially before fanning out.
@@ -69,7 +70,7 @@ struct WorkspaceSlot {
   std::vector<nnz_t> row_nnz;
   std::vector<index_t> colidx;
   std::vector<value_t> vals;
-  // Dense / masked accumulator state (mark + value + touched list).
+  // Dense accumulator state (mark + value + touched list).
   std::vector<index_t> mark;
   std::vector<index_t> touched;
   std::vector<value_t> acc;

@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "sparse/coo.hpp"
-
 namespace dms {
 
 LayerSample build_layer_sample(const std::vector<index_t>& row_vertices,
-                               const std::vector<std::vector<index_t>>& sampled_per_row) {
-  check(row_vertices.size() == sampled_per_row.size(),
+                               std::span<const nnz_t> rowptr,
+                               std::span<const index_t> sampled) {
+  check(rowptr.size() == row_vertices.size() + 1,
         "build_layer_sample: row count mismatch");
+  for (std::size_t r = 0; r + 1 < rowptr.size(); ++r) {
+    check(rowptr[r] <= rowptr[r + 1], "build_layer_sample: rowptr decreases");
+  }
+  check(rowptr.front() >= 0 && static_cast<std::size_t>(rowptr.back()) <= sampled.size(),
+        "build_layer_sample: rowptr outside the sampled columns");
   LayerSample out;
   out.row_vertices = row_vertices;
   out.col_vertices = row_vertices;  // frontier leads with the row vertices
@@ -19,18 +23,31 @@ LayerSample build_layer_sample(const std::vector<index_t>& row_vertices,
   for (std::size_t i = 0; i < row_vertices.size(); ++i) {
     pos.emplace(row_vertices[i], static_cast<index_t>(i));
   }
-  CooMatrix coo(static_cast<index_t>(row_vertices.size()), 0);
-  for (std::size_t r = 0; r < sampled_per_row.size(); ++r) {
-    for (const index_t v : sampled_per_row[r]) {
-      auto [it, inserted] = pos.emplace(v, static_cast<index_t>(out.col_vertices.size()));
-      if (inserted) out.col_vertices.push_back(v);
-      coo.push(static_cast<index_t>(r), it->second, 1.0);
-    }
+  const auto base = static_cast<std::size_t>(rowptr.front());
+  std::vector<index_t> cols(static_cast<std::size_t>(rowptr.back()) - base);
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    const index_t v = sampled[base + k];
+    auto [it, inserted] = pos.emplace(v, static_cast<index_t>(out.col_vertices.size()));
+    if (inserted) out.col_vertices.push_back(v);
+    cols[k] = it->second;
   }
-  coo.cols = static_cast<index_t>(out.col_vertices.size());
-  out.adj = CsrMatrix::from_coo(coo);
-  // Pattern matrix: duplicate (row, col) pairs would have been summed.
-  for (auto& v : out.adj.mutable_vals()) v = 1.0;
+  // Sort each row's local ids and drop repeats, compacting in place (the
+  // write index never passes the read index).
+  std::vector<nnz_t> ptr(rowptr.size(), 0);
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r + 1 < rowptr.size(); ++r) {
+    const auto first = cols.begin() + static_cast<std::ptrdiff_t>(rowptr[r] - rowptr.front());
+    const auto last = cols.begin() + static_cast<std::ptrdiff_t>(rowptr[r + 1] - rowptr.front());
+    std::sort(first, last);
+    const auto end = std::unique(first, last);
+    for (auto it = first; it != end; ++it) cols[kept++] = *it;
+    ptr[r + 1] = static_cast<nnz_t>(kept);
+  }
+  cols.resize(kept);
+  std::vector<value_t> vals(kept, 1.0);  // pattern matrix
+  out.adj = CsrMatrix(static_cast<index_t>(row_vertices.size()),
+                      static_cast<index_t>(out.col_vertices.size()), std::move(ptr),
+                      std::move(cols), std::move(vals));
   return out;
 }
 

@@ -3,17 +3,24 @@
 // (see sampler.hpp for the convention).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/sampler.hpp"
 
 namespace dms {
 
-/// Builds one LayerSample. sampled_per_row[i] lists the global vertex ids
-/// sampled for row vertex row_vertices[i] (duplicates across rows are
-/// merged into one frontier column).
+/// Builds one LayerSample from the sampled columns of a CSR slice: row i
+/// (vertex row_vertices[i]) sampled the global ids
+/// sampled[rowptr[i] .. rowptr[i+1]) — rowptr has one entry per row plus
+/// one and may start past 0 (a slice of a larger matrix's rowptr). Entries
+/// are relabeled in stored order, so the first sighting of a vertex fixes
+/// its frontier column (rows lead; duplicates across rows merge into one
+/// column); each row's local ids are then sorted, a vertex sampled twice
+/// for one row giving one edge.
 LayerSample build_layer_sample(const std::vector<index_t>& row_vertices,
-                               const std::vector<std::vector<index_t>>& sampled_per_row);
+                               std::span<const nnz_t> rowptr,
+                               std::span<const index_t> sampled);
 
 /// The stacked row construction of Eq. 1: per-batch vertex lists
 /// concatenated, with offsets[b] = first stacked row of batch b. Shared by

@@ -1,7 +1,6 @@
 #include "core/graphsage.hpp"
 
 #include "common/rng.hpp"
-#include "sparse/ops.hpp"
 
 namespace dms {
 
@@ -29,14 +28,11 @@ RowSeedFn sage_row_seed_fn(const FrontierStack& stack,
 LayerSample sage_extract_layer(const CsrMatrix& qs, const FrontierStack& stack,
                                std::size_t b,
                                const std::vector<index_t>& frontier_b) {
-  const index_t r0 = stack.offsets[b];
-  const index_t r1 = stack.offsets[b + 1];
-  std::vector<std::vector<index_t>> sampled(static_cast<std::size_t>(r1 - r0));
-  for (index_t r = r0; r < r1; ++r) {
-    const auto cols = qs.row_cols(r);
-    sampled[static_cast<std::size_t>(r - r0)].assign(cols.begin(), cols.end());
-  }
-  return build_layer_sample(frontier_b, sampled);
+  const auto r0 = static_cast<std::size_t>(stack.offsets[b]);
+  const auto r1 = static_cast<std::size_t>(stack.offsets[b + 1]);
+  return build_layer_sample(
+      frontier_b, std::span<const nnz_t>(qs.rowptr()).subspan(r0, r1 - r0 + 1),
+      qs.colidx());
 }
 
 }  // namespace dms

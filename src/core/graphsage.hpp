@@ -23,9 +23,9 @@ RowSeedFn sage_row_seed_fn(const FrontierStack& stack,
                            index_t first_batch, index_t layer,
                            std::uint64_t epoch_seed);
 
-/// EXTRACT for one batch of a stacked SAGE sample (§4.1.3): gathers the
-/// sampled columns of stacked rows [offsets[b], offsets[b+1]) of qs and
-/// renumbers them into a LayerSample over `frontier_b` (the batch's current
+/// EXTRACT for one batch of a stacked SAGE sample (§4.1.3): renumbers the
+/// sampled columns of stacked rows [offsets[b], offsets[b+1]) of qs, read in
+/// place, into a LayerSample over `frontier_b` (the batch's current
 /// frontier). The kFrontierUnion/kNeighborRows op of the plan executor.
 LayerSample sage_extract_layer(const CsrMatrix& qs, const FrontierStack& stack,
                                std::size_t b,

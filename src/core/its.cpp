@@ -69,8 +69,8 @@ void draw_distinct(std::span<const value_t> pre, index_t s, std::uint64_t seed,
 }
 
 /// A row's values as the matrix path's ITS prefix build sees them after
-/// normalization: epilogue_row's sum and scale (a row summing to zero stays
-/// unscaled), then its_sample_rows' max(v, 0).
+/// normalization: normalize_rows' sum and scale (a row summing to zero
+/// stays unscaled), then its_sample_rows' max(v, 0).
 struct RowNormalizer {
   explicit RowNormalizer(std::span<const value_t> w) {
     for (const value_t x : w) sum += x;

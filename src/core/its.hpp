@@ -67,9 +67,9 @@ index_t its_pick_weighted(std::span<const value_t> w, std::uint64_t seed);
 /// ITS straight off the rows of a bound adjacency A (DESIGN.md §11, §12).
 /// Row r of sample_rows(vertices, s, fn) is bit-identical to row r of
 /// its_sample_rows(P, s, fn) for P = Qˡ·A row-normalized, where Qˡ holds a
-/// unit entry at (r, vertices[r]): the matrix path's kBuildQ → kSpgemm
-/// (+norm) → kItsSample. P is never built; each row draws from A's row in
-/// place.
+/// unit entry at (r, vertices[r]): the matrix path's kBuildQ → kSpgemm →
+/// kNormalize → kItsSample. P is never built; each row draws from A's row
+/// in place.
 ///
 /// A unit-weight row of degree d normalizes to the constant 1/d, so its ITS
 /// prefix depends only on d. For every degree present in A, the table holds

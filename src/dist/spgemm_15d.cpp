@@ -33,12 +33,6 @@ std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
     check(q.cols() == a.rows(), "spgemm_15d: Q block columns must equal A rows");
   }
 
-  // A column mask would renumber each panel product into mask space while
-  // the empty-panel shortcut and the cross-panel reduction still assume the
-  // full a.cols() column space — reject it up front.
-  check(opts.local.column_mask == nullptr,
-        "spgemm_15d: local SpgemmOptions must not carry a column_mask");
-
   const BlockPartition& apart = a.partition();
   // Block rows of A are split among the c ranks of every process row: rank
   // (i, j) multiplies against the A blocks of chunk j, one per round.

@@ -27,7 +27,7 @@ SamplePlan build_sage_plan();
 
 /// LADIES (§4.2) — the paper's layer-wise example and, distributed, the
 /// first fully distributed LADIES implementation (§1): indicator Q → Q·A →
-/// NORM(e²) → ITS(s per batch) → masked extraction (Q_R·A)[:, S] → union
+/// NORM(e²) → ITS(s per batch) → masked extraction A[R, S] → union
 /// assembly.
 ///
 /// Per layer (Algorithm 1 with the LADIES constructions):
@@ -36,7 +36,8 @@ SamplePlan build_sage_plan();
 ///   P     ← Q·A; NORM squares each entry and row-normalizes, giving
 ///         p_v = e_v² / Σ_u e_u²  (Zou et al. 2019)
 ///   Qˡ⁻¹  ← SAMPLE(P, s): s vertices per batch via ITS, §4.2.2
-///   Aˡ    ← the fused masked extraction (Q_R·A)[:, S], §4.2.3/§8.2.2
+///   Aˡ    ← the masked extraction A[R, S] = Q_R·A·Q_C, rows R read in
+///         place (spgemm_masked), §4.2.3/§8.2.2
 SamplePlan build_ladies_plan();
 
 /// FastGCN (Chen et al. 2018) — the simplest layer-wise algorithm (§2.2.2),

@@ -1,6 +1,8 @@
 #include "plan/executor.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 
 #include "common/rng.hpp"
 #include "common/timer.hpp"
@@ -213,21 +215,24 @@ double model_dist_row_fetch(const RunCtx& ctx, std::size_t i,
 void exec_build_q(RunCtx& ctx, const PlanOp& op) {
   rows_op(ctx, op, [&](RowState& r, std::size_t) {
     const auto& fr = as_lists(ctx, r, op.in, op);
-    PlanValue& out = slot_ref(ctx, r, op.out, op);
-    if (op.qmode == QMode::kOnePerVertex) {
-      PlanValue& stk = slot_ref(ctx, r, op.out2, op);
-      stk.kind = PlanValue::Kind::kStack;
-      stk.stack = stack_frontiers(fr);
-      if (ctx.plan.stop_on_empty_frontier && stk.stack.vertices.empty()) {
-        r.stopped = true;  // every walk terminated — skip the rest
-        return;
-      }
-      out.kind = PlanValue::Kind::kMatrix;
-      out.m = CsrMatrix::one_nonzero_per_row(ctx.n, stk.stack.vertices);
-    } else {
+    if (op.qmode == QMode::kIndicator) {
+      PlanValue& out = slot_ref(ctx, r, op.out, op);
       out.kind = PlanValue::Kind::kMatrix;
       out.m = ladies_indicator_rows(ctx.n, fr);
+      return;
     }
+    PlanValue& stk = slot_ref(ctx, r, op.out2, op);
+    stk.kind = PlanValue::Kind::kStack;
+    stk.stack = stack_frontiers(fr);
+    if (ctx.plan.stop_on_empty_frontier && stk.stack.vertices.empty()) {
+      r.stopped = true;  // every walk terminated — skip the rest
+      return;
+    }
+    // No Q output: the in-place adjacency draw reads only the stack.
+    if (op.out == kNoSlot) return;
+    PlanValue& out = slot_ref(ctx, r, op.out, op);
+    out.kind = PlanValue::Kind::kMatrix;
+    out.m = CsrMatrix::one_nonzero_per_row(ctx.n, stk.stack.vertices);
   });
 }
 
@@ -243,15 +248,6 @@ void exec_spgemm(RunCtx& ctx, const PlanOp& op) {
               std::to_string(ctx.adj->rows()));
     SpgemmOptions sopts;
     sopts.workspace = &ctx.state->ws;
-    if (op.fused_norm) {
-      // Absorbed kNormalize runs as the engine's per-block epilogue: the
-      // same per-row arithmetic, but parallel across blocks on
-      // cache-resident rows instead of a serial pass over the stitched
-      // product.
-      sopts.epilogue = op.norm == NormMode::kRow
-                           ? SpgemmEpilogue::kRowNormalize
-                           : SpgemmEpilogue::kLadiesNormalize;
-    }
     PlanValue& out = slot_ref(ctx, r, op.out, op);
     out.kind = PlanValue::Kind::kMatrix;
     out.m = spgemm(q, *ctx.adj, sopts);
@@ -290,24 +286,6 @@ void exec_spgemm_15d(RunCtx& ctx, const PlanOp& op) {
     PlanValue& out = slot_ref(ctx, ctx.rows[i], op.out, op);
     out.kind = PlanValue::Kind::kMatrix;
     out.m = std::move(products[i]);
-  }
-  if (op.fused_norm) {
-    // The 1.5D product's per-panel partials must all-reduce before any
-    // normalization (a row's sum spans panels), so the absorbed kNormalize
-    // runs here as a post-pass — same arithmetic, same bits.
-    double max_t = 0.0;
-    for (std::size_t i = 0; i < rows; ++i) {
-      if (ctx.rows[i].stopped) continue;
-      Timer t;
-      CsrMatrix& m = as_matrix(ctx, ctx.rows[i], op.out, op);
-      if (op.norm == NormMode::kRow) {
-        normalize_rows(m);
-      } else {
-        ladies_norm(m);
-      }
-      max_t = std::max(max_t, t.seconds());
-    }
-    ctx.cluster->add_compute(op.phase, max_t);
   }
 }
 
@@ -450,15 +428,13 @@ void exec_masked_extract(RunCtx& ctx, const PlanOp& op) {
     PlanValue& out = slot_ref(ctx, r, op.out, op);
     out.kind = PlanValue::Kind::kMatrixList;
     out.mats.assign(r.out.size(), CsrMatrix());
+    SpgemmOptions mopts;
+    mopts.workspace = &ctx.state->ws;
     for (std::size_t b = 0; b < r.out.size(); ++b) {
-      // Fused A_S = (Q_R·A)[:, S]: the engine's masked kernel computes only
-      // the sampled columns; sampled ids come from a CSR row / ascending
-      // ITS output, satisfying the sorted-and-distinct mask contract.
-      const CsrMatrix qr = CsrMatrix::one_nonzero_per_row(ctx.n, frontier[b]);
-      SpgemmOptions mopts;
-      mopts.column_mask = &sets[b];
-      mopts.workspace = &ctx.state->ws;
-      out.mats[b] = spgemm(qr, *ctx.adj, mopts);
+      // A_S = A[R, S], the rows read in place: sampled ids come from a CSR
+      // row / ascending ITS output, satisfying the sorted-and-distinct mask
+      // contract.
+      out.mats[b] = spgemm_masked(*ctx.adj, frontier[b], sets[b], mopts);
     }
   });
 }
@@ -480,18 +456,22 @@ void exec_masked_extract_15d(RunCtx& ctx, const PlanOp& op) {
   xopts.phase = op.phase;
   xopts.local.workspace = &ctx.state->ws;
   const auto ar_blocks = spgemm_15d(*ctx.cluster, qr_blocks, *ctx.dadj, xopts);
-  // Stage 3 (row-local, timed): per-batch slice + masked column extraction.
+  // Stage 3 (row-local, timed): per batch, the masked extraction of its
+  // stacked rows of the gathered block, read in place.
   rows_op(ctx, op, [&](RowState& r, std::size_t i) {
     const auto& off = stacks[i].offsets;
     const auto& sets = as_lists(ctx, r, op.in, op);
     PlanValue& out = slot_ref(ctx, r, op.out, op);
     out.kind = PlanValue::Kind::kMatrixList;
     out.mats.assign(r.out.size(), CsrMatrix());
+    std::vector<index_t> stacked(static_cast<std::size_t>(ar_blocks[i].rows()));
+    std::iota(stacked.begin(), stacked.end(), index_t{0});
+    SpgemmOptions mopts;
+    mopts.workspace = &ctx.state->ws;
     for (std::size_t b = 0; b < r.out.size(); ++b) {
-      const CsrMatrix ar_b = row_slice(ar_blocks[i], off[b], off[b + 1]);
-      SpgemmOptions mopts;
-      mopts.workspace = &ctx.state->ws;
-      out.mats[b] = spgemm_masked(ar_b, sets[b], mopts);
+      const std::span<const index_t> rows_b(stacked.data() + off[b],
+                                            static_cast<std::size_t>(off[b + 1] - off[b]));
+      out.mats[b] = spgemm_masked(ar_blocks[i], rows_b, sets[b], mopts);
     }
   });
 }
@@ -595,32 +575,36 @@ void exec_walk_advance(RunCtx& ctx, const PlanOp& op) {
   });
 }
 
-/// extract_rows against the partitioned adjacency: assembles the rows of
-/// `vs` from their owner blocks (values pass through — block rows are
-/// slices of the global matrix, so the result is bit-identical to the
-/// replicated extraction).
-CsrMatrix extract_rows_dist(const RunCtx& ctx, const std::vector<index_t>& vs) {
+/// The induced subgraph A[vs, vs] (vs sorted and deduped; values pass
+/// through), its rows read in place. Partitioned execution reads each row
+/// from its owner block: vs is sorted, so the rows of one owner form one
+/// run, extracted from that block and stacked — bit-identical to the
+/// replicated extraction, since block rows are slices of the global matrix.
+CsrMatrix induced_subgraph(const RunCtx& ctx, const std::vector<index_t>& vs,
+                           const SpgemmOptions& opts) {
+  if (ctx.adj != nullptr) return spgemm_masked(*ctx.adj, vs, vs, opts);
   const BlockPartition& part = ctx.dadj->partition();
-  std::vector<nnz_t> rowptr(vs.size() + 1, 0);
-  std::vector<index_t> cols;
-  std::vector<value_t> vals;
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    const index_t owner = part.owner(vs[i]);
-    const CsrMatrix& blk = ctx.dadj->block(owner);
-    const index_t lr = vs[i] - part.begin(owner);
-    const auto rc = blk.row_cols(lr);
-    const auto rv = blk.row_vals(lr);
-    cols.insert(cols.end(), rc.begin(), rc.end());
-    vals.insert(vals.end(), rv.begin(), rv.end());
-    rowptr[i + 1] = static_cast<nnz_t>(cols.size());
+  std::vector<CsrMatrix> runs;
+  std::vector<index_t> local;
+  for (std::size_t k0 = 0; k0 < vs.size();) {
+    const index_t owner = part.owner(vs[k0]);
+    local.clear();
+    std::size_t k1 = k0;
+    for (; k1 < vs.size() && part.owner(vs[k1]) == owner; ++k1) {
+      local.push_back(vs[k1] - part.begin(owner));
+    }
+    runs.push_back(spgemm_masked(ctx.dadj->block(owner), local, vs, opts));
+    k0 = k1;
   }
-  return CsrMatrix(static_cast<index_t>(vs.size()), ctx.n, std::move(rowptr),
-                   std::move(cols), std::move(vals));
+  if (runs.empty()) return CsrMatrix(0, 0);
+  return vstack(runs);
 }
 
 void exec_induced_layers(RunCtx& ctx, const PlanOp& op) {
   std::size_t comm_bytes = 0, comm_msgs = 0;
   double comm_sec = 0.0;
+  SpgemmOptions mopts;
+  mopts.workspace = &ctx.state->ws;
   rows_op(ctx, op, [&](RowState& r, std::size_t i) {
     auto& visited = as_lists(ctx, r, ctx.plan.visited_slot, op);
     double row_sec = 0.0;
@@ -628,21 +612,12 @@ void exec_induced_layers(RunCtx& ctx, const PlanOp& op) {
       auto& vs = visited[b];
       std::sort(vs.begin(), vs.end());
       vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
-      // Induced subgraph A[V_s, V_s]: row extraction + the engine's masked
-      // column extraction (values pass through — bit-identical to slicing).
-      CsrMatrix rows_m;
-      if (ctx.adj != nullptr) {
-        rows_m = extract_rows(*ctx.adj, vs);
-      } else {
-        rows_m = extract_rows_dist(ctx, vs);
+      if (ctx.cluster != nullptr) {
         row_sec += model_dist_row_fetch(ctx, i, vs, true, &comm_bytes,
                                         &comm_msgs);
       }
-      SpgemmOptions mopts;
-      mopts.workspace = &ctx.state->ws;
-      const CsrMatrix induced = spgemm_masked(rows_m, vs, mopts);
       LayerSample layer;
-      layer.adj = induced;
+      layer.adj = induced_subgraph(ctx, vs, mopts);
       layer.row_vertices = vs;
       layer.col_vertices = vs;
       r.out[b].batch_vertices = vs;  // train on every subgraph vertex
@@ -706,9 +681,9 @@ PlanExecutor::PlanExecutor(SamplePlan plan, SamplerConfig config,
   }
   if (opts.optimize) {
     // Optimized form, shared process-wide: every executor over the same
-    // plan shape + fanouts (training epochs, coalesced serving batches,
-    // replica engines) reuses one immutable SamplePlan.
-    plan_ = PlanCache::global().get_or_optimize(plan, config_);
+    // plan shape (training epochs, coalesced serving batches, replica
+    // engines) reuses one immutable SamplePlan.
+    plan_ = PlanCache::global().get_or_optimize(plan);
   } else {
     plan_ = std::make_shared<const SamplePlan>(std::move(plan));
   }

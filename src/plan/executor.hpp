@@ -34,7 +34,7 @@ namespace dms {
 
 /// Construction-time knobs. By default the plan is run through the optimizer
 /// (plan/optimize.hpp) via the process-wide PlanCache, so executors over the
-/// same plan shape + fanouts share one optimized plan. {.optimize = false}
+/// same plan shape share one optimized plan. {.optimize = false}
 /// runs the plan as given, op by op: the unfused reference path for every
 /// fusion, walk fusion included.
 struct PlanExecOptions {

@@ -74,70 +74,37 @@ std::optional<PlanOp> match_walk_plan(const SamplePlan& plan) {
   return walk;
 }
 
-/// Rewrite 2: collapse adjacent kSpgemm → kNormalize (normalize.in == the
-/// product slot) into one spgemm op with fused_norm. Adjacency is the
-/// legality argument: no op observes the unnormalized product, so applying
-/// the identical normalization inside the producing op reorders nothing.
-void fuse_normalize(std::vector<PlanOp>& ops) {
-  for (std::size_t i = 0; i + 1 < ops.size();) {
-    PlanOp& op = ops[i];
-    const PlanOp& next = ops[i + 1];
-    const bool spgemm =
-        op.kind == PlanOpKind::kSpgemm || op.kind == PlanOpKind::kSpgemm15d;
-    if (spgemm && !op.fused_norm && next.kind == PlanOpKind::kNormalize &&
-        next.in == op.out) {
-      op.fused_norm = true;
-      op.norm = next.norm;
-      ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-      continue;  // re-check i against its new successor
-    }
-    ++i;
-  }
-}
-
-/// Rewrite 3: in an unlowered body, kBuildQ(kOnePerVertex) → kSpgemm
-/// (fused kRow) → kItsSample(kMatrixRows, in2 = that kBuildQ's stack)
-/// becomes one kItsSample(kAdjacencyRows) that draws each stacked row from
-/// the adjacency in place, and the kSpgemm is deleted. Legal when the
-/// kItsSample is the only op in the plan that reads the product slot (so
-/// nothing else observes P) and the product and stack are the last writes
-/// of their slots before it. The kBuildQ stays: its Q is written but no
-/// longer read.
+/// Rewrite 2: in an unlowered body, the adjacent window
+/// kBuildQ(kOnePerVertex) → kSpgemm → kNormalize(kRow) →
+/// kItsSample(kMatrixRows, in2 = that kBuildQ's stack) becomes kBuildQ →
+/// kItsSample(kAdjacencyRows), which draws each stacked row from the
+/// adjacency in place; the kSpgemm and the kNormalize are deleted. Legal
+/// when the normalize and the sample are the only ops in the plan reading
+/// the product (so nothing else observes P) and the spgemm the only one
+/// reading Q. The kBuildQ stays for the stack it writes; its Q output is
+/// cleared, so it no longer builds Q.
 void draw_in_place(SamplePlan& plan) {
   if (plan.distributed) return;
   std::vector<PlanOp>& ops = plan.body;
-  // Index of the last op before `end` writing slot s, or -1.
-  const auto last_writer = [&](SlotId s, std::size_t end) {
-    for (std::size_t j = end; j-- > 0;) {
-      if (ops[j].out == s || ops[j].out2 == s) return static_cast<std::ptrdiff_t>(j);
-    }
-    return std::ptrdiff_t{-1};
-  };
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    PlanOp& its = ops[i];
-    if (its.kind != PlanOpKind::kItsSample ||
-        its.source != SampleSource::kMatrixRows || its.in2 == kNoSlot ||
-        !sole_reader_of_input(plan, its)) {
-      continue;
-    }
-    const std::ptrdiff_t m = last_writer(its.in, i);
-    if (m < 0) continue;
-    const PlanOp& mul = ops[static_cast<std::size_t>(m)];
-    if (mul.kind != PlanOpKind::kSpgemm || !mul.fused_norm ||
-        mul.norm != NormMode::kRow) {
-      continue;
-    }
-    const std::ptrdiff_t b = last_writer(mul.in, static_cast<std::size_t>(m));
-    if (b < 0 || last_writer(its.in2, i) != b) continue;
-    const PlanOp& build = ops[static_cast<std::size_t>(b)];
+  for (std::size_t i = 0; i + 3 < ops.size(); ++i) {
+    PlanOp& build = ops[i];
+    const PlanOp& mul = ops[i + 1];
+    const PlanOp& norm = ops[i + 2];
+    PlanOp& its = ops[i + 3];
     if (build.kind != PlanOpKind::kBuildQ || build.qmode != QMode::kOnePerVertex ||
-        build.out != mul.in || build.out2 != its.in2) {
+        mul.kind != PlanOpKind::kSpgemm || mul.in != build.out ||
+        !sole_reader_of_input(plan, mul) || norm.kind != PlanOpKind::kNormalize ||
+        norm.norm != NormMode::kRow || norm.in != mul.out ||
+        its.kind != PlanOpKind::kItsSample ||
+        its.source != SampleSource::kMatrixRows || its.in != mul.out ||
+        its.in2 != build.out2 || slot_readers(plan, mul.out) != 2) {
       continue;
     }
+    build.out = kNoSlot;
     its.source = SampleSource::kAdjacencyRows;
     its.in = kNoSlot;
-    ops.erase(ops.begin() + m);
-    --i;  // the kItsSample moved down one; resume after it
+    ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+              ops.begin() + static_cast<std::ptrdiff_t>(i) + 3);
   }
 }
 
@@ -150,8 +117,6 @@ SamplePlan optimize(const SamplePlan& plan) {
     out.body = {std::move(*walk)};
     out.explicit_rounds = 1;
   }
-  fuse_normalize(out.body);
-  fuse_normalize(out.epilogue);
   draw_in_place(out);
   validate_plan(out);
   return out;
@@ -175,7 +140,7 @@ std::string plan_signature(const SamplePlan& plan) {
          << ',' << op.seed.layer_salt << ',' << static_cast<int>(op.seed.row)
          << ',' << static_cast<int>(op.assemble) << ',' << op.fixed_s << ','
          << op.copies << ',' << op.bias_p << ',' << op.bias_q << ','
-         << op.walk_length << ',' << op.fused_norm;
+         << op.walk_length;
     }
   };
   dump(plan.body);
@@ -225,11 +190,8 @@ PlanCache& PlanCache::global() {
 }
 
 std::shared_ptr<const SamplePlan> PlanCache::get_or_optimize(
-    const SamplePlan& plan, const SamplerConfig& config) {
-  std::ostringstream key;
-  key << plan_signature(plan) << "|fanouts=";
-  for (const index_t f : config.fanouts) key << f << ',';
-  const std::string k = key.str();
+    const SamplePlan& plan) {
+  const std::string k = plan_signature(plan);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.lookups;

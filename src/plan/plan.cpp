@@ -19,7 +19,10 @@ struct OpShape {
 OpShape op_shape(const PlanOp& op) {
   switch (op.kind) {
     case PlanOpKind::kBuildQ:
-      return {true, false, true, op.qmode == QMode::kOnePerVertex};
+      // kOnePerVertex's Q (out) is optional: the in-place adjacency draw
+      // reads only the stack (out2).
+      return {true, false, op.qmode != QMode::kOnePerVertex,
+              op.qmode == QMode::kOnePerVertex};
     case PlanOpKind::kSpgemm:
     case PlanOpKind::kSpgemm15d:
       return {true, false, true, false};
@@ -83,9 +86,6 @@ void validate_ops(const SamplePlan& plan, const std::vector<PlanOp>& ops,
             where + ": unbound slot " + std::to_string(s) +
                 " (read before any write)");
     }
-    check(!op.fused_norm || op.kind == PlanOpKind::kSpgemm ||
-              op.kind == PlanOpKind::kSpgemm15d,
-          where + ": fused_norm is only valid on spgemm ops");
     check(plan.distributed || !is_dist_only(op.kind),
           where + ": distributed op in an unlowered plan");
     const bool adjacency_rows = op.kind == PlanOpKind::kItsSample &&
@@ -194,14 +194,18 @@ std::string to_string(PlanOpKind kind) {
   return "unknown";
 }
 
-bool sole_reader_of_input(const SamplePlan& plan, const PlanOp& op) {
+int slot_readers(const SamplePlan& plan, SlotId s) {
   int readers = 0;
   for (const auto* ops : {&plan.body, &plan.epilogue}) {
     for (const PlanOp& other : *ops) {
-      readers += (other.in == op.in) + (other.in2 == op.in);
+      readers += (other.in == s) + (other.in2 == s);
     }
   }
-  return readers == 1;
+  return readers;
+}
+
+bool sole_reader_of_input(const SamplePlan& plan, const PlanOp& op) {
+  return slot_readers(plan, op.in) == 1;
 }
 
 std::string describe(const SamplePlan& plan) {
@@ -223,9 +227,6 @@ std::string describe(const SamplePlan& plan) {
       if (op.kind == PlanOpKind::kItsSample &&
           op.source == SampleSource::kAdjacencyRows) {
         os << " source=adjacency";
-      }
-      if (op.fused_norm) {
-        os << " +norm(" << (op.norm == NormMode::kRow ? "row" : "ladies") << ")";
       }
       os << "\n";
     }

@@ -46,16 +46,18 @@ using SlotId = int;
 inline constexpr SlotId kNoSlot = -1;
 
 enum class PlanOpKind {
-  /// frontiers → Q. kOnePerVertex stacks the per-batch lists (Eq. 1) and
-  /// emits one nonzero per row plus the FrontierStack (out2); kIndicator
-  /// emits one indicator row per batch (§4.2.1).
+  /// frontiers → Q. kOnePerVertex stacks the per-batch lists (Eq. 1) into
+  /// the FrontierStack (out2) and, when out is set, emits Q with one
+  /// nonzero per stacked row; kIndicator emits one indicator row per batch
+  /// (§4.2.1).
   kBuildQ,
   /// out = in · A, the probability-generation / row-extraction product
   /// against the bound adjacency. Lowered to kSpgemm15d for partitioned
   /// execution.
   kSpgemm,
   /// In-place NORM on a matrix slot: kRow row-normalizes (§4.1.1); kLadies
-  /// squares entries first (p_v ∝ e_v², Zou et al. 2019).
+  /// squares entries first (p_v ∝ e_v², Zou et al. 2019). The one
+  /// normalization of the library: the SpGEMM engine only multiplies.
   kNormalize,
   /// SAMPLE via inverse transform sampling (§4.1.2). kMatrixRows samples s
   /// distinct columns from each row of a probability matrix; kGlobalWeights
@@ -74,9 +76,10 @@ enum class PlanOpKind {
   /// Per-batch row read of a matrix slot into a sampled-set slot
   /// (row b → the sampled vertex ids of batch b).
   kSlice,
-  /// Fused masked extraction A_S = (Q_R·A)[:, S] per batch (§4.2.3,
-  /// §8.2.2): rows from the frontier, columns from a sampled-set slot.
-  /// Lowered to kMaskedExtract15d for partitioned execution.
+  /// Masked extraction A_S = A[R, S] per batch (§4.2.3, §8.2.2): rows R
+  /// from the frontier, read from the adjacency in place, columns S from a
+  /// sampled-set slot (spgemm_masked). Lowered to kMaskedExtract15d for
+  /// partitioned execution.
   kMaskedExtract,
   /// EXTRACT + frontier advance: assembles one LayerSample per batch and
   /// replaces the frontier with the new column space (rows lead, see
@@ -115,7 +118,8 @@ enum class PlanOpKind {
   /// Q blocks, chunked A-row fetch/exchange, all-reduce of partials.
   kSpgemm15d,
   /// kMaskedExtract lowered to the distributed form: stacked Q_R through
-  /// the 1.5D collective, then per-batch row_slice + masked extraction.
+  /// the 1.5D collective, then per batch spgemm_masked over that batch's
+  /// rows of the gathered block.
   kMaskedExtract15d,
 };
 
@@ -162,12 +166,6 @@ struct PlanOp {
   value_t bias_q = 1.0;
   /// kWalk: the walk rounds it runs in one call.
   index_t walk_length = 0;
-  /// kSpgemm/kSpgemm15d: apply `norm` to the product (the adjacent
-  /// kNormalize this op absorbed; set only by optimize()). Replicated
-  /// execution runs it as the engine's fused per-block epilogue; the 1.5D
-  /// form normalizes after the all-reduce (partials must sum first).
-  /// Bit-identical either way.
-  bool fused_norm = false;
 };
 
 /// A compiled sampler: the op program plus its slot/loop structure.
@@ -222,6 +220,10 @@ SamplePlan lower_to_dist(const SamplePlan& plan);
 
 std::string to_string(PlanOpKind kind);
 
+/// Number of operand reads (in / in2) of slot `s` across the body and the
+/// epilogue.
+int slot_readers(const SamplePlan& plan, SlotId s);
+
 /// True iff `op` is the only op in the plan reading slot `op.in` — then its
 /// executor may move the value out instead of copying (the slot's producer
 /// precedes any reader in program order, so the next round re-fills it
@@ -229,8 +231,7 @@ std::string to_string(PlanOpKind kind);
 bool sole_reader_of_input(const SamplePlan& plan, const PlanOp& op);
 
 /// Human-readable program listing (one op per line), for docs and tests.
-/// Normalize fusion shows up as a `+norm(...)` marker, the in-place
-/// adjacency draw as `source=adjacency`.
+/// The in-place adjacency draw shows up as `source=adjacency`.
 std::string describe(const SamplePlan& plan);
 
 }  // namespace dms

@@ -35,15 +35,6 @@ bool flop_prefix(const CsrMatrix& a, const CsrMatrix& b,
   return selection;
 }
 
-/// Row-count prefix for the masked extraction (one "flop" per nonzero).
-void nnz_prefix(const CsrMatrix& a, std::vector<nnz_t>& prefix) {
-  prefix.assign(static_cast<std::size_t>(a.rows()) + 1, 0);
-  for (index_t r = 0; r < a.rows(); ++r) {
-    prefix[static_cast<std::size_t>(r) + 1] =
-        prefix[static_cast<std::size_t>(r)] + a.row_nnz(r);
-  }
-}
-
 }  // namespace
 
 /// Contiguous row-range boundaries with ~equal flops per block. Every block
@@ -73,7 +64,7 @@ std::vector<index_t> work_balanced_bounds(const std::vector<nnz_t>& prefix,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Numeric phase kernels. All three accumulate each output entry's
+// Numeric phase kernels. Both accumulators add each output entry's
 // contributions in the order the A row traverses its B rows and emit sorted
 // rows, so their results are bitwise interchangeable. Each accumulator
 // borrows its buffers from the block's workspace slot and re-establishes the
@@ -240,61 +231,36 @@ void hash_block(const CsrMatrix& a, const CsrMatrix& b, index_t r0, index_t r1,
   }
 }
 
-/// Dense accumulator over mask positions (|mask| ≪ cols, so the workspace is
-/// tiny) plus a sorted-list intersection of each B row against the mask.
-struct MaskedAcc {
-  MaskedAcc(WorkspaceSlot& s, std::size_t size)
-      : mark(s.mark), acc(s.acc), touched(s.touched) {
-    mark.assign(size, -1);
-    acc.resize(size);
-    touched.clear();
-  }
-
-  std::vector<index_t>& mark;
-  std::vector<value_t>& acc;
-  std::vector<index_t>& touched;  // mask positions touched by the current row
-
-  void add(index_t row, index_t pos, value_t v) {
-    if (mark[static_cast<std::size_t>(pos)] != row) {
-      mark[static_cast<std::size_t>(pos)] = row;
-      acc[static_cast<std::size_t>(pos)] = v;
-      touched.push_back(pos);
-    } else {
-      acc[static_cast<std::size_t>(pos)] += v;
-    }
-  }
-};
-
-/// Feeds fn(mask_pos, b_index) for every column shared by the sorted B row
+/// Feeds fn(mask_pos, row_index) for every column shared by the sorted row
 /// and the sorted mask. Chooses between two-pointer merge and binary-search
 /// galloping based on the length ratio, so the cost is O(min + log max)
-/// rather than O(d) per B row.
+/// rather than O(d) per row.
 template <typename Fn>
-void intersect_sorted(std::span<const index_t> bcols,
+void intersect_sorted(std::span<const index_t> cols,
                       const std::vector<index_t>& mask, Fn&& fn) {
-  const std::size_t d = bcols.size();
+  const std::size_t d = cols.size();
   const std::size_t s = mask.size();
   if (d == 0 || s == 0) return;
   if (s * 8 < d) {
-    // Mask-driven: binary-search each masked column in the B row.
-    auto lo = bcols.begin();
+    // Mask-driven: binary-search each masked column in the row.
+    auto lo = cols.begin();
     for (std::size_t mi = 0; mi < s; ++mi) {
-      lo = std::lower_bound(lo, bcols.end(), mask[mi]);
-      if (lo == bcols.end()) return;
+      lo = std::lower_bound(lo, cols.end(), mask[mi]);
+      if (lo == cols.end()) return;
       if (*lo == mask[mi]) {
-        fn(static_cast<index_t>(mi), static_cast<std::size_t>(lo - bcols.begin()));
+        fn(static_cast<index_t>(mi), static_cast<std::size_t>(lo - cols.begin()));
         ++lo;
       }
     }
     return;
   }
   if (d * 8 < s) {
-    // Row-driven: binary-search each B column in the mask.
+    // Row-driven: binary-search each row column in the mask.
     auto lo = mask.begin();
     for (std::size_t j = 0; j < d; ++j) {
-      lo = std::lower_bound(lo, mask.end(), bcols[j]);
+      lo = std::lower_bound(lo, mask.end(), cols[j]);
       if (lo == mask.end()) return;
-      if (*lo == bcols[j]) {
+      if (*lo == cols[j]) {
         fn(static_cast<index_t>(lo - mask.begin()), j);
         ++lo;
       }
@@ -304,9 +270,9 @@ void intersect_sorted(std::span<const index_t> bcols,
   // Comparable lengths: linear two-pointer merge.
   std::size_t j = 0, mi = 0;
   while (j < d && mi < s) {
-    if (bcols[j] < mask[mi]) {
+    if (cols[j] < mask[mi]) {
       ++j;
-    } else if (bcols[j] > mask[mi]) {
+    } else if (cols[j] > mask[mi]) {
       ++mi;
     } else {
       fn(static_cast<index_t>(mi), j);
@@ -318,51 +284,14 @@ void intersect_sorted(std::span<const index_t> bcols,
 
 /// Dense column→mask-position lookup (-1 when unmasked), built into the
 /// workspace's shared buffer. O(cols) — built once per call and shared
-/// read-only across all blocks when the product's flop volume amortizes the
-/// build; small products use intersect_sorted instead and never pay the
-/// O(cols) setup.
+/// read-only across all blocks when the extraction's entry count amortizes
+/// the build; small extractions use intersect_sorted instead and never pay
+/// the O(cols) setup.
 void mask_lookup(const std::vector<index_t>& mask, index_t cols,
                  std::vector<index_t>& pos) {
   pos.assign(static_cast<std::size_t>(cols), -1);
   for (std::size_t i = 0; i < mask.size(); ++i) {
     pos[static_cast<std::size_t>(mask[i])] = static_cast<index_t>(i);
-  }
-}
-
-void masked_block(const CsrMatrix& a, const CsrMatrix& b,
-                  const std::vector<index_t>& mask,
-                  const std::vector<index_t>* lookup, index_t r0, index_t r1,
-                  WorkspaceSlot& slot) {
-  MaskedAcc ws(slot, mask.size());
-  BlockOut out(slot);
-  out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
-  for (index_t r = r0; r < r1; ++r) {
-    ws.touched.clear();
-    const auto acols = a.row_cols(r);
-    const auto avals = a.row_vals(r);
-    for (std::size_t i = 0; i < acols.size(); ++i) {
-      const index_t k = acols[i];
-      const value_t av = avals[i];
-      const auto bcols = b.row_cols(k);
-      const auto bvals = b.row_vals(k);
-      if (lookup != nullptr) {
-        for (std::size_t j = 0; j < bcols.size(); ++j) {
-          const index_t pos = (*lookup)[static_cast<std::size_t>(bcols[j])];
-          if (pos >= 0) ws.add(r, pos, av * bvals[j]);
-        }
-      } else {
-        intersect_sorted(bcols, mask, [&](index_t pos, std::size_t j) {
-          ws.add(r, pos, av * bvals[j]);
-        });
-      }
-    }
-    std::sort(ws.touched.begin(), ws.touched.end());
-    out.row_nnz[static_cast<std::size_t>(r - r0)] =
-        static_cast<nnz_t>(ws.touched.size());
-    for (const index_t pos : ws.touched) {
-      out.colidx.push_back(pos);
-      out.vals.push_back(ws.acc[static_cast<std::size_t>(pos)]);
-    }
   }
 }
 
@@ -406,36 +335,6 @@ void check_mask(const std::vector<index_t>& mask, index_t cols, const char* who)
   }
 }
 
-/// The fused normalization epilogue on one output row, in place. Entry
-/// order matches ladies_norm/normalize_rows on the finished matrix exactly,
-/// so a fused product stays bit-identical to product-then-normalize — the
-/// block just does the work while its rows are still cache-resident, in
-/// parallel with the other blocks. Both numeric paths (staged blocks and the
-/// selection gather) normalize through this one function.
-void epilogue_row(std::span<value_t> row, SpgemmEpilogue epilogue) {
-  if (epilogue == SpgemmEpilogue::kNone) return;
-  if (epilogue == SpgemmEpilogue::kLadiesNormalize) {
-    for (auto& v : row) v = v * v;
-  }
-  value_t s = 0.0;
-  for (const value_t v : row) s += v;
-  if (s == 0.0) return;
-  const value_t inv = 1.0 / s;
-  for (auto& v : row) v *= inv;
-}
-
-/// Applies the epilogue to one block's staged rows (slot.vals holds the
-/// block's rows contiguously, in row order, lengths in slot.row_nnz).
-void apply_epilogue(WorkspaceSlot& slot, SpgemmEpilogue epilogue) {
-  if (epilogue == SpgemmEpilogue::kNone) return;
-  const std::span<value_t> vals(slot.vals);
-  std::size_t k = 0;
-  for (const nnz_t len : slot.row_nnz) {
-    epilogue_row(vals.subspan(k, static_cast<std::size_t>(len)), epilogue);
-    k += static_cast<std::size_t>(len);
-  }
-}
-
 /// Selection product (every A row stores at most one entry): output row r is
 /// a(r,k)·B(k,:), so it is B's row k in B's sorted order, scaled. That is
 /// exactly what the accumulating kernels store when every column is touched
@@ -444,8 +343,8 @@ void apply_epilogue(WorkspaceSlot& slot, SpgemmEpilogue epilogue) {
 /// block writes its rows straight into the result — no accumulator, sort,
 /// workspace slot or stitch.
 void gather_block(const CsrMatrix& a, const CsrMatrix& b, index_t r0, index_t r1,
-                  std::span<const nnz_t> rowptr, SpgemmEpilogue epilogue,
-                  std::span<index_t> colidx, std::span<value_t> vals) {
+                  std::span<const nnz_t> rowptr, std::span<index_t> colidx,
+                  std::span<value_t> vals) {
   for (index_t r = r0; r < r1; ++r) {
     const auto acols = a.row_cols(r);
     if (acols.empty()) continue;
@@ -454,9 +353,7 @@ void gather_block(const CsrMatrix& a, const CsrMatrix& b, index_t r0, index_t r1
     const auto bvals = b.row_vals(acols[0]);
     const auto dst = static_cast<std::size_t>(rowptr[static_cast<std::size_t>(r)]);
     std::copy(bcols.begin(), bcols.end(), colidx.begin() + static_cast<std::ptrdiff_t>(dst));
-    const std::span<value_t> row = vals.subspan(dst, bvals.size());
-    for (std::size_t j = 0; j < bvals.size(); ++j) row[j] = av * bvals[j];
-    epilogue_row(row, epilogue);
+    for (std::size_t j = 0; j < bvals.size(); ++j) vals[dst + j] = av * bvals[j];
   }
 }
 
@@ -482,9 +379,6 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
   const index_t m = a.rows();
   const index_t n = b.cols();
 
-  const bool masked = opts.column_mask != nullptr;
-  if (masked) check_mask(*opts.column_mask, n, "spgemm");
-
   Workspace local_ws;
   Workspace& ws = opts.workspace != nullptr ? *opts.workspace : local_ws;
 
@@ -494,7 +388,7 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
   const index_t max_blocks = opts.parallel ? ThreadPool::global().size() : 1;
   const std::vector<index_t> bounds = work_balanced_bounds(prefix, m, max_blocks);
 
-  if (selection && !masked && opts.kernel == SpgemmKernel::kAuto) {
+  if (selection && opts.kernel == SpgemmKernel::kAuto) {
     // The prefix is the output rowptr: size the result once and let every
     // block gather its own rows into it.
     std::vector<nnz_t> rowptr(prefix);  // the workspace keeps its buffer
@@ -503,23 +397,11 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
     std::vector<value_t> vals(nnz);
     for_blocks(bounds, [&](index_t blk) {
       gather_block(a, b, bounds[static_cast<std::size_t>(blk)],
-                   bounds[static_cast<std::size_t>(blk) + 1], rowptr,
-                   opts.epilogue, colidx, vals);
+                   bounds[static_cast<std::size_t>(blk) + 1], rowptr, colidx, vals);
     });
     return CsrMatrix(m, n, std::move(rowptr), std::move(colidx), std::move(vals));
   }
   ws.ensure_slots(bounds.size() - 1);
-
-  // For flop-heavy masked products, an O(n) column→position table beats
-  // per-row sorted intersection; tiny per-minibatch extractions skip the
-  // setup entirely. Either path yields the same bits (identical
-  // contribution order), so this is a pure speed knob.
-  std::vector<index_t>* lookup = nullptr;
-  if (masked && !opts.column_mask->empty() &&
-      prefix[static_cast<std::size_t>(m)] * 2 >= n) {
-    mask_lookup(*opts.column_mask, n, ws.shared_lookup());
-    lookup = &ws.shared_lookup();
-  }
 
   // Numeric phase.
   for_blocks(bounds, [&](index_t blk) {
@@ -534,55 +416,72 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
       out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
       return;
     }
-    if (masked) {
-      masked_block(a, b, *opts.column_mask, lookup, r0, r1, slot);
+    SpgemmKernel kernel = opts.kernel;
+    if (kernel == SpgemmKernel::kAuto) kernel = spgemm_pick_kernel(block_flops, n);
+    if (kernel == SpgemmKernel::kHash) {
+      hash_block(a, b, r0, r1, prefix, slot);
     } else {
-      SpgemmKernel kernel = opts.kernel;
-      if (kernel == SpgemmKernel::kAuto) kernel = spgemm_pick_kernel(block_flops, n);
-      if (kernel == SpgemmKernel::kHash) {
-        hash_block(a, b, r0, r1, prefix, slot);
-      } else {
-        dense_block(a, b, r0, r1, slot);
-      }
+      dense_block(a, b, r0, r1, slot);
     }
-    apply_epilogue(slot, opts.epilogue);
   });
-
-  const index_t out_cols =
-      masked ? static_cast<index_t>(opts.column_mask->size()) : n;
-  return stitch(m, out_cols, bounds, ws);
+  return stitch(m, n, bounds, ws);
 }
 
-CsrMatrix spgemm_masked(const CsrMatrix& a, const std::vector<index_t>& mask,
-                        const SpgemmOptions& opts) {
+CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
+                        const std::vector<index_t>& mask, const SpgemmOptions& opts) {
   check_mask(mask, a.cols(), "spgemm_masked");
-  const index_t m = a.rows();
+  const auto m = static_cast<index_t>(rows.size());
 
   Workspace local_ws;
   Workspace& ws = opts.workspace != nullptr ? *opts.workspace : local_ws;
 
+  // Symbolic phase: one unit of work per entry of each listed row.
   std::vector<nnz_t>& prefix = ws.shared_prefix();
-  nnz_prefix(a, prefix);
+  prefix.assign(rows.size() + 1, 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    check(rows[i] >= 0 && rows[i] < a.rows(), "spgemm_masked: row id out of range");
+    prefix[i + 1] = prefix[i] + a.row_nnz(rows[i]);
+  }
   const index_t max_blocks = opts.parallel ? ThreadPool::global().size() : 1;
   const std::vector<index_t> bounds = work_balanced_bounds(prefix, m, max_blocks);
   ws.ensure_slots(bounds.size() - 1);
 
+  // When the rows store enough entries to amortize it, an O(cols)
+  // column→position table beats per-row sorted intersection; small
+  // per-minibatch extractions skip the setup entirely. Both visit a row's
+  // kept entries in column order, so this is a pure speed knob.
+  const std::vector<index_t>* lookup = nullptr;
+  if (!mask.empty() && prefix.back() * 2 >= a.cols()) {
+    mask_lookup(mask, a.cols(), ws.shared_lookup());
+    lookup = &ws.shared_lookup();
+  }
+
   for_blocks(bounds, [&](index_t blk) {
-    const index_t r0 = bounds[static_cast<std::size_t>(blk)];
-    const index_t r1 = bounds[static_cast<std::size_t>(blk) + 1];
+    const index_t i0 = bounds[static_cast<std::size_t>(blk)];
+    const index_t i1 = bounds[static_cast<std::size_t>(blk) + 1];
     BlockOut out(ws.slot(static_cast<std::size_t>(blk)));
-    out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
-    for (index_t r = r0; r < r1; ++r) {
+    out.row_nnz.assign(static_cast<std::size_t>(i1 - i0), 0);
+    for (index_t i = i0; i < i1; ++i) {
+      const index_t r = rows[static_cast<std::size_t>(i)];
+      const auto acols = a.row_cols(r);
       const auto avals = a.row_vals(r);
-      nnz_t kept = 0;
-      // Row columns are sorted and unique, so the intersection needs no
+      const std::size_t first = out.colidx.size();
+      // Row columns are sorted and unique, so the extraction needs no
       // accumulator: values pass through and positions emerge ascending.
-      intersect_sorted(a.row_cols(r), mask, [&](index_t pos, std::size_t j) {
+      const auto keep = [&](index_t pos, std::size_t j) {
         out.colidx.push_back(pos);
         out.vals.push_back(avals[j]);
-        ++kept;
-      });
-      out.row_nnz[static_cast<std::size_t>(r - r0)] = kept;
+      };
+      if (lookup != nullptr) {
+        for (std::size_t j = 0; j < acols.size(); ++j) {
+          const index_t pos = (*lookup)[static_cast<std::size_t>(acols[j])];
+          if (pos >= 0) keep(pos, j);
+        }
+      } else {
+        intersect_sorted(acols, mask, keep);
+      }
+      out.row_nnz[static_cast<std::size_t>(i - i0)] =
+          static_cast<nnz_t>(out.colidx.size() - first);
     }
   });
 

@@ -10,14 +10,14 @@
 //    block decomposition of the rows, and a kernel choice per block. The
 //    same pass notes whether every row of A stores at most one entry.
 //  - NUMERIC: each block runs the kernel the estimator picked:
-//      * gather — kAuto, unmasked products whose A is a selection matrix
-//                 (LABOR's Qˡ, every extraction Q_R, the 1.5D panels, and
-//                 GraphSAGE's Qˡ on the unoptimized reference path; the
-//                 optimized GraphSAGE plan draws from A's rows instead and
-//                 builds no product, see core/its.hpp): output row r is
-//                 a(r,k)·B(k,:), so the flop prefix is the output rowptr and
-//                 each block copies scaled B rows straight into the result.
-//                 No accumulator, sort, workspace slot or stitch.
+//      * gather — kAuto products whose A is a selection matrix (LABOR's
+//                 Qˡ, every extraction Q_R, the 1.5D panels, and GraphSAGE's
+//                 Qˡ on the unoptimized reference path; the optimized
+//                 GraphSAGE plan draws from A's rows instead and builds no
+//                 product, see core/its.hpp): output row r is a(r,k)·B(k,:),
+//                 so the flop prefix is the output rowptr and each block
+//                 copies scaled B rows straight into the result. No
+//                 accumulator, sort, workspace slot or stitch.
 //      * dense  — generation-marked dense accumulator, O(cols) workspace per
 //                 block. Wins when the block's flop volume amortizes the
 //                 workspace (wide, dense row blocks).
@@ -25,23 +25,28 @@
 //                 upper-bound fill. Wins for sparse rows over wide matrices
 //                 (LADIES' indicator-row probability product, sparse 1.5D
 //                 panels).
-//      * masked — computes only the output columns listed in an explicit
-//                 column mask, via sorted-list intersection against each
-//                 B row. Turns the LADIES/FastGCN column-extraction pattern
-//                 (compute AᵣB in full, keep s columns) into work
-//                 proportional to the surviving nonzeros (§4.1.3, §8.2.2).
+//
+// The engine only multiplies: NORM is the plan's kNormalize op
+// (sparse/ops.hpp normalize_rows, core/ladies.hpp ladies_norm). Masked
+// extraction A[rows, mask] — the product Q_R·A·Q_C of §4.1.3/§4.2.3 with
+// one nonzero per row of Q_R and per column of Q_C — is spgemm_masked,
+// which reads the listed rows of A in place and keeps only the masked
+// columns, so the work is proportional to the entries it reads
+// (§4.2.3, §8.2.2).
 //
 // Bit-identity contract: all kernels emit rows in sorted column order and
 // accumulate each output entry's contributions in the same order (the order
-// the A row traverses its B rows), so gather, dense, hash, auto and masked
-// products are bit-identical — not merely close (a selection row touches
-// each column once, so every kernel stores av·bv in B's order). This is
-// what lets the samplers dispatch adaptively while preserving the
-// single-node/partitioned equivalence contract, and what makes the
+// the A row traverses its B rows), so gather, dense, hash and auto products
+// are bit-identical — not merely close (a selection row touches each column
+// once, so every kernel stores av·bv in B's order). spgemm_masked passes
+// values through, so it equals extraction by product-then-slice bit for
+// bit. This is what lets the samplers dispatch adaptively while preserving
+// the single-node/partitioned equivalence contract, and what makes the
 // distributed 1.5D SpGEMM's results independent of the per-panel kernel
 // choice.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/workspace.hpp"
@@ -49,61 +54,45 @@
 
 namespace dms {
 
-/// Kernel selector for unmasked products. kAuto gathers selection products
-/// and otherwise lets the symbolic phase pick per row block
-/// (spgemm_pick_kernel); a column mask always selects the masked kernel.
+/// Kernel selector. kAuto gathers selection products and otherwise lets
+/// the symbolic phase pick per row block (spgemm_pick_kernel).
 enum class SpgemmKernel { kAuto, kDense, kHash };
-
-/// Row-wise normalization fused into the numeric phase: each block
-/// normalizes its staged rows while they are still cache-resident (and in
-/// parallel with the other blocks), instead of a separate serial pass over
-/// the stitched product. kRowNormalize divides every row by its sum;
-/// kLadiesNormalize squares entries first (p_v ∝ e_v², Zou et al. 2019).
-/// Both are per-row and applied in the exact entry order of the post-hoc
-/// normalize_rows/ladies_norm passes, so fused products are bit-identical
-/// to product-then-normalize.
-enum class SpgemmEpilogue { kNone, kRowNormalize, kLadiesNormalize };
 
 /// Options controlling the SpGEMM engine.
 struct SpgemmOptions {
   /// Parallelize over flop-balanced row blocks using the global thread pool.
   bool parallel = true;
-  /// Kernel override for unmasked products. kAuto runs the row gather when
-  /// every A row stores at most one entry, else dispatches per row block by
-  /// spgemm_pick_kernel; a forced kDense/kHash always runs that kernel.
-  /// Never affects result bits.
+  /// Kernel override. kAuto runs the row gather when every A row stores at
+  /// most one entry, else dispatches per row block by spgemm_pick_kernel; a
+  /// forced kDense/kHash always runs that kernel. Never affects result bits.
+  /// spgemm_masked ignores it.
   SpgemmKernel kernel = SpgemmKernel::kAuto;
-  /// Fused row normalization, applied to each output row inside its block
-  /// (staged rows before stitching; gathered rows in place).
-  SpgemmEpilogue epilogue = SpgemmEpilogue::kNone;
-  /// When non-null: compute only these columns of the product (must be
-  /// sorted and duplicate-free; ids index the product's column space), and
-  /// renumber them 0..mask.size()-1 in order. Forces the masked kernel.
-  /// The pointee must outlive the call.
-  const std::vector<index_t>* column_mask = nullptr;
   /// Reusable scratch arena (DESIGN.md §7). When non-null, every symbolic
-  /// prefix, block accumulator, and staging buffer comes from (and stays
-  /// in) the workspace, so repeated products allocate only their results.
-  /// Selection gathers use only the shared prefix, never a slot.
+  /// prefix, block accumulator, staging buffer and mask lookup comes from
+  /// (and stays in) the workspace, so repeated products allocate only their
+  /// results. Selection gathers use only the shared prefix, never a slot.
   /// One kernel invocation at a time per Workspace; results are bitwise
   /// independent of whether (or which) workspace is supplied.
   Workspace* workspace = nullptr;
 };
 
-/// C = A * B. A is (m × k), B is (k × n); C is (m × n), or (m × |mask|)
-/// when opts.column_mask is set. Per-row column ids of C are sorted and the
-/// result is bitwise independent of the kernel choice, the block
-/// decomposition, and the thread count.
+/// C = A * B. A is (m × k), B is (k × n); C is (m × n). Per-row column ids
+/// of C are sorted and the result is bitwise independent of the kernel
+/// choice, the block decomposition, and the thread count.
 CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
                  const SpgemmOptions& opts = {});
 
-/// Masked column extraction A[:, mask] with the kept columns renumbered
-/// 0..mask.size()-1: the fused form of the extraction SpGEMM A·Q_C where
-/// Q_C has one nonzero per sampled column (§4.1.3). `mask` must be sorted
-/// and duplicate-free. Values are passed through unchanged (Q_C's nonzeros
-/// are exactly 1), so the result is bit-identical to the two-step
-/// product-then-slice it replaces.
-CsrMatrix spgemm_masked(const CsrMatrix& a, const std::vector<index_t>& mask,
+/// Masked extraction A[rows, mask]: row i of the result is A's row rows[i]
+/// (read in place; ids may repeat and come in any order) restricted to the
+/// columns in `mask`, renumbered 0..mask.size()-1 in order. `mask` must be
+/// sorted and duplicate-free. Values pass through unchanged (Q_R and Q_C
+/// hold only ones), so the result is bit-identical to
+/// extract_columns(extract_rows(a, rows), mask). Each call picks, from the
+/// number of entries the listed rows store, between a column→position table
+/// (O(cols) to build, then one probe per entry) and per-row sorted-list
+/// intersection against the mask; both yield the same bits.
+CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
+                        const std::vector<index_t>& mask,
                         const SpgemmOptions& opts = {});
 
 /// Kernel the kAuto estimator picks for a row block performing `block_flops`

@@ -40,8 +40,11 @@ TEST(Minibatch, RejectsNonPositiveBatchSize) {
 
 TEST(Frontier, RowsLeadAndDuplicatesMerge) {
   const std::vector<index_t> rows = {10, 20};
-  const std::vector<std::vector<index_t>> sampled = {{30, 20}, {30, 40}};
-  const LayerSample layer = build_layer_sample(rows, sampled);
+  // Row 0 sampled {30, 20}, row 1 {30, 40}, as a CSR slice whose rowptr
+  // starts past 0.
+  const std::vector<nnz_t> rowptr = {3, 5, 7};
+  const std::vector<index_t> sampled = {-1, -1, -1, 30, 20, 30, 40};
+  const LayerSample layer = build_layer_sample(rows, rowptr, sampled);
   EXPECT_EQ(layer.col_vertices, (std::vector<index_t>{10, 20, 30, 40}));
   EXPECT_EQ(layer.adj.rows(), 2);
   EXPECT_EQ(layer.adj.cols(), 4);
@@ -53,8 +56,29 @@ TEST(Frontier, RowsLeadAndDuplicatesMerge) {
   EXPECT_DOUBLE_EQ(layer.adj.at(1, 3), 1.0);
 }
 
+TEST(Frontier, RelabelsInStoredOrderThenSortsRows) {
+  // Unsorted rows (the classic baseline's Floyd draw order): the first
+  // sighting fixes the column order, each row's local ids come out sorted,
+  // and a vertex sampled twice for one row is one edge.
+  const std::vector<index_t> rows = {5};
+  const std::vector<nnz_t> rowptr = {0, 4};
+  const std::vector<index_t> sampled = {9, 7, 9, 5};
+  const LayerSample layer = build_layer_sample(rows, rowptr, sampled);
+  EXPECT_EQ(layer.col_vertices, (std::vector<index_t>{5, 9, 7}));
+  layer.adj.validate();
+  EXPECT_EQ(layer.adj.nnz(), 3);
+  EXPECT_EQ(layer.adj.colidx(), (std::vector<index_t>{0, 1, 2}));
+}
+
 TEST(Frontier, MismatchedRowsThrow) {
-  EXPECT_THROW(build_layer_sample({1}, {{2}, {3}}), DmsError);
+  const std::vector<nnz_t> rowptr = {0, 1, 2};
+  const std::vector<index_t> sampled = {2, 3};
+  EXPECT_THROW(build_layer_sample({1}, rowptr, sampled), DmsError);
+  // A rowptr past the sampled columns, or decreasing, is malformed too.
+  EXPECT_THROW(build_layer_sample({1, 2}, std::vector<nnz_t>{0, 1, 3}, sampled),
+               DmsError);
+  EXPECT_THROW(build_layer_sample({1, 2}, std::vector<nnz_t>{0, 2, 1}, sampled),
+               DmsError);
 }
 
 TEST(MinibatchSample, InputVerticesThrowsOnEmptyLayers) {

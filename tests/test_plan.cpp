@@ -209,6 +209,28 @@ TEST(PlanValidate, MissingOperandRejected) {
   }
 }
 
+TEST(PlanValidate, BuildQOutputOptionalOnlyForStacks) {
+  // kOnePerVertex needs only its stack (the in-place adjacency draw reads
+  // nothing else); an indicator kBuildQ's Q is its only output.
+  for (const QMode mode : {QMode::kOnePerVertex, QMode::kIndicator}) {
+    SamplePlan p;
+    p.name = "build_only";
+    p.frontier_slot = p.add_slot();
+    PlanOp build;
+    build.kind = PlanOpKind::kBuildQ;
+    build.label = "build_q";
+    build.qmode = mode;
+    build.in = p.frontier_slot;
+    if (mode == QMode::kOnePerVertex) build.out2 = p.add_slot();
+    p.body.push_back(build);
+    if (mode == QMode::kOnePerVertex) {
+      EXPECT_NO_THROW(validate_plan(p));
+    } else {
+      EXPECT_THROW(validate_plan(p), DmsError);
+    }
+  }
+}
+
 TEST(PlanValidate, SlotOutOfRangeRejected) {
   SamplePlan p;
   p.name = "broken";

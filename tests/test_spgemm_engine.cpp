@@ -1,7 +1,8 @@
 // The unified SpGEMM engine: property tests asserting every kernel (dense,
-// hash, auto-dispatched, masked, selection gather) produces bit-identical
-// results on random CSR inputs across shapes — including empty rows/columns
-// and random duplicate-free masks — plus dispatch and mask-contract checks.
+// hash, auto-dispatched, selection gather) produces bit-identical results on
+// random CSR inputs across shapes — including empty rows/columns — and that
+// spgemm_masked equals row-then-column extraction bit for bit under random
+// duplicate-free masks, plus dispatch and mask-contract checks.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -63,24 +64,41 @@ TEST_P(SpgemmEngineSweep, AllKernelsBitIdentical) {
 }
 
 TEST_P(SpgemmEngineSweep, MaskedVariantMatchesProductThenSlice) {
+  // spgemm_masked(b, rows, mask) reads the listed rows of b in place; it
+  // must equal extract_columns(extract_rows(b, rows), mask) bit for bit.
+  // The row lists cover no rows, repeated rows, and every row twice
+  // (structurally empty rows included); with the sparse rows and the
+  // repeated passes over all rows they land on both sides of the lookup
+  // rule (2·entries >= cols, e.g. on the {100,100,100} and {4,64,512}
+  // shapes). Each case runs in parallel on one reused Workspace and
+  // serially on a fresh one.
   const auto p = GetParam();
-  const CsrMatrix a = random_csr(p.m, p.k, p.da, 311 + p.m);
   const CsrMatrix b = random_csr(p.k, p.n, p.db, 313 + p.n);
-  const CsrMatrix full = run(a, b, SpgemmKernel::kDense);
-
-  for (const double keep : {0.0, 0.25, 1.0}) {
-    const std::vector<index_t> mask =
-        random_mask(p.n, keep, 317 + p.m + static_cast<std::uint64_t>(keep * 8));
-    SpgemmOptions opts;
-    opts.column_mask = &mask;
-    const CsrMatrix masked = spgemm(a, b, opts);
-    masked.validate();
-    EXPECT_EQ(masked.cols(), static_cast<index_t>(mask.size()));
-    if (mask.empty()) {
-      EXPECT_EQ(masked.nnz(), 0);
-      continue;
+  std::vector<index_t> every_row_twice;
+  for (index_t r = 0; r < p.k; ++r) every_row_twice.push_back(r);
+  for (index_t r = p.k; r-- > 0;) every_row_twice.push_back(r);
+  const std::vector<std::vector<index_t>> row_lists = {
+      {}, {p.k - 1, 0, p.k - 1}, every_row_twice};
+  Workspace ws;
+  for (const auto& rows : row_lists) {
+    const CsrMatrix picked = extract_rows(b, rows);
+    for (const double keep : {0.0, 0.25, 1.0}) {
+      const std::vector<index_t> mask =
+          random_mask(p.n, keep, 317 + p.m + static_cast<std::uint64_t>(keep * 8));
+      const CsrMatrix want = extract_columns(picked, mask);
+      SpgemmOptions par;
+      par.workspace = &ws;
+      SpgemmOptions ser;
+      ser.parallel = false;
+      for (const SpgemmOptions& opts : {par, ser}) {
+        const CsrMatrix masked = spgemm_masked(b, rows, mask, opts);
+        masked.validate();
+        EXPECT_EQ(masked.rows(), static_cast<index_t>(rows.size()));
+        EXPECT_EQ(masked.cols(), static_cast<index_t>(mask.size()));
+        EXPECT_TRUE(masked == want)
+            << rows.size() << " rows, mask of " << mask.size();
+      }
     }
-    EXPECT_TRUE(masked == extract_columns(full, mask));
   }
 }
 
@@ -148,20 +166,26 @@ TEST(SpgemmEngine, CostModelDefaultsMatchHistoricalThreshold) {
   }
 }
 
+std::vector<index_t> all_rows(const CsrMatrix& a) {
+  std::vector<index_t> rows(static_cast<std::size_t>(a.rows()));
+  for (index_t r = 0; r < a.rows(); ++r) rows[static_cast<std::size_t>(r)] = r;
+  return rows;
+}
+
 TEST(SpgemmEngine, MaskedExtractionMatchesExtractColumns) {
   const CsrMatrix a = random_csr(30, 80, 0.15, 401);
   for (const double keep : {0.1, 0.5, 1.0}) {
     const std::vector<index_t> mask =
         random_mask(80, keep, 403 + static_cast<std::uint64_t>(keep * 16));
     if (mask.empty()) continue;
-    EXPECT_TRUE(spgemm_masked(a, mask) == extract_columns(a, mask));
+    EXPECT_TRUE(spgemm_masked(a, all_rows(a), mask) == extract_columns(a, mask));
   }
 }
 
 TEST(SpgemmEngine, MaskedExtractionEmptyMask) {
   const CsrMatrix a = random_csr(6, 10, 0.5, 405);
   const std::vector<index_t> empty;
-  const CsrMatrix e = spgemm_masked(a, empty);
+  const CsrMatrix e = spgemm_masked(a, all_rows(a), empty);
   EXPECT_EQ(e.rows(), 6);
   EXPECT_EQ(e.cols(), 0);
   EXPECT_EQ(e.nnz(), 0);
@@ -169,18 +193,15 @@ TEST(SpgemmEngine, MaskedExtractionEmptyMask) {
 
 TEST(SpgemmEngine, MaskContractViolationsThrow) {
   const CsrMatrix a = random_csr(4, 6, 0.5, 407);
-  const CsrMatrix b = random_csr(6, 8, 0.5, 408);
-  const std::vector<index_t> unsorted{3, 1};
-  const std::vector<index_t> duplicated{2, 2};
-  const std::vector<index_t> out_of_range{7, 8};
-  SpgemmOptions opts;
-  opts.column_mask = &unsorted;
-  EXPECT_THROW(spgemm(a, b, opts), DmsError);
-  opts.column_mask = &duplicated;
-  EXPECT_THROW(spgemm(a, b, opts), DmsError);
-  opts.column_mask = &out_of_range;
-  EXPECT_THROW(spgemm(a, b, opts), DmsError);
-  EXPECT_THROW(spgemm_masked(a, out_of_range), DmsError);
+  const std::vector<index_t> rows{0, 3, 0};
+  EXPECT_THROW(spgemm_masked(a, rows, {3, 1}), DmsError);      // unsorted
+  EXPECT_THROW(spgemm_masked(a, rows, {2, 2}), DmsError);      // duplicated
+  EXPECT_THROW(spgemm_masked(a, rows, {5, 6}), DmsError);      // column range
+  const std::vector<index_t> past_end{1, 4};
+  const std::vector<index_t> negative{-1};
+  EXPECT_THROW(spgemm_masked(a, past_end, {1, 2}), DmsError);  // row range
+  EXPECT_THROW(spgemm_masked(a, negative, {1, 2}), DmsError);
+  EXPECT_NO_THROW(spgemm_masked(a, rows, {1, 5}));
 }
 
 TEST(SpgemmEngine, DimensionMismatchThrows) {
@@ -214,10 +235,9 @@ TEST(SpgemmEngine, SkewedRowsStayBitIdenticalAcrossDecompositions) {
 TEST(SpgemmEngine, SelectionProductsGatherBitIdentical) {
   // A selection matrix (at most one entry per row, the shape of GraphSAGE's
   // Qˡ and of every extraction Q_R) takes kAuto's row gather. It must match
-  // the forced accumulating kernels bit for bit under every epilogue, and
-  // never borrow a workspace slot. The rows cover empty rows, repeated
-  // target rows and the values 1, 0.5, 0 and -2: zero and negative row sums
-  // reach both branches of the normalization.
+  // the forced accumulating kernels bit for bit, and never borrow a
+  // workspace slot. The rows cover empty rows, repeated target rows and the
+  // values 1, 0.5, 0 and -2.
   const value_t values[] = {1.0, 0.5, 0.0, -2.0};
   const index_t k = 30;
   const index_t m = 48;
@@ -238,34 +258,30 @@ TEST(SpgemmEngine, SelectionProductsGatherBitIdentical) {
                           random_csr(k, 20, 0.3, 445)};
   for (const CsrMatrix& a : selections) {
     for (const CsrMatrix& b : bs) {
-      for (const SpgemmEpilogue epilogue :
-           {SpgemmEpilogue::kNone, SpgemmEpilogue::kRowNormalize,
-            SpgemmEpilogue::kLadiesNormalize}) {
-        for (const bool parallel : {true, false}) {
-          SpgemmOptions opts;
-          opts.epilogue = epilogue;
-          opts.parallel = parallel;
-          Workspace ws;
-          opts.workspace = &ws;
-          const CsrMatrix gathered = spgemm(a, b, opts);
-          EXPECT_EQ(ws.num_slots(), 0u);
-          gathered.validate();
-          opts.workspace = nullptr;
-          opts.kernel = SpgemmKernel::kDense;
-          EXPECT_TRUE(gathered == spgemm(a, b, opts));
-          opts.kernel = SpgemmKernel::kHash;
-          EXPECT_TRUE(gathered == spgemm(a, b, opts));
-        }
+      for (const bool parallel : {true, false}) {
+        SpgemmOptions opts;
+        opts.parallel = parallel;
+        Workspace ws;
+        opts.workspace = &ws;
+        const CsrMatrix gathered = spgemm(a, b, opts);
+        EXPECT_EQ(ws.num_slots(), 0u);
+        gathered.validate();
+        opts.workspace = nullptr;
+        opts.kernel = SpgemmKernel::kDense;
+        EXPECT_TRUE(gathered == spgemm(a, b, opts));
+        opts.kernel = SpgemmKernel::kHash;
+        EXPECT_TRUE(gathered == spgemm(a, b, opts));
       }
     }
   }
 }
 
 TEST(SpgemmEngine, SharedWorkspaceReuseAcrossKernelsAndShapes) {
-  // One arena serving interleaved dense/hash/auto/masked products of
-  // different shapes must never change any result: every accumulator
-  // re-establishes its own state from whatever a previous call left behind
-  // (the stale-mark / stale-hash-fill regression this pins down).
+  // One arena serving interleaved dense/hash/auto products and masked
+  // extractions of different shapes must never change any result: every
+  // accumulator re-establishes its own state from whatever a previous call
+  // left behind (the stale-mark / stale-hash-fill regression this pins
+  // down).
   const CsrMatrix a1 = random_csr(40, 90, 0.2, 421);
   const CsrMatrix b1 = random_csr(90, 120, 0.1, 422);
   const CsrMatrix a2 = random_csr(7, 300, 0.3, 423);
@@ -288,17 +304,16 @@ TEST(SpgemmEngine, SharedWorkspaceReuseAcrossKernelsAndShapes) {
       EXPECT_TRUE(spgemm(a2, b2, reused) == spgemm(a2, b2, fresh));
     }
     SpgemmOptions fresh;
-    fresh.column_mask = &mask;
-    SpgemmOptions reused = fresh;
+    SpgemmOptions reused;
     reused.workspace = &ws;
-    EXPECT_TRUE(spgemm(a1, b1, reused) == spgemm(a1, b1, fresh));
+    // b1's rows 5, 0, 89, 5, 41 under the mask: few entries (intersection).
+    const std::vector<index_t> picked{5, 0, 89, 5, 41};
+    EXPECT_TRUE(spgemm_masked(b1, picked, mask, reused) ==
+                spgemm_masked(b1, picked, mask, fresh));
     std::vector<index_t> col_mask;  // indexes a1's own 90 columns
     for (index_t c = 2; c < 90; c += 5) col_mask.push_back(c);
-    SpgemmOptions mfresh;
-    SpgemmOptions mreused;
-    mreused.workspace = &ws;
-    EXPECT_TRUE(spgemm_masked(a1, col_mask, mreused) ==
-                spgemm_masked(a1, col_mask, mfresh));
+    EXPECT_TRUE(spgemm_masked(a1, all_rows(a1), col_mask, reused) ==
+                spgemm_masked(a1, all_rows(a1), col_mask, fresh));
   }
   EXPECT_GT(ws.bytes_held(), 0u);
 }
