@@ -18,40 +18,55 @@ DistBlockRowMatrix::DistBlockRowMatrix(const ProcessGrid& grid, const CsrMatrix&
 
 CsrMatrix DistBlockRowMatrix::gather() const { return vstack(blocks_); }
 
-std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
-                                  const std::vector<CsrMatrix>& q_blocks,
-                                  const DistBlockRowMatrix& a,
-                                  const Spgemm15dOptions& opts, Spgemm15dStats* stats) {
+namespace {
+
+/// What one sparsity-aware request/reply between a requester and the owner
+/// of a block cost: each side's compute seconds and the two messages' bytes.
+/// id_bytes == 0 means nothing was requested and no message moves.
+struct AwareCost {
+  double requester_sec = 0.0;
+  double owner_sec = 0.0;
+  std::size_t id_bytes = 0;
+  std::size_t reply_bytes = 0;
+};
+
+/// The round schedule of both collectives (Algorithm 2, §5.2.1), with the
+/// crash recovery of DESIGN.md §13. `work` says what process row i computes
+/// against block k:
+///   has_rows(i)     row i still has rows (a fully dead row throws iff so);
+///   touches(i, k)   row i reads block k (a lost block throws iff so);
+///   skip(i, k)      (i, k) contributes nothing;
+///   local(i, k)     (i, k) computed on one rank against the whole block
+///                   (the oblivious receiver, or i == k);
+///   aware(i, k)     the sparsity-aware exchange, i != k;
+///   finish(i)       row i's fold after the rounds; returns the bytes its
+///                   ranks all-reduce.
+/// Compute is billed to the rank that does it, each round's comm is the
+/// max over process columns, and comm is recorded once per round that
+/// moves a message plus once for the row all-reduce, so the loss-draw
+/// counter advances the same way for both collectives.
+template <typename Work>
+void run_schedule(Cluster& cluster, const DistBlockRowMatrix& a,
+                  const Spgemm15dOptions& opts, Spgemm15dStats* stats,
+                  const std::string& who, Work& work) {
   const ProcessGrid& grid = cluster.grid();
   const CostModel& cm = cluster.cost_model();
   const index_t rows = grid.rows();
   const int c = grid.replication();
-  check(a.num_blocks() == rows, "spgemm_15d: A distributed over a different grid shape");
-  check(static_cast<index_t>(q_blocks.size()) == rows,
-        "spgemm_15d: need one Q block per process row");
-  for (const CsrMatrix& q : q_blocks) {
-    check(q.cols() == a.rows(), "spgemm_15d: Q block columns must equal A rows");
-  }
 
-  const BlockPartition& apart = a.partition();
   // Block rows of A are split among the c ranks of every process row: rank
-  // (i, j) multiplies against the A blocks of chunk j, one per round.
+  // (i, j) works on the A blocks of chunk j, one per round.
   const BlockPartition chunks(rows, c);
   index_t num_rounds = 0;
   for (index_t j = 0; j < c; ++j) num_rounds = std::max(num_rounds, chunks.size(j));
 
-  // contrib[i][k] = Qˡ_ik · A_k, computed on rank (i, owner column of k).
-  std::vector<std::vector<CsrMatrix>> contrib(static_cast<std::size_t>(rows));
-  for (auto& row : contrib) row.resize(static_cast<std::size_t>(rows));
-
   // Crash recovery (DESIGN.md §13): a dead rank's per-chunk work degrades
   // onto a surviving replica of its process row (block rows are replicated
   // across the row's c ranks), and a dead owner's A block is fetched from a
-  // survivor in another column. The arithmetic — panels, products, fold
-  // order — is untouched, so results stay bit-identical to the healthy run;
-  // only attribution and the extra survivor-fetch communication change.
-  // A block row with *no* surviving replica is unrecoverable if anyone
-  // still needs it.
+  // survivor in another column. The arithmetic is untouched, so results
+  // stay bit-identical to the healthy run; only attribution and the extra
+  // survivor-fetch communication change. A block row with *no* surviving
+  // replica is unrecoverable if anyone still needs it.
   const auto first_alive_in_row = [&](index_t row) -> int {
     for (int j2 = 0; j2 < c; ++j2) {
       const int r = grid.rank_of(static_cast<int>(row), j2);
@@ -77,7 +92,6 @@ std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
       if (round >= chunks.size(j)) continue;
       const index_t k = chunks.begin(j) + round;
       const CsrMatrix& ak = a.block(k);
-      const index_t c0 = apart.begin(k), c1 = apart.end(k);
       double col_comm = 0.0;
       const int owner = grid.rank_of(static_cast<int>(k), j);
       const int src = cluster.alive(owner) ? owner : first_alive_in_row(k);
@@ -115,69 +129,50 @@ std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
         const int dst_pref = grid.rank_of(static_cast<int>(i), j);
         const int dst =
             cluster.alive(dst_pref) ? dst_pref : first_alive_in_row(i);
-        auto& slot =
-            contrib[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)];
         if (dst == -1) {
-          // Process row i lost every replica; its Q block must already be
-          // empty (the training layer assigns batches to alive rows only).
-          check(q_blocks[static_cast<std::size_t>(i)].nnz() == 0,
-                "spgemm_15d: process row " + std::to_string(i) +
-                    " crashed entirely but still owns Q rows — unrecoverable");
-          slot = CsrMatrix(q_blocks[static_cast<std::size_t>(i)].rows(), a.cols());
+          // Process row i lost every replica; it must have nothing left to
+          // compute (the training layer assigns batches to alive rows only).
+          check(!work.has_rows(i),
+                who + ": process row " + std::to_string(i) +
+                    " crashed entirely but still has rows — unrecoverable");
+          work.skip(i, k);
           continue;
         }
         if (src == -1) {
-          // Block row k is gone from the cluster: survivable only for
-          // panels that never touch it.
-          const CsrMatrix panel =
-              column_window(q_blocks[static_cast<std::size_t>(i)], c0, c1);
-          check(panel.nnz() == 0,
-                "spgemm_15d: block row " + std::to_string(k) +
+          // Block row k is gone from the cluster: survivable only for rows
+          // that never touch it.
+          check(!work.touches(i, k),
+                who + ": block row " + std::to_string(k) +
                     " lost (all replicas crashed) but is still referenced — "
                     "unrecoverable");
-          slot = CsrMatrix(panel.rows(), a.cols());
+          work.skip(i, k);
           continue;
         }
         if (!opts.sparsity_aware || i == k) {
-          // Full-block multiply (the block is row-local when i == k).
+          // Whole-block work (the block is row-local when i == k).
           Timer t;
-          const CsrMatrix panel = column_window(q_blocks[static_cast<std::size_t>(i)], c0, c1);
-          slot = spgemm(panel, ak, opts.local);
+          work.local(i, k);
           rank_sec[static_cast<std::size_t>(dst)] += t.seconds();
           continue;
         }
-        // Sparsity-aware round (Algorithm 2 lines 4-9): request only the
-        // A-rows that NnzCols(Qˡ_ik) touches.
-        Timer t_dst;
-        const CsrMatrix panel = column_window(q_blocks[static_cast<std::size_t>(i)], c0, c1);
-        const std::vector<index_t> needed = nonzero_columns(panel);
-        rank_sec[static_cast<std::size_t>(dst)] += t_dst.seconds();
-        if (needed.empty()) {
-          slot = CsrMatrix(panel.rows(), a.cols());
-          continue;
-        }
-        Timer t_src;  // row extraction happens on the owner (or survivor) rank
-        const CsrMatrix a_sub = extract_rows(ak, needed);
-        rank_sec[static_cast<std::size_t>(src)] += t_src.seconds();
-        Timer t_mul;
-        const CsrMatrix panel_sub = extract_columns(panel, needed);
-        slot = spgemm(panel_sub, a_sub, opts.local);
-        rank_sec[static_cast<std::size_t>(dst)] += t_mul.seconds();
-
-        const std::size_t id_bytes = needed.size() * sizeof(index_t);
-        const std::size_t row_bytes = a_sub.bytes();
+        // Sparsity-aware round (Algorithm 2 lines 4-9): the requester asks
+        // the owner (or its survivor) for only what it touches.
+        const AwareCost x = work.aware(i, k);
+        rank_sec[static_cast<std::size_t>(dst)] += x.requester_sec;
+        rank_sec[static_cast<std::size_t>(src)] += x.owner_sec;
+        if (x.id_bytes == 0) continue;
         const double t_xfer =
-            cm.p2p(dst, src, id_bytes) + cm.p2p(src, dst, row_bytes);
+            cm.p2p(dst, src, x.id_bytes) + cm.p2p(src, dst, x.reply_bytes);
         col_comm += t_xfer;
-        comm_bytes += id_bytes + row_bytes;
+        comm_bytes += x.id_bytes + x.reply_bytes;
         comm_msgs += 2;
         if (src_degraded || dst != dst_pref) {
           redist_sec += t_xfer;
-          redist_bytes += id_bytes + row_bytes;
+          redist_bytes += x.id_bytes + x.reply_bytes;
         }
         if (stats != nullptr) {
-          stats->id_bytes += id_bytes;
-          stats->row_data_bytes += row_bytes;
+          stats->id_bytes += x.id_bytes;
+          stats->row_data_bytes += x.reply_bytes;
         }
       }
       // Columns communicate concurrently; the round is gated by the slowest.
@@ -197,20 +192,15 @@ std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
     }
   }
 
-  // Local reduction of partial products, folded in ascending k so the
-  // per-entry accumulation order is independent of the grid shape.
-  std::vector<CsrMatrix> result(static_cast<std::size_t>(rows));
-  double reduce_max = 0.0;
+  // Each row folds what its rounds produced; rows run concurrently.
+  std::vector<std::size_t> result_bytes(static_cast<std::size_t>(rows));
+  double fold_max = 0.0;
   for (index_t i = 0; i < rows; ++i) {
     Timer t;
-    CsrMatrix acc = std::move(contrib[static_cast<std::size_t>(i)][0]);
-    for (index_t k = 1; k < rows; ++k) {
-      acc = csr_add(acc, contrib[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)]);
-    }
-    result[static_cast<std::size_t>(i)] = std::move(acc);
-    reduce_max = std::max(reduce_max, t.seconds());
+    result_bytes[static_cast<std::size_t>(i)] = work.finish(i);
+    fold_max = std::max(fold_max, t.seconds());
   }
-  cluster.add_compute(opts.phase, reduce_max);
+  cluster.add_compute(opts.phase, fold_max);
 
   // All-reduce of the partials across each process row (Algorithm 2 line
   // 14); every row reduces concurrently, so the clock advances by the max.
@@ -226,7 +216,7 @@ std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
         if (cluster.alive(r)) group.push_back(r);
       }
       if (group.size() < 2) continue;
-      const std::size_t bytes = result[static_cast<std::size_t>(i)].bytes();
+      const std::size_t bytes = result_bytes[static_cast<std::size_t>(i)];
       allreduce_max = std::max(allreduce_max, cm.allreduce(group, bytes));
       allreduce_bytes += bytes * (group.size() - 1);
       allreduce_msgs += 2 * (group.size() - 1);
@@ -240,7 +230,266 @@ std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
       stats->messages += allreduce_msgs;
     }
   }
-  return result;
+}
+
+/// spgemm_15d's work: contrib[i][k] = Qˡ_ik · A_k, folded per row.
+class ProductWork {
+ public:
+  ProductWork(const std::vector<CsrMatrix>& q, const DistBlockRowMatrix& a,
+              const SpgemmOptions& local)
+      : q_(q), a_(a), local_(local), contrib_(q.size()), result_(q.size()) {
+    for (auto& row : contrib_) row.resize(q.size());
+  }
+
+  bool has_rows(index_t i) const { return q_[static_cast<std::size_t>(i)].nnz() != 0; }
+  bool touches(index_t i, index_t k) const { return panel(i, k).nnz() != 0; }
+  void skip(index_t i, index_t k) {
+    slot(i, k) = CsrMatrix(q_[static_cast<std::size_t>(i)].rows(), a_.cols());
+  }
+  void local(index_t i, index_t k) { slot(i, k) = spgemm(panel(i, k), a_.block(k), local_); }
+
+  AwareCost aware(index_t i, index_t k) {
+    AwareCost x;
+    Timer t_dst;
+    const CsrMatrix p = panel(i, k);
+    const std::vector<index_t> needed = nonzero_columns(p);
+    x.requester_sec = t_dst.seconds();
+    if (needed.empty()) {
+      slot(i, k) = CsrMatrix(p.rows(), a_.cols());
+      return x;
+    }
+    Timer t_src;  // row extraction happens on the owner (or survivor) rank
+    const CsrMatrix a_sub = extract_rows(a_.block(k), needed);
+    x.owner_sec = t_src.seconds();
+    Timer t_mul;
+    slot(i, k) = spgemm(extract_columns(p, needed), a_sub, local_);
+    x.requester_sec += t_mul.seconds();
+    x.id_bytes = needed.size() * sizeof(index_t);
+    x.reply_bytes = a_sub.bytes();
+    return x;
+  }
+
+  /// Folds the partial products in ascending k, so the per-entry
+  /// accumulation order is independent of the grid shape.
+  std::size_t finish(index_t i) {
+    auto& parts = contrib_[static_cast<std::size_t>(i)];
+    CsrMatrix acc = std::move(parts[0]);
+    for (std::size_t k = 1; k < parts.size(); ++k) acc = csr_add(acc, parts[k]);
+    result_[static_cast<std::size_t>(i)] = std::move(acc);
+    return result_[static_cast<std::size_t>(i)].bytes();
+  }
+
+  std::vector<CsrMatrix> take() { return std::move(result_); }
+
+ private:
+  CsrMatrix panel(index_t i, index_t k) const {
+    const BlockPartition& part = a_.partition();
+    return column_window(q_[static_cast<std::size_t>(i)], part.begin(k), part.end(k));
+  }
+  CsrMatrix& slot(index_t i, index_t k) {
+    return contrib_[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)];
+  }
+
+  const std::vector<CsrMatrix>& q_;
+  const DistBlockRowMatrix& a_;
+  const SpgemmOptions& local_;
+  std::vector<std::vector<CsrMatrix>> contrib_;
+  std::vector<CsrMatrix> result_;
+};
+
+/// masked_extract_15d's work. Before the rounds, each requester row splits
+/// every batch's rows by owner block (local ids, frontier order); serving
+/// (i, k) runs spgemm_masked on block k once per batch with rows there; the
+/// fold interleaves each batch's pieces back into frontier order.
+class ExtractWork {
+ public:
+  ExtractWork(const std::vector<ExtractBatches>& batches,
+              const DistBlockRowMatrix& a, const SpgemmOptions& local)
+      : batches_(batches), a_(a), local_(local), rows_(batches.size()),
+        result_(batches.size()) {}
+
+  /// Requester-side split of row i's batches by owner block.
+  void split(index_t i) {
+    const ExtractBatches& in = batches_[static_cast<std::size_t>(i)];
+    const BlockPartition& part = a_.partition();
+    Requests& r = rows_[static_cast<std::size_t>(i)];
+    const auto blocks = static_cast<std::size_t>(a_.num_blocks());
+    r.ids.assign(blocks, {});
+    r.off.assign(blocks, std::vector<index_t>{0});
+    r.pieces.assign(blocks, std::vector<CsrMatrix>(in.rows.size()));
+    for (const std::vector<index_t>& rb : in.rows) {
+      for (const index_t g : rb) {
+        check(g >= 0 && g < a_.rows(), "masked_extract_15d: row id out of range");
+        const index_t k = part.owner(g);
+        r.ids[static_cast<std::size_t>(k)].push_back(g - part.begin(k));
+      }
+      for (std::size_t k = 0; k < blocks; ++k) {
+        r.off[k].push_back(static_cast<index_t>(r.ids[k].size()));
+      }
+    }
+  }
+
+  bool has_rows(index_t i) const {
+    for (const auto& ids : rows_[static_cast<std::size_t>(i)].ids) {
+      if (!ids.empty()) return true;
+    }
+    return false;
+  }
+  bool touches(index_t i, index_t k) const { return !ids(i, k).empty(); }
+  void skip(index_t, index_t) {}  // no rows there: no pieces to make
+  void local(index_t i, index_t k) { serve(i, k); }
+
+  AwareCost aware(index_t i, index_t k) {
+    AwareCost x;
+    if (ids(i, k).empty()) return x;
+    // One request: the rows of every batch with rows in block k, and that
+    // batch's mask.
+    const Requests& r = rows_[static_cast<std::size_t>(i)];
+    const auto& off = r.off[static_cast<std::size_t>(k)];
+    const auto& masks = batches_[static_cast<std::size_t>(i)].masks;
+    std::size_t ids_sent = ids(i, k).size();
+    for (std::size_t b = 0; b < masks.size(); ++b) {
+      if (off[b + 1] > off[b]) ids_sent += masks[b].size();
+    }
+    x.id_bytes = ids_sent * sizeof(index_t);
+    Timer t;
+    x.reply_bytes = serve(i, k);
+    x.owner_sec = t.seconds();
+    return x;
+  }
+
+  /// Interleaves each batch's pieces back into frontier order. A batch whose
+  /// rows all sit in one block takes that piece as is.
+  std::size_t finish(index_t i) {
+    const ExtractBatches& in = batches_[static_cast<std::size_t>(i)];
+    auto& pieces = rows_[static_cast<std::size_t>(i)].pieces;
+    const BlockPartition& part = a_.partition();
+    std::vector<CsrMatrix>& out = result_[static_cast<std::size_t>(i)];
+    out.resize(in.rows.size());
+    std::vector<index_t> cursor(pieces.size());  // next row of each piece
+    std::size_t total_rows = 0, total_nnz = 0;
+    for (std::size_t b = 0; b < in.rows.size(); ++b) {
+      const std::vector<index_t>& rb = in.rows[b];
+      std::size_t nnz = 0, used = 0, last = 0;
+      for (std::size_t k = 0; k < pieces.size(); ++k) {
+        if (pieces[k][b].rows() == 0) continue;  // no rows in block k
+        nnz += static_cast<std::size_t>(pieces[k][b].nnz());
+        ++used;
+        last = k;
+      }
+      if (used == 1) {
+        out[b] = std::move(pieces[last][b]);
+      } else {
+        std::fill(cursor.begin(), cursor.end(), 0);
+        std::vector<nnz_t> rowptr(rb.size() + 1, 0);
+        std::vector<index_t> colidx(nnz);
+        std::vector<value_t> vals(nnz);
+        for (std::size_t t = 0; t < rb.size(); ++t) {
+          const auto k = static_cast<std::size_t>(part.owner(rb[t]));
+          const CsrMatrix& p = pieces[k][b];
+          const index_t row = cursor[k]++;
+          const auto at = static_cast<std::ptrdiff_t>(rowptr[t]);
+          std::copy(p.row_cols(row).begin(), p.row_cols(row).end(), colidx.begin() + at);
+          std::copy(p.row_vals(row).begin(), p.row_vals(row).end(), vals.begin() + at);
+          rowptr[t + 1] = rowptr[t] + p.row_nnz(row);
+        }
+        out[b] = CsrMatrix(static_cast<index_t>(rb.size()),
+                           static_cast<index_t>(in.masks[b].size()), std::move(rowptr),
+                           std::move(colidx), std::move(vals));
+      }
+      total_rows += rb.size();
+      total_nnz += static_cast<std::size_t>(out[b].nnz());
+    }
+    pieces.clear();
+    // The row's masked result, stacked, is what its replicas all-reduce.
+    return (total_rows + 1) * sizeof(nnz_t) +
+           total_nnz * (sizeof(index_t) + sizeof(value_t));
+  }
+
+  std::vector<std::vector<CsrMatrix>> take() { return std::move(result_); }
+
+ private:
+  /// Row i's requests: ids[k] holds its rows in block k as local ids, batch
+  /// by batch in frontier order, batch b's at [off[k][b], off[k][b+1]);
+  /// pieces[k][b] is the served A[R_b ∩ block k, S_b] (0 rows if none).
+  struct Requests {
+    std::vector<std::vector<index_t>> ids;
+    std::vector<std::vector<index_t>> off;
+    std::vector<std::vector<CsrMatrix>> pieces;
+  };
+
+  const std::vector<index_t>& ids(index_t i, index_t k) const {
+    return rows_[static_cast<std::size_t>(i)].ids[static_cast<std::size_t>(k)];
+  }
+
+  /// The owner's side of (i, k): one spgemm_masked per batch with rows in
+  /// block k, read in place. Returns the pieces' bytes.
+  std::size_t serve(index_t i, index_t k) {
+    Requests& r = rows_[static_cast<std::size_t>(i)];
+    const auto kk = static_cast<std::size_t>(k);
+    const auto& masks = batches_[static_cast<std::size_t>(i)].masks;
+    std::size_t bytes = 0;
+    for (std::size_t b = 0; b < masks.size(); ++b) {
+      const index_t b0 = r.off[kk][b], b1 = r.off[kk][b + 1];
+      if (b1 == b0) continue;
+      const std::span<const index_t> local_rows(r.ids[kk].data() + b0,
+                                                static_cast<std::size_t>(b1 - b0));
+      r.pieces[kk][b] = spgemm_masked(a_.block(k), local_rows, masks[b], local_);
+      bytes += r.pieces[kk][b].bytes();
+    }
+    return bytes;
+  }
+
+  const std::vector<ExtractBatches>& batches_;
+  const DistBlockRowMatrix& a_;
+  const SpgemmOptions& local_;
+  std::vector<Requests> rows_;
+  std::vector<std::vector<CsrMatrix>> result_;
+};
+
+}  // namespace
+
+std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
+                                  const std::vector<CsrMatrix>& q_blocks,
+                                  const DistBlockRowMatrix& a,
+                                  const Spgemm15dOptions& opts, Spgemm15dStats* stats) {
+  check(a.num_blocks() == cluster.grid().rows(),
+        "spgemm_15d: A distributed over a different grid shape");
+  check(static_cast<index_t>(q_blocks.size()) == cluster.grid().rows(),
+        "spgemm_15d: need one Q block per process row");
+  for (const CsrMatrix& q : q_blocks) {
+    check(q.cols() == a.rows(), "spgemm_15d: Q block columns must equal A rows");
+  }
+  ProductWork work(q_blocks, a, opts.local);
+  run_schedule(cluster, a, opts, stats, "spgemm_15d", work);
+  return work.take();
+}
+
+std::vector<std::vector<CsrMatrix>> masked_extract_15d(
+    Cluster& cluster, const DistBlockRowMatrix& a,
+    const std::vector<ExtractBatches>& batches, const Spgemm15dOptions& opts,
+    Spgemm15dStats* stats) {
+  const index_t rows = cluster.grid().rows();
+  check(a.num_blocks() == rows,
+        "masked_extract_15d: A distributed over a different grid shape");
+  check(static_cast<index_t>(batches.size()) == rows,
+        "masked_extract_15d: need one batch list per process row");
+  for (const ExtractBatches& in : batches) {
+    check(in.rows.size() == in.masks.size(),
+          "masked_extract_15d: need one mask per batch");
+  }
+  ExtractWork work(batches, a, opts.local);
+  // Each requester row builds its requests before the rounds; rows run
+  // concurrently.
+  double split_max = 0.0;
+  for (index_t i = 0; i < rows; ++i) {
+    Timer t;
+    work.split(i);
+    split_max = std::max(split_max, t.seconds());
+  }
+  cluster.add_compute(opts.phase, split_max);
+  run_schedule(cluster, a, opts, stats, "masked_extract_15d", work);
+  return work.take();
 }
 
 }  // namespace dms

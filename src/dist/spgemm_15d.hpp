@@ -18,8 +18,14 @@
 //    replies with exactly those rows.
 // Both variants produce bit-identical products (the per-entry accumulation
 // order is unchanged); only the communication volume differs.
+//
+// masked_extract_15d runs the same round schedule for EXTRACT (§4.2.3):
+// every batch's A[R_b, S_b], with the sampled-column mask applied where the
+// rows live, so only the kept entries cross the fabric and the process row
+// all-reduces the masked result instead of A[R, :].
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,15 +79,21 @@ struct Spgemm15dOptions {
   /// phase's flop estimate (the sparsity-aware panels are exactly the
   /// sparse-rows-over-wide-matrix shape the hash kernel targets); every
   /// kernel choice yields bit-identical partial products, so the grid-shape
-  /// equivalence contract is unaffected.
+  /// equivalence contract is unaffected. masked_extract_15d passes it to
+  /// every spgemm_masked call.
   SpgemmOptions local;
 };
 
-/// Exact communication volumes of one spgemm_15d call (Figure 7 analysis
-/// and the sparsity-aware ablation).
+/// Exact communication volumes of one spgemm_15d or masked_extract_15d
+/// call (Figure 7 analysis and the sparsity-aware ablation).
 struct Spgemm15dStats {
-  std::size_t row_data_bytes = 0;   ///< A-row payload shipped between ranks
-  std::size_t id_bytes = 0;         ///< row-id request lists (aware only)
+  /// A payload shipped between ranks: requested A-rows (spgemm_15d) or
+  /// masked pieces A[R_b ∩ block, S_b] (masked_extract_15d), sparsity-aware;
+  /// whole broadcast blocks, oblivious.
+  std::size_t row_data_bytes = 0;
+  /// Request lists (aware only): row ids, plus each requested batch's mask
+  /// for masked_extract_15d.
+  std::size_t id_bytes = 0;
   std::size_t allreduce_bytes = 0;  ///< partial-product reduction volume
   std::size_t messages = 0;
   std::size_t rounds = 0;           ///< chunked broadcast rounds executed
@@ -100,5 +112,29 @@ std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
                                   const DistBlockRowMatrix& a,
                                   const Spgemm15dOptions& opts = {},
                                   Spgemm15dStats* stats = nullptr);
+
+/// One process row's batches for masked_extract_15d: rows[b] is batch b's
+/// frontier R_b (global row ids of A, any order, repeats allowed), masks[b]
+/// its sampled set S_b (sorted and duplicate-free).
+struct ExtractBatches {
+  std::span<const std::vector<index_t>> rows;
+  std::span<const std::vector<index_t>> masks;
+};
+
+/// Computes A[R_b, S_b] for every batch b of every process row on the
+/// cluster; result[i][b] is process row i's batch b, bit-identical to
+/// spgemm_masked(global A, R_b, S_b) (values pass through). It runs
+/// spgemm_15d's round schedule — the same owners, survivors, rounds and
+/// messages — but masks at the owner: sparsity-aware, the requester sends
+/// each owner one message holding its batches' rows in that block (in
+/// frontier order) and their masks, and the owner replies with only the
+/// kept entries; sparsity-oblivious, the owner broadcasts its whole block
+/// and the requester extracts locally. The process row then all-reduces the
+/// masked result. Every extraction is spgemm_masked with opts.local
+/// (workspace included); compute and comm are recorded under opts.phase.
+std::vector<std::vector<CsrMatrix>> masked_extract_15d(
+    Cluster& cluster, const DistBlockRowMatrix& a,
+    const std::vector<ExtractBatches>& batches, const Spgemm15dOptions& opts = {},
+    Spgemm15dStats* stats = nullptr);
 
 }  // namespace dms

@@ -1,7 +1,6 @@
 #include "plan/executor.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <span>
 
 #include "common/rng.hpp"
@@ -442,38 +441,26 @@ void exec_masked_extract(RunCtx& ctx, const PlanOp& op) {
 void exec_masked_extract_15d(RunCtx& ctx, const PlanOp& op) {
   check(ctx.cluster != nullptr && ctx.dadj != nullptr,
         op_where(ctx, op) + ": kMaskedExtract15d requires partitioned execution");
-  const auto rows = ctx.rows.size();
-  // Stage 1 (row-local, timed): stack each row's frontiers into Q_R.
-  std::vector<FrontierStack> stacks(rows);
-  std::vector<CsrMatrix> qr_blocks(rows);
-  rows_op(ctx, op, [&](RowState& r, std::size_t i) {
-    stacks[i] = stack_frontiers(as_lists(ctx, r, ctx.plan.frontier_slot, op));
-    qr_blocks[i] = CsrMatrix::one_nonzero_per_row(ctx.n, stacks[i].vertices);
-  });
-  // Stage 2 (collective): the distributed row-extraction SpGEMM.
+  // Each row's frontiers and sampled sets go to the collective as they are:
+  // it ships only A[R_b, S_b] (the same bits as the replicated op).
+  std::vector<ExtractBatches> batches(ctx.rows.size());
+  for (std::size_t i = 0; i < ctx.rows.size(); ++i) {
+    RowState& r = ctx.rows[i];
+    if (r.stopped) continue;
+    batches[i] = {as_lists(ctx, r, ctx.plan.frontier_slot, op),
+                  as_lists(ctx, r, op.in, op)};
+  }
   Spgemm15dOptions xopts;
   xopts.sparsity_aware = ctx.sparsity_aware;
   xopts.phase = op.phase;
   xopts.local.workspace = &ctx.state->ws;
-  const auto ar_blocks = spgemm_15d(*ctx.cluster, qr_blocks, *ctx.dadj, xopts);
-  // Stage 3 (row-local, timed): per batch, the masked extraction of its
-  // stacked rows of the gathered block, read in place.
-  rows_op(ctx, op, [&](RowState& r, std::size_t i) {
-    const auto& off = stacks[i].offsets;
-    const auto& sets = as_lists(ctx, r, op.in, op);
-    PlanValue& out = slot_ref(ctx, r, op.out, op);
+  auto mats = masked_extract_15d(*ctx.cluster, *ctx.dadj, batches, xopts);
+  for (std::size_t i = 0; i < ctx.rows.size(); ++i) {
+    if (ctx.rows[i].stopped) continue;
+    PlanValue& out = slot_ref(ctx, ctx.rows[i], op.out, op);
     out.kind = PlanValue::Kind::kMatrixList;
-    out.mats.assign(r.out.size(), CsrMatrix());
-    std::vector<index_t> stacked(static_cast<std::size_t>(ar_blocks[i].rows()));
-    std::iota(stacked.begin(), stacked.end(), index_t{0});
-    SpgemmOptions mopts;
-    mopts.workspace = &ctx.state->ws;
-    for (std::size_t b = 0; b < r.out.size(); ++b) {
-      const std::span<const index_t> rows_b(stacked.data() + off[b],
-                                            static_cast<std::size_t>(off[b + 1] - off[b]));
-      out.mats[b] = spgemm_masked(ar_blocks[i], rows_b, sets[b], mopts);
-    }
-  });
+    out.mats = std::move(mats[i]);
+  }
 }
 
 void exec_frontier_union(RunCtx& ctx, const PlanOp& op) {

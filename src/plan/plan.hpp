@@ -16,9 +16,10 @@
 // ops through the single-node kernels (spgemm_engine, its_sample_rows); the
 // partitioned executor runs a *lowered* plan (lower_to_dist) in which every
 // kSpgemm has been rewritten to the collective kSpgemm15d and every
-// kMaskedExtract to kMaskedExtract15d — the stacked 1.5D row-extraction
-// product plus per-batch masked slicing, whose internal fetch/exchange steps
-// carry the communication accounting. Because every kernel obeys the
+// kMaskedExtract to kMaskedExtract15d — the 1.5D masked extraction, which
+// masks at the owner blocks and ships only A[R_b, S_b]; the collectives'
+// internal fetch/exchange steps carry the communication accounting.
+// Because every kernel obeys the
 // engine's bit-identity contract and all randomness is derived from (epoch,
 // global batch id, round, row) seeds, a plan produces bit-identical
 // minibatches in every mode, grid shape, and thread count.
@@ -51,9 +52,8 @@ enum class PlanOpKind {
   /// nonzero per stacked row; kIndicator emits one indicator row per batch
   /// (§4.2.1).
   kBuildQ,
-  /// out = in · A, the probability-generation / row-extraction product
-  /// against the bound adjacency. Lowered to kSpgemm15d for partitioned
-  /// execution.
+  /// out = in · A, the probability-generation product against the bound
+  /// adjacency. Lowered to kSpgemm15d for partitioned execution.
   kSpgemm,
   /// In-place NORM on a matrix slot: kRow row-normalizes (§4.1.1); kLadies
   /// squares entries first (p_v ∝ e_v², Zou et al. 2019). The one
@@ -117,9 +117,9 @@ enum class PlanOpKind {
   /// kSpgemm lowered to the 1.5D collective (Algorithm 2): per-process-row
   /// Q blocks, chunked A-row fetch/exchange, all-reduce of partials.
   kSpgemm15d,
-  /// kMaskedExtract lowered to the distributed form: stacked Q_R through
-  /// the 1.5D collective, then per batch spgemm_masked over that batch's
-  /// rows of the gathered block.
+  /// kMaskedExtract lowered to the distributed form: masked_extract_15d,
+  /// which runs spgemm_masked on the owner blocks (once per batch with
+  /// rows there) and ships only the kept entries.
   kMaskedExtract15d,
 };
 

@@ -326,12 +326,16 @@ CsrMatrix stitch(index_t m, index_t n, const std::vector<index_t>& bounds,
   return CsrMatrix(m, n, std::move(rowptr), std::move(colidx), std::move(vals));
 }
 
+/// Messages are built only on failure: this runs once per extraction, and
+/// a string per mask entry would cost more than a small extraction itself.
 void check_mask(const std::vector<index_t>& mask, index_t cols, const char* who) {
   for (std::size_t i = 0; i < mask.size(); ++i) {
-    check(mask[i] >= 0 && mask[i] < cols,
-          std::string(who) + ": mask column id out of range");
-    check(i == 0 || mask[i - 1] < mask[i],
-          std::string(who) + ": mask must be sorted and duplicate-free");
+    if (mask[i] < 0 || mask[i] >= cols) {
+      throw DmsError(std::string(who) + ": mask column id out of range");
+    }
+    if (i > 0 && mask[i - 1] >= mask[i]) {
+      throw DmsError(std::string(who) + ": mask must be sorted and duplicate-free");
+    }
   }
 }
 
@@ -442,7 +446,13 @@ CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
     check(rows[i] >= 0 && rows[i] < a.rows(), "spgemm_masked: row id out of range");
     prefix[i + 1] = prefix[i] + a.row_nnz(rows[i]);
   }
-  const index_t max_blocks = opts.parallel ? ThreadPool::global().size() : 1;
+  // A block must read enough entries to amortize a pool dispatch, so small
+  // extractions (one batch's rows in one owner block, §3.2) run inline.
+  constexpr nnz_t kMinBlockEntries = 4096;
+  const index_t max_blocks =
+      opts.parallel ? std::min<index_t>(ThreadPool::global().size(),
+                                        1 + prefix.back() / kMinBlockEntries)
+                    : 1;
   const std::vector<index_t> bounds = work_balanced_bounds(prefix, m, max_blocks);
   ws.ensure_slots(bounds.size() - 1);
 

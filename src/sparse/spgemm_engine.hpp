@@ -11,7 +11,7 @@
 //    same pass notes whether every row of A stores at most one entry.
 //  - NUMERIC: each block runs the kernel the estimator picked:
 //      * gather — kAuto products whose A is a selection matrix (LABOR's
-//                 Qˡ, every extraction Q_R, the 1.5D panels, and GraphSAGE's
+//                 Qˡ, the 1.5D panels of lowered Qˡ·A, and GraphSAGE's
 //                 Qˡ on the unoptimized reference path; the optimized
 //                 GraphSAGE plan draws from A's rows instead and builds no
 //                 product, see core/its.hpp): output row r is a(r,k)·B(k,:),
@@ -90,7 +90,9 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
 /// extract_columns(extract_rows(a, rows), mask). Each call picks, from the
 /// number of entries the listed rows store, between a column→position table
 /// (O(cols) to build, then one probe per entry) and per-row sorted-list
-/// intersection against the mask; both yield the same bits.
+/// intersection against the mask; both yield the same bits. With
+/// opts.parallel, the rows split across the pool only into blocks that read
+/// at least 4096 entries, so small extractions never pay a pool dispatch.
 CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
                         const std::vector<index_t>& mask,
                         const SpgemmOptions& opts = {});

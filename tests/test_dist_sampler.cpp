@@ -3,6 +3,8 @@
 // distributed algorithms testable), plus phase accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/minibatch.hpp"
 #include "dist/dist_sampler.hpp"
 #include "graph/generators.hpp"
@@ -67,30 +69,44 @@ INSTANTIATE_TEST_SUITE_P(Grids, PartitionedSageSweep,
 class PartitionedLadiesSweep : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(PartitionedLadiesSweep, MatchesSingleNodeSampler) {
+  // Both sparsity modes, one layer and three: past the first layer the
+  // frontier is rows ∪ sampled in row-leading order — unsorted, spanning
+  // owner blocks — so the extraction interleaves every owner's piece.
   const auto [p, c] = GetParam();
-  Cluster cluster = make_cluster(p, c);
   const Graph g = generate_erdos_renyi(200, 12.0, 32);
-  const SamplerConfig cfg{{16}, 1};
   const auto batches = make_batches(200, 8, 8);
   std::vector<index_t> ids = {0, 1, 2, 3, 4, 5, 6, 7};
+  for (const std::vector<index_t>& fanouts :
+       {std::vector<index_t>{16}, std::vector<index_t>{16, 12, 8}}) {
+    const SamplerConfig cfg{fanouts, 1};
+    PlanSampler local(g, build_ladies_plan(), cfg);
+    const auto ref = local.sample_bulk(batches, ids, 77);
+    for (const bool aware : {true, false}) {
+      Cluster cluster = make_cluster(p, c);
+      PartitionedSamplerOptions opts;
+      opts.sparsity_aware = aware;
+      PartitionedSamplerBase dist(g, cluster.grid(), build_ladies_plan(), cfg, opts);
+      const auto per_row = dist.sample_bulk(cluster, batches, ids, 77);
 
-  PartitionedSamplerBase dist(g, cluster.grid(), build_ladies_plan(), cfg);
-  const auto per_row = dist.sample_bulk(cluster, batches, ids, 77);
-
-  PlanSampler local(g, build_ladies_plan(), cfg);
-  const auto ref = local.sample_bulk(batches, ids, 77);
-
-  std::size_t seen = 0;
-  for (const auto& row : per_row) {
-    for (const auto& ms : row) {
-      const auto& expect = ref[seen++];
-      for (std::size_t l = 0; l < ms.layers.size(); ++l) {
-        EXPECT_TRUE(ms.layers[l].adj == expect.layers[l].adj);
-        EXPECT_EQ(ms.layers[l].col_vertices, expect.layers[l].col_vertices);
+      std::size_t seen = 0;
+      bool unsorted_rows = false;
+      for (const auto& row : per_row) {
+        for (const auto& ms : row) {
+          const auto& expect = ref[seen++];
+          ASSERT_EQ(ms.layers.size(), expect.layers.size());
+          for (std::size_t l = 0; l < ms.layers.size(); ++l) {
+            EXPECT_TRUE(ms.layers[l].adj == expect.layers[l].adj)
+                << fanouts.size() << " layers, " << (aware ? "aware" : "oblivious");
+            EXPECT_EQ(ms.layers[l].col_vertices, expect.layers[l].col_vertices);
+            const auto& rv = ms.layers[l].row_vertices;
+            unsorted_rows = unsorted_rows || !std::is_sorted(rv.begin(), rv.end());
+          }
+        }
       }
+      EXPECT_EQ(seen, ref.size());
+      EXPECT_TRUE(unsorted_rows);
     }
   }
-  EXPECT_EQ(seen, ref.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, PartitionedLadiesSweep,

@@ -1,8 +1,11 @@
-// 1.5D distributed SpGEMM (Algorithm 2): exact agreement with the
-// single-node product across grid shapes, plus sparsity-aware vs oblivious
-// volume comparisons.
+// 1.5D distributed SpGEMM (Algorithm 2) and masked extraction: exact
+// agreement with the single-node product / spgemm_masked across grid shapes,
+// plus sparsity-aware vs oblivious volume comparisons.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "dist/spgemm_15d.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
@@ -54,6 +57,99 @@ INSTANTIATE_TEST_SUITE_P(Grids, Spgemm15dGridSweep,
                                            GridParam{8, 2}, GridParam{16, 4},
                                            GridParam{16, 2}, GridParam{8, 1}));
 
+/// Per-process-row extraction batches over an n-row A: unsorted rows that
+/// span every block (one repeated), a batch confined to one block, a batch
+/// with no rows in block 0, a batch with an empty mask and an empty batch.
+struct ExtractInput {
+  std::vector<std::vector<std::vector<index_t>>> rows;   // [row][batch]
+  std::vector<std::vector<std::vector<index_t>>> masks;  // [row][batch]
+  std::vector<ExtractBatches> view() const {
+    std::vector<ExtractBatches> out;
+    for (std::size_t i = 0; i < rows.size(); ++i) out.push_back({rows[i], masks[i]});
+    return out;
+  }
+};
+
+ExtractInput make_extract_input(const BlockPartition& part, index_t process_rows,
+                                std::uint64_t seed) {
+  const index_t n = part.total();
+  Pcg32 rng(seed, 0x5eed);
+  const auto pick = [&](index_t lo, index_t hi) {
+    return lo + static_cast<index_t>(rng.bounded(static_cast<std::uint32_t>(hi - lo)));
+  };
+  const auto mask = [&](index_t size) {
+    std::vector<index_t> m;
+    for (index_t t = 0; t < size; ++t) m.push_back(pick(0, n));
+    std::sort(m.begin(), m.end());
+    m.erase(std::unique(m.begin(), m.end()), m.end());
+    return m;
+  };
+  ExtractInput in;
+  in.rows.resize(static_cast<std::size_t>(process_rows));
+  in.masks.resize(static_cast<std::size_t>(process_rows));
+  for (index_t i = 0; i < process_rows; ++i) {
+    auto& rows = in.rows[static_cast<std::size_t>(i)];
+    auto& masks = in.masks[static_cast<std::size_t>(i)];
+    std::vector<index_t> spread;
+    for (index_t t = 0; t < 12; ++t) spread.push_back(pick(0, n));
+    spread.push_back(spread[3]);
+    rows.push_back(spread);
+    masks.push_back(mask(24));
+    const index_t k = i % part.parts();
+    std::vector<index_t> one_block;
+    for (index_t t = 0; t < 5; ++t) one_block.push_back(pick(part.begin(k), part.end(k)));
+    rows.push_back(one_block);
+    masks.push_back(mask(30));
+    std::vector<index_t> not_block0;
+    if (part.end(0) < n) {
+      for (index_t t = 0; t < 7; ++t) not_block0.push_back(pick(part.end(0), n));
+    }
+    rows.push_back(not_block0);
+    masks.push_back(mask(16));
+    rows.push_back({pick(0, n), pick(0, n), pick(0, n)});
+    masks.push_back({});
+    rows.push_back({});
+    masks.push_back(mask(8));
+  }
+  return in;
+}
+
+class MaskedExtract15dGridSweep : public ::testing::TestWithParam<GridParam> {};
+
+TEST_P(MaskedExtract15dGridSweep, MatchesSpgemmMaskedOnTheGlobalMatrix) {
+  const auto [p, c] = GetParam();
+  const CsrMatrix a_global = random_csr(96, 96, 0.08, 121);
+  Workspace ws;  // one workspace for every extraction of both modes
+  for (const bool aware : {true, false}) {
+    Cluster cluster = make_cluster(p, c);
+    const DistBlockRowMatrix a(cluster.grid(), a_global);
+    const ExtractInput in =
+        make_extract_input(a.partition(), cluster.grid().rows(), 122);
+    Spgemm15dOptions opts;
+    opts.sparsity_aware = aware;
+    opts.phase = "extraction";
+    opts.local.workspace = &ws;
+    const auto got = masked_extract_15d(cluster, a, in.view(), opts);
+    ASSERT_EQ(got.size(), in.rows.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].size(), in.rows[i].size());
+      for (std::size_t b = 0; b < got[i].size(); ++b) {
+        const CsrMatrix ref =
+            spgemm_masked(a_global, in.rows[i][b], in.masks[i][b]);
+        EXPECT_TRUE(got[i][b] == ref) << "grid p=" << p << " c=" << c
+                                      << (aware ? " aware" : " oblivious")
+                                      << " row " << i << " batch " << b;
+        got[i][b].validate();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, MaskedExtract15dGridSweep,
+                         ::testing::Values(GridParam{1, 1}, GridParam{2, 1},
+                                           GridParam{4, 2}, GridParam{8, 2},
+                                           GridParam{16, 4}));
+
 TEST(Spgemm15d, ObliviousVariantGivesSameProduct) {
   Cluster cluster = make_cluster(8, 2);
   const CsrMatrix a_global = random_csr(64, 64, 0.1, 103);
@@ -90,6 +186,55 @@ TEST(Spgemm15d, SparsityAwareSendsFewerRowBytes) {
   EXPECT_LT(aware_stats.row_data_bytes, obl_stats.row_data_bytes / 2);
   EXPECT_GT(aware_stats.id_bytes, 0u);
   EXPECT_EQ(obl_stats.id_bytes, 0u);
+
+  // The masked extraction on the same grid: aware, what crosses process
+  // rows is exactly one request (rows + mask) and one masked piece per
+  // (batch, remote block) with rows there — and less than the Q_R·A path
+  // that ships whole A-rows and all-reduces A[R, :].
+  const BlockPartition& part = a1.partition();
+  const ExtractInput in = make_extract_input(part, 4, 107);
+  std::size_t want_ids = 0, want_payload = 0;
+  for (index_t i = 0; i < 4; ++i) {
+    for (std::size_t b = 0; b < in.rows[static_cast<std::size_t>(i)].size(); ++b) {
+      const auto& rows = in.rows[static_cast<std::size_t>(i)][b];
+      const auto& mask = in.masks[static_cast<std::size_t>(i)][b];
+      for (index_t k = 0; k < 4; ++k) {
+        if (k == i) continue;
+        std::vector<index_t> in_k;
+        for (const index_t g : rows) {
+          if (part.owner(g) == k) in_k.push_back(g);
+        }
+        if (in_k.empty()) continue;
+        want_ids += (in_k.size() + mask.size()) * sizeof(index_t);
+        want_payload += spgemm_masked(a_global, in_k, mask).bytes();
+      }
+    }
+  }
+  Cluster c3 = make_cluster(8, 2);
+  Cluster c4 = make_cluster(8, 2);
+  Cluster c5 = make_cluster(8, 2);
+  Spgemm15dStats x_aware, x_obl, qr_stats;
+  masked_extract_15d(c3, a1, in.view(), aware, &x_aware);
+  masked_extract_15d(c4, a1, in.view(), oblivious, &x_obl);
+  EXPECT_EQ(x_aware.id_bytes, want_ids);
+  EXPECT_EQ(x_aware.row_data_bytes, want_payload);
+  EXPECT_EQ(x_obl.id_bytes, 0u);
+  EXPECT_EQ(x_obl.row_data_bytes, obl_stats.row_data_bytes);
+
+  std::vector<CsrMatrix> qr_blocks;
+  for (const auto& batches : in.rows) {
+    std::vector<index_t> stacked;
+    for (const auto& rows : batches) stacked.insert(stacked.end(), rows.begin(), rows.end());
+    qr_blocks.push_back(CsrMatrix::one_nonzero_per_row(128, stacked));
+  }
+  spgemm_15d(c5, qr_blocks, a1, aware, &qr_stats);
+  EXPECT_LT(x_aware.row_data_bytes, qr_stats.row_data_bytes);
+  EXPECT_LT(x_aware.row_data_bytes + x_aware.id_bytes,
+            qr_stats.row_data_bytes + qr_stats.id_bytes);
+  EXPECT_LT(x_aware.allreduce_bytes, qr_stats.allreduce_bytes);
+  EXPECT_EQ(x_aware.messages, qr_stats.messages);
+  EXPECT_EQ(c3.comm_stats().at("spgemm_15d").messages,
+            c5.comm_stats().at("spgemm_15d").messages);
 }
 
 TEST(Spgemm15d, RecordsComputeAndCommPhases) {
@@ -121,6 +266,17 @@ TEST(Spgemm15d, RejectsMismatchedBlocks) {
   EXPECT_THROW(spgemm_15d(cluster, wrong_count, a), DmsError);
   std::vector<CsrMatrix> wrong_dims = {CsrMatrix(2, 19), CsrMatrix(2, 19)};
   EXPECT_THROW(spgemm_15d(cluster, wrong_dims, a), DmsError);
+}
+
+TEST(Spgemm15d, MaskedExtractRejectsMismatchedBatches) {
+  Cluster cluster = make_cluster(4, 2);
+  const DistBlockRowMatrix a(cluster.grid(), random_csr(20, 20, 0.3, 113));
+  const std::vector<std::vector<index_t>> rows = {{1, 2}}, masks = {{3}}, none;
+  EXPECT_THROW(masked_extract_15d(cluster, a, {{rows, masks}}), DmsError);
+  EXPECT_THROW(masked_extract_15d(cluster, a, {{rows, none}, {none, none}}), DmsError);
+  const std::vector<std::vector<index_t>> out_of_range = {{20}};
+  EXPECT_THROW(masked_extract_15d(cluster, a, {{out_of_range, masks}, {none, none}}),
+               DmsError);
 }
 
 TEST(DistBlockRowMatrix, GatherReassembles) {

@@ -12,6 +12,7 @@
 #include "dist/spgemm_15d.hpp"
 #include "graph/dataset.hpp"
 #include "sparse/ops.hpp"
+#include "sparse/spgemm_engine.hpp"
 #include "test_util.hpp"
 #include "train/pipeline.hpp"
 
@@ -224,6 +225,70 @@ TEST(Spgemm15d, RankDeathKeepsResultsBitIdenticalAndCountsRedistribution) {
     EXPECT_GT(stats.redistribution_bytes, 0u);
     EXPECT_GT(faulty.fault_stats().redistribution_seconds, 0.0);
   }
+
+  // The masked extraction runs the same schedule. Killing rank 0 of a 4x2
+  // grid leaves block 0's owner dead (a survivor serves it); killing rank
+  // (0, 1) of an 8x2 grid leaves a requester replica dead (its row-mate
+  // requests blocks 2 and 3 for it — redistribution only when requests
+  // move; an oblivious broadcast just skips the dead receiver).
+  struct Case {
+    ProcessGrid grid;
+    int dead;
+    bool owner;
+  };
+  for (const Case& cs :
+       {Case{ProcessGrid(4, 2), 0, true},
+        Case{ProcessGrid(8, 2), ProcessGrid(8, 2).rank_of(0, 1), false}}) {
+    DistBlockRowMatrix da(cs.grid, a);
+    std::vector<std::vector<std::vector<index_t>>> rows(
+        static_cast<std::size_t>(cs.grid.rows()));
+    std::vector<std::vector<std::vector<index_t>>> masks(rows.size());
+    Pcg32 rng(9, 2);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (int b = 0; b < 3; ++b) {
+        std::vector<index_t> r, m;
+        for (int t = 0; t < 10; ++t) r.push_back(rng.bounded(64));
+        for (index_t col = 0; col < 64; col += 1 + rng.bounded(4)) m.push_back(col);
+        rows[i].push_back(r);
+        masks[i].push_back(m);
+      }
+    }
+    std::vector<ExtractBatches> batches;
+    for (std::size_t i = 0; i < rows.size(); ++i) batches.push_back({rows[i], masks[i]});
+
+    for (const bool sparsity_aware : {false, true}) {
+      Spgemm15dOptions opts;
+      opts.sparsity_aware = sparsity_aware;
+      const std::string label = "dead rank " + std::to_string(cs.dead) +
+                                (sparsity_aware ? " (aware)" : " (oblivious)");
+      Cluster healthy(cs.grid, CostModel(LinkParams{}));
+      const auto ref = masked_extract_15d(healthy, da, batches, opts);
+
+      FaultPlanConfig cfg;
+      cfg.crashes = {{cs.dead, 0}};
+      const FaultPlan plan(cfg);
+      Cluster faulty(cs.grid, CostModel(LinkParams{}));
+      faulty.install_faults(&plan);
+      faulty.begin_superstep();
+      ASSERT_FALSE(faulty.alive(cs.dead));
+      Spgemm15dStats stats;
+      const auto got = masked_extract_15d(faulty, da, batches, opts, &stats);
+      ASSERT_EQ(ref.size(), got.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(ref[i].size(), got[i].size());
+        for (std::size_t b = 0; b < ref[i].size(); ++b) {
+          expect_csr_equal(ref[i][b], got[i][b],
+                           label + " row " + std::to_string(i));
+          expect_csr_equal(spgemm_masked(a, rows[i][b], masks[i][b]), got[i][b],
+                           label + " vs spgemm_masked");
+        }
+      }
+      if (sparsity_aware || cs.owner) {
+        EXPECT_GT(stats.redistribution_bytes, 0u) << label;
+        EXPECT_GT(faulty.fault_stats().redistribution_seconds, 0.0) << label;
+      }
+    }
+  }
 }
 
 TEST(Spgemm15d, FullyDeadRowIsUnrecoverableOnlyIfReferenced) {
@@ -261,6 +326,34 @@ TEST(Spgemm15d, FullyDeadRowIsUnrecoverableOnlyIfReferenced) {
     const auto out =
         spgemm_15d(cluster, q_blocks, da, Spgemm15dOptions{});
     EXPECT_EQ(out[0].rows(), 8);
+  }
+
+  // The masked extraction: the dead row throws iff it still has rows, a
+  // live row iff it reads the lost block.
+  const index_t b0 = da.partition().begin(0), e0 = da.partition().end(0);
+  const index_t b1 = da.partition().begin(1);
+  const std::vector<std::vector<index_t>> mask = {{0, 3, 17, 30}};
+  const std::vector<std::vector<index_t>> in_block0 = {{e0 - 1, b0, b0 + 2}};
+  const std::vector<std::vector<index_t>> in_block1 = {{b0, b1}};
+  const std::vector<std::vector<index_t>> no_rows = {{}};
+  const auto extract = [&](const std::vector<std::vector<index_t>>& row0,
+                           const std::vector<std::vector<index_t>>& row1) {
+    Cluster cluster(grid, CostModel(LinkParams{}));
+    cluster.install_faults(&plan);
+    cluster.begin_superstep();
+    return masked_extract_15d(cluster, da, {{row0, mask}, {row1, mask}});
+  };
+  for (const bool dead_row_has_rows : {true, false}) {
+    const auto& row1 = dead_row_has_rows ? in_block0 : no_rows;
+    EXPECT_THROW(extract(in_block1, row1), DmsError);
+    if (dead_row_has_rows) {
+      EXPECT_THROW(extract(in_block0, row1), DmsError);
+    } else {
+      const auto out = extract(in_block0, row1);
+      expect_csr_equal(out[0][0], spgemm_masked(a, in_block0[0], mask[0]),
+                       "live row confined to block 0");
+      EXPECT_EQ(out[1][0].rows(), 0);
+    }
   }
 }
 

@@ -71,7 +71,8 @@ TEST_P(SpgemmEngineSweep, MaskedVariantMatchesProductThenSlice) {
   // repeated passes over all rows they land on both sides of the lookup
   // rule (2·entries >= cols, e.g. on the {100,100,100} and {4,64,512}
   // shapes). Each case runs in parallel on one reused Workspace and
-  // serially on a fresh one.
+  // serially on a fresh one; only reads of 4096+ entries per block split
+  // across the pool (the {48,256,192} shape's every-row-twice list).
   const auto p = GetParam();
   const CsrMatrix b = random_csr(p.k, p.n, p.db, 313 + p.n);
   std::vector<index_t> every_row_twice;
@@ -122,7 +123,9 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineSweep{100, 100, 100, 0.02, 0.02},
                       // folded from the retired hash-kernel suite
                       EngineSweep{16, 128, 16, 0.3, 0.02},
-                      EngineSweep{33, 77, 55, 0.02, 0.5}));
+                      EngineSweep{33, 77, 55, 0.02, 0.5},
+                      // large enough for spgemm_masked to use several blocks
+                      EngineSweep{48, 256, 192, 0.05, 0.4}));
 
 // --- folded from tests/test_spgemm_hash.cpp (the suite that tested the
 // pre-engine hash kernel; it has exercised the engine API since PR 2) -----
