@@ -12,11 +12,12 @@
 // mask at the owner block, so only A[R, S] crosses the fabric and is
 // all-reduced; the probability product still ships whole A-rows.
 // Extraction column (s, simulated), before → after masking at the owner,
-// one run each on a shared 4-vCPU host at the default pool; comp and comm
-// are the whole run's columns:
+// one run each on a shared 4-vCPU host at the default pool (a second pair
+// matched within 0.001 s, comp within 0.003 s); comp and comm are the
+// whole run's columns:
 //   papers  p=16 c=1: extraction 0.014 → 0.008, comp 0.002 → 0.002,
 //                     comm 0.026 → 0.020
-//           p=32 c=2: extraction 0.011 → 0.004, comp 0.002 → 0.001,
+//           p=32 c=2: extraction 0.011 → 0.004, comp 0.001 → 0.001,
 //                     comm 0.021 → 0.014
 //           p=64 c=4: extraction 0.009 → 0.002, comp 0.001 → 0.001,
 //                     comm 0.016 → 0.010
@@ -24,7 +25,7 @@
 //                     comm 0.059 → 0.035
 //           p=32 c=2: extraction 0.023 → 0.004, comp 0.002 → 0.002,
 //                     comm 0.044 → 0.025
-//           p=64 c=4: extraction 0.018 → 0.002, comp 0.002 → 0.001,
+//           p=64 c=4: extraction 0.018 → 0.002, comp 0.001 → 0.001,
 //                     comm 0.034 → 0.018
 #include "baselines/ladies_cpu.hpp"
 #include "bench_util.hpp"

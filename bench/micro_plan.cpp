@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <initializer_list>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -128,32 +129,31 @@ bool identical(const std::vector<MinibatchSample>& a,
   return true;
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t m = v.size() / 2;
-  return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+double mean(const std::vector<double>& v) {
+  return std::accumulate(v.begin(), v.end(), 0.0) / static_cast<double>(v.size());
 }
 
 struct CaseResult {
   std::vector<double> direct_reps;  // seconds per rep (all its epochs)
   std::vector<double> plan_reps;
-  std::vector<double> epoch_ratios;  // plan/direct - 1 per interleaved epoch pair
   bool bit_identical = false;
-  double direct_s() const { return median(direct_reps); }
-  double plan_s() const { return median(plan_reps); }
-  /// Median over every interleaved epoch pair of plan/direct - 1: the two
-  /// epochs of a pair run back to back, so the ratio cancels drift, and the
-  /// median over hundreds of pairs discards the epochs host jitter hit. (A
-  /// median over 15 per-rep sums still read an injected 4.5% as 2.6%.)
-  double overhead() const { return median(epoch_ratios); }
+  double direct_s() const { return mean(direct_reps); }
+  double plan_s() const { return mean(plan_reps); }
+  /// Summed plan time over summed direct time, minus 1, over every timed
+  /// epoch: what the plan path costs on average, so a cost that lands on
+  /// one epoch in ten, or once per rep, counts in full. Interleaving the
+  /// paths epoch by epoch cancels drift; the epoch count (not a robust
+  /// statistic, which would discard such costs with the jitter) keeps
+  /// host jitter small.
+  double overhead() const { return combined_overhead({this}); }
 
-  /// What an epoch of all the cases pays: each case's overhead weighted by
-  /// its share of the direct time.
+  /// The same ratio over several cases' summed times (every case runs the
+  /// same number of reps).
   static double combined_overhead(std::initializer_list<const CaseResult*> cases) {
     double direct = 0.0, plan = 0.0;
     for (const CaseResult* c : cases) {
       direct += c->direct_s();
-      plan += c->direct_s() * (1.0 + c->overhead());
+      plan += c->plan_s();
     }
     return plan / direct - 1.0;
   }
@@ -178,20 +178,16 @@ CaseResult measure_pair(DirectFn&& direct, PlanFn&& plan, int reps, int inner) {
     for (int e = 0; e < inner; ++e) {
       const auto seed = static_cast<std::uint64_t>(rep * inner + e);
       const bool direct_first = (rep + e) % 2 == 0;
-      double direct_e = 0.0, plan_e = 0.0;
       for (int k = 0; k < 2; ++k) {
         Timer t;
         if ((k == 0) == direct_first) {
           (void)direct(seed);
-          direct_e = t.seconds();
+          direct_s += t.seconds();
         } else {
           (void)plan(seed);
-          plan_e = t.seconds();
+          plan_s += t.seconds();
         }
       }
-      direct_s += direct_e;
-      plan_s += plan_e;
-      r.epoch_ratios.push_back(plan_e / direct_e - 1.0);
     }
     r.direct_reps.push_back(direct_s);
     r.plan_reps.push_back(plan_s);
@@ -261,10 +257,11 @@ int dump_plans() {
 
 int run(bool smoke, const std::string& json_path) {
   const Dataset& ds = bench::dataset("products");
-  // 15 reps of ~0.15 s per path and case (120 sage and 720 LADIES epoch
-  // pairs): at 7 reps of half that length a few milliseconds of host jitter
-  // moved the combined figure by the whole 3% margin (1 smoke failure in 6
-  // at an in-bound executor).
+  // 15 reps of ~0.4-0.7 s per path and case (in smoke runs, 480 sage and
+  // 2,880 LADIES epoch pairs). A summed ratio keeps all of the host's
+  // jitter, so it needs the time: at a quarter of it, its combined figure
+  // spread ±2% between runs on a shared 4-vCPU host, two thirds of the 3%
+  // margin.
   const int reps = 15;
   auto batches = make_epoch_batches(ds.train_idx, bench::arch().sage_batch, 1);
   batches.resize(std::min<std::size_t>(batches.size(), smoke ? 16 : 64));
@@ -278,15 +275,17 @@ int run(bool smoke, const std::string& json_path) {
   const auto direct_sage_fn = [&sage_draw](const Graph&, auto&&... args) {
     return direct_sage(sage_draw, args...);
   };
-  // sage epochs are ~20 ms and LADIES epochs ~2 ms at bench scale; loop
-  // them so each timed sample is long enough to be stable.
+  // sage epochs are ~20 ms and LADIES epochs ~2-3 ms in smoke runs; loop
+  // them so each timed sample is long enough to be stable. Full runs'
+  // epochs are 4x longer (64 minibatches), so they loop a quarter as often.
+  const int loops = smoke ? 4 : 1;
   const CaseResult sage_r =
-      run_case(sage, direct_sage_fn, ds.graph, sage_cfg, batches, reps, 8);
-  const CaseResult ladies_r =
-      run_case(ladies, direct_ladies, ds.graph, ladies_cfg, batches, reps, 48);
+      run_case(sage, direct_sage_fn, ds.graph, sage_cfg, batches, reps, 8 * loops);
+  const CaseResult ladies_r = run_case(ladies, direct_ladies, ds.graph, ladies_cfg,
+                                       batches, reps, 48 * loops);
 
   std::printf("Plan-executor overhead vs direct kernel calls (%s, %zu "
-              "minibatches, %d reps; overhead = median over epoch pairs):\n",
+              "minibatches, %d reps; overhead = summed plan / summed direct):\n",
               ds.name.c_str(), batches.size(), reps);
   std::printf("  %-8s direct %.4fs  plan %.4fs  overhead %+.2f%%  bits %s\n",
               "sage", sage_r.direct_s(), sage_r.plan_s(), 100.0 * sage_r.overhead(),
@@ -297,7 +296,7 @@ int run(bool smoke, const std::string& json_path) {
               ladies_r.bit_identical ? "identical" : "DIFFER");
 
   // The gate is the combined workload, what a training epoch actually pays:
-  // each case's median epoch-pair overhead, weighted by its direct time.
+  // both cases' summed plan time over their summed direct time.
   const double combined = CaseResult::combined_overhead({&sage_r, &ladies_r});
   std::printf("  combined overhead %+.2f%%\n", 100.0 * combined);
 
@@ -331,8 +330,8 @@ int run(bool smoke, const std::string& json_path) {
         others_unchanged && plan_signature(optimize(p)) == plan_signature(p);
   }
 
-  std::printf("Optimized vs unoptimized plan execution (median of %d epoch "
-              "pairs):\n", reps);
+  std::printf("Optimized vs unoptimized plan execution (summed over %d "
+              "epoch pairs):\n", reps);
   std::printf("  %-8s unopt %.4fs  opt %.4fs  speedup %+.2f%%  bits %s\n",
               "sage", opt_r.direct_s(), opt_r.plan_s(), -100.0 * opt_r.overhead(),
               opt_r.bit_identical ? "identical" : "DIFFER");

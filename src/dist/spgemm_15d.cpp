@@ -358,8 +358,7 @@ class ExtractWork {
     return x;
   }
 
-  /// Interleaves each batch's pieces back into frontier order. A batch whose
-  /// rows all sit in one block takes that piece as is.
+  /// Interleaves each batch's pieces back into frontier order.
   std::size_t finish(index_t i) {
     const ExtractBatches& in = batches_[static_cast<std::size_t>(i)];
     auto& pieces = rows_[static_cast<std::size_t>(i)].pieces;
@@ -370,33 +369,24 @@ class ExtractWork {
     std::size_t total_rows = 0, total_nnz = 0;
     for (std::size_t b = 0; b < in.rows.size(); ++b) {
       const std::vector<index_t>& rb = in.rows[b];
-      std::size_t nnz = 0, used = 0, last = 0;
-      for (std::size_t k = 0; k < pieces.size(); ++k) {
-        if (pieces[k][b].rows() == 0) continue;  // no rows in block k
-        nnz += static_cast<std::size_t>(pieces[k][b].nnz());
-        ++used;
-        last = k;
+      std::size_t nnz = 0;
+      for (const auto& piece : pieces) nnz += static_cast<std::size_t>(piece[b].nnz());
+      std::fill(cursor.begin(), cursor.end(), 0);
+      std::vector<nnz_t> rowptr(rb.size() + 1, 0);
+      std::vector<index_t> colidx(nnz);
+      std::vector<value_t> vals(nnz);
+      for (std::size_t t = 0; t < rb.size(); ++t) {
+        const auto k = static_cast<std::size_t>(part.owner(rb[t]));
+        const CsrMatrix& p = pieces[k][b];
+        const index_t row = cursor[k]++;
+        const auto at = static_cast<std::ptrdiff_t>(rowptr[t]);
+        std::copy(p.row_cols(row).begin(), p.row_cols(row).end(), colidx.begin() + at);
+        std::copy(p.row_vals(row).begin(), p.row_vals(row).end(), vals.begin() + at);
+        rowptr[t + 1] = rowptr[t] + p.row_nnz(row);
       }
-      if (used == 1) {
-        out[b] = std::move(pieces[last][b]);
-      } else {
-        std::fill(cursor.begin(), cursor.end(), 0);
-        std::vector<nnz_t> rowptr(rb.size() + 1, 0);
-        std::vector<index_t> colidx(nnz);
-        std::vector<value_t> vals(nnz);
-        for (std::size_t t = 0; t < rb.size(); ++t) {
-          const auto k = static_cast<std::size_t>(part.owner(rb[t]));
-          const CsrMatrix& p = pieces[k][b];
-          const index_t row = cursor[k]++;
-          const auto at = static_cast<std::ptrdiff_t>(rowptr[t]);
-          std::copy(p.row_cols(row).begin(), p.row_cols(row).end(), colidx.begin() + at);
-          std::copy(p.row_vals(row).begin(), p.row_vals(row).end(), vals.begin() + at);
-          rowptr[t + 1] = rowptr[t] + p.row_nnz(row);
-        }
-        out[b] = CsrMatrix(static_cast<index_t>(rb.size()),
-                           static_cast<index_t>(in.masks[b].size()), std::move(rowptr),
-                           std::move(colidx), std::move(vals));
-      }
+      out[b] = CsrMatrix(static_cast<index_t>(rb.size()),
+                         static_cast<index_t>(in.masks[b].size()), std::move(rowptr),
+                         std::move(colidx), std::move(vals));
       total_rows += rb.size();
       total_nnz += static_cast<std::size_t>(out[b].nnz());
     }
@@ -474,9 +464,19 @@ std::vector<std::vector<CsrMatrix>> masked_extract_15d(
         "masked_extract_15d: A distributed over a different grid shape");
   check(static_cast<index_t>(batches.size()) == rows,
         "masked_extract_15d: need one batch list per process row");
+  // Every mask is checked here, once, as spgemm_masked on the whole matrix
+  // checks it: also for a batch with no rows, which no owner ever serves.
   for (const ExtractBatches& in : batches) {
     check(in.rows.size() == in.masks.size(),
           "masked_extract_15d: need one mask per batch");
+    for (const std::vector<index_t>& s : in.masks) {
+      for (std::size_t t = 0; t < s.size(); ++t) {
+        check(s[t] >= 0 && s[t] < a.cols(),
+              "masked_extract_15d: mask column id out of range");
+        check(t == 0 || s[t - 1] < s[t],
+              "masked_extract_15d: mask must be sorted and duplicate-free");
+      }
+    }
   }
   ExtractWork work(batches, a, opts.local);
   // Each requester row builds its requests before the rounds; rows run

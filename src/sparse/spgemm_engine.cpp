@@ -447,8 +447,10 @@ CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
     prefix[i + 1] = prefix[i] + a.row_nnz(rows[i]);
   }
   // A block must read enough entries to amortize a pool dispatch, so small
-  // extractions (one batch's rows in one owner block, §3.2) run inline.
-  constexpr nnz_t kMinBlockEntries = 4096;
+  // extractions (one batch's rows in one owner block, §3.2) run inline. On
+  // a 4-vCPU host a dispatch cost about as much as reading 10K entries
+  // inline: a 10.7K-entry call took 0.025 ms inline and 0.050 ms in 3 blocks.
+  constexpr nnz_t kMinBlockEntries = 16384;
   const index_t max_blocks =
       opts.parallel ? std::min<index_t>(ThreadPool::global().size(),
                                         1 + prefix.back() / kMinBlockEntries)

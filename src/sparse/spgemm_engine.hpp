@@ -92,7 +92,7 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
 /// (O(cols) to build, then one probe per entry) and per-row sorted-list
 /// intersection against the mask; both yield the same bits. With
 /// opts.parallel, the rows split across the pool only into blocks that read
-/// at least 4096 entries, so small extractions never pay a pool dispatch.
+/// at least 16384 entries, so small extractions never pay a pool dispatch.
 CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
                         const std::vector<index_t>& mask,
                         const SpgemmOptions& opts = {});

@@ -277,6 +277,19 @@ TEST(Spgemm15d, MaskedExtractRejectsMismatchedBatches) {
   const std::vector<std::vector<index_t>> out_of_range = {{20}};
   EXPECT_THROW(masked_extract_15d(cluster, a, {{out_of_range, masks}, {none, none}}),
                DmsError);
+  // A bad mask is rejected like spgemm_masked on the whole matrix rejects
+  // it, also when its batch has no rows for any owner to serve.
+  const std::vector<std::vector<index_t>> no_rows = {{}};
+  for (const std::vector<index_t>& bad :
+       {std::vector<index_t>{20}, std::vector<index_t>{-1},
+        std::vector<index_t>{5, 3}, std::vector<index_t>{3, 3}}) {
+    const std::vector<std::vector<index_t>> bad_masks = {bad};
+    EXPECT_THROW(masked_extract_15d(cluster, a, {{no_rows, bad_masks}, {none, none}}),
+                 DmsError);
+    EXPECT_THROW(masked_extract_15d(cluster, a, {{rows, bad_masks}, {none, none}}),
+                 DmsError);
+  }
+  EXPECT_NO_THROW(masked_extract_15d(cluster, a, {{no_rows, masks}, {none, none}}));
 }
 
 TEST(DistBlockRowMatrix, GatherReassembles) {

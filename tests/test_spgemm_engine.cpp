@@ -71,7 +71,7 @@ TEST_P(SpgemmEngineSweep, MaskedVariantMatchesProductThenSlice) {
   // repeated passes over all rows they land on both sides of the lookup
   // rule (2·entries >= cols, e.g. on the {100,100,100} and {4,64,512}
   // shapes). Each case runs in parallel on one reused Workspace and
-  // serially on a fresh one; only reads of 4096+ entries per block split
+  // serially on a fresh one; only reads of 16384+ entries per block split
   // across the pool (the {48,256,192} shape's every-row-twice list).
   const auto p = GetParam();
   const CsrMatrix b = random_csr(p.k, p.n, p.db, 313 + p.n);
