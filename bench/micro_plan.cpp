@@ -9,8 +9,9 @@
 // --smoke exits nonzero if any output pair is not bit-identical, executor
 // overhead exceeds 3%, the optimizer does not rewrite exactly what it should
 // (each walk body -> one kWalk op, sage's product -> the in-place adjacency
-// draw, LABOR, LADIES and FastGCN left unchanged), or the optimized sage
-// plan regresses past noise; --json=PATH appends rows to the
+// draw, LABOR, LADIES and FastGCN left unchanged, partitioned sage and
+// LADIES samplers running their builder plans as built), or the optimized
+// sage plan regresses past noise; --json=PATH appends rows to the
 // BENCH_micro.json trajectory; --dump-plan prints each builtin plan's
 // listing and its optimize() diff, then exits.
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "core/ladies.hpp"
 #include "core/minibatch.hpp"
 #include "core/plan_sampler.hpp"
+#include "dist/dist_sampler.hpp"
 #include "plan/builders.hpp"
 #include "plan/executor.hpp"
 #include "plan/optimize.hpp"
@@ -59,7 +61,10 @@ std::vector<MinibatchSample> direct_sage(
     const index_t s = cfg.fanouts[static_cast<std::size_t>(l)];
     const FrontierStack stack = stack_frontiers(frontier);
     const CsrMatrix qs = draw.sample_rows(
-        stack.vertices, s, sage_row_seed_fn(stack, batch_ids, 0, l, epoch_seed),
+        stack.vertices, s,
+        row_seed_fn(&stack, batches.size(), batch_ids, 0,
+                    static_cast<std::uint64_t>(l), SeedRowTerm::kLocalRow,
+                    epoch_seed),
         &ws);
     for (index_t i = 0; i < k; ++i) {
       LayerSample layer = sage_extract_layer(qs, stack, static_cast<std::size_t>(i),
@@ -243,7 +248,6 @@ int dump_plans() {
       {"labor", build_labor_plan()},
       {"saint_rw", build_saint_plan(3, 2)},
       {"node2vec", build_node2vec_plan(3, 2, 0.5, 2.0)},
-      {"ladies (lowered)", lower_to_dist(build_ladies_plan())},
   };
   for (const auto& [name, plan] : plans) {
     const SamplePlan after = optimize(plan);
@@ -329,6 +333,15 @@ int run(bool smoke, const std::string& json_path) {
     others_unchanged =
         others_unchanged && plan_signature(optimize(p)) == plan_signature(p);
   }
+  // Partitioned samplers run their builder plans as built: the run, not the
+  // plan, picks the 1.5D collectives.
+  const ProcessGrid grid(4, 2);
+  const PartitionedSamplerBase part_sage(ds.graph, grid, build_sage_plan(), sage_cfg);
+  const PartitionedSamplerBase part_ladies(ds.graph, grid, build_ladies_plan(),
+                                           ladies_cfg);
+  const bool partitioned_as_built =
+      plan_signature(part_sage.plan()) == plan_signature(build_sage_plan()) &&
+      plan_signature(part_ladies.plan()) == plan_signature(build_ladies_plan());
 
   std::printf("Optimized vs unoptimized plan execution (summed over %d "
               "epoch pairs):\n", reps);
@@ -336,9 +349,10 @@ int run(bool smoke, const std::string& json_path) {
               "sage", opt_r.direct_s(), opt_r.plan_s(), -100.0 * opt_r.overhead(),
               opt_r.bit_identical ? "identical" : "DIFFER");
   std::printf("  walk bodies -> kWalk: %s; sage draws from the adjacency in "
-              "place: %s; labor, ladies, fastgcn unchanged: %s\n",
+              "place: %s; labor, ladies, fastgcn unchanged: %s; partitioned "
+              "sage, ladies run as built: %s\n",
               walks_fused ? "yes" : "NO", sage_in_place ? "yes" : "NO",
-              others_unchanged ? "yes" : "NO");
+              others_unchanged ? "yes" : "NO", partitioned_as_built ? "yes" : "NO");
 
   if (!json_path.empty()) {
     bench::JsonWriter json(json_path, /*append=*/true);
@@ -423,6 +437,11 @@ int run(bool smoke, const std::string& json_path) {
     if (!others_unchanged) {
       std::fprintf(stderr,
                    "FAIL: optimize() rewrote a LABOR, LADIES or FastGCN plan\n");
+      return 1;
+    }
+    if (!partitioned_as_built) {
+      std::fprintf(stderr,
+                   "FAIL: a partitioned sampler does not run its builder plan\n");
       return 1;
     }
     if (opt_r.overhead() > kMaxOptRegress) {

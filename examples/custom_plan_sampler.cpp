@@ -2,8 +2,9 @@
 // layer sampler — per layer, each frontier vertex samples s vertices
 // proportional to the number of 2-paths reaching them (P = Q·A·A, NORM,
 // ITS). No sampler class, no distributed code: the plan is ~25 lines,
-// PlanSampler runs it as-is, and PartitionedSamplerBase runs the
-// dist-lowered copy on a 1.5D grid — both modes bit-identical.
+// PlanSampler runs it as-is, and PartitionedSamplerBase runs the same plan
+// on a 1.5D grid, each kSpgemm as the 1.5D collective — both modes
+// bit-identical.
 #include <cstdio>
 
 #include "dist/dist_sampler.hpp"
@@ -108,8 +109,9 @@ int main() {
   std::printf("replicated:  %zu minibatches, %zu sampled edges\n",
               replicated.size(), total_edges(replicated));
 
-  // Partitioned: the same plan, dist-lowered by PartitionedSamplerBase onto
-  // a 4×2 process grid. Bit-identical by the determinism contract.
+  // Partitioned: the same plan, run by PartitionedSamplerBase on a 4×2
+  // process grid, where the executor runs each kSpgemm as the 1.5D
+  // collective. Bit-identical by the determinism contract.
   Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));
   const PartitionedSamplerBase part(ds.graph, cluster.grid(), plan, cfg);
   const auto partitioned = part.sample_bulk(batches, ids, /*epoch_seed=*/7);

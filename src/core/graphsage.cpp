@@ -4,20 +4,24 @@
 
 namespace dms {
 
-RowSeedFn sage_row_seed_fn(const FrontierStack& stack,
-                           const std::vector<index_t>& batch_ids,
-                           index_t first_batch, index_t layer,
-                           std::uint64_t epoch_seed) {
-  // Stacked row -> per-row seed, precomputed so the closure owns its state
-  // (no borrowed references — the caller may store the function).
-  std::vector<std::uint64_t> row_seed(stack.vertices.size());
-  for (std::size_t b = 0; b + 1 < stack.offsets.size(); ++b) {
-    const index_t g = first_batch + static_cast<index_t>(b);
-    const auto id = static_cast<std::uint64_t>(batch_ids[static_cast<std::size_t>(g)]);
-    for (index_t r = stack.offsets[b]; r < stack.offsets[b + 1]; ++r) {
-      row_seed[static_cast<std::size_t>(r)] =
-          derive_seed(epoch_seed, id, static_cast<std::uint64_t>(layer),
-                      static_cast<std::uint64_t>(r - stack.offsets[b]));
+RowSeedFn row_seed_fn(const FrontierStack* stack, std::size_t batches,
+                      const std::vector<index_t>& batch_ids,
+                      index_t first_batch, std::uint64_t round_term,
+                      SeedRowTerm term, std::uint64_t epoch_seed) {
+  // Row -> seed, precomputed so the closure owns its state (no borrowed
+  // references — the caller may store the function).
+  std::vector<std::uint64_t> row_seed(stack != nullptr ? stack->vertices.size()
+                                                       : batches);
+  const std::uint64_t fixed = term == SeedRowTerm::kOne ? 1u : 0u;
+  for (std::size_t b = 0; b < batches; ++b) {
+    const auto id = static_cast<std::uint64_t>(
+        batch_ids[static_cast<std::size_t>(first_batch) + b]);
+    const auto r0 = static_cast<std::size_t>(stack != nullptr ? stack->offsets[b] : b);
+    const auto r1 = stack != nullptr ? static_cast<std::size_t>(stack->offsets[b + 1])
+                                     : b + 1;
+    for (std::size_t r = r0; r < r1; ++r) {
+      row_seed[r] = derive_seed(epoch_seed, id, round_term,
+                                term == SeedRowTerm::kLocalRow ? r - r0 : fixed);
     }
   }
   return [row_seed = std::move(row_seed)](index_t row) {

@@ -8,20 +8,22 @@
 #include "core/frontier.hpp"
 #include "core/its.hpp"
 #include "core/sampler.hpp"
+#include "plan/plan.hpp"  // SeedRowTerm
 
 namespace dms {
 
-/// Row-seed function for ITS over a stacked P (shared verbatim with the
-/// plan executor so every execution mode samples bit-identically):
-/// maps a stacked row back to (batch, local row) and derives the (epoch,
-/// global batch id, layer, local row) seed. `first_batch` is the global
-/// index of the stack's first batch within `batch_ids` (0 single-node; the
-/// process row's block start distributed). Inputs are copied into the
-/// returned closure, so it may outlive them.
-RowSeedFn sage_row_seed_fn(const FrontierStack& stack,
-                           const std::vector<index_t>& batch_ids,
-                           index_t first_batch, index_t layer,
-                           std::uint64_t epoch_seed);
+/// The one derivation of a sampling op's per-row seeds (the determinism
+/// contract, shared by every execution mode): row r of batch b gets
+/// derive_seed(epoch_seed, batch_ids[first_batch + b], round_term, t), t
+/// being r's row within its batch (SeedRowTerm::kLocalRow) or the fixed 0
+/// or 1. A stack maps rows to batches by its offsets; without one (null),
+/// row b is batch b of `batches`. `first_batch` is 0 single-node and the
+/// process row's block start distributed. The seeds are copied into the
+/// returned closure, so it may outlive the inputs.
+RowSeedFn row_seed_fn(const FrontierStack* stack, std::size_t batches,
+                      const std::vector<index_t>& batch_ids,
+                      index_t first_batch, std::uint64_t round_term,
+                      SeedRowTerm term, std::uint64_t epoch_seed);
 
 /// EXTRACT for one batch of a stacked SAGE sample (§4.1.3): renumbers the
 /// sampled columns of stacked rows [offsets[b], offsets[b+1]) of qs, read in

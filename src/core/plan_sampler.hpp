@@ -3,8 +3,8 @@
 // the same for all of them — the paper's "different matrix constructions"
 // under one framework. make_sampler (dist/sampler_factory) picks the plan
 // and config per SamplerKind; custom plans construct PlanSampler directly.
-// The Graph Partitioned form (dist/dist_sampler) runs the dist-lowered copy
-// of the same plan.
+// The Graph Partitioned form (dist/dist_sampler) runs the same plan, as
+// built.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +41,8 @@ class PlanSampler : public MatrixSampler {
   }
   Workspace* scratch_workspace() const override { return &state_.ws; }
 
-  /// The plan the executor runs (optimized, and dist-lowered for the
-  /// partitioned form).
+  /// The plan the executor runs (optimized by default; the partitioned form
+  /// runs the plan as built).
   const SamplePlan& plan() const { return exec_.plan(); }
 
   /// Walk steps advanced since construction / reset_stats.

@@ -6,9 +6,9 @@
 // [s, p) are *trainer* ranks. Each role runs its own 1.5D sub-grid:
 //
 //  - the sampler grid (s ranks, replication c_s) owns the block-row
-//    distributed adjacency; the dist lowering pass places every plan op on
-//    these ranks (the partitioned sampler is simply constructed over this
-//    sub-grid, so lower_to_dist needs no new rewrite);
+//    distributed adjacency, and every plan op runs on these ranks (the
+//    partitioned sampler is simply constructed over this sub-grid, so the
+//    executor needs no new mode);
 //  - the trainer grid (t = p - s ranks, replication c_t) owns the 1.5D
 //    feature store, the model replicas, and the gradient all-reduce.
 //    Trainers hold no adjacency, which is what frees the memory that funds

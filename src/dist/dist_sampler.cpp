@@ -21,7 +21,7 @@ PartitionedSamplerBase::PartitionedSamplerBase(const Graph& graph,
                                                SamplePlan plan,
                                                SamplerConfig config,
                                                PartitionedSamplerOptions opts)
-    : PlanSampler(graph, lower_to_dist(plan), std::move(config)),
+    : PlanSampler(graph, std::move(plan), std::move(config), {.optimize = false}),
       grid_(grid),
       opts_(opts),
       dist_adj_(grid, this->graph().adjacency()) {}
@@ -31,7 +31,8 @@ PartitionedSamplerBase::PartitionedSamplerBase(std::unique_ptr<const Graph> grap
                                                SamplePlan plan,
                                                SamplerConfig config,
                                                PartitionedSamplerOptions opts)
-    : PlanSampler(std::move(graph), lower_to_dist(plan), std::move(config)),
+    : PlanSampler(std::move(graph), std::move(plan), std::move(config),
+                  {.optimize = false}),
       grid_(grid),
       opts_(opts),
       dist_adj_(grid, this->graph().adjacency()) {}

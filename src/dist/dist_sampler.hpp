@@ -1,12 +1,12 @@
 // Graph Partitioned plan samplers (§5.2): the adjacency is block-row
 // partitioned over a 1.5D process grid (it no longer needs to fit on one
-// device) and the sampler's *plan* (src/plan) runs through the partitioned
-// executor — every kSpgemm/kMaskedExtract op was rewritten by the
-// lower_to_dist pass to its 1.5D collective form (Algorithm 2's block-row
-// fetch/exchange + all-reduce), while row-local ops (NORM, ITS, thinning,
-// assembly) run per process row. There is no per-sampler distributed
-// sampling logic here: one lowering pass + one executor serve every
-// algorithm, which is why partitioned FastGCN and LABOR exist at all.
+// device) and the sampler's *plan* (src/plan), as built, runs through the
+// partitioned executor — every kSpgemm/kMaskedExtract op runs as its 1.5D
+// collective (Algorithm 2's block-row fetch/exchange + all-reduce), while
+// row-local ops (NORM, ITS, thinning, assembly) run per process row. There
+// is no per-sampler distributed sampling logic here: one executor serves
+// every algorithm in every mode, which is why partitioned FastGCN and LABOR
+// exist at all.
 //
 // Determinism contract: randomness is derived per (epoch, global batch id,
 // layer, local row), never from the rank layout, so a Graph Partitioned run
@@ -52,16 +52,17 @@ struct PartitionedSamplerOptions {
   bool sparsity_aware = true;
 };
 
-/// A Graph Partitioned sampler: any SamplePlan, dist-lowered at
-/// construction and executed by the partitioned PlanExecutor. Handles
-/// batch-to-process-row assignment and the distributed adjacency; the plan,
-/// config, global weights, graph ownership and run state are PlanSampler's,
-/// which is what lets the factory treat both modes uniformly.
+/// A Graph Partitioned sampler: any SamplePlan, executed as built by the
+/// partitioned PlanExecutor. Handles batch-to-process-row assignment and
+/// the distributed adjacency; the plan, config, global weights, graph
+/// ownership and run state are PlanSampler's, which is what lets the
+/// factory treat both modes uniformly.
 class PartitionedSamplerBase : public PlanSampler {
  public:
   /// Borrows `graph`, which must outlive the sampler (the distributed block
-  /// rows are materialized once at construction). `plan` is the *unlowered*
-  /// single-node plan — the constructor runs the dist lowering pass.
+  /// rows are materialized once at construction). `plan` is the plan the
+  /// replicated sampler runs; it is not optimized (the rewrites emit
+  /// replicated-only ops).
   PartitionedSamplerBase(const Graph& graph, const ProcessGrid& grid,
                          SamplePlan plan, SamplerConfig config,
                          PartitionedSamplerOptions opts = {});

@@ -3,8 +3,8 @@
 //
 // Call sites — the training pipeline, benches, and examples — ask for
 // (kind, mode) and get a MatrixSampler: a PlanSampler running the kind's
-// plan, or in the partitioned modes a PartitionedSamplerBase running its
-// dist-lowered copy. Partitioned samplers conform to the same interface
+// plan, or in the partitioned modes a PartitionedSamplerBase running the
+// same plan as built. Partitioned samplers conform to the same interface
 // (the determinism contract makes a partitioned run substitutable for a
 // single-node one), and call sites that drive the distributed API directly
 // downcast through as_partitioned().
@@ -31,9 +31,9 @@ enum class SamplerKind {
 };
 /// kDisaggregated: sampler/trainer rank roles (DESIGN.md §14). The factory
 /// builds the algorithm's partitioned form over the *sampler sub-grid* of
-/// make_disagg_layout(ctx.grid, ctx.disagg) — the dist lowering pass thereby
-/// places every plan op on the sampler ranks; the training pipeline runs the
-/// trainer role on the remaining ranks.
+/// make_disagg_layout(ctx.grid, ctx.disagg), so every plan op runs on the
+/// sampler ranks; the training pipeline runs the trainer role on the
+/// remaining ranks.
 enum class DistMode { kReplicated, kPartitioned, kDisaggregated };
 
 /// Every kind and every mode; make_sampler builds each combination.

@@ -153,6 +153,21 @@ void run_schedule(Cluster& cluster, const DistBlockRowMatrix& a,
           Timer t;
           work.local(i, k);
           rank_sec[static_cast<std::size_t>(dst)] += t.seconds();
+          if (dst != dst_pref && i != k) {
+            // Oblivious, requester replica dead: its row-mate in another
+            // column computes against block k, which column j's broadcast
+            // never reached — a live replica of block row k ships it over,
+            // the one in the survivor's column if it is alive.
+            const int near = grid.rank_of(static_cast<int>(k), grid.col_of(dst));
+            const int from = cluster.alive(near) ? near : src;
+            const double t_ship = cm.p2p(from, dst, ak.bytes());
+            col_comm += t_ship;
+            comm_bytes += ak.bytes();
+            ++comm_msgs;
+            redist_sec += t_ship;
+            redist_bytes += ak.bytes();
+            if (stats != nullptr) stats->row_data_bytes += ak.bytes();
+          }
           continue;
         }
         // Sparsity-aware round (Algorithm 2 lines 4-9): the requester asks

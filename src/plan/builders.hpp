@@ -1,9 +1,9 @@
 // The built-in sampler plans (DESIGN.md §9): each sampling algorithm is a
 // ~20-line plan definition over the shared op vocabulary. The same plan
-// serves every execution mode — PlanSampler runs it directly, the
-// partitioned sampler runs lower_to_dist(plan) — which is what makes both
-// modes bit-identical by construction. make_sampler (dist/sampler_factory)
-// picks the builder per SamplerKind.
+// serves every execution mode — PlanSampler and the partitioned sampler
+// run the same plan — which is what makes both modes bit-identical by
+// construction. make_sampler (dist/sampler_factory) picks the builder per
+// SamplerKind.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +53,9 @@ SamplePlan build_ladies_plan();
 /// weights (fastgcn_importance_prefix, bound by PlanSampler whenever
 /// plan.needs_global_weights) instead of materializing the k×n P matrix (an
 /// optimization the matrix framework permits; semantics are identical).
-/// The plan has no probability kSpgemm; under the dist lowering pass the
-/// sampling stays row-local and only the masked extraction becomes a 1.5D
-/// collective — which is why the partitioned FastGCN comes for free.
+/// The plan has no probability kSpgemm; run partitioned, the sampling stays
+/// row-local and only the masked extraction runs as a 1.5D collective —
+/// which is why the partitioned FastGCN comes for free.
 SamplePlan build_fastgcn_plan();
 
 /// LABOR (Balin & Çatalyürek 2023, "Layer-Neighbor Sampling — Defusing

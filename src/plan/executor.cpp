@@ -6,7 +6,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/frontier.hpp"
-#include "core/graphsage.hpp"  // sage_extract_layer (shared EXTRACT, §4.1.3)
+#include "core/graphsage.hpp"  // row_seed_fn, sage_extract_layer (§4.1.3)
 #include "core/its.hpp"
 #include "core/ladies.hpp"  // ladies_indicator_rows / ladies_norm / assemble
 #include "plan/optimize.hpp"  // PlanCache
@@ -125,42 +125,6 @@ double seed_uniform(std::uint64_t seed) {
   return static_cast<double>(seed >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/// Per-row ITS seed function (the shared determinism contract): seed =
-/// derive_seed(epoch, global batch id, round + salt, row term). With a
-/// stack, rows map back to (batch, local row) via the offsets — delegated
-/// to sage_row_seed_fn, the single implementation of that derivation;
-/// without one, row index == batch index.
-RowSeedFn make_row_seed(const FrontierStack* stack,
-                        const std::vector<index_t>& batch_ids, index_t first,
-                        std::uint64_t epoch_seed, std::uint64_t round_term,
-                        SeedRowTerm term) {
-  const std::uint64_t fixed = term == SeedRowTerm::kOne ? 1u : 0u;
-  if (stack == nullptr) {
-    return [&batch_ids, first, epoch_seed, round_term, fixed](index_t row) {
-      const auto id = static_cast<std::uint64_t>(
-          batch_ids[static_cast<std::size_t>(first + row)]);
-      return derive_seed(epoch_seed, id, round_term, fixed);
-    };
-  }
-  if (term == SeedRowTerm::kLocalRow) {
-    return sage_row_seed_fn(*stack, batch_ids, first,
-                            static_cast<index_t>(round_term), epoch_seed);
-  }
-  // Stacked rows with a fixed row term: all rows of one batch share a seed.
-  std::vector<std::uint64_t> row_seed(stack->vertices.size());
-  for (std::size_t b = 0; b + 1 < stack->offsets.size(); ++b) {
-    const auto id = static_cast<std::uint64_t>(
-        batch_ids[static_cast<std::size_t>(first) + b]);
-    for (index_t r = stack->offsets[b]; r < stack->offsets[b + 1]; ++r) {
-      row_seed[static_cast<std::size_t>(r)] =
-          derive_seed(epoch_seed, id, round_term, fixed);
-    }
-  }
-  return [row_seed = std::move(row_seed)](index_t row) {
-    return row_seed[static_cast<std::size_t>(row)];
-  };
-}
-
 /// Adjacency row (columns) of global vertex g in either mode. Partitioned
 /// execution reads the owner block directly — every process column stores
 /// whole block rows, so the read models an intra-column fetch whose cost is
@@ -236,9 +200,6 @@ void exec_build_q(RunCtx& ctx, const PlanOp& op) {
 }
 
 void exec_spgemm(RunCtx& ctx, const PlanOp& op) {
-  check(ctx.adj != nullptr,
-        op_where(ctx, op) + ": kSpgemm needs a replicated adjacency "
-                            "(partitioned runs require a lowered plan)");
   rows_op(ctx, op, [&](RowState& r, std::size_t) {
     const CsrMatrix& q = as_matrix(ctx, r, op.in, op);
     check(q.cols() == ctx.adj->rows(),
@@ -254,8 +215,6 @@ void exec_spgemm(RunCtx& ctx, const PlanOp& op) {
 }
 
 void exec_spgemm_15d(RunCtx& ctx, const PlanOp& op) {
-  check(ctx.cluster != nullptr && ctx.dadj != nullptr,
-        op_where(ctx, op) + ": kSpgemm15d requires partitioned execution");
   const auto rows = ctx.rows.size();
   const bool can_move = sole_reader_of_input(ctx.plan, op);
   std::vector<CsrMatrix> blocks(rows);
@@ -322,9 +281,9 @@ void exec_its_sample(RunCtx& ctx, const PlanOp& op, index_t round) {
     const AdjacencyDraw& draw = adjacency_draw(ctx, op);
     rows_op(ctx, op, [&](RowState& r, std::size_t) {
       const FrontierStack& stack = as_stack(ctx, r, op.in2, op);
-      const RowSeedFn fn =
-          make_row_seed(&stack, *ctx.batch_ids, r.first_batch, ctx.epoch_seed,
-                        round_term, op.seed.row);
+      const RowSeedFn fn = row_seed_fn(&stack, r.out.size(), *ctx.batch_ids,
+                                       r.first_batch, round_term, op.seed.row,
+                                       ctx.epoch_seed);
       PlanValue& out = slot_ref(ctx, r, op.out, op);
       out.kind = PlanValue::Kind::kMatrix;
       out.m = draw.sample_rows(stack.vertices, s, fn, &ctx.state->ws);
@@ -336,9 +295,9 @@ void exec_its_sample(RunCtx& ctx, const PlanOp& op, index_t round) {
       const CsrMatrix& p = as_matrix(ctx, r, op.in, op);
       const FrontierStack* stack =
           op.in2 == kNoSlot ? nullptr : &as_stack(ctx, r, op.in2, op);
-      const RowSeedFn fn =
-          make_row_seed(stack, *ctx.batch_ids, r.first_batch, ctx.epoch_seed,
-                        round_term, op.seed.row);
+      const RowSeedFn fn = row_seed_fn(stack, r.out.size(), *ctx.batch_ids,
+                                       r.first_batch, round_term, op.seed.row,
+                                       ctx.epoch_seed);
       PlanValue& out = slot_ref(ctx, r, op.out, op);
       out.kind = PlanValue::Kind::kMatrix;
       out.m = its_sample_rows(p, s, fn, &ctx.state->ws);
@@ -353,13 +312,11 @@ void exec_its_sample(RunCtx& ctx, const PlanOp& op, index_t round) {
     PlanValue& out = slot_ref(ctx, r, op.out, op);
     out.kind = PlanValue::Kind::kLists;
     out.lists.assign(r.out.size(), {});
-    const std::uint64_t fixed = op.seed.row == SeedRowTerm::kOne ? 1u : 0u;
+    const RowSeedFn fn = row_seed_fn(nullptr, r.out.size(), *ctx.batch_ids,
+                                     r.first_batch, round_term, op.seed.row,
+                                     ctx.epoch_seed);
     for (std::size_t b = 0; b < r.out.size(); ++b) {
-      const auto id = static_cast<std::uint64_t>(
-          (*ctx.batch_ids)[static_cast<std::size_t>(r.first_batch) + b]);
-      its_sample_one(*ctx.weights, s,
-                     derive_seed(ctx.epoch_seed, id, round_term, fixed),
-                     &out.lists[b]);
+      its_sample_one(*ctx.weights, s, fn(static_cast<index_t>(b)), &out.lists[b]);
     }
   });
 }
@@ -418,9 +375,6 @@ void exec_slice(RunCtx& ctx, const PlanOp& op) {
 }
 
 void exec_masked_extract(RunCtx& ctx, const PlanOp& op) {
-  check(ctx.adj != nullptr,
-        op_where(ctx, op) + ": kMaskedExtract needs a replicated adjacency "
-                            "(partitioned runs require a lowered plan)");
   rows_op(ctx, op, [&](RowState& r, std::size_t) {
     const auto& frontier = as_lists(ctx, r, ctx.plan.frontier_slot, op);
     const auto& sets = as_lists(ctx, r, op.in, op);
@@ -439,8 +393,6 @@ void exec_masked_extract(RunCtx& ctx, const PlanOp& op) {
 }
 
 void exec_masked_extract_15d(RunCtx& ctx, const PlanOp& op) {
-  check(ctx.cluster != nullptr && ctx.dadj != nullptr,
-        op_where(ctx, op) + ": kMaskedExtract15d requires partitioned execution");
   // Each row's frontiers and sampled sets go to the collective as they are:
   // it ships only A[R_b, S_b] (the same bits as the replicated op).
   std::vector<ExtractBatches> batches(ctx.rows.size());
@@ -632,17 +584,22 @@ void exec_walk(RunCtx& ctx, const PlanOp& op) {
   });
 }
 
+/// The run picks each op's execution: a partitioned run executes kSpgemm
+/// and kMaskedExtract as the 1.5D collectives, as adj_row_cols and
+/// induced_subgraph read the owner blocks.
 void exec_op(RunCtx& ctx, const PlanOp& op, index_t round) {
+  const bool replicated = ctx.adj != nullptr;
   switch (op.kind) {
     case PlanOpKind::kBuildQ: return exec_build_q(ctx, op);
-    case PlanOpKind::kSpgemm: return exec_spgemm(ctx, op);
-    case PlanOpKind::kSpgemm15d: return exec_spgemm_15d(ctx, op);
+    case PlanOpKind::kSpgemm:
+      return replicated ? exec_spgemm(ctx, op) : exec_spgemm_15d(ctx, op);
     case PlanOpKind::kNormalize: return exec_normalize(ctx, op);
     case PlanOpKind::kItsSample: return exec_its_sample(ctx, op, round);
     case PlanOpKind::kPoissonThin: return exec_poisson_thin(ctx, op, round);
     case PlanOpKind::kSlice: return exec_slice(ctx, op);
-    case PlanOpKind::kMaskedExtract: return exec_masked_extract(ctx, op);
-    case PlanOpKind::kMaskedExtract15d: return exec_masked_extract_15d(ctx, op);
+    case PlanOpKind::kMaskedExtract:
+      return replicated ? exec_masked_extract(ctx, op)
+                        : exec_masked_extract_15d(ctx, op);
     case PlanOpKind::kFrontierUnion: return exec_frontier_union(ctx, op);
     case PlanOpKind::kWalkAdvance: return exec_walk_advance(ctx, op);
     case PlanOpKind::kWalkBias: return exec_walk_bias(ctx, op);
@@ -779,9 +736,6 @@ std::vector<MinibatchSample> PlanExecutor::run(
   // heterogeneous per-batch sizes — one-seed requests stack next to
   // training-sized batches).
   if (batches.empty()) return {};
-  check(!plan_->distributed,
-        "PlanExecutor::run: plan '" + plan_->name +
-            "' is dist-lowered; use run_partitioned");
   check(!plan_->needs_global_weights || global_weights != nullptr,
         "PlanExecutor::run: plan '" + plan_->name +
             "' needs bound global weights");
@@ -807,9 +761,6 @@ std::vector<std::vector<MinibatchSample>> PlanExecutor::run_partitioned(
     const std::vector<value_t>* global_weights) const {
   check(batches.size() == batch_ids.size(),
         "PlanExecutor::run_partitioned: ids/batches mismatch");
-  check(plan_->distributed,
-        "PlanExecutor::run_partitioned: plan '" + plan_->name +
-            "' is not dist-lowered (lower_to_dist)");
   check(!plan_->needs_global_weights || global_weights != nullptr,
         "PlanExecutor::run_partitioned: plan '" + plan_->name +
             "' needs bound global weights");

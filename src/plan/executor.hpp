@@ -2,17 +2,18 @@
 // slots to concrete CSR/frontier buffers and runs its ops through the
 // existing kernel machinery — the adaptive SpGEMM engine, its_sample_rows,
 // the adjacency draw, the walk engine and the Workspace arena in replicated
-// mode; the 1.5D collectives plus per-process-row local kernels in
-// partitioned mode. It is a plain op interpreter: every fusion (walk,
-// normalize, in-place draw) is an op the optimizer wrote into plan(), so
-// what runs is exactly what describe(plan()) lists.
+// mode; in partitioned mode, the 1.5D collectives for kSpgemm and
+// kMaskedExtract and per-process-row local kernels for every other op. The
+// run, not the plan, picks the mode. It is a plain op interpreter: every
+// fusion (walk, normalize, in-place draw) is an op the optimizer wrote into
+// plan(), so what runs is exactly what describe(plan()) lists.
 //
 // Accounting: every op is wall-clock timed into a per-op table (keyed
 // "<plan>/<label>"; surfaced through MatrixSampler::op_time_breakdown and
 // EpochStats::sampler_ops), and in partitioned mode its time additionally
 // reaches the Cluster under the op's canonical phase tag — max over process
 // rows for row-local ops, via the 1.5D collective's own compute/comm
-// recording for kSpgemm15d/kMaskedExtract15d. The canonical phases keep
+// recording for kSpgemm/kMaskedExtract. The canonical phases keep
 // EpochStats and the Figure 7 breakdowns identical to the pre-IR samplers.
 #pragma once
 
@@ -79,8 +80,8 @@ class PlanExecutor {
   const SamplePlan& plan() const { return *plan_; }
   const SamplerConfig& config() const { return config_; }
 
-  /// Replicated / single-node execution: runs the (unlowered) plan against
-  /// `graph`'s adjacency. `global_weights` binds the prefix-sum
+  /// Replicated / single-node execution: runs the plan against `graph`'s
+  /// adjacency. `global_weights` binds the prefix-sum
   /// distribution of kItsSample/kGlobalWeights plans (FastGCN).
   std::vector<MinibatchSample> run(
       const Graph& graph, const std::vector<std::vector<index_t>>& batches,
@@ -88,12 +89,14 @@ class PlanExecutor {
       PlanRunState& state,
       const std::vector<value_t>* global_weights = nullptr) const;
 
-  /// Partitioned execution of a lowered plan: batches are pre-assigned to
-  /// process rows by `assign`; ops run per process row with row-local time
-  /// recorded max-over-rows on `cluster`, and the lowered collectives run
-  /// through spgemm_15d, whose panel multiplies use the default engine
-  /// options over the run's workspace. Returns per-process-row samples
-  /// (concatenation restores global batch order).
+  /// Partitioned execution: batches are pre-assigned to process rows by
+  /// `assign`; ops run per process row with row-local time recorded
+  /// max-over-rows on `cluster`, except kSpgemm and kMaskedExtract, which
+  /// run as spgemm_15d and masked_extract_15d with the default engine
+  /// options over the run's workspace. The replicated-only ops optimize()
+  /// emits (kWalk, kItsSample/kAdjacencyRows) throw DmsError naming the op,
+  /// so partitioned samplers run their plans unoptimized. Returns
+  /// per-process-row samples (concatenation restores global batch order).
   std::vector<std::vector<MinibatchSample>> run_partitioned(
       Cluster& cluster, const DistBlockRowMatrix& adj, const BlockPartition& assign,
       const std::vector<std::vector<index_t>>& batches,

@@ -12,13 +12,13 @@ namespace {
 /// Rewrite 1's legality check: the body is exactly kBuildQ(kOnePerVertex)
 /// → kSpgemm → [kWalkBias] → kNormalize(kRow) → kItsSample(kMatrixRows,
 /// s = 1, kLocalRow, stacked) → kWalkAdvance with matching slot wiring, in
-/// an unlowered explicit-round stop-on-empty plan. The bias op is present
-/// iff the plan has a prev slot (the engine walks second-order exactly
-/// then), and no epilogue op reads the round number, which the rewritten
-/// one-round plan changes. Returns the kWalk op that replaces the body.
+/// an explicit-round stop-on-empty plan. The bias op is present iff the
+/// plan has a prev slot (the engine walks second-order exactly then), and
+/// no epilogue op reads the round number, which the rewritten one-round
+/// plan changes. Returns the kWalk op that replaces the body.
 std::optional<PlanOp> match_walk_plan(const SamplePlan& plan) {
-  if (plan.distributed || plan.rounds_from_fanouts ||
-      !plan.stop_on_empty_frontier || plan.visited_slot == kNoSlot) {
+  if (plan.rounds_from_fanouts || !plan.stop_on_empty_frontier ||
+      plan.visited_slot == kNoSlot) {
     return std::nullopt;
   }
   for (const PlanOp& op : plan.epilogue) {
@@ -74,7 +74,7 @@ std::optional<PlanOp> match_walk_plan(const SamplePlan& plan) {
   return walk;
 }
 
-/// Rewrite 2: in an unlowered body, the adjacent window
+/// Rewrite 2: the adjacent body window
 /// kBuildQ(kOnePerVertex) → kSpgemm → kNormalize(kRow) →
 /// kItsSample(kMatrixRows, in2 = that kBuildQ's stack) becomes kBuildQ →
 /// kItsSample(kAdjacencyRows), which draws each stacked row from the
@@ -84,7 +84,6 @@ std::optional<PlanOp> match_walk_plan(const SamplePlan& plan) {
 /// reading Q. The kBuildQ stays for the stack it writes; its Q output is
 /// cleared, so it no longer builds Q.
 void draw_in_place(SamplePlan& plan) {
-  if (plan.distributed) return;
   std::vector<PlanOp>& ops = plan.body;
   for (std::size_t i = 0; i + 3 < ops.size(); ++i) {
     PlanOp& build = ops[i];
@@ -129,8 +128,7 @@ std::string plan_signature(const SamplePlan& plan) {
   os << std::hexfloat << plan.name << '|' << plan.num_slots << '|'
      << plan.frontier_slot << '|' << plan.visited_slot << '|' << plan.prev_slot
      << '|' << plan.rounds_from_fanouts << '|' << plan.explicit_rounds << '|'
-     << plan.stop_on_empty_frontier << '|' << plan.needs_global_weights << '|'
-     << plan.distributed;
+     << plan.stop_on_empty_frontier << '|' << plan.needs_global_weights;
   auto dump = [&](const std::vector<PlanOp>& ops) {
     for (const PlanOp& op : ops) {
       os << ';' << static_cast<int>(op.kind) << ',' << op.label << ','

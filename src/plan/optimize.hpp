@@ -1,14 +1,16 @@
 // The plan optimizer (DESIGN.md §12): the one place a plan is fused. It runs
 // between plan construction and execution, by default for every
 // PlanExecutor, and the executor then interprets whatever ops it emits.
+// Both rewrites emit replicated-only ops, so partitioned samplers run their
+// plans as built ({.optimize = false}) and never reach it.
 //
 // Two rewrites, in order, each kept because it measurably pays:
-//  1. walk fusion — an unlowered walk-shaped body, kBuildQ → kSpgemm →
-//     [kWalkBias] → kNormalize → kItsSample(s = 1) → kWalkAdvance, becomes
-//     one kWalk op labelled "fused_walk" that runs every round through the
-//     WalkEngine (§11) in one call; the plan's explicit_rounds becomes 1.
+//  1. walk fusion — a walk-shaped body, kBuildQ → kSpgemm → [kWalkBias] →
+//     kNormalize → kItsSample(s = 1) → kWalkAdvance, becomes one kWalk op
+//     labelled "fused_walk" that runs every round through the WalkEngine
+//     (§11) in one call; the plan's explicit_rounds becomes 1.
 //     80-130x the matrix path's walk throughput (bench/micro_walk).
-//  2. in-place adjacency draw — in an unlowered body, the adjacent window
+//  2. in-place adjacency draw — the adjacent body window
 //     kBuildQ(kOnePerVertex) → kSpgemm → kNormalize(kRow) →
 //     kItsSample(kMatrixRows, in2 = that kBuildQ's stack), where the
 //     normalize and the sample are the only ops reading the product and the
@@ -20,10 +22,10 @@
 //
 // Both preserve results bit-for-bit: the walk engine and the adjacency draw
 // replay the matrix path's float ops and RNG draws. Every other plan —
-// LABOR, LADIES, FastGCN and every lowered plan — runs as built. The
-// golden-hash suite of tests/test_plan.cpp holds over optimized plans
-// unchanged; PlanExecOptions{.optimize = false} runs the plan as given: the
-// unfused reference.
+// LABOR, LADIES and FastGCN — runs as built. The golden-hash suite of
+// tests/test_plan.cpp holds over optimized plans unchanged;
+// PlanExecOptions{.optimize = false} runs the plan as given: the unfused
+// reference.
 //
 // Cross-batch plan caching: PlanCache::global() keys the optimized form by
 // the full structural signature of the input plan (optimize() reads nothing

@@ -24,7 +24,6 @@ OpShape op_shape(const PlanOp& op) {
       return {true, false, op.qmode != QMode::kOnePerVertex,
               op.qmode == QMode::kOnePerVertex};
     case PlanOpKind::kSpgemm:
-    case PlanOpKind::kSpgemm15d:
       return {true, false, true, false};
     case PlanOpKind::kNormalize:
       return {true, false, false, false};
@@ -39,7 +38,6 @@ OpShape op_shape(const PlanOp& op) {
     case PlanOpKind::kSlice:
       return {true, false, true, false};
     case PlanOpKind::kMaskedExtract:
-    case PlanOpKind::kMaskedExtract15d:
       return {true, false, true, false};  // in = sampled sets; rows = frontier
     case PlanOpKind::kFrontierUnion:
       return {true, true, false, false};
@@ -53,10 +51,6 @@ OpShape op_shape(const PlanOp& op) {
       return {false, false, false, false};  // the persistent walk slots
   }
   return {};
-}
-
-bool is_dist_only(PlanOpKind kind) {
-  return kind == PlanOpKind::kSpgemm15d || kind == PlanOpKind::kMaskedExtract15d;
 }
 
 void validate_ops(const SamplePlan& plan, const std::vector<PlanOp>& ops,
@@ -86,17 +80,9 @@ void validate_ops(const SamplePlan& plan, const std::vector<PlanOp>& ops,
             where + ": unbound slot " + std::to_string(s) +
                 " (read before any write)");
     }
-    check(plan.distributed || !is_dist_only(op.kind),
-          where + ": distributed op in an unlowered plan");
-    const bool adjacency_rows = op.kind == PlanOpKind::kItsSample &&
-                                op.source == SampleSource::kAdjacencyRows;
-    check(!adjacency_rows || op.in == kNoSlot,
+    check(op.kind != PlanOpKind::kItsSample ||
+              op.source != SampleSource::kAdjacencyRows || op.in == kNoSlot,
           where + ": the adjacency-rows source reads no in slot");
-    check(!plan.distributed ||
-              (op.kind != PlanOpKind::kSpgemm &&
-               op.kind != PlanOpKind::kMaskedExtract &&
-               op.kind != PlanOpKind::kWalk && !adjacency_rows),
-          where + ": unlowered op in a distributed plan");
     const bool walks = op.kind == PlanOpKind::kWalkAdvance ||
                        op.kind == PlanOpKind::kWalk;
     if (op.kind == PlanOpKind::kFrontierUnion || walks) {
@@ -147,33 +133,6 @@ void validate_plan(const SamplePlan& plan) {
   validate_ops(plan, plan.epilogue, defined, "epilogue");
 }
 
-SamplePlan lower_to_dist(const SamplePlan& plan) {
-  check(!plan.distributed,
-        "lower_to_dist: plan '" + plan.name + "' is already lowered");
-  SamplePlan lowered = plan;
-  lowered.distributed = true;
-  auto lower_ops = [&](std::vector<PlanOp>& ops) {
-    for (PlanOp& op : ops) {
-      switch (op.kind) {
-        case PlanOpKind::kSpgemm:
-          op.kind = PlanOpKind::kSpgemm15d;
-          break;
-        case PlanOpKind::kMaskedExtract:
-          op.kind = PlanOpKind::kMaskedExtract15d;
-          break;
-        default:
-          break;  // row-local ops run unchanged on each process row
-                  // (kWalkBias / kInducedLayers fetch the adjacency rows
-                  // they need from the owner blocks at execution time)
-      }
-    }
-  };
-  lower_ops(lowered.body);
-  lower_ops(lowered.epilogue);
-  validate_plan(lowered);
-  return lowered;
-}
-
 std::string to_string(PlanOpKind kind) {
   switch (kind) {
     case PlanOpKind::kBuildQ: return "build_q";
@@ -188,8 +147,6 @@ std::string to_string(PlanOpKind kind) {
     case PlanOpKind::kWalkBias: return "walk_bias";
     case PlanOpKind::kInducedLayers: return "induced_layers";
     case PlanOpKind::kWalk: return "walk";
-    case PlanOpKind::kSpgemm15d: return "spgemm_15d";
-    case PlanOpKind::kMaskedExtract15d: return "masked_extract_15d";
   }
   return "unknown";
 }
@@ -210,7 +167,7 @@ bool sole_reader_of_input(const SamplePlan& plan, const PlanOp& op) {
 
 std::string describe(const SamplePlan& plan) {
   std::ostringstream os;
-  os << "plan " << plan.name << (plan.distributed ? " [dist]" : "") << ": "
+  os << "plan " << plan.name << ": "
      << (plan.rounds_from_fanouts ? std::string("rounds=|fanouts|")
                                   : "rounds=" + std::to_string(plan.explicit_rounds))
      << ", slots=" << plan.num_slots << "\n";

@@ -12,17 +12,17 @@
 // and, for walk-based plans, the visited set — everything else is
 // recomputed each round.
 //
-// Execution modes share one plan definition. The replicated executor runs
-// ops through the single-node kernels (spgemm_engine, its_sample_rows); the
-// partitioned executor runs a *lowered* plan (lower_to_dist) in which every
-// kSpgemm has been rewritten to the collective kSpgemm15d and every
-// kMaskedExtract to kMaskedExtract15d — the 1.5D masked extraction, which
-// masks at the owner blocks and ships only A[R_b, S_b]; the collectives'
+// Execution modes share one plan definition: the mode belongs to the run.
+// The replicated executor runs ops through the single-node kernels
+// (spgemm_engine, its_sample_rows); the partitioned executor runs the same
+// ops per process row, except kSpgemm, which runs as the 1.5D collective
+// spgemm_15d, and kMaskedExtract, which runs as masked_extract_15d (masked
+// at the owner blocks, shipping only A[R_b, S_b]); the collectives'
 // internal fetch/exchange steps carry the communication accounting.
-// Because every kernel obeys the
-// engine's bit-identity contract and all randomness is derived from (epoch,
-// global batch id, round, row) seeds, a plan produces bit-identical
-// minibatches in every mode, grid shape, and thread count.
+// Because every kernel obeys the engine's bit-identity contract and all
+// randomness is derived from (epoch, global batch id, round, row) seeds, a
+// plan produces bit-identical minibatches in every mode, grid shape, and
+// thread count.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +53,9 @@ enum class PlanOpKind {
   /// (§4.2.1).
   kBuildQ,
   /// out = in · A, the probability-generation product against the bound
-  /// adjacency. Lowered to kSpgemm15d for partitioned execution.
+  /// adjacency. Partitioned runs execute it as spgemm_15d (Algorithm 2:
+  /// per-process-row Q blocks, chunked A-row fetch/exchange, all-reduce of
+  /// partials).
   kSpgemm,
   /// In-place NORM on a matrix slot: kRow row-normalizes (§4.1.1); kLadies
   /// squares entries first (p_v ∝ e_v², Zou et al. 2019). The one
@@ -78,8 +80,9 @@ enum class PlanOpKind {
   kSlice,
   /// Masked extraction A_S = A[R, S] per batch (§4.2.3, §8.2.2): rows R
   /// from the frontier, read from the adjacency in place, columns S from a
-  /// sampled-set slot (spgemm_masked). Lowered to kMaskedExtract15d for
-  /// partitioned execution.
+  /// sampled-set slot (spgemm_masked). Partitioned runs execute it as
+  /// masked_extract_15d, which runs spgemm_masked on the owner blocks (once
+  /// per batch with rows there) and ships only the kept entries.
   kMaskedExtract,
   /// EXTRACT + frontier advance: assembles one LayerSample per batch and
   /// replaces the frontier with the new column space (rows lead, see
@@ -105,22 +108,13 @@ enum class PlanOpKind {
   /// model on one induced adjacency). Replaces batch_vertices with V_s.
   kInducedLayers,
   /// The fused walk (DESIGN.md §11), emitted only by optimize() in place of
-  /// an unlowered walk-shaped body: runs all `walk_length` rounds through
+  /// a walk-shaped body: runs all `walk_length` rounds through
   /// the WalkEngine in one call, bit-identical to the kBuildQ → kSpgemm →
   /// [kWalkBias] → kNormalize → kItsSample(s = 1) → kWalkAdvance rounds it
   /// replaces. Advances the frontier / visited slots (and the prev slot,
   /// whose presence makes the walk second-order with bias_p / bias_q),
   /// seeding each pick like that body's kItsSample. Replicated only.
   kWalk,
-  // --- dist-lowered forms (produced by lower_to_dist; executed only by the
-  // partitioned executor) ---
-  /// kSpgemm lowered to the 1.5D collective (Algorithm 2): per-process-row
-  /// Q blocks, chunked A-row fetch/exchange, all-reduce of partials.
-  kSpgemm15d,
-  /// kMaskedExtract lowered to the distributed form: masked_extract_15d,
-  /// which runs spgemm_masked on the owner blocks (once per batch with
-  /// rows there) and ships only the kept entries.
-  kMaskedExtract15d,
 };
 
 enum class QMode { kOnePerVertex, kIndicator };
@@ -189,10 +183,6 @@ struct SamplePlan {
   bool stop_on_empty_frontier = false;
   /// Plan samples from a bound global weight prefix (FastGCN).
   bool needs_global_weights = false;
-  /// Set by lower_to_dist: kSpgemm/kMaskedExtract have been rewritten to
-  /// their collective forms and the plan is executable only by the
-  /// partitioned executor.
-  bool distributed = false;
   std::vector<PlanOp> body;      ///< run once per round
   std::vector<PlanOp> epilogue;  ///< run once after the last round
 
@@ -200,23 +190,13 @@ struct SamplePlan {
 };
 
 /// Structural validation: every op reads only slots that are bound (the
-/// frontier/visited slots) or were written earlier in the program, operand
-/// slots required by the op kind are present and in range, and dist-only op
-/// kinds appear only in lowered plans. Throws DmsError ("unbound slot",
-/// "missing operand", ...) on the first violation.
+/// frontier/visited slots) or were written earlier in the program, and
+/// operand slots required by the op kind are present and in range. Throws
+/// DmsError ("unbound slot", "missing operand", ...) on the first
+/// violation. It checks no execution mode: a plan carrying a replicated-only
+/// op (kWalk, kItsSample/kAdjacencyRows) fails when a partitioned run
+/// reaches that op.
 void validate_plan(const SamplePlan& plan);
-
-/// The dist lowering pass (§5.2): returns a copy of `plan` with every
-/// kSpgemm rewritten to kSpgemm15d and every kMaskedExtract to
-/// kMaskedExtract15d (which insert the block-row fetch/exchange and
-/// all-reduce steps of Algorithm 2 when executed), and `distributed` set.
-/// Row-local ops are unchanged — including kWalkBias and kInducedLayers,
-/// whose partitioned executors assemble the adjacency rows they need from
-/// the owner blocks (the fetches are accounted as intra-column p2p).
-/// Lower the unoptimized plan, not an optimized one: kWalk and
-/// kItsSample/kAdjacencyRows have no lowered form, so a plan carrying
-/// either fails validation here.
-SamplePlan lower_to_dist(const SamplePlan& plan);
 
 std::string to_string(PlanOpKind kind);
 

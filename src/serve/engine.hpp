@@ -109,7 +109,8 @@ class ServeEngine {
   /// Whether this engine's sampler reused an already-optimized plan from the
   /// process-wide PlanCache (replica engines and engines sharing a sampler
   /// shape with training hit; the first engine of a shape misses and pays
-  /// the one-time optimization).
+  /// the one-time optimization). Replicated engines only: partitioned
+  /// samplers run their plans as built and never consult the cache.
   bool plan_cache_hit() const { return plan_cache_hit_; }
 
   const ServeStats& stats() const { return stats_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -282,18 +283,29 @@ void intersect_sorted(std::span<const index_t> cols,
   }
 }
 
-/// Dense column→mask-position lookup (-1 when unmasked), built into the
-/// workspace's shared buffer. O(cols) — built once per call and shared
-/// read-only across all blocks when the extraction's entry count amortizes
-/// the build; small extractions use intersect_sorted instead and never pay
-/// the O(cols) setup.
-void mask_lookup(const std::vector<index_t>& mask, index_t cols,
-                 std::vector<index_t>& pos) {
-  pos.assign(static_cast<std::size_t>(cols), -1);
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    pos[static_cast<std::size_t>(mask[i])] = static_cast<index_t>(i);
+/// Dense column→mask-position lookup (-1 when unmasked) in the workspace's
+/// shared buffer, which stays all -1 between calls: the table grows with -1
+/// to `cols`, the mask's positions are set here and reset when the guard
+/// goes out of scope, also by an exception. O(|mask|) per call; shared
+/// read-only across all blocks.
+struct MaskLookup {
+  MaskLookup(const std::vector<index_t>& mask, index_t cols,
+             std::vector<index_t>& pos)
+      : mask(mask), pos(pos) {
+    pos.resize(std::max(pos.size(), static_cast<std::size_t>(cols)), -1);
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      pos[static_cast<std::size_t>(mask[i])] = static_cast<index_t>(i);
+    }
   }
-}
+  MaskLookup(const MaskLookup&) = delete;
+  MaskLookup& operator=(const MaskLookup&) = delete;
+  ~MaskLookup() {
+    for (const index_t c : mask) pos[static_cast<std::size_t>(c)] = -1;
+  }
+
+  const std::vector<index_t>& mask;
+  std::vector<index_t>& pos;
+};
 
 /// Stitches the per-block staged outputs into one CSR matrix.
 CsrMatrix stitch(index_t m, index_t n, const std::vector<index_t>& bounds,
@@ -458,14 +470,13 @@ CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
   const std::vector<index_t> bounds = work_balanced_bounds(prefix, m, max_blocks);
   ws.ensure_slots(bounds.size() - 1);
 
-  // When the rows store enough entries to amortize it, an O(cols)
-  // column→position table beats per-row sorted intersection; small
-  // per-minibatch extractions skip the setup entirely. Both visit a row's
-  // kept entries in column order, so this is a pure speed knob.
-  const std::vector<index_t>* lookup = nullptr;
+  // When the rows store enough entries, a column→position table beats
+  // per-row sorted intersection; small per-minibatch extractions skip it.
+  // Both visit a row's kept entries in column order, so this is a pure
+  // speed knob.
+  std::optional<MaskLookup> table;
   if (!mask.empty() && prefix.back() * 2 >= a.cols()) {
-    mask_lookup(mask, a.cols(), ws.shared_lookup());
-    lookup = &ws.shared_lookup();
+    table.emplace(mask, a.cols(), ws.shared_lookup());
   }
 
   for_blocks(bounds, [&](index_t blk) {
@@ -484,9 +495,9 @@ CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
         out.colidx.push_back(pos);
         out.vals.push_back(avals[j]);
       };
-      if (lookup != nullptr) {
+      if (table) {
         for (std::size_t j = 0; j < acols.size(); ++j) {
-          const index_t pos = (*lookup)[static_cast<std::size_t>(acols[j])];
+          const index_t pos = table->pos[static_cast<std::size_t>(acols[j])];
           if (pos >= 0) keep(pos, j);
         }
       } else {

@@ -11,7 +11,7 @@
 //    same pass notes whether every row of A stores at most one entry.
 //  - NUMERIC: each block runs the kernel the estimator picked:
 //      * gather — kAuto products whose A is a selection matrix (LABOR's
-//                 Qˡ, the 1.5D panels of lowered Qˡ·A, and GraphSAGE's
+//                 Qˡ, the 1.5D panels of partitioned Qˡ·A, and GraphSAGE's
 //                 Qˡ on the unoptimized reference path; the optimized
 //                 GraphSAGE plan draws from A's rows instead and builds no
 //                 product, see core/its.hpp): output row r is a(r,k)·B(k,:),
@@ -89,8 +89,9 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
 /// hold only ones), so the result is bit-identical to
 /// extract_columns(extract_rows(a, rows), mask). Each call picks, from the
 /// number of entries the listed rows store, between a column→position table
-/// (O(cols) to build, then one probe per entry) and per-row sorted-list
-/// intersection against the mask; both yield the same bits. With
+/// (the workspace keeps it all -1 between calls, so a call sets and resets
+/// only the mask's positions, then probes once per entry) and per-row
+/// sorted-list intersection against the mask; both yield the same bits. With
 /// opts.parallel, the rows split across the pool only into blocks that read
 /// at least 16384 entries, so small extractions never pay a pool dispatch.
 CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,

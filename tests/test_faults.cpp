@@ -187,58 +187,57 @@ TEST(Cluster, InstallFaultsRejectsBadPolicies) {
 TEST(Spgemm15d, RankDeathKeepsResultsBitIdenticalAndCountsRedistribution) {
   const CsrMatrix a = testutil::random_csr(64, 64, 0.08, 3);
   const CsrMatrix q = testutil::random_csr(48, 64, 0.1, 4);
-  const ProcessGrid grid(4, 2);
-  const BlockPartition qpart(q.rows(), grid.rows());
-  std::vector<CsrMatrix> q_blocks;
-  for (index_t i = 0; i < grid.rows(); ++i) {
-    q_blocks.push_back(row_slice(q, qpart.begin(i), qpart.end(i)));
-  }
-
-  for (const bool sparsity_aware : {false, true}) {
-    Spgemm15dOptions opts;
-    opts.sparsity_aware = sparsity_aware;
-
-    Cluster healthy(grid, CostModel(LinkParams{}));
-    DistBlockRowMatrix da(grid, a);
-    const auto ref = spgemm_15d(healthy, q_blocks, da, opts);
-
-    FaultPlanConfig cfg;
-    // Rank 0 = (row 0, col 0) owns a chunk of A; killing it forces both the
-    // survivor re-fetch of its block (oblivious broadcast) and the
-    // dst/src degradation of the sparsity-aware exchange.
-    cfg.crashes = {{0, 0}};
-    const FaultPlan plan(cfg);
-    Cluster faulty(grid, CostModel(LinkParams{}));
-    faulty.install_faults(&plan);
-    faulty.begin_superstep();
-    ASSERT_FALSE(faulty.alive(0));
-    Spgemm15dStats stats;
-    const auto got = spgemm_15d(faulty, q_blocks, da, opts, &stats);
-
-    ASSERT_EQ(ref.size(), got.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      expect_csr_equal(ref[i], got[i],
-                       "block " + std::to_string(i) +
-                           (sparsity_aware ? " (aware)" : " (oblivious)"));
-    }
-    // The survivor had to re-fetch the dead rank's work.
-    EXPECT_GT(stats.redistribution_bytes, 0u);
-    EXPECT_GT(faulty.fault_stats().redistribution_seconds, 0.0);
-  }
-
-  // The masked extraction runs the same schedule. Killing rank 0 of a 4x2
-  // grid leaves block 0's owner dead (a survivor serves it); killing rank
-  // (0, 1) of an 8x2 grid leaves a requester replica dead (its row-mate
-  // requests blocks 2 and 3 for it — redistribution only when requests
-  // move; an oblivious broadcast just skips the dead receiver).
+  // Killing rank 0 of a 4x2 grid leaves block 0's owner dead: a survivor
+  // re-fetches its block (oblivious broadcast) or serves its requests
+  // (sparsity-aware). Killing rank (0, 1) of an 8x2 grid leaves a requester
+  // replica dead: its row-mate in column 0 works on blocks 2 and 3 for it,
+  // so the aware requests move, and the oblivious rounds ship each block
+  // into column 0, which column 1's broadcast never reaches.
   struct Case {
     ProcessGrid grid;
     int dead;
-    bool owner;
   };
-  for (const Case& cs :
-       {Case{ProcessGrid(4, 2), 0, true},
-        Case{ProcessGrid(8, 2), ProcessGrid(8, 2).rank_of(0, 1), false}}) {
+  const std::vector<Case> cases = {
+      {ProcessGrid(4, 2), 0}, {ProcessGrid(8, 2), ProcessGrid(8, 2).rank_of(0, 1)}};
+  for (const Case& cs : cases) {
+    const BlockPartition qpart(q.rows(), cs.grid.rows());
+    std::vector<CsrMatrix> q_blocks;
+    for (index_t i = 0; i < cs.grid.rows(); ++i) {
+      q_blocks.push_back(row_slice(q, qpart.begin(i), qpart.end(i)));
+    }
+    for (const bool sparsity_aware : {false, true}) {
+      Spgemm15dOptions opts;
+      opts.sparsity_aware = sparsity_aware;
+      const std::string label = "dead rank " + std::to_string(cs.dead) +
+                                (sparsity_aware ? " (aware)" : " (oblivious)");
+
+      Cluster healthy(cs.grid, CostModel(LinkParams{}));
+      DistBlockRowMatrix da(cs.grid, a);
+      const auto ref = spgemm_15d(healthy, q_blocks, da, opts);
+
+      FaultPlanConfig cfg;
+      cfg.crashes = {{cs.dead, 0}};
+      const FaultPlan plan(cfg);
+      Cluster faulty(cs.grid, CostModel(LinkParams{}));
+      faulty.install_faults(&plan);
+      faulty.begin_superstep();
+      ASSERT_FALSE(faulty.alive(cs.dead));
+      Spgemm15dStats stats;
+      const auto got = spgemm_15d(faulty, q_blocks, da, opts, &stats);
+
+      ASSERT_EQ(ref.size(), got.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        expect_csr_equal(ref[i], got[i], label + " block " + std::to_string(i));
+      }
+      // The survivor had to re-fetch the dead rank's work.
+      EXPECT_GT(stats.redistribution_bytes, 0u) << label;
+      EXPECT_GT(faulty.fault_stats().redistribution_seconds, 0.0) << label;
+    }
+  }
+
+  // The masked extraction runs the same schedule, so the same crashes move
+  // the same work.
+  for (const Case& cs : cases) {
     DistBlockRowMatrix da(cs.grid, a);
     std::vector<std::vector<std::vector<index_t>>> rows(
         static_cast<std::size_t>(cs.grid.rows()));
@@ -283,10 +282,8 @@ TEST(Spgemm15d, RankDeathKeepsResultsBitIdenticalAndCountsRedistribution) {
                            label + " vs spgemm_masked");
         }
       }
-      if (sparsity_aware || cs.owner) {
-        EXPECT_GT(stats.redistribution_bytes, 0u) << label;
-        EXPECT_GT(faulty.fault_stats().redistribution_seconds, 0.0) << label;
-      }
+      EXPECT_GT(stats.redistribution_bytes, 0u) << label;
+      EXPECT_GT(faulty.fault_stats().redistribution_seconds, 0.0) << label;
     }
   }
 }

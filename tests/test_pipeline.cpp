@@ -149,9 +149,9 @@ TEST(Pipeline, PartitionedLadiesRunsEndToEnd) {
 }
 
 TEST(Pipeline, PartitionedFastGcnRunsEndToEnd) {
-  // Historically rejected; the plan IR's dist lowering gave FastGCN its
-  // partitioned form for free (row-local sampling; only the masked
-  // extraction lowers to the 1.5D collective).
+  // Historically rejected; the plan IR gave FastGCN its partitioned form
+  // for free (row-local sampling; only the masked extraction runs as the
+  // 1.5D collective).
   const Dataset ds = small_planted();
   Cluster cluster(ProcessGrid(2, 1), CostModel(LinkParams{}));
   PipelineConfig cfg;

@@ -1,16 +1,18 @@
 // The sampling-plan IR and executor (DESIGN.md §9): pre-refactor golden
 // bit-identity for every sampler, replicated/partitioned parity for every
-// SamplerKind × DistMode, plan validation errors, the dist lowering pass,
-// and the per-op accounting surface.
+// SamplerKind × DistMode (partitioned samplers run the builder plans as
+// built), plan validation errors, and the per-op accounting surface.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "core/plan_sampler.hpp"
 #include "dist/sampler_factory.hpp"
 #include "graph/generators.hpp"
 #include "plan/builders.hpp"
 #include "plan/executor.hpp"
+#include "plan/optimize.hpp"  // plan_signature
 #include "test_util.hpp"
 
 namespace dms {
@@ -126,6 +128,24 @@ TEST(PlanGolden, PartitionedRunsReproduceTheSameGoldenHashes) {
   }
 }
 
+TEST(PlanGolden, SaintPartitionedMatchesGolden) {
+  // Walk plans run partitioned like every other plan: the probability
+  // SpGEMM runs as the 1.5D collective, the row-local walk ops (and the
+  // induced-subgraph epilogue, which fetches remote rows from their owner
+  // blocks) run per process row — and reproduce the replicated golden hash.
+  const Graph g = golden_graph();
+  for (const auto& [p, c] :
+       std::vector<std::pair<int, int>>{{2, 1}, {4, 2}}) {
+    const ProcessGrid grid(p, c);
+    PartitionedSamplerBase s(g, grid, build_saint_plan(3, 2),
+                             walk_adapter_config(2, /*seed=*/1));
+    EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
+                                         kGoldenIds, kGoldenEpoch)),
+              kGoldenSaint)
+        << p << "/" << c;
+  }
+}
+
 // --- SamplerKind × DistMode parity ------------------------------------------
 
 bool samples_equal(const MinibatchSample& a, const MinibatchSample& b) {
@@ -162,6 +182,70 @@ TEST(PlanParity, EveryKindMatchesAcrossModesAndGrids) {
         EXPECT_TRUE(samples_equal(got[i], ref[i]))
             << to_string(kind) << " grid " << p << "/" << c << " batch " << i;
       }
+    }
+  }
+}
+
+TEST(PlanParity, StackedFixedSeedTermMatchesAcrossModes) {
+  // A custom plan whose stacked kItsSample seeds every row of a batch alike
+  // (SeedRowTerm::kZero): the optimized replicated run (the in-place draw),
+  // the plan as built, and partitioned runs agree bit for bit — and the
+  // term does change the samples.
+  const Graph g = generate_erdos_renyi(180, 10.0, 51);
+  const auto batches = golden_batches(g.num_vertices());
+  SamplePlan plan = build_sage_plan();
+  plan.name = "sage_zero_row_term";
+  ASSERT_EQ(plan.body[3].kind, PlanOpKind::kItsSample);
+  plan.body[3].seed.row = SeedRowTerm::kZero;
+  const auto ref =
+      PlanSampler(g, plan, kGoldenConfig).sample_bulk(batches, kGoldenIds, 99);
+  const auto as_built = PlanSampler(g, plan, kGoldenConfig, {.optimize = false})
+                            .sample_bulk(batches, kGoldenIds, 99);
+  const auto local_row = PlanSampler(g, build_sage_plan(), kGoldenConfig)
+                             .sample_bulk(batches, kGoldenIds, 99);
+  ASSERT_EQ(as_built.size(), ref.size());
+  bool term_matters = false;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_TRUE(samples_equal(as_built[i], ref[i])) << "batch " << i;
+    term_matters = term_matters || !samples_equal(local_row[i], ref[i]);
+  }
+  EXPECT_TRUE(term_matters);
+  for (const auto& [p, c] : std::vector<std::pair<int, int>>{{2, 1}, {4, 2}}) {
+    const PartitionedSamplerBase part(g, ProcessGrid(p, c), plan, kGoldenConfig);
+    const auto got = part.sample_bulk(batches, kGoldenIds, 99);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_TRUE(samples_equal(got[i], ref[i]))
+          << "grid " << p << "/" << c << " batch " << i;
+    }
+  }
+}
+
+TEST(PlanParity, PartitionedSamplersRunTheBuilderPlans) {
+  // The mode belongs to the run: partitioned and disaggregated samplers run
+  // their kind's builder plan exactly as built.
+  const Graph g = generate_erdos_renyi(150, 8.0, 64);
+  const ProcessGrid grid(4, 2);
+  SamplerContext ctx;
+  ctx.config = kGoldenConfig;
+  ctx.grid = &grid;
+  const WalkParams& w = ctx.walk;
+  const index_t layers = ctx.config.num_layers();
+  const std::vector<std::pair<SamplerKind, SamplePlan>> builders = {
+      {SamplerKind::kGraphSage, build_sage_plan()},
+      {SamplerKind::kLadies, build_ladies_plan()},
+      {SamplerKind::kFastGcn, build_fastgcn_plan()},
+      {SamplerKind::kLabor, build_labor_plan()},
+      {SamplerKind::kGraphSaint, build_saint_plan(w.walk_length, layers)},
+      {SamplerKind::kNode2Vec,
+       build_node2vec_plan(w.walk_length, layers, w.p, w.q)},
+      {SamplerKind::kPinSage, build_pinsage_plan()}};
+  ASSERT_EQ(builders.size(), kSamplerKinds.size());
+  for (const auto& [kind, built] : builders) {
+    for (const DistMode mode : {DistMode::kPartitioned, DistMode::kDisaggregated}) {
+      const auto s = make_sampler(kind, mode, g, ctx);
+      EXPECT_EQ(plan_signature(as_partitioned(*s).plan()), plan_signature(built))
+          << to_string(kind) << "/" << to_string(mode);
     }
   }
 }
@@ -244,14 +328,6 @@ TEST(PlanValidate, SlotOutOfRangeRejected) {
   EXPECT_THROW(validate_plan(p), DmsError);
 }
 
-TEST(PlanValidate, DistOpInUnloweredPlanRejected) {
-  SamplePlan p = build_sage_plan();
-  for (PlanOp& op : p.body) {
-    if (op.kind == PlanOpKind::kSpgemm) op.kind = PlanOpKind::kSpgemm15d;
-  }
-  EXPECT_THROW(validate_plan(p), DmsError);
-}
-
 TEST(PlanValidate, BuiltinPlansValidate) {
   for (const SamplePlan& p :
        {build_sage_plan(), build_ladies_plan(), build_fastgcn_plan(),
@@ -297,19 +373,34 @@ TEST(PlanExecute, BatchVertexOutOfRangeRejected) {
 }
 
 TEST(PlanExecute, ModeMismatchesRejected) {
+  // The ops optimize() emits (the in-place adjacency draw, the fused walk)
+  // read a replicated adjacency: a partitioned run of an optimized plan
+  // fails at that op and names it. The builder's plans run in both modes.
   const Graph g(testutil::paper_example_adjacency());
-  PlanRunState state;
-  // A lowered plan cannot run replicated...
-  PlanExecutor lowered(lower_to_dist(build_sage_plan()), SamplerConfig{{2}, 1});
-  EXPECT_THROW(lowered.run(g, {{0}}, {0}, 5, state), DmsError);
-  // ...and an unlowered plan cannot run partitioned.
-  PlanExecutor plain(build_sage_plan(), SamplerConfig{{2}, 1});
   Cluster cluster(ProcessGrid(2, 1), CostModel(LinkParams{}));
   const DistBlockRowMatrix dadj(cluster.grid(), g.adjacency());
   const BlockPartition assign(1, cluster.grid().rows());
-  EXPECT_THROW(plain.run_partitioned(cluster, dadj, assign, {{0}}, {0}, 5, state,
-                                     true),
-               DmsError);
+  const std::vector<std::tuple<SamplePlan, SamplerConfig, std::string>> cases = {
+      {build_sage_plan(), SamplerConfig{{2}, 1}, "its_sample"},
+      {build_saint_plan(3, 2), walk_adapter_config(2, 1), "fused_walk"}};
+  for (const auto& [plan, cfg, op] : cases) {
+    PlanRunState state;
+    const PlanExecutor optimized(plan, cfg);
+    try {
+      optimized.run_partitioned(cluster, dadj, assign, {{0}}, {0}, 5, state, true);
+      FAIL() << plan.name << ": expected DmsError";
+    } catch (const DmsError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("op '" + op + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("needs a replicated adjacency"), std::string::npos)
+          << what;
+    }
+    const PlanExecutor as_built(plan, cfg, {.optimize = false});
+    EXPECT_NO_THROW(as_built.run(g, {{0}}, {0}, 5, state)) << plan.name;
+    EXPECT_NO_THROW(
+        as_built.run_partitioned(cluster, dadj, assign, {{0}}, {0}, 5, state, true))
+        << plan.name;
+  }
 }
 
 TEST(PlanExecute, MissingGlobalWeightsRejected) {
@@ -318,63 +409,6 @@ TEST(PlanExecute, MissingGlobalWeightsRejected) {
   PlanRunState state;
   EXPECT_THROW(exec.run(g, {{0}}, {0}, 5, state, /*global_weights=*/nullptr),
                DmsError);
-}
-
-// --- the dist lowering pass -------------------------------------------------
-
-TEST(PlanLowering, RewritesCollectiveOpsAndOnlyThose) {
-  const SamplePlan plain = build_ladies_plan();
-  const SamplePlan lowered = lower_to_dist(plain);
-  EXPECT_TRUE(lowered.distributed);
-  ASSERT_EQ(lowered.body.size(), plain.body.size());
-  for (std::size_t i = 0; i < plain.body.size(); ++i) {
-    const PlanOpKind before = plain.body[i].kind;
-    const PlanOpKind after = lowered.body[i].kind;
-    if (before == PlanOpKind::kSpgemm) {
-      EXPECT_EQ(after, PlanOpKind::kSpgemm15d);
-    } else if (before == PlanOpKind::kMaskedExtract) {
-      EXPECT_EQ(after, PlanOpKind::kMaskedExtract15d);
-    } else {
-      EXPECT_EQ(after, before) << "row-local op " << i << " changed";
-    }
-  }
-}
-
-TEST(PlanLowering, FastGcnLoweringIsRowLocalExceptExtraction) {
-  // FastGCN's plan has no probability kSpgemm — under lowering, sampling
-  // stays row-local and only the masked extraction becomes a collective,
-  // so the historical blocker for a partitioned FastGCN evaporates.
-  const SamplePlan plain = build_fastgcn_plan();
-  int spgemm_ops = 0;
-  for (const PlanOp& op : plain.body) {
-    spgemm_ops += op.kind == PlanOpKind::kSpgemm ? 1 : 0;
-  }
-  EXPECT_EQ(spgemm_ops, 0);
-  EXPECT_NO_THROW(lower_to_dist(plain));
-}
-
-TEST(PlanLowering, SaintLowersAndPartitionedMatchesGolden) {
-  // Walk plans lower like every other plan: the probability SpGEMM becomes
-  // the 1.5D collective, the row-local walk ops (and the induced-subgraph
-  // epilogue, which fetches remote rows from their owner blocks) run
-  // unchanged — and reproduce the replicated golden hash.
-  const SamplePlan lowered = lower_to_dist(build_saint_plan(3, 2));
-  EXPECT_TRUE(lowered.distributed);
-  const Graph g = golden_graph();
-  for (const auto& [p, c] :
-       std::vector<std::pair<int, int>>{{2, 1}, {4, 2}}) {
-    const ProcessGrid grid(p, c);
-    PartitionedSamplerBase s(g, grid, build_saint_plan(3, 2),
-                             walk_adapter_config(2, /*seed=*/1));
-    EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
-                                         kGoldenIds, kGoldenEpoch)),
-              kGoldenSaint)
-        << p << "/" << c;
-  }
-}
-
-TEST(PlanLowering, AlreadyLoweredRejected) {
-  EXPECT_THROW(lower_to_dist(lower_to_dist(build_sage_plan())), DmsError);
 }
 
 // --- per-op accounting ------------------------------------------------------

@@ -1,8 +1,9 @@
 // The plan optimizer (DESIGN.md §12): the two rewrites per builtin plan
 // (walk fusion to one kWalk op, the in-place adjacency draw) and the plans
-// it leaves alone, optimized-vs-unoptimized bit identity in both execution
-// modes, PlanCache sharing and keying, a cached plan run from concurrent
-// samplers, and the --dump-plan diff surface.
+// it leaves alone, optimized-vs-unoptimized bit identity, the partitioned
+// runs that reject the replicated-only ops it emits, PlanCache sharing and
+// keying, a cached plan run from concurrent samplers, and the --dump-plan
+// diff surface.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -108,6 +109,23 @@ Graph weighted_draw_graph() {
   return Graph(CsrMatrix::from_triplets(n, n, rows, cols, vals));
 }
 
+/// The rewrites emit ops that draw from a replicated adjacency: a
+/// partitioned run of the optimized plan throws DmsError (partitioned
+/// samplers run their plans as built).
+void expect_partitioned_run_rejected(const SamplePlan& plan,
+                                     const SamplerConfig& cfg) {
+  const Graph g = generate_erdos_renyi(60, 5.0, 3);
+  Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));
+  const DistBlockRowMatrix dadj(cluster.grid(), g.adjacency());
+  const BlockPartition assign(2, cluster.grid().rows());
+  const PlanExecutor optimized(plan, cfg);
+  PlanRunState state;
+  EXPECT_THROW(optimized.run_partitioned(cluster, dadj, assign, {{0, 1}, {2}},
+                                         {0, 1}, 5, state, true),
+               DmsError)
+      << plan.name;
+}
+
 // --- fusion shapes ----------------------------------------------------------
 
 TEST(PlanOptimize, SageDrawsFanoutFromAdjacencyInPlace) {
@@ -132,11 +150,10 @@ TEST(PlanOptimize, SageDrawsFanoutFromAdjacencyInPlace) {
     EXPECT_EQ(its.in2, build.out2);
     EXPECT_EQ(after.body[2].kind, PlanOpKind::kFrontierUnion);
   }
-  // LABOR thins the product itself, LADIES builds indicator rows, FastGCN
-  // samples global weights, and lowered plans keep the 1.5D product.
+  // LABOR thins the product itself, LADIES builds indicator rows and
+  // FastGCN samples global weights.
   for (const SamplePlan& p :
-       {build_labor_plan(), build_ladies_plan(), build_fastgcn_plan(),
-        lower_to_dist(build_sage_plan()), lower_to_dist(build_pinsage_plan())}) {
+       {build_labor_plan(), build_ladies_plan(), build_fastgcn_plan()}) {
     EXPECT_EQ(count_adjacency_draws(optimize(p)), 0) << p.name;
   }
   EXPECT_EQ(count_kind(optimize(build_labor_plan()), PlanOpKind::kSpgemm), 1);
@@ -149,28 +166,23 @@ TEST(PlanOptimize, SageDrawsFanoutFromAdjacencyInPlace) {
   const SamplePlan kept = optimize(shared);
   EXPECT_EQ(count_kind(kept, PlanOpKind::kSpgemm), 1);
   EXPECT_EQ(count_adjacency_draws(kept), 0);
-  // The source reads the stack (in2) and nothing else, and has no lowered
-  // form: lower the unoptimized plan instead.
+  // The source reads the stack (in2) and nothing else, and has no
+  // partitioned form.
   SamplePlan bad = optimize(build_sage_plan());
   bad.body[1].in2 = kNoSlot;
   EXPECT_THROW(validate_plan(bad), DmsError);
   bad = optimize(build_sage_plan());
   bad.body[1].in = bad.body[0].out2;
   EXPECT_THROW(validate_plan(bad), DmsError);
-  EXPECT_THROW(lower_to_dist(optimize(build_sage_plan())), DmsError);
+  expect_partitioned_run_rejected(build_sage_plan(), kConfig);
 }
 
 TEST(PlanOptimize, OtherPlansOptimizeToThemselves) {
-  // Neither rewrite applies to LABOR (it thins the product itself), LADIES,
-  // FastGCN or any lowered plan: optimize() returns them unchanged.
-  std::vector<SamplePlan> plans = {build_labor_plan(), build_ladies_plan(),
-                                   build_fastgcn_plan()};
-  for (const auto& [plan, cfg] : builtin_plans()) {
-    plans.push_back(lower_to_dist(plan));
-  }
-  for (const SamplePlan& p : plans) {
-    EXPECT_EQ(plan_signature(optimize(p)), plan_signature(p))
-        << p.name << (p.distributed ? " [dist]" : "");
+  // Neither rewrite applies to LABOR (it thins the product itself), LADIES
+  // or FastGCN: optimize() returns them unchanged.
+  for (const SamplePlan& p :
+       {build_labor_plan(), build_ladies_plan(), build_fastgcn_plan()}) {
+    EXPECT_EQ(plan_signature(optimize(p)), plan_signature(p)) << p.name;
   }
 }
 
@@ -186,9 +198,8 @@ TEST(PlanOptimize, FastGcnHasNothingToFuse) {
 }
 
 TEST(PlanOptimize, WalkBodiesRewriteToOneWalkOp) {
-  // An unlowered walk-shaped body becomes one kWalk op that runs every
-  // round in one call; the plan keeps its slots and epilogue and runs one
-  // round.
+  // A walk-shaped body becomes one kWalk op that runs every round in one
+  // call; the plan keeps its slots and epilogue and runs one round.
   for (const SamplePlan& before :
        {build_saint_plan(3, 2), build_node2vec_plan(3, 2, 0.5, 2.0)}) {
     const SamplePlan after = optimize(before);
@@ -213,9 +224,6 @@ TEST(PlanOptimize, OnlyWalkShapedBodiesRewrite) {
         build_labor_plan(), build_pinsage_plan()}) {
     EXPECT_EQ(count_kind(optimize(p), PlanOpKind::kWalk), 0) << p.name;
   }
-  // Lowered walk plans keep their collective matrix path.
-  const SamplePlan lowered = optimize(lower_to_dist(build_saint_plan(3, 2)));
-  EXPECT_EQ(count_kind(lowered, PlanOpKind::kWalk), 0);
   // An epilogue op that reads the round number would see a different round
   // in the one-round rewritten plan: no rewrite.
   SamplePlan round_reader = build_saint_plan(3, 2);
@@ -226,8 +234,9 @@ TEST(PlanOptimize, OnlyWalkShapedBodiesRewrite) {
   SamplePlan unbiased = build_node2vec_plan(3, 2, 0.5, 2.0);
   unbiased.body.erase(unbiased.body.begin() + 2);  // drop kWalkBias
   EXPECT_EQ(count_kind(optimize(unbiased), PlanOpKind::kWalk), 0);
-  // A fused walk cannot be lowered: lower the unoptimized plan instead.
-  EXPECT_THROW(lower_to_dist(optimize(build_saint_plan(3, 2))), DmsError);
+  // A fused walk has no partitioned form.
+  expect_partitioned_run_rejected(build_saint_plan(3, 2),
+                                  walk_adapter_config(2, kConfig.seed));
 }
 
 // --- bit identity -----------------------------------------------------------
@@ -262,37 +271,6 @@ TEST(PlanOptimize, OptimizedPlansBitIdenticalReplicated) {
             << " vertices";
       }
       EXPECT_EQ(state_a.walk_steps, state_b.walk_steps) << plan.name;
-    }
-  }
-}
-
-TEST(PlanOptimize, OptimizedPlansBitIdenticalPartitioned) {
-  const Graph g = generate_erdos_renyi(180, 10.0, 51);
-  const auto batches = small_batches(g.num_vertices());
-  const std::vector<value_t> prefix = fastgcn_importance_prefix(g);
-  for (const auto& [plan, cfg] : builtin_plans()) {
-    const auto* weights = plan.needs_global_weights ? &prefix : nullptr;
-    const SamplePlan lowered = lower_to_dist(plan);
-    PlanExecutor plain(lowered, cfg, {.optimize = false});
-    PlanExecutor opt(lowered, cfg);
-    Cluster ca(ProcessGrid(4, 2), CostModel(LinkParams{}));
-    Cluster cb(ProcessGrid(4, 2), CostModel(LinkParams{}));
-    const DistBlockRowMatrix da(ca.grid(), g.adjacency());
-    const DistBlockRowMatrix db(cb.grid(), g.adjacency());
-    const BlockPartition assign(static_cast<index_t>(batches.size()),
-                                ca.grid().rows());
-    PlanRunState state_a, state_b;
-    const auto ref = plain.run_partitioned(ca, da, assign, batches, kIds,
-                                           0xfeed, state_a, true, weights);
-    const auto got = opt.run_partitioned(cb, db, assign, batches, kIds,
-                                         0xfeed, state_b, true, weights);
-    ASSERT_EQ(got.size(), ref.size()) << plan.name;
-    for (std::size_t r = 0; r < ref.size(); ++r) {
-      ASSERT_EQ(got[r].size(), ref[r].size()) << plan.name;
-      for (std::size_t i = 0; i < ref[r].size(); ++i) {
-        EXPECT_TRUE(samples_equal(got[r][i], ref[r][i]))
-            << plan.name << " row " << r << " batch " << i;
-      }
     }
   }
 }

@@ -5,6 +5,8 @@
 // duplicate-free masks, plus dispatch and mask-contract checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
@@ -319,6 +321,48 @@ TEST(SpgemmEngine, SharedWorkspaceReuseAcrossKernelsAndShapes) {
                 spgemm_masked(a1, all_rows(a1), col_mask, fresh));
   }
   EXPECT_GT(ws.bytes_held(), 0u);
+}
+
+TEST(SpgemmEngine, MaskedLookupTableStaysClearAcrossCalls) {
+  // spgemm_masked's column→position table lives in the workspace all -1
+  // between calls: each call sets only its mask's positions and resets
+  // them, also when it throws. Calls alternate between the table path
+  // (every row) and the sorted-intersection path (one row), and between a
+  // wide and a narrow matrix, so a stale position would show up in a
+  // result or in the table.
+  const CsrMatrix wide = random_csr(60, 400, 0.05, 441);
+  const CsrMatrix narrow = random_csr(50, 120, 0.2, 442);
+  const std::vector<index_t> wide_mask = random_mask(400, 0.3, 443);
+  const std::vector<index_t> narrow_mask = random_mask(120, 0.5, 444);
+  struct Call {
+    const CsrMatrix* a;
+    std::vector<index_t> rows;
+    const std::vector<index_t>* mask;
+  };
+  const std::vector<Call> calls = {
+      {&wide, all_rows(wide), &wide_mask},       {&narrow, {7}, &narrow_mask},
+      {&narrow, all_rows(narrow), &narrow_mask}, {&wide, {3}, &wide_mask},
+      {&wide, {3, 60}, &wide_mask},  // row 60 is out of range: throws
+      {&narrow, all_rows(narrow), &narrow_mask}, {&wide, all_rows(wide), &wide_mask}};
+  Workspace ws;
+  SpgemmOptions reused;
+  reused.workspace = &ws;
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    const Call& c = calls[i];
+    if (c.rows.back() >= c.a->rows()) {
+      EXPECT_THROW(spgemm_masked(*c.a, c.rows, *c.mask, reused), DmsError);
+    } else {
+      EXPECT_TRUE(spgemm_masked(*c.a, c.rows, *c.mask, reused) ==
+                  spgemm_masked(*c.a, c.rows, *c.mask))
+          << "call " << i;
+    }
+    const std::vector<index_t>& table = ws.shared_lookup();
+    EXPECT_TRUE(std::all_of(table.begin(), table.end(),
+                            [](index_t pos) { return pos == -1; }))
+        << "call " << i;
+  }
+  // The table path ran: the table spans the wide matrix's columns.
+  EXPECT_GE(ws.shared_lookup().size(), 400u);
 }
 
 TEST(SpgemmEngine, WorkspaceSerialAndParallelAgree) {

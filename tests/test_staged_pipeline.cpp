@@ -164,7 +164,7 @@ TEST(StagedPipeline, OverlapHidesPrefetchableTime) {
 // optimizer rewrite moves the digests of the plans it rewrites (the four
 // replicated GraphSAGE ones were recaptured when "sage/spgemm" stopped
 // running) and nothing else. The nine partitioned and disaggregated ones
-// were recaptured when normalize fusion was deleted: their lowered plans
+// were recaptured when normalize fusion was deleted: their partitioned plans
 // now run the kNormalize op, adding a "<plan>/normalize" key, and with the
 // op keys left out of the digest all fourteen are unchanged. The three
 // LADIES ones were recaptured when the 1.5D extraction started masking at
