@@ -34,11 +34,10 @@
 // executor beats the synchronous one, and that the disaggregated split
 // beats colocation on at least one swept scenario.
 //
-//   ./ablation_overlap_cache [--smoke] [--csv=PATH] [--json=PATH]
+//   ./ablation_overlap_cache [--smoke] [--json=PATH]
 //
-// --smoke shrinks the dataset (seconds, CI-friendly); --csv emits the
-// bench_util.hpp CSV conventions; --json appends one row per
-// (scenario, variant, epoch) to a BENCH_*.json trajectory file.
+// --smoke shrinks the dataset (seconds, CI-friendly); --json appends one
+// row per (scenario, variant, epoch) to a BENCH_*.json trajectory file.
 #include <algorithm>
 #include <cstring>
 #include <string>
@@ -105,17 +104,14 @@ const VariantResult& find(const std::vector<VariantResult>& rs, const char* name
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string csv_path, json_path;
+  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--csv=", 6) == 0) {
-      csv_path = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--csv=PATH] [--json=PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke] [--json=PATH]\n", argv[0]);
       return 2;
     }
   }
@@ -163,10 +159,6 @@ int main(int argc, char** argv) {
     return cfg;
   };
 
-  CsvWriter csv(csv_path.empty() ? "/dev/null" : csv_path,
-                {"bench", "case", "epoch", "total_ms", "sampling_ms", "fetch_ms",
-                 "prop_ms", "warmup_ms", "saved_ms", "stall_ms", "hit_rate",
-                 "pinned_hits", "bytes_moved"});
   JsonWriter json(json_path.empty() ? "/dev/null" : json_path, /*append=*/true);
 
   bool ok = true;
@@ -235,12 +227,6 @@ int main(int argc, char** argv) {
                    fmt(s.loss, 6)},
                   11);
         const std::string case_id = std::string(sc.name) + "/" + v.name;
-        csv.row({"ablation_overlap_cache", case_id, std::to_string(e),
-                 fmt(s.total * 1e3), fmt(s.sampling * 1e3), fmt(s.fetch * 1e3),
-                 fmt(s.propagation * 1e3), fmt(s.warmup * 1e3),
-                 fmt(s.overlap_saved * 1e3), fmt(s.stall * 1e3), fmt(hit_pct, 1),
-                 std::to_string(s.cache_pinned_hits),
-                 std::to_string(s.fetch_bytes)});
         json.row({{"bench", "ablation_overlap_cache"},
                   {"case", case_id},
                   {"epoch", e},
@@ -257,6 +243,7 @@ int main(int argc, char** argv) {
                   {"stall_sim_s", s.stall},
                   {"cache_hit_pct", hit_pct},
                   {"pinned_hits", static_cast<index_t>(s.cache_pinned_hits)},
+                  {"fetch_bytes", static_cast<index_t>(s.fetch_bytes)},
                   {"loss", s.loss}});
       }
       results.push_back(std::move(res));

@@ -108,49 +108,20 @@ inline std::string fmt(double v, int prec = 3) {
   return buf;
 }
 
-// --- CSV output conventions -------------------------------------------------
-// Machine-readable bench output feeding the BENCH_*.json trajectories: a
-// bench mode that wants its numbers tracked writes one CSV file with a fixed
-// header row and one data row per (case, kernel) measurement. Conventions:
-//  - the first two columns are `bench` (binary + mode, e.g.
-//    "micro_spgemm.kernel_compare") and `case` (workload shape id);
-//  - times are reported in milliseconds as `*_ms` columns, throughput as
-//    multiply-adds per second in `flops_per_sec`, speedups as plain ratios;
-//  - downstream tooling keys rows on (bench, case, kernel), so those values
-//    must be stable across runs and machines.
-class CsvWriter {
- public:
-  CsvWriter(const std::string& path, const std::vector<std::string>& header)
-      : f_(std::fopen(path.c_str(), "w")) {
-    if (f_ != nullptr) row(header);
-  }
-  ~CsvWriter() {
-    if (f_ != nullptr) std::fclose(f_);
-  }
-  CsvWriter(const CsvWriter&) = delete;
-  CsvWriter& operator=(const CsvWriter&) = delete;
-
-  bool ok() const { return f_ != nullptr; }
-
-  void row(const std::vector<std::string>& cells) {
-    if (f_ == nullptr) return;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      std::fprintf(f_, "%s%s", i == 0 ? "" : ",", cells[i].c_str());
-    }
-    std::fprintf(f_, "\n");
-  }
-
- private:
-  std::FILE* f_;
-};
-
 // --- JSON output ------------------------------------------------------------
 // The BENCH_*.json perf-trajectory files: one flat JSON array of row objects
-// per file, one row per (bench, case, kernel) measurement, with the same
-// stable-key conventions as the CSV output. Rows carry string or number
-// fields only. A writer opened with append=true splices its rows into an
-// existing array written by a previous (possibly different) bench binary —
-// this is how micro_gemm and micro_spgemm share BENCH_micro.json.
+// per file, one row per (bench, case, kernel) measurement. Conventions:
+//  - the first two fields are `bench` (binary + mode, e.g.
+//    "micro_spgemm.kernel_compare") and `case` (workload shape id);
+//  - times are reported in milliseconds as `*_ms` fields (simulated
+//    seconds as `*_sim_s`), throughput as multiply-adds per second in
+//    `flops_per_sec`, speedups as plain ratios;
+//  - downstream tooling keys rows on (bench, case, kernel), so those values
+//    must be stable across runs and machines.
+// Rows carry string or number fields only. A writer opened with append=true
+// splices its rows into an existing array written by a previous (possibly
+// different) bench binary — this is how micro_gemm and micro_spgemm share
+// BENCH_micro.json.
 /// Renders `s` as a JSON string literal (quotes included): escapes quote,
 /// backslash, the named control characters, and any other byte < 0x20 as
 /// \u00XX. Case ids are normally tame, but a stray newline or tab in a

@@ -3,15 +3,15 @@
 //
 // Two modes:
 //  - default: the Google Benchmark suite below (BM_*);
-//  - --kernel-compare [--smoke] [--csv=PATH]: a self-contained comparison
+//  - --kernel-compare [--smoke] [--json=PATH]: a self-contained comparison
 //    harness that times the dense / hash / auto kernels on the sampler
 //    shapes (auto is the selection gather there), times spgemm_masked on
 //    the frontier rows against the full-product-then-slice LADIES
 //    extraction it replaces (s ≪ n), cross-checks that every path
 //    produces bit-identical results (nonzero exit on mismatch, which is
 //    what the CI smoke job gates on — never on timings), and optionally
-//    writes a CSV in the bench_util.hpp conventions so BENCH_*.json
-//    trajectories can track SpGEMM throughput.
+//    appends its rows to a BENCH_*.json trajectory so SpGEMM throughput
+//    is tracked.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -144,8 +144,7 @@ std::vector<index_t> random_mask(const Graph& g, index_t s, std::uint64_t seed) 
   return mask;
 }
 
-int run_kernel_compare(bool smoke, const std::string& csv_path,
-                       const std::string& json_path) {
+int run_kernel_compare(bool smoke, const std::string& json_path) {
   RmatParams params;
   params.scale = smoke ? 10 : 14;
   params.edge_factor = smoke ? 16.0 : 32.0;
@@ -154,13 +153,6 @@ int run_kernel_compare(bool smoke, const std::string& csv_path,
   const int reps = smoke ? 3 : 7;
   bool ok = true;
 
-  bench::CsvWriter csv(csv_path.empty() ? "/dev/null" : csv_path,
-                       {"bench", "case", "kernel", "time_ms", "flops_per_sec",
-                        "speedup_vs_baseline"});
-  if (!csv_path.empty() && !csv.ok()) {
-    std::fprintf(stderr, "FAIL: cannot open CSV output path %s\n", csv_path.c_str());
-    return 1;
-  }
   // Appending writer: shares BENCH_micro.json with micro_gemm --compare,
   // which truncates — regenerate the file by running micro_gemm first,
   // then this harness (re-running only this harness appends duplicates).
@@ -182,8 +174,6 @@ int run_kernel_compare(bool smoke, const std::string& csv_path,
                     nnz_t flops, double speedup) {
     bench::print_row({cs, kernel, bench::fmt(ms), bench::fmt(flops / ms / 1e6, 3),
                       bench::fmt(speedup, 2)}, w);
-    csv.row({bench_id, cs, kernel, bench::fmt(ms, 6),
-             bench::fmt(flops / (ms / 1e3), 0), bench::fmt(speedup, 4)});
     json.row({{"bench", bench_id},
               {"case", cs},
               {"kernel", kernel},
@@ -264,11 +254,8 @@ int run_kernel_compare(bool smoke, const std::string& csv_path,
     report(cs, "masked", masked_ms, masked_flops, full_ms / masked_ms);
   }
 
-  if (!csv_path.empty()) {
-    std::printf("\nCSV written to %s\n", csv_path.c_str());
-  }
   if (!json_path.empty()) {
-    std::printf("JSON appended to %s\n", json_path.c_str());
+    std::printf("\nJSON appended to %s\n", json_path.c_str());
   }
   std::printf("\nkernel cross-check: %s\n", ok ? "all bit-identical" : "MISMATCH");
   return ok ? 0 : 1;
@@ -279,7 +266,7 @@ int run_kernel_compare(bool smoke, const std::string& csv_path,
 int main(int argc, char** argv) {
   bool compare = false;
   bool smoke = false;
-  std::string csv_path;
+  bool unknown = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -287,13 +274,17 @@ int main(int argc, char** argv) {
       compare = true;
     } else if (arg == "--smoke") {
       smoke = true;
-    } else if (arg.rfind("--csv=", 0) == 0) {
-      csv_path = arg.substr(6);
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
+    } else {
+      unknown = true;  // Google Benchmark's flags, in the default mode
     }
   }
-  if (compare) return run_kernel_compare(smoke, csv_path, json_path);
+  if (compare && unknown) {
+    std::fprintf(stderr, "usage: %s --kernel-compare [--smoke] [--json=PATH]\n", argv[0]);
+    return 2;
+  }
+  if (compare) return run_kernel_compare(smoke, json_path);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

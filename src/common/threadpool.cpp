@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cstdio>
 #include <cstdlib>
-
-#include "common/log.hpp"
 
 namespace dms {
 
@@ -94,22 +93,15 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& fn)
 int ThreadPool::resolve_pool_size(const char* env, int hardware) {
   const int fallback = std::max(1, hardware);
   if (env == nullptr) return fallback;
-  // A silently-accepted typo ("4x", "O4") used to atoi to a nonsensical pool
-  // size or fall through without a trace; parse strictly and say what
-  // happened instead.
+  // Parse strictly: a typo ("4x", "O4") falls back with a warning.
   errno = 0;
   char* end = nullptr;
   const long n = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') {
-    DMS_LOG_WARN("DMS_THREADS='" + std::string(env) +
-                 "' is not an integer; using " + std::to_string(fallback) +
-                 " threads");
-    return fallback;
-  }
-  if (errno == ERANGE || n <= 0 || n > INT_MAX) {
-    DMS_LOG_WARN("DMS_THREADS='" + std::string(env) +
-                 "' is out of range (need a positive int); using " +
-                 std::to_string(fallback) + " threads");
+  const bool integer = end != env && *end == '\0';
+  if (!integer || errno == ERANGE || n <= 0 || n > INT_MAX) {
+    std::fprintf(stderr, "[dms] DMS_THREADS='%s' is %s; using %d threads\n", env,
+                 integer ? "out of range (need a positive int)" : "not an integer",
+                 fallback);
     return fallback;
   }
   return static_cast<int>(n);

@@ -10,6 +10,9 @@ namespace dms {
 
 namespace {
 
+/// Each stand-in scales this to track the paper's batch counts.
+constexpr double kTrainFraction = 0.10;
+
 /// Random fp32 features in [-1, 1] (performance datasets; Protein's features
 /// were random in the paper as well).
 DenseF random_features(index_t n, int f, std::uint64_t seed) {
@@ -63,7 +66,7 @@ Dataset make_products_sim(const StandInConfig& cfg) {
                                 derive_seed(cfg.seed, 1));
   // Train fraction chosen so the minibatch count tracks the paper's 196
   // batches (relative to Papers' 1172 and Protein's 1024).
-  finish_performance_dataset(ds, 47, 2.0 * cfg.train_fraction, derive_seed(cfg.seed, 2));
+  finish_performance_dataset(ds, 47, 2.0 * kTrainFraction, derive_seed(cfg.seed, 2));
   return ds;
 }
 
@@ -80,7 +83,7 @@ Dataset make_papers_sim(const StandInConfig& cfg) {
                                 derive_seed(cfg.seed, 11));
   // ~2x Products' batch count at the default scale shift (paper: 1172 vs 196,
   // tempered by CPU feasibility).
-  finish_performance_dataset(ds, 172, 2.0 * cfg.train_fraction, derive_seed(cfg.seed, 12));
+  finish_performance_dataset(ds, 172, 2.0 * kTrainFraction, derive_seed(cfg.seed, 12));
   return ds;
 }
 
@@ -97,7 +100,7 @@ Dataset make_protein_sim(const StandInConfig& cfg) {
                                 derive_seed(cfg.seed, 21));
   // Protein has few vertices but the paper's second-highest batch count
   // (1024): use half the vertex set as training vertices.
-  finish_performance_dataset(ds, 16, 5.0 * cfg.train_fraction, derive_seed(cfg.seed, 22));
+  finish_performance_dataset(ds, 16, 5.0 * kTrainFraction, derive_seed(cfg.seed, 22));
   return ds;
 }
 

@@ -43,7 +43,6 @@ struct Dataset {
 struct StandInConfig {
   int scale_shift = 0;
   int feature_dim = 32;       ///< paper: 100-128; scaled for CPU
-  double train_fraction = 0.10;
   std::uint64_t seed = 42;
 };
 

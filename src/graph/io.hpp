@@ -1,9 +1,11 @@
-// Binary serialization for graphs and datasets, plus Matrix Market export.
+// Dataset files, plus Matrix Market export.
 //
 // Generating the Table 3 stand-ins takes seconds, but real deployments load
 // preprocessed graphs from disk (DistDGL/Quiver both ship partitioned
 // binary formats); this module provides the equivalent so examples and
-// downstream users can persist datasets between runs.
+// downstream users can persist datasets between runs. The binary format
+// ("DMSD") is written and read through common/binio, whose reader bounds
+// every length by the bytes left in the file.
 #pragma once
 
 #include <string>
@@ -13,16 +15,11 @@
 
 namespace dms {
 
-/// Writes a CSR matrix in a little-endian binary format (magic "DMSC").
-void save_csr(const CsrMatrix& m, const std::string& path);
-
-/// Reads a matrix written by save_csr; validates the result. Throws
-/// DmsError on malformed input.
-CsrMatrix load_csr(const std::string& path);
-
 /// Writes a full dataset (graph, features, labels, splits; magic "DMSD").
 void save_dataset(const Dataset& ds, const std::string& path);
 
+/// Reads a dataset written by save_dataset; throws DmsError on malformed
+/// input (invalid graph, out-of-range labels or split vertices, ...).
 Dataset load_dataset(const std::string& path);
 
 /// Exports the sparsity pattern in MatrixMarket coordinate format for

@@ -2,68 +2,33 @@
 
 #include <cmath>
 #include <cstdint>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <utility>
 
-#include "common/types.hpp"
+#include "common/binio.hpp"
 
 namespace dms {
 
 namespace {
 
-// Optimizer-state tensors serialize as [rows i64][cols i64][raw float bits],
-// the same little-endian raw-bits idiom as graph/io.cpp; float bits round-trip
-// exactly, which the bit-identical-resume guarantee depends on.
-void write_i64(std::ostream& os, std::int64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void write_moments(BinWriter& out, const std::vector<DenseF>& moments) {
+  out.value(static_cast<std::int64_t>(moments.size()));
+  for (const DenseF& m : moments) out.matrix(m);
 }
 
-std::int64_t read_i64(std::istream& is, const char* what) {
-  std::int64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  check(static_cast<bool>(is), std::string("optimizer state: truncated ") + what);
-  return v;
-}
-
-void write_tensor(std::ostream& os, const DenseF& t) {
-  write_i64(os, t.rows());
-  write_i64(os, t.cols());
-  os.write(reinterpret_cast<const char*>(t.data()),
-           static_cast<std::streamsize>(t.size() * sizeof(float)));
-}
-
-/// Reads one tensor whose shape must equal `like`'s (checked before the
-/// allocation, so a corrupt shape cannot size it).
-DenseF read_tensor(std::istream& is, const DenseF& like) {
-  const std::int64_t rows = read_i64(is, "tensor rows");
-  const std::int64_t cols = read_i64(is, "tensor cols");
-  check(rows == like.rows() && cols == like.cols(),
-        "optimizer state: moment shape does not match its parameter");
-  DenseF t(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  is.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.size() * sizeof(float)));
-  check(static_cast<bool>(is), "optimizer state: truncated tensor data");
-  return t;
-}
-
-void write_tensors(std::ostream& os, const std::vector<DenseF>& ts) {
-  write_i64(os, static_cast<std::int64_t>(ts.size()));
-  for (const DenseF& t : ts) write_tensor(os, t);
-}
-
-/// One moment tensor per parameter, or none (saved before the first step).
-std::vector<DenseF> read_tensors(std::istream& is,
-                                 const std::vector<ParamGrad>& params) {
-  const std::int64_t n = read_i64(is, "tensor count");
+/// One moment tensor per parameter, each of its parameter's shape, or none
+/// (saved before the first step).
+std::vector<DenseF> read_moments(BinReader& in, const std::vector<ParamGrad>& params) {
+  const auto n = in.value<std::int64_t>();
   check(n == 0 || n == static_cast<std::int64_t>(params.size()),
         "optimizer state: moment count does not match the parameters");
-  std::vector<DenseF> ts;
+  std::vector<DenseF> moments;
   for (std::int64_t i = 0; i < n; ++i) {
-    ts.push_back(read_tensor(is, *params[static_cast<std::size_t>(i)].param));
+    const DenseF& param = *params[static_cast<std::size_t>(i)].param;
+    moments.emplace_back(param.rows(), param.cols());
+    in.matrix_into(moments.back());
   }
-  return ts;
+  return moments;
 }
 
 }  // namespace
@@ -89,10 +54,10 @@ void Sgd::step(const std::vector<ParamGrad>& params) {
   }
 }
 
-void Sgd::save_state(std::ostream& os) const { write_tensors(os, velocity_); }
+void Sgd::save_state(BinWriter& out) const { write_moments(out, velocity_); }
 
-void Sgd::load_state(std::istream& is, const std::vector<ParamGrad>& params) {
-  velocity_ = read_tensors(is, params);
+void Sgd::load_state(BinReader& in, const std::vector<ParamGrad>& params) {
+  velocity_ = read_moments(in, params);
 }
 
 void Adam::step(const std::vector<ParamGrad>& params) {
@@ -126,19 +91,19 @@ void Adam::step(const std::vector<ParamGrad>& params) {
   }
 }
 
-void Adam::save_state(std::ostream& os) const {
-  write_i64(os, t_);
-  write_tensors(os, m_);
-  write_tensors(os, v_);
+void Adam::save_state(BinWriter& out) const {
+  out.value(static_cast<std::int64_t>(t_));
+  write_moments(out, m_);
+  write_moments(out, v_);
 }
 
-void Adam::load_state(std::istream& is, const std::vector<ParamGrad>& params) {
-  const std::int64_t t = read_i64(is, "adam step counter");
+void Adam::load_state(BinReader& in, const std::vector<ParamGrad>& params) {
+  const auto t = in.value<std::int64_t>();
   // Bounded well below INT_MAX so the resumed steps cannot overflow it.
   check(t >= 0 && t <= std::numeric_limits<int>::max() / 2,
         "optimizer state: adam step counter out of range");
-  std::vector<DenseF> m = read_tensors(is, params);
-  std::vector<DenseF> v = read_tensors(is, params);
+  std::vector<DenseF> m = read_moments(in, params);
+  std::vector<DenseF> v = read_moments(in, params);
   check(m.size() == v.size(), "optimizer state: adam moment count mismatch");
   t_ = static_cast<int>(t);
   m_ = std::move(m);

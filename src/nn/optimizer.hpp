@@ -1,12 +1,15 @@
-// Optimizers operating on flat lists of (param, grad) tensor pairs.
+// Optimizers operating on flat lists of (param, grad) tensor pairs; their
+// state serializes through common/binio into checkpoints.
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "sparse/dense.hpp"
 
 namespace dms {
+
+class BinReader;
+class BinWriter;
 
 struct ParamGrad {
   DenseF* param = nullptr;
@@ -23,13 +26,12 @@ class Optimizer {
   /// Serializes the mutable state (moment tensors, step counter) so a
   /// restored optimizer continues bit-identically. Hyperparameters are NOT
   /// saved — they come from the pipeline config the restore validates.
-  virtual void save_state(std::ostream& os) const = 0;
+  virtual void save_state(BinWriter& out) const = 0;
   /// Restores save_state's output for `params`, the parameters the next
   /// step() updates: each saved moment tensor must match its parameter's
   /// shape (or the state must be empty, before the first step). Throws
   /// DmsError on any mismatch — a restored state is always steppable.
-  virtual void load_state(std::istream& is,
-                          const std::vector<ParamGrad>& params) = 0;
+  virtual void load_state(BinReader& in, const std::vector<ParamGrad>& params) = 0;
 };
 
 /// Plain SGD with optional momentum.
@@ -38,8 +40,8 @@ class Sgd : public Optimizer {
   explicit Sgd(float lr, float momentum = 0.0f) : lr_(lr), momentum_(momentum) {}
   void step(const std::vector<ParamGrad>& params) override;
   const char* kind() const override { return "sgd"; }
-  void save_state(std::ostream& os) const override;
-  void load_state(std::istream& is, const std::vector<ParamGrad>& params) override;
+  void save_state(BinWriter& out) const override;
+  void load_state(BinReader& in, const std::vector<ParamGrad>& params) override;
 
  private:
   float lr_;
@@ -56,8 +58,8 @@ class Adam : public Optimizer {
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
   void step(const std::vector<ParamGrad>& params) override;
   const char* kind() const override { return "adam"; }
-  void save_state(std::ostream& os) const override;
-  void load_state(std::istream& is, const std::vector<ParamGrad>& params) override;
+  void save_state(BinWriter& out) const override;
+  void load_state(BinReader& in, const std::vector<ParamGrad>& params) override;
 
  private:
   float lr_, beta1_, beta2_, eps_;

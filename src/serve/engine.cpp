@@ -10,6 +10,12 @@
 
 namespace dms {
 
+/// The rank a serving replica plays against the feature store's block
+/// layout: remote rows classify through this rank's cache.
+constexpr int kServeRank = 0;
+/// warmup() rounds over its seed sets before freezing the arena.
+constexpr int kWarmupRounds = 2;
+
 ServeEngine::ServeEngine(const Graph& graph, FeatureStore& features,
                          const SageModel& model, ServeEngineConfig config,
                          const ProcessGrid* grid, Cluster* cluster)
@@ -23,7 +29,6 @@ ServeEngine::ServeEngine(const Graph& graph, FeatureStore& features,
         "ServeEngine: model in_dim " + std::to_string(model.config().in_dim) +
             " does not match the feature store's dim " +
             std::to_string(features.dim()));
-  check(cfg_.warmup_rounds >= 1, "ServeEngine: warmup_rounds must be >= 1");
   SamplerContext ctx;
   ctx.config = SamplerConfig{cfg_.fanouts, cfg_.sampler_seed};
   ctx.grid = grid;
@@ -67,8 +72,7 @@ ServeBatchResult ServeEngine::serve(const CoalescedBatch& batch) {
   res.logits.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     Timer tf;
-    features_.gather_rows(cfg_.serve_rank, samples[i].input_vertices(),
-                          &h_input_);
+    features_.gather_rows(kServeRank, samples[i].input_vertices(), &h_input_);
     res.timing.fetch += tf.seconds();
     Timer ti;
     res.logits.push_back(model_.forward(samples[i], h_input_, nullptr));
@@ -107,7 +111,7 @@ void ServeEngine::warmup(const std::vector<std::vector<index_t>>& seed_sets) {
   // Warmup requests replay the representative seed sets as one coalesced
   // batch per round, growing every scratch buffer (plan executor, SpGEMM
   // engine, ITS, gather buffer) to the workload's high-water mark.
-  for (int round = 0; round < cfg_.warmup_rounds; ++round) {
+  for (int round = 0; round < kWarmupRounds; ++round) {
     CoalescedBatch batch;
     for (std::size_t i = 0; i < seed_sets.size(); ++i) {
       ServeRequest r;

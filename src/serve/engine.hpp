@@ -53,11 +53,6 @@ struct ServeEngineConfig {
   /// (serve_seed, request id, round, row) — requests are reproducible
   /// across runs and independent of batching.
   std::uint64_t serve_seed = 0x5e12e;
-  /// The rank this serving replica plays against the feature store's block
-  /// layout (remote rows classify through this rank's cache).
-  int serve_rank = 0;
-  /// warmup() rounds over its seed sets before freezing the arena.
-  int warmup_rounds = 2;
   /// Partitioned mode options (grid comes through the constructor).
   PartitionedSamplerOptions part_opts;
 };
@@ -91,9 +86,9 @@ class ServeEngine {
   /// (zero queue wait) — the sequential-serving reference path.
   DenseF serve_one(const ServeRequest& request);
 
-  /// Drives `seed_sets` through the full path warmup_rounds times (stats
-  /// suppressed), then freezes the workspace arena: subsequent requests
-  /// whose scratch needs stay within the warmed high-water mark are handled
+  /// Drives `seed_sets` through the full path twice (stats suppressed),
+  /// then freezes the workspace arena: subsequent requests whose scratch
+  /// needs stay within the warmed high-water mark are handled
   /// allocation-free (debug-asserted). Call once before serving traffic,
   /// with seed sets at least as large as the expected worst case — or
   /// replay a representative trace through serve() and call freeze()

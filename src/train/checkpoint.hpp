@@ -10,11 +10,14 @@
 // losses to the uninterrupted one (tests/test_checkpoint.cpp kills an epoch
 // mid-way and verifies exactly that).
 //
-// Binary format ("DMSK", versioned like graph/io.cpp): a config fingerprint
-// (sampler, mode, fanouts, batch/bulk/overlap shape, seed, optimizer,
-// learning rate, model dimensions) guards the restore — loading into a
-// pipeline whose config would produce a different schedule or different
-// arithmetic is rejected, not silently accepted.
+// Binary format ("DMSK", written and read through common/binio like the
+// DMSD dataset files): a config fingerprint (sampler, mode, grid p and c,
+// fanouts, batch/bulk/overlap shape, seed, optimizer, learning rate, model
+// dimensions) guards the restore — loading into a pipeline whose config
+// would produce a different schedule or different arithmetic is rejected,
+// not silently accepted. The reader treats the file as untrusted: every
+// length and shape is bounded by the bytes left or checked against the
+// model before anything is allocated.
 #pragma once
 
 #include <string>

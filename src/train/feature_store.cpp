@@ -13,18 +13,13 @@ FeatureStore::FeatureStore(const ProcessGrid& grid, const DenseF& features,
       part_(features.rows(), grid.rows()),
       dim_(features.cols()),
       opts_(std::move(opts)),
+      features_(&features),
       src_rows_(features.rows()),
       caches_(static_cast<std::size_t>(grid.size()),
               FeatureRowCache(opts_.cache)) {
   check(opts_.global_ranks.empty() ||
             static_cast<int>(opts_.global_ranks.size()) == grid_.size(),
         "FeatureStore: global_ranks must map every rank of the store's grid");
-  if (opts_.own_copy) {
-    owned_ = features;
-    features_ = &owned_;
-  } else {
-    features_ = &features;
-  }
 }
 
 const DenseF& FeatureStore::source() const {
@@ -33,7 +28,7 @@ const DenseF& FeatureStore::source() const {
   // whose shape no longer matches the one captured at construction.
   check(features_->rows() == src_rows_ && features_->cols() == dim_,
         "FeatureStore: borrowed feature matrix changed shape — the source "
-        "must outlive the store (or construct with own_copy)");
+        "must outlive the store");
 #endif
   return *features_;
 }

@@ -23,10 +23,6 @@ namespace dms {
 
 struct FeatureStoreOptions {
   FeatureCacheConfig cache;
-  /// Copy the feature matrix into the store instead of borrowing it. Use
-  /// this whenever the source does not outlive the store (see the lifetime
-  /// contract on the constructor).
-  bool own_copy = false;
   /// Maps the store's local rank ids onto the ids of a larger cluster for
   /// CostModel purposes only (intra-/inter-node link classification). Empty
   /// means identity. The disaggregated pipeline partitions H over the
@@ -40,20 +36,13 @@ class FeatureStore {
  public:
   /// Partitions `features` (n × f) over grid.rows() block rows.
   ///
-  /// Lifetime contract: unless `opts.own_copy` is set, the store only
-  /// *borrows* `features` — the caller must keep the source alive (and
-  /// unmodified in shape) for the store's whole lifetime. In particular,
-  /// never pass a temporary with `own_copy == false`. Debug builds guard
-  /// the common violations (source destroyed, moved-from, or reshaped) by
-  /// checking the source's shape on every fetch.
+  /// Lifetime contract: the store only *borrows* `features` — the caller
+  /// must keep the source alive (and unmodified in shape) for the store's
+  /// whole lifetime; never pass a temporary. Debug builds guard the common
+  /// violations (source destroyed, moved-from, or reshaped) by checking the
+  /// source's shape on every fetch.
   FeatureStore(const ProcessGrid& grid, const DenseF& features,
                FeatureStoreOptions opts = {});
-
-  // Non-copyable/non-movable: with own_copy the borrowed pointer targets
-  // the store's own matrix, which a defaulted copy/move would leave
-  // pointing into the source object.
-  FeatureStore(const FeatureStore&) = delete;
-  FeatureStore& operator=(const FeatureStore&) = delete;
 
   index_t dim() const { return dim_; }
   const BlockPartition& partition() const { return part_; }
@@ -114,8 +103,7 @@ class FeatureStore {
   BlockPartition part_;
   index_t dim_ = 0;
   FeatureStoreOptions opts_;
-  DenseF owned_;            ///< populated only when opts_.own_copy
-  const DenseF* features_;  ///< borrowed unless opts_.own_copy; see contract
+  const DenseF* features_;  ///< borrowed; see the lifetime contract
   index_t src_rows_ = 0;    ///< shape at construction (debug lifetime guard)
   std::vector<FeatureRowCache> caches_;  ///< one per rank
   FeatureCacheStats stats_;

@@ -195,6 +195,7 @@ class Pipeline {
   SageModel& model() { return model_; }
   const FeatureStore& features() const { return features_; }
   const PipelineConfig& config() const { return cfg_; }
+  const ProcessGrid& grid() const { return cluster_.grid(); }
   /// The training optimizer (checkpoint serialization of its state).
   Optimizer& optimizer() { return *optimizer_; }
 

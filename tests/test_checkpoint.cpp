@@ -192,6 +192,22 @@ TEST(Checkpoint, RejectsConfigMismatch) {
   Cluster c3(ProcessGrid(2, 1), CostModel(LinkParams{}));
   Pipeline sgd_loader(c3, ds, sgd);
   EXPECT_THROW(load_checkpoint(sgd_loader, ckpt.path), DmsError);
+
+  // The grid decides which batches share an optimizer step: another p
+  // (replicated) or another c (partitioned) is another schedule.
+  Cluster c4(ProcessGrid(4, 1), CostModel(LinkParams{}));
+  Pipeline wider(c4, ds, cfg);
+  EXPECT_THROW(load_checkpoint(wider, ckpt.path), DmsError);
+
+  const PipelineConfig part =
+      config_for(SamplerKind::kGraphSage, DistMode::kPartitioned);
+  TempPath part_ckpt("dms_ckpt_mismatch_c.bin");
+  Cluster c5(ProcessGrid(4, 2), CostModel(LinkParams{}));
+  Pipeline part_saver(c5, ds, part);
+  save_checkpoint(part_saver, part_saver.run_epoch_partial(0, 1), part_ckpt.path);
+  Cluster c6(ProcessGrid(4, 1), CostModel(LinkParams{}));
+  Pipeline unreplicated(c6, ds, part);
+  EXPECT_THROW(load_checkpoint(unreplicated, part_ckpt.path), DmsError);
 }
 
 TEST(Checkpoint, RejectsCorruptAndMissingFiles) {

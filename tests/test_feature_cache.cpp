@@ -1,11 +1,8 @@
 // Property tests for the feature-row cache (train/feature_cache.hpp) and
 // the caching FeatureStore: capacity is never exceeded, LRU eviction order,
-// cached fetches return bit-equal rows, zero capacity degenerates to the
-// uncached behavior, and the owning-copy option survives its source (the
-// dangling-borrow regression).
+// cached fetches return bit-equal rows, and zero capacity degenerates to the
+// uncached behavior.
 #include <gtest/gtest.h>
-
-#include <memory>
 
 #include "test_util.hpp"
 #include "train/feature_store.hpp"
@@ -88,7 +85,7 @@ TEST(FeatureCache, CachedFetchesReturnBitEqualRows) {
   Cluster c_cached(ProcessGrid(4, 2), CostModel(LinkParams{}));
   FeatureStore plain(c_plain.grid(), h);
   FeatureStore cached(c_cached.grid(), h,
-                      FeatureStoreOptions{{CachePolicy::kLru, 16}, false});
+                      FeatureStoreOptions{{CachePolicy::kLru, 16}});
   Pcg32 rng(7);
   for (int step = 0; step < 8; ++step) {
     const auto wanted = random_wanted(4, 64, 12, rng);
@@ -115,7 +112,7 @@ TEST(FeatureCache, ZeroCapacityDegeneratesToUncachedBehavior) {
   Cluster c_zero(ProcessGrid(4, 1), CostModel(LinkParams{}));
   FeatureStore none(c_none.grid(), h);
   FeatureStore zero(c_zero.grid(), h,
-                    FeatureStoreOptions{{CachePolicy::kLru, 0}, false});
+                    FeatureStoreOptions{{CachePolicy::kLru, 0}});
   Pcg32 rng(11);
   for (int step = 0; step < 4; ++step) {
     const auto wanted = random_wanted(4, 64, 10, rng);
@@ -134,7 +131,7 @@ TEST(FeatureCache, RepeatFetchesHitAndMoveNoBytes) {
   const DenseF h = make_features(40, 2);
   Cluster cluster(ProcessGrid(4, 1), CostModel(LinkParams{}));
   FeatureStore store(cluster.grid(), h,
-                     FeatureStoreOptions{{CachePolicy::kLru, 32}, false});
+                     FeatureStoreOptions{{CachePolicy::kLru, 32}});
   // Rank 0 owns rows [0,10); request remote rows twice.
   const std::vector<std::vector<index_t>> wanted = {{20, 21, 22}, {}, {}, {}};
   store.fetch_all(cluster, wanted);
@@ -150,7 +147,7 @@ TEST(FeatureCache, AccountingCoversEveryRequestedRow) {
   const DenseF h = make_features(64, 4);
   Cluster cluster(ProcessGrid(8, 2), CostModel(LinkParams{}));
   FeatureStore store(cluster.grid(), h,
-                     FeatureStoreOptions{{CachePolicy::kLru, 8}, false});
+                     FeatureStoreOptions{{CachePolicy::kLru, 8}});
   Pcg32 rng(3);
   std::size_t expected = 0;
   for (int step = 0; step < 6; ++step) {
@@ -193,29 +190,11 @@ TEST(FeatureCache, StatsDeltaChecksSnapshotOrderInsteadOfWrapping) {
   EXPECT_EQ(zero.bytes_saved, 0u);
 }
 
-TEST(FeatureCache, OwningCopySurvivesItsSource) {
-  // Dangling-borrow regression (the `const DenseF* features_` hazard): with
-  // own_copy the store keeps its own matrix, so destroying the source is
-  // safe. Without the option the borrow would dangle here.
-  Cluster cluster(ProcessGrid(2, 1), CostModel(LinkParams{}));
-  FeatureStoreOptions opts;
-  opts.own_copy = true;
-  std::unique_ptr<FeatureStore> store;
-  {
-    const DenseF h = make_features(16, 3);
-    store = std::make_unique<FeatureStore>(cluster.grid(), h, opts);
-  }  // source destroyed
-  const std::vector<std::vector<index_t>> wanted = {{0, 15}, {8}};
-  const auto out = store->fetch_all(cluster, wanted);
-  EXPECT_FLOAT_EQ(out[0](1, 2), 1502.0f);
-  EXPECT_FLOAT_EQ(out[1](0, 0), 800.0f);
-}
-
 TEST(FeatureCache, PinnedRemoteRowsNeverCrossTheWire) {
   const DenseF h = make_features(40, 2);
   Cluster cluster(ProcessGrid(4, 1), CostModel(LinkParams{}));
   FeatureStore store(cluster.grid(), h,
-                     FeatureStoreOptions{{CachePolicy::kDegreePinned, 4}, false});
+                     FeatureStoreOptions{{CachePolicy::kDegreePinned, 4}});
   store.pin_rows({20, 21});
   const std::vector<std::vector<index_t>> wanted = {{20, 21}, {}, {}, {}};
   store.fetch_all(cluster, wanted);

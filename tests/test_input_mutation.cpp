@@ -1,9 +1,10 @@
 // Untrusted-input robustness (ROADMAP item 5): seeded byte flips and
-// truncations of saved DMSC (CSR), DMSD (dataset) and DMSK (checkpoint)
-// files. Every load must either throw DmsError or return a usable value —
-// never another exception, an allocation failure, or (under the sanitizer
-// build) undefined behaviour — and a checkpoint that loads must resume its
-// epoch to completion. Two historical defects are pinned as fixed cases.
+// truncations of saved DMSD (dataset) and DMSK (checkpoint) files, both read
+// through common/binio. Every load must either throw DmsError or return a
+// usable value — never another exception, an allocation failure, or (under
+// the sanitizer build) undefined behaviour — and a checkpoint that loads
+// must resume its epoch to completion. Two historical defects are pinned as
+// fixed cases.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -99,14 +100,6 @@ Dataset small_planted() {
                               /*avg_degree=*/6.0, /*p_intra=*/0.85, /*seed=*/8);
 }
 
-TEST(InputMutation, CsrFlipsAndTruncations) {
-  const std::string path = temp_path("clean.dmsc");
-  save_csr(small_planted().graph.adjacency(), path);
-  const Bytes clean = read_bytes(path);
-  std::remove(path.c_str());
-  mutate(clean, "csr", 1, [](const std::string& p) { (void)load_csr(p); });
-}
-
 TEST(InputMutation, DatasetFlipsAndTruncations) {
   const std::string path = temp_path("clean.dmsd");
   save_dataset(small_planted(), path);
@@ -152,15 +145,21 @@ TEST(InputMutation, CheckpointFlipsAndTruncations) {
 // --- the two defects that motivated this suite ------------------------------
 
 TEST(InputMutation, HugeCsrLengthThrowsDmsError) {
-  // One flipped high byte of the rowptr length claims ~2^55 entries; the
-  // reader used to allocate it (std::bad_alloc, or an ASan abort).
-  const std::string path = temp_path("huge.dmsc");
-  save_csr(small_planted().graph.adjacency(), path);
+  // One flipped high byte of the graph's rowptr length claims ~2^55
+  // entries; the reader used to allocate it (std::bad_alloc, or an ASan
+  // abort).
+  const Dataset ds = small_planted();
+  const std::string path = temp_path("huge.dmsd");
+  save_dataset(ds, path);
   Bytes m = read_bytes(path);
-  constexpr std::size_t kRowptrLength = 4 + 4 + 8 + 8;  // magic, version, dims
-  m[kRowptrLength + 6] = static_cast<char>(m[kRowptrLength + 6] ^ 0x80);
+  // magic, version, name length + name, graph dims
+  const std::size_t rowptr_length = 4 + 4 + 8 + ds.name.size() + 8 + 8;
+  std::int64_t length = 0;
+  std::memcpy(&length, m.data() + rowptr_length, sizeof(length));
+  ASSERT_EQ(length, ds.num_vertices() + 1);
+  m[rowptr_length + 6] = static_cast<char>(m[rowptr_length + 6] ^ 0x80);
   write_bytes(path, m);
-  EXPECT_THROW((void)load_csr(path), DmsError);
+  EXPECT_THROW((void)load_dataset(path), DmsError);
   std::remove(path.c_str());
 }
 
