@@ -13,6 +13,26 @@ namespace dms {
 
 namespace {
 
+/// UVA mode: the fraction of vertices (hottest by degree) whose features
+/// are cached on device.
+constexpr double kUvaGpuCacheFraction = 0.2;
+/// Quiver reads remote feature rows individually via zero-copy GPU p2p
+/// (per-row transactions), reaching a fraction of peak link bandwidth;
+/// our pipeline packs rows into bulk NCCL all-to-allv messages. This is
+/// the "does not effectively optimize this communication" of §8.1.1.
+constexpr double kP2pEfficiency = 0.5;
+/// Zero-copy p2p only exists within a node (NVLink). A feature row on a
+/// GPU in another node is fetched as its own small transfer and pays this
+/// pipelined per-row latency — the mechanism behind both Quiver's 4→8 GPU
+/// slowdown and its failure to scale on dense graphs (§8.1.1: "this
+/// communication volume also increases as p increases").
+constexpr double kCrossNodeRowLatency = 2.5e-6;
+/// Fine-grained cross-node reads from many GPUs at once suffer incast
+/// congestion that grows with the node count; coarse-grained bulk
+/// all-to-allv transfers (our pipeline) do not. Effective per-row latency
+/// is kCrossNodeRowLatency * (1 + kIncastFactor * (nodes - 1)).
+constexpr double kIncastFactor = 0.1;
+
 ModelConfig make_model_config(const Dataset& ds, const QuiverConfig& cfg) {
   ModelConfig mc;
   mc.in_dim = ds.feature_dim();
@@ -29,8 +49,8 @@ QuiverSim::QuiverSim(Cluster& cluster, const Dataset& dataset, QuiverConfig conf
     : cluster_(cluster),
       ds_(dataset),
       cfg_(std::move(config)),
-      model_(make_model_config(dataset, cfg_)) {
-  optimizer_ = std::make_unique<Adam>(cfg_.lr);
+      model_(make_model_config(dataset, cfg_)),
+      optimizer_(cfg_.lr) {
   if (cfg_.uva) {
     // Cache the hottest vertices (by degree) on device — Quiver's
     // degree-ordered feature cache.
@@ -42,7 +62,7 @@ QuiverSim::QuiverSim(Cluster& cluster, const Dataset& dataset, QuiverConfig conf
     });
     gpu_cached_.assign(static_cast<std::size_t>(n), 0);
     const auto cached =
-        static_cast<index_t>(cfg_.uva_gpu_cache_fraction * static_cast<double>(n));
+        static_cast<index_t>(kUvaGpuCacheFraction * static_cast<double>(n));
     for (index_t i = 0; i < cached; ++i) {
       gpu_cached_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = 1;
     }
@@ -154,7 +174,7 @@ QuiverEpochStats QuiverSim::run_epoch(int epoch) {
           if (bytes == 0) continue;
           t_fetch += model.link().alpha +
                      static_cast<double>(bytes) * model.beta(peer, r) /
-                         cfg_.p2p_efficiency;
+                         kP2pEfficiency;
           fetch_bytes += bytes;
         }
         // Per-row transfer latency for rows outside the NVLink p2p domain,
@@ -162,8 +182,7 @@ QuiverEpochStats QuiverSim::run_epoch(int epoch) {
         const double nodes = std::max(
             1.0, static_cast<double>(p) / model.link().ranks_per_node);
         t_fetch += static_cast<double>(cross_node_rows) *
-                   cfg_.cross_node_row_latency *
-                   (1.0 + cfg_.incast_factor * (nodes - 1.0));
+                   kCrossNodeRowLatency * (1.0 + kIncastFactor * (nodes - 1.0));
       }
       worst_fetch = std::max(worst_fetch, t_fetch);
       gathered[static_cast<std::size_t>(r)] = std::move(h);
@@ -192,7 +211,7 @@ QuiverEpochStats QuiverSim::run_epoch(int epoch) {
     if (num_active > 0) {
       Timer timer;
       model_.scale_grads(1.0f / static_cast<float>(num_active));
-      optimizer_->step(model_.params());
+      optimizer_.step(model_.params());
       model_.zero_grads();
       cluster_.add_compute("propagation", max_prop + timer.seconds());
       if (p > 1) {

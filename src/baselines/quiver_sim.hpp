@@ -18,7 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "comm/cluster.hpp"
 #include "graph/dataset.hpp"
@@ -26,25 +26,11 @@
 
 namespace dms {
 
+/// The modeled Quiver constants (on-device cache fraction, p2p efficiency,
+/// cross-node per-row latency and its incast growth) are fixed in
+/// quiver_sim.cpp, next to the reasoning behind each value.
 struct QuiverConfig {
-  bool uva = false;            ///< Figure 5: UVA sampling + DRAM features
-  double uva_gpu_cache_fraction = 0.2;  ///< features cached on device
-  /// Quiver reads remote feature rows individually via zero-copy GPU p2p
-  /// (per-row transactions), reaching a fraction of peak link bandwidth;
-  /// our pipeline packs rows into bulk NCCL all-to-allv messages. This is
-  /// the "does not effectively optimize this communication" of §8.1.1.
-  double p2p_efficiency = 0.5;
-  /// Zero-copy p2p only exists within a node (NVLink). A feature row on a
-  /// GPU in another node is fetched as its own small transfer and pays this
-  /// pipelined per-row latency — the mechanism behind both Quiver's 4→8 GPU
-  /// slowdown and its failure to scale on dense graphs (§8.1.1: "this
-  /// communication volume also increases as p increases").
-  double cross_node_row_latency = 2.5e-6;
-  /// Fine-grained cross-node reads from many GPUs at once suffer incast
-  /// congestion that grows with the node count; coarse-grained bulk
-  /// all-to-allv transfers (our pipeline) do not. Effective per-row latency
-  /// is cross_node_row_latency * (1 + incast_factor * (nodes - 1)).
-  double incast_factor = 0.1;
+  bool uva = false;  ///< Figure 5: UVA sampling + DRAM features
   index_t batch_size = 64;
   std::vector<index_t> fanouts = {10, 5, 5};
   index_t hidden = 32;
@@ -74,7 +60,7 @@ class QuiverSim {
   const Dataset& ds_;
   QuiverConfig cfg_;
   SageModel model_;
-  std::unique_ptr<Optimizer> optimizer_;
+  Adam optimizer_;
   std::vector<char> gpu_cached_;  ///< UVA: per-vertex on-device cache flag
 };
 

@@ -161,43 +161,12 @@ CsrMatrix its_sample_rows(const CsrMatrix& p, index_t s, const RowSeedFn& row_se
   return count_then_fill(p.rows(), p.cols(), p.rowptr(), ws,
                          [&](index_t r, WorkspaceSlot& slot) {
     const auto rvals = p.row_vals(r);
-    slot.touched.clear();
-    if (s == 1) {
-      // Single uniform draw (the walk-advance shape): skip the prefix
-      // vector and redraw machinery — accumulate the total, draw once, and
-      // scan back to the chosen entry. The accumulation and the scan repeat
-      // the exact float ops of the prefix build, and the scan's first
-      // acc > u index equals the prefix upper_bound, so the pick is
-      // bit-identical to the general path.
-      const auto m = static_cast<index_t>(rvals.size());
-      value_t total = 0.0;
-      for (const value_t v : rvals) total += std::max(v, 0.0);
-      if (m > 0 && total > 0.0) {
-        if (m == 1) {
-          slot.touched.push_back(0);
-        } else {
-          Pcg32 rng(row_seed(r), 0x175);
-          const value_t u = static_cast<value_t>(rng.uniform()) * total;
-          value_t acc = 0.0;
-          index_t idx = m - 1;
-          for (index_t k = 0; k < m; ++k) {
-            acc += std::max(rvals[static_cast<std::size_t>(k)], 0.0);
-            if (acc > u) {
-              idx = k;
-              break;
-            }
-          }
-          slot.touched.push_back(idx);
-        }
-      }
-    } else {
-      slot.vals.clear();
-      slot.vals.push_back(0.0);
-      for (const value_t v : rvals) {
-        slot.vals.push_back(slot.vals.back() + std::max(v, 0.0));
-      }
-      its_sample_one(slot.vals, s, row_seed(r), &slot.touched);
+    slot.vals.clear();
+    slot.vals.push_back(0.0);
+    for (const value_t v : rvals) {
+      slot.vals.push_back(slot.vals.back() + std::max(v, 0.0));
     }
+    its_sample_one(slot.vals, s, row_seed(r), &slot.touched);
     return p.row_cols(r);
   });
 }

@@ -12,7 +12,9 @@
 // samples each block's rows into per-block workspace staging (recording
 // per-row counts), a serial prefix sum lays out the CSR rowptr, and pass 2
 // copies each block's staged columns to its final offset. The result is
-// bit-identical to the serial row loop at every thread count.
+// bit-identical to the serial row loop at every thread count. Every row
+// takes the one path — its prefix sum, then its_sample_one's draw — for
+// every s, the s = 1 rounds of an unfused walk plan included.
 //
 // AdjacencyDraw runs the same sampling straight off the rows of a bound
 // adjacency, for the plans whose probability matrix is a row-normalized

@@ -6,12 +6,16 @@
 
 namespace dms {
 
+namespace {
+
+constexpr index_t kNumWalks = 16;     ///< simulated walks per vertex
+constexpr index_t kTopNeighbors = 8;  ///< T: visited vertices kept per row
+
+}  // namespace
+
 Graph pinsage_importance_graph(const Graph& graph, const PinSageConfig& cfg) {
-  check(cfg.num_walks >= 1, "pinsage_importance_graph: num_walks must be >= 1");
   check(cfg.walk_length >= 1,
         "pinsage_importance_graph: walk_length must be >= 1");
-  check(cfg.top_neighbors >= 1,
-        "pinsage_importance_graph: top_neighbors must be >= 1");
   const CsrMatrix& adj = graph.adjacency();
   const index_t n = adj.rows();
   std::vector<nnz_t> rowptr(static_cast<std::size_t>(n) + 1, 0);
@@ -21,7 +25,7 @@ Graph pinsage_importance_graph(const Graph& graph, const PinSageConfig& cfg) {
   std::vector<index_t> touched;
   for (index_t v = 0; v < n; ++v) {
     touched.clear();
-    for (index_t w = 0; w < cfg.num_walks; ++w) {
+    for (index_t w = 0; w < kNumWalks; ++w) {
       // One independent uniform walk per (v, w), seeded like every other
       // sampler (never from the layout), so the graph is reproducible.
       Pcg32 rng(derive_seed(cfg.seed, static_cast<std::uint64_t>(v),
@@ -43,7 +47,7 @@ Graph pinsage_importance_graph(const Graph& graph, const PinSageConfig& cfg) {
       return ca != cb ? ca > cb : a < b;
     });
     const std::size_t keep = std::min(
-        touched.size(), static_cast<std::size_t>(cfg.top_neighbors));
+        touched.size(), static_cast<std::size_t>(kTopNeighbors));
     value_t total = 0.0;
     for (std::size_t i = 0; i < keep; ++i) {
       total += static_cast<value_t>(count[static_cast<std::size_t>(touched[i])]);

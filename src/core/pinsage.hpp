@@ -24,18 +24,16 @@
 namespace dms {
 
 struct PinSageConfig {
-  index_t num_walks = 16;     ///< simulated walks per vertex
-  index_t walk_length = 2;    ///< steps per simulated walk
-  index_t top_neighbors = 8;  ///< T: visited vertices kept per row
+  index_t walk_length = 2;  ///< steps per simulated walk
   std::uint64_t seed = 1;
 };
 
-/// The walk-derived importance graph: row v holds the top-T vertices by
-/// visit count (ties broken by ascending id, v itself excluded) over
-/// num_walks simulated walks of walk_length uniform steps from v, with
+/// The walk-derived importance graph: row v holds the top-T (T = 8)
+/// vertices by visit count (ties broken by ascending id, v itself excluded)
+/// over 16 simulated walks of walk_length uniform steps from v, with
 /// weights count / total over the kept set, columns ascending. Rows whose
 /// walks visit nothing (isolated vertices) are empty. Deterministic in
-/// cfg.seed.
+/// cfg.seed; throws DmsError unless walk_length >= 1.
 Graph pinsage_importance_graph(const Graph& graph, const PinSageConfig& cfg);
 
 }  // namespace dms

@@ -91,8 +91,7 @@ KindSpec kind_spec(SamplerKind kind) {
       return {[](const SamplerContext&) { return build_pinsage_plan(); },
               given_config, [](const Graph& graph, const SamplerContext& ctx) {
                 return pinsage_importance_graph(
-                    graph, {ctx.walk.pinsage_walks, ctx.walk.walk_length,
-                            ctx.walk.pinsage_top, ctx.config.seed});
+                    graph, {ctx.walk.walk_length, ctx.config.seed});
               }};
   }
   throw DmsError("make_sampler: unknown SamplerKind");

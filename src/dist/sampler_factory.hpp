@@ -8,6 +8,12 @@
 // (the determinism contract makes a partitioned run substitutable for a
 // single-node one), and call sites that drive the distributed API directly
 // downcast through as_partitioned().
+//
+// The walk kinds share one walk-plan builder (plan/builders): kGraphSaint
+// and kNode2Vec differ in the plan name and, only when WalkParams biases
+// the walk (p ≠ 1 or q ≠ 1), in node2vec's kWalkBias op and prev slot — so
+// the default p = q = 1 node2vec runs the first-order walk. kPinSage runs
+// the GraphSAGE plan over a walk-derived importance graph (core/pinsage).
 #pragma once
 
 #include <array>
@@ -50,13 +56,13 @@ std::string to_string(DistMode mode);
 /// Walk-sampler parameters threaded through the factory. Only the walk
 /// kinds (kGraphSaint / kNode2Vec / kPinSage) read them; the walk samplers
 /// take their model depth from SamplerConfig::num_layers() and their seed
-/// from SamplerConfig::seed.
+/// from SamplerConfig::seed. kNode2Vec is second-order only when biased:
+/// at the default p = q = 1 its plan is the first-order saint_rw walk
+/// (build_node2vec_plan), so p or q must be set to bias it.
 struct WalkParams {
-  index_t walk_length = 2;     ///< rounds per random walk
-  value_t p = 1.0;             ///< node2vec return parameter
-  value_t q = 1.0;             ///< node2vec in-out parameter
-  index_t pinsage_walks = 16;  ///< simulated walks per vertex (kPinSage)
-  index_t pinsage_top = 8;     ///< importance neighbors kept per vertex
+  index_t walk_length = 2;  ///< rounds per random walk
+  value_t p = 1.0;          ///< node2vec return parameter
+  value_t q = 1.0;          ///< node2vec in-out parameter
 };
 
 /// Everything make_sampler may need beyond the graph.

@@ -36,7 +36,7 @@ Graph generate_rmat(const RmatParams& params) {
         c |= 1;
       }
     }
-    if (params.remove_self_loops && r == c) continue;
+    if (r == c) continue;
     coo.push(r, c, 1.0);
   }
   CsrMatrix adj = CsrMatrix::from_coo(coo);

@@ -15,12 +15,12 @@ struct RmatParams {
   int scale = 14;              ///< n = 2^scale vertices
   double edge_factor = 16.0;   ///< directed edges per vertex (before dedup)
   double a = 0.57, b = 0.19, c = 0.19;  ///< quadrant probabilities (d = 1-a-b-c)
-  bool remove_self_loops = true;
   std::uint64_t seed = 1;
 };
 
-/// Generates an R-MAT graph. Duplicate edges are combined, so the realized
-/// average degree is slightly below edge_factor on skewed settings.
+/// Generates an R-MAT graph. Self-loops are dropped and duplicate edges are
+/// combined, so the realized average degree is slightly below edge_factor
+/// on skewed settings.
 Graph generate_rmat(const RmatParams& params);
 
 /// Erdős–Rényi G(n, m) with m ≈ n*avg_degree directed edges.

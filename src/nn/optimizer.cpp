@@ -33,33 +33,6 @@ std::vector<DenseF> read_moments(BinReader& in, const std::vector<ParamGrad>& pa
 
 }  // namespace
 
-void Sgd::step(const std::vector<ParamGrad>& params) {
-  if (velocity_.size() != params.size()) {
-    velocity_.clear();
-    for (const auto& pg : params) {
-      velocity_.emplace_back(pg.param->rows(), pg.param->cols());
-    }
-  }
-  for (std::size_t k = 0; k < params.size(); ++k) {
-    DenseF& p = *params[k].param;
-    const DenseF& g = *params[k].grad;
-    DenseF& v = velocity_[k];
-    float* pd = p.data();
-    const float* gd = g.data();
-    float* vd = v.data();
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      vd[i] = momentum_ * vd[i] + gd[i];
-      pd[i] -= lr_ * vd[i];
-    }
-  }
-}
-
-void Sgd::save_state(BinWriter& out) const { write_moments(out, velocity_); }
-
-void Sgd::load_state(BinReader& in, const std::vector<ParamGrad>& params) {
-  velocity_ = read_moments(in, params);
-}
-
 void Adam::step(const std::vector<ParamGrad>& params) {
   if (m_.size() != params.size()) {
     m_.clear();

@@ -173,16 +173,29 @@ SamplePlan build_labor_plan() {
   return p;
 }
 
-SamplePlan build_saint_plan(index_t walk_length, index_t model_layers) {
-  check(walk_length >= 1, "build_saint_plan: walk_length must be >= 1");
-  check(model_layers >= 1, "build_saint_plan: model_layers must be >= 1");
+namespace {
+
+/// The one walk-plan builder (DESIGN.md §11): walk_length rounds of
+/// kBuildQ → kSpgemm → [kWalkBias] → kNormalize → kItsSample(s = 1) →
+/// kWalkAdvance, then the induced-subgraph epilogue. The bias op and the
+/// prev slot it reads are emitted only for a biased walk (p ≠ 1 or q ≠ 1):
+/// at p = q = 1 every bias factor is exactly 1.0, so the first-order body
+/// draws the same walks without the second-order membership tests.
+SamplePlan build_walk_plan(const char* name, index_t walk_length,
+                           index_t model_layers, value_t p_ret, value_t q_io) {
+  const std::string where = std::string(name) + " walk plan: ";
+  check(walk_length >= 1, where + "walk_length must be >= 1");
+  check(model_layers >= 1, where + "model_layers must be >= 1");
+  check(p_ret > 0.0 && q_io > 0.0, where + "p and q must be positive");
+  const bool biased = p_ret != 1.0 || q_io != 1.0;
   SamplePlan p;
-  p.name = "saint_rw";
+  p.name = name;
   p.rounds_from_fanouts = false;
   p.explicit_rounds = walk_length;
   p.stop_on_empty_frontier = true;
   const SlotId walker = p.frontier_slot = p.add_slot();
   p.visited_slot = p.add_slot();
+  if (biased) p.prev_slot = p.add_slot();
   const SlotId q = p.add_slot();
   const SlotId stack = p.add_slot();
   const SlotId prob = p.add_slot();
@@ -199,6 +212,15 @@ SamplePlan build_saint_plan(index_t walk_length, index_t model_layers) {
   mul.in = q;
   mul.out = prob;
   p.body.push_back(mul);
+
+  if (biased) {
+    PlanOp bias = op(PlanOpKind::kWalkBias, "walk_bias", kPhaseProbability);
+    bias.in = prob;
+    bias.in2 = stack;
+    bias.bias_p = p_ret;
+    bias.bias_q = q_io;
+    p.body.push_back(bias);
+  }
 
   PlanOp norm = op(PlanOpKind::kNormalize, "normalize", kPhaseProbability);
   norm.norm = NormMode::kRow;
@@ -224,68 +246,15 @@ SamplePlan build_saint_plan(index_t walk_length, index_t model_layers) {
   return p;
 }
 
+}  // namespace
+
+SamplePlan build_saint_plan(index_t walk_length, index_t model_layers) {
+  return build_walk_plan("saint_rw", walk_length, model_layers, 1.0, 1.0);
+}
+
 SamplePlan build_node2vec_plan(index_t walk_length, index_t model_layers,
                                value_t p_ret, value_t q_io) {
-  check(walk_length >= 1, "build_node2vec_plan: walk_length must be >= 1");
-  check(model_layers >= 1, "build_node2vec_plan: model_layers must be >= 1");
-  check(p_ret > 0.0 && q_io > 0.0,
-        "build_node2vec_plan: p and q must be positive");
-  SamplePlan p;
-  p.name = "node2vec";
-  p.rounds_from_fanouts = false;
-  p.explicit_rounds = walk_length;
-  p.stop_on_empty_frontier = true;
-  const SlotId walker = p.frontier_slot = p.add_slot();
-  p.visited_slot = p.add_slot();
-  p.prev_slot = p.add_slot();
-  const SlotId q = p.add_slot();
-  const SlotId stack = p.add_slot();
-  const SlotId prob = p.add_slot();
-  const SlotId qs = p.add_slot();
-
-  PlanOp build = op(PlanOpKind::kBuildQ, "build_q", kPhaseProbability);
-  build.qmode = QMode::kOnePerVertex;
-  build.in = walker;
-  build.out = q;
-  build.out2 = stack;
-  p.body.push_back(build);
-
-  PlanOp mul = op(PlanOpKind::kSpgemm, "spgemm", kPhaseProbability);
-  mul.in = q;
-  mul.out = prob;
-  p.body.push_back(mul);
-
-  PlanOp bias = op(PlanOpKind::kWalkBias, "walk_bias", kPhaseProbability);
-  bias.in = prob;
-  bias.in2 = stack;
-  bias.bias_p = p_ret;
-  bias.bias_q = q_io;
-  p.body.push_back(bias);
-
-  PlanOp norm = op(PlanOpKind::kNormalize, "normalize", kPhaseProbability);
-  norm.norm = NormMode::kRow;
-  norm.in = prob;
-  p.body.push_back(norm);
-
-  PlanOp its = op(PlanOpKind::kItsSample, "its_sample", kPhaseSampling);
-  its.in = prob;
-  its.in2 = stack;
-  its.out = qs;
-  its.fixed_s = 1;
-  // Same walk seeds as saint_rw: with p = q = 1 the bias multiplies every
-  // entry by exactly 1.0 and the walks reproduce saint_rw bit-for-bit.
-  its.seed = {0x5a17, SeedRowTerm::kLocalRow};
-  p.body.push_back(its);
-
-  PlanOp advance = op(PlanOpKind::kWalkAdvance, "walk_advance", kPhaseExtraction);
-  advance.in = qs;
-  advance.in2 = stack;
-  p.body.push_back(advance);
-
-  PlanOp induced = op(PlanOpKind::kInducedLayers, "induced", kPhaseExtraction);
-  induced.copies = model_layers;
-  p.epilogue.push_back(induced);
-  return p;
+  return build_walk_plan("node2vec", walk_length, model_layers, p_ret, q_io);
 }
 
 SamplerConfig walk_adapter_config(index_t model_layers, std::uint64_t seed) {

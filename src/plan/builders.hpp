@@ -1,9 +1,10 @@
 // The built-in sampler plans (DESIGN.md §9): each sampling algorithm is a
-// ~20-line plan definition over the shared op vocabulary. The same plan
-// serves every execution mode — PlanSampler and the partitioned sampler
-// run the same plan — which is what makes both modes bit-identical by
-// construction. make_sampler (dist/sampler_factory) picks the builder per
-// SamplerKind.
+// ~20-line plan definition over the shared op vocabulary, and the two walk
+// samplers (GraphSAINT-RW, node2vec) share one walk-plan builder. The same
+// plan serves every execution mode — PlanSampler and the partitioned
+// sampler run the same plan — which is what makes both modes bit-identical
+// by construction. make_sampler (dist/sampler_factory) picks the builder
+// per SamplerKind.
 #pragma once
 
 #include <cstdint>
@@ -97,10 +98,10 @@ SamplePlan build_labor_plan();
 /// same induced adjacency at every layer, so the epilogue emits A_s L times
 /// with rows == columns == V_s (consistent with the frontier convention of
 /// core/sampler.hpp). The walk length is the plan's explicit round count —
-/// independent of the model depth. Dist-lowerable (the partitioned
-/// kInducedLayers assembles rows from the owner blocks); on the replicated
-/// path optimize() rewrites the walk rounds into one fused kWalk op
-/// (src/walk).
+/// independent of the model depth. Runs partitioned as built (the
+/// partitioned kInducedLayers assembles rows from the owner blocks); on the
+/// replicated path optimize() rewrites the walk rounds into one fused kWalk
+/// op (src/walk).
 SamplePlan build_saint_plan(index_t walk_length, index_t model_layers);
 
 /// node2vec (Grover & Leskovec 2016): the GraphSAINT walk shape with a
@@ -109,12 +110,14 @@ SamplePlan build_saint_plan(index_t walk_length, index_t model_layers);
 /// (return), 1 when it neighbors the previous vertex (BFS-like), and 1/q
 /// otherwise (DFS-like). In the plan IR that is one extra op — kWalkBias
 /// between the probability SpGEMM and NORM — plus a persistent prev slot
-/// that kWalkAdvance maintains. Everything else (seeding, ITS with s = 1,
-/// the induced-subgraph epilogue) is the saint_rw machinery, and the walk
-/// seeds are GraphSAINT's, so p = q = 1 reproduces saint_rw's walks
-/// bit-for-bit. Replicated runs fuse into one kWalk op like saint_rw;
-/// partitioned runs lower like every other plan (the kWalkBias membership
-/// test fetches prev rows from their owner blocks).
+/// that kWalkAdvance maintains, and both are emitted only for a biased
+/// walk (p ≠ 1 or q ≠ 1). At p = q = 1 every bias factor is exactly 1.0:
+/// the plan is the saint_rw body named "node2vec", and its walks are
+/// GraphSAINT's bit for bit. Everything else (seeding, ITS with s = 1, the
+/// induced-subgraph epilogue) is the saint_rw machinery. Replicated runs
+/// fuse into one kWalk op like saint_rw; partitioned runs execute the plan
+/// as built (the kWalkBias membership test fetches prev rows from their
+/// owner blocks). Throws DmsError unless p, q > 0.
 SamplePlan build_node2vec_plan(index_t walk_length, index_t model_layers,
                                value_t p, value_t q);
 

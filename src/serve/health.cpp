@@ -2,6 +2,24 @@
 
 namespace dms {
 
+namespace {
+
+/// Enter kDegraded at >= kDegradedEnter pressure; leave it (back to
+/// kHealthy) only at <= kDegradedExit.
+constexpr double kDegradedEnter = 0.5;
+constexpr double kDegradedExit = 0.25;
+/// Enter kShedding at >= kShedEnter pressure; step back down to kDegraded
+/// only at <= kShedExit.
+constexpr double kShedEnter = 0.9;
+constexpr double kShedExit = 0.5;
+static_assert(0.0 <= kDegradedExit && kDegradedExit < kDegradedEnter &&
+                  kDegradedEnter <= kShedEnter && kShedEnter <= 1.0 &&
+                  0.0 <= kShedExit && kShedExit < kShedEnter,
+              "health thresholds: each exit below its enter, degraded entered "
+              "at or below shedding, all within [0, 1]");
+
+}  // namespace
+
 const char* to_string(HealthState state) {
   switch (state) {
     case HealthState::kHealthy:
@@ -16,16 +34,6 @@ const char* to_string(HealthState state) {
 
 HealthMonitor::HealthMonitor(HealthConfig cfg) : cfg_(cfg) {
   check(cfg_.queue_capacity >= 1, "HealthMonitor: queue_capacity must be >= 1");
-  check(cfg_.degraded_enter > 0.0 && cfg_.degraded_enter <= 1.0 &&
-            cfg_.shed_enter > 0.0 && cfg_.shed_enter <= 1.0,
-        "HealthMonitor: enter thresholds must be in (0, 1]");
-  check(cfg_.degraded_exit >= 0.0 && cfg_.degraded_exit < cfg_.degraded_enter,
-        "HealthMonitor: degraded_exit must be below degraded_enter");
-  check(cfg_.shed_exit >= 0.0 && cfg_.shed_exit < cfg_.shed_enter,
-        "HealthMonitor: shed_exit must be below shed_enter");
-  check(cfg_.degraded_enter <= cfg_.shed_enter,
-        "HealthMonitor: degraded must enter at or below the shedding "
-        "threshold");
 }
 
 HealthState HealthMonitor::observe(std::size_t pending) {
@@ -34,16 +42,16 @@ HealthState HealthMonitor::observe(std::size_t pending) {
   const HealthState before = state_;
   switch (state_) {
     case HealthState::kHealthy:
-      if (pressure_ >= cfg_.shed_enter) {
+      if (pressure_ >= kShedEnter) {
         state_ = HealthState::kShedding;
-      } else if (pressure_ >= cfg_.degraded_enter) {
+      } else if (pressure_ >= kDegradedEnter) {
         state_ = HealthState::kDegraded;
       }
       break;
     case HealthState::kDegraded:
-      if (pressure_ >= cfg_.shed_enter) {
+      if (pressure_ >= kShedEnter) {
         state_ = HealthState::kShedding;
-      } else if (pressure_ <= cfg_.degraded_exit) {
+      } else if (pressure_ <= kDegradedExit) {
         state_ = HealthState::kHealthy;
       }
       break;
@@ -51,7 +59,7 @@ HealthState HealthMonitor::observe(std::size_t pending) {
       // Recovery steps down one level at a time: even a briefly empty queue
       // passes through kDegraded first, so the shed→admit flip and the
       // resume of deadline service never happen on the same observation.
-      if (pressure_ <= cfg_.shed_exit) {
+      if (pressure_ <= kShedExit) {
         state_ = HealthState::kDegraded;
       }
       break;

@@ -14,6 +14,10 @@
 // Transitions use hysteresis (enter thresholds above exit thresholds) so a
 // queue oscillating around one level doesn't flap between policies: pressure
 // must fall well below where degradation began before the monitor recovers.
+// The thresholds are constants (health.cpp): kDegraded is entered at
+// pressure >= 0.5 and left at <= 0.25, kShedding entered at >= 0.9 and left
+// (down to kDegraded) at <= 0.5.
+//
 // Like the Coalescer, the monitor is clock-free and deterministic — state is
 // a pure function of the observation sequence, so a replayed arrival trace
 // reproduces identical admission decisions.
@@ -33,14 +37,6 @@ struct HealthConfig {
   /// Pending-request depth that counts as 100% pressure (typically the
   /// coalescer's max_pending). >= 1.
   std::size_t queue_capacity = 64;
-  /// Enter kDegraded at >= degraded_enter pressure; leave it (back to
-  /// kHealthy) only at <= degraded_exit. exit < enter.
-  double degraded_enter = 0.5;
-  double degraded_exit = 0.25;
-  /// Enter kShedding at >= shed_enter pressure; step back down to kDegraded
-  /// only at <= shed_exit. exit < enter, degraded_enter <= shed_enter.
-  double shed_enter = 0.9;
-  double shed_exit = 0.5;
 };
 
 class HealthMonitor {

@@ -11,7 +11,7 @@ namespace dms {
 namespace {
 
 constexpr std::uint32_t kCkptMagic = 0x4b534d44u;  // "DMSK"
-constexpr std::uint32_t kCkptVersion = 2;
+constexpr std::uint32_t kCkptVersion = 3;
 
 /// The config fingerprint: every knob that shapes the epoch schedule or the
 /// training arithmetic, flattened to i64 fields (floats as raw bits so the
@@ -30,7 +30,6 @@ std::vector<std::int64_t> fingerprint(Pipeline& pipe) {
       cfg.bulk_k,
       cfg.hidden,
       std::bit_cast<std::uint32_t>(cfg.lr),
-      cfg.use_adam ? 1 : 0,
       static_cast<std::int64_t>(cfg.seed),
       cfg.overlap ? 1 : 0,
       cfg.prefetch_rounds,
@@ -61,7 +60,6 @@ void save_checkpoint(Pipeline& pipe, const TrainCursor& cursor,
   out.value(static_cast<std::int64_t>(pipe.model().layers().size()));
   for (const ParamGrad& pg : pipe.model().params()) out.matrix(*pg.param);
 
-  out.string(pipe.optimizer().kind());
   pipe.optimizer().save_state(out);
   out.finish();
 }
@@ -95,10 +93,6 @@ TrainCursor load_checkpoint(Pipeline& pipe, const std::string& path) {
   for (const ParamGrad& pg : params) in.matrix_into(*pg.param);
   pipe.model().zero_grads();
 
-  const std::string kind = in.string();
-  check(kind == pipe.optimizer().kind(),
-        "load_checkpoint: optimizer kind mismatch (saved '" + kind +
-            "', pipeline has '" + pipe.optimizer().kind() + "')");
   pipe.optimizer().load_state(in, params);
   in.finish();
   return cursor;

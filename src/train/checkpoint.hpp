@@ -5,14 +5,14 @@
 // trained, and the epoch's round schedule is a pure function of the config
 // and dataset. Sampling randomness is stateless — derived per (epoch, global
 // batch id, layer, row) from the config seed — so no RNG state needs saving.
-// Model weights + optimizer state + the TrainCursor therefore fully determine
+// Model weights + Adam state + the TrainCursor therefore fully determine
 // the remainder of the run, and a restored pipeline produces bit-identical
 // losses to the uninterrupted one (tests/test_checkpoint.cpp kills an epoch
 // mid-way and verifies exactly that).
 //
-// Binary format ("DMSK", written and read through common/binio like the
-// DMSD dataset files): a config fingerprint (sampler, mode, grid p and c,
-// fanouts, batch/bulk/overlap shape, seed, optimizer, learning rate, model
+// Binary format ("DMSK" version 3, written and read through common/binio
+// like the DMSD dataset files): a config fingerprint (sampler, mode, grid p
+// and c, fanouts, batch/bulk/overlap shape, seed, learning rate, model
 // dimensions) guards the restore — loading into a pipeline whose config
 // would produce a different schedule or different arithmetic is rejected,
 // not silently accepted. The reader treats the file as untrusted: every
@@ -26,12 +26,12 @@
 
 namespace dms {
 
-/// Serializes the pipeline's model weights, optimizer state and `cursor` to
+/// Serializes the pipeline's model weights, Adam state and `cursor` to
 /// `path`. Call at a round boundary (e.g. with run_epoch_partial's cursor).
 void save_checkpoint(Pipeline& pipe, const TrainCursor& cursor,
                      const std::string& path);
 
-/// Restores model weights and optimizer state into `pipe` and returns the
+/// Restores model weights and Adam state into `pipe` and returns the
 /// saved cursor. Throws DmsError if the file is missing/corrupt or was
 /// written under an incompatible pipeline config.
 TrainCursor load_checkpoint(Pipeline& pipe, const std::string& path);

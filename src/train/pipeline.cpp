@@ -87,7 +87,8 @@ Pipeline::Pipeline(Cluster& cluster, const Dataset& dataset, PipelineConfig conf
       layout_(layout_for(cfg_, cluster)),
       features_(layout_.trainer_grid, dataset.features,
                 feature_store_options(cfg_, layout_)),
-      model_(make_model_config(dataset, cfg_)) {
+      model_(make_model_config(dataset, cfg_)),
+      optimizer_(cfg_.lr) {
   check(!cfg_.fanouts.empty(), "Pipeline: fanouts must be non-empty");
   check(cfg_.presample_rounds >= 1, "Pipeline: presample_rounds must be >= 1");
   SamplerContext ctx;
@@ -107,9 +108,6 @@ Pipeline::Pipeline(Cluster& cluster, const Dataset& dataset, PipelineConfig conf
     disagg_cluster_ = std::make_unique<Cluster>(layout_.sampler_grid, cluster_);
     partitioned_->bind_cluster(disagg_cluster_.get());
   }
-  optimizer_ = cfg_.use_adam
-                   ? std::unique_ptr<Optimizer>(std::make_unique<Adam>(cfg_.lr))
-                   : std::unique_ptr<Optimizer>(std::make_unique<Sgd>(cfg_.lr, 0.9f));
   // Cache admission runs after the sampler exists: kPreSample needs it for
   // the warmup pass (kDegreePinned only needs the graph).
   if (cfg_.feature_cache.capacity_rows > 0) {
@@ -662,7 +660,7 @@ double Pipeline::train_step(index_t t, const std::vector<DenseF>& gathered,
   // ranks hold the model replicas and join the all-reduce.
   Timer timer;
   model_.scale_grads(1.0f / static_cast<float>(active));
-  optimizer_->step(model_.params());
+  optimizer_.step(model_.params());
   model_.zero_grads();
   cluster_.add_compute(
       "propagation",

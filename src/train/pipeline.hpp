@@ -65,8 +65,7 @@ struct PipelineConfig {
   /// (the paper's k). 0 = all minibatches of the epoch at once ("k=all").
   index_t bulk_k = 0;
   index_t hidden = 32;
-  float lr = 1e-2f;
-  bool use_adam = true;
+  float lr = 1e-2f;  ///< Adam's learning rate
   std::uint64_t seed = 7;
   PartitionedSamplerOptions part_opts;
   /// Staged overlapped executor (DESIGN.md §6): credit prefetched stages —
@@ -197,7 +196,7 @@ class Pipeline {
   const PipelineConfig& config() const { return cfg_; }
   const ProcessGrid& grid() const { return cluster_.grid(); }
   /// The training optimizer (checkpoint serialization of its state).
-  Optimizer& optimizer() { return *optimizer_; }
+  Adam& optimizer() { return optimizer_; }
 
   /// Approximate per-rank device memory (adjacency + feature block + cache
   /// + model), for reproducing the paper's memory-capped (c, k) choices.
@@ -274,7 +273,7 @@ class Pipeline {
   /// classification and liveness are exact.
   std::unique_ptr<Cluster> disagg_cluster_;
   SageModel model_;
-  std::unique_ptr<Optimizer> optimizer_;
+  Adam optimizer_;
   double warmup_cost_ = 0.0;     ///< measured by presample_warmup()
   bool pending_warmup_ = false;  ///< first run_range consumes + bills it
 

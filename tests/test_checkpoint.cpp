@@ -113,32 +113,6 @@ TEST(Checkpoint, KillAndResumeIsBitIdenticalAcrossKindsAndModes) {
   }
 }
 
-TEST(Checkpoint, SgdStateAlsoRoundTrips) {
-  const Dataset ds = small_planted();
-  PipelineConfig cfg = config_for(SamplerKind::kGraphSage, DistMode::kReplicated);
-  cfg.use_adam = false;  // momentum velocity goes through the Sgd path
-
-  Cluster c_ref(ProcessGrid(2, 1), CostModel(LinkParams{}));
-  Pipeline ref(c_ref, ds, cfg);
-  const EpochStats b0 = ref.run_epoch(0);
-  const EpochStats b1 = ref.run_epoch(1);
-  (void)b0;
-
-  TempPath ckpt("dms_ckpt_sgd.bin");
-  {
-    Cluster c_kill(ProcessGrid(2, 1), CostModel(LinkParams{}));
-    Pipeline killed(c_kill, ds, cfg);
-    killed.run_epoch(0);
-    const TrainCursor cur = killed.run_epoch_partial(1, 1);
-    ASSERT_FALSE(cur.finished());
-    save_checkpoint(killed, cur, ckpt.path);
-  }
-  Cluster c_res(ProcessGrid(2, 1), CostModel(LinkParams{}));
-  Pipeline resumed(c_res, ds, cfg);
-  const EpochStats e1 = resumed.run_epoch_resumed(load_checkpoint(resumed, ckpt.path));
-  EXPECT_EQ(b1.loss, e1.loss);
-}
-
 TEST(Checkpoint, ResumeSegmentIsCheaperThanTheFullEpoch) {
   // The point of resuming: the resumed segment replays only the remaining
   // rounds, so its simulated time is strictly below restarting the epoch.
@@ -186,12 +160,6 @@ TEST(Checkpoint, RejectsConfigMismatch) {
   Cluster c2(ProcessGrid(2, 1), CostModel(LinkParams{}));
   Pipeline loader(c2, ds, other);
   EXPECT_THROW(load_checkpoint(loader, ckpt.path), DmsError);
-
-  PipelineConfig sgd = cfg;
-  sgd.use_adam = false;
-  Cluster c3(ProcessGrid(2, 1), CostModel(LinkParams{}));
-  Pipeline sgd_loader(c3, ds, sgd);
-  EXPECT_THROW(load_checkpoint(sgd_loader, ckpt.path), DmsError);
 
   // The grid decides which batches share an optimizer step: another p
   // (replicated) or another c (partitioned) is another schedule.

@@ -202,11 +202,14 @@ CsrMatrix its_sample_rows_serial_reference(const CsrMatrix& p, index_t s,
 }
 
 TEST(ItsParallel, BitEqualsSerialReference) {
-  // Shapes spanning skewed row sizes, zero-mass rows, and s regimes; the
-  // property must hold for any thread count (CI pins 1 and 4).
+  // Shapes spanning skewed row sizes, zero-mass rows, and s regimes (s = 1
+  // is the unfused walk round's single draw, over empty, one-entry and
+  // longer rows); the property must hold for any thread count (CI pins 1
+  // and 4).
   for (const auto& [rows, cols, density, s] :
        std::vector<std::tuple<index_t, index_t, double, index_t>>{
            {1, 10, 0.5, 3},
+           {64, 60, 0.05, 1},
            {17, 40, 0.3, 2},
            {64, 200, 0.1, 5},
            {257, 300, 0.05, 4},

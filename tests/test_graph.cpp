@@ -55,7 +55,7 @@ TEST(Rmat, IsDeterministicPerSeed) {
   EXPECT_TRUE(generate_rmat(p).adjacency() == generate_rmat(p).adjacency());
   p.seed = 10;
   EXPECT_FALSE(generate_rmat(p).adjacency() ==
-               generate_rmat(RmatParams{8, 16.0, 0.57, 0.19, 0.19, true, 9}).adjacency());
+               generate_rmat(RmatParams{8, 16.0, 0.57, 0.19, 0.19, 9}).adjacency());
 }
 
 TEST(Rmat, SkewedParamsGiveSkewedDegrees) {
@@ -72,7 +72,6 @@ TEST(Rmat, SkewedParamsGiveSkewedDegrees) {
 TEST(Rmat, NoSelfLoopsWhenRequested) {
   RmatParams p;
   p.scale = 9;
-  p.remove_self_loops = true;
   const Graph g = generate_rmat(p);
   for (index_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_DOUBLE_EQ(g.adjacency().at(v, v), 0.0);

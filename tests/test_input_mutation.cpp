@@ -115,7 +115,6 @@ PipelineConfig checkpoint_config() {
   cfg.batch_size = 8;
   cfg.hidden = 8;
   cfg.bulk_k = 2;  // several rounds per epoch: the checkpoint is mid-epoch
-  cfg.use_adam = true;
   return cfg;
 }
 

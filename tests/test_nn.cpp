@@ -158,18 +158,8 @@ TEST(ModelGradcheck, MatchesFiniteDifferences) {
   EXPECT_GE(checked, 25);
 }
 
-TEST(Optimizer, SgdDescendsQuadratic) {
-  // Minimize f(w) = ||w - 3||² with gradient 2(w-3).
-  DenseF w(1, 4, 0.0f), g(1, 4);
-  Sgd opt(0.1f);
-  for (int it = 0; it < 200; ++it) {
-    for (index_t j = 0; j < 4; ++j) g(0, j) = 2.0f * (w(0, j) - 3.0f);
-    opt.step({{&w, &g}});
-  }
-  for (index_t j = 0; j < 4; ++j) EXPECT_NEAR(w(0, j), 3.0f, 1e-3);
-}
-
 TEST(Optimizer, AdamDescendsQuadratic) {
+  // Minimize f(w) = ||w - 3||² with gradient 2(w-3).
   DenseF w(1, 4, 0.0f), g(1, 4);
   Adam opt(0.05f);
   for (int it = 0; it < 500; ++it) {

@@ -131,6 +131,50 @@ TEST(SamplerFactory, EveryKindRegisteredInBothModes) {
   }
 }
 
+const PlanOp* find_op(const SamplePlan& plan, PlanOpKind kind) {
+  const auto it = std::find_if(plan.body.begin(), plan.body.end(),
+                               [kind](const PlanOp& op) { return op.kind == kind; });
+  return it == plan.body.end() ? nullptr : &*it;
+}
+
+TEST(SamplerFactory, Node2VecIsSecondOrderOnlyWhenBiased) {
+  // At the default p = q = 1 every bias factor is exactly 1.0, so node2vec
+  // runs the first-order walk: no kWalkBias op, no prev slot, and
+  // GraphSAINT's samples in every mode. A biased context keeps the op (run
+  // fused as a kWalk holding p and q on the replicated path) and the slot.
+  const Graph g = test_graph();
+  const ProcessGrid grid(4, 2);
+  const std::vector<std::vector<index_t>> batches = {{0, 1, 2}, {3, 4, 5}, {6, 7}};
+  const std::vector<index_t> ids = {0, 1, 2};
+  for (const DistMode mode : kDistModes) {
+    SamplerContext ctx = make_context(&grid);
+    const auto saint = make_sampler(SamplerKind::kGraphSaint, mode, g, ctx);
+    const auto n2v = make_sampler(SamplerKind::kNode2Vec, mode, g, ctx);
+    const SamplePlan& plan = dynamic_cast<PlanSampler&>(*n2v).plan();
+    EXPECT_EQ(plan.name, "node2vec");
+    EXPECT_EQ(plan.prev_slot, kNoSlot) << to_string(mode);
+    EXPECT_EQ(find_op(plan, PlanOpKind::kWalkBias), nullptr) << to_string(mode);
+    const auto rs = saint->sample_bulk(batches, ids, /*epoch_seed=*/5);
+    const auto rn = n2v->sample_bulk(batches, ids, /*epoch_seed=*/5);
+    ASSERT_EQ(rs.size(), rn.size());
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      EXPECT_TRUE(samples_equal(rs[i], rn[i])) << to_string(mode) << " batch " << i;
+    }
+
+    ctx.walk.p = 0.5;
+    ctx.walk.q = 2.0;
+    const auto biased = make_sampler(SamplerKind::kNode2Vec, mode, g, ctx);
+    const SamplePlan& bplan = dynamic_cast<PlanSampler&>(*biased).plan();
+    EXPECT_NE(bplan.prev_slot, kNoSlot) << to_string(mode);
+    const PlanOp* bias = find_op(bplan, mode == DistMode::kReplicated
+                                            ? PlanOpKind::kWalk
+                                            : PlanOpKind::kWalkBias);
+    ASSERT_NE(bias, nullptr) << to_string(mode);
+    EXPECT_EQ(bias->bias_p, 0.5);
+    EXPECT_EQ(bias->bias_q, 2.0);
+  }
+}
+
 TEST(SamplerFactory, InvalidFanoutsRejectedInEveryMode) {
   // One fanout rule in every mode: non-empty, every entry > 0. Walk kinds
   // read only the layer count (DESIGN.md §11), so they are not listed.

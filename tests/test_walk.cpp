@@ -12,6 +12,7 @@
 #include "dist/dist_sampler.hpp"
 #include "graph/generators.hpp"
 #include "plan/builders.hpp"
+#include "plan/optimize.hpp"
 #include "test_util.hpp"
 #include "walk/walk_engine.hpp"
 
@@ -131,15 +132,34 @@ TEST(WalkEngine, SinkWalkersTerminate) {
 // --- node2vec ---------------------------------------------------------------
 
 TEST(Node2Vec, UnityParametersReproduceSaint) {
-  // p = q = 1 makes every bias factor exactly 1.0, and the node2vec plan
-  // shares saint_rw's layer salt, so the walks are bit-for-bit GraphSAINT's.
+  // p = q = 1 makes every bias factor exactly 1.0, so the builder emits the
+  // saint_rw body under the node2vec name: no kWalkBias, no prev slot. A
+  // hand-set unity kWalkBias still runs the second-order path, and its
+  // walks are GraphSAINT's bit for bit (it shares saint_rw's layer salt) —
+  // which is what lets the builder drop it.
   const Graph g = er_graph();
+  const SamplePlan unity = build_node2vec_plan(3, 2, /*p=*/1.0, /*q=*/1.0);
+  SamplePlan saint_body = build_saint_plan(3, 2);
+  saint_body.name = "node2vec";
+  EXPECT_EQ(plan_signature(unity), plan_signature(saint_body));
+  EXPECT_EQ(unity.prev_slot, kNoSlot);
+  SamplePlan unity_bias = build_node2vec_plan(3, 2, /*p=*/0.5, /*q=*/2.0);
+  for (PlanOp& op : unity_bias.body) {
+    if (op.kind != PlanOpKind::kWalkBias) continue;
+    op.bias_p = 1.0;
+    op.bias_q = 1.0;
+  }
   PlanSampler saint = saint_sampler(g, 3, 2, 5);
+  const auto expected = saint.sample_bulk(kBatches, kIds, 11);
   for (const bool fuse : {true, false}) {
     PlanSampler n2v = node2vec_sampler(g, 3, 2, /*p=*/1.0, /*q=*/1.0, 5,
                                        {.optimize = fuse});
-    EXPECT_TRUE(samples_equal(saint.sample_bulk(kBatches, kIds, 11),
-                              n2v.sample_bulk(kBatches, kIds, 11)))
+    PlanSampler second_order(g, unity_bias, walk_adapter_config(2, 5),
+                             {.optimize = fuse});
+    EXPECT_TRUE(samples_equal(expected, n2v.sample_bulk(kBatches, kIds, 11)))
+        << "fused=" << fuse;
+    EXPECT_TRUE(
+        samples_equal(expected, second_order.sample_bulk(kBatches, kIds, 11)))
         << "fused=" << fuse;
   }
 }
