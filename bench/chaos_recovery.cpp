@@ -185,10 +185,7 @@ ServeCell run_serving(bool governed, index_t n) {
   CoalescerConfig ccfg;
   ccfg.window = 0.02;
   ccfg.max_requests = 2;
-  if (governed) {
-    ccfg.max_pending = 8;
-    ccfg.shed_overdue = true;
-  }
+  if (governed) ccfg.max_pending = 8;
   Coalescer coal(ccfg);
   HealthConfig hcfg;
   hcfg.queue_capacity = 8;
@@ -214,7 +211,7 @@ ServeCell run_serving(bool governed, index_t n) {
       ++next_arrival;
       if (governed) {
         mon.observe(coal.pending());
-        if (!mon.admit_arrivals() || !coal.try_push(r)) {
+        if (!mon.admit_arrivals() || !coal.push(r)) {
           stats.record_shed({r.id, r.arrival, r.arrival,
                              ShedReason::kQueueFull});
           continue;
@@ -225,7 +222,7 @@ ServeCell run_serving(bool governed, index_t n) {
     }
     if (coal.empty()) continue;
     const double start = std::max(coal.ready_at(), server_free);
-    const CoalescedBatch b = coal.pop(start);
+    const CoalescedBatch b = coal.pop(start, mon.shed_overdue());
     for (const ShedRecord& s : b.shed) stats.record_shed(s);
     if (governed) mon.observe(coal.pending());
     if (b.empty()) continue;

@@ -32,6 +32,12 @@ constexpr double kCrossNodeRowLatency = 2.5e-6;
 /// all-to-allv transfers (our pipeline) do not. Effective per-row latency
 /// is kCrossNodeRowLatency * (1 + kIncastFactor * (nodes - 1)).
 constexpr double kIncastFactor = 0.1;
+/// UVA mode: per-row PCIe transaction latency for random accesses. Neighbor
+/// lists and feature rows resident in host DRAM are touched individually,
+/// not streamed, so each access pays a round trip amortized over
+/// pipelining. This term, not bandwidth, is what makes UVA sampling slow
+/// (§8.1.1).
+constexpr double kUvaAccessLatency = 0.3e-6;
 
 ModelConfig make_model_config(const Dataset& ds, const QuiverConfig& cfg) {
   ModelConfig mc;
@@ -117,7 +123,7 @@ QuiverEpochStats QuiverSim::run_epoch(int epoch) {
         }
         worst_uva_sampling = std::max(
             worst_uva_sampling,
-            static_cast<double>(accesses) * model.link().uva_access_latency +
+            static_cast<double>(accesses) * kUvaAccessLatency +
                 static_cast<double>(rank_bytes) * model.link().beta_pcie);
         uva_graph_bytes += rank_bytes;
       }
@@ -125,7 +131,8 @@ QuiverEpochStats QuiverSim::run_epoch(int epoch) {
     cluster_.add_compute_irregular("sampling", max_sample);
     // Kernel launches per layer per minibatch — not amortized.
     cluster_.add_overhead("sampling",
-                          launch * 4.0 * static_cast<double>(cfg_.fanouts.size()));
+                          launch * kKernelsPerLayer *
+                              static_cast<double>(cfg_.fanouts.size()));
     if (cfg_.uva && worst_uva_sampling > 0.0) {
       cluster_.record_comm("sampling", worst_uva_sampling, uva_graph_bytes,
                            static_cast<std::size_t>(p));
@@ -166,7 +173,7 @@ QuiverEpochStats QuiverSim::run_epoch(int epoch) {
       max_gather_compute = std::max(max_gather_compute, timer.seconds());
       if (cfg_.uva) {
         t_fetch = static_cast<double>(pcie_bytes) * model.link().beta_pcie +
-                  static_cast<double>(pcie_rows) * model.link().uva_access_latency;
+                  static_cast<double>(pcie_rows) * kUvaAccessLatency;
         fetch_bytes += pcie_bytes;
       } else {
         for (int peer = 0; peer < p; ++peer) {

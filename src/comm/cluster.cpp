@@ -4,50 +4,42 @@
 
 namespace dms {
 
-Cluster::Cluster(ProcessGrid grid, CostModel model)
-    : grid_(grid), model_(model), st_(std::make_shared<State>(grid_.size())) {}
-
-Cluster::Cluster(ProcessGrid grid, Cluster& parent)
-    : grid_(grid), model_(parent.model_), st_(parent.st_) {
-  check(grid_.size() <= st_->ranks,
-        "Cluster: sub-grid view larger than its parent cluster");
-}
+Cluster::Cluster(ProcessGrid grid, CostModel model) : grid_(grid), model_(model) {}
 
 void Cluster::add_compute(const std::string& phase, double seconds) {
   const double scaled = seconds / model_.link().compute_scale;
-  st_->compute_time[phase] += scaled * st_->straggler_factor;
-  if (st_->straggler_factor > 1.0) {
-    st_->fault_stats.straggler_seconds += scaled * (st_->straggler_factor - 1.0);
+  compute_time_[phase] += scaled * straggler_factor_;
+  if (straggler_factor_ > 1.0) {
+    fault_stats_.straggler_seconds += scaled * (straggler_factor_ - 1.0);
   }
 }
 
 void Cluster::add_compute_irregular(const std::string& phase, double seconds) {
   const double scaled = seconds / model_.link().irregular_compute_scale;
-  st_->compute_time[phase] += scaled * st_->straggler_factor;
-  if (st_->straggler_factor > 1.0) {
-    st_->fault_stats.straggler_seconds += scaled * (st_->straggler_factor - 1.0);
+  compute_time_[phase] += scaled * straggler_factor_;
+  if (straggler_factor_ > 1.0) {
+    fault_stats_.straggler_seconds += scaled * (straggler_factor_ - 1.0);
   }
 }
 
 void Cluster::record_comm(const std::string& phase, double seconds, std::size_t bytes,
                           std::size_t messages) {
-  CommStats& s = st_->comm_stats[phase];
+  CommStats& s = comm_stats_[phase];
   s.seconds += seconds;
   s.bytes += bytes;
   s.messages += messages;
-  const FaultPlan* faults = st_->faults;
-  if (faults == nullptr || !faults->has_loss()) return;
+  if (faults_ == nullptr || !faults_->has_loss()) return;
   // Transient loss: this call is one communication event. Each lost attempt
   // pays a full retransmit plus the policy's backoff; the final allowed
   // attempt always delivers, so the event count and payload stay
   // deterministic. Retry time/volume lands in the phase's comm table (the
   // clock and the accounting invariants see real costs) and is additionally
   // broken out in the fault stats.
-  FaultStats& fs = st_->fault_stats;
-  const std::uint64_t event = st_->comm_event++;
-  for (int attempt = 0; attempt + 1 < st_->recovery.max_attempts; ++attempt) {
-    if (!faults->lost(event, attempt)) break;
-    const double retry = seconds + st_->recovery.backoff(attempt);
+  FaultStats& fs = fault_stats_;
+  const std::uint64_t event = comm_event_++;
+  for (int attempt = 0; attempt + 1 < recovery_.max_attempts; ++attempt) {
+    if (!faults_->lost(event, attempt)) break;
+    const double retry = seconds + recovery_.backoff(attempt);
     s.seconds += retry;
     s.bytes += bytes;
     s.messages += messages;
@@ -59,43 +51,41 @@ void Cluster::record_comm(const std::string& phase, double seconds, std::size_t 
 }
 
 void Cluster::add_overhead(const std::string& phase, double seconds) {
-  st_->compute_time[phase] += seconds;  // overheads are device-side, not scaled
+  compute_time_[phase] += seconds;  // overheads are device-side, not scaled
 }
 
 void Cluster::credit_overlap(double seconds) {
   check(seconds >= 0.0, "credit_overlap: negative overlap credit");
-  st_->overlap_credit += seconds;
+  overlap_credit_ += seconds;
 }
 
 double Cluster::total_compute() const {
   double t = 0.0;
-  for (const auto& [_, sec] : st_->compute_time) t += sec;
+  for (const auto& [_, sec] : compute_time_) t += sec;
   return t;
 }
 
 double Cluster::total_comm() const {
   double t = 0.0;
-  for (const auto& [_, s] : st_->comm_stats) t += s.seconds;
+  for (const auto& [_, s] : comm_stats_) t += s.seconds;
   return t;
 }
 
 double Cluster::phase_time(const std::string& phase) const {
   double t = 0.0;
-  if (const auto it = st_->compute_time.find(phase);
-      it != st_->compute_time.end()) {
+  if (const auto it = compute_time_.find(phase); it != compute_time_.end()) {
     t += it->second;
   }
-  if (const auto it = st_->comm_stats.find(phase);
-      it != st_->comm_stats.end()) {
+  if (const auto it = comm_stats_.find(phase); it != comm_stats_.end()) {
     t += it->second.seconds;
   }
   return t;
 }
 
 void Cluster::reset_clock() {
-  st_->compute_time.clear();
-  st_->comm_stats.clear();
-  st_->overlap_credit = 0.0;
+  compute_time_.clear();
+  comm_stats_.clear();
+  overlap_credit_ = 0.0;
   // Fault state (alive set, superstep counter, fault stats) deliberately
   // survives: crashes are permanent across epochs, and fault accounting is
   // cumulative like FeatureCacheStats.
@@ -104,51 +94,45 @@ void Cluster::reset_clock() {
 void Cluster::install_faults(const FaultPlan* plan, RecoveryPolicy policy) {
   check(policy.max_attempts >= 1,
         "install_faults: max_attempts must be >= 1");
-  check(policy.base_backoff >= 0.0 && policy.max_backoff >= 0.0,
-        "install_faults: backoff seconds must be non-negative");
-  check(policy.backoff_factor >= 1.0,
-        "install_faults: backoff_factor must be >= 1");
   if (plan != nullptr) {
     for (const CrashEvent& e : plan->config().crashes) {
-      check(e.rank < st_->ranks,
+      check(e.rank < size(),
             "install_faults: crash rank out of range for this grid");
     }
   }
-  State& st = *st_;
-  st.faults = plan;
-  st.recovery = policy;
-  st.dead.assign(static_cast<std::size_t>(st.ranks), 0);
-  st.superstep = 0;
-  st.comm_event = 0;
-  st.straggler_factor = 1.0;
-  st.fault_stats = FaultStats{};
+  faults_ = plan;
+  recovery_ = policy;
+  dead_.assign(static_cast<std::size_t>(size()), 0);
+  superstep_ = 0;
+  comm_event_ = 0;
+  straggler_factor_ = 1.0;
+  fault_stats_ = FaultStats{};
 }
 
 index_t Cluster::begin_superstep() {
-  State& st = *st_;
-  const index_t idx = st.superstep++;
-  if (st.faults == nullptr) return idx;
-  for (const int r : st.faults->crashes_at(idx)) {
-    if (st.dead[static_cast<std::size_t>(r)] == 0) {
-      st.dead[static_cast<std::size_t>(r)] = 1;
-      ++st.fault_stats.crashed_ranks;
+  const index_t idx = superstep_++;
+  if (faults_ == nullptr) return idx;
+  for (const int r : faults_->crashes_at(idx)) {
+    if (dead_[static_cast<std::size_t>(r)] == 0) {
+      dead_[static_cast<std::size_t>(r)] = 1;
+      ++fault_stats_.crashed_ranks;
     }
   }
   // The round is gated by its slowest member, so one multiplier (the max
   // over alive ranks' draws) covers every compute contribution until the
   // next boundary.
   double f = 1.0;
-  if (st.faults->has_stragglers()) {
-    for (int r = 0; r < st.ranks; ++r) {
-      if (alive(r)) f = std::max(f, st.faults->slowdown(idx, r));
+  if (faults_->has_stragglers()) {
+    for (int r = 0; r < size(); ++r) {
+      if (alive(r)) f = std::max(f, faults_->slowdown(idx, r));
     }
   }
-  st.straggler_factor = f;
+  straggler_factor_ = f;
   return idx;
 }
 
 int Cluster::num_alive() const {
-  if (st_->dead.empty()) return grid_.size();
+  if (dead_.empty()) return grid_.size();
   int n = 0;
   for (int r = 0; r < grid_.size(); ++r) n += alive(r) ? 1 : 0;
   return n;
@@ -165,16 +149,8 @@ std::vector<int> Cluster::alive_ranks() const {
 
 void Cluster::add_fault_redistribution(double seconds, std::size_t bytes) {
   check(seconds >= 0.0, "add_fault_redistribution: negative seconds");
-  st_->fault_stats.redistribution_seconds += seconds;
-  st_->fault_stats.redistribution_bytes += bytes;
-}
-
-bool Cluster::row_alive(int row) const {
-  if (st_->dead.empty()) return true;
-  for (int j = 0; j < grid_.replication(); ++j) {
-    if (alive(grid_.rank_of(row, j))) return true;
-  }
-  return false;
+  fault_stats_.redistribution_seconds += seconds;
+  fault_stats_.redistribution_bytes += bytes;
 }
 
 }  // namespace dms

@@ -11,11 +11,18 @@
 // movement between per-rank structures, with exact volumes reported through
 // record_comm()/CostModel. This reproduces the timing structure of a real
 // bulk-synchronous GPU pipeline (Figure 3) without GPUs. See DESIGN.md §2.
+//
+// A cluster is the ledger (the clock tables), the liveness table and the
+// cost model over its global ranks 0..size()-1; its grid() is the layout of
+// the whole pipeline. The 1.5D collectives and the partitioned sampler take
+// their process layout from the DistBlockRowMatrix they run on instead, and
+// accept any cluster with at least that grid's ranks, so every role of a
+// pipeline (DESIGN.md §14) records on the one cluster: the only clock its
+// stages advance.
 #pragma once
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,14 +42,6 @@ struct CommStats {
 class Cluster {
  public:
   Cluster(ProcessGrid grid, CostModel model);
-
-  /// A sub-grid view of `parent`: `grid` spans the parent's global ranks
-  /// [0, grid.size()) (rank r of the view is rank r of the parent), and
-  /// every clock table and all fault state — plan, alive set, superstep,
-  /// loss-draw counter, FaultStats — are the parent's own. What the view
-  /// records lands in the parent's clock and fault accounting directly.
-  /// Used by the disaggregated pipeline's sampler role (DESIGN.md §14).
-  Cluster(ProcessGrid grid, Cluster& parent);
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -76,22 +75,22 @@ class Cluster {
   void credit_overlap(double seconds);
 
   /// Total simulated seconds credited as overlapped since reset_clock().
-  double overlap_credit() const { return st_->overlap_credit; }
+  double overlap_credit() const { return overlap_credit_; }
 
   /// Simulated seconds per compute phase (already scaled by compute_scale).
   const std::map<std::string, double>& compute_time() const {
-    return st_->compute_time;
+    return compute_time_;
   }
   /// Simulated seconds and volumes per communication phase.
   const std::map<std::string, CommStats>& comm_stats() const {
-    return st_->comm_stats;
+    return comm_stats_;
   }
 
   double total_compute() const;
   double total_comm() const;
   /// Simulated wall clock: compute + comm minus the overlapped credit.
   double total_time() const {
-    return std::max(0.0, total_compute() + total_comm() - st_->overlap_credit);
+    return std::max(0.0, total_compute() + total_comm() - overlap_credit_);
   }
 
   /// Seconds for a single phase across compute + comm tables.
@@ -113,7 +112,7 @@ class Cluster {
   /// Installs a borrowed fault plan (must outlive the cluster) and resets
   /// the fault clock, alive set, and fault accounting.
   void install_faults(const FaultPlan* plan, RecoveryPolicy policy = {});
-  bool has_faults() const { return st_->faults != nullptr; }
+  bool has_faults() const { return faults_ != nullptr; }
 
   /// Advances the fault clock by one superstep: fires crashes scheduled for
   /// the new superstep (marking ranks permanently dead) and fixes the
@@ -125,16 +124,14 @@ class Cluster {
 
   /// Rank liveness. Every rank is alive until a CrashEvent kills it.
   bool alive(int rank) const {
-    return st_->dead.empty() || st_->dead[static_cast<std::size_t>(rank)] == 0;
+    return dead_.empty() || dead_[static_cast<std::size_t>(rank)] == 0;
   }
   int num_alive() const;
   std::vector<int> alive_ranks() const;
-  /// A process row is alive while at least one of its c replicas is.
-  bool row_alive(int row) const;
 
   /// Cumulative fault/recovery accounting since install_faults (monotonic —
   /// reset_clock does not touch it; callers diff snapshots per epoch).
-  const FaultStats& fault_stats() const { return st_->fault_stats; }
+  const FaultStats& fault_stats() const { return fault_stats_; }
 
   /// Attributes crash-recovery data movement (survivor fetches,
   /// re-partitioning) to the fault accounting. The caller still records the
@@ -143,26 +140,18 @@ class Cluster {
   void add_fault_redistribution(double seconds, std::size_t bytes);
 
  private:
-  /// The clock tables and fault state, shared by a cluster and its
-  /// sub-grid views.
-  struct State {
-    explicit State(int ranks) : ranks(ranks) {}
-    int ranks;  ///< size of the owning cluster's grid
-    std::map<std::string, double> compute_time;
-    std::map<std::string, CommStats> comm_stats;
-    double overlap_credit = 0.0;
-    const FaultPlan* faults = nullptr;  ///< borrowed; nullptr = no faults
-    RecoveryPolicy recovery;
-    std::vector<char> dead;             ///< sized on install_faults
-    index_t superstep = 0;              ///< supersteps begun so far
-    std::uint64_t comm_event = 0;       ///< deterministic loss-draw counter
-    double straggler_factor = 1.0;      ///< current superstep's multiplier
-    FaultStats fault_stats;
-  };
-
   ProcessGrid grid_;
   CostModel model_;
-  std::shared_ptr<State> st_;
+  std::map<std::string, double> compute_time_;
+  std::map<std::string, CommStats> comm_stats_;
+  double overlap_credit_ = 0.0;
+  const FaultPlan* faults_ = nullptr;  ///< borrowed; nullptr = no faults
+  RecoveryPolicy recovery_;
+  std::vector<char> dead_;             ///< sized on install_faults
+  index_t superstep_ = 0;              ///< supersteps begun so far
+  std::uint64_t comm_event_ = 0;       ///< deterministic loss-draw counter
+  double straggler_factor_ = 1.0;      ///< current superstep's multiplier
+  FaultStats fault_stats_;
 };
 
 }  // namespace dms

@@ -40,13 +40,12 @@ struct LinkParams {
   /// PCIe bandwidth for the UVA mode of Figure 5 (graph + most features in
   /// host DRAM, accessed over PCIe 4.0 x16 ≈ 25 GB/s with UVA overheads).
   double beta_pcie = 1.0 / 20e9;
-
-  /// Per-row PCIe transaction latency for UVA random accesses (neighbor
-  /// lists / feature rows resident in DRAM are touched individually, not
-  /// streamed, so each access pays a round-trip amortized over pipelining).
-  /// This term — not bandwidth — is what makes UVA sampling slow (§8.1.1).
-  double uva_access_latency = 0.3e-6;
 };
+
+/// Kernel launches per layer of a sampling pass (SpGEMM, prefix sum, sample,
+/// extract): a bulk round pays launch_overhead × kKernelsPerLayer × L once,
+/// a per-minibatch sampler once per minibatch.
+inline constexpr double kKernelsPerLayer = 4.0;
 
 /// Converts communication events to simulated seconds.
 class CostModel {

@@ -12,6 +12,14 @@ namespace {
 constexpr std::uint64_t kStragglerTag = 0xfa57a661ULL;
 constexpr std::uint64_t kLossTag = 0xfa10bb55ULL;
 
+// RecoveryPolicy::backoff: the first retry waits kBaseBackoff seconds, each
+// further one kBackoffFactor times longer, capped at kMaxBackoff.
+constexpr double kBaseBackoff = 1e-4;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kMaxBackoff = 1e-2;
+static_assert(kBaseBackoff >= 0.0 && kMaxBackoff >= 0.0 && kBackoffFactor >= 1.0,
+              "backoff must be non-negative and non-decreasing");
+
 /// Uniform [0, 1) draw keyed purely by the event coordinates.
 double fault_draw(std::uint64_t seed, std::uint64_t tag, std::uint64_t a,
                   std::uint64_t b) {
@@ -21,9 +29,9 @@ double fault_draw(std::uint64_t seed, std::uint64_t tag, std::uint64_t a,
 }  // namespace
 
 double RecoveryPolicy::backoff(int attempt) const {
-  double b = base_backoff;
-  for (int k = 0; k < attempt; ++k) b *= backoff_factor;
-  return std::min(b, max_backoff);
+  double b = kBaseBackoff;
+  for (int k = 0; k < attempt; ++k) b *= kBackoffFactor;
+  return std::min(b, kMaxBackoff);
 }
 
 FaultStats operator-(const FaultStats& after, const FaultStats& before) {

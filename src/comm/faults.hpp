@@ -55,12 +55,9 @@ struct FaultPlanConfig {
 /// floor), so a FaultPlan can delay communication but never wedge it.
 struct RecoveryPolicy {
   int max_attempts = 4;
-  double base_backoff = 1e-4;
-  double backoff_factor = 2.0;
-  double max_backoff = 1e-2;
 
-  /// Simulated seconds of backoff after failed attempt k (0-based), bounded
-  /// by max_backoff.
+  /// Simulated seconds of backoff after failed attempt k (0-based): 100 µs
+  /// doubling per attempt, bounded by 10 ms (constants of faults.cpp).
   double backoff(int attempt) const;
 };
 

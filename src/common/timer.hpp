@@ -11,9 +11,7 @@ class Timer {
  public:
   Timer() : start_(clock::now()) {}
 
-  void reset() { start_ = clock::now(); }
-
-  /// Seconds elapsed since construction or the last reset().
+  /// Seconds elapsed since construction.
   double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
@@ -21,25 +19,6 @@ class Timer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates time across multiple start/stop windows (e.g. the per-phase
-/// breakdowns of Figure 7: probability / sampling / extraction).
-class Stopwatch {
- public:
-  void start() { timer_.reset(); running_ = true; }
-  void stop() {
-    if (running_) total_ += timer_.seconds();
-    running_ = false;
-  }
-  void add(double sec) { total_ += sec; }
-  double total() const { return total_; }
-  void reset() { total_ = 0.0; running_ = false; }
-
- private:
-  Timer timer_;
-  double total_ = 0.0;
-  bool running_ = false;
 };
 
 }  // namespace dms

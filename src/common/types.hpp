@@ -18,9 +18,6 @@ using nnz_t = std::int64_t;
 /// Value type used for probabilities and sparse values.
 using value_t = double;
 
-/// Feature/embedding scalar. fp32 as in the paper (§7.1).
-using feat_t = float;
-
 /// Error thrown on contract violations in public APIs.
 class DmsError : public std::runtime_error {
  public:

@@ -22,7 +22,6 @@ PartitionedSamplerBase::PartitionedSamplerBase(const Graph& graph,
                                                SamplerConfig config,
                                                PartitionedSamplerOptions opts)
     : PlanSampler(graph, std::move(plan), std::move(config), {.optimize = false}),
-      grid_(grid),
       opts_(opts),
       dist_adj_(grid, this->graph().adjacency()) {}
 
@@ -33,7 +32,6 @@ PartitionedSamplerBase::PartitionedSamplerBase(std::unique_ptr<const Graph> grap
                                                PartitionedSamplerOptions opts)
     : PlanSampler(std::move(graph), std::move(plan), std::move(config),
                   {.optimize = false}),
-      grid_(grid),
       opts_(opts),
       dist_adj_(grid, this->graph().adjacency()) {}
 
@@ -41,29 +39,28 @@ std::vector<std::vector<MinibatchSample>> PartitionedSamplerBase::sample_bulk(
     Cluster& cluster, const std::vector<std::vector<index_t>>& batches,
     const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const {
   check(batches.size() == batch_ids.size(), "sample_bulk: ids/batches mismatch");
-  check(cluster.grid().rows() == grid_.rows() &&
-            cluster.grid().replication() == grid_.replication(),
-        "sample_bulk: cluster grid does not match the sampler's grid");
+  const ProcessGrid& grid = dist_adj_.grid();
+  check(grid.size() <= cluster.size(),
+        "sample_bulk: the sampler's grid has more ranks than the cluster");
   // Batches are block-assigned to *alive* process rows (a row is alive while
-  // any of its c replicas is). With no crashes this reproduces the balanced
-  // BlockPartition exactly; after a crash the dead rows get zero-width
-  // blocks and the survivors split the batches — sample content is
-  // unchanged either way, because randomness derives from global batch ids,
-  // never from the row assignment (the determinism contract).
+  // any of its c replicas, global ranks of the sampler's grid, is). With no
+  // crashes this reproduces the balanced BlockPartition exactly; after a
+  // crash the dead rows get zero-width blocks and the survivors split the
+  // batches — sample content is unchanged either way, because randomness
+  // derives from global batch ids, never from the row assignment (the
+  // determinism contract).
   const auto n = static_cast<index_t>(batches.size());
-  const index_t rows = grid_.rows();
-  std::vector<char> alive_row(static_cast<std::size_t>(rows), 1);
-  index_t num_alive_rows = rows;
-  if (cluster.has_faults()) {
-    num_alive_rows = 0;
-    for (index_t i = 0; i < rows; ++i) {
-      alive_row[static_cast<std::size_t>(i)] =
-          cluster.row_alive(static_cast<int>(i)) ? 1 : 0;
-      num_alive_rows += alive_row[static_cast<std::size_t>(i)];
+  const index_t rows = grid.rows();
+  std::vector<char> alive_row(static_cast<std::size_t>(rows), 0);
+  index_t num_alive_rows = 0;
+  for (index_t i = 0; i < rows; ++i) {
+    for (const int r : grid.row_ranks(static_cast<int>(i))) {
+      if (cluster.alive(r)) alive_row[static_cast<std::size_t>(i)] = 1;
     }
-    check(num_alive_rows > 0 || n == 0,
-          "sample_bulk: every process row has crashed — nothing can sample");
+    num_alive_rows += alive_row[static_cast<std::size_t>(i)];
   }
+  check(num_alive_rows > 0 || n == 0,
+        "sample_bulk: every process row has crashed — nothing can sample");
   std::vector<index_t> offsets(static_cast<std::size_t>(rows) + 1, 0);
   index_t placed = 0, alive_seen = 0;
   for (index_t i = 0; i < rows; ++i) {
@@ -88,7 +85,7 @@ std::vector<MinibatchSample> PartitionedSamplerBase::sample_bulk(
   if (bound_cluster_ != nullptr) {
     per_row = sample_bulk(*bound_cluster_, batches, batch_ids, epoch_seed);
   } else {
-    Cluster ephemeral(grid_, CostModel(LinkParams{}));
+    Cluster ephemeral(grid(), CostModel(LinkParams{}));
     per_row = sample_bulk(ephemeral, batches, batch_ids, epoch_seed);
   }
   std::vector<MinibatchSample> flat;

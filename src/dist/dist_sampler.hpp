@@ -18,7 +18,11 @@
 //
 // Phase accounting matches Figure 7: every plan op records its
 // kPhaseProbability / kPhaseSampling / kPhaseExtraction compute and the
-// collectives their communication on the Cluster.
+// collectives their communication on the Cluster. The process layout is the
+// distributed adjacency's grid, not the cluster's: a sampler over a grid of
+// g ranks runs on global ranks [0, g) of any cluster with at least g ranks
+// (the disaggregated pipeline's sampler role is exactly that), so one
+// cluster is the clock and the liveness table of every role.
 #pragma once
 
 #include <memory>
@@ -72,11 +76,12 @@ class PartitionedSamplerBase : public PlanSampler {
                          SamplerConfig config,
                          PartitionedSamplerOptions opts = {});
 
-  /// Distributed bulk sampling. Minibatches are assigned to process rows in
-  /// contiguous blocks (BlockPartition of the batch list); the return value
-  /// holds each process row's samples, so concatenating the rows restores
-  /// global batch order. Phase times and communication volumes are recorded
-  /// on `cluster`, whose grid must match the grid this sampler was built for.
+  /// Distributed bulk sampling. Minibatches are assigned to the alive
+  /// process rows in contiguous blocks (BlockPartition of the batch list; a
+  /// row is alive while any of its ranks is alive on `cluster`); the return
+  /// value holds each process row's samples, so concatenating the rows
+  /// restores global batch order. Phase times and communication volumes are
+  /// recorded on `cluster`, which must have at least grid().size() ranks.
   std::vector<std::vector<MinibatchSample>> sample_bulk(
       Cluster& cluster, const std::vector<std::vector<index_t>>& batches,
       const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const;
@@ -90,7 +95,8 @@ class PartitionedSamplerBase : public PlanSampler {
       const std::vector<index_t>& batch_ids,
       std::uint64_t epoch_seed) const override;
 
-  const ProcessGrid& grid() const { return grid_; }
+  /// The process grid the adjacency is partitioned over.
+  const ProcessGrid& grid() const { return dist_adj_.grid(); }
   const PartitionedSamplerOptions& options() const { return opts_; }
 
   /// The block-row distributed adjacency (per-rank memory accounting).
@@ -102,7 +108,6 @@ class PartitionedSamplerBase : public PlanSampler {
   void bind_cluster(Cluster* cluster) { bound_cluster_ = cluster; }
 
  private:
-  ProcessGrid grid_;
   PartitionedSamplerOptions opts_;
   DistBlockRowMatrix dist_adj_;
   Cluster* bound_cluster_ = nullptr;

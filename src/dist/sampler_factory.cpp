@@ -139,9 +139,7 @@ std::unique_ptr<MatrixSampler> make_sampler(SamplerKind kind, DistMode mode,
   auto sampler = construct<PartitionedSamplerBase>(
       graph, std::move(owned), grid, std::move(plan), std::move(config),
       ctx.part_opts);
-  // A disaggregated sampler stays unbound: ctx.cluster's grid is the full
-  // cluster's (the pipeline binds its sampler-role sub-cluster instead).
-  if (mode == DistMode::kPartitioned) sampler->bind_cluster(ctx.cluster);
+  sampler->bind_cluster(ctx.cluster);
   return sampler;
 }
 

@@ -7,7 +7,10 @@
 // same plan as built. Partitioned samplers conform to the same interface
 // (the determinism contract makes a partitioned run substitutable for a
 // single-node one), and call sites that drive the distributed API directly
-// downcast through as_partitioned().
+// downcast through as_partitioned(). Both distributed modes bind
+// SamplerContext::cluster, so a sampler used through the MatrixSampler
+// interface (a disaggregated ServeEngine included) records on the cluster
+// its caller gave.
 //
 // The walk kinds share one walk-plan builder (plan/builders): kGraphSaint
 // and kNode2Vec differ in the plan name and, only when WalkParams biases
@@ -38,8 +41,8 @@ enum class SamplerKind {
 /// kDisaggregated: sampler/trainer rank roles (DESIGN.md §14). The factory
 /// builds the algorithm's partitioned form over the *sampler sub-grid* of
 /// make_disagg_layout(ctx.grid, ctx.disagg), so every plan op runs on the
-/// sampler ranks; the training pipeline runs the trainer role on the
-/// remaining ranks.
+/// sampler ranks, global ranks [0, s) of the cluster it records on; the
+/// training pipeline runs the trainer role on the remaining ranks.
 enum class DistMode { kReplicated, kPartitioned, kDisaggregated };
 
 /// Every kind and every mode; make_sampler builds each combination.
@@ -72,17 +75,15 @@ struct SamplerContext {
   /// kDisaggregated this is the *full* cluster grid; make_sampler derives the
   /// sampler sub-grid from it via make_disagg_layout(grid, disagg).
   const ProcessGrid* grid = nullptr;
-  PartitionedSamplerOptions part_opts;
-  /// Optional long-lived cluster bound to partitioned samplers so their
-  /// MatrixSampler::sample_bulk records phases on it. Ignored by
-  /// kDisaggregated (the bound cluster's grid must match the sampler's
-  /// sub-grid — the pipeline binds its sampler-role sub-cluster after
-  /// construction instead).
+  PartitionedSamplerOptions part_opts{};
+  /// Optional long-lived cluster bound to the partitioned and disaggregated
+  /// samplers so their MatrixSampler::sample_bulk records phases on it; it
+  /// needs at least the sampler grid's ranks (the full grid's always do).
   Cluster* cluster = nullptr;
   /// Walk-sampler parameters (walk kinds only).
-  WalkParams walk;
+  WalkParams walk{};
   /// Sampler/trainer split (kDisaggregated only; defaults auto-split).
-  DisaggOptions disagg;
+  DisaggOptions disagg{};
 };
 
 /// The single construction surface for every sampler in the system. Throws

@@ -9,7 +9,7 @@
 namespace dms {
 
 DistBlockRowMatrix::DistBlockRowMatrix(const ProcessGrid& grid, const CsrMatrix& global)
-    : part_(global.rows(), grid.rows()), cols_(global.cols()) {
+    : grid_(grid), part_(global.rows(), grid.rows()), cols_(global.cols()) {
   blocks_.reserve(static_cast<std::size_t>(part_.parts()));
   for (index_t i = 0; i < part_.parts(); ++i) {
     blocks_.push_back(row_slice(global, part_.begin(i), part_.end(i)));
@@ -49,7 +49,7 @@ template <typename Work>
 void run_schedule(Cluster& cluster, const DistBlockRowMatrix& a,
                   const Spgemm15dOptions& opts, Spgemm15dStats* stats,
                   const std::string& who, Work& work) {
-  const ProcessGrid& grid = cluster.grid();
+  const ProcessGrid& grid = a.grid();
   const CostModel& cm = cluster.cost_model();
   const index_t rows = grid.rows();
   const int c = grid.replication();
@@ -458,9 +458,9 @@ std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
                                   const std::vector<CsrMatrix>& q_blocks,
                                   const DistBlockRowMatrix& a,
                                   const Spgemm15dOptions& opts, Spgemm15dStats* stats) {
-  check(a.num_blocks() == cluster.grid().rows(),
-        "spgemm_15d: A distributed over a different grid shape");
-  check(static_cast<index_t>(q_blocks.size()) == cluster.grid().rows(),
+  check(a.grid().size() <= cluster.size(),
+        "spgemm_15d: A's grid has more ranks than the cluster");
+  check(static_cast<index_t>(q_blocks.size()) == a.num_blocks(),
         "spgemm_15d: need one Q block per process row");
   for (const CsrMatrix& q : q_blocks) {
     check(q.cols() == a.rows(), "spgemm_15d: Q block columns must equal A rows");
@@ -474,9 +474,9 @@ std::vector<std::vector<CsrMatrix>> masked_extract_15d(
     Cluster& cluster, const DistBlockRowMatrix& a,
     const std::vector<ExtractBatches>& batches, const Spgemm15dOptions& opts,
     Spgemm15dStats* stats) {
-  const index_t rows = cluster.grid().rows();
-  check(a.num_blocks() == rows,
-        "masked_extract_15d: A distributed over a different grid shape");
+  const index_t rows = a.num_blocks();
+  check(a.grid().size() <= cluster.size(),
+        "masked_extract_15d: A's grid has more ranks than the cluster");
   check(static_cast<index_t>(batches.size()) == rows,
         "masked_extract_15d: need one batch list per process row");
   // Every mask is checked here, once, as spgemm_masked on the whole matrix

@@ -38,12 +38,16 @@ namespace dms {
 
 /// Block-row distributed sparse matrix: rows split into grid.rows() balanced
 /// contiguous blocks; block i lives on (is replicated over) process row
-/// P(i, :), so each process column holds the entire matrix.
+/// P(i, :), so each process column holds the entire matrix. The grid is the
+/// process layout every collective over the matrix runs on; its ranks are
+/// global ranks [0, grid.size()) of whatever cluster records the run.
 class DistBlockRowMatrix {
  public:
   /// Partitions `global` into grid.rows() block rows.
   DistBlockRowMatrix(const ProcessGrid& grid, const CsrMatrix& global);
 
+  /// The process grid the matrix was partitioned over.
+  const ProcessGrid& grid() const { return grid_; }
   index_t rows() const { return part_.total(); }
   index_t cols() const { return cols_; }
   index_t num_blocks() const { return part_.parts(); }
@@ -63,6 +67,7 @@ class DistBlockRowMatrix {
   CsrMatrix gather() const;
 
  private:
+  ProcessGrid grid_;
   BlockPartition part_;
   index_t cols_ = 0;
   std::vector<CsrMatrix> blocks_;
@@ -103,10 +108,12 @@ struct Spgemm15dStats {
   std::size_t redistribution_bytes = 0;
 };
 
-/// Computes P = Q·A on the cluster. q_blocks[i] is process row i's block of
+/// Computes P = Q·A over a.grid(). q_blocks[i] is process row i's block of
 /// Q (any row count, cols == a.rows()); the result is returned in the same
 /// block-row layout (result[i] replicated on process row i). Compute and
-/// communication time/volume are recorded on `cluster` under opts.phase.
+/// communication time/volume are recorded on `cluster` under opts.phase;
+/// `cluster` must have at least a.grid().size() ranks, and its liveness of
+/// global ranks [0, a.grid().size()) drives crash recovery.
 std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
                                   const std::vector<CsrMatrix>& q_blocks,
                                   const DistBlockRowMatrix& a,
@@ -121,8 +128,9 @@ struct ExtractBatches {
   std::span<const std::vector<index_t>> masks;
 };
 
-/// Computes A[R_b, S_b] for every batch b of every process row on the
-/// cluster; result[i][b] is process row i's batch b, bit-identical to
+/// Computes A[R_b, S_b] for every batch b of every process row of a.grid(),
+/// recorded on `cluster` as spgemm_15d records; result[i][b] is process row
+/// i's batch b, bit-identical to
 /// spgemm_masked(global A, R_b, S_b) (values pass through). It runs
 /// spgemm_15d's round schedule — the same owners, survivors, rounds and
 /// messages — but masks at the owner: sparsity-aware, the requester sends

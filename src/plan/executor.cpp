@@ -146,7 +146,7 @@ double model_dist_row_fetch(const RunCtx& ctx, std::size_t i,
                             const std::vector<index_t>& verts, bool with_vals,
                             std::size_t* bytes, std::size_t* msgs) {
   const BlockPartition& part = ctx.dadj->partition();
-  const ProcessGrid& grid = ctx.cluster->grid();
+  const ProcessGrid& grid = ctx.dadj->grid();
   const CostModel& cm = ctx.cluster->cost_model();
   const std::size_t per_edge =
       sizeof(index_t) + (with_vals ? sizeof(value_t) : 0);

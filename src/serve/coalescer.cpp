@@ -37,9 +37,7 @@ Coalescer::Coalescer(CoalescerConfig cfg) : cfg_(cfg) {
   check(cfg_.max_pending >= 0, "Coalescer: max_pending must be non-negative");
 }
 
-void Coalescer::push(ServeRequest r) { queue_.push(std::move(r)); }
-
-bool Coalescer::try_push(ServeRequest r) {
+bool Coalescer::push(ServeRequest r) {
   if (cfg_.max_pending > 0 &&
       queue_.size() >= static_cast<std::size_t>(cfg_.max_pending)) {
     return false;
@@ -63,7 +61,7 @@ double Coalescer::ready_at() const {
   return deadline;
 }
 
-CoalescedBatch Coalescer::pop(double now) {
+CoalescedBatch Coalescer::pop(double now, bool shed_overdue) {
   check(!queue_.empty(), "Coalescer::pop: no pending requests");
   check(now >= ready_at() - 1e-12,
         "Coalescer::pop: batch not ready (now " + std::to_string(now) +
@@ -74,7 +72,7 @@ CoalescedBatch Coalescer::pop(double now) {
          batch.requests.size() < static_cast<std::size_t>(cfg_.max_requests) &&
          queue_.front().arrival <= now) {
     ServeRequest r = queue_.pop_front();
-    if (cfg_.shed_overdue && r.deadline > 0.0 && r.deadline < now) {
+    if (shed_overdue && r.deadline > 0.0 && r.deadline < now) {
       // Its client gave up before the batch formed; spending a bulk slot on
       // it would only push the deadline of everything behind it.
       batch.shed.push_back(

@@ -18,6 +18,11 @@
 // bench's open-loop arrival process and the tests replay identical batching
 // decisions on every run — in the same spirit as the simulated-cluster
 // clock (§2).
+//
+// Degradation (DESIGN.md §13) enters at two points: push() is the one
+// admission path and refuses an arrival once max_pending requests wait, and
+// pop(now, shed_overdue) drops overdue requests when the caller's health
+// state says so (HealthMonitor::shed_overdue).
 #pragma once
 
 #include <cstddef>
@@ -54,24 +59,19 @@ struct CoalescerConfig {
   /// Batch cap: a batch closes immediately once this many requests are
   /// queued; overflow beyond the cap splits into further batches. >= 1.
   index_t max_requests = 1;
-  /// Bounded-queue capacity for try_push: arrivals beyond this many pending
-  /// requests are rejected (ShedReason::kQueueFull). 0 = unbounded. push()
-  /// ignores the bound (the unguarded legacy path).
+  /// Bounded-queue capacity: push() refuses arrivals beyond this many
+  /// pending requests (the caller records ShedReason::kQueueFull).
+  /// 0 = unbounded.
   index_t max_pending = 0;
-  /// When set, pop(now) drops queued requests whose deadline already passed
-  /// (ShedReason::kDeadlineExceeded) instead of batching them — the
-  /// degraded-health load-shedding mode. Requests without a deadline are
-  /// never dropped.
-  bool shed_overdue = false;
 };
 
 /// One admission decision: the requests that will share a bulk execution,
 /// plus any requests dropped while forming it.
 struct CoalescedBatch {
   std::vector<ServeRequest> requests;
-  /// Requests shed at formation (only with CoalescerConfig::shed_overdue):
-  /// their deadline passed while they queued. The caller forwards these to
-  /// ServeStats::record_shed.
+  /// Requests shed at formation (only when pop was asked to shed overdue
+  /// requests): their deadline passed while they queued. The caller
+  /// forwards these to ServeStats::record_shed.
   std::vector<ShedRecord> shed;
   /// The instant the batch was closed (the pop(now) argument); per-request
   /// queue wait is measured from arrival to the batch's service start.
@@ -105,14 +105,11 @@ class Coalescer {
 
   const CoalescerConfig& config() const { return cfg_; }
 
-  /// Enqueues an arrival (non-decreasing arrival order), ignoring any
-  /// max_pending bound — the legacy unguarded path.
-  void push(ServeRequest r);
-
-  /// Bounded admission: enqueues unless max_pending > 0 and the queue is
-  /// already at capacity, in which case the request is dropped and false
-  /// returned (the caller records a ShedReason::kQueueFull shed).
-  bool try_push(ServeRequest r);
+  /// Enqueues an arrival (non-decreasing arrival order) unless max_pending
+  /// > 0 and the queue is already at capacity, in which case the request is
+  /// dropped and false returned (the caller records a ShedReason::kQueueFull
+  /// shed).
+  bool push(ServeRequest r);
 
   bool empty() const { return queue_.empty(); }
   std::size_t pending() const { return queue_.size(); }
@@ -128,10 +125,12 @@ class Coalescer {
   /// Closes a batch at `now`: up to max_requests requests with
   /// arrival <= now, oldest first. Requires now >= ready_at(). Requests
   /// arriving after `now` stay queued for the next batch. With
-  /// shed_overdue, queued requests whose deadline passed are moved to the
-  /// batch's `shed` list instead of its `requests` (they do not count
-  /// against the cap — shedding frees the slot for a servable request).
-  CoalescedBatch pop(double now);
+  /// `shed_overdue` (the degraded health states), queued requests whose
+  /// deadline passed are moved to the batch's `shed` list
+  /// (ShedReason::kDeadlineExceeded) instead of its `requests`: they do not
+  /// count against the cap, so shedding frees the slot for a servable
+  /// request. Requests without a deadline are never shed.
+  CoalescedBatch pop(double now, bool shed_overdue = false);
 
  private:
   CoalescerConfig cfg_;

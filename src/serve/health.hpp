@@ -6,10 +6,11 @@
 //
 //   kHealthy   every arrival admitted, every queued request served;
 //   kDegraded  arrivals still admitted, but requests whose deadline passed
-//              while queued are shed at batch formation
-//              (CoalescerConfig::shed_overdue semantics);
+//              while queued are shed at batch formation (the serving loop
+//              passes shed_overdue() to Coalescer::pop);
 //   kShedding  new arrivals are rejected outright (ShedReason::kQueueFull)
-//              until the backlog drains.
+//              until the backlog drains (admit_arrivals() is false), and
+//              overdue requests are still shed at formation.
 //
 // Transitions use hysteresis (enter thresholds above exit thresholds) so a
 // queue oscillating around one level doesn't flap between policies: pressure
@@ -52,7 +53,9 @@ class HealthMonitor {
   double pressure() const { return pressure_; }
   const HealthConfig& config() const { return cfg_; }
 
-  /// Policy the current state implies for the serving loop.
+  /// Policy the current state implies for the serving loop: whether to
+  /// offer arrivals to Coalescer::push, and the shed_overdue argument of
+  /// Coalescer::pop.
   bool admit_arrivals() const { return state_ != HealthState::kShedding; }
   bool shed_overdue() const { return state_ != HealthState::kHealthy; }
 

@@ -29,7 +29,7 @@ struct FeatureStoreOptions {
   /// *trainer* sub-grid but the trainers occupy global ranks [s, p) of the
   /// full cluster; global_ranks[local] = s + local keeps the modeled
   /// all-to-allv on the links those ranks actually use.
-  std::vector<int> global_ranks;
+  std::vector<int> global_ranks{};
 };
 
 class FeatureStore {

@@ -12,10 +12,6 @@ namespace dms {
 
 namespace {
 
-/// Kernel launches per layer of the bulk sampling pass (SpGEMM, prefix sum,
-/// sample, extract) — the per-call overhead that bulk sampling amortizes.
-constexpr double kKernelsPerLayer = 4.0;
-
 /// Payload of one materialized minibatch crossing the sampler → trainer
 /// boundary: batch ids plus every layer's sampled adjacency and its
 /// row/column vertex maps — exactly what train_step consumes.
@@ -95,18 +91,10 @@ Pipeline::Pipeline(Cluster& cluster, const Dataset& dataset, PipelineConfig conf
   ctx.config = SamplerConfig{cfg_.fanouts, cfg_.seed};
   ctx.grid = &cluster_.grid();
   ctx.part_opts = cfg_.part_opts;
-  // The executor drives the cluster-explicit distributed API itself; the
-  // binding only ensures that any generic MatrixSampler use of sampler_
-  // records its phases on this pipeline's clock rather than an ephemeral one.
-  ctx.cluster = &cluster_;
   ctx.disagg = cfg_.disagg;
   sampler_ = make_sampler(cfg_.sampler, cfg_.mode, ds_.graph, ctx);
   if (cfg_.mode != DistMode::kReplicated) {
     partitioned_ = &as_partitioned(*sampler_);
-  }
-  if (cfg_.mode == DistMode::kDisaggregated) {
-    disagg_cluster_ = std::make_unique<Cluster>(layout_.sampler_grid, cluster_);
-    partitioned_->bind_cluster(disagg_cluster_.get());
   }
   // Cache admission runs after the sampler exists: kPreSample needs it for
   // the warmup pass (kDegreePinned only needs the graph).
@@ -147,33 +135,27 @@ void Pipeline::presample_warmup() {
   std::vector<index_t> ids(n);
   std::iota(ids.begin(), ids.end(), index_t{0});
 
-  // Cost measurement: the distributed modes record the warmup's phases on
-  // the main cluster (directly for kPartitioned, through the sampler-grid
-  // view for kDisaggregated) — wiped by the first epoch's reset_clock; the
-  // replicated sampler is host-timed like a replicated sample_round.
-  Cluster* recorder = cfg_.mode == DistMode::kReplicated ? nullptr : &cluster_;
-  const double before =
-      recorder ? recorder->total_compute() + recorder->total_comm() : 0.0;
-  Timer timer;
-  const auto samples = sampler_->sample_bulk(chunk, ids, warmup_seed);
-  if (recorder != nullptr) {
-    warmup_cost_ = recorder->total_compute() + recorder->total_comm() - before;
-  } else {
-    const LinkParams& link = cluster_.cost_model().link();
-    // One bulk round: measured sampling compute plus its launch overheads,
-    // billed as sample_round bills a round.
-    warmup_cost_ = timer.seconds() / link.compute_scale +
-                   link.launch_overhead * kKernelsPerLayer *
-                       static_cast<double>(cfg_.fanouts.size());
-  }
+  // The warmup is one bulk round: placed as an epoch's batches are, then
+  // sampled and billed as sample_round samples and bills a round. It has
+  // no handoff, because it ships touch counts to the cache, not samples to
+  // trainers. The first epoch's reset_clock wipes what it recorded here.
+  schedule_.assign(static_cast<std::size_t>(cluster_.size()), {});
+  assign_batches(ids, 0);
+  const double before = clock();
+  draw_round({0, static_cast<index_t>(schedule_.front().size())}, chunk, warmup_seed);
+  warmup_cost_ = clock() - before;
 
   std::vector<std::uint64_t> counts(
       static_cast<std::size_t>(ds_.graph.num_vertices()), 0);
-  for (const MinibatchSample& s : samples) {
-    for (const index_t v : s.input_vertices()) {
-      ++counts[static_cast<std::size_t>(v)];
+  for (const auto& row : schedule_) {
+    for (const Cell& cell : row) {
+      if (cell.batch < 0) continue;
+      for (const index_t v : cell.sample.input_vertices()) {
+        ++counts[static_cast<std::size_t>(v)];
+      }
     }
   }
+  schedule_.clear();
   // Hottest first; rows the warmup could not separate (equal touch counts,
   // common near the capacity boundary) fall back to the degree prior that
   // kDegreePinned uses outright, then to the lower id. Measured hotness
@@ -494,6 +476,38 @@ double Pipeline::sample_round(const BulkRound& round,
                               const std::vector<std::vector<index_t>>& batches,
                               std::uint64_t epoch_seed) {
   const double before = clock();
+  const auto made = draw_round(round, batches, epoch_seed);
+  if (layout_.samplers > 0 && !made.empty()) {
+    // Handoff: each sample streams from the sampler row that produced it to
+    // the trainer of its slot. A trainer receives its samples serially (sum
+    // of p2p times); trainers receive concurrently (max). record_comm on
+    // the cluster means transient-loss fault plans retry the handoff like
+    // any other modeled message.
+    std::vector<double> per_trainer(static_cast<std::size_t>(layout_.trainers), 0.0);
+    std::size_t bytes = 0;
+    std::size_t msgs = 0;
+    for (std::size_t row = 0; row < made.size(); ++row) {
+      const int src = layout_.sampler_grid.rank_of(static_cast<int>(row), 0);
+      for (const auto& [r, t] : made[row]) {
+        const int tj = layout_.trainer_of_slot(r);
+        const std::size_t b = sample_bytes(
+            schedule_[static_cast<std::size_t>(r)][static_cast<std::size_t>(t)].sample);
+        per_trainer[static_cast<std::size_t>(tj)] +=
+            cluster_.cost_model().p2p(src, layout_.trainer_rank(tj), b);
+        bytes += b;
+        ++msgs;
+      }
+    }
+    cluster_.record_comm("handoff",
+                         *std::max_element(per_trainer.begin(), per_trainer.end()),
+                         bytes, msgs);
+  }
+  return clock() - before;
+}
+
+std::vector<std::vector<std::pair<int, index_t>>> Pipeline::draw_round(
+    const BulkRound& round, const std::vector<std::vector<index_t>>& batches,
+    std::uint64_t epoch_seed) {
   const double launch_cost = cluster_.cost_model().link().launch_overhead *
                              kKernelsPerLayer *
                              static_cast<double>(cfg_.fanouts.size());
@@ -536,7 +550,7 @@ double Pipeline::sample_round(const BulkRound& round,
     // Bulk sampling launches O(L) kernels per *round*, not per minibatch —
     // the amortization of §4.
     cluster_.add_overhead(kPhaseSampling, launch_cost);
-    return clock() - before;
+    return {};
   }
 
   // The partitioned sampler block-assigns batches to the process rows of
@@ -556,43 +570,19 @@ double Pipeline::sample_round(const BulkRound& round,
       for (int r = 0; r < cluster_.size(); ++r) collect(r, t);
     }
   }
-  if (ids.empty()) return 0.0;
-  // Disaggregated sampling runs on the sampler-grid view, which records on
-  // the main clock and fault state — one clock and one FaultPlan cover both
-  // roles.
-  auto per_row = partitioned_->sample_bulk(
-      disagg_cluster_ ? *disagg_cluster_ : cluster_, chunk, ids, epoch_seed);
+  if (ids.empty()) return {};
+  auto per_row = partitioned_->sample_bulk(cluster_, chunk, ids, epoch_seed);
   cluster_.add_overhead(kPhaseSampling, launch_cost);
-
-  if (layout_.samplers > 0) {
-    // Handoff: each sample streams from the sampler row that produced it to
-    // the trainer of its slot. A trainer receives its samples serially (sum
-    // of p2p times); trainers receive concurrently (max). record_comm on
-    // the main cluster means transient-loss fault plans retry the handoff
-    // like any other modeled message.
-    std::vector<double> per_trainer(static_cast<std::size_t>(layout_.trainers), 0.0);
-    std::size_t bytes = 0;
-    std::size_t q = 0;
-    for (std::size_t row = 0; row < per_row.size(); ++row) {
-      const int src = layout_.sampler_grid.rank_of(static_cast<int>(row), 0);
-      for (const MinibatchSample& sample : per_row[row]) {
-        const int tj = layout_.trainer_of_slot(cells[q++].first);
-        const std::size_t b = sample_bytes(sample);
-        per_trainer[static_cast<std::size_t>(tj)] +=
-            cluster_.cost_model().p2p(src, layout_.trainer_rank(tj), b);
-        bytes += b;
-      }
-    }
-    cluster_.record_comm("handoff",
-                         *std::max_element(per_trainer.begin(), per_trainer.end()),
-                         bytes, q);
-  }
   // Concatenating the per-row results restores collection order.
+  std::vector<std::vector<std::pair<int, index_t>>> made(per_row.size());
   std::size_t q = 0;
-  for (auto& row_samples : per_row) {
-    for (MinibatchSample& sample : row_samples) place(q++, sample);
+  for (std::size_t row = 0; row < per_row.size(); ++row) {
+    for (MinibatchSample& sample : per_row[row]) {
+      made[row].push_back(cells[q]);
+      place(q++, sample);
+    }
   }
-  return clock() - before;
+  return made;
 }
 
 double Pipeline::fetch_step(index_t t, std::vector<DenseF>& gathered) {

@@ -17,7 +17,10 @@
 // Every pipeline is a role layout (dist/disagg.hpp): the colocated modes
 // are the layout with no sampler ranks, where trainer j is rank j and slot
 // r is trained by trainer r; kDisaggregated deals the same p slots to
-// t < p trainer ranks. With PipelineConfig::overlap the simulated clock
+// t < p trainer ranks. Every stage of every role records on the one Cluster
+// the pipeline was given: the disaggregated sampler grid's ranks are its
+// global ranks [0, s), so that cluster is the pipeline's only clock and
+// fault state. With PipelineConfig::overlap the simulated clock
 // composes concurrent stages as max(compute, comm) — fetch t+1 hides under
 // propagation t, sampling round g+1 under the training of round g — by
 // crediting the hidden seconds through Cluster::credit_overlap. The host
@@ -42,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/cluster.hpp"
@@ -84,13 +88,14 @@ struct PipelineConfig {
   /// Per-rank feature-row cache (policy + capacity in rows). kDegreePinned
   /// pins the capacity_rows highest-out-degree vertices; kPreSample pins
   /// the capacity_rows vertices touched most often by a seeded warmup
-  /// sampling pass run once at pipeline construction (DESIGN.md §14).
+  /// sampling round run once at pipeline construction (DESIGN.md §14).
   FeatureCacheConfig feature_cache;
-  /// Warmup bulk rounds for CachePolicy::kPreSample: the warmup pass
-  /// samples presample_rounds × p minibatches (drawn from as many fresh
-  /// batch permutations as that takes, under a dedicated seed lineage —
-  /// never the training epochs') to measure row hotness. The one-time cost is billed to the first trained epoch as
-  /// the "warmup" phase.
+  /// Warmup size for CachePolicy::kPreSample: the warmup samples
+  /// presample_rounds × p minibatches (drawn from as many fresh batch
+  /// permutations as that takes, under a dedicated seed lineage — never the
+  /// training epochs') as one bulk round, to measure row hotness. The
+  /// round's one-time cost is billed to the first trained epoch as the
+  /// "warmup" phase.
   index_t presample_rounds = 2;
   /// Sampler/trainer split (mode == kDisaggregated only; defaults
   /// auto-split — see DisaggOptions).
@@ -210,10 +215,11 @@ class Pipeline {
     MinibatchSample sample;
   };
 
-  /// kPreSample warmup (construction time): runs presample_rounds seeded
-  /// bulk rounds through the sampler, counts per-row touches, and pins the
-  /// capacity_rows hottest rows. Stores the one-time cost for the first
-  /// epoch to bill as the "warmup" phase.
+  /// kPreSample warmup (construction time): places presample_rounds × p
+  /// seeded batches with assign_batches, samples and bills them as one
+  /// round through draw_round, counts per-row touches over the schedule
+  /// cells, and pins the capacity_rows hottest rows. Stores the round's
+  /// clock cost for the first epoch to bill as the "warmup" phase.
   void presample_warmup();
 
   /// Executes bulk rounds [cursor.next_round, end_round) of cursor.epoch
@@ -232,13 +238,21 @@ class Pipeline {
   /// survivors and re-plans the remaining rounds.
   void recover_at_boundary(std::size_t g);
 
-  /// Samples the minibatches of `round` into the schedule; returns the
-  /// simulated seconds the round cost. Distributed modes sample on the
-  /// sampling ranks, and kDisaggregated streams each sample to its trainer
-  /// as the modeled "handoff" comm phase.
+  /// Samples the minibatches of `round` into the schedule (draw_round);
+  /// returns the simulated seconds the round cost. kDisaggregated then
+  /// streams each sample to its trainer as the modeled "handoff" comm phase.
   double sample_round(const BulkRound& round,
                       const std::vector<std::vector<index_t>>& batches,
                       std::uint64_t epoch_seed);
+
+  /// sample_round without the handoff: samples the minibatches of `round`
+  /// into their schedule cells and bills the round (compute, collectives,
+  /// one launch overhead) on the cluster. Distributed modes sample on the
+  /// sampling ranks and return the (rank, step) cells each sampler process
+  /// row filled; replicated returns nothing.
+  std::vector<std::vector<std::pair<int, index_t>>> draw_round(
+      const BulkRound& round, const std::vector<std::vector<index_t>>& batches,
+      std::uint64_t epoch_seed);
 
   /// Issues the feature fetch for step t; returns the simulated seconds.
   double fetch_step(index_t t, std::vector<DenseF>& gathered);
@@ -264,17 +278,11 @@ class Pipeline {
   std::unique_ptr<MatrixSampler> sampler_;
   /// Non-owning distributed view of sampler_ when mode != kReplicated (the
   /// disaggregated sampler *is* the algorithm's partitioned form over the
-  /// sampler sub-grid).
+  /// sampler sub-grid, and samples on cluster_'s ranks [0, s)).
   PartitionedSamplerBase* partitioned_ = nullptr;
-  /// Sampler-role view of cluster_ over the sampler sub-grid (mode ==
-  /// kDisaggregated): sampling phases record straight into cluster_'s clock
-  /// and fault state, so one clock and one FaultPlan cover both roles. The
-  /// sub-grid's local ranks coincide with global ranks [0, s), so link
-  /// classification and liveness are exact.
-  std::unique_ptr<Cluster> disagg_cluster_;
   SageModel model_;
   Adam optimizer_;
-  double warmup_cost_ = 0.0;     ///< measured by presample_warmup()
+  double warmup_cost_ = 0.0;     ///< clock cost of presample_warmup()
   bool pending_warmup_ = false;  ///< first run_range consumes + bills it
 
   // Epoch state of the executor.

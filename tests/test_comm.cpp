@@ -111,27 +111,5 @@ TEST(Cluster, CommAndOverheadAccounting) {
   EXPECT_DOUBLE_EQ(cluster.total_time(), 0.0);
 }
 
-TEST(Cluster, SubGridViewSharesTheParentsClockAndFaults) {
-  Cluster parent(ProcessGrid(8, 2), CostModel(test_link()));
-  FaultPlanConfig fc;
-  fc.crashes = {{/*rank=*/1, /*superstep=*/0}};
-  const FaultPlan plan(fc);
-  parent.install_faults(&plan);
-  Cluster view(ProcessGrid(2, 1), parent);
-  EXPECT_TRUE(view.has_faults());
-  view.add_overhead("sampling", 0.5);
-  view.record_comm("probability", 0.25, 64, 2);
-  EXPECT_DOUBLE_EQ(parent.phase_time("sampling"), 0.5);
-  EXPECT_EQ(parent.comm_stats().at("probability").messages, 2u);
-  parent.begin_superstep();  // rank 1, a rank of the view too, dies
-  EXPECT_FALSE(view.alive(1));
-  EXPECT_FALSE(view.row_alive(1));
-  EXPECT_EQ(view.num_alive(), 1);
-  EXPECT_EQ(view.fault_stats().crashed_ranks, 1u);
-  view.reset_clock();
-  EXPECT_DOUBLE_EQ(parent.total_time(), 0.0);
-  EXPECT_THROW(Cluster(ProcessGrid(16, 2), parent), DmsError);
-}
-
 }  // namespace
 }  // namespace dms

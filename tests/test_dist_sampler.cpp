@@ -9,6 +9,7 @@
 #include "dist/dist_sampler.hpp"
 #include "graph/generators.hpp"
 #include "plan/builders.hpp"
+#include "sparse/coo.hpp"
 #include "test_util.hpp"
 
 namespace dms {
@@ -149,6 +150,68 @@ TEST(PartitionedSage, SparsityObliviousSameSamples) {
   // Oblivious ships more bytes.
   EXPECT_LT(c1.comm_stats().at(kPhaseProbability).bytes,
             c2.comm_stats().at(kPhaseProbability).bytes);
+}
+
+TEST(PartitionedSage, SamplesOnTheGlobalRanksOfALargerCluster) {
+  // A sampler over a (2, 1) grid runs on global ranks 0-1 of a 4-rank
+  // cluster: it records there, and its process rows live while ranks 0 and
+  // 1 do, whatever happens to ranks 2-3. Edges join vertices at most two
+  // ids apart, so batches drawn from [0, 40) never read block row 1
+  // ([64, 128)) and survive its loss.
+  CooMatrix coo(128, 128);
+  for (index_t v = 0; v < 128; ++v) {
+    for (const index_t d : {1, 2}) {
+      if (v + d >= 128) continue;
+      coo.push(v, v + d, 1.0);
+      coo.push(v + d, v, 1.0);
+    }
+  }
+  coo.sort_and_combine();
+  const Graph g(CsrMatrix::from_coo(coo));
+  const SamplerConfig cfg{{3, 2}, 1};
+  const auto batches = make_batches(40, 6, 4);
+  const std::vector<index_t> ids = {0, 1, 2, 3, 4, 5};
+  const auto ref = PlanSampler(g, build_sage_plan(), cfg).sample_bulk(batches, ids, 5);
+  PartitionedSamplerBase dist(g, ProcessGrid(2, 1), build_sage_plan(), cfg);
+
+  struct Case {
+    std::vector<CrashEvent> crashes;
+    std::vector<std::size_t> per_row;  // batches each process row samples
+  };
+  for (const Case& c : {Case{{{2, 0}, {3, 0}}, {3, 3}}, Case{{{1, 0}, {2, 0}}, {6, 0}}}) {
+    FaultPlanConfig fc;
+    fc.crashes = c.crashes;
+    const FaultPlan plan(fc);
+    Cluster cluster = make_cluster(4, 2);
+    cluster.install_faults(&plan);
+    cluster.begin_superstep();
+    const auto out = dist.sample_bulk(cluster, batches, ids, 5);
+    ASSERT_EQ(out.size(), 2u);
+    std::size_t seen = 0;
+    for (std::size_t row = 0; row < out.size(); ++row) {
+      EXPECT_EQ(out[row].size(), c.per_row[row]) << "row " << row;
+      for (const MinibatchSample& ms : out[row]) {
+        const MinibatchSample& expect = ref[seen++];
+        ASSERT_EQ(ms.layers.size(), expect.layers.size());
+        for (std::size_t l = 0; l < ms.layers.size(); ++l) {
+          EXPECT_TRUE(ms.layers[l].adj == expect.layers[l].adj);
+          EXPECT_EQ(ms.layers[l].col_vertices, expect.layers[l].col_vertices);
+        }
+      }
+    }
+    EXPECT_EQ(seen, ref.size());
+    EXPECT_GT(cluster.phase_time(kPhaseProbability), 0.0);
+    EXPECT_GT(cluster.phase_time(kPhaseSampling), 0.0);
+  }
+  // Row 1 makes requests while it is alive, and they land on the cluster.
+  Cluster healthy = make_cluster(4, 2);
+  dist.sample_bulk(healthy, batches, ids, 5);
+  EXPECT_GT(healthy.comm_stats().at(kPhaseProbability).messages, 0u);
+
+  // A grid with more ranks than the cluster is rejected.
+  PartitionedSamplerBase wide(g, ProcessGrid(8, 2), build_sage_plan(), cfg);
+  Cluster small = make_cluster(4, 2);
+  EXPECT_THROW(wide.sample_bulk(small, batches, ids, 5), DmsError);
 }
 
 }  // namespace

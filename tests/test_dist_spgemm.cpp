@@ -292,6 +292,41 @@ TEST(Spgemm15d, MaskedExtractRejectsMismatchedBatches) {
   EXPECT_NO_THROW(masked_extract_15d(cluster, a, {{no_rows, masks}, {none, none}}));
 }
 
+TEST(Spgemm15d, RunsOnTheGlobalRanksOfAnyLargeEnoughCluster) {
+  // The layout is A's grid: a (2, 1) matrix runs on ranks 0-1 of a 4-rank
+  // cluster exactly as on a 2-rank one (same results, same volumes), and a
+  // grid with more ranks than the cluster is rejected by both collectives.
+  const CsrMatrix a_global = random_csr(40, 40, 0.2, 114);
+  const DistBlockRowMatrix a(ProcessGrid(2, 1), a_global);
+  const auto q_blocks = split_rows(random_csr(12, 40, 0.1, 115), 2);
+  const ExtractInput in = make_extract_input(a.partition(), 2, 116);
+  Cluster exact = make_cluster(2, 1);
+  Cluster larger = make_cluster(4, 2);
+  EXPECT_TRUE(vstack(spgemm_15d(exact, q_blocks, a)) ==
+              vstack(spgemm_15d(larger, q_blocks, a)));
+  const auto x_exact = masked_extract_15d(exact, a, in.view());
+  const auto x_larger = masked_extract_15d(larger, a, in.view());
+  ASSERT_EQ(x_exact.size(), x_larger.size());
+  for (std::size_t i = 0; i < x_exact.size(); ++i) {
+    ASSERT_EQ(x_exact[i].size(), x_larger[i].size());
+    for (std::size_t b = 0; b < x_exact[i].size(); ++b) {
+      EXPECT_TRUE(x_exact[i][b] == x_larger[i][b]) << "row " << i << " batch " << b;
+    }
+  }
+  const CommStats& e = exact.comm_stats().at("spgemm_15d");
+  const CommStats& l = larger.comm_stats().at("spgemm_15d");
+  EXPECT_GT(e.messages, 0u);
+  EXPECT_EQ(l.messages, e.messages);
+  EXPECT_EQ(l.bytes, e.bytes);
+  EXPECT_DOUBLE_EQ(l.seconds, e.seconds);
+
+  const DistBlockRowMatrix wide(ProcessGrid(8, 2), a_global);
+  const ExtractInput wide_in = make_extract_input(wide.partition(), 4, 117);
+  EXPECT_THROW(spgemm_15d(larger, split_rows(random_csr(12, 40, 0.1, 118), 4), wide),
+               DmsError);
+  EXPECT_THROW(masked_extract_15d(larger, wide, wide_in.view()), DmsError);
+}
+
 TEST(DistBlockRowMatrix, GatherReassembles) {
   Cluster cluster = make_cluster(4, 1);
   const CsrMatrix a_global = random_csr(21, 17, 0.3, 112);  // non-divisible rows

@@ -91,14 +91,13 @@ TEST(FaultPlan, RejectsInvalidConfigs) {
 }
 
 TEST(RecoveryPolicy, BackoffGrowsExponentiallyAndSaturates) {
-  RecoveryPolicy pol;
-  pol.base_backoff = 1e-4;
-  pol.backoff_factor = 2.0;
-  pol.max_backoff = 4e-4;
+  const RecoveryPolicy pol;
   EXPECT_DOUBLE_EQ(pol.backoff(0), 1e-4);
   EXPECT_DOUBLE_EQ(pol.backoff(1), 2e-4);
   EXPECT_DOUBLE_EQ(pol.backoff(2), 4e-4);
-  EXPECT_DOUBLE_EQ(pol.backoff(10), 4e-4);  // capped
+  EXPECT_DOUBLE_EQ(pol.backoff(6), 6.4e-3);
+  EXPECT_DOUBLE_EQ(pol.backoff(7), 1e-2);   // 12.8 ms, capped
+  EXPECT_DOUBLE_EQ(pol.backoff(10), 1e-2);  // capped
 }
 
 TEST(Cluster, StragglerMultiplierScalesComputeAndIsAccounted) {
@@ -127,9 +126,6 @@ TEST(Cluster, TransientLossRetriesWithBackoffUntilTheForcedAttempt) {
   const FaultPlan plan(cfg);
   RecoveryPolicy pol;
   pol.max_attempts = 3;
-  pol.base_backoff = 1e-3;
-  pol.backoff_factor = 2.0;
-  pol.max_backoff = 1.0;
 
   Cluster cluster(ProcessGrid(2, 1), CostModel(LinkParams{}));
   cluster.install_faults(&plan, pol);
@@ -140,14 +136,14 @@ TEST(Cluster, TransientLossRetriesWithBackoffUntilTheForcedAttempt) {
   const CommStats& s = cluster.comm_stats().at("phase");
   EXPECT_EQ(s.messages, 3u);
   EXPECT_EQ(s.bytes, 3000u);
-  EXPECT_NEAR(s.seconds, 0.3 + pol.backoff(0) + pol.backoff(1), 1e-12);
+  EXPECT_NEAR(s.seconds, 0.3 + 1e-4 + 2e-4, 1e-12);
   const FaultStats& f = cluster.fault_stats();
   EXPECT_EQ(f.lost_messages, 2u);
   EXPECT_EQ(f.retry_bytes, 2000u);
-  EXPECT_NEAR(f.retry_seconds, 0.2 + pol.backoff(0) + pol.backoff(1), 1e-12);
+  EXPECT_NEAR(f.retry_seconds, 0.2 + 1e-4 + 2e-4, 1e-12);
 }
 
-TEST(Cluster, CrashesArePermanentAndRowLivenessFollows) {
+TEST(Cluster, CrashesArePermanentAcrossClockResets) {
   FaultPlanConfig cfg;
   cfg.crashes = {{3, 1}};  // rank 3 dies at superstep 1
   const FaultPlan plan(cfg);
@@ -163,8 +159,6 @@ TEST(Cluster, CrashesArePermanentAndRowLivenessFollows) {
   EXPECT_FALSE(cluster.alive(3));
   EXPECT_EQ(cluster.num_alive(), 3);
   EXPECT_EQ(cluster.fault_stats().crashed_ranks, 1u);
-  // Column-major grid: rank 3 is (row 1, col 1); row 1 still has (1, 0).
-  EXPECT_TRUE(cluster.row_alive(1));
 
   cluster.reset_clock();  // epochs reset the clock, never resurrect ranks
   EXPECT_FALSE(cluster.alive(3));
@@ -365,7 +359,7 @@ TEST(PartitionedSampler, SamplesAreBitIdenticalUnderRankDeath) {
                            17};
     const auto make = [&](SamplerKind k) {
       return make_sampler(k, DistMode::kPartitioned, ds.graph,
-                          SamplerContext{sc, &grid, {}, nullptr, {}});
+                          SamplerContext{.config = sc, .grid = &grid});
     };
     std::vector<std::vector<index_t>> batches;
     std::vector<index_t> ids;

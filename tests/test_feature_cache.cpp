@@ -85,7 +85,7 @@ TEST(FeatureCache, CachedFetchesReturnBitEqualRows) {
   Cluster c_cached(ProcessGrid(4, 2), CostModel(LinkParams{}));
   FeatureStore plain(c_plain.grid(), h);
   FeatureStore cached(c_cached.grid(), h,
-                      FeatureStoreOptions{{CachePolicy::kLru, 16}});
+                      FeatureStoreOptions{.cache = {CachePolicy::kLru, 16}});
   Pcg32 rng(7);
   for (int step = 0; step < 8; ++step) {
     const auto wanted = random_wanted(4, 64, 12, rng);
@@ -112,7 +112,7 @@ TEST(FeatureCache, ZeroCapacityDegeneratesToUncachedBehavior) {
   Cluster c_zero(ProcessGrid(4, 1), CostModel(LinkParams{}));
   FeatureStore none(c_none.grid(), h);
   FeatureStore zero(c_zero.grid(), h,
-                    FeatureStoreOptions{{CachePolicy::kLru, 0}});
+                    FeatureStoreOptions{.cache = {CachePolicy::kLru, 0}});
   Pcg32 rng(11);
   for (int step = 0; step < 4; ++step) {
     const auto wanted = random_wanted(4, 64, 10, rng);
@@ -131,7 +131,7 @@ TEST(FeatureCache, RepeatFetchesHitAndMoveNoBytes) {
   const DenseF h = make_features(40, 2);
   Cluster cluster(ProcessGrid(4, 1), CostModel(LinkParams{}));
   FeatureStore store(cluster.grid(), h,
-                     FeatureStoreOptions{{CachePolicy::kLru, 32}});
+                     FeatureStoreOptions{.cache = {CachePolicy::kLru, 32}});
   // Rank 0 owns rows [0,10); request remote rows twice.
   const std::vector<std::vector<index_t>> wanted = {{20, 21, 22}, {}, {}, {}};
   store.fetch_all(cluster, wanted);
@@ -147,7 +147,7 @@ TEST(FeatureCache, AccountingCoversEveryRequestedRow) {
   const DenseF h = make_features(64, 4);
   Cluster cluster(ProcessGrid(8, 2), CostModel(LinkParams{}));
   FeatureStore store(cluster.grid(), h,
-                     FeatureStoreOptions{{CachePolicy::kLru, 8}});
+                     FeatureStoreOptions{.cache = {CachePolicy::kLru, 8}});
   Pcg32 rng(3);
   std::size_t expected = 0;
   for (int step = 0; step < 6; ++step) {
@@ -194,7 +194,7 @@ TEST(FeatureCache, PinnedRemoteRowsNeverCrossTheWire) {
   const DenseF h = make_features(40, 2);
   Cluster cluster(ProcessGrid(4, 1), CostModel(LinkParams{}));
   FeatureStore store(cluster.grid(), h,
-                     FeatureStoreOptions{{CachePolicy::kDegreePinned, 4}});
+                     FeatureStoreOptions{.cache = {CachePolicy::kDegreePinned, 4}});
   store.pin_rows({20, 21});
   const std::vector<std::vector<index_t>> wanted = {{20, 21}, {}, {}, {}};
   store.fetch_all(cluster, wanted);

@@ -107,6 +107,36 @@ TEST(PreSample, WarmupBilledToFirstEpochOnly) {
   EXPECT_EQ(deg.run_epoch(0).warmup, 0.0);
 }
 
+TEST(PreSample, WarmupIsOneRoundWithoutAHandoff) {
+  // With host compute zeroed, construction leaves the warmup round on the
+  // clock: one round's launch overhead under `sampling` (plus, distributed,
+  // the collectives' modeled comm), and no handoff, because the warmup
+  // ships touch counts, not samples. The first epoch bills that clock as
+  // `warmup`.
+  const Dataset ds = small_planted();
+  LinkParams link;
+  link.compute_scale = 1e12;
+  link.irregular_compute_scale = 1e12;
+  const PipelineConfig base = cache_config(CachePolicy::kPreSample, 64);
+  const double launch = link.launch_overhead * kKernelsPerLayer *
+                        static_cast<double>(base.fanouts.size());
+  for (const DistMode mode : {DistMode::kReplicated, DistMode::kPartitioned,
+                              DistMode::kDisaggregated}) {
+    Cluster cluster(ProcessGrid(4, 2), CostModel(link));
+    PipelineConfig cfg = base;
+    cfg.mode = mode;
+    Pipeline pipe(cluster, ds, cfg);
+    const auto& compute = cluster.compute_time();
+    const auto sampling = compute.find(kPhaseSampling);
+    EXPECT_NEAR(sampling == compute.end() ? 0.0 : sampling->second, launch, 1e-9)
+        << to_string(mode);
+    EXPECT_EQ(cluster.compute_time().count("handoff"), 0u) << to_string(mode);
+    EXPECT_EQ(cluster.comm_stats().count("handoff"), 0u) << to_string(mode);
+    const double clock = cluster.total_compute() + cluster.total_comm();
+    EXPECT_EQ(pipe.run_epoch(0).warmup, clock) << to_string(mode);
+  }
+}
+
 TEST(PreSample, MeasuredHotnessMatchesOrBeatsDegreeProxy) {
   // Same capacity, same placement, same blocks: requested - local is
   // identical for the two pinned policies, so comparing raw hit counts

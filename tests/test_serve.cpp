@@ -240,29 +240,31 @@ TEST(Coalescer, CapOneReadyAtIsTheFrontArrivalPlusWindow) {
 // ---------------------------------------------------------------------------
 // Graceful degradation: bounded admission, deadline shedding, health machine.
 
-TEST(Coalescer, TryPushBoundsTheQueue) {
+TEST(Coalescer, PushBoundsTheQueue) {
   CoalescerConfig cfg;
   cfg.window = 1.0;
   cfg.max_requests = 4;
   cfg.max_pending = 2;
   Coalescer c(cfg);
-  EXPECT_TRUE(c.try_push(make_request(0, {1}, 0.0)));
-  EXPECT_TRUE(c.try_push(make_request(1, {2}, 0.1)));
-  EXPECT_FALSE(c.try_push(make_request(2, {3}, 0.2)));  // full
+  EXPECT_TRUE(c.push(make_request(0, {1}, 0.0)));
+  EXPECT_TRUE(c.push(make_request(1, {2}, 0.1)));
+  EXPECT_FALSE(c.push(make_request(2, {3}, 0.2)));  // full
   EXPECT_EQ(c.pending(), 2u);
   c.pop(1.0);
-  EXPECT_TRUE(c.try_push(make_request(3, {4}, 1.5)));  // drained -> admits
-  // push() ignores the bound (legacy unguarded path).
-  Coalescer unguarded(cfg);
-  for (index_t i = 0; i < 5; ++i) unguarded.push(make_request(i, {i}, 0.0));
-  EXPECT_EQ(unguarded.pending(), 5u);
+  EXPECT_TRUE(c.push(make_request(3, {4}, 1.5)));  // drained -> admits
+  // max_pending = 0 leaves the queue unbounded.
+  cfg.max_pending = 0;
+  Coalescer unbounded(cfg);
+  for (index_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(unbounded.push(make_request(i, {i}, 0.0)));
+  }
+  EXPECT_EQ(unbounded.pending(), 5u);
 }
 
 TEST(Coalescer, ShedOverdueDropsExpiredRequestsAtFormation) {
   CoalescerConfig cfg;
   cfg.window = 0.1;
   cfg.max_requests = 4;
-  cfg.shed_overdue = true;
   Coalescer c(cfg);
   ServeRequest dead = make_request(0, {1}, 0.0);
   dead.deadline = 1.0;  // will be long gone by the time the server frees
@@ -272,7 +274,7 @@ TEST(Coalescer, ShedOverdueDropsExpiredRequestsAtFormation) {
   c.push(dead);
   c.push(live);
   c.push(no_deadline);
-  const CoalescedBatch b = c.pop(5.0);  // server was busy for 5 s
+  const CoalescedBatch b = c.pop(5.0, true);  // server was busy for 5 s
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(b.requests[0].id, 1);
   EXPECT_EQ(b.requests[1].id, 2);  // deadline-less requests are never shed
@@ -281,8 +283,7 @@ TEST(Coalescer, ShedOverdueDropsExpiredRequestsAtFormation) {
   EXPECT_EQ(b.shed[0].reason, ShedReason::kDeadlineExceeded);
   EXPECT_DOUBLE_EQ(b.shed[0].shed_at, 5.0);
 
-  // Without the flag the same sequence serves everything (legacy behavior).
-  cfg.shed_overdue = false;
+  // A healthy server (no shedding asked) serves the same sequence whole.
   Coalescer keep(cfg);
   keep.push(dead);
   keep.push(live);
@@ -296,7 +297,6 @@ TEST(Coalescer, ShedRequestsDoNotConsumeCapSlots) {
   CoalescerConfig cfg;
   cfg.window = 0.0;
   cfg.max_requests = 2;
-  cfg.shed_overdue = true;
   Coalescer c(cfg);
   for (index_t i = 0; i < 2; ++i) {
     ServeRequest r = make_request(i, {i}, 0.0);
@@ -305,7 +305,7 @@ TEST(Coalescer, ShedRequestsDoNotConsumeCapSlots) {
   }
   c.push(make_request(2, {2}, 0.1));
   c.push(make_request(3, {3}, 0.2));
-  const CoalescedBatch b = c.pop(2.0);
+  const CoalescedBatch b = c.pop(2.0, true);
   // Both overdue requests shed; the cap still admits two servable ones.
   ASSERT_EQ(b.shed.size(), 2u);
   ASSERT_EQ(b.size(), 2u);
@@ -409,7 +409,6 @@ TEST(HealthMonitor, GovernedOverloadKeepsAdmittedQueueWaitBounded) {
     ccfg.window = 0.02;
     ccfg.max_requests = 2;
     ccfg.max_pending = 8;
-    ccfg.shed_overdue = true;
     Coalescer coal(ccfg);
     HealthConfig hcfg;
     hcfg.queue_capacity = 8;
@@ -430,14 +429,14 @@ TEST(HealthMonitor, GovernedOverloadKeepsAdmittedQueueWaitBounded) {
         r.deadline = r.arrival + 0.5;
         ++next_arrival;
         mon.observe(coal.pending());
-        if (!mon.admit_arrivals() || !coal.try_push(r)) {
+        if (!mon.admit_arrivals() || !coal.push(r)) {
           governed.record_shed(
               {r.id, r.arrival, r.arrival, ShedReason::kQueueFull});
         }
       }
       if (coal.empty()) continue;
       const double start = std::max(coal.ready_at(), server_free);
-      const CoalescedBatch b = coal.pop(start);
+      const CoalescedBatch b = coal.pop(start, mon.shed_overdue());
       for (const ShedRecord& s : b.shed) governed.record_shed(s);
       mon.observe(coal.pending());
       if (b.empty()) continue;
