@@ -9,12 +9,20 @@
 // large p, but probability generation, not extraction, is the largest
 // phase. This reproduction extracts with spgemm_masked (one pass over the
 // rows, no chunking), and masked_extract_15d applies the sampled-column
-// mask at the owner block, so only A[R, S] crosses the fabric and is
-// all-reduced; the probability product still ships whole A-rows.
-// Extraction column (s, simulated), before → after masking at the owner,
-// one run each on a shared 4-vCPU host at the default pool (a second pair
-// matched within 0.001 s, comp within 0.003 s); comp and comm are the
-// whole run's columns:
+// mask at the owner block, so only A[R, S] crosses the fabric; the
+// probability product still ships whole A-rows in its rounds. Both
+// collectives then send each batch's result only to the replica that keeps
+// it instead of all-reducing it across the process row, which touches
+// only the c > 1 points.
+// Total (s, simulated), all-reduce → exchange to the keepers, one run each
+// on a shared 4-vCPU host:
+//   papers  p=16 c=1: 0.022 → 0.022   p=32 c=2: 0.015 → 0.014
+//           p=64 c=4: 0.011 → 0.010
+//   protein p=16 c=1: 0.037 → 0.037   p=32 c=2: 0.027 → 0.026
+//           p=64 c=4: 0.019 → 0.018
+// Extraction column (s, simulated), before → after masking at the owner
+// (with the all-reduce), one run each; comp and comm are the whole run's
+// columns:
 //   papers  p=16 c=1: extraction 0.014 → 0.008, comp 0.002 → 0.002,
 //                     comm 0.026 → 0.020
 //           p=32 c=2: extraction 0.011 → 0.004, comp 0.001 → 0.001,

@@ -1,10 +1,26 @@
-// Figure 7 (top row): Graph Partitioned GraphSAGE — bulk sampling time
+// Figure 7 (top): Graph Partitioned GraphSAGE — bulk sampling time
 // broken into probability generation / sampling / extraction, and into
 // computation vs communication, across p with the paper's per-p best c.
 //
-// Expected shapes (§8.2.1): probability generation (the 1.5D SpGEMM)
-// dominates; communication scales when c grows and stalls when c is fixed;
-// computation scales with p.
+// The paper's shape (§8.2.1): the sparsity-aware 1.5D SpGEMM probability
+// step dominates and the total falls with p, 1.75x from 16 to 64 ranks on
+// Protein and 1.43x on Papers; communication scales when c grows and
+// stalls when c is fixed; computation scales with p.
+//
+// This reproduction's shape: probability generation dominates, and its
+// communication is the block rounds plus the row exchange, which sends
+// each batch's partial-product rows only to the replica that keeps (and
+// trains) the batch. Before the exchange, Algorithm 2's row all-reduce
+// shipped the whole folded P to every replica and the total *rose* with p.
+// Total (s, simulated), all-reduce → exchange, one run each on a shared
+// 4-vCPU host:
+//   papers  (16,1) 1.136 → 1.134   (32,2) 1.213 → 1.042   (64,4) 1.232 → 0.923
+//   protein (16,2) 1.194 → 0.786   (32,4) 1.430 → 0.739   (64,4) 1.282 → 0.961
+// Papers now speeds up with p (1.23x from 16 to 64 ranks). Protein does
+// not: at (64,4) the block rounds cost more than at (32,4), because the
+// generator puts the hubs at low vertex ids and contiguous blocks leave
+// column chunk 0 with most of the nonzeros, so the round max over columns
+// barely falls (DESIGN.md §3.2 gives the terms per point).
 #include "bench_util.hpp"
 #include "core/minibatch.hpp"
 #include "dist/sampler_factory.hpp"

@@ -26,7 +26,7 @@ class ProcessGrid {
   /// p/c ranks of a process column are contiguous, so the bulky
   /// column-local traffic (feature all-to-allv of §6.2, A-row sends of
   /// Algorithm 2) stays on intra-node links as much as possible; the
-  /// lighter row collectives (partial-sum all-reduce) span nodes.
+  /// lighter row collectives (the 1.5D row exchange) span nodes.
   int rank_of(int i, int j) const { return j * rows() + i; }
   int row_of(int rank) const { return rank % rows(); }
   int col_of(int rank) const { return rank / rows(); }

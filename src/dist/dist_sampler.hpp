@@ -2,11 +2,18 @@
 // partitioned over a 1.5D process grid (it no longer needs to fit on one
 // device) and the sampler's *plan* (src/plan), as built, runs through the
 // partitioned executor — every kSpgemm/kMaskedExtract op runs as its 1.5D
-// collective (Algorithm 2's block-row fetch/exchange + all-reduce), while
+// collective (Algorithm 2's block-row fetch rounds, then the row exchange
+// that sends each batch's result to the replica that keeps it), while
 // row-local ops (NORM, ITS, thinning, assembly) run per process row. There
 // is no per-sampler distributed sampling logic here: one executor serves
 // every algorithm in every mode, which is why partitioned FastGCN and LABOR
 // exist at all.
+//
+// Placement: a process row's batch list is split among its alive replicas
+// by the keeper rule (row_keepers / batch_keeper, spgemm_15d.hpp), so the
+// replica that trains a batch is the one its collective results reach. The
+// row-local ops still bill the whole row's host time, as if every replica
+// ran every batch of its row.
 //
 // Determinism contract: randomness is derived per (epoch, global batch id,
 // layer, local row), never from the rank layout, so a Graph Partitioned run
@@ -26,6 +33,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "comm/cluster.hpp"
@@ -77,14 +85,19 @@ class PartitionedSamplerBase : public PlanSampler {
                          PartitionedSamplerOptions opts = {});
 
   /// Distributed bulk sampling. Minibatches are assigned to the alive
-  /// process rows in contiguous blocks (BlockPartition of the batch list; a
-  /// row is alive while any of its ranks is alive on `cluster`); the return
-  /// value holds each process row's samples, so concatenating the rows
-  /// restores global batch order. Phase times and communication volumes are
-  /// recorded on `cluster`, which must have at least grid().size() ranks.
+  /// process rows in contiguous blocks of the batch list (a row is alive
+  /// while any of its ranks is alive on `cluster`): row i takes
+  /// row_batches[i] of them when given — they must sum to the batch count
+  /// and give dead rows none — and an even split of the alive rows
+  /// otherwise. Within a row, batch b is kept by the row's
+  /// batch_keeper(row_keepers, b) (spgemm_15d.hpp). The return value holds
+  /// each process row's samples, so concatenating the rows restores global
+  /// batch order. Phase times and communication volumes are recorded on
+  /// `cluster`, which must have at least grid().size() ranks.
   std::vector<std::vector<MinibatchSample>> sample_bulk(
       Cluster& cluster, const std::vector<std::vector<index_t>>& batches,
-      const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const;
+      const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed,
+      std::span<const index_t> row_batches = {}) const;
 
   /// MatrixSampler conformance: runs the distributed algorithm on the bound
   /// cluster (see bind_cluster) or an ephemeral one, and flattens the

@@ -30,20 +30,41 @@ struct AwareCost {
   std::size_t reply_bytes = 0;
 };
 
+/// Adds to out[col] the CSR bytes of the rows r of m with row_col[r] ==
+/// col. A part with no entries moves nothing: its receiver knows the shape.
+void add_row_parts(const CsrMatrix& m, const std::vector<int>& row_col,
+                   std::vector<std::size_t>& out) {
+  std::vector<std::size_t> rows(out.size(), 0), nnz(out.size(), 0);
+  for (index_t r = 0; r < m.rows(); ++r) {
+    const auto col = static_cast<std::size_t>(row_col[static_cast<std::size_t>(r)]);
+    ++rows[col];
+    nnz[col] += static_cast<std::size_t>(m.row_nnz(r));
+  }
+  for (std::size_t col = 0; col < out.size(); ++col) {
+    if (nnz[col] == 0) continue;
+    out[col] += (rows[col] + 1) * sizeof(nnz_t) +
+                nnz[col] * (sizeof(index_t) + sizeof(value_t));
+  }
+}
+
 /// The round schedule of both collectives (Algorithm 2, §5.2.1), with the
-/// crash recovery of DESIGN.md §13. `work` says what process row i computes
-/// against block k:
+/// crash recovery of DESIGN.md §13, then the row exchange. `work` says what
+/// process row i computes against block k:
 ///   has_rows(i)     row i still has rows (a fully dead row throws iff so);
 ///   touches(i, k)   row i reads block k (a lost block throws iff so);
 ///   skip(i, k)      (i, k) contributes nothing;
 ///   local(i, k)     (i, k) computed on one rank against the whole block
 ///                   (the oblivious receiver, or i == k);
 ///   aware(i, k)     the sparsity-aware exchange, i != k;
-///   finish(i)       row i's fold after the rounds; returns the bytes its
-///                   ranks all-reduce.
+///   batches(i)      the number of batches in row i's list;
+///   inputs(i, kc, out)     adds to out[col] the bytes of the inputs of the
+///                          batches whose keeper is in column col
+///                          (kc[b] = batch b's keeper column);
+///   results(i, k, kc, out) the same for what (i, k) produced;
+///   finish(i)       row i's fold after the rounds.
 /// Compute is billed to the rank that does it, each round's comm is the
 /// max over process columns, and comm is recorded once per round that
-/// moves a message plus once for the row all-reduce, so the loss-draw
+/// moves a message plus once for the row exchange, so the loss-draw
 /// counter advances the same way for both collectives.
 template <typename Work>
 void run_schedule(Cluster& cluster, const DistBlockRowMatrix& a,
@@ -61,18 +82,24 @@ void run_schedule(Cluster& cluster, const DistBlockRowMatrix& a,
   for (index_t j = 0; j < c; ++j) num_rounds = std::max(num_rounds, chunks.size(j));
 
   // Crash recovery (DESIGN.md §13): a dead rank's per-chunk work degrades
-  // onto a surviving replica of its process row (block rows are replicated
-  // across the row's c ranks), and a dead owner's A block is fetched from a
-  // survivor in another column. The arithmetic is untouched, so results
-  // stay bit-identical to the healthy run; only attribution and the extra
+  // onto its row's first keeper (block rows are replicated across the
+  // row's c ranks), and a dead owner's A block is fetched from a survivor
+  // in another column. The arithmetic is untouched, so results stay
+  // bit-identical to the healthy run; only attribution and the extra
   // survivor-fetch communication change. A block row with *no* surviving
   // replica is unrecoverable if anyone still needs it.
+  std::vector<std::vector<int>> keepers(static_cast<std::size_t>(rows));
+  for (index_t i = 0; i < rows; ++i) {
+    keepers[static_cast<std::size_t>(i)] = row_keepers(cluster, grid, static_cast<int>(i));
+  }
   const auto first_alive_in_row = [&](index_t row) -> int {
-    for (int j2 = 0; j2 < c; ++j2) {
-      const int r = grid.rank_of(static_cast<int>(row), j2);
-      if (cluster.alive(r)) return r;
-    }
-    return -1;
+    const std::vector<int>& keep = keepers[static_cast<std::size_t>(row)];
+    return keep.empty() ? -1 : keep.front();
+  };
+  // The rank that computes row i's chunk j: (i, j), or its stand-in.
+  const auto worker = [&](index_t i, int j) -> int {
+    const int r = grid.rank_of(static_cast<int>(i), j);
+    return cluster.alive(r) ? r : first_alive_in_row(i);
   };
   const auto first_alive_in_col = [&](int j) -> int {
     for (const int r : grid.col_ranks(j)) {
@@ -127,8 +154,7 @@ void run_schedule(Cluster& cluster, const DistBlockRowMatrix& a,
 
       for (index_t i = 0; i < rows; ++i) {
         const int dst_pref = grid.rank_of(static_cast<int>(i), j);
-        const int dst =
-            cluster.alive(dst_pref) ? dst_pref : first_alive_in_row(i);
+        const int dst = worker(i, j);
         if (dst == -1) {
           // Process row i lost every replica; it must have nothing left to
           // compute (the training layer assigns batches to alive rows only).
@@ -201,58 +227,93 @@ void run_schedule(Cluster& cluster, const DistBlockRowMatrix& a,
       cluster.add_fault_redistribution(redist_sec, redist_bytes);
     }
     if (stats != nullptr) {
-      stats->messages += comm_msgs;
+      stats->round_messages += comm_msgs;
       ++stats->rounds;
       stats->redistribution_bytes += redist_bytes;
     }
   }
 
-  // Each row folds what its rounds produced; rows run concurrently.
-  std::vector<std::size_t> result_bytes(static_cast<std::size_t>(rows));
+  // The row exchange (DESIGN.md §3.2), in place of Algorithm 2's row
+  // all-reduce: each batch's result goes only to its keeper. Before the
+  // rounds, the replicas that compute for row i need every keeper's
+  // inputs (an all-gather); after them, each sends the parts of what it
+  // computed that belong to batches another replica keeps (the
+  // all-to-allv). Each is priced per row, rows run concurrently (max), and
+  // the two are one comm event, recorded whenever some row has two alive
+  // replicas — where the all-reduce was.
+  bool exchange = false;
+  for (const std::vector<int>& keep : keepers) exchange = exchange || keep.size() >= 2;
+  if (exchange) {
+    double gather_max = 0.0, route_max = 0.0;
+    std::size_t gather_bytes = 0, route_bytes = 0, msgs = 0;
+    const auto c_sz = static_cast<std::size_t>(c);
+    for (index_t i = 0; i < rows; ++i) {
+      const std::vector<int>& keep = keepers[static_cast<std::size_t>(i)];
+      if (keep.size() < 2) continue;  // one survivor computes and keeps all
+      std::vector<int> keeper_col(work.batches(i));
+      for (std::size_t b = 0; b < keeper_col.size(); ++b) {
+        keeper_col[b] = grid.col_of(batch_keeper(keep, b));
+      }
+      std::vector<char> computes(c_sz, 0);
+      for (int j = 0; j < c; ++j) {
+        if (chunks.size(j) > 0) computes[static_cast<std::size_t>(grid.col_of(worker(i, j)))] = 1;
+      }
+      std::vector<std::vector<std::size_t>> gather(c_sz, std::vector<std::size_t>(c_sz, 0));
+      std::vector<std::vector<std::size_t>> route = gather;
+      std::vector<std::size_t> inputs(c_sz, 0);
+      work.inputs(i, keeper_col, inputs);
+      for (std::size_t from = 0; from < c_sz; ++from) {
+        for (std::size_t to = 0; to < c_sz; ++to) {
+          if (to != from && computes[to] != 0) gather[from][to] = inputs[from];
+        }
+      }
+      for (index_t k = 0; k < rows; ++k) {
+        const auto holder = static_cast<std::size_t>(
+            grid.col_of(worker(i, static_cast<int>(chunks.owner(k)))));
+        std::vector<std::size_t> parts(c_sz, 0);
+        work.results(i, k, keeper_col, parts);
+        for (std::size_t to = 0; to < c_sz; ++to) {
+          if (to != holder) route[holder][to] += parts[to];
+        }
+      }
+      const std::vector<int> group = grid.row_ranks(static_cast<int>(i));
+      gather_max = std::max(gather_max, cm.alltoallv(group, gather));
+      route_max = std::max(route_max, cm.alltoallv(group, route));
+      for (std::size_t from = 0; from < c_sz; ++from) {
+        for (std::size_t to = 0; to < c_sz; ++to) {
+          gather_bytes += gather[from][to];
+          route_bytes += route[from][to];
+          msgs += (gather[from][to] > 0 ? 1 : 0) + (route[from][to] > 0 ? 1 : 0);
+        }
+      }
+    }
+    cluster.record_comm(opts.phase, gather_max + route_max, gather_bytes + route_bytes,
+                        msgs);
+    if (stats != nullptr) {
+      stats->gather_bytes += gather_bytes;
+      stats->route_bytes += route_bytes;
+      stats->exchange_messages += msgs;
+    }
+  }
+
+  // Each keeper folds what it holds and received; rows run concurrently.
   double fold_max = 0.0;
   for (index_t i = 0; i < rows; ++i) {
     Timer t;
-    result_bytes[static_cast<std::size_t>(i)] = work.finish(i);
+    work.finish(i);
     fold_max = std::max(fold_max, t.seconds());
   }
   cluster.add_compute(opts.phase, fold_max);
-
-  // All-reduce of the partials across each process row (Algorithm 2 line
-  // 14); every row reduces concurrently, so the clock advances by the max.
-  // Only surviving replicas participate — a row reduced to one rank (or
-  // zero) has nothing to exchange.
-  if (c > 1) {
-    double allreduce_max = 0.0;
-    std::size_t allreduce_bytes = 0;
-    std::size_t allreduce_msgs = 0;
-    for (index_t i = 0; i < rows; ++i) {
-      std::vector<int> group;
-      for (const int r : grid.row_ranks(static_cast<int>(i))) {
-        if (cluster.alive(r)) group.push_back(r);
-      }
-      if (group.size() < 2) continue;
-      const std::size_t bytes = result_bytes[static_cast<std::size_t>(i)];
-      allreduce_max = std::max(allreduce_max, cm.allreduce(group, bytes));
-      allreduce_bytes += bytes * (group.size() - 1);
-      allreduce_msgs += 2 * (group.size() - 1);
-    }
-    if (allreduce_msgs > 0) {
-      cluster.record_comm(opts.phase, allreduce_max, allreduce_bytes,
-                          allreduce_msgs);
-    }
-    if (stats != nullptr) {
-      stats->allreduce_bytes += allreduce_bytes;
-      stats->messages += allreduce_msgs;
-    }
-  }
 }
 
 /// spgemm_15d's work: contrib[i][k] = Qˡ_ik · A_k, folded per row.
 class ProductWork {
  public:
-  ProductWork(const std::vector<CsrMatrix>& q, const DistBlockRowMatrix& a,
-              const SpgemmOptions& local)
-      : q_(q), a_(a), local_(local), contrib_(q.size()), result_(q.size()) {
+  ProductWork(const std::vector<CsrMatrix>& q,
+              const std::vector<std::vector<index_t>>& q_batches,
+              const DistBlockRowMatrix& a, const SpgemmOptions& local)
+      : q_(q), q_batches_(q_batches), a_(a), local_(local), contrib_(q.size()),
+        result_(q.size()) {
     for (auto& row : contrib_) row.resize(q.size());
   }
 
@@ -284,14 +345,29 @@ class ProductWork {
     return x;
   }
 
+  std::size_t batches(index_t i) const {
+    const std::vector<index_t>* off = offsets(i);
+    return off == nullptr ? static_cast<std::size_t>(q_[static_cast<std::size_t>(i)].rows())
+                          : off->size() - 1;
+  }
+  /// A keeper owns its batches' Q rows.
+  void inputs(index_t i, const std::vector<int>& keeper_col,
+              std::vector<std::size_t>& out) const {
+    add_row_parts(q_[static_cast<std::size_t>(i)], row_cols(i, keeper_col), out);
+  }
+  /// (i, k)'s partial product, split by the keepers of its rows.
+  void results(index_t i, index_t k, const std::vector<int>& keeper_col,
+               std::vector<std::size_t>& out) {
+    add_row_parts(slot(i, k), row_cols(i, keeper_col), out);
+  }
+
   /// Folds the partial products in ascending k, so the per-entry
   /// accumulation order is independent of the grid shape.
-  std::size_t finish(index_t i) {
+  void finish(index_t i) {
     auto& parts = contrib_[static_cast<std::size_t>(i)];
     CsrMatrix acc = std::move(parts[0]);
     for (std::size_t k = 1; k < parts.size(); ++k) acc = csr_add(acc, parts[k]);
     result_[static_cast<std::size_t>(i)] = std::move(acc);
-    return result_[static_cast<std::size_t>(i)].bytes();
   }
 
   std::vector<CsrMatrix> take() { return std::move(result_); }
@@ -304,8 +380,24 @@ class ProductWork {
   CsrMatrix& slot(index_t i, index_t k) {
     return contrib_[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)];
   }
+  /// Row i's batch offsets over its Q rows; nullptr: Q row b is batch b.
+  const std::vector<index_t>* offsets(index_t i) const {
+    if (q_batches_.empty() || q_batches_[static_cast<std::size_t>(i)].empty()) return nullptr;
+    return &q_batches_[static_cast<std::size_t>(i)];
+  }
+  /// The keeper column of each Q row of row i.
+  std::vector<int> row_cols(index_t i, const std::vector<int>& keeper_col) const {
+    const std::vector<index_t>* off = offsets(i);
+    if (off == nullptr) return keeper_col;
+    std::vector<int> cols(static_cast<std::size_t>(q_[static_cast<std::size_t>(i)].rows()));
+    for (std::size_t b = 0; b + 1 < off->size(); ++b) {
+      std::fill(cols.begin() + (*off)[b], cols.begin() + (*off)[b + 1], keeper_col[b]);
+    }
+    return cols;
+  }
 
   const std::vector<CsrMatrix>& q_;
+  const std::vector<std::vector<index_t>>& q_batches_;
   const DistBlockRowMatrix& a_;
   const SpgemmOptions& local_;
   std::vector<std::vector<CsrMatrix>> contrib_;
@@ -373,15 +465,37 @@ class ExtractWork {
     return x;
   }
 
+  std::size_t batches(index_t i) const {
+    return batches_[static_cast<std::size_t>(i)].rows.size();
+  }
+  /// A keeper owns its batches' frontiers and masks.
+  void inputs(index_t i, const std::vector<int>& keeper_col,
+              std::vector<std::size_t>& out) const {
+    const ExtractBatches& in = batches_[static_cast<std::size_t>(i)];
+    for (std::size_t b = 0; b < in.rows.size(); ++b) {
+      out[static_cast<std::size_t>(keeper_col[b])] +=
+          (in.rows[b].size() + in.masks[b].size()) * sizeof(index_t);
+    }
+  }
+  /// (i, k)'s masked pieces, each to its batch's keeper.
+  void results(index_t i, index_t k, const std::vector<int>& keeper_col,
+               std::vector<std::size_t>& out) const {
+    const auto& pieces =
+        rows_[static_cast<std::size_t>(i)].pieces[static_cast<std::size_t>(k)];
+    for (std::size_t b = 0; b < pieces.size(); ++b) {
+      if (pieces[b].nnz() == 0) continue;
+      out[static_cast<std::size_t>(keeper_col[b])] += pieces[b].bytes();
+    }
+  }
+
   /// Interleaves each batch's pieces back into frontier order.
-  std::size_t finish(index_t i) {
+  void finish(index_t i) {
     const ExtractBatches& in = batches_[static_cast<std::size_t>(i)];
     auto& pieces = rows_[static_cast<std::size_t>(i)].pieces;
     const BlockPartition& part = a_.partition();
     std::vector<CsrMatrix>& out = result_[static_cast<std::size_t>(i)];
     out.resize(in.rows.size());
     std::vector<index_t> cursor(pieces.size());  // next row of each piece
-    std::size_t total_rows = 0, total_nnz = 0;
     for (std::size_t b = 0; b < in.rows.size(); ++b) {
       const std::vector<index_t>& rb = in.rows[b];
       std::size_t nnz = 0;
@@ -402,13 +516,8 @@ class ExtractWork {
       out[b] = CsrMatrix(static_cast<index_t>(rb.size()),
                          static_cast<index_t>(in.masks[b].size()), std::move(rowptr),
                          std::move(colidx), std::move(vals));
-      total_rows += rb.size();
-      total_nnz += static_cast<std::size_t>(out[b].nnz());
     }
     pieces.clear();
-    // The row's masked result, stacked, is what its replicas all-reduce.
-    return (total_rows + 1) * sizeof(nnz_t) +
-           total_nnz * (sizeof(index_t) + sizeof(value_t));
   }
 
   std::vector<std::vector<CsrMatrix>> take() { return std::move(result_); }
@@ -454,18 +563,34 @@ class ExtractWork {
 
 }  // namespace
 
+std::vector<int> row_keepers(const Cluster& cluster, const ProcessGrid& grid, int i) {
+  std::vector<int> keepers;
+  for (const int r : grid.row_ranks(i)) {
+    if (cluster.alive(r)) keepers.push_back(r);
+  }
+  return keepers;
+}
+
 std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
                                   const std::vector<CsrMatrix>& q_blocks,
                                   const DistBlockRowMatrix& a,
-                                  const Spgemm15dOptions& opts, Spgemm15dStats* stats) {
+                                  const Spgemm15dOptions& opts, Spgemm15dStats* stats,
+                                  const std::vector<std::vector<index_t>>& q_batches) {
   check(a.grid().size() <= cluster.size(),
         "spgemm_15d: A's grid has more ranks than the cluster");
   check(static_cast<index_t>(q_blocks.size()) == a.num_blocks(),
         "spgemm_15d: need one Q block per process row");
-  for (const CsrMatrix& q : q_blocks) {
-    check(q.cols() == a.rows(), "spgemm_15d: Q block columns must equal A rows");
+  check(q_batches.empty() || q_batches.size() == q_blocks.size(),
+        "spgemm_15d: need one batch offset list per process row");
+  for (std::size_t i = 0; i < q_blocks.size(); ++i) {
+    check(q_blocks[i].cols() == a.rows(), "spgemm_15d: Q block columns must equal A rows");
+    if (q_batches.empty() || q_batches[i].empty()) continue;
+    const std::vector<index_t>& off = q_batches[i];
+    check(off.front() == 0 && off.back() == q_blocks[i].rows() &&
+              std::is_sorted(off.begin(), off.end()),
+          "spgemm_15d: batch offsets must rise from 0 to the Q block's rows");
   }
-  ProductWork work(q_blocks, a, opts.local);
+  ProductWork work(q_blocks, q_batches, a, opts.local);
   run_schedule(cluster, a, opts, stats, "spgemm_15d", work);
   return work.take();
 }

@@ -214,16 +214,35 @@ void exec_spgemm(RunCtx& ctx, const PlanOp& op) {
   });
 }
 
+/// The FrontierStack slot of the one-per-vertex kBuildQ that writes `q`, or
+/// kNoSlot when Q has one row per batch (the indicator Q) or no kBuildQ
+/// writes it.
+SlotId q_stack_slot(const SamplePlan& plan, SlotId q) {
+  for (const PlanOp& o : plan.body) {
+    if (o.kind == PlanOpKind::kBuildQ && o.out == q) {
+      return o.qmode == QMode::kOnePerVertex ? o.out2 : kNoSlot;
+    }
+  }
+  return kNoSlot;
+}
+
 void exec_spgemm_15d(RunCtx& ctx, const PlanOp& op) {
   const auto rows = ctx.rows.size();
   const bool can_move = sole_reader_of_input(ctx.plan, op);
+  // The collective sends each batch's rows of P to the replica that keeps
+  // the batch, so a one-per-vertex Q says which rows are whose.
+  const SlotId stack_slot = q_stack_slot(ctx.plan, op.in);
   std::vector<CsrMatrix> blocks(rows);
+  std::vector<std::vector<index_t>> q_batches(stack_slot == kNoSlot ? 0 : rows);
   for (std::size_t i = 0; i < rows; ++i) {
     // A stopped process row (walk plans: every walk terminated) contributes
     // an empty Q — its input slot holds a stale or moved-out value.
     if (ctx.rows[i].stopped) {
       blocks[i] = CsrMatrix(0, ctx.n);
       continue;
+    }
+    if (stack_slot != kNoSlot) {
+      q_batches[i] = as_stack(ctx, ctx.rows[i], stack_slot, op).offsets;
     }
     // Move when this op is the slot's only reader (the common case —
     // avoids an O(nnz) copy per process row per round on the hot path).
@@ -238,7 +257,7 @@ void exec_spgemm_15d(RunCtx& ctx, const PlanOp& op) {
   sopts.sparsity_aware = ctx.sparsity_aware;
   sopts.phase = op.phase;
   sopts.local.workspace = &ctx.state->ws;
-  auto products = spgemm_15d(*ctx.cluster, blocks, *ctx.dadj, sopts);
+  auto products = spgemm_15d(*ctx.cluster, blocks, *ctx.dadj, sopts, nullptr, q_batches);
   for (std::size_t i = 0; i < rows; ++i) {
     if (ctx.rows[i].stopped) continue;
     PlanValue& out = slot_ref(ctx, ctx.rows[i], op.out, op);

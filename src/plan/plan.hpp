@@ -54,8 +54,8 @@ enum class PlanOpKind {
   kBuildQ,
   /// out = in · A, the probability-generation product against the bound
   /// adjacency. Partitioned runs execute it as spgemm_15d (Algorithm 2:
-  /// per-process-row Q blocks, chunked A-row fetch/exchange, all-reduce of
-  /// partials).
+  /// per-process-row Q blocks, chunked A-row fetch/exchange, then each
+  /// batch's partials sent to the replica that keeps it).
   kSpgemm,
   /// In-place NORM on a matrix slot: kRow row-normalizes (§4.1.1); kLadies
   /// squares entries first (p_v ∝ e_v², Zou et al. 2019). The one

@@ -44,8 +44,8 @@ DenseD to_dense(const CsrMatrix& a);
 /// Max |A - B| over all entries (shape must match). Test helper.
 double max_abs_diff(const CsrMatrix& a, const CsrMatrix& b);
 
-/// C = A + B (same shape). The reduction operator of the 1.5D SpGEMM's
-/// all-reduce over partial products (Algorithm 2 line 14).
+/// C = A + B (same shape). The 1.5D SpGEMM's fold of partial products
+/// (Algorithm 2 line 14).
 CsrMatrix csr_add(const CsrMatrix& a, const CsrMatrix& b);
 
 /// Restricts A to columns [c0, c1), shifting surviving column ids down by

@@ -283,6 +283,15 @@ void intersect_sorted(std::span<const index_t> cols,
   }
 }
 
+/// About how many steps intersect_sorted takes for a d-entry row against
+/// an s-entry mask: s or d binary searches, or the merge.
+std::size_t intersect_steps(std::size_t d, std::size_t s) {
+  if (d == 0 || s == 0) return 0;
+  if (s * 8 < d) return s * static_cast<std::size_t>(std::bit_width(d));
+  if (d * 8 < s) return d * static_cast<std::size_t>(std::bit_width(s));
+  return d + s;
+}
+
 /// Dense column→mask-position lookup (-1 when unmasked) in the workspace's
 /// shared buffer, which stays all -1 between calls: the table grows with -1
 /// to `cols`, the mask's positions are set here and reset when the guard
@@ -454,9 +463,12 @@ CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
   // Symbolic phase: one unit of work per entry of each listed row.
   std::vector<nnz_t>& prefix = ws.shared_prefix();
   prefix.assign(rows.size() + 1, 0);
+  std::size_t intersect_cost = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     check(rows[i] >= 0 && rows[i] < a.rows(), "spgemm_masked: row id out of range");
-    prefix[i + 1] = prefix[i] + a.row_nnz(rows[i]);
+    const nnz_t d = a.row_nnz(rows[i]);
+    prefix[i + 1] = prefix[i] + d;
+    intersect_cost += intersect_steps(static_cast<std::size_t>(d), mask.size());
   }
   // A block must read enough entries to amortize a pool dispatch, so small
   // extractions (one batch's rows in one owner block, §3.2) run inline. On
@@ -470,12 +482,17 @@ CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
   const std::vector<index_t> bounds = work_balanced_bounds(prefix, m, max_blocks);
   ws.ensure_slots(bounds.size() - 1);
 
-  // When the rows store enough entries, a column→position table beats
-  // per-row sorted intersection; small per-minibatch extractions skip it.
-  // Both visit a row's kept entries in column order, so this is a pure
-  // speed knob.
+  // The path with fewer steps: the column→position table probes once per
+  // entry and sets and resets the mask's slots; the sorted intersection
+  // re-reads the mask per row, or binary-searches the longer side. Both
+  // visit a row's kept entries in column order, so this is a pure speed
+  // knob. Timed per call, this picks the faster path on nearly every call
+  // of the owner-block extractions (few rows, small mask, hub rows), the
+  // replicated LADIES/FastGCN extractions at s = 32 and 512, and node2vec's
+  // induced subgraphs.
   std::optional<MaskLookup> table;
-  if (!mask.empty() && prefix.back() * 2 >= a.cols()) {
+  if (!mask.empty() &&
+      intersect_cost >= static_cast<std::size_t>(prefix.back()) + 2 * mask.size()) {
     table.emplace(mask, a.cols(), ws.shared_lookup());
   }
 

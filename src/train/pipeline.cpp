@@ -266,19 +266,16 @@ double Pipeline::clock() const {
 void Pipeline::assign_batches(const std::vector<index_t>& ids, index_t boundary) {
   // The units a block of batches goes to: every alive rank on its own
   // (§5.1/§6.1; kDisaggregated's p slots carry this replicated placement,
-  // the source of its loss bit-identity to kReplicated), or the alive
-  // replicas of every alive process row (§5.2), which round-robin their
-  // block. With every rank alive this is BlockPartition(k, p), or rank
+  // the source of its loss bit-identity to kReplicated), or the keepers of
+  // every alive process row (§5.2), which deal their block by the keeper
+  // rule. With every rank alive this is BlockPartition(k, p), or rank
   // (i, m % c) at step m / c of row i's block.
   std::vector<std::vector<int>> units;
   if (cfg_.mode == DistMode::kPartitioned) {
     const ProcessGrid& grid = cluster_.grid();
     for (int i = 0; i < grid.rows(); ++i) {
-      std::vector<int> ranks;
-      for (int j = 0; j < grid.replication(); ++j) {
-        if (cluster_.alive(grid.rank_of(i, j))) ranks.push_back(grid.rank_of(i, j));
-      }
-      if (!ranks.empty()) units.push_back(std::move(ranks));
+      std::vector<int> keepers = row_keepers(cluster_, grid, i);
+      if (!keepers.empty()) units.push_back(std::move(keepers));
     }
   } else {
     for (const int r : cluster_.alive_ranks()) units.push_back({r});
@@ -297,7 +294,7 @@ void Pipeline::assign_batches(const std::vector<index_t>& ids, index_t boundary)
     const index_t hi = bp.end(static_cast<index_t>(a));
     for (index_t m = lo; m < hi; ++m) {
       auto& row = schedule_[static_cast<std::size_t>(
-          ranks[static_cast<std::size_t>((m - lo) % nc)])];
+          batch_keeper(ranks, static_cast<std::size_t>(m - lo)))];
       const auto step = static_cast<std::size_t>(boundary + (m - lo) / nc);
       if (row.size() <= step) row.resize(step + 1);
       row[step].batch = ids[static_cast<std::size_t>(m)];
@@ -478,17 +475,21 @@ double Pipeline::sample_round(const BulkRound& round,
   const double before = clock();
   const auto made = draw_round(round, batches, epoch_seed);
   if (layout_.samplers > 0 && !made.empty()) {
-    // Handoff: each sample streams from the sampler row that produced it to
-    // the trainer of its slot. A trainer receives its samples serially (sum
-    // of p2p times); trainers receive concurrently (max). record_comm on
-    // the cluster means transient-loss fault plans retry the handoff like
-    // any other modeled message.
+    // Handoff: each sample streams from its keeper — the sampler replica
+    // its row's collectives sent its results to — to the trainer of its
+    // slot. A trainer receives its samples serially (sum of p2p times);
+    // trainers receive concurrently (max). record_comm on the cluster means
+    // transient-loss fault plans retry the handoff like any other modeled
+    // message.
     std::vector<double> per_trainer(static_cast<std::size_t>(layout_.trainers), 0.0);
     std::size_t bytes = 0;
     std::size_t msgs = 0;
     for (std::size_t row = 0; row < made.size(); ++row) {
-      const int src = layout_.sampler_grid.rank_of(static_cast<int>(row), 0);
-      for (const auto& [r, t] : made[row]) {
+      const std::vector<int> keepers =
+          row_keepers(cluster_, layout_.sampler_grid, static_cast<int>(row));
+      for (std::size_t q = 0; q < made[row].size(); ++q) {
+        const auto [r, t] = made[row][q];
+        const int src = batch_keeper(keepers, q);
         const int tj = layout_.trainer_of_slot(r);
         const std::size_t b = sample_bytes(
             schedule_[static_cast<std::size_t>(r)][static_cast<std::size_t>(t)].sample);
@@ -554,16 +555,21 @@ std::vector<std::vector<std::pair<int, index_t>>> Pipeline::draw_round(
   }
 
   // The partitioned sampler block-assigns batches to the process rows of
-  // its grid in collection order: colocated, each row samples the batches
-  // its own replicas train; disaggregated, the sampler rows take the
-  // round's batches in (step, slot) order — the logical schedule that
-  // kReplicated trains.
+  // its grid in collection order. Colocated, each row samples exactly the
+  // batches its own replicas train, step by step in column order, so the
+  // keeper of each is its trainer (assign_batches deals a row's block by
+  // the same keeper rule). Disaggregated, the sampler rows split the
+  // round's batches, taken in (step, slot) order — the logical schedule
+  // that kReplicated trains — and the handoff ships each from its keeper.
+  std::vector<index_t> row_batches;
   if (layout_.samplers == 0) {
     const ProcessGrid& grid = cluster_.grid();
     for (int i = 0; i < grid.rows(); ++i) {
+      const std::size_t before = ids.size();
       for (index_t t = round.step_begin; t < round.step_end; ++t) {
         for (int j = 0; j < grid.replication(); ++j) collect(grid.rank_of(i, j), t);
       }
+      row_batches.push_back(static_cast<index_t>(ids.size() - before));
     }
   } else {
     for (index_t t = round.step_begin; t < round.step_end; ++t) {
@@ -571,7 +577,7 @@ std::vector<std::vector<std::pair<int, index_t>>> Pipeline::draw_round(
     }
   }
   if (ids.empty()) return {};
-  auto per_row = partitioned_->sample_bulk(cluster_, chunk, ids, epoch_seed);
+  auto per_row = partitioned_->sample_bulk(cluster_, chunk, ids, epoch_seed, row_batches);
   cluster_.add_overhead(kPhaseSampling, launch_cost);
   // Concatenating the per-row results restores collection order.
   std::vector<std::vector<std::pair<int, index_t>>> made(per_row.size());

@@ -214,5 +214,70 @@ TEST(PartitionedSage, SamplesOnTheGlobalRanksOfALargerCluster) {
   EXPECT_THROW(wide.sample_bulk(small, batches, ids, 5), DmsError);
 }
 
+TEST(PartitionedSage, UnevenCrashSamplesEveryBatchOnItsTrainersRow) {
+  // ProcessGrid(4, 2) with rank 2 = (0, 1) dead: row 0 keeps one replica,
+  // row 1 two. A colocated round over two steps collects, per row and step
+  // in column order, the batches its keepers train — two on row 0, four on
+  // row 1, placed by the keeper rule. Given those counts, sample_bulk
+  // samples every batch on its trainer's row, and the keeper its row's
+  // collectives send the batch's results to is its trainer. The even split
+  // of the alive rows (no counts) samples one of row 1's batches on row 0.
+  const Graph g(testutil::random_csr(96, 96, 0.06, 31));
+  const SamplerConfig cfg{{3, 2}, 1};
+  const auto batches = make_batches(96, 6, 4);
+  const std::vector<index_t> ids = {0, 1, 2, 3, 4, 5};
+  const ProcessGrid grid(4, 2);
+  PartitionedSamplerBase dist(g, grid, build_sage_plan(), cfg);
+  const auto ref = PlanSampler(g, build_sage_plan(), cfg).sample_bulk(batches, ids, 5);
+
+  FaultPlanConfig fc;
+  fc.crashes = {{grid.rank_of(0, 1), 0}};
+  const FaultPlan plan(fc);
+  Cluster cluster = make_cluster(4, 2);
+  cluster.install_faults(&plan);
+  cluster.begin_superstep();
+
+  std::vector<index_t> counts;
+  std::vector<int> trainer;  // of each batch, in collection order
+  for (int i = 0; i < grid.rows(); ++i) {
+    const std::vector<int> keepers = row_keepers(cluster, grid, i);
+    for (int step = 0; step < 2; ++step) {
+      for (const int r : keepers) trainer.push_back(r);
+    }
+    counts.push_back(static_cast<index_t>(2 * keepers.size()));
+  }
+  ASSERT_EQ(counts, (std::vector<index_t>{2, 4}));
+
+  const auto out = dist.sample_bulk(cluster, batches, ids, 5, counts);
+  ASSERT_EQ(out.size(), 2u);
+  std::size_t seen = 0;
+  for (int i = 0; i < grid.rows(); ++i) {
+    const std::vector<int> keepers = row_keepers(cluster, grid, i);
+    const auto& row = out[static_cast<std::size_t>(i)];
+    ASSERT_EQ(static_cast<index_t>(row.size()), counts[static_cast<std::size_t>(i)]);
+    for (std::size_t q = 0; q < row.size(); ++q, ++seen) {
+      EXPECT_EQ(grid.row_of(trainer[seen]), i) << "batch " << seen;
+      EXPECT_EQ(batch_keeper(keepers, q), trainer[seen]) << "batch " << seen;
+      EXPECT_EQ(row[q].layers.back().col_vertices, ref[seen].layers.back().col_vertices);
+    }
+  }
+  EXPECT_EQ(seen, ids.size());
+  EXPECT_EQ(dist.sample_bulk(cluster, batches, ids, 5).front().size(), 3u);
+
+  // Counts that do not cover the round, or give a dead row work, throw.
+  EXPECT_THROW(dist.sample_bulk(cluster, batches, ids, 5, std::vector<index_t>{2, 3}),
+               DmsError);
+  EXPECT_THROW(dist.sample_bulk(cluster, batches, ids, 5, std::vector<index_t>{6}),
+               DmsError);
+  FaultPlanConfig row0;
+  row0.crashes = {{grid.rank_of(0, 0), 0}, {grid.rank_of(0, 1), 0}};
+  const FaultPlan row0_plan(row0);
+  Cluster row0_dead = make_cluster(4, 2);
+  row0_dead.install_faults(&row0_plan);
+  row0_dead.begin_superstep();
+  EXPECT_THROW(dist.sample_bulk(row0_dead, batches, ids, 5, std::vector<index_t>{1, 5}),
+               DmsError);
+}
+
 }  // namespace
 }  // namespace dms

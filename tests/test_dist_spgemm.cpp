@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "comm/faults.hpp"
 #include "common/rng.hpp"
 #include "dist/spgemm_15d.hpp"
 #include "sparse/ops.hpp"
@@ -190,7 +191,7 @@ TEST(Spgemm15d, SparsityAwareSendsFewerRowBytes) {
   // The masked extraction on the same grid: aware, what crosses process
   // rows is exactly one request (rows + mask) and one masked piece per
   // (batch, remote block) with rows there — and less than the Q_R·A path
-  // that ships whole A-rows and all-reduces A[R, :].
+  // that ships whole A-rows and routes A[R, :] to the keepers.
   const BlockPartition& part = a1.partition();
   const ExtractInput in = make_extract_input(part, 4, 107);
   std::size_t want_ids = 0, want_payload = 0;
@@ -221,20 +222,322 @@ TEST(Spgemm15d, SparsityAwareSendsFewerRowBytes) {
   EXPECT_EQ(x_obl.id_bytes, 0u);
   EXPECT_EQ(x_obl.row_data_bytes, obl_stats.row_data_bytes);
 
+  // The Q_R·A path: one Q row per frontier vertex, batch offsets as a
+  // FrontierStack's, so both collectives route to the same keepers.
   std::vector<CsrMatrix> qr_blocks;
+  std::vector<std::vector<index_t>> qr_batches;
   for (const auto& batches : in.rows) {
-    std::vector<index_t> stacked;
-    for (const auto& rows : batches) stacked.insert(stacked.end(), rows.begin(), rows.end());
+    std::vector<index_t> stacked, offsets = {0};
+    for (const auto& rows : batches) {
+      stacked.insert(stacked.end(), rows.begin(), rows.end());
+      offsets.push_back(static_cast<index_t>(stacked.size()));
+    }
     qr_blocks.push_back(CsrMatrix::one_nonzero_per_row(128, stacked));
+    qr_batches.push_back(std::move(offsets));
   }
-  spgemm_15d(c5, qr_blocks, a1, aware, &qr_stats);
+  spgemm_15d(c5, qr_blocks, a1, aware, &qr_stats, qr_batches);
   EXPECT_LT(x_aware.row_data_bytes, qr_stats.row_data_bytes);
   EXPECT_LT(x_aware.row_data_bytes + x_aware.id_bytes,
             qr_stats.row_data_bytes + qr_stats.id_bytes);
-  EXPECT_LT(x_aware.allreduce_bytes, qr_stats.allreduce_bytes);
-  EXPECT_EQ(x_aware.messages, qr_stats.messages);
-  EXPECT_EQ(c3.comm_stats().at("spgemm_15d").messages,
-            c5.comm_stats().at("spgemm_15d").messages);
+  EXPECT_LT(x_aware.route_bytes, qr_stats.route_bytes);
+  EXPECT_EQ(x_aware.round_messages, qr_stats.round_messages);
+  EXPECT_EQ(c3.comm_stats().at("spgemm_15d").messages - x_aware.exchange_messages,
+            c5.comm_stats().at("spgemm_15d").messages - qr_stats.exchange_messages);
+}
+
+// --- the row exchange: each batch's result goes to its keeper ----------------
+
+/// Grid positions, by column, of a process row's ranks after `dead` died:
+/// its keepers, the stand-in that computes each chunk, and which columns
+/// compute at all — derived from the keeper rule and the chunk split as
+/// DESIGN.md §3.2 states them.
+struct RowLayout {
+  std::vector<int> keeper_cols;      // alive columns, ascending
+  std::vector<int> worker_col;       // per chunk j
+  std::vector<char> computes;        // per column
+};
+
+RowLayout row_layout(const ProcessGrid& grid, int i, const std::vector<int>& dead) {
+  const int c = grid.replication();
+  RowLayout l;
+  const auto is_dead = [&](int r) {
+    return std::find(dead.begin(), dead.end(), r) != dead.end();
+  };
+  for (int j = 0; j < c; ++j) {
+    if (!is_dead(grid.rank_of(i, j))) l.keeper_cols.push_back(j);
+  }
+  const BlockPartition chunks(grid.rows(), c);
+  l.computes.assign(static_cast<std::size_t>(c), 0);
+  for (int j = 0; j < c; ++j) {
+    const int w = is_dead(grid.rank_of(i, j)) ? l.keeper_cols.front() : j;
+    l.worker_col.push_back(w);
+    if (chunks.size(j) > 0) l.computes[static_cast<std::size_t>(w)] = 1;
+  }
+  return l;
+}
+
+/// CSR bytes of the given rows of m, or 0 when they hold no entries.
+std::size_t rows_bytes(const CsrMatrix& m, const std::vector<index_t>& rows) {
+  const CsrMatrix part = extract_rows(m, rows);
+  return part.nnz() == 0 ? 0 : part.bytes();
+}
+
+struct ExchangeBytes {
+  std::size_t gather = 0, route = 0;
+};
+
+/// spgemm_15d's exchange: keepers' Q rows to every other computing column,
+/// each partial Q_i[:, block k]·A_k's rows from the column that computed it
+/// to the keeper of their batch. batch_of[i][r] is Q row r's batch.
+ExchangeBytes product_exchange(const ProcessGrid& grid, const CsrMatrix& a_global,
+                               const BlockPartition& part,
+                               const std::vector<CsrMatrix>& q_blocks,
+                               const std::vector<std::vector<index_t>>& batch_of,
+                               const std::vector<int>& dead) {
+  ExchangeBytes want;
+  const BlockPartition chunks(grid.rows(), grid.replication());
+  for (int i = 0; i < grid.rows(); ++i) {
+    const RowLayout l = row_layout(grid, i, dead);
+    if (l.keeper_cols.size() < 2) continue;
+    const CsrMatrix& q = q_blocks[static_cast<std::size_t>(i)];
+    std::vector<std::vector<index_t>> rows_of(static_cast<std::size_t>(grid.replication()));
+    for (index_t r = 0; r < q.rows(); ++r) {
+      const auto b = static_cast<std::size_t>(
+          batch_of[static_cast<std::size_t>(i)][static_cast<std::size_t>(r)]);
+      rows_of[static_cast<std::size_t>(l.keeper_cols[b % l.keeper_cols.size()])].push_back(r);
+    }
+    for (int kc = 0; kc < grid.replication(); ++kc) {
+      const std::size_t in = rows_bytes(q, rows_of[static_cast<std::size_t>(kc)]);
+      for (int to = 0; to < grid.replication(); ++to) {
+        if (to != kc && l.computes[static_cast<std::size_t>(to)] != 0) want.gather += in;
+      }
+    }
+    for (index_t k = 0; k < part.parts(); ++k) {
+      const CsrMatrix partial = spgemm(column_window(q, part.begin(k), part.end(k)),
+                                       row_slice(a_global, part.begin(k), part.end(k)));
+      const int holder = l.worker_col[static_cast<std::size_t>(chunks.owner(k))];
+      for (int kc = 0; kc < grid.replication(); ++kc) {
+        if (kc != holder) want.route += rows_bytes(partial, rows_of[static_cast<std::size_t>(kc)]);
+      }
+    }
+  }
+  return want;
+}
+
+/// masked_extract_15d's exchange: each batch's frontier and mask to every
+/// other computing column, each masked piece A[R_b ∩ block k, S_b] from the
+/// column that holds it to the batch's keeper.
+ExchangeBytes extract_exchange(const ProcessGrid& grid, const CsrMatrix& a_global,
+                               const BlockPartition& part, const ExtractInput& in,
+                               const std::vector<int>& dead) {
+  ExchangeBytes want;
+  const BlockPartition chunks(grid.rows(), grid.replication());
+  for (int i = 0; i < grid.rows(); ++i) {
+    const RowLayout l = row_layout(grid, i, dead);
+    if (l.keeper_cols.size() < 2) continue;
+    const auto& rows = in.rows[static_cast<std::size_t>(i)];
+    const auto& masks = in.masks[static_cast<std::size_t>(i)];
+    for (std::size_t b = 0; b < rows.size(); ++b) {
+      const int kc = l.keeper_cols[b % l.keeper_cols.size()];
+      for (int to = 0; to < grid.replication(); ++to) {
+        if (to != kc && l.computes[static_cast<std::size_t>(to)] != 0) {
+          want.gather += (rows[b].size() + masks[b].size()) * sizeof(index_t);
+        }
+      }
+      for (index_t k = 0; k < part.parts(); ++k) {
+        std::vector<index_t> in_k;
+        for (const index_t g : rows[b]) {
+          if (part.owner(g) == k) in_k.push_back(g);
+        }
+        const CsrMatrix piece = spgemm_masked(a_global, in_k, masks[b]);
+        const int holder = l.worker_col[static_cast<std::size_t>(chunks.owner(k))];
+        if (holder != kc && piece.nnz() > 0) want.route += piece.bytes();
+      }
+    }
+  }
+  return want;
+}
+
+/// Per-row batches over stacked Q rows: batch b of row i owns 1 + (b + i) % 3
+/// consecutive rows, so batch sizes differ and rows straddle keepers.
+std::vector<std::vector<index_t>> stacked_offsets(const std::vector<CsrMatrix>& q_blocks) {
+  std::vector<std::vector<index_t>> out;
+  for (std::size_t i = 0; i < q_blocks.size(); ++i) {
+    std::vector<index_t> off = {0};
+    for (index_t b = 0; off.back() < q_blocks[i].rows(); ++b) {
+      off.push_back(std::min<index_t>(q_blocks[i].rows(),
+                                      off.back() + 1 + (b + static_cast<index_t>(i)) % 3));
+    }
+    out.push_back(std::move(off));
+  }
+  return out;
+}
+
+std::vector<std::vector<index_t>> batch_of_rows(const std::vector<CsrMatrix>& q_blocks,
+                                                const std::vector<std::vector<index_t>>& offsets) {
+  std::vector<std::vector<index_t>> out(q_blocks.size());
+  for (std::size_t i = 0; i < q_blocks.size(); ++i) {
+    for (index_t r = 0; r < q_blocks[i].rows(); ++r) {
+      if (offsets.empty()) {
+        out[i].push_back(r);  // the default: Q row r is batch r
+        continue;
+      }
+      const auto& off = offsets[i];
+      out[i].push_back(static_cast<index_t>(
+          std::upper_bound(off.begin(), off.end(), r) - off.begin() - 1));
+    }
+  }
+  return out;
+}
+
+class RowExchangeSweep : public ::testing::TestWithParam<GridParam> {};
+
+TEST_P(RowExchangeSweep, VolumesAreTheNonKeepersPartsAndTheKeepersInputs) {
+  const auto [p, c] = GetParam();
+  const CsrMatrix a_global = random_csr(96, 96, 0.08, 131);
+  const CsrMatrix q_global = random_csr(40, 96, 0.05, 132);
+  for (const bool aware : {true, false}) {
+    Spgemm15dOptions opts;
+    opts.sparsity_aware = aware;
+    const std::string label = std::string(aware ? "aware" : "oblivious");
+    const ProcessGrid grid(p, c);
+    const DistBlockRowMatrix a(grid, a_global);
+    const auto q_blocks = split_rows(q_global, grid.rows());
+    // Default (Q row b is batch b) and FrontierStack-style offsets.
+    for (const bool stacked : {false, true}) {
+      const auto offsets = stacked ? stacked_offsets(q_blocks)
+                                   : std::vector<std::vector<index_t>>{};
+      Cluster cluster = make_cluster(p, c);
+      Spgemm15dStats stats;
+      const auto got = spgemm_15d(cluster, q_blocks, a, opts, &stats, offsets);
+      EXPECT_TRUE(vstack(got) == vstack(spgemm_15d(cluster, q_blocks, a, opts)));
+      const ExchangeBytes want = product_exchange(
+          grid, a_global, a.partition(), q_blocks, batch_of_rows(q_blocks, offsets), {});
+      EXPECT_GT(want.route, 0u) << label;
+      EXPECT_EQ(stats.gather_bytes, want.gather) << label << " stacked " << stacked;
+      EXPECT_EQ(stats.route_bytes, want.route) << label << " stacked " << stacked;
+      EXPECT_GT(stats.exchange_messages, 0u);
+      EXPECT_LE(stats.exchange_messages,
+                2 * static_cast<std::size_t>(grid.rows() * c * (c - 1)));
+    }
+
+    Cluster cluster = make_cluster(p, c);
+    const ExtractInput in = make_extract_input(a.partition(), grid.rows(), 133);
+    Spgemm15dStats stats;
+    masked_extract_15d(cluster, a, in.view(), opts, &stats);
+    const ExchangeBytes want = extract_exchange(grid, a_global, a.partition(), in, {});
+    EXPECT_GT(want.route, 0u) << label;
+    EXPECT_EQ(stats.gather_bytes, want.gather) << label;
+    EXPECT_EQ(stats.route_bytes, want.route) << label;
+    // The cluster's phase holds the rounds' and the exchange's messages.
+    EXPECT_EQ(cluster.comm_stats().at("spgemm_15d").messages,
+              stats.round_messages + stats.exchange_messages);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, RowExchangeSweep,
+                         ::testing::Values(GridParam{8, 2}, GridParam{8, 4}));
+
+TEST(RowExchange, OneReplicaPerRowExchangesNothing) {
+  const CsrMatrix a_global = random_csr(64, 64, 0.1, 134);
+  const ProcessGrid grid(8, 1);
+  const DistBlockRowMatrix a(grid, a_global);
+  const auto q_blocks = split_rows(random_csr(24, 64, 0.06, 135), grid.rows());
+  Cluster cluster = make_cluster(8, 1);
+  Spgemm15dStats s, x;
+  spgemm_15d(cluster, q_blocks, a, {}, &s);
+  masked_extract_15d(cluster, a, make_extract_input(a.partition(), 8, 136).view(), {}, &x);
+  for (const Spgemm15dStats& st : {s, x}) {
+    EXPECT_EQ(st.gather_bytes, 0u);
+    EXPECT_EQ(st.route_bytes, 0u);
+    EXPECT_EQ(st.exchange_messages, 0u);
+  }
+  EXPECT_EQ(cluster.comm_stats().at("spgemm_15d").messages,
+            s.round_messages + x.round_messages);
+}
+
+TEST(RowExchange, ADeadRequestersPartialsRouteFromItsSurvivor) {
+  // (8, 4): two process rows, chunks {0}, {1}, {}, {} — columns 0 and 1
+  // compute. Rank (0, 1) = 2 dies: row 0's first keeper, column 0, computes
+  // its chunk and routes those partials; row 0's keepers are columns 0, 2
+  // and 3, and every batch goes to one of them.
+  const ProcessGrid grid(8, 4);
+  const int dead = grid.rank_of(0, 1);
+  const CsrMatrix a_global = random_csr(96, 96, 0.08, 137);
+  const DistBlockRowMatrix a(grid, a_global);
+  const auto q_blocks = split_rows(random_csr(40, 96, 0.05, 138), grid.rows());
+  const ExtractInput in = make_extract_input(a.partition(), grid.rows(), 139);
+  FaultPlanConfig cfg;
+  cfg.crashes = {{dead, 0}};
+  const FaultPlan plan(cfg);
+  for (const bool aware : {true, false}) {
+    Spgemm15dOptions opts;
+    opts.sparsity_aware = aware;
+    Cluster cluster = make_cluster(8, 4);
+    cluster.install_faults(&plan);
+    cluster.begin_superstep();
+    ASSERT_FALSE(cluster.alive(dead));
+    const std::vector<int> keepers = row_keepers(cluster, grid, 0);
+    EXPECT_EQ(keepers, (std::vector<int>{grid.rank_of(0, 0), grid.rank_of(0, 2),
+                                         grid.rank_of(0, 3)}));
+    for (std::size_t b = 0; b < 12; ++b) {
+      EXPECT_TRUE(cluster.alive(batch_keeper(keepers, b)));
+    }
+    Spgemm15dStats s;
+    spgemm_15d(cluster, q_blocks, a, opts, &s);
+    const ExchangeBytes want_s = product_exchange(
+        grid, a_global, a.partition(), q_blocks, batch_of_rows(q_blocks, {}), {dead});
+    EXPECT_EQ(s.gather_bytes, want_s.gather);
+    EXPECT_EQ(s.route_bytes, want_s.route);
+    Spgemm15dStats x;
+    masked_extract_15d(cluster, a, in.view(), opts, &x);
+    const ExchangeBytes want_x =
+        extract_exchange(grid, a_global, a.partition(), in, {dead});
+    EXPECT_EQ(x.gather_bytes, want_x.gather);
+    EXPECT_EQ(x.route_bytes, want_x.route);
+    // Billed as if the dead rank held its partials, the volumes differ.
+    const ExchangeBytes healthy = product_exchange(
+        grid, a_global, a.partition(), q_blocks, batch_of_rows(q_blocks, {}), {});
+    EXPECT_NE(s.route_bytes, healthy.route);
+  }
+}
+
+TEST(RowExchange, EachCallRecordsOneExchangeEvent) {
+  // Every lost attempt is one comm event (max_attempts 2: each event loses
+  // exactly its first attempt), so lost_messages counts events: one per
+  // round that moved a message, plus one exchange when some row has two
+  // alive replicas — the all-reduce's one event.
+  const CsrMatrix a_global = random_csr(96, 96, 0.3, 140);
+  const CsrMatrix q_global = random_csr(40, 96, 0.3, 141);
+  FaultPlanConfig cfg;
+  cfg.seed = 4;
+  cfg.loss_rate = 1.0;
+  const FaultPlan plan(cfg);
+  RecoveryPolicy pol;
+  pol.max_attempts = 2;
+  for (const GridParam gp : {GridParam{8, 1}, GridParam{8, 2}, GridParam{8, 4},
+                             GridParam{16, 4}}) {
+    const ProcessGrid grid(gp.p, gp.c);
+    const DistBlockRowMatrix a(grid, a_global);
+    const auto q_blocks = split_rows(q_global, grid.rows());
+    const ExtractInput in = make_extract_input(a.partition(), grid.rows(), 142);
+    const std::size_t exchange_events = gp.c > 1 ? 1 : 0;
+    for (const bool aware : {true, false}) {
+      Spgemm15dOptions opts;
+      opts.sparsity_aware = aware;
+      Cluster cluster = make_cluster(gp.p, gp.c);
+      cluster.install_faults(&plan, pol);
+      Spgemm15dStats s;
+      spgemm_15d(cluster, q_blocks, a, opts, &s);
+      EXPECT_EQ(cluster.fault_stats().lost_messages, s.rounds + exchange_events)
+          << "p=" << gp.p << " c=" << gp.c;
+      Spgemm15dStats x;
+      masked_extract_15d(cluster, a, in.view(), opts, &x);
+      EXPECT_EQ(cluster.fault_stats().lost_messages,
+                s.rounds + x.rounds + 2 * exchange_events)
+          << "p=" << gp.p << " c=" << gp.c;
+    }
+  }
 }
 
 TEST(Spgemm15d, RecordsComputeAndCommPhases) {
