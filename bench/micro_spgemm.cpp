@@ -5,9 +5,10 @@
 //  - default: the Google Benchmark suite below (BM_*);
 //  - --kernel-compare [--smoke] [--json=PATH]: a self-contained comparison
 //    harness that times the dense / hash / auto kernels on the sampler
-//    shapes (auto is the selection gather there), times spgemm_masked on
-//    the frontier rows against the full-product-then-slice LADIES
-//    extraction it replaces (s ≪ n), cross-checks that every path
+//    shapes (GraphSAGE's selection Q, where auto is the gather, and
+//    LADIES' accumulating indicator-row Q with its 1.5D panels), times
+//    spgemm_masked on the frontier rows against the full-product-then-slice
+//    LADIES extraction it replaces (s ≪ n), cross-checks that every path
 //    produces bit-identical results (nonzero exit on mismatch, which is
 //    what the CI smoke job gates on — never on timings), and optionally
 //    appends its rows to a BENCH_*.json trajectory so SpGEMM throughput
@@ -25,6 +26,7 @@
 #include "common/timer.hpp"
 #include "core/ladies.hpp"
 #include "graph/generators.hpp"
+#include "graph/partition.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
@@ -144,6 +146,30 @@ std::vector<index_t> random_mask(const Graph& g, index_t s, std::uint64_t seed) 
   return mask;
 }
 
+/// LADIES' indicator Q: one row per batch over 32–64 distinct vertices
+/// drawn ∝ degree² (the layer-wise sampling distribution), values 1.
+CsrMatrix indicator_rows(const Graph& g, index_t batches, std::uint64_t seed) {
+  const index_t n = g.num_vertices();
+  std::vector<double> prefix(static_cast<std::size_t>(n) + 1, 0.0);
+  for (index_t v = 0; v < n; ++v) {
+    const auto d = static_cast<double>(g.out_degree(v));
+    prefix[static_cast<std::size_t>(v) + 1] = prefix[static_cast<std::size_t>(v)] + d * d;
+  }
+  Pcg32 rng(seed);
+  CooMatrix coo(batches, n);
+  for (index_t b = 0; b < batches; ++b) {
+    const auto size = static_cast<std::size_t>(32 + rng.bounded(33));
+    std::unordered_set<index_t> picked;
+    while (picked.size() < size) {
+      const double u = rng.uniform(prefix.back());
+      const auto it = std::upper_bound(prefix.begin(), prefix.end(), u);
+      picked.insert(static_cast<index_t>(it - prefix.begin()) - 1);
+    }
+    for (const index_t v : picked) coo.push(b, v, 1.0);
+  }
+  return CsrMatrix::from_coo(coo);
+}
+
 int run_kernel_compare(bool smoke, const std::string& json_path) {
   RmatParams params;
   params.scale = smoke ? 10 : 14;
@@ -182,23 +208,20 @@ int run_kernel_compare(bool smoke, const std::string& json_path) {
               {"speedup_vs_baseline", speedup}});
   };
 
-  // --- Per-kernel times on the probability-generation shapes Qˡ·A. ---
-  for (const index_t rows : smoke ? std::vector<index_t>{64, 256}
-                                  : std::vector<index_t>{256, 1024, 4096}) {
-    const CsrMatrix q =
-        CsrMatrix::one_nonzero_per_row(n, random_frontier(g, rows, 11 + rows));
-    const nnz_t flops = spgemm_flops(q, g.adjacency());
-    const std::string cs = "sage_qa_rows" + std::to_string(rows);
-
+  // Times the dense, hash and auto kernels on a·b and checks that they
+  // agree bit for bit.
+  const auto compare_kernels = [&](const std::string& cs, const CsrMatrix& a,
+                                   const CsrMatrix& b) {
+    const nnz_t flops = spgemm_flops(a, b);
     CsrMatrix ref;
     double dense_ms = 0.0;
     for (const auto kernel :
          {SpgemmKernel::kDense, SpgemmKernel::kHash, SpgemmKernel::kAuto}) {
       SpgemmOptions opts;
       opts.kernel = kernel;
-      const CsrMatrix out = spgemm(q, g.adjacency(), opts);
+      const CsrMatrix out = spgemm(a, b, opts);
       const double ms = time_min_ms(reps, [&] {
-        benchmark::DoNotOptimize(spgemm(q, g.adjacency(), opts));
+        benchmark::DoNotOptimize(spgemm(a, b, opts));
       });
       const char* name = kernel == SpgemmKernel::kDense  ? "dense"
                          : kernel == SpgemmKernel::kHash ? "hash"
@@ -213,6 +236,49 @@ int run_kernel_compare(bool smoke, const std::string& json_path) {
       }
       report(cs, name, ms, flops, dense_ms / ms);
     }
+  };
+
+  // --- Per-kernel times on the probability-generation shapes Qˡ·A. ---
+  // GraphSAGE's one-nonzero-per-row Q: no output entry gets two
+  // contributions (auto is the selection gather).
+  for (const index_t rows : smoke ? std::vector<index_t>{64, 256}
+                                  : std::vector<index_t>{256, 1024, 4096}) {
+    const CsrMatrix q =
+        CsrMatrix::one_nonzero_per_row(n, random_frontier(g, rows, 11 + rows));
+    compare_kernels("sage_qa_rows" + std::to_string(rows), q, g.adjacency());
+  }
+  // LADIES' indicator-row Q, whose products accumulate: the whole Q, a
+  // 26-row panel of it (one process row's batches on the 1.5D grid), and
+  // that panel's products with two of 16 A block rows as the 1.5D rounds
+  // multiply them: the hub block (most flops) and the sparsest block that
+  // still has work.
+  {
+    const index_t batches = smoke ? 64 : 256;
+    const CsrMatrix q = indicator_rows(g, batches, 31);
+    compare_kernels("ladies_qa_rows" + std::to_string(batches), q, g.adjacency());
+    const CsrMatrix panel = row_slice(q, 0, 26);
+    compare_kernels("ladies_qa_rows26", panel, g.adjacency());
+    const BlockPartition blocks(n, 16);
+    std::vector<std::pair<CsrMatrix, CsrMatrix>> products;
+    for (index_t k = 0; k < blocks.parts(); ++k) {
+      products.emplace_back(column_window(panel, blocks.begin(k), blocks.end(k)),
+                            row_slice(g.adjacency(), blocks.begin(k), blocks.end(k)));
+    }
+    const auto flops = [](const std::pair<CsrMatrix, CsrMatrix>& p) {
+      return spgemm_flops(p.first, p.second);
+    };
+    const auto hub = std::max_element(products.begin(), products.end(),
+                                      [&](const auto& x, const auto& y) {
+                                        return flops(x) < flops(y);
+                                      });
+    // Fewest flops among the products with any; empty products order last.
+    const auto sparse = std::min_element(products.begin(), products.end(),
+                                         [&](const auto& x, const auto& y) {
+                                           const nnz_t fx = flops(x), fy = flops(y);
+                                           return fx != 0 && (fy == 0 || fx < fy);
+                                         });
+    compare_kernels("ladies_panel_hub", hub->first, hub->second);
+    compare_kernels("ladies_panel_sparse", sparse->first, sparse->second);
   }
 
   // --- Masked extraction vs full-product-then-slice (LADIES §4.2.4: keep

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -70,10 +71,12 @@ struct WorkspaceSlot {
   std::vector<nnz_t> row_nnz;
   std::vector<index_t> colidx;
   std::vector<value_t> vals;
-  // Dense accumulator state (mark + value + touched list).
-  std::vector<index_t> mark;
-  std::vector<index_t> touched;
+  // Dense accumulator state: a value per column, a bitmap of the columns
+  // the current row touched (1 bit per column, all zero between rows) and
+  // the touched list.
   std::vector<value_t> acc;
+  std::vector<std::uint64_t> bitmap;
+  std::vector<index_t> touched;
   // Hash accumulator state. Invariant maintained by its user: every key
   // slot is empty outside a hash-kernel block (so reuse never rehashes).
   std::vector<index_t> hash_keys;

@@ -361,13 +361,14 @@ class ProductWork {
     add_row_parts(slot(i, k), row_cols(i, keeper_col), out);
   }
 
-  /// Folds the partial products in ascending k, so the per-entry
-  /// accumulation order is independent of the grid shape.
+  /// Sums the partial products in ascending k in one pass (csr_sum), then
+  /// frees them. Each entry adds its per-block partial sums in block order,
+  /// so the bits depend on the block boundaries unless every partial sum is
+  /// exact (integer-valued products, such as unit adjacencies).
   void finish(index_t i) {
     auto& parts = contrib_[static_cast<std::size_t>(i)];
-    CsrMatrix acc = std::move(parts[0]);
-    for (std::size_t k = 1; k < parts.size(); ++k) acc = csr_add(acc, parts[k]);
-    result_[static_cast<std::size_t>(i)] = std::move(acc);
+    result_[static_cast<std::size_t>(i)] = csr_sum(parts, local_);
+    parts.clear();
   }
 
   std::vector<CsrMatrix> take() { return std::move(result_); }

@@ -16,7 +16,12 @@
 //    NnzCols(Qˡ_ik) of A-rows its panel actually touches, and the owner
 //    replies with exactly those rows.
 // Both variants produce bit-identical products (the per-entry accumulation
-// order is unchanged); only the communication volume differs.
+// order is unchanged); only the communication volume differs. Each row's
+// partial products are summed in ascending block order (csr_sum), so for
+// a given grid the result bits are fixed. They equal the single-node
+// product's bits on every grid when every partial sum is exact
+// (integer-valued products, as every sampler's are); otherwise they may
+// differ from it in the last bits.
 //
 // The row exchange replaces Algorithm 2's closing all-reduce. Each replica
 // trains only its row's batches that the keeper rule (row_keepers) gives
@@ -85,13 +90,12 @@ struct Spgemm15dOptions {
   bool sparsity_aware = true;
   /// Phase name under which compute/comm time is recorded on the Cluster.
   std::string phase = "spgemm_15d";
-  /// Engine options for the per-panel local multiplies Qˡ_ik·A_k. The
-  /// default kAuto dispatch picks a kernel per panel from the symbolic
-  /// phase's flop estimate (the sparsity-aware panels are exactly the
-  /// sparse-rows-over-wide-matrix shape the hash kernel targets); every
-  /// kernel choice yields bit-identical partial products, so the grid-shape
-  /// equivalence contract is unaffected. masked_extract_15d passes it to
-  /// every spgemm_masked call.
+  /// Engine options for the per-panel local multiplies Qˡ_ik·A_k and the
+  /// fold's csr_sum. The default kAuto dispatch picks a kernel per row
+  /// block from the symbolic phase's flop estimate; every kernel choice
+  /// yields bit-identical partial products and sums, so it never changes
+  /// a result bit. masked_extract_15d passes it to every spgemm_masked
+  /// call.
   SpgemmOptions local;
 };
 

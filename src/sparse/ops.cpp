@@ -160,41 +160,6 @@ double max_abs_diff(const CsrMatrix& a, const CsrMatrix& b) {
   return DenseD::max_abs_diff(da, db);
 }
 
-CsrMatrix csr_add(const CsrMatrix& a, const CsrMatrix& b) {
-  check(a.rows() == b.rows() && a.cols() == b.cols(), "csr_add: shape mismatch");
-  std::vector<nnz_t> rowptr(static_cast<std::size_t>(a.rows()) + 1, 0);
-  std::vector<index_t> colidx;
-  std::vector<value_t> vals;
-  colidx.reserve(static_cast<std::size_t>(a.nnz() + b.nnz()));
-  vals.reserve(static_cast<std::size_t>(a.nnz() + b.nnz()));
-  for (index_t r = 0; r < a.rows(); ++r) {
-    const auto ac = a.row_cols(r);
-    const auto av = a.row_vals(r);
-    const auto bc = b.row_cols(r);
-    const auto bv = b.row_vals(r);
-    std::size_t i = 0, j = 0;
-    while (i < ac.size() || j < bc.size()) {
-      if (j >= bc.size() || (i < ac.size() && ac[i] < bc[j])) {
-        colidx.push_back(ac[i]);
-        vals.push_back(av[i]);
-        ++i;
-      } else if (i >= ac.size() || bc[j] < ac[i]) {
-        colidx.push_back(bc[j]);
-        vals.push_back(bv[j]);
-        ++j;
-      } else {
-        colidx.push_back(ac[i]);
-        vals.push_back(av[i] + bv[j]);
-        ++i;
-        ++j;
-      }
-    }
-    rowptr[static_cast<std::size_t>(r) + 1] = static_cast<nnz_t>(colidx.size());
-  }
-  return CsrMatrix(a.rows(), a.cols(), std::move(rowptr), std::move(colidx),
-                   std::move(vals));
-}
-
 CsrMatrix column_window(const CsrMatrix& a, index_t c0, index_t c1) {
   check(0 <= c0 && c0 <= c1 && c1 <= a.cols(), "column_window: bad range");
   std::vector<nnz_t> rowptr(static_cast<std::size_t>(a.rows()) + 1, 0);

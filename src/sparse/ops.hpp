@@ -44,10 +44,6 @@ DenseD to_dense(const CsrMatrix& a);
 /// Max |A - B| over all entries (shape must match). Test helper.
 double max_abs_diff(const CsrMatrix& a, const CsrMatrix& b);
 
-/// C = A + B (same shape). The 1.5D SpGEMM's fold of partial products
-/// (Algorithm 2 line 14).
-CsrMatrix csr_add(const CsrMatrix& a, const CsrMatrix& b);
-
 /// Restricts A to columns [c0, c1), shifting surviving column ids down by
 /// c0. Used to select the Qˡ_ik panel of the 1.5D algorithm.
 CsrMatrix column_window(const CsrMatrix& a, index_t c0, index_t c1);

@@ -65,13 +65,49 @@ std::vector<index_t> work_balanced_bounds(const std::vector<nnz_t>& prefix,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Numeric phase kernels. Both accumulators add each output entry's
-// contributions in the order the A row traverses its B rows and emit sorted
-// rows, so their results are bitwise interchangeable. Each accumulator
-// borrows its buffers from the block's workspace slot and re-establishes the
-// state it needs on construction, so slots can be reused across calls and
-// kernels in any order.
+// Numeric phase kernels. An accumulating kernel reads each output row's
+// contributions from a row source (`row(r, add)` calls add(col, value) in
+// the order the contributions are summed): A·B's row r is a(r,k)·B(k,:)
+// over A's row in order, and the sum's row r is each part's row r in list
+// order. Both accumulators store a column's first contribution and add the
+// later ones to it in that order, and emit sorted rows, so their results
+// are bitwise interchangeable. Each accumulator borrows its buffers from
+// the block's workspace slot and re-establishes the state it needs on
+// construction, so slots can be reused across calls and kernels in any
+// order.
 // ---------------------------------------------------------------------------
+
+/// A·B: row r adds av·B(k, c) for each entry (k, av) of A's row r in turn.
+struct ProductRows {
+  const CsrMatrix& a;
+  const CsrMatrix& b;
+
+  template <typename Add>
+  void row(index_t r, Add&& add) const {
+    const auto acols = a.row_cols(r);
+    const auto avals = a.row_vals(r);
+    for (std::size_t i = 0; i < acols.size(); ++i) {
+      const value_t av = avals[i];
+      const auto bcols = b.row_cols(acols[i]);
+      const auto bvals = b.row_vals(acols[i]);
+      for (std::size_t j = 0; j < bcols.size(); ++j) add(bcols[j], av * bvals[j]);
+    }
+  }
+};
+
+/// Σ parts: row r adds each part's row r, parts in list order.
+struct SumRows {
+  std::span<const CsrMatrix> parts;
+
+  template <typename Add>
+  void row(index_t r, Add&& add) const {
+    for (const CsrMatrix& p : parts) {
+      const auto cols = p.row_cols(r);
+      const auto vals = p.row_vals(r);
+      for (std::size_t j = 0; j < cols.size(); ++j) add(cols[j], vals[j]);
+    }
+  }
+};
 
 /// Staged per-block output (stitched into the result CSR afterwards).
 struct BlockOut {
@@ -85,54 +121,76 @@ struct BlockOut {
   std::vector<value_t>& vals;
 };
 
-/// Dense accumulator with generation marking: O(1) reset between rows.
-/// Marks are re-initialized per block invocation (stale marks from a
-/// previous product could collide with this product's row ids).
-struct DenseAcc {
+/// Dense accumulator: a value per output column and a bitmap of the
+/// columns the current row touched, all zero between rows (set on
+/// construction, cleared by every emit).
+class DenseAcc {
+ public:
   DenseAcc(WorkspaceSlot& s, index_t cols)
-      : mark(s.mark), acc(s.acc), touched(s.touched) {
-    mark.assign(static_cast<std::size_t>(cols), -1);
-    acc.resize(static_cast<std::size_t>(cols));
-    touched.clear();
+      : bits_(s.bitmap), acc_(s.acc), touched_(s.touched) {
+    bits_.assign((static_cast<std::size_t>(cols) + 63) / 64, 0);
+    acc_.resize(static_cast<std::size_t>(cols));
+    touched_.clear();
   }
 
-  std::vector<index_t>& mark;  // last row id that touched this column
-  std::vector<value_t>& acc;
-  std::vector<index_t>& touched;  // columns touched by the current row
-};
+  void add(index_t col, value_t v) {
+    const auto c = static_cast<std::size_t>(col);
+    const std::uint64_t bit = std::uint64_t{1} << (c & 63);
+    std::uint64_t& word = bits_[c >> 6];
+    if ((word & bit) == 0) {
+      word |= bit;
+      acc_[c] = v;
+      touched_.push_back(col);
+    } else {
+      acc_[c] += v;
+    }
+  }
 
-void dense_block(const CsrMatrix& a, const CsrMatrix& b, index_t r0, index_t r1,
-                 WorkspaceSlot& slot) {
-  DenseAcc ws(slot, b.cols());
-  BlockOut out(slot);
-  out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
-  for (index_t r = r0; r < r1; ++r) {
-    ws.touched.clear();
-    const auto acols = a.row_cols(r);
-    const auto avals = a.row_vals(r);
-    for (std::size_t i = 0; i < acols.size(); ++i) {
-      const index_t k = acols[i];
-      const value_t av = avals[i];
-      const auto bcols = b.row_cols(k);
-      const auto bvals = b.row_vals(k);
-      for (std::size_t j = 0; j < bcols.size(); ++j) {
-        const index_t c = bcols[j];
-        if (ws.mark[static_cast<std::size_t>(c)] != r) {
-          ws.mark[static_cast<std::size_t>(c)] = r;
-          ws.acc[static_cast<std::size_t>(c)] = av * bvals[j];
-          ws.touched.push_back(c);
-        } else {
-          ws.acc[static_cast<std::size_t>(c)] += av * bvals[j];
+  /// Appends the row's entries in column order, clears its bits and
+  /// returns its entry count. Walking the bitmap costs one step per word
+  /// and sorting the touched list about t·log2 t for t columns, so a row
+  /// takes the cheaper; both emit the same entries in the same order.
+  nnz_t emit(std::vector<index_t>& cols, std::vector<value_t>& vals) {
+    const std::size_t t = touched_.size();
+    if (t * static_cast<std::size_t>(std::bit_width(t)) < bits_.size()) {
+      std::sort(touched_.begin(), touched_.end());
+      for (const index_t col : touched_) {
+        const auto c = static_cast<std::size_t>(col);
+        bits_[c >> 6] = 0;
+        cols.push_back(col);
+        vals.push_back(acc_[c]);
+      }
+    } else {
+      for (std::size_t w = 0; w < bits_.size(); ++w) {
+        std::uint64_t word = bits_[w];
+        if (word == 0) continue;
+        bits_[w] = 0;
+        for (; word != 0; word &= word - 1) {
+          const std::size_t c = (w << 6) | static_cast<std::size_t>(std::countr_zero(word));
+          cols.push_back(static_cast<index_t>(c));
+          vals.push_back(acc_[c]);
         }
       }
     }
-    std::sort(ws.touched.begin(), ws.touched.end());
-    out.row_nnz[static_cast<std::size_t>(r - r0)] =
-        static_cast<nnz_t>(ws.touched.size());
-    for (const index_t c : ws.touched) {
-      out.colidx.push_back(c);
-      out.vals.push_back(ws.acc[static_cast<std::size_t>(c)]);
-    }
+    touched_.clear();
+    return static_cast<nnz_t>(t);
+  }
+
+ private:
+  std::vector<std::uint64_t>& bits_;
+  std::vector<value_t>& acc_;
+  std::vector<index_t>& touched_;  // columns touched by the current row
+};
+
+template <typename Rows>
+void dense_block(const Rows& src, index_t cols, index_t r0, index_t r1,
+                 WorkspaceSlot& slot) {
+  DenseAcc acc(slot, cols);
+  BlockOut out(slot);
+  out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
+  for (index_t r = r0; r < r1; ++r) {
+    src.row(r, [&](index_t c, value_t v) { acc.add(c, v); });
+    out.row_nnz[static_cast<std::size_t>(r - r0)] = acc.emit(out.colidx, out.vals);
   }
 }
 
@@ -208,25 +266,16 @@ class HashRow {
   std::size_t mask_ = 0;
 };
 
-void hash_block(const CsrMatrix& a, const CsrMatrix& b, index_t r0, index_t r1,
-                std::span<const nnz_t> prefix, WorkspaceSlot& slot) {
+template <typename Rows>
+void hash_block(const Rows& src, index_t r0, index_t r1, std::span<const nnz_t> prefix,
+                WorkspaceSlot& slot) {
   HashRow acc(slot);
   BlockOut out(slot);
   out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
   for (index_t r = r0; r < r1; ++r) {
     acc.reset(static_cast<std::size_t>(prefix[static_cast<std::size_t>(r) + 1] -
                                        prefix[static_cast<std::size_t>(r)]));
-    const auto acols = a.row_cols(r);
-    const auto avals = a.row_vals(r);
-    for (std::size_t i = 0; i < acols.size(); ++i) {
-      const index_t k = acols[i];
-      const value_t av = avals[i];
-      const auto bcols = b.row_cols(k);
-      const auto bvals = b.row_vals(k);
-      for (std::size_t j = 0; j < bcols.size(); ++j) {
-        acc.add(bcols[j], av * bvals[j]);
-      }
-    }
+    src.row(r, [&](index_t c, value_t v) { acc.add(c, v); });
     out.row_nnz[static_cast<std::size_t>(r - r0)] = static_cast<nnz_t>(acc.fill());
     acc.emit(&out.colidx, &out.vals);
   }
@@ -393,10 +442,42 @@ void for_blocks(const std::vector<index_t>& bounds, Fn&& body) {
   ThreadPool::global().parallel_for(nblocks, body);
 }
 
+/// The accumulating numeric phase shared by spgemm and csr_sum: each block
+/// runs the forced kernel, or the one spgemm_pick_kernel picks from the
+/// block's share of the prefix, into its slot; then the stitch.
+template <typename Rows>
+CsrMatrix accumulate(const Rows& src, index_t m, index_t n,
+                     const std::vector<nnz_t>& prefix,
+                     const std::vector<index_t>& bounds, SpgemmKernel forced,
+                     Workspace& ws) {
+  ws.ensure_slots(bounds.size() - 1);
+  for_blocks(bounds, [&](index_t blk) {
+    const index_t r0 = bounds[static_cast<std::size_t>(blk)];
+    const index_t r1 = bounds[static_cast<std::size_t>(blk) + 1];
+    WorkspaceSlot& slot = ws.slot(static_cast<std::size_t>(blk));
+    const nnz_t block_flops = prefix[static_cast<std::size_t>(r1)] -
+                              prefix[static_cast<std::size_t>(r0)];
+    if (block_flops == 0) {
+      // All rows in the range are structurally empty: no workspace needed.
+      BlockOut out(slot);
+      out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
+      return;
+    }
+    SpgemmKernel kernel = forced;
+    if (kernel == SpgemmKernel::kAuto) kernel = spgemm_pick_kernel(block_flops, n);
+    if (kernel == SpgemmKernel::kHash) {
+      hash_block(src, r0, r1, prefix, slot);
+    } else {
+      dense_block(src, n, r0, r1, slot);
+    }
+  });
+  return stitch(m, n, bounds, ws);
+}
+
 }  // namespace
 
 SpgemmKernel spgemm_pick_kernel(nnz_t block_flops, index_t out_cols) {
-  return 4 * block_flops >= out_cols ? SpgemmKernel::kDense : SpgemmKernel::kHash;
+  return 64 * block_flops >= out_cols ? SpgemmKernel::kDense : SpgemmKernel::kHash;
 }
 
 CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& opts) {
@@ -426,30 +507,31 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
     });
     return CsrMatrix(m, n, std::move(rowptr), std::move(colidx), std::move(vals));
   }
-  ws.ensure_slots(bounds.size() - 1);
+  return accumulate(ProductRows{a, b}, m, n, prefix, bounds, opts.kernel, ws);
+}
 
-  // Numeric phase.
-  for_blocks(bounds, [&](index_t blk) {
-    const index_t r0 = bounds[static_cast<std::size_t>(blk)];
-    const index_t r1 = bounds[static_cast<std::size_t>(blk) + 1];
-    WorkspaceSlot& slot = ws.slot(static_cast<std::size_t>(blk));
-    const nnz_t block_flops = prefix[static_cast<std::size_t>(r1)] -
-                              prefix[static_cast<std::size_t>(r0)];
-    if (block_flops == 0) {
-      // All rows in the range are structurally empty: no workspace needed.
-      BlockOut out(slot);
-      out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
-      return;
-    }
-    SpgemmKernel kernel = opts.kernel;
-    if (kernel == SpgemmKernel::kAuto) kernel = spgemm_pick_kernel(block_flops, n);
-    if (kernel == SpgemmKernel::kHash) {
-      hash_block(a, b, r0, r1, prefix, slot);
-    } else {
-      dense_block(a, b, r0, r1, slot);
-    }
-  });
-  return stitch(m, n, bounds, ws);
+CsrMatrix csr_sum(std::span<const CsrMatrix> parts, const SpgemmOptions& opts) {
+  check(!parts.empty(), "csr_sum: no parts");
+  const index_t m = parts[0].rows();
+  const index_t n = parts[0].cols();
+  for (const CsrMatrix& p : parts) {
+    check(p.rows() == m && p.cols() == n, "csr_sum: shape mismatch");
+  }
+
+  Workspace local_ws;
+  Workspace& ws = opts.workspace != nullptr ? *opts.workspace : local_ws;
+
+  // Symbolic phase: a row's entries over all parts bound its fill.
+  std::vector<nnz_t>& prefix = ws.shared_prefix();
+  prefix.assign(static_cast<std::size_t>(m) + 1, 0);
+  for (index_t r = 0; r < m; ++r) {
+    nnz_t fill = 0;
+    for (const CsrMatrix& p : parts) fill += p.row_nnz(r);
+    prefix[static_cast<std::size_t>(r) + 1] = prefix[static_cast<std::size_t>(r)] + fill;
+  }
+  const index_t max_blocks = opts.parallel ? ThreadPool::global().size() : 1;
+  const std::vector<index_t> bounds = work_balanced_bounds(prefix, m, max_blocks);
+  return accumulate(SumRows{parts}, m, n, prefix, bounds, opts.kernel, ws);
 }
 
 CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,

@@ -18,13 +18,18 @@
 //                 so the flop prefix is the output rowptr and each block
 //                 copies scaled B rows straight into the result. No
 //                 accumulator, sort, workspace slot or stitch.
-//      * dense  — generation-marked dense accumulator, O(cols) workspace per
-//                 block. Wins when the block's flop volume amortizes the
-//                 workspace (wide, dense row blocks).
+//      * dense  — a value per output column and a bitmap of the columns
+//                 the current row touched (1 bit per column, all zero
+//                 between rows). A row is emitted in column order by
+//                 walking the bitmap's set bits, or by sorting its touched
+//                 list when that costs less; no per-row reset. It runs the
+//                 accumulating products of the samplers (LADIES'
+//                 indicator-row probability product and its 1.5D panels)
+//                 and csr_sum, the 1.5D fold.
 //      * hash   — nsparse-style open addressing sized to each row's
-//                 upper-bound fill. Wins for sparse rows over wide matrices
-//                 (LADIES' indicator-row probability product, sparse 1.5D
-//                 panels).
+//                 upper-bound fill; sorts every row. Picked only for blocks
+//                 with fewer flops than bitmap words (tiny products into
+//                 wide outputs).
 //
 // The engine only multiplies: NORM is the plan's kNormalize op
 // (sparse/ops.hpp normalize_rows, core/ladies.hpp ladies_norm). Masked
@@ -36,9 +41,11 @@
 //
 // Bit-identity contract: all kernels emit rows in sorted column order and
 // accumulate each output entry's contributions in the same order (the order
-// the A row traverses its B rows), so gather, dense, hash and auto products
-// are bit-identical — not merely close (a selection row touches each column
-// once, so every kernel stores av·bv in B's order). spgemm_masked passes
+// the A row traverses its B rows: the first product is stored, the later
+// ones added), so gather, dense, hash and auto products are bit-identical —
+// not merely close (a selection row touches each column once, so every
+// kernel stores av·bv in B's order). csr_sum adds its parts' entries in
+// list order through the same accumulators. spgemm_masked passes
 // values through, so it equals extraction by product-then-slice bit for
 // bit. This is what lets the samplers dispatch adaptively while preserving
 // the single-node/partitioned equivalence contract, and what makes the
@@ -65,7 +72,7 @@ struct SpgemmOptions {
   /// Kernel override. kAuto runs the row gather when every A row stores at
   /// most one entry, else dispatches per row block by spgemm_pick_kernel; a
   /// forced kDense/kHash always runs that kernel. Never affects result bits.
-  /// spgemm_masked ignores it.
+  /// csr_sum never gathers; spgemm_masked ignores it.
   SpgemmKernel kernel = SpgemmKernel::kAuto;
   /// Reusable scratch arena (DESIGN.md §7). When non-null, every symbolic
   /// prefix, block accumulator, staging buffer and mask lookup comes from
@@ -81,6 +88,16 @@ struct SpgemmOptions {
 /// choice, the block decomposition, and the thread count.
 CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
                  const SpgemmOptions& opts = {});
+
+/// C = parts[0] + parts[1] + ... (all the same shape, at least one): the
+/// 1.5D SpGEMM's fold of partial products (Algorithm 2 line 14). Each
+/// output entry is its first contribution plus the later ones, added in
+/// list order — exactly what a left-to-right chain of pairwise sorted
+/// merges computes, bit for bit. It runs the product's symbolic prefix
+/// (a row's entries over all parts), flop-balanced blocks, per-block
+/// kernel choice, workspace slots and stitch; opts.kernel forces a kernel
+/// as for spgemm.
+CsrMatrix csr_sum(std::span<const CsrMatrix> parts, const SpgemmOptions& opts = {});
 
 /// Masked extraction A[rows, mask]: row i of the result is A's row rows[i]
 /// (read in place; ids may repeat and come in any order) restricted to the
@@ -100,10 +117,12 @@ CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
 
 /// Kernel the kAuto estimator picks for a row block performing `block_flops`
 /// multiply-adds into `out_cols` output columns: dense iff
-/// 4·block_flops >= out_cols. The dense accumulator pays O(out_cols) to
-/// initialize and scan its workspace, the hash kernel a constant factor per
-/// flop (open-addressing probes plus the per-row sort). Exposed so tests and
-/// the kernel-comparison bench can pin down the dispatch boundary.
+/// 64·block_flops >= out_cols, i.e. at least one flop per word of the
+/// dense kernel's touched-column bitmap. The dense accumulator pays
+/// O(out_cols/64) per block to clear its bitmap and, per row, the cheaper
+/// of walking it and sorting the touched columns; the hash kernel pays a
+/// probe per flop and sorts every row. Exposed so tests and the
+/// kernel-comparison bench can pin down the dispatch boundary.
 SpgemmKernel spgemm_pick_kernel(nnz_t block_flops, index_t out_cols);
 
 /// Number of scalar multiply-adds Gustavson performs for A*B:

@@ -1,6 +1,7 @@
-// 1.5D distributed SpGEMM (Algorithm 2) and masked extraction: exact
-// agreement with the single-node product / spgemm_masked across grid shapes,
-// plus sparsity-aware vs oblivious volume comparisons.
+// 1.5D distributed SpGEMM (Algorithm 2) and masked extraction: agreement
+// with the single-node product (bitwise for integer-valued products, within
+// rounding otherwise) / spgemm_masked across grid shapes, plus
+// sparsity-aware vs oblivious volume comparisons.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,8 @@ namespace dms {
 namespace {
 
 using testutil::random_csr;
+using testutil::random_pattern;
+using testutil::same_bits;
 
 Cluster make_cluster(int p, int c) {
   return Cluster(ProcessGrid(p, c), CostModel(LinkParams{}));
@@ -57,6 +60,65 @@ INSTANTIATE_TEST_SUITE_P(Grids, Spgemm15dGridSweep,
                                            GridParam{4, 1}, GridParam{4, 2},
                                            GridParam{8, 2}, GridParam{16, 4},
                                            GridParam{16, 2}, GridParam{8, 1}));
+
+TEST(Spgemm15d, UnitValuedProductsAreBitwiseTheSingleNodeProduct) {
+  // The fold adds each entry's per-block partial sums in ascending block
+  // order, which is not the single-node product's one pass over the row.
+  // With unit values every partial sum is a small integer, so no addition
+  // rounds and the bits cannot depend on the grid.
+  const CsrMatrix a_global = random_pattern(96, 96, 0.3, 103);
+  const CsrMatrix q_global = random_pattern(40, 96, 0.3, 104);
+  const CsrMatrix want = spgemm(q_global, a_global);
+  for (const GridParam g : {GridParam{1, 1}, GridParam{2, 1}, GridParam{4, 2},
+                            GridParam{8, 2}, GridParam{8, 4}}) {
+    for (const bool aware : {true, false}) {
+      Cluster cluster = make_cluster(g.p, g.c);
+      const DistBlockRowMatrix a(cluster.grid(), a_global);
+      Spgemm15dOptions opts;
+      opts.sparsity_aware = aware;
+      const auto p_blocks =
+          spgemm_15d(cluster, split_rows(q_global, cluster.grid().rows()), a, opts);
+      EXPECT_TRUE(same_bits(vstack(p_blocks), want))
+          << "grid p=" << g.p << " c=" << g.c << " aware " << aware;
+    }
+  }
+}
+
+TEST(Spgemm15d, NonIntegerProductsAreBitwiseFixedPerGrid) {
+  // With random_csr values the fold's per-block partial sums round, so
+  // the result differs from the single-node product in some bits (hence
+  // MatchesSingleNodeProduct's tolerance). For a given grid the bits are
+  // fixed: the sparsity-aware and oblivious runs and the serial and
+  // parallel local engines agree bit for bit. Under CI's DMS_THREADS=4
+  // pass the parallel engine splits every product and fold into blocks,
+  // so this also compares thread counts.
+  const CsrMatrix a_global = random_csr(96, 96, 0.3, 105);
+  const CsrMatrix q_global = random_csr(40, 96, 0.3, 106);
+  const CsrMatrix single = spgemm(q_global, a_global);
+  for (const GridParam g : {GridParam{2, 1}, GridParam{4, 1}, GridParam{8, 1},
+                            GridParam{8, 2}, GridParam{16, 4}}) {
+    std::vector<CsrMatrix> runs;
+    for (const bool aware : {true, false}) {
+      for (const bool parallel : {true, false}) {
+        Cluster cluster = make_cluster(g.p, g.c);
+        const DistBlockRowMatrix a(cluster.grid(), a_global);
+        Spgemm15dOptions opts;
+        opts.sparsity_aware = aware;
+        opts.local.parallel = parallel;
+        runs.push_back(
+            vstack(spgemm_15d(cluster, split_rows(q_global, cluster.grid().rows()), a, opts)));
+      }
+    }
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      EXPECT_TRUE(same_bits(runs[r], runs[0])) << "grid p=" << g.p << " c=" << g.c
+                                               << " run " << r;
+    }
+    EXPECT_LT(max_abs_diff(runs[0], single), 1e-12);
+    if (g.c == 1) {
+      EXPECT_FALSE(same_bits(runs[0], single)) << "grid p=" << g.p;
+    }
+  }
+}
 
 /// Per-process-row extraction batches over an n-row A: unsorted rows that
 /// span every block (one repeated), a batch confined to one block, a batch

@@ -1,4 +1,4 @@
-// Structural sparse operations: transpose, stacking, extraction, NORM, add.
+// Structural sparse operations: transpose, stacking, extraction, NORM.
 #include <gtest/gtest.h>
 
 #include "sparse/ops.hpp"
@@ -131,22 +131,6 @@ TEST(NonzeroColumns, FindsOccupiedColumns) {
   const CsrMatrix a =
       CsrMatrix::from_triplets(3, 6, {0, 1, 2}, {4, 1, 4}, {1.0, 1.0, 1.0});
   EXPECT_EQ(nonzero_columns(a), (std::vector<index_t>{1, 4}));
-}
-
-TEST(CsrAdd, MatchesDenseAddition) {
-  const CsrMatrix a = random_csr(10, 10, 0.3, 34);
-  const CsrMatrix b = random_csr(10, 10, 0.3, 35);
-  const CsrMatrix c = csr_add(a, b);
-  c.validate();
-  for (index_t i = 0; i < 10; ++i) {
-    for (index_t j = 0; j < 10; ++j) {
-      EXPECT_DOUBLE_EQ(c.at(i, j), a.at(i, j) + b.at(i, j));
-    }
-  }
-}
-
-TEST(CsrAdd, ShapeMismatchThrows) {
-  EXPECT_THROW(csr_add(CsrMatrix(2, 2), CsrMatrix(2, 3)), DmsError);
 }
 
 TEST(ColumnWindow, SelectsAndShifts) {

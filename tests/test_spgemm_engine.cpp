@@ -1,11 +1,14 @@
 // The unified SpGEMM engine: property tests asserting every kernel (dense,
 // hash, auto-dispatched, selection gather) produces bit-identical results on
-// random CSR inputs across shapes — including empty rows/columns — and that
-// spgemm_masked equals row-then-column extraction bit for bit under random
-// duplicate-free masks, plus dispatch and mask-contract checks.
+// random CSR inputs across shapes — including empty rows/columns and both
+// of the dense kernel's emit paths — that csr_sum equals a left-to-right
+// chain of pairwise merges bit for bit, and that spgemm_masked equals
+// row-then-column extraction bit for bit under random duplicate-free masks,
+// plus dispatch and mask-contract checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/rng.hpp"
 #include "sparse/ops.hpp"
@@ -17,6 +20,7 @@ namespace {
 
 using testutil::dense_matmul;
 using testutil::random_csr;
+using testutil::same_bits;
 
 CsrMatrix run(const CsrMatrix& a, const CsrMatrix& b, SpgemmKernel kernel,
               bool parallel = true) {
@@ -149,26 +153,159 @@ TEST(SpgemmEngine, HashKernelSurvivesCollisionHeavyColumns) {
 }
 
 TEST(SpgemmEngine, EstimatorPrefersHashForSparseRowsOverWideOutput) {
-  // Tiny flop volume into a huge column space → the dense accumulator's
-  // O(cols) workspace cannot amortize.
+  // Tiny flop volume into a huge column space → fewer flops than the dense
+  // kernel's bitmap has words.
   EXPECT_EQ(spgemm_pick_kernel(16, 1 << 20), SpgemmKernel::kHash);
   // Dense row blocks over a modest column space → dense wins.
   EXPECT_EQ(spgemm_pick_kernel(1 << 20, 1024), SpgemmKernel::kDense);
+  // A 26-row LADIES panel over 65,536 columns with ~4 K flops (the hash
+  // kernel's side of the old 4·flops ≥ cols rule): dense.
+  EXPECT_EQ(spgemm_pick_kernel(4096, 1 << 16), SpgemmKernel::kDense);
 }
 
-TEST(SpgemmEngine, CostModelDefaultsMatchHistoricalThreshold) {
-  // The historical dispatch was `4·flops >= out_cols ? dense : hash`
-  // (ties dense); kAuto must reproduce it exactly.
+TEST(SpgemmEngine, PickIsDenseFromOneFlopPerBitmapWord) {
+  // kAuto picks dense iff 64·flops >= out_cols (ties dense): at least one
+  // flop per 64-column word of the dense kernel's bitmap.
   const struct {
     nnz_t flops;
     index_t cols;
-  } cases[] = {{25, 100}, {24, 100}, {26, 100}, {0, 1}, {1, 4}, {1, 5}};
+    SpgemmKernel want;
+  } cases[] = {{1024, 1 << 16, SpgemmKernel::kDense},
+               {1023, 1 << 16, SpgemmKernel::kHash},
+               {1, 64, SpgemmKernel::kDense},
+               {1, 65, SpgemmKernel::kHash},
+               {0, 1, SpgemmKernel::kHash},
+               {24, 100, SpgemmKernel::kDense}};
   for (const auto& c : cases) {
-    const SpgemmKernel expect = c.flops * 4 >= c.cols ? SpgemmKernel::kDense
-                                                      : SpgemmKernel::kHash;
-    EXPECT_EQ(spgemm_pick_kernel(c.flops, c.cols), expect)
+    EXPECT_EQ(spgemm_pick_kernel(c.flops, c.cols), c.want)
         << c.flops << " flops, " << c.cols << " cols";
   }
+}
+
+TEST(SpgemmEngine, DenseEmitPathsMatchHashBitForBit) {
+  // Over 1<<16 columns the dense kernel's bitmap has 1024 words: a row
+  // touching t columns sorts its touched list when t·bit_width(t) < 1024
+  // and walks the bitmap otherwise. B's rows: a few entries (column 0 and
+  // the last column among them), a near-dense row, a row whose entry at
+  // column 0 is -0.0, an empty row, and 127 spread entries. A's rows pick
+  // them so that output rows take either path: few entries and 127 (sort),
+  // 130 and near-dense (walk), the empty A row and an A row over the empty
+  // B row (empty output rows). Values include negatives, and column 0 of
+  // row 1 (sort path) and the last column of row 9 (walk path) have the
+  // single contribution 1·(-0.0), which must stay -0.0: a kernel that
+  // started from +0.0 and added would store +0.0.
+  const index_t cols = index_t{1} << 16;
+  CooMatrix bcoo(6, cols);
+  bcoo.push(0, 0, -1.5);
+  bcoo.push(0, 7, 2.25);
+  bcoo.push(0, cols - 1, -0.0);
+  for (index_t c = 0; c < cols; ++c) {
+    if (c % 7 != 3) bcoo.push(1, c, static_cast<value_t>(c % 11) * 0.25 - 1.3);
+  }
+  bcoo.push(2, 0, -0.0);
+  bcoo.push(2, 100, 0.1);
+  bcoo.push(2, cols - 1, 3.5);
+  for (index_t j = 0; j < 127; ++j) bcoo.push(5, 3 + 509 * j, 0.5 - 0.01 * static_cast<value_t>(j));
+  const CsrMatrix b = CsrMatrix::from_coo(bcoo);  // keeps the -0.0 entries
+  ASSERT_TRUE(std::signbit(b.at(2, 0)));
+  const CsrMatrix a = CsrMatrix::from_triplets(
+      10, 6,
+      {0, 0, 1, 2, 4, 5, 5, 5, 5, 6, 6, 7, 7, 8, 9, 9},
+      {0, 2, 2, 1, 3, 0, 1, 2, 4, 0, 4, 1, 2, 5, 0, 5},
+      {1.0, 1.0, 1.0, 0.5, 2.0, -2.0, 0.75, -1.0, 1.25, 3.0, -0.5, -1.0, 2.0, 1.0, 1.0, 1.0});
+  const CsrMatrix want = run(a, b, SpgemmKernel::kDense, /*parallel=*/false);
+  want.validate();
+  EXPECT_TRUE(std::signbit(want.at(1, 0)));
+  EXPECT_TRUE(std::signbit(want.at(9, cols - 1)));
+  EXPECT_EQ(want.row_nnz(3), 0);
+  EXPECT_EQ(want.row_nnz(4), 0);
+  EXPECT_EQ(want.row_nnz(8), 127);
+  EXPECT_EQ(want.row_nnz(9), 130);
+  for (const SpgemmKernel kernel :
+       {SpgemmKernel::kDense, SpgemmKernel::kHash, SpgemmKernel::kAuto}) {
+    for (const bool parallel : {true, false}) {
+      EXPECT_TRUE(same_bits(run(a, b, kernel, parallel), want))
+          << "kernel " << static_cast<int>(kernel) << " parallel " << parallel;
+    }
+  }
+  const DenseD ref = dense_matmul(to_dense(a), to_dense(b));
+  EXPECT_LT(DenseD::max_abs_diff(to_dense(want), ref), 1e-12);
+}
+
+/// A sorted merge of two same-shape matrices, a + b where both store an
+/// entry: the fold's reference, chained left to right.
+CsrMatrix merge_add(const CsrMatrix& a, const CsrMatrix& b) {
+  std::vector<index_t> ri, ci;
+  std::vector<value_t> vs;
+  for (index_t r = 0; r < a.rows(); ++r) {
+    const auto ac = a.row_cols(r), bc = b.row_cols(r);
+    const auto av = a.row_vals(r), bv = b.row_vals(r);
+    std::size_t i = 0, j = 0;
+    while (i < ac.size() || j < bc.size()) {
+      ri.push_back(r);
+      if (j == bc.size() || (i < ac.size() && ac[i] < bc[j])) {
+        ci.push_back(ac[i]);
+        vs.push_back(av[i++]);
+      } else if (i == ac.size() || bc[j] < ac[i]) {
+        ci.push_back(bc[j]);
+        vs.push_back(bv[j++]);
+      } else {
+        ci.push_back(ac[i]);
+        vs.push_back(av[i++] + bv[j++]);
+      }
+    }
+  }
+  std::vector<nnz_t> rowptr(static_cast<std::size_t>(a.rows()) + 1, 0);
+  for (const index_t r : ri) ++rowptr[static_cast<std::size_t>(r) + 1];
+  for (index_t r = 0; r < a.rows(); ++r) {
+    rowptr[static_cast<std::size_t>(r) + 1] += rowptr[static_cast<std::size_t>(r)];
+  }
+  return CsrMatrix(a.rows(), a.cols(), std::move(rowptr), std::move(ci), std::move(vs));
+}
+
+TEST(SpgemmEngine, SumEqualsLeftToRightPairwiseMerge) {
+  // random_csr values are not integers, so the association order of a
+  // three- or four-way sum changes bits: csr_sum must add in list order,
+  // exactly as ((p0 + p1) + p2) + p3. Narrow parts overlap heavily (dense
+  // kernel under kAuto), wide ones barely and a few-row wide sum has
+  // fewer entries than bitmap words (hash under kAuto).
+  const struct {
+    index_t rows, cols;
+    double density;
+  } shapes[] = {{24, 60, 0.5}, {24, index_t{1} << 16, 0.002}, {3, index_t{1} << 16, 0.0005}};
+  for (const auto& shape : shapes) {
+    for (const std::size_t nparts : {1u, 2u, 4u}) {
+      std::vector<CsrMatrix> parts;
+      for (std::size_t k = 0; k < nparts; ++k) {
+        parts.push_back(random_csr(shape.rows, shape.cols, shape.density,
+                                   501 + k + static_cast<std::uint64_t>(shape.cols)));
+      }
+      CsrMatrix want = parts[0];
+      for (std::size_t k = 1; k < nparts; ++k) want = merge_add(want, parts[k]);
+      for (const SpgemmKernel kernel :
+           {SpgemmKernel::kDense, SpgemmKernel::kHash, SpgemmKernel::kAuto}) {
+        for (const bool parallel : {true, false}) {
+          SpgemmOptions opts;
+          opts.kernel = kernel;
+          opts.parallel = parallel;
+          const CsrMatrix sum = csr_sum(parts, opts);
+          sum.validate();
+          EXPECT_TRUE(same_bits(sum, want))
+              << shape.cols << " cols, " << nparts << " parts, kernel "
+              << static_cast<int>(kernel) << " parallel " << parallel;
+        }
+      }
+      if (nparts == 4 && shape.cols == 60) {
+        // The test has teeth: summing right to left changes some bits.
+        const CsrMatrix rtl =
+            merge_add(parts[0], merge_add(parts[1], merge_add(parts[2], parts[3])));
+        EXPECT_FALSE(same_bits(rtl, want));
+      }
+    }
+  }
+  EXPECT_THROW(csr_sum(std::vector<CsrMatrix>{}), DmsError);
+  EXPECT_THROW(csr_sum(std::vector<CsrMatrix>{CsrMatrix(2, 2), CsrMatrix(2, 3)}), DmsError);
+  EXPECT_THROW(csr_sum(std::vector<CsrMatrix>{CsrMatrix(2, 2), CsrMatrix(3, 2)}), DmsError);
 }
 
 std::vector<index_t> all_rows(const CsrMatrix& a) {
@@ -282,17 +419,25 @@ TEST(SpgemmEngine, SelectionProductsGatherBitIdentical) {
 }
 
 TEST(SpgemmEngine, SharedWorkspaceReuseAcrossKernelsAndShapes) {
-  // One arena serving interleaved dense/hash/auto products and masked
+  // One arena serving interleaved dense/hash/auto products, sums and masked
   // extractions of different shapes must never change any result: every
   // accumulator re-establishes its own state from whatever a previous call
-  // left behind (the stale-mark / stale-hash-fill regression this pins
-  // down).
+  // left behind (the stale-bitmap / stale-hash-fill regression this pins
+  // down). Wide (1<<16-column) and narrow products and sums alternate, so
+  // the dense kernel's bitmap and value array change size between calls.
   const CsrMatrix a1 = random_csr(40, 90, 0.2, 421);
   const CsrMatrix b1 = random_csr(90, 120, 0.1, 422);
   const CsrMatrix a2 = random_csr(7, 300, 0.3, 423);
   const CsrMatrix b2 = random_csr(300, 50, 0.05, 424);
+  const CsrMatrix a3 = random_csr(9, 40, 0.3, 425);
+  const CsrMatrix b3 = random_csr(40, index_t{1} << 16, 0.002, 426);
   // Selects rows of b1 (kAuto gathers it between the staged products).
   const CsrMatrix sel = CsrMatrix::one_nonzero_per_row(90, {5, 0, 89, 5, 41});
+  const std::vector<CsrMatrix> wide_parts = {random_csr(6, index_t{1} << 16, 0.002, 427),
+                                             random_csr(6, index_t{1} << 16, 0.002, 428),
+                                             random_csr(6, index_t{1} << 16, 0.002, 429)};
+  const std::vector<CsrMatrix> narrow_parts = {random_csr(40, 120, 0.3, 430),
+                                               random_csr(40, 120, 0.3, 431)};
   std::vector<index_t> mask;
   for (index_t c = 3; c < 120; c += 7) mask.push_back(c);
 
@@ -304,9 +449,12 @@ TEST(SpgemmEngine, SharedWorkspaceReuseAcrossKernelsAndShapes) {
       fresh.kernel = kernel;
       SpgemmOptions reused = fresh;
       reused.workspace = &ws;
-      EXPECT_TRUE(spgemm(a1, b1, reused) == spgemm(a1, b1, fresh));
-      EXPECT_TRUE(spgemm(sel, b1, reused) == spgemm(sel, b1, fresh));
-      EXPECT_TRUE(spgemm(a2, b2, reused) == spgemm(a2, b2, fresh));
+      EXPECT_TRUE(same_bits(spgemm(a1, b1, reused), spgemm(a1, b1, fresh)));
+      EXPECT_TRUE(same_bits(csr_sum(wide_parts, reused), csr_sum(wide_parts, fresh)));
+      EXPECT_TRUE(same_bits(spgemm(sel, b1, reused), spgemm(sel, b1, fresh)));
+      EXPECT_TRUE(same_bits(spgemm(a3, b3, reused), spgemm(a3, b3, fresh)));
+      EXPECT_TRUE(same_bits(csr_sum(narrow_parts, reused), csr_sum(narrow_parts, fresh)));
+      EXPECT_TRUE(same_bits(spgemm(a2, b2, reused), spgemm(a2, b2, fresh)));
     }
     SpgemmOptions fresh;
     SpgemmOptions reused;

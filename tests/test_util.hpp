@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
@@ -95,6 +98,22 @@ inline DenseD dense_matmul(const DenseD& a, const DenseD& b) {
     }
   }
   return c;
+}
+
+/// Same shape, structure and value bits. CsrMatrix::operator== compares
+/// values with ==, which cannot tell -0.0 from 0.0.
+inline bool same_bits(const CsrMatrix& x, const CsrMatrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols() || x.rowptr() != y.rowptr() ||
+      x.colidx() != y.colidx()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < x.vals().size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(x.vals()[i]) !=
+        std::bit_cast<std::uint64_t>(y.vals()[i])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace dms::testutil
