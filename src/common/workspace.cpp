@@ -34,7 +34,7 @@ std::size_t WalkScratch::bytes() const {
 
 std::size_t WorkspaceSlot::bytes() const {
   return vec_bytes(row_nnz) + vec_bytes(colidx) + vec_bytes(vals) +
-         vec_bytes(acc) + vec_bytes(bitmap) + vec_bytes(touched) +
+         vec_bytes(acc) + vec_bytes(bitmap) + vec_bytes(picked) +
          vec_bytes(hash_keys) + vec_bytes(hash_used) + vec_bytes(hash_vals);
 }
 

@@ -64,19 +64,20 @@ struct WalkScratch {
 
 /// Per-parallel-block scratch bundle. Members are named for their primary
 /// user but deliberately generic: sequential kernels may reuse any buffer
-/// whose element type fits (ITS uses `vals` for row prefix sums, `touched`
-/// for picked indices, `colidx` for staged output columns).
+/// whose element type fits (ITS uses `vals` for row prefix sums, `colidx`
+/// for staged output columns).
 struct WorkspaceSlot {
   // Staged per-block output (SpGEMM numeric phase, ITS fill pass).
   std::vector<nnz_t> row_nnz;
   std::vector<index_t> colidx;
   std::vector<value_t> vals;
-  // Dense accumulator state: a value per column, a bitmap of the columns
-  // the current row touched (1 bit per column, all zero between rows) and
-  // the touched list.
+  // Dense accumulator state: a value per column and a bitmap of the
+  // columns the current row touched (1 bit per column, all zero between
+  // rows).
   std::vector<value_t> acc;
   std::vector<std::uint64_t> bitmap;
-  std::vector<index_t> touched;
+  // ITS's picked positions in the current row.
+  std::vector<index_t> picked;
   // Hash accumulator state. Invariant maintained by its user: every key
   // slot is empty outside a hash-kernel block (so reuse never rehashes).
   std::vector<index_t> hash_keys;

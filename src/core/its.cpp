@@ -86,7 +86,7 @@ struct RowNormalizer {
 /// The two-pass count-then-fill skeleton shared by the row samplers. Rows
 /// are split into contiguous blocks of ~equal `work` (a per-row work prefix,
 /// size rows+1). Pass 1 runs sample_row(r, slot) on each block's rows; it
-/// leaves row r's picked positions in slot.touched and returns the row's
+/// leaves row r's picked positions in slot.picked and returns the row's
 /// columns, and the picked columns are staged in slot.colidx. A serial
 /// prefix sum lays out the rowptr, and pass 2 copies each block's staged
 /// columns to its final offset. Per-row seeds make the result independent
@@ -113,10 +113,10 @@ CsrMatrix count_then_fill(index_t rows, index_t cols, const std::vector<nnz_t>& 
     for (index_t r = bounds[static_cast<std::size_t>(blk)];
          r < bounds[static_cast<std::size_t>(blk) + 1]; ++r) {
       const std::span<const index_t> rcols = sample_row(r, slot);
-      for (const index_t local : slot.touched) {
+      for (const index_t local : slot.picked) {
         slot.colidx.push_back(rcols[static_cast<std::size_t>(local)]);
       }
-      rowptr[static_cast<std::size_t>(r) + 1] = static_cast<nnz_t>(slot.touched.size());
+      rowptr[static_cast<std::size_t>(r) + 1] = static_cast<nnz_t>(slot.picked.size());
     }
   });
 
@@ -157,7 +157,7 @@ CsrMatrix its_sample_rows(const CsrMatrix& p, index_t s, const RowSeedFn& row_se
 
   // A row's sampling cost is dominated by its O(row nnz) prefix build, and
   // a CSR rowptr is exactly that work prefix. Scratch per block: prefix sum
-  // in slot.vals, picked locals in slot.touched.
+  // in slot.vals, picked locals in slot.picked.
   return count_then_fill(p.rows(), p.cols(), p.rowptr(), ws,
                          [&](index_t r, WorkspaceSlot& slot) {
     const auto rvals = p.row_vals(r);
@@ -166,7 +166,7 @@ CsrMatrix its_sample_rows(const CsrMatrix& p, index_t s, const RowSeedFn& row_se
     for (const value_t v : rvals) {
       slot.vals.push_back(slot.vals.back() + std::max(v, 0.0));
     }
-    its_sample_one(slot.vals, s, row_seed(r), &slot.touched);
+    its_sample_one(slot.vals, s, row_seed(r), &slot.picked);
     return p.row_cols(r);
   });
 }
@@ -265,12 +265,12 @@ CsrMatrix AdjacencyDraw::sample_rows(const std::vector<index_t>& vertices,
         work[static_cast<std::size_t>(r)] + 1 + picks + (unit_weights_ ? 0 : d);
   }
 
-  // Scratch per block: picked positions in slot.touched, a weighted row's
+  // Scratch per block: picked positions in slot.picked, a weighted row's
   // prefix in slot.vals.
   return count_then_fill(rows, adj_.cols(), work, ws, [&](index_t r, WorkspaceSlot& slot) {
     const index_t v = vertices[static_cast<std::size_t>(r)];
     if (unit_weights_) {
-      draw_distinct(unit_prefix(adj_.row_nnz(v)), s, row_seed(r), slot.touched);
+      draw_distinct(unit_prefix(adj_.row_nnz(v)), s, row_seed(r), slot.picked);
     } else {
       const auto rvals = adj_.row_vals(v);
       const RowNormalizer normalized(rvals);
@@ -280,7 +280,7 @@ CsrMatrix AdjacencyDraw::sample_rows(const std::vector<index_t>& vertices,
         acc += normalized(x);
         slot.vals.push_back(acc);
       }
-      draw_distinct(slot.vals, s, row_seed(r), slot.touched);
+      draw_distinct(slot.vals, s, row_seed(r), slot.picked);
     }
     return adj_.row_cols(v);
   });

@@ -126,11 +126,9 @@ struct BlockOut {
 /// construction, cleared by every emit).
 class DenseAcc {
  public:
-  DenseAcc(WorkspaceSlot& s, index_t cols)
-      : bits_(s.bitmap), acc_(s.acc), touched_(s.touched) {
+  DenseAcc(WorkspaceSlot& s, index_t cols) : bits_(s.bitmap), acc_(s.acc) {
     bits_.assign((static_cast<std::size_t>(cols) + 63) / 64, 0);
     acc_.resize(static_cast<std::size_t>(cols));
-    touched_.clear();
   }
 
   void add(index_t col, value_t v) {
@@ -140,46 +138,31 @@ class DenseAcc {
     if ((word & bit) == 0) {
       word |= bit;
       acc_[c] = v;
-      touched_.push_back(col);
     } else {
       acc_[c] += v;
     }
   }
 
-  /// Appends the row's entries in column order, clears its bits and
-  /// returns its entry count. Walking the bitmap costs one step per word
-  /// and sorting the touched list about t·log2 t for t columns, so a row
-  /// takes the cheaper; both emit the same entries in the same order.
+  /// Appends the row's entries in column order by walking the bitmap,
+  /// clears its bits and returns its entry count.
   nnz_t emit(std::vector<index_t>& cols, std::vector<value_t>& vals) {
-    const std::size_t t = touched_.size();
-    if (t * static_cast<std::size_t>(std::bit_width(t)) < bits_.size()) {
-      std::sort(touched_.begin(), touched_.end());
-      for (const index_t col : touched_) {
-        const auto c = static_cast<std::size_t>(col);
-        bits_[c >> 6] = 0;
-        cols.push_back(col);
+    const std::size_t first = cols.size();
+    for (std::size_t w = 0; w < bits_.size(); ++w) {
+      std::uint64_t word = bits_[w];
+      if (word == 0) continue;
+      bits_[w] = 0;
+      for (; word != 0; word &= word - 1) {
+        const std::size_t c = (w << 6) | static_cast<std::size_t>(std::countr_zero(word));
+        cols.push_back(static_cast<index_t>(c));
         vals.push_back(acc_[c]);
       }
-    } else {
-      for (std::size_t w = 0; w < bits_.size(); ++w) {
-        std::uint64_t word = bits_[w];
-        if (word == 0) continue;
-        bits_[w] = 0;
-        for (; word != 0; word &= word - 1) {
-          const std::size_t c = (w << 6) | static_cast<std::size_t>(std::countr_zero(word));
-          cols.push_back(static_cast<index_t>(c));
-          vals.push_back(acc_[c]);
-        }
-      }
     }
-    touched_.clear();
-    return static_cast<nnz_t>(t);
+    return static_cast<nnz_t>(cols.size() - first);
   }
 
  private:
   std::vector<std::uint64_t>& bits_;
   std::vector<value_t>& acc_;
-  std::vector<index_t>& touched_;  // columns touched by the current row
 };
 
 template <typename Rows>

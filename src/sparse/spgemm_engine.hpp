@@ -21,11 +21,10 @@
 //      * dense  — a value per output column and a bitmap of the columns
 //                 the current row touched (1 bit per column, all zero
 //                 between rows). A row is emitted in column order by
-//                 walking the bitmap's set bits, or by sorting its touched
-//                 list when that costs less; no per-row reset. It runs the
-//                 accumulating products of the samplers (LADIES'
-//                 indicator-row probability product and its 1.5D panels)
-//                 and csr_sum, the 1.5D fold.
+//                 walking the bitmap's set bits; no sort, no per-row
+//                 reset. It runs the accumulating products of the samplers
+//                 (LADIES' indicator-row probability product and its 1.5D
+//                 panels) and csr_sum, the 1.5D fold.
 //      * hash   — nsparse-style open addressing sized to each row's
 //                 upper-bound fill; sorts every row. Picked only for blocks
 //                 with fewer flops than bitmap words (tiny products into
@@ -119,9 +118,8 @@ CsrMatrix spgemm_masked(const CsrMatrix& a, std::span<const index_t> rows,
 /// multiply-adds into `out_cols` output columns: dense iff
 /// 64·block_flops >= out_cols, i.e. at least one flop per word of the
 /// dense kernel's touched-column bitmap. The dense accumulator pays
-/// O(out_cols/64) per block to clear its bitmap and, per row, the cheaper
-/// of walking it and sorting the touched columns; the hash kernel pays a
-/// probe per flop and sorts every row. Exposed so tests and the
+/// O(out_cols/64) per block to clear its bitmap and per row to walk it;
+/// the hash kernel pays a probe per flop and sorts every row. Exposed so tests and the
 /// kernel-comparison bench can pin down the dispatch boundary.
 SpgemmKernel spgemm_pick_kernel(nnz_t block_flops, index_t out_cols);
 

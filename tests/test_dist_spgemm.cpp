@@ -42,16 +42,23 @@ class Spgemm15dGridSweep : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(Spgemm15dGridSweep, MatchesSingleNodeProduct) {
   const auto [p, c] = GetParam();
-  Cluster cluster = make_cluster(p, c);
+  const auto product_15d = [&](const CsrMatrix& q_global, const CsrMatrix& a_global) {
+    Cluster cluster = make_cluster(p, c);
+    const DistBlockRowMatrix a(cluster.grid(), a_global);
+    return vstack(spgemm_15d(cluster, split_rows(q_global, cluster.grid().rows()), a));
+  };
+  // The fold adds each entry's per-block partial sums in ascending block
+  // order, which is not the single-node product's one pass over the row:
+  // with random_csr values some bits differ (DESIGN §3.2).
   const CsrMatrix a_global = random_csr(96, 96, 0.08, 101);
   const CsrMatrix q_global = random_csr(40, 96, 0.05, 102);
-  const DistBlockRowMatrix a(cluster.grid(), a_global);
-  const auto q_blocks = split_rows(q_global, cluster.grid().rows());
-
-  const auto p_blocks = spgemm_15d(cluster, q_blocks, a);
-  const CsrMatrix p_dist = vstack(p_blocks);
-  const CsrMatrix p_ref = spgemm(q_global, a_global);
-  EXPECT_LT(max_abs_diff(p_dist, p_ref), 1e-12)
+  EXPECT_LT(max_abs_diff(product_15d(q_global, a_global), spgemm(q_global, a_global)), 1e-12)
+      << "grid p=" << p << " c=" << c;
+  // With unit values every partial sum is a small integer, so no addition
+  // rounds and the bits cannot depend on the grid.
+  const CsrMatrix a_unit = random_pattern(96, 96, 0.3, 103);
+  const CsrMatrix q_unit = random_pattern(40, 96, 0.3, 104);
+  EXPECT_TRUE(same_bits(product_15d(q_unit, a_unit), spgemm(q_unit, a_unit)))
       << "grid p=" << p << " c=" << c;
 }
 
@@ -59,66 +66,8 @@ INSTANTIATE_TEST_SUITE_P(Grids, Spgemm15dGridSweep,
                          ::testing::Values(GridParam{1, 1}, GridParam{2, 1},
                                            GridParam{4, 1}, GridParam{4, 2},
                                            GridParam{8, 2}, GridParam{16, 4},
-                                           GridParam{16, 2}, GridParam{8, 1}));
-
-TEST(Spgemm15d, UnitValuedProductsAreBitwiseTheSingleNodeProduct) {
-  // The fold adds each entry's per-block partial sums in ascending block
-  // order, which is not the single-node product's one pass over the row.
-  // With unit values every partial sum is a small integer, so no addition
-  // rounds and the bits cannot depend on the grid.
-  const CsrMatrix a_global = random_pattern(96, 96, 0.3, 103);
-  const CsrMatrix q_global = random_pattern(40, 96, 0.3, 104);
-  const CsrMatrix want = spgemm(q_global, a_global);
-  for (const GridParam g : {GridParam{1, 1}, GridParam{2, 1}, GridParam{4, 2},
-                            GridParam{8, 2}, GridParam{8, 4}}) {
-    for (const bool aware : {true, false}) {
-      Cluster cluster = make_cluster(g.p, g.c);
-      const DistBlockRowMatrix a(cluster.grid(), a_global);
-      Spgemm15dOptions opts;
-      opts.sparsity_aware = aware;
-      const auto p_blocks =
-          spgemm_15d(cluster, split_rows(q_global, cluster.grid().rows()), a, opts);
-      EXPECT_TRUE(same_bits(vstack(p_blocks), want))
-          << "grid p=" << g.p << " c=" << g.c << " aware " << aware;
-    }
-  }
-}
-
-TEST(Spgemm15d, NonIntegerProductsAreBitwiseFixedPerGrid) {
-  // With random_csr values the fold's per-block partial sums round, so
-  // the result differs from the single-node product in some bits (hence
-  // MatchesSingleNodeProduct's tolerance). For a given grid the bits are
-  // fixed: the sparsity-aware and oblivious runs and the serial and
-  // parallel local engines agree bit for bit. Under CI's DMS_THREADS=4
-  // pass the parallel engine splits every product and fold into blocks,
-  // so this also compares thread counts.
-  const CsrMatrix a_global = random_csr(96, 96, 0.3, 105);
-  const CsrMatrix q_global = random_csr(40, 96, 0.3, 106);
-  const CsrMatrix single = spgemm(q_global, a_global);
-  for (const GridParam g : {GridParam{2, 1}, GridParam{4, 1}, GridParam{8, 1},
-                            GridParam{8, 2}, GridParam{16, 4}}) {
-    std::vector<CsrMatrix> runs;
-    for (const bool aware : {true, false}) {
-      for (const bool parallel : {true, false}) {
-        Cluster cluster = make_cluster(g.p, g.c);
-        const DistBlockRowMatrix a(cluster.grid(), a_global);
-        Spgemm15dOptions opts;
-        opts.sparsity_aware = aware;
-        opts.local.parallel = parallel;
-        runs.push_back(
-            vstack(spgemm_15d(cluster, split_rows(q_global, cluster.grid().rows()), a, opts)));
-      }
-    }
-    for (std::size_t r = 1; r < runs.size(); ++r) {
-      EXPECT_TRUE(same_bits(runs[r], runs[0])) << "grid p=" << g.p << " c=" << g.c
-                                               << " run " << r;
-    }
-    EXPECT_LT(max_abs_diff(runs[0], single), 1e-12);
-    if (g.c == 1) {
-      EXPECT_FALSE(same_bits(runs[0], single)) << "grid p=" << g.p;
-    }
-  }
-}
+                                           GridParam{16, 2}, GridParam{8, 1},
+                                           GridParam{8, 4}));
 
 /// Per-process-row extraction batches over an n-row A: unsorted rows that
 /// span every block (one repeated), a batch confined to one block, a batch
@@ -214,19 +163,33 @@ INSTANTIATE_TEST_SUITE_P(Grids, MaskedExtract15dGridSweep,
                                            GridParam{16, 4}));
 
 TEST(Spgemm15d, ObliviousVariantGivesSameProduct) {
-  Cluster cluster = make_cluster(8, 2);
-  const CsrMatrix a_global = random_csr(64, 64, 0.1, 103);
-  const CsrMatrix q_global = random_csr(24, 64, 0.06, 104);
-  const DistBlockRowMatrix a(cluster.grid(), a_global);
-  const auto q_blocks = split_rows(q_global, cluster.grid().rows());
-
-  Spgemm15dOptions aware;
-  aware.sparsity_aware = true;
-  Spgemm15dOptions oblivious;
-  oblivious.sparsity_aware = false;
-  const CsrMatrix pa = vstack(spgemm_15d(cluster, q_blocks, a, aware));
-  const CsrMatrix po = vstack(spgemm_15d(cluster, q_blocks, a, oblivious));
-  EXPECT_TRUE(pa == po);
+  // The variants ship different data but run the same local products and
+  // fold, so even non-integer results agree bit for bit on each grid, with
+  // the serial and the parallel local engine alike. Under CI's
+  // DMS_THREADS=4 pass the parallel engine splits every product and fold
+  // into blocks, so this also compares thread counts.
+  const CsrMatrix a_global = random_csr(96, 96, 0.3, 105);
+  const CsrMatrix q_global = random_csr(40, 96, 0.3, 106);
+  for (const GridParam g : {GridParam{2, 1}, GridParam{4, 1}, GridParam{4, 2},
+                            GridParam{8, 1}, GridParam{8, 2}, GridParam{8, 4},
+                            GridParam{16, 4}}) {
+    std::vector<CsrMatrix> runs;
+    for (const bool aware : {true, false}) {
+      for (const bool parallel : {true, false}) {
+        Cluster cluster = make_cluster(g.p, g.c);
+        const DistBlockRowMatrix a(cluster.grid(), a_global);
+        Spgemm15dOptions opts;
+        opts.sparsity_aware = aware;
+        opts.local.parallel = parallel;
+        runs.push_back(
+            vstack(spgemm_15d(cluster, split_rows(q_global, cluster.grid().rows()), a, opts)));
+      }
+    }
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      EXPECT_TRUE(same_bits(runs[r], runs[0])) << "grid p=" << g.p << " c=" << g.c
+                                               << " run " << r;
+    }
+  }
 }
 
 TEST(Spgemm15d, SparsityAwareSendsFewerRowBytes) {
